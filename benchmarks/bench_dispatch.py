@@ -1,16 +1,17 @@
-"""Dispatch — Table: fault-simulation backend scaling (serial/ppsfp/pool).
+"""Dispatch — Table: fault-simulation backend scaling (serial/ppsfp/supervised).
 
-Times the three backends of :mod:`repro.sim.dispatch` on generated
-circuits of increasing size and records the rows to ``BENCH_dispatch.json``
-for cross-run comparison.  The pool backend is measured at 1, 2, and 4
-workers; identical detection results across every backend and worker count
-double as the differential correctness check.
+Times the backends of :mod:`repro.sim.dispatch` on generated circuits of
+increasing size and records the rows to ``BENCH_dispatch.json`` for
+cross-run comparison.  The supervised backend is measured at 1 and 2
+workers against single-process PPSFP; identical detection results across
+every backend and worker count double as the differential correctness
+check.
 
-On a multi-core host the 4-worker pool should beat single-process PPSFP by
->1.5x on the largest circuit (asserted when >=4 CPUs are available).  On a
-single-core container the pool rows still run — they measure dispatch
-overhead honestly — but the speedup assertion is skipped and the core
-count is recorded in the JSON.
+With real parallelism (>=2 CPUs) the 2-worker supervised run should beat
+single-process PPSFP on the largest circuit (asserted when enough cores
+are available).  On a single-core host the supervised rows still run —
+they measure dispatch overhead honestly — but the speedup assertion is
+skipped and the core count is recorded in the JSON.
 """
 
 import os
@@ -27,7 +28,7 @@ from .util import print_table, run_once, write_bench_json
 # last entry is the "largest generated circuit" of the acceptance check.
 SIZES = [(8, 120, 1), (10, 240, 2), (12, 480, 3)]
 N_PATTERNS = 256
-POOL_JOBS = (1, 2, 4)
+SUPERVISED_JOBS = (1, 2)
 # Serial is O(faults x patterns x gates) in pure Python — minutes on the
 # larger rungs — so it is timed only up to this gate count and reported as
 # None above it (ppsfp is the meaningful single-process baseline there).
@@ -58,49 +59,50 @@ def _compare(n_inputs, n_gates, seed):
         "serial_s": serial_s,
         "ppsfp_s": ppsfp_s,
     }
-    pool_stats = {}
-    for jobs in POOL_JOBS:
-        pool, pool_s = _time_backend(
-            simulator, patterns, faults, engine="pool", jobs=jobs
+    supervised_stats = {}
+    for jobs in SUPERVISED_JOBS:
+        supervised, supervised_s = _time_backend(
+            simulator, patterns, faults, engine="supervised", jobs=jobs
         )
-        assert pool.detected == ppsfp.detected  # differential check
-        assert pool.undetected == ppsfp.undetected
-        row[f"pool{jobs}_s"] = pool_s
-        pool_stats[jobs] = {
-            "wall_time_s": pool_s,
-            "speedup_vs_ppsfp": ppsfp_s / pool_s if pool_s else float("inf"),
-            "load_imbalance": pool.stats["load_imbalance"],
-            "partitions": len(pool.stats["partitions"]),
+        assert supervised.detected == ppsfp.detected  # differential check
+        assert supervised.undetected == ppsfp.undetected
+        row[f"supervised{jobs}_s"] = supervised_s
+        supervised_stats[jobs] = {
+            "wall_time_s": supervised_s,
+            "speedup_vs_ppsfp": ppsfp_s / supervised_s if supervised_s else float("inf"),
+            "load_imbalance": supervised.stats["load_imbalance"],
+            "partitions": len(supervised.stats["partitions"]),
         }
     if serial is not None:
         assert serial.detected == ppsfp.detected
-    best_jobs = max(POOL_JOBS)
-    row["pool_speedup_x"] = pool_stats[best_jobs]["speedup_vs_ppsfp"]
-    row["imbalance"] = pool_stats[best_jobs]["load_imbalance"]
-    return row, pool_stats
+    best_jobs = max(SUPERVISED_JOBS)
+    row["speedup_x"] = supervised_stats[best_jobs]["speedup_vs_ppsfp"]
+    row["imbalance"] = supervised_stats[best_jobs]["load_imbalance"]
+    return row, supervised_stats
 
 
 def _run_all():
     rows = []
     detail = {}
     for size in SIZES:
-        row, pool_stats = _compare(*size)
+        row, supervised_stats = _compare(*size)
         rows.append(row)
-        detail[row["circuit"]] = pool_stats
+        detail[row["circuit"]] = supervised_stats
     return rows, detail
 
 
-# Acceptance: 4-worker pool beats single-process PPSFP by this factor on
-# the largest circuit.  Only meaningful with real parallelism, so the
-# assertion is capability-gated on the core count — and the gate's verdict
-# is recorded in the envelope instead of vanishing into stdout.
-REQUIRED_CORES = 4
-MIN_POOL_SPEEDUP = 1.5
+# Acceptance: the 2-worker supervised run beats single-process PPSFP by
+# this factor on the largest circuit.  Only meaningful with real
+# parallelism, so the assertion is capability-gated on the core count —
+# and the gate's verdict is recorded in the envelope instead of vanishing
+# into stdout.
+REQUIRED_CORES = max(SUPERVISED_JOBS)
+MIN_SPEEDUP = 1.2
 
 
 def test_dispatch_backend_scaling(benchmark):
     rows, detail = run_once(benchmark, _run_all)
-    print_table("Dispatch: serial vs ppsfp vs pool", rows)
+    print_table("Dispatch: serial vs ppsfp vs supervised", rows)
     cores = os.cpu_count() or 1
     asserted = cores >= REQUIRED_CORES
     skipped_reason = (
@@ -114,13 +116,13 @@ def test_dispatch_backend_scaling(benchmark):
         {
             "n_patterns": N_PATTERNS,
             "cpu_count": cores,
-            "pool_jobs": list(POOL_JOBS),
+            "supervised_jobs": list(SUPERVISED_JOBS),
             "rows": rows,
-            "pool_detail": detail,
+            "supervised_detail": detail,
             "speedup_assertion": {
                 "cpu_count": cores,
                 "required_cores": REQUIRED_CORES,
-                "min_speedup_x": MIN_POOL_SPEEDUP,
+                "min_speedup_x": MIN_SPEEDUP,
                 "asserted": asserted,
                 "skipped_reason": skipped_reason,
             },
@@ -131,6 +133,6 @@ def test_dispatch_backend_scaling(benchmark):
         if row["serial_s"] is not None:
             assert row["serial_s"] > row["ppsfp_s"]  # PPSFP wins vs serial
     if asserted:
-        assert rows[-1]["pool_speedup_x"] > MIN_POOL_SPEEDUP
+        assert rows[-1]["speedup_x"] > MIN_SPEEDUP
     else:
-        print(f"(pool speedup assertion skipped: {skipped_reason})")
+        print(f"(speedup assertion skipped: {skipped_reason})")

@@ -6,8 +6,9 @@ reason every production grader uses it.  Fault dropping alone contributes
 a large factor.
 
 Regenerates: per circuit, wall time for serial vs PPSFP (both no-drop, for
-a fair per-work comparison) plus PPSFP with dropping and the multiprocess
-pool backend; identical detection sets double as a correctness check.
+a fair per-work comparison) plus PPSFP with dropping and the supervised
+multiprocess backend; identical detection sets double as a correctness
+check.
 See ``bench_dispatch.py`` for the dedicated backend-scaling table.
 """
 
@@ -45,17 +46,19 @@ def _compare(name):
 
     jobs = min(4, os.cpu_count() or 1)
     start = time.perf_counter()
-    pool = simulator.simulate(patterns, faults, drop=False, engine="pool", jobs=jobs)
-    pool_s = time.perf_counter() - start
+    supervised = simulator.simulate(
+        patterns, faults, drop=False, engine="supervised", jobs=jobs
+    )
+    supervised_s = time.perf_counter() - start
 
-    assert serial.detected == ppsfp.detected == pool.detected  # engines agree
+    assert serial.detected == ppsfp.detected == supervised.detected  # engines agree
     return {
         "circuit": name,
         "faults": len(faults),
         "serial_s": serial_s,
         "ppsfp_s": ppsfp_s,
         "ppsfp_drop_s": drop_s,
-        f"pool{jobs}_s": pool_s,
+        f"supervised{jobs}_s": supervised_s,
         "speedup_x": serial_s / ppsfp_s if ppsfp_s else float("inf"),
         "drop_speedup_x": serial_s / drop_s if drop_s else float("inf"),
     }

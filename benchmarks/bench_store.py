@@ -36,8 +36,7 @@ from repro.circuit import generators
 from repro.faults import collapse_faults, full_fault_list
 from repro.sim.dispatch import partition_faults
 from repro.sim.faultsim import FaultSimulator
-from repro.sim.journal import CampaignKey
-from repro.sim.store import ShardStore
+from repro.sim.store import CampaignKey, ShardStore
 from repro.sim.supervisor import SupervisedPoolBackend
 
 from .util import print_table, run_once, write_bench_json

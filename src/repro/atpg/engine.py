@@ -14,6 +14,8 @@ The production recipe the tutorial describes:
 
 from __future__ import annotations
 
+import itertools
+import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -87,6 +89,9 @@ class AtpgResult:
     #: Per-engine abort reasons for faults no engine settled — the audit
     #: trail that makes every abort explained, never silent.
     engine_abort_reasons: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    #: Batch-pass shards this ``run_atpg(store=...)`` call graded itself
+    #: (zero when every pass resumed complete from the store).
+    store_shards_graded: int = 0
 
     @property
     def detected(self) -> int:
@@ -149,7 +154,7 @@ def run_atpg(
     word_width: int = WORD_WIDTH,
     kernel: str = "python",
     podem_time_budget_s: Optional[float] = None,
-    journal: Optional[str] = None,
+    store: Optional[str] = None,
     engine: str = "podem",
 ) -> AtpgResult:
     """Run the full stuck-at ATPG flow on ``netlist``.
@@ -163,11 +168,12 @@ def run_atpg(
     ``backend``/``jobs``/``partitions`` pick the fault-simulation engine
     for the batch passes (random phase, final verification, coverage
     top-off) — a name from :data:`repro.sim.dispatch.BACKEND_NAMES` or a
-    ready backend instance.  ``journal`` names a campaign-journal file:
+    ready backend instance.  ``store`` names a shard-store directory:
     the batch passes then run under the supervised backend, each pass
-    checkpointing its completed shards so a killed campaign resumes
-    without re-grading them (each pattern set forms its own journal
-    section).  ``podem_time_budget_s`` caps each PODEM search's wall
+    publishing its completed shards to its own sub-store
+    (``<store>/pass-000``, ``pass-001``, ...), so re-running the flow
+    with the same ``store`` resumes a killed campaign without re-grading
+    them.  ``podem_time_budget_s`` caps each PODEM search's wall
     clock, so one pathological fault aborts (counted separately in
     :meth:`AtpgResult.summary` — aborted is not untestable) instead of
     stalling the campaign; it applies to whichever deterministic
@@ -193,26 +199,36 @@ def run_atpg(
     remaining = list(faults)
     n_inputs = simulator.view.num_inputs
 
-    owned_journal = None
-    if journal is not None and isinstance(backend, str):
-        from ..sim.journal import CampaignJournal
+    if store is not None:
+        from ..sim.store import ShardStore
         from ..sim.supervisor import SupervisedPoolBackend
 
-        owned_journal = CampaignJournal(journal)
-        backend = SupervisedPoolBackend(
-            jobs=jobs, seed=seed, partitions=partitions, journal=owned_journal
-        )
+        pass_numbers = itertools.count()
 
     def batch_sim(patterns, fault_list, drop=True):
-        return simulator.simulate(
+        engine_for_pass = backend
+        if store is not None:
+            # One sub-store per pass, numbered in (deterministic) call
+            # order, so every pass resumes independently.
+            engine_for_pass = SupervisedPoolBackend(
+                jobs=jobs, seed=seed, partitions=partitions,
+                store=ShardStore(
+                    os.path.join(store, f"pass-{next(pass_numbers):03d}"),
+                    runner_id="atpg",
+                ),
+            )
+        sim = simulator.simulate(
             patterns,
             fault_list,
             drop=drop,
-            engine=backend,
+            engine=engine_for_pass,
             jobs=jobs,
             seed=seed,
             partitions=partitions,
         )
+        if store is not None:
+            result.store_shards_graded += sim.stats["store"]["shards_graded_here"]
+        return sim
 
     # ------------------------------------------------------------------
     # Phase 1: random patterns with fault dropping.
@@ -334,8 +350,6 @@ def run_atpg(
                     result.patterns.append(fill)
                     missing = [f for f in missing if f not in topoff.detected]
 
-    if owned_journal is not None:
-        owned_journal.close()
     result.cpu_seconds = time.perf_counter() - start
     _publish_atpg(result)
     return result

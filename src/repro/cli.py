@@ -12,7 +12,7 @@ Thin orchestration over the library for the common one-shot jobs:
 ``plan``       print the chip-level DFT plan for an accelerator
 ``obs diff``   compare two BENCH_*.json reports (median + MAD bands)
 ``obs gate``   like diff, but exit 4 on regression (the CI sentinel)
-``obs tail``   live progress of a supervised campaign from its journal
+``obs tail``   live per-runner progress of a ``--store`` campaign
 =============  =====================================================
 
 Every subcommand also takes ``--report FILE`` (RunReport JSON),
@@ -20,15 +20,16 @@ Every subcommand also takes ``--report FILE`` (RunReport JSON),
 (Chrome trace-event JSON for Perfetto/``chrome://tracing``).
 
 Exit codes: ``0`` success; ``2`` bad arguments (argparse) or campaign
-mismatch (journal or shard store keyed to a different circuit/pattern
-set); ``3`` a supervised fault-sim campaign completed *partially*
+mismatch (shard store keyed to a different circuit/pattern set); ``3`` a
+supervised fault-sim campaign completed *partially*
 (unrecoverable partitions — reported coverage is a lower bound);
 ``4`` benchmark regression detected by ``obs gate``; ``5`` a
-``--store`` campaign was already finished by peer runners (the printed
-result is real — merged from the store — but this runner graded
-nothing); ``130`` interrupted (Ctrl-C: workers are terminated, held
-store leases are released, and the campaign journal is flushed before
-exiting, so ``--resume``/peers pick up where the run died).
+``--store`` campaign was already finished — by peer runners or an
+earlier run (the printed result is real — merged from the store — but
+this runner graded nothing); ``130`` interrupted (Ctrl-C: workers are
+terminated and held store leases are released before exiting, so
+re-running with the same ``--store`` — or a peer — picks up where the
+run died).
 """
 
 from __future__ import annotations
@@ -56,11 +57,6 @@ from .scan.patfile import format_patterns, load_patterns
 from .sim.chaos import ChaosPlan, HostChaosPlan
 from .sim.dispatch import BACKEND_NAMES
 from .sim.faultsim import FaultSimulator
-from .sim.journal import (
-    CampaignJournal,
-    JournalMismatchError,
-    read_campaign_progress,
-)
 from .sim.store import ShardStore, read_store_progress
 from .sim.parallel import KERNELS, WORD_WIDTH, WORD_WIDTHS
 from .sim.supervisor import SupervisedPoolBackend, SupervisorConfig
@@ -131,12 +127,17 @@ def _cmd_atpg(args) -> int:
         word_width=args.word_width,
         kernel=args.kernel,
         podem_time_budget_s=args.podem_budget,
-        journal=args.resume,
+        store=args.store,
         engine=args.engine,
     )
     row = atpg_table_row(netlist, result)
     for key, value in row.items():
         print(f"{key}: {value}")
+    if args.store:
+        print(
+            f"store {args.store}: {result.store_shards_graded} batch shards "
+            f"graded by this run"
+        )
     if args.output:
         view = CombinationalView(netlist)
         text = format_patterns(netlist.name, view.input_names(), result.patterns)
@@ -149,8 +150,8 @@ def _cmd_atpg(args) -> int:
 def _supervised_backend(args) -> Optional[SupervisedPoolBackend]:
     """Build a supervised backend when the flags call for one.
 
-    ``--resume``, ``--timeout``, ``--retries``, ``--chaos``, ``--store``
-    and ``--host-chaos`` all imply supervision; asking for them with an
+    ``--timeout``, ``--retries``, ``--chaos``, ``--store`` and
+    ``--host-chaos`` all imply supervision; asking for them with an
     unsupervised ``--backend`` is upgraded (with a note) rather than
     silently ignored.
     """
@@ -160,23 +161,19 @@ def _supervised_backend(args) -> Optional[SupervisedPoolBackend]:
             "(they name runners of a shared campaign)"
         )
     implied = (
-        args.resume is not None
-        or args.timeout is not None
+        args.timeout is not None
         or args.retries is not None
         or bool(args.chaos)
         or args.store is not None
         or bool(args.host_chaos)
     )
-    if args.backend != "supervised" and not implied:
-        return None
-    if args.backend not in ("supervised", "pool") and implied:
+    if args.backend != "supervised":
+        if not implied:
+            return None
         print(f"(--backend {args.backend} upgraded to supervised)")
     config = SupervisorConfig(timeout_s=args.timeout)
     if args.retries is not None:
         config.max_retries = args.retries
-    journal = (
-        CampaignJournal(args.resume, strict=True) if args.resume is not None else None
-    )
     chaos = ChaosPlan.parse(args.chaos) if args.chaos else None
     store = None
     if args.store is not None:
@@ -193,7 +190,6 @@ def _supervised_backend(args) -> Optional[SupervisedPoolBackend]:
         partitions=args.partitions,
         config=config,
         chaos=chaos,
-        journal=journal,
         store=store,
         host_chaos=host_chaos,
     )
@@ -260,11 +256,6 @@ def _cmd_faultsim(args) -> int:
             print(
                 "recovered: "
                 + ", ".join(f"{v} {k.replace('_', ' ')}" for k, v in recovery.items())
-            )
-        if stats.get("journal_skipped"):
-            print(
-                f"resumed from journal: {stats['journal_skipped']}/"
-                f"{stats.get('n_partitions', '?')} partitions skipped"
             )
         store_stats = stats.get("store")
         if store_stats:
@@ -371,22 +362,6 @@ def _cmd_obs_gate(args) -> int:
     return 0
 
 
-def _render_progress(progress) -> str:
-    done_list = progress.get("partitions_done", [])
-    done = progress.get("partitions_done_count", len(done_list))
-    total = progress.get("partitions_total", "?")
-    graded = progress.get("faults_graded", 0)
-    faults_total = progress.get("faults_total")
-    line = f"partitions {done}/{total}, faults graded {graded}"
-    if faults_total:
-        line += f"/{faults_total} ({graded / faults_total:.1%})"
-    line += f", detected {progress.get('detected', 0)}"
-    beat = progress.get("last_heartbeat")
-    if beat and "t_wall" in beat:
-        line += f", last heartbeat {max(0.0, time.time() - beat['t_wall']):.1f}s ago"
-    return line
-
-
 def _render_store_progress(progress) -> List[str]:
     """Per-runner ownership map of a shard store, one line per runner."""
     done = progress.get("partitions_done_count", 0)
@@ -415,24 +390,16 @@ def _render_store_progress(progress) -> List[str]:
 
 
 def _cmd_obs_tail(args) -> int:
-    is_store = os.path.isdir(args.journal)
-    while True:
-        if is_store:
-            progress = read_store_progress(args.journal)
-            for line in _render_store_progress(progress):
-                print(line)
-        else:
-            progress = read_campaign_progress(args.journal)
-            if not progress["sections"]:
-                print(f"{args.journal}: no campaign sections yet")
-            else:
-                print(_render_progress(progress))
-        total = progress.get("partitions_total")
-        done = progress.get(
-            "partitions_done_count", len(progress.get("partitions_done", []))
+    if not os.path.isdir(args.store):
+        raise ValueError(
+            f"{args.store!r} is not a shard-store directory; obs tail reads "
+            f"the DIR a campaign was started with via --store DIR"
         )
-        complete = total is not None and done >= total
-        if not args.follow or complete:
+    while True:
+        progress = read_store_progress(args.store)
+        for line in _render_store_progress(progress):
+            print(line)
+        if not args.follow or progress["complete"]:
             return 0
         time.sleep(args.interval)
 
@@ -493,14 +460,14 @@ def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
         "--jobs",
         type=_positive_int,
         default=None,
-        help="worker processes for pool/supervised backends (default: CPU count)",
+        help="worker processes for the supervised backend (default: CPU count)",
     )
     parser.add_argument(
         "--partitions",
         type=_positive_int,
         default=None,
         help=(
-            "fault partitions for pool/supervised backends (default: sized "
+            "fault partitions for the supervised backend (default: sized "
             "from the fault universe; independent of --jobs, so results "
             "never depend on worker count)"
         ),
@@ -571,13 +538,6 @@ def _add_supervision_arguments(parser: argparse.ArgumentParser) -> None:
         "fallback (supervised backend; default: 2)",
     )
     parser.add_argument(
-        "--resume",
-        metavar="JOURNAL",
-        default=None,
-        help="campaign journal (JSONL): skip partitions it already holds, "
-        "checkpoint new ones as they complete",
-    )
-    parser.add_argument(
         "--chaos",
         action="append",
         default=None,
@@ -589,10 +549,11 @@ def _add_supervision_arguments(parser: argparse.ArgumentParser) -> None:
         "--store",
         metavar="DIR",
         default=None,
-        help="shared shard-store directory: N independently launched "
-        "runners with the same --store cooperatively execute one "
-        "campaign, stealing shards from dead peers (implies the "
-        "supervised backend)",
+        help="shard-store directory: every graded shard is published "
+        "there, so re-running with the same --store resumes a killed or "
+        "interrupted campaign, and N independently launched runners with "
+        "the same --store cooperatively execute one campaign, stealing "
+        "shards from dead peers (implies the supervised backend)",
     )
     parser.add_argument(
         "--runner-id",
@@ -658,11 +619,13 @@ def build_parser() -> argparse.ArgumentParser:
         "counted as aborted (not untestable) instead of stalling the run",
     )
     atpg.add_argument(
-        "--resume",
-        metavar="JOURNAL",
+        "--store",
+        metavar="DIR",
         default=None,
-        help="campaign journal for the batch fault-sim passes (random "
-        "phase, verify, top-off) — implies the supervised backend",
+        help="shard-store directory for the batch fault-sim passes "
+        "(random phase, verify): each pass publishes to its own "
+        "DIR/pass-NNN, so re-running with the same --store resumes "
+        "without re-grading — implies the supervised backend",
     )
     atpg.add_argument("--output", "-o", help="write patterns to file")
     _add_backend_arguments(atpg)
@@ -751,14 +714,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     tail = obs_sub.add_parser(
         "tail",
-        help="progress of a supervised campaign from its journal, or "
-        "per-runner shard ownership of a --store directory",
+        help="live progress and per-runner shard ownership of a "
+        "--store campaign",
     )
     tail.add_argument(
-        "journal",
-        help="CampaignJournal JSONL file (--resume) or shard-store "
-        "directory (--store): a directory is rendered as the live "
-        "per-runner ownership map",
+        "store",
+        help="the shard-store directory the campaign was started with "
+        "(--store DIR)",
     )
     tail.add_argument(
         "--follow", "-f", action="store_true",
@@ -827,16 +789,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _run_observed(args, argv)
         return args.handler(args)
     except KeyboardInterrupt:
-        # The supervisor has already reaped its workers and flushed the
-        # journal on the way up; exit 130 instead of a multiprocessing
-        # traceback so shells and schedulers see a clean interrupt.
+        # The supervisor has already reaped its workers and released its
+        # store leases on the way up; exit 130 instead of a
+        # multiprocessing traceback so shells and schedulers see a clean
+        # interrupt.
         print(
-            "interrupted: workers terminated, journal flushed — "
-            "re-run with --resume to continue",
+            "interrupted: workers terminated — re-run with the same "
+            "--store DIR to resume",
             file=sys.stderr,
         )
         return EXIT_INTERRUPTED
-    except (JournalMismatchError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

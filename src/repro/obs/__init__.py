@@ -144,8 +144,8 @@ def histogram(
 def merge_metrics(payload: Optional[Dict[str, object]]) -> None:
     """Merge a serialized worker registry into the current observation.
 
-    This is the parent half of the worker-metrics round trip: pool and
-    supervised workers serialize their registry into the partial result's
+    This is the parent half of the worker-metrics round trip: supervised
+    workers serialize their registry into the partial result's
     ``stats["metrics"]``, and the parent folds every partial's registry in
     (in any order — the merge is associative and commutative).
     """

@@ -1,7 +1,7 @@
 """Typed metrics with deterministic, associative merge semantics.
 
-Three metric kinds, chosen so that per-partition metrics from pool and
-supervised fault-sim workers merge back into the parent *exactly* like
+Three metric kinds, chosen so that per-partition metrics from supervised
+fault-sim workers merge back into the parent *exactly* like
 the fault results themselves min-merge — independent of worker count,
 completion order, and partition order:
 

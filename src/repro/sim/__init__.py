@@ -4,17 +4,13 @@ from .chaos import ChaosPlan, HostChaosInjection, HostChaosPlan
 from .dispatch import (
     BACKEND_NAMES,
     FaultSimBackend,
-    PoolBackend,
-    PpsfpBackend,
-    SerialBackend,
-    get_backend,
     merge_results,
     partition_faults,
     validate_pool_args,
 )
 from .faultsim import FaultSimResult, FaultSimulator
-from .journal import CampaignJournal, CampaignKey, JournalMismatchError
 from .store import (
+    CampaignKey,
     Lease,
     ShardStore,
     StoreCorruptionError,
@@ -41,17 +37,12 @@ __all__ = [
     "FaultSimulator",
     "FaultSimResult",
     "FaultSimBackend",
-    "SerialBackend",
-    "PpsfpBackend",
-    "PoolBackend",
     "SupervisedPoolBackend",
     "SupervisorConfig",
     "ChaosPlan",
     "HostChaosInjection",
     "HostChaosPlan",
-    "CampaignJournal",
     "CampaignKey",
-    "JournalMismatchError",
     "Lease",
     "ShardStore",
     "StoreCorruptionError",
@@ -59,7 +50,6 @@ __all__ = [
     "read_store_progress",
     "validate_store_args",
     "BACKEND_NAMES",
-    "get_backend",
     "merge_results",
     "partition_faults",
     "validate_pool_args",

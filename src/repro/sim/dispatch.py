@@ -1,18 +1,15 @@
-"""Pluggable fault-simulation backends, including a multiprocess pool.
+"""Fault-universe sharding: deterministic partitions and their min-merge.
 
 The dispatch layer decouples *what* is simulated (the PPSFP kernel in
-:mod:`repro.sim.faultsim`) from *how the fault universe is scheduled*:
-
-* :class:`SerialBackend` — the textbook one-fault/one-pattern engine.
-* :class:`PpsfpBackend` — single-process bit-parallel PPSFP.
-* :class:`PoolBackend` — the collapsed fault list is partitioned
-  deterministically (seeded shuffle + round-robin, partition count
-  independent of worker count), the good-machine response is computed
-  once in the parent, and each :mod:`multiprocessing` worker runs
-  cone-limited PPSFP over its partition against that shared response.
-  Partial results are min-merged, so first-detecting-pattern semantics
-  survive sharding and the outcome is bit-identical to PPSFP for any
-  number of workers.
+:mod:`repro.sim.faultsim`) from *how the fault universe is scheduled*.
+The collapsed fault list is partitioned deterministically (seeded
+shuffle + round-robin, partition count independent of worker count), the
+good-machine response is computed once, each worker runs cone-limited
+PPSFP over its partition against that shared response, and the partial
+results are min-merged — so first-detecting-pattern semantics survive
+sharding and the outcome is bit-identical to PPSFP for any number of
+workers.  :class:`repro.sim.supervisor.SupervisedPoolBackend` is the one
+driver that runs the shards.
 
 Accelerator-scale fault universes (Sadi & Guin's yield-loss setting, the
 tutorial's E3/E4 experiments) are only tractable when the universe is
@@ -24,23 +21,18 @@ lifetime is confined to one partition.
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
 import random
-import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..circuit.netlist import Netlist
 from ..faults.model import StuckAtFault
 from ..obs import MetricRegistry
-from ..obs.events import PARTITION_BEGIN, PARTITION_END, EventLog
-from . import shm
 from .faultsim import FaultSimResult, FaultSimulator, _unique
 
 #: Backend names accepted by ``FaultSimulator.simulate(engine=...)`` and the
-#: ``--backend`` CLI flag.  ``supervised`` is the fault-tolerant pool
-#: (see :mod:`repro.sim.supervisor`).
-BACKEND_NAMES = ("serial", "ppsfp", "pool", "supervised")
+#: ``--backend`` CLI flag: the two in-process engines and the supervised
+#: multiprocess pool (see :mod:`repro.sim.supervisor`).
+BACKEND_NAMES = ("serial", "ppsfp", "supervised")
 
 
 def validate_pool_args(
@@ -53,7 +45,7 @@ def validate_pool_args(
     ``jobs`` and ``partitions`` must be positive when given (``None``
     means "pick automatically"); ``seed`` must be a non-negative int so
     the partitioning shuffle is reproducible across documentation and
-    journals.
+    shard stores.
     """
     if jobs is not None and (not isinstance(jobs, int) or jobs < 1):
         raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
@@ -62,7 +54,8 @@ def validate_pool_args(
     if not isinstance(seed, int) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
-#: Target faults per pool partition.  The partition count derives from the
+
+#: Target faults per partition.  The partition count derives from the
 #: universe size alone (never from the worker count), so the shard
 #: boundaries — and therefore the merged result — are reproducible on any
 #: machine.
@@ -107,8 +100,8 @@ def partition_faults(
 def partition_metrics(partial: FaultSimResult) -> Dict[str, object]:
     """Serialized worker-side metric registry for one partition result.
 
-    Built inside the worker (or rebuilt in the parent for journal-replayed
-    partials that predate metrics) so per-partition counters travel home
+    Built inside the worker (or rebuilt in the parent for a partial that
+    carries none) so per-partition counters travel home
     inside ``stats["metrics"]`` and fold together with the registry's
     associative, commutative merge — the totals are independent of worker
     count, completion order, and partition grouping.
@@ -180,286 +173,3 @@ class FaultSimBackend:
     ) -> FaultSimResult:
         """Convenience entry when no :class:`FaultSimulator` exists yet."""
         return self.run(FaultSimulator(netlist), patterns, faults, drop=drop)
-
-
-class SerialBackend(FaultSimBackend):
-    """One fault, one pattern, full re-simulation (the E3 baseline)."""
-
-    name = "serial"
-
-    def run(self, simulator, patterns, faults, drop=True):
-        return simulator._simulate_serial(patterns, faults, drop)
-
-
-class PpsfpBackend(FaultSimBackend):
-    """Single-process bit-parallel PPSFP with cone-limited propagation."""
-
-    name = "ppsfp"
-
-    def run(self, simulator, patterns, faults, drop=True):
-        return simulator._simulate_ppsfp(patterns, faults, drop)
-
-
-# ----------------------------------------------------------------------
-# Pool backend
-# ----------------------------------------------------------------------
-
-# Per-worker state installed by the pool initializer: the worker's own
-# FaultSimulator, the campaign pattern count, the shared good-machine
-# response (mapped zero-copy from the arena), and the arena itself —
-# kept referenced so the mapping outlives every partition this worker
-# runs.
-_WORKER_STATE: Optional[Tuple[FaultSimulator, int, Sequence, object]] = None
-
-
-def _pool_initializer(netlist, word_width, kernel, arena_spec, meta) -> None:
-    # Workers must chunk patterns exactly like the parent that produced
-    # the good response, so the parent's word width and kernel travel
-    # with the state.  Workers never receive the pattern list: PPSFP
-    # partitions only need the pattern count and the shared good blocks,
-    # which they map read-only from the arena.
-    global _WORKER_STATE
-    arena, good_chunks = shm.attach_campaign(arena_spec, meta)
-    _WORKER_STATE = (
-        FaultSimulator(netlist, word_width=word_width, kernel=kernel),
-        meta["n_patterns"],
-        good_chunks,
-        arena,
-    )
-
-
-def _pool_partition(task: Tuple[int, List[StuckAtFault], bool]):
-    """Run one fault partition inside a worker; returns a picklable pair."""
-    index, partition, drop = task
-    assert _WORKER_STATE is not None, "pool worker not initialized"
-    simulator, n_patterns, good_chunks, _arena = _WORKER_STATE
-    log = EventLog()
-    log.emit(PARTITION_BEGIN, "partition", partition=index, faults=len(partition))
-    partial = simulator._simulate_ppsfp(
-        None, partition, drop, good_chunks=good_chunks, n_patterns=n_patterns
-    )
-    partial.stats["metrics"] = partition_metrics(partial)
-    log.emit(
-        PARTITION_END, "partition", partition=index, detected=len(partial.detected)
-    )
-    partial.stats["worker_events"] = log.to_payload()
-    return index, partial
-
-
-class PoolBackend(FaultSimBackend):
-    """Multiprocess PPSFP over deterministic fault partitions.
-
-    ``jobs`` defaults to the machine's CPU count.  ``seed`` fixes the
-    partitioning shuffle; ``partitions`` overrides the automatic
-    partition count (both independent of ``jobs``, so the merged result
-    never depends on how many workers happened to run).  With ``jobs=1``
-    the partitions run inline — same shards, same merge, no fork cost.
-    """
-
-    name = "pool"
-
-    def __init__(
-        self,
-        jobs: Optional[int] = None,
-        seed: int = 0,
-        partitions: Optional[int] = None,
-    ):
-        validate_pool_args(jobs=jobs, seed=seed, partitions=partitions)
-        self.jobs = jobs
-        self.seed = seed
-        self.partitions = partitions
-
-    def run(self, simulator, patterns, faults, drop=True):
-        start_time = time.perf_counter()
-        universe = _unique(faults)
-        jobs = self.jobs if self.jobs is not None else (os.cpu_count() or 1)
-        jobs = max(1, jobs)
-        n_partitions = (
-            self.partitions
-            if self.partitions is not None
-            else default_partition_count(len(universe))
-        )
-        shards = partition_faults(universe, n_partitions, self.seed)
-        tasks = [(index, shard, drop) for index, shard in enumerate(shards)]
-        fan_out = bool(tasks) and jobs > 1 and len(tasks) > 1
-
-        good_start = time.perf_counter()
-        parallel = simulator.parallel
-        passes0, hits0 = parallel.evaluations, parallel.cache_hits
-        arena = meta = good_chunks = None
-        if fan_out:
-            # The packed pattern matrix and good response go into one
-            # shared-memory arena that every worker maps read-only —
-            # nothing campaign-sized rides the initializer pickle.
-            arena, meta = shm.pack_campaign(simulator, patterns)
-        else:
-            good_chunks = simulator.good_response(patterns)
-        good_words = (parallel.evaluations - passes0) * parallel.num_scheduled
-        good_hits = parallel.cache_hits - hits0
-        good_seconds = time.perf_counter() - good_start
-
-        partials: List[Tuple[int, FaultSimResult]] = []
-        try:
-            if not tasks:
-                pass
-            elif not fan_out:
-                for task in tasks:
-                    t0 = time.perf_counter()
-                    log = EventLog()
-                    log.emit(
-                        PARTITION_BEGIN,
-                        "partition",
-                        partition=task[0],
-                        faults=len(task[1]),
-                    )
-                    index, partial = self._run_inline(
-                        simulator, patterns, task, good_chunks
-                    )
-                    partial.stats["wall_time_s"] = time.perf_counter() - t0
-                    # After the wall-time override, so the histogram sees the
-                    # same value the partition stats report.
-                    partial.stats["metrics"] = partition_metrics(partial)
-                    log.emit(
-                        PARTITION_END,
-                        "partition",
-                        partition=index,
-                        detected=len(partial.detected),
-                    )
-                    partial.stats["worker_events"] = log.to_payload()
-                    partials.append((index, partial))
-            else:
-                context = self._context()
-                with context.Pool(
-                    processes=min(jobs, len(tasks)),
-                    initializer=_pool_initializer,
-                    initargs=(
-                        simulator.netlist,
-                        simulator.word_width,
-                        simulator.kernel,
-                        arena.spec,
-                        meta,
-                    ),
-                ) as pool:
-                    partials = list(
-                        pool.imap_unordered(_pool_partition, tasks, chunksize=1)
-                    )
-        finally:
-            # The parent owns the segment: unlink on every exit path —
-            # normal completion, worker failure, KeyboardInterrupt.
-            if arena is not None:
-                arena.destroy()
-
-        result = merge_results(
-            [partial for _, partial in partials], universe, len(patterns), drop
-        )
-        self._fill_stats(
-            result, partials, tasks, jobs, good_seconds, good_words, start_time
-        )
-        result.stats["word_width"] = simulator.word_width
-        result.stats["kernel"] = simulator.kernel
-        result.stats["good_cache_hits"] = good_hits
-        return result
-
-    @staticmethod
-    def _run_inline(simulator, patterns, task, good_chunks):
-        index, partition, drop = task
-        partial = simulator._simulate_ppsfp(
-            patterns, partition, drop, good_chunks=good_chunks
-        )
-        return index, partial
-
-    @staticmethod
-    def _context():
-        # fork shares the parent's loaded modules and netlist for free;
-        # platforms without it (Windows, macOS spawn-default) fall back to
-        # the default start method and ship state through the initializer.
-        try:
-            return multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            return multiprocessing.get_context()
-
-    def _fill_stats(
-        self, result, partials, tasks, jobs, good_seconds, good_words, start_time
-    ):
-        per_partition: List[Dict[str, object]] = []
-        merged = MetricRegistry()
-        event_payloads: List[Dict[str, object]] = []
-        for index, partial in sorted(partials, key=lambda pair: pair[0]):
-            stats = partial.stats
-            # Journal-replayed partials may predate worker metrics; rebuild
-            # their registry from the kept stats so the merge stays total.
-            merged.merge_dict(stats.get("metrics") or partition_metrics(partial))
-            if stats.get("worker_events"):
-                event_payloads.append(stats["worker_events"])
-            per_partition.append(
-                {
-                    "partition": index,
-                    "faults": len(tasks[index][1]),
-                    "detected": len(partial.detected),
-                    "events_propagated": stats.get("events_propagated", 0),
-                    "words_evaluated": stats.get("words_evaluated", 0),
-                    "wall_time_s": stats.get("wall_time_s", 0.0),
-                }
-            )
-        walls = [p["wall_time_s"] for p in per_partition if p["wall_time_s"] > 0]
-        imbalance = (max(walls) / (sum(walls) / len(walls))) if walls else 1.0
-        result.stats.update(
-            engine="pool",
-            jobs=jobs,
-            seed=self.seed,
-            faults_simulated=result.total_faults,
-            # Derived from the merged worker registries rather than the raw
-            # partition list: the production totals ride the same
-            # associative merge the observability layer guarantees.
-            events_propagated=merged.counter("faultsim.events_propagated").value,
-            words_evaluated=good_words
-            + merged.counter("faultsim.words_evaluated").value,
-            good_words_evaluated=good_words,
-            good_response_s=good_seconds,
-            load_imbalance=round(imbalance, 3),
-            partitions=per_partition,
-            metrics=merged.to_dict(),
-            wall_time_s=time.perf_counter() - start_time,
-        )
-        if event_payloads:
-            result.stats["events"] = event_payloads
-
-
-_BACKENDS = {
-    "serial": SerialBackend,
-    "ppsfp": PpsfpBackend,
-    "pool": PoolBackend,
-}
-
-
-def get_backend(
-    name: str,
-    jobs: Optional[int] = None,
-    seed: int = 0,
-    partitions: Optional[int] = None,
-    **supervised_kwargs,
-) -> FaultSimBackend:
-    """Instantiate a backend by name.
-
-    ``jobs``/``seed``/``partitions`` configure the sharded backends
-    (``pool`` and ``supervised``) and are validated up front.  Extra
-    keyword arguments (``config``, ``chaos``, ``journal``) are forwarded
-    to :class:`repro.sim.supervisor.SupervisedPoolBackend`.
-    """
-    if name not in BACKEND_NAMES:
-        raise ValueError(
-            f"unknown backend {name!r}; expected one of {BACKEND_NAMES}"
-        )
-    if name == "supervised":
-        from .supervisor import SupervisedPoolBackend
-
-        return SupervisedPoolBackend(
-            jobs=jobs, seed=seed, partitions=partitions, **supervised_kwargs
-        )
-    if supervised_kwargs:
-        raise ValueError(
-            f"{sorted(supervised_kwargs)} only apply to the supervised backend"
-        )
-    if name == "pool":
-        return PoolBackend(jobs=jobs, seed=seed, partitions=partitions)
-    return _BACKENDS[name]()

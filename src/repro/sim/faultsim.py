@@ -9,10 +9,11 @@ Three stuck-at engines are provided, matching the E3 experiment:
   simulated once per word, each fault then propagated event-wise through
   its fanout cone only.  With fault dropping this is the production
   algorithm every commercial fault simulator uses.
-* **pool** — the PPSFP kernel sharded across a :mod:`multiprocessing` pool
-  (see :mod:`repro.sim.dispatch`): the collapsed fault list is partitioned
-  deterministically, each worker runs cone-limited PPSFP against a shared
-  good-machine response, and the partial results are min-merged.
+* **supervised** — the PPSFP kernel sharded across worker processes
+  (see :mod:`repro.sim.dispatch` and :mod:`repro.sim.supervisor`): the
+  collapsed fault list is partitioned deterministically, each worker runs
+  cone-limited PPSFP against a shared good-machine response, and the
+  partial results are min-merged.
 
 Transition-delay (launch-on-capture pairs) and bridging faults reuse the
 same cone machinery.
@@ -41,7 +42,7 @@ from .parallel import WORD_WIDTH, ParallelSimulator
 #: ``faultsim.*`` counters — the good-machine side of a run, which no
 #: worker partition ever sees.  Worker-side counters (events, words,
 #: faults) come either from the same stats (single-process engines) or
-#: from the merged per-partition metric registries (pool/supervised).
+#: from the merged per-partition metric registries (supervised).
 _PARENT_STAT_KEYS = (
     "good_passes",
     "good_cache_hits",
@@ -59,7 +60,6 @@ _SUPERVISOR_STAT_KEYS = (
     "timeouts",
     "invalid_results",
     "inline_fallbacks",
-    "journal_skipped",
 )
 
 
@@ -81,7 +81,7 @@ class FaultSimResult:
     that caught it; ``undetected`` lists survivors.  ``coverage`` is the
     detected fraction of the simulated universe.  ``stats`` carries engine
     instrumentation: ``faults_simulated``, ``events_propagated``,
-    ``words_evaluated``, ``wall_time_s``, and for the pool backend a
+    ``words_evaluated``, ``wall_time_s``, and for the supervised backend a
     ``partitions`` list with the same counters per worker partition.
     """
 
@@ -217,7 +217,7 @@ class FaultSimulator:
 
         The counters are *derived from the same values* ``stats`` holds,
         so a RunReport's ``faultsim.*`` counters bit-identically match the
-        legacy stats dict for every engine.  Pool/supervised runs carry a
+        legacy stats dict for every engine.  Supervised runs carry a
         merged per-partition metric registry in ``stats["metrics"]``
         (built worker-side, merged in the parent); single-process runs
         publish the equivalent counters straight from stats.
@@ -388,11 +388,10 @@ class FaultSimulator:
         for building diagnosis dictionaries and detection profiles).
 
         ``engine`` selects the backend by name — ``"serial"``,
-        ``"ppsfp"``, ``"pool"`` (multiprocess PPSFP), or ``"supervised"``
-        (fault-tolerant multiprocess, see :mod:`repro.sim.supervisor`) —
-        or is a ready :class:`repro.sim.dispatch.FaultSimBackend`
-        instance, which lets callers attach journals, timeouts, or chaos
-        plans.  ``jobs`` sizes the worker pool; ``seed`` and
+        ``"ppsfp"``, or ``"supervised"`` (fault-tolerant multiprocess
+        PPSFP, see :mod:`repro.sim.supervisor`) — or is a ready
+        :class:`repro.sim.dispatch.FaultSimBackend` instance, which lets
+        callers attach shard stores, timeouts, or chaos plans.  ``jobs`` sizes the worker pool; ``seed`` and
         ``partitions`` control the deterministic fault sharding — results
         are identical for any worker count.
         """
@@ -404,12 +403,6 @@ class FaultSimulator:
             engine_name = engine
         elif engine == "serial":
             runner = lambda: self._simulate_serial(patterns, faults, drop)
-            engine_name = engine
-        elif engine == "pool":
-            from .dispatch import PoolBackend
-
-            backend = PoolBackend(jobs=jobs, seed=seed, partitions=partitions)
-            runner = lambda: backend.run(self, patterns, faults, drop=drop)
             engine_name = engine
         elif engine == "supervised":
             from .supervisor import SupervisedPoolBackend
@@ -432,7 +425,7 @@ class FaultSimulator:
     def good_response(self, patterns: Sequence[Sequence[int]]) -> List[object]:
         """Good-machine response for every ``word_width`` chunk of ``patterns``.
 
-        One block per chunk — the shared response the pool backends compute
+        One block per chunk — the shared response the supervised backend computes
         once and hand to every worker partition: a list of packed gate
         words under the python kernel, a :class:`repro.sim.npsim.GoodBlock`
         under the numpy kernel.  Chunks already in the good-machine cache

@@ -1,9 +1,8 @@
-"""Zero-copy shared-memory fan-out for the multiprocess backends.
+"""Zero-copy shared-memory fan-out for the multiprocess backend.
 
-The pool and supervised backends compute the good-machine response once
-in the parent and hand it to every worker partition.  Shipping it
-through ``initargs``/``Process`` args means one pickle per pool (or,
-for the supervised backend, *per partition attempt*) — at ``word_width``
+The supervised backend computes the good-machine response once in the
+parent and hands it to every worker partition.  Shipping it through
+``Process`` args means one pickle *per partition attempt* — at ``word_width``
 4096 on a replicated accelerator circuit that is megabytes per shard.
 :class:`SharedArena` instead places the campaign's read-only blocks —
 the packed pattern matrix and the good-machine response — in a single
@@ -12,7 +11,8 @@ the packed pattern matrix and the good-machine response — in a single
 * numpy-kernel blocks (uint64 lane arrays) are mapped **zero-copy**:
   the worker's arrays are views straight into the segment;
 * python-kernel blocks (bigint word lists) are stored pickled and
-  deserialized once per worker process, never per partition.
+  deserialized by each worker straight from the segment, never piped
+  through the process arguments.
 
 Lifecycle rules (the chaos suite pins these):
 
@@ -21,7 +21,7 @@ Lifecycle rules (the chaos suite pins these):
   completion, worker crashes/timeouts, poisoned partitions, and
   ``KeyboardInterrupt``.  Workers never unlink.
 * Workers attach by name and leave resource-tracker bookkeeping alone:
-  pool/supervised children inherit the parent's tracker process, whose
+  supervised children inherit the parent's tracker process, whose
   cache is a set, so the attach-side re-register is a no-op and the
   parent's single ``unlink`` retires the name exactly once (see
   :meth:`SharedArena.attach`).
@@ -132,7 +132,7 @@ class SharedArena:
         """Map an existing arena read-only (worker side).
 
         Attaching re-registers the name with the resource tracker, but
-        pool/supervised workers inherit the *parent's* tracker process
+        supervised workers inherit the *parent's* tracker process
         (fork and spawn both pass the tracker fd down), whose cache is a
         set — the duplicate register is a no-op and the parent's single
         ``unlink`` retires the name exactly once.  Do **not** unregister

@@ -1,23 +1,26 @@
 """Lease-based shared shard store: multi-runner campaigns on one directory.
 
-The supervised backend (PR 3) made one *process pool* crash-tolerant; a
+The supervised backend made one *process pool* crash-tolerant; a
 production test floor runs one campaign across many *hosts* and keeps
 going when a host dies mid-shard.  :class:`ShardStore` is the shared
 substrate that makes that possible with nothing but a directory (NFS
-mount, bind mount, tmpfs — anything with atomic ``rename``/``link``):
+mount, bind mount, tmpfs — anything with atomic ``rename``/``link``).
+It is also the one checkpoint/resume format: re-running a killed or
+interrupted campaign against the same directory merges every shard
+already published and grades only the rest, bit-identically.
 
-* the campaign's identity is the same :class:`~repro.sim.journal.CampaignKey`
-  the journal uses (structural signature + pattern/fault digests + seed +
-  partition count + drop flag), pinned once in ``campaign.json`` and
-  verified by every runner that attaches — a runner submitting a
-  different circuit or pattern set is rejected up front, never silently
-  mis-merged;
+* the campaign's identity is a :class:`CampaignKey` (structural
+  signature + pattern/fault digests + seed + partition count + drop
+  flag), pinned once in ``campaign.json`` and verified by every runner
+  that attaches — a runner submitting a different circuit or pattern
+  set is rejected up front, never silently mis-merged;
 * each shard moves through ``available -> leased(runner, deadline) ->
   done``.  Claims are atomic (``link(2)`` from a private temp file, which
   fails with ``EEXIST`` if any other runner holds the lease); renewals
-  atomically replace the lease file; expired leases are **stolen** by
-  renaming the stale file aside — of N racing stealers exactly one
-  rename succeeds;
+  atomically replace the lease file; expired leases — and leases left
+  under this runner's own id by an earlier, dead incarnation — are
+  **stolen** by renaming the stale file aside — of N racing stealers
+  exactly one rename succeeds;
 * results are **append-only and idempotent**: a shard result is written
   to a temp file, fsynced, then ``link``ed to its final name, so the
   first writer wins and every later writer (a stalled runner racing its
@@ -49,8 +52,9 @@ import json
 import os
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, Iterable, Optional, Sequence, Set
 
+from ..faults.model import StuckAtFault
 from ..obs.events import (
     LEASE_CLAIM,
     LEASE_LOST,
@@ -61,12 +65,102 @@ from ..obs.events import (
     EventLog,
 )
 from .faultsim import FaultSimResult
-from .journal import CampaignKey, deserialize_partial, serialize_partial
 
 STORE_VERSION = 1
 
 #: Renew a held lease once less than this fraction of ``lease_s`` remains.
 RENEW_FRACTION = 0.5
+
+#: Per-shard stats fields preserved in a published result.  ``metrics`` is
+#: the worker's serialized metric registry (plain dicts, JSON-safe) so
+#: loaded partials merge into observations like fresh ones.
+_KEPT_STATS = ("events_propagated", "words_evaluated", "wall_time_s", "metrics")
+
+
+def pattern_digest(patterns: Sequence[Sequence[int]]) -> str:
+    """Stable digest of a pattern set (order- and value-sensitive)."""
+    hasher = hashlib.sha256()
+    hasher.update(f"{len(patterns)}:".encode())
+    for pattern in patterns:
+        hasher.update(bytes(int(bit) & 1 for bit in pattern))
+        hasher.update(b";")
+    return hasher.hexdigest()[:24]
+
+
+def fault_digest(faults: Iterable[StuckAtFault]) -> str:
+    """Stable digest of a fault universe (order-insensitive)."""
+    hasher = hashlib.sha256()
+    for gate, pin, value in sorted((f.gate, f.pin, f.value) for f in faults):
+        hasher.update(f"{gate},{pin},{value};".encode())
+    return hasher.hexdigest()[:24]
+
+
+@dataclass(frozen=True)
+class CampaignKey:
+    """Identity of one shardable campaign; a store is pinned to one key."""
+
+    signature: str
+    patterns: str
+    faults: str
+    seed: int
+    partitions: int
+    drop: bool
+
+    @classmethod
+    def build(
+        cls,
+        netlist,
+        patterns: Sequence[Sequence[int]],
+        universe: Iterable[StuckAtFault],
+        seed: int,
+        partitions: int,
+        drop: bool,
+    ) -> "CampaignKey":
+        return cls(
+            signature=netlist.structural_signature(),
+            patterns=pattern_digest(patterns),
+            faults=fault_digest(universe),
+            seed=seed,
+            partitions=partitions,
+            drop=drop,
+        )
+
+
+def serialize_partial(index: int, partial: FaultSimResult) -> Dict[str, object]:
+    """JSON-safe form of one shard result.
+
+    Stuck-at faults serialize as ``[gate, pin, value]`` triples — the
+    frozen dataclass round-trips losslessly through :class:`StuckAtFault`.
+    """
+    return {
+        "kind": "partition",
+        "index": index,
+        "total": partial.total_faults,
+        "patterns_simulated": partial.patterns_simulated,
+        "detected": [
+            [f.gate, f.pin, f.value, first]
+            for f, first in sorted(
+                partial.detected.items(), key=lambda kv: (kv[0].gate, kv[0].pin, kv[0].value)
+            )
+        ],
+        "undetected": [[f.gate, f.pin, f.value] for f in partial.undetected],
+        "stats": {
+            k: partial.stats[k] for k in _KEPT_STATS if k in partial.stats
+        },
+    }
+
+
+def deserialize_partial(line: Dict[str, object]) -> FaultSimResult:
+    """Rebuild a :class:`FaultSimResult` from :func:`serialize_partial` output."""
+    partial = FaultSimResult(total_faults=int(line["total"]))
+    for gate, pin, value, first in line["detected"]:
+        partial.detected[StuckAtFault(gate, pin, value)] = int(first)
+    partial.undetected = [
+        StuckAtFault(gate, pin, value) for gate, pin, value in line["undetected"]
+    ]
+    partial.patterns_simulated = int(line["patterns_simulated"])
+    partial.stats.update(line.get("stats", {}))
+    return partial
 
 
 class StoreMismatchError(ValueError):
@@ -179,6 +273,10 @@ class ShardStore:
         self.steals = 0
         self.publish_conflicts = 0
         self._n_shards: Optional[int] = None
+        # Shards this handle holds a lease on.  A lease file under our own
+        # runner id that is *not* in here belongs to an earlier incarnation
+        # of this runner (killed before it could release) — see try_claim.
+        self._held: Set[int] = set()
 
     # ------------------------------------------------------------------
     # Paths
@@ -315,14 +413,22 @@ class ShardStore:
         even if the follow-up claim is then lost to a racing peer: the
         dead runner's lease is gone either way, and the telemetry must
         show who removed it.
+
+        A runner reattaching under its own id reclaims its previous
+        incarnation's leases at once instead of waiting out their
+        deadlines: a lease carrying this runner id that this handle does
+        not hold can only have been left by a runner that died.  Should
+        two live processes share one id, both grade the shard and the
+        duplicate publish converges first-write-wins.
         """
         if self.is_done(shard):
             return None
         holder = self._read_lease(shard)
         stolen_from: Optional[str] = None
         if holder is not None:
-            if holder.deadline > self.clock():
-                return None  # live peer
+            orphaned = holder.runner == self.runner_id and shard not in self._held
+            if holder.deadline > self.clock() and not orphaned:
+                return None  # live peer, or our own live lease
             stale = self._tmp_path(f"stale-{shard}")
             try:
                 os.rename(self._lease_path(shard), stale)
@@ -350,6 +456,7 @@ class ShardStore:
             return None  # lost the claim race to a peer
         finally:
             os.unlink(tmp)
+        self._held.add(shard)
         self.events.emit(
             LEASE_CLAIM, "lease_claim", partition=shard, runner=self.runner_id
         )
@@ -366,6 +473,7 @@ class ShardStore:
         """
         current = self._read_lease(lease.shard)
         if current is None or current.runner != self.runner_id:
+            self._held.discard(lease.shard)
             self.events.emit(
                 LEASE_LOST, "lease_lost", partition=lease.shard,
                 runner=self.runner_id,
@@ -386,6 +494,7 @@ class ShardStore:
 
     def release(self, lease: Lease) -> None:
         """Drop a held lease (after publish, or when giving up a shard)."""
+        self._held.discard(lease.shard)
         current = self._read_lease(lease.shard)
         if current is not None and current.runner == self.runner_id:
             try:
@@ -403,7 +512,7 @@ class ShardStore:
         The serialized result is fsynced in a private temp file and then
         ``link``ed to its final name — atomic, so no reader ever sees a
         half-written result.  A loser (idempotent duplicate from a steal
-        race or a journal replay) verifies the winner's digest matches
+        race or a late partition-window flush) verifies the winner's digest matches
         its own and converges silently; a digest mismatch is corruption
         and raises :class:`StoreCorruptionError`.
         """
@@ -430,6 +539,7 @@ class ShardStore:
             os.unlink(tmp)
         # The shard is done; drop our own lease on it (a peer's lease —
         # e.g. a stealer we raced — is theirs to drop when *they* publish).
+        self._held.discard(shard)
         current = self._read_lease(shard)
         if current is not None and current.runner == self.runner_id:
             try:

@@ -1,14 +1,13 @@
 """Supervised multiprocess fault simulation: crash recovery, timeouts,
-poisoned-partition fallback, and checkpoint/resume.
+poisoned-partition fallback, and checkpoint/resume through a shard store.
 
-:class:`repro.sim.dispatch.PoolBackend` is fast but brittle: one worker
-OOM-killed, crashed, or wedged takes the whole campaign with it, and an
-hours-long accelerator-scale run restarts from zero.  The tutorial's own
-thesis — AI chips must keep working when parts fail — applies to the
-test infrastructure too.  :class:`SupervisedPoolBackend` runs the same
-deterministic shards (same seeded partitioning, same min-merge, so a
-clean supervised run is bit-identical to ``pool`` and ``ppsfp``) under a
-supervisor that assumes workers *will* fail:
+One worker OOM-killed, crashed, or wedged must not take a campaign with
+it, and an hours-long accelerator-scale run must not restart from zero.
+The tutorial's own thesis — AI chips must keep working when parts fail —
+applies to the test infrastructure too.  :class:`SupervisedPoolBackend`
+runs deterministic shards (seeded partitioning and min-merge from
+:mod:`repro.sim.dispatch`, so a clean supervised run is bit-identical to
+``ppsfp``) under a supervisor that assumes workers *will* fail:
 
 * **one process per partition** — failure isolation is the unit of work;
   a dead or wedged worker loses exactly one shard, never the pool;
@@ -27,11 +26,10 @@ supervisor that assumes workers *will* fail:
   in ``stats["failed_partitions"]`` and its faults stay conservatively
   undetected: the merged result is a *coverage lower bound*
   (``stats["coverage_lower_bound"]``) instead of a traceback;
-* **journaling** — with a :class:`repro.sim.journal.CampaignJournal`
-  attached, every completed shard is durably appended, and a later run
-  of the same campaign skips journaled shards entirely
-  (``stats["journal_skipped"]``) — a killed campaign resumes
-  bit-identically.
+* **resume** — with a :class:`repro.sim.store.ShardStore` attached, every
+  completed shard is durably published, and re-running the same campaign
+  against the same store grades only the shards not yet published — a
+  killed campaign resumes bit-identically.
 
 The failure modes are exercised deterministically by
 :mod:`repro.sim.chaos`; ``tests/test_supervisor.py`` asserts that the
@@ -44,8 +42,8 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..faults.model import StuckAtFault
 from ..obs import MetricRegistry
@@ -56,7 +54,6 @@ from ..obs.events import (
     HOST_CHAOS,
     INLINE_FALLBACK,
     INVALID,
-    JOURNAL_SKIP,
     PARTITION_BEGIN,
     PARTITION_END,
     RETRY,
@@ -81,8 +78,7 @@ from .dispatch import (
     validate_pool_args,
 )
 from .faultsim import FaultSimResult, FaultSimulator, _unique
-from .journal import CampaignJournal, CampaignKey
-from .store import Lease, ShardStore
+from .store import CampaignKey, Lease, ShardStore, StoreCorruptionError
 
 
 @dataclass
@@ -220,14 +216,50 @@ class _Slot:
     deadline: Optional[float]
 
 
+#: Recovery counters every supervised run reports in its stats.
+_RECOVERY_COUNTERS = (
+    "retries",
+    "worker_crashes",
+    "timeouts",
+    "invalid_results",
+    "inline_fallbacks",
+)
+
+@dataclass
+class _Campaign:
+    """Bookkeeping for one supervised run, shared by both loops."""
+
+    shards: List[List[StuckAtFault]]
+    n_patterns: int
+    drop: bool
+    # The supervisor's own telemetry: retry/kill/chaos instants plus
+    # campaign heartbeats, stitched with the workers' shipped logs.
+    events: EventLog
+    counters: Dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(_RECOVERY_COUNTERS, 0)
+    )
+    sources: Dict[int, str] = field(default_factory=dict)
+    attempts_used: Dict[int, int] = field(default_factory=dict)
+    failed: List[Dict[str, object]] = field(default_factory=list)
+    metrics_lost: Dict[int, int] = field(default_factory=dict)
+    # (partition, attempt, eligible-at monotonic time)
+    pending: List[Tuple[int, int, float]] = field(default_factory=list)
+
+    def note(self, index: int, source: str, attempt: int) -> None:
+        self.sources[index] = source
+        self.attempts_used[index] = attempt + 1
+
+
 class SupervisedPoolBackend(FaultSimBackend):
     """Fault-tolerant multiprocess PPSFP over deterministic partitions.
 
-    Drop-in alternative to :class:`~repro.sim.dispatch.PoolBackend`
-    (same ``jobs``/``seed``/``partitions`` semantics, bit-identical
-    results on a clean run) that survives worker crashes, hangs and
-    corrupt results, degrades gracefully instead of dying, and resumes
-    from a campaign journal.
+    ``jobs`` (worker processes, default: CPU count), ``seed`` (the
+    partitioning shuffle) and ``partitions`` (default: sized from the
+    fault universe) never change the merged result, which is
+    bit-identical to ``ppsfp`` on a clean run.  The backend survives
+    worker crashes, hangs and corrupt results, degrades gracefully
+    instead of dying, and with ``store=`` shares the campaign with other
+    runners and resumes from the store's published shards.
     """
 
     name = "supervised"
@@ -239,7 +271,6 @@ class SupervisedPoolBackend(FaultSimBackend):
         partitions: Optional[int] = None,
         config: Optional[SupervisorConfig] = None,
         chaos: Optional[ChaosPlan] = None,
-        journal: Optional[CampaignJournal] = None,
         store: Optional[ShardStore] = None,
         host_chaos: Optional[HostChaosPlan] = None,
     ):
@@ -255,7 +286,6 @@ class SupervisedPoolBackend(FaultSimBackend):
         self.config = config or SupervisorConfig()
         self.config.validate()
         self.chaos = chaos
-        self.journal = journal
         self.store = store
         self.host_chaos = host_chaos
 
@@ -263,19 +293,22 @@ class SupervisedPoolBackend(FaultSimBackend):
     # Main entry
     # ------------------------------------------------------------------
 
-    def run(self, simulator, patterns, faults, drop=True):
-        if self.store is not None:
-            return self._run_store(simulator, patterns, faults, drop)
-        start_time = time.perf_counter()
-        universe = _unique(faults)
+    def _plan(self, universe):
+        """Worker count and deterministic shards for ``universe``."""
         jobs = self.jobs if self.jobs is not None else (os.cpu_count() or 1)
-        jobs = max(1, jobs)
         n_partitions = (
             self.partitions
             if self.partitions is not None
             else default_partition_count(len(universe))
         )
-        shards = partition_faults(universe, n_partitions, self.seed)
+        return max(1, jobs), partition_faults(universe, n_partitions, self.seed)
+
+    def run(self, simulator, patterns, faults, drop=True):
+        if self.store is not None:
+            return self._run_store(simulator, patterns, faults, drop)
+        start_time = time.perf_counter()
+        universe = _unique(faults)
+        jobs, shards = self._plan(universe)
 
         good_start = time.perf_counter()
         parallel = simulator.parallel
@@ -289,47 +322,15 @@ class SupervisedPoolBackend(FaultSimBackend):
         good_words = (parallel.evaluations - passes0) * parallel.num_scheduled
         good_seconds = time.perf_counter() - good_start
 
-        counters = {
-            "retries": 0,
-            "worker_crashes": 0,
-            "timeouts": 0,
-            "invalid_results": 0,
-            "inline_fallbacks": 0,
-        }
-        sources: Dict[int, str] = {}
-        attempts_used: Dict[int, int] = {}
+        campaign = _Campaign(
+            shards, len(patterns), drop, EventLog(),
+            pending=[(index, 0, 0.0) for index in range(len(shards))],
+        )
         results: Dict[int, FaultSimResult] = {}
-        failed: List[Dict[str, object]] = []
-        metrics_lost: Dict[int, int] = {}
-        # The supervisor's own telemetry: retry/kill/chaos instants plus
-        # campaign heartbeats, stitched with the workers' shipped logs.
-        events = EventLog()
-
         try:
-            journal_skipped = 0
-            if self.journal is not None and shards:
-                key = CampaignKey.build(
-                    simulator.netlist, patterns, universe, self.seed, len(shards), drop
-                )
-                for index, partial in self.journal.begin(key).items():
-                    if index >= len(shards):
-                        continue
-                    if validate_partial(partial, shards[index], len(patterns)) is None:
-                        results[index] = partial
-                        sources[index] = "journal"
-                        journal_skipped += 1
-                        events.emit(JOURNAL_SKIP, "journal_skip", partition=index)
-
-            pending = [
-                (index, 0, 0.0)  # (partition, attempt, eligible-at monotonic time)
-                for index in range(len(shards))
-                if index not in results
-            ]
-            if pending:
+            if shards:
                 self._supervise(
-                    simulator, arena, meta, good_chunks, shards, drop, jobs,
-                    pending, results, failed, counters, sources, attempts_used,
-                    events, metrics_lost,
+                    simulator, arena, meta, good_chunks, jobs, campaign, results
                 )
         finally:
             arena.destroy()
@@ -338,9 +339,8 @@ class SupervisedPoolBackend(FaultSimBackend):
             [results[i] for i in sorted(results)], universe, len(patterns), drop
         )
         self._fill_stats(
-            result, results, failed, shards, jobs, good_seconds, good_words,
-            start_time, counters, sources, attempts_used, journal_skipped,
-            simulator, events, metrics_lost,
+            result, results, campaign, jobs, good_seconds, good_words,
+            start_time, simulator,
         )
         return result
 
@@ -349,56 +349,30 @@ class SupervisedPoolBackend(FaultSimBackend):
     # ------------------------------------------------------------------
 
     def _supervise(
-        self, simulator, arena, meta, good_chunks, shards, drop, jobs, pending,
-        results, failed, counters, sources, attempts_used, events, metrics_lost,
+        self, simulator, arena, meta, good_chunks, jobs, campaign, results
     ) -> None:
-        config = self.config
         running: List[_Slot] = []
-        n_patterns = meta["n_patterns"]
-        faults_total = sum(len(shard) for shard in shards)
+        pending = campaign.pending
+        faults_total = sum(len(shard) for shard in campaign.shards)
 
         def record(index: int, partial: FaultSimResult, source: str, attempt: int):
             results[index] = partial
-            sources[index] = source
-            attempts_used[index] = attempt + 1
-            if self.journal is not None:
-                self.journal.record(index, partial)
+            campaign.note(index, source, attempt)
             # Campaign heartbeat on every shard flush: the live progress
-            # gauges `repro obs tail` reads from the journal and the
-            # trace exporter renders as a counter series.
-            graded = sum(r.total_faults for r in results.values())
-            events.emit(
+            # gauges the trace exporter renders as a counter series.
+            campaign.events.emit(
                 HEARTBEAT, "progress",
                 partition=index,
-                faults_graded=graded,
+                faults_graded=sum(r.total_faults for r in results.values()),
                 faults_total=faults_total,
                 partitions_done=len(results),
-                partitions_total=len(shards),
+                partitions_total=len(campaign.shards),
             )
-            if self.journal is not None:
-                self.journal.heartbeat(
-                    partition=index,
-                    source=source,
-                    faults_graded=graded,
-                    faults_total=faults_total,
-                    partitions_done=len(results),
-                    partitions_total=len(shards),
-                )
 
-        def fail(slot: _Slot, reason: str) -> None:
-            attempt = slot.attempt
-            if attempt < config.max_retries:
-                counters["retries"] += 1
-                events.emit(
-                    RETRY, "retry",
-                    partition=slot.index, attempt=attempt, reason=reason[:200],
-                )
-                eligible = time.monotonic() + config.backoff_s * (2 ** attempt)
-                pending.append((slot.index, attempt + 1, eligible))
-                return
+        def poison(slot: _Slot, reason: str) -> None:
             self._finish_poisoned(
-                simulator, n_patterns, good_chunks, shards, drop, slot.index,
-                attempt, reason, record, failed, counters, events,
+                simulator, good_chunks, campaign, slot.index, slot.attempt,
+                reason, record,
             )
 
         try:
@@ -408,21 +382,8 @@ class SupervisedPoolBackend(FaultSimBackend):
                 pending.sort(key=lambda item: (item[2], item[0]))
                 while len(running) < jobs and pending and pending[0][2] <= now:
                     index, attempt, _ = pending.pop(0)
-                    if self.chaos is not None:
-                        mode = self.chaos.mode_for(index, attempt)
-                        if mode is not None:
-                            # The parent knows the schedule, so the
-                            # injection lands on the timeline even when
-                            # the worker dies before reporting anything.
-                            events.emit(
-                                CHAOS, f"chaos:{mode}",
-                                partition=index, attempt=attempt, mode=mode,
-                            )
                     running.append(
-                        self._spawn(
-                            simulator, arena, meta, shards[index],
-                            drop, index, attempt,
-                        )
+                        self._spawn(simulator, arena, meta, campaign, index, attempt)
                     )
                 progressed = False
                 for slot in list(running):
@@ -431,57 +392,74 @@ class SupervisedPoolBackend(FaultSimBackend):
                         continue
                     progressed = True
                     running.remove(slot)
-                    status, payload = outcome
-                    if status == "ok":
-                        reason = validate_partial(
-                            payload, shards[slot.index], n_patterns
-                        )
-                        if reason is None:
-                            record(slot.index, payload, "worker", slot.attempt)
-                        else:
-                            counters["invalid_results"] += 1
-                            metrics_lost[slot.index] = (
-                                metrics_lost.get(slot.index, 0) + 1
-                            )
-                            events.emit(
-                                INVALID, "invalid_result",
-                                partition=slot.index, attempt=slot.attempt,
-                                reason=reason,
-                            )
-                            fail(slot, f"invalid result: {reason}")
-                    else:
-                        # The attempt did real work whose metrics died
-                        # with the worker: note the loss so merged totals
-                        # can be reported as a stated lower bound.
-                        metrics_lost[slot.index] = (
-                            metrics_lost.get(slot.index, 0) + 1
-                        )
-                        if status == "timeout":
-                            counters["timeouts"] += 1
-                            events.emit(
-                                TIMEOUT, "timeout_kill",
-                                partition=slot.index, attempt=slot.attempt,
-                                deadline_s=self.config.timeout_s,
-                            )
-                        else:
-                            counters["worker_crashes"] += 1
-                            events.emit(
-                                CRASH, "worker_crash",
-                                partition=slot.index, attempt=slot.attempt,
-                                reason=str(payload)[:200],
-                            )
-                        fail(slot, payload)
+                    self._handle_outcome(slot, outcome, campaign, record, poison)
                 if not progressed:
-                    time.sleep(config.poll_interval_s)
+                    time.sleep(self.config.poll_interval_s)
         except BaseException:
-            # KeyboardInterrupt or anything else: reap every child and
-            # leave the journal durable before propagating.
+            # KeyboardInterrupt or anything else: reap every child before
+            # propagating.
             self._terminate(running)
-            if self.journal is not None:
-                self.journal.flush()
             raise
 
-    def _spawn(self, simulator, arena, meta, shard, drop, index, attempt,
+    def _handle_outcome(
+        self, slot: _Slot, outcome, campaign: _Campaign,
+        record: Callable[[int, FaultSimResult, str, int], None],
+        poison: Callable[[_Slot, str], None],
+    ) -> None:
+        """Settle one finished worker attempt.
+
+        A valid partial goes to ``record(index, partial, source, attempt)``.  Anything else — an invalid partial,
+        a deadline kill, a crash or reported error — is counted, lands on
+        the timeline, and is requeued with backoff; once the shard's pool
+        retries are spent it goes to ``poison``.
+        """
+        status, payload = outcome
+        events = campaign.events
+        if status == "ok":
+            reason = validate_partial(
+                payload, campaign.shards[slot.index], campaign.n_patterns
+            )
+            if reason is None:
+                record(slot.index, payload, "worker", slot.attempt)
+                return
+            campaign.counters["invalid_results"] += 1
+            events.emit(
+                INVALID, "invalid_result",
+                partition=slot.index, attempt=slot.attempt, reason=reason,
+            )
+            payload = f"invalid result: {reason}"
+        elif status == "timeout":
+            campaign.counters["timeouts"] += 1
+            events.emit(
+                TIMEOUT, "timeout_kill",
+                partition=slot.index, attempt=slot.attempt,
+                deadline_s=self.config.timeout_s,
+            )
+        else:
+            campaign.counters["worker_crashes"] += 1
+            events.emit(
+                CRASH, "worker_crash",
+                partition=slot.index, attempt=slot.attempt,
+                reason=str(payload)[:200],
+            )
+        # The attempt did real work whose metrics died with the worker (or
+        # were rejected with it): note the loss so merged totals can be
+        # reported as a stated lower bound.
+        campaign.metrics_lost[slot.index] = (
+            campaign.metrics_lost.get(slot.index, 0) + 1
+        )
+        if slot.attempt < self.config.max_retries:
+            campaign.counters["retries"] += 1
+            events.emit(
+                RETRY, "retry",
+                partition=slot.index, attempt=slot.attempt, reason=payload[:200],
+            )
+            eligible = time.monotonic() + self.config.backoff_s * (2 ** slot.attempt)
+            campaign.pending.append((slot.index, slot.attempt + 1, eligible))
+            return
+        poison(slot, payload)
+
+    def _spawn(self, simulator, arena, meta, campaign, index, attempt,
                good_chunks=None):
         """Start one worker process for one shard attempt.
 
@@ -489,12 +467,22 @@ class SupervisedPoolBackend(FaultSimBackend):
         supplies ``good_chunks`` directly — free under ``fork`` (COW),
         pickled through the process args on platforms without it.
         """
+        if self.chaos is not None:
+            mode = self.chaos.mode_for(index, attempt)
+            if mode is not None:
+                # The parent knows the schedule, so the injection lands on
+                # the timeline even when the worker dies before reporting.
+                campaign.events.emit(
+                    CHAOS, f"chaos:{mode}",
+                    partition=index, attempt=attempt, mode=mode,
+                )
         context = self._context()
         parent_conn, child_conn = context.Pipe(duplex=False)
         process = context.Process(
             target=_supervised_worker,
             args=(
-                child_conn, index, attempt, shard, drop, simulator.netlist,
+                child_conn, index, attempt, campaign.shards[index],
+                campaign.drop, simulator.netlist,
                 arena.spec if arena is not None else None, meta, self.chaos,
                 good_chunks,
             ),
@@ -541,15 +529,18 @@ class SupervisedPoolBackend(FaultSimBackend):
         return None
 
     def _finish_poisoned(
-        self, simulator, n_patterns, good_chunks, shards, drop, index,
-        attempt, reason, record, failed, counters, events,
-    ) -> None:
-        """Pool retries exhausted: inline fallback, else mark failed."""
-        shard = shards[index]
+        self, simulator, good_chunks, campaign, index, attempt, reason, record,
+    ) -> bool:
+        """Pool retries exhausted: inline fallback, else mark failed.
+
+        Returns True when the inline re-run was recorded.
+        """
+        shard = campaign.shards[index]
+        n_patterns = campaign.n_patterns
         if self.config.inline_fallback:
-            counters["inline_fallbacks"] += 1
+            campaign.counters["inline_fallbacks"] += 1
             inline_attempt = attempt + 1
-            events.emit(
+            campaign.events.emit(
                 INLINE_FALLBACK, "inline_fallback",
                 partition=index, attempt=inline_attempt, reason=reason[:200],
             )
@@ -557,7 +548,7 @@ class SupervisedPoolBackend(FaultSimBackend):
                 if self.chaos is not None:
                     self.chaos.execute_pre(index, inline_attempt, inline=True)
                 partial = simulator._simulate_ppsfp(
-                    None, shard, drop,
+                    None, shard, campaign.drop,
                     good_chunks=good_chunks, n_patterns=n_patterns,
                 )
                 if self.chaos is not None:
@@ -568,14 +559,14 @@ class SupervisedPoolBackend(FaultSimBackend):
                 if invalid is None:
                     partial.stats["metrics"] = partition_metrics(partial)
                     record(index, partial, "inline", inline_attempt)
-                    return
+                    return True
                 reason = f"inline fallback invalid result: {invalid}"
             except KeyboardInterrupt:
                 raise
             except Exception as exc:
                 reason = f"inline fallback failed: {type(exc).__name__}: {exc}"
             attempt = inline_attempt
-        failed.append(
+        campaign.failed.append(
             {
                 "partition": index,
                 "faults": len(shard),
@@ -583,9 +574,10 @@ class SupervisedPoolBackend(FaultSimBackend):
                 "reason": reason,
             }
         )
+        return False
 
     # ------------------------------------------------------------------
-    # Shared-store mode (multi-runner campaigns)
+    # Shared-store mode (multi-runner campaigns, resume)
     # ------------------------------------------------------------------
 
     @staticmethod
@@ -609,8 +601,9 @@ class SupervisedPoolBackend(FaultSimBackend):
         The single-runner path above owns its shards outright; here every
         shard is *claimed* from the store under a heartbeat-renewed lease,
         so any number of independently launched runner processes share the
-        campaign and steal from dead peers.  Three deliberate differences,
-        each load-bearing:
+        campaign and steal from dead peers — and a runner re-run against a
+        store it (or anyone) already partly filled grades only what is
+        missing.  Three deliberate differences, each load-bearing:
 
         * no /dev/shm arena — the good-machine response reaches workers by
           ``fork`` copy-on-write, because a host-level ``kill`` injection
@@ -624,23 +617,18 @@ class SupervisedPoolBackend(FaultSimBackend):
           single-runner run) by construction.
         """
         start_time = time.perf_counter()
-        config = self.config
         store = self.store
         universe = _unique(faults)
-        jobs = self.jobs if self.jobs is not None else (os.cpu_count() or 1)
-        jobs = max(1, jobs)
-        n_partitions = (
-            self.partitions
-            if self.partitions is not None
-            else default_partition_count(len(universe))
-        )
-        shards = partition_faults(universe, n_partitions, self.seed)
+        jobs, shards = self._plan(universe)
         n_patterns = len(patterns)
         key = CampaignKey.build(
             simulator.netlist, patterns, universe, self.seed, len(shards), drop
         )
         store.initialize(key, len(shards))
-        events = store.events  # one timeline: lease events + supervision
+        # One timeline: lease events + supervision.
+        campaign = _Campaign(shards, n_patterns, drop, store.events)
+        events = campaign.events
+        pending = campaign.pending
         injection = (
             self.host_chaos.for_runner(store.runner_id)
             if self.host_chaos is not None
@@ -652,20 +640,8 @@ class SupervisedPoolBackend(FaultSimBackend):
             "kernel": simulator.kernel,
         }
 
-        counters = {
-            "retries": 0,
-            "worker_crashes": 0,
-            "timeouts": 0,
-            "invalid_results": 0,
-            "inline_fallbacks": 0,
-        }
-        sources: Dict[int, str] = {}
-        attempts_used: Dict[int, int] = {}
-        metrics_lost: Dict[int, int] = {}
-        failed: List[Dict[str, object]] = []
         leases: Dict[int, Lease] = {}
         abandoned: set = set()
-        pending: List[Tuple[int, int, float]] = []
         running: List[_Slot] = []
         publish_queue: Dict[int, FaultSimResult] = {}
         faults_total = sum(len(shard) for shard in shards)
@@ -680,7 +656,7 @@ class SupervisedPoolBackend(FaultSimBackend):
 
         # The good response is only computed when this runner actually
         # grades something: a runner that finds the campaign already
-        # finished by peers pays nothing but the merge.
+        # finished pays nothing but the merge.
         good_state: Dict[str, object] = {}
 
         def good_chunks():
@@ -723,8 +699,6 @@ class SupervisedPoolBackend(FaultSimBackend):
                 # steal the expired leases.  Flush telemetry only, so the
                 # postmortem shows what this runner was holding.
                 store.write_events()
-                if self.journal is not None:
-                    self.journal.flush()
                 os._exit(HOST_KILL_EXIT_CODE)
             state["window_mode"] = injection.mode
             state["window_until"] = (
@@ -740,29 +714,18 @@ class SupervisedPoolBackend(FaultSimBackend):
             lease = leases.pop(index, None)
             if lease is not None:
                 store.release(lease)
-            done = store.done_indices()
             events.emit(
                 HEARTBEAT, "progress",
                 partition=index,
                 faults_graded=state["graded_faults"],
                 faults_total=faults_total,
-                partitions_done=len(done),
+                partitions_done=len(store.done_indices()),
                 partitions_total=len(shards),
             )
-            if self.journal is not None:
-                self.journal.heartbeat(
-                    partition=index,
-                    source=sources.get(index, "worker"),
-                    faults_graded=state["graded_faults"],
-                    faults_total=faults_total,
-                    partitions_done=len(done),
-                    partitions_total=len(shards),
-                )
 
         def record(index: int, partial: FaultSimResult, source: str,
                    attempt: int) -> None:
-            sources[index] = source
-            attempts_used[index] = attempt + 1
+            campaign.note(index, source, attempt)
             state["graded_faults"] += partial.total_faults
             worker_payload = partial.stats.get("worker_events")
             if worker_payload:
@@ -770,51 +733,24 @@ class SupervisedPoolBackend(FaultSimBackend):
                 # record keeps only the deterministic stats, so this is
                 # the only place the per-attempt events survive.
                 events.ingest(worker_payload)
-            if self.journal is not None:
-                self.journal.record(index, partial)
             if not store_reachable(time.monotonic()):
                 publish_queue[index] = partial  # lands late, converges
                 return
             publish(index, partial)
 
-        def fail(slot: _Slot, reason: str) -> None:
-            attempt = slot.attempt
-            if attempt < config.max_retries:
-                counters["retries"] += 1
-                events.emit(
-                    RETRY, "retry",
-                    partition=slot.index, attempt=attempt, reason=reason[:200],
-                )
-                eligible = time.monotonic() + config.backoff_s * (2 ** attempt)
-                pending.append((slot.index, attempt + 1, eligible))
+        def poison(slot: _Slot, reason: str) -> None:
+            if self._finish_poisoned(
+                simulator, good_chunks(), campaign, slot.index, slot.attempt,
+                reason, record,
+            ):
                 return
-            n_failed = len(failed)
-            self._finish_poisoned(
-                simulator, n_patterns, good_chunks(), shards, drop, slot.index,
-                attempt, reason, record, failed, counters, events,
-            )
-            if len(failed) > n_failed:
-                # Locally poisoned: hand the shard back so a peer (with a
-                # healthier host) can try it; only if nobody can does the
-                # campaign degrade to a coverage lower bound.
-                lease = leases.pop(slot.index, None)
-                if lease is not None:
-                    store.release(lease)
-                abandoned.add(slot.index)
-
-        journal_skipped = 0
-        if self.journal is not None and shards:
-            # Resume: journaled shards of this same campaign are published
-            # straight to the store — no re-grading; first-write-wins makes
-            # the replay idempotent against peers that got there first.
-            for index, partial in self.journal.begin(key).items():
-                if index >= len(shards) or store.is_done(index):
-                    continue
-                if validate_partial(partial, shards[index], n_patterns) is None:
-                    sources[index] = "journal"
-                    journal_skipped += 1
-                    events.emit(JOURNAL_SKIP, "journal_skip", partition=index)
-                    publish(index, partial)
+            # Locally poisoned: hand the shard back so a peer (with a
+            # healthier host) can try it; only if nobody can does the
+            # campaign degrade to a coverage lower bound.
+            lease = leases.pop(slot.index, None)
+            if lease is not None:
+                store.release(lease)
+            abandoned.add(slot.index)
 
         try:
             while True:
@@ -843,43 +779,7 @@ class SupervisedPoolBackend(FaultSimBackend):
                     if outcome is None:
                         continue
                     running.remove(slot)
-                    status, payload = outcome
-                    if status == "ok":
-                        reason = validate_partial(
-                            payload, shards[slot.index], n_patterns
-                        )
-                        if reason is None:
-                            record(slot.index, payload, "worker", slot.attempt)
-                        else:
-                            counters["invalid_results"] += 1
-                            metrics_lost[slot.index] = (
-                                metrics_lost.get(slot.index, 0) + 1
-                            )
-                            events.emit(
-                                INVALID, "invalid_result",
-                                partition=slot.index, attempt=slot.attempt,
-                                reason=reason,
-                            )
-                            fail(slot, f"invalid result: {reason}")
-                    else:
-                        metrics_lost[slot.index] = (
-                            metrics_lost.get(slot.index, 0) + 1
-                        )
-                        if status == "timeout":
-                            counters["timeouts"] += 1
-                            events.emit(
-                                TIMEOUT, "timeout_kill",
-                                partition=slot.index, attempt=slot.attempt,
-                                deadline_s=self.config.timeout_s,
-                            )
-                        else:
-                            counters["worker_crashes"] += 1
-                            events.emit(
-                                CRASH, "worker_crash",
-                                partition=slot.index, attempt=slot.attempt,
-                                reason=str(payload)[:200],
-                            )
-                        fail(slot, payload)
+                    self._handle_outcome(slot, outcome, campaign, record, poison)
 
                 now = time.monotonic()
                 if publish_queue and store_reachable(now):
@@ -926,17 +826,10 @@ class SupervisedPoolBackend(FaultSimBackend):
                         if lease is not None:
                             store.release(lease)
                         continue
-                    if self.chaos is not None:
-                        mode = self.chaos.mode_for(index, attempt)
-                        if mode is not None:
-                            events.emit(
-                                CHAOS, f"chaos:{mode}",
-                                partition=index, attempt=attempt, mode=mode,
-                            )
                     running.append(
                         self._spawn(
-                            simulator, None, meta, shards[index], drop,
-                            index, attempt, good_chunks=good_chunks(),
+                            simulator, None, meta, campaign, index, attempt,
+                            good_chunks=good_chunks(),
                         )
                     )
 
@@ -962,17 +855,16 @@ class SupervisedPoolBackend(FaultSimBackend):
                         )
                         if not live_peer:
                             break  # graceful degradation: lower bound
-                time.sleep(config.poll_interval_s)
+                time.sleep(self.config.poll_interval_s)
         except BaseException:
             # KeyboardInterrupt or anything else: reap children, give the
-            # held leases back immediately (peers should not wait out the
-            # deadline for a runner that exited cleanly), flush telemetry.
+            # held leases back immediately (peers — or this runner's next
+            # run — should not wait out the deadline for a runner that
+            # exited cleanly), flush telemetry.
             self._terminate(running)
             for lease in leases.values():
                 store.release(lease)
             leases.clear()
-            if self.journal is not None:
-                self.journal.flush()
             store.write_events()
             raise
 
@@ -986,21 +878,32 @@ class SupervisedPoolBackend(FaultSimBackend):
         # Merge exclusively from the store's published bytes — shards this
         # runner graded included — so all runners converge bit-identically.
         results = store.load_results()
-        for index in results:
-            sources.setdefault(index, "peer")
+        for index, partial in results.items():
+            # Digests catch bit rot; this catches a result that no longer
+            # grades its shard (a consistent rewrite of a result file).
+            reason = (
+                validate_partial(partial, shards[index], n_patterns)
+                if index < len(shards)
+                else "no such shard"
+            )
+            if reason is not None:
+                raise StoreCorruptionError(
+                    f"shard {index}: published result does not grade its "
+                    f"shard ({reason}) — refusing to merge"
+                )
+            campaign.sources.setdefault(index, "peer")
         result = merge_results(
             [results[i] for i in sorted(results)], universe, n_patterns, drop
         )
-        counters["steals"] = store.steals
-        counters["publish_conflicts"] = store.publish_conflicts
+        campaign.counters["steals"] = store.steals
+        campaign.counters["publish_conflicts"] = store.publish_conflicts
         self._fill_stats(
-            result, results, failed, shards, jobs,
+            result, results, campaign, jobs,
             good_state.get("seconds", 0.0), good_state.get("words", 0),
-            start_time, counters, sources, attempts_used, journal_skipped,
-            simulator, events, metrics_lost,
+            start_time, simulator,
         )
         graded_here = sum(
-            1 for source in sources.values() if source != "peer"
+            1 for source in campaign.sources.values() if source != "peer"
         )
         result.stats["store"] = {
             "path": store.root,
@@ -1055,32 +958,32 @@ class SupervisedPoolBackend(FaultSimBackend):
     # ------------------------------------------------------------------
 
     def _fill_stats(
-        self, result, results, failed, shards, jobs, good_seconds, good_words,
-        start_time, counters, sources, attempts_used, journal_skipped,
-        simulator, events, metrics_lost,
+        self, result, results, campaign, jobs, good_seconds, good_words,
+        start_time, simulator,
     ) -> None:
         per_partition: List[Dict[str, object]] = []
         merged = MetricRegistry()
         event_payloads: List[Dict[str, object]] = []
-        if len(events):
-            event_payloads.append(events.to_payload())
+        if len(campaign.events):
+            event_payloads.append(campaign.events.to_payload())
+        metrics_lost = campaign.metrics_lost
         for index in sorted(results):
             partial = results[index]
             stats = partial.stats
-            # Journal-replayed partials may predate worker metrics; rebuild
-            # their registry from the kept stats so the merge stays total.
+            # A partial without worker metrics gets its registry rebuilt
+            # from the kept stats so the merge stays total.
             merged.merge_dict(stats.get("metrics") or partition_metrics(partial))
             if stats.get("worker_events"):
                 event_payloads.append(stats["worker_events"])
             row = {
                 "partition": index,
-                "faults": len(shards[index]),
+                "faults": len(campaign.shards[index]),
                 "detected": len(partial.detected),
                 "events_propagated": stats.get("events_propagated", 0),
                 "words_evaluated": stats.get("words_evaluated", 0),
                 "wall_time_s": stats.get("wall_time_s", 0.0),
-                "source": sources.get(index, "worker"),
-                "attempts": attempts_used.get(index, 1),
+                "source": campaign.sources.get(index, "worker"),
+                "attempts": campaign.attempts_used.get(index, 1),
             }
             if metrics_lost.get(index):
                 # Timeout-killed / crashed attempts did work whose
@@ -1102,7 +1005,7 @@ class SupervisedPoolBackend(FaultSimBackend):
             word_width=simulator.word_width,
             kernel=simulator.kernel,
             faults_simulated=result.total_faults,
-            n_partitions=len(shards),
+            n_partitions=len(campaign.shards),
             partitions=per_partition,
             # Derived from the merged worker registries rather than the raw
             # partition list: the production totals ride the same
@@ -1114,17 +1017,14 @@ class SupervisedPoolBackend(FaultSimBackend):
             load_imbalance=round(imbalance, 3),
             good_response_s=good_seconds,
             wall_time_s=time.perf_counter() - start_time,
-            journal_skipped=journal_skipped,
             metrics=merged.to_dict(),
-            **counters,
+            **campaign.counters,
         )
         if total_lost:
             result.stats["metrics_lost_attempts"] = total_lost
             result.stats["metrics_lower_bound"] = True
         if event_payloads:
             result.stats["events"] = event_payloads
-        if self.journal is not None:
-            result.stats["journal_path"] = self.journal.path
-        if failed:
-            result.stats["failed_partitions"] = failed
+        if campaign.failed:
+            result.stats["failed_partitions"] = campaign.failed
             result.stats["coverage_lower_bound"] = result.coverage

@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import main
@@ -109,10 +111,23 @@ class TestSupervisedCampaigns:
     def test_partitions_flag_threads_through_pool(self, pattern_file, capsys):
         code = main(
             ["faultsim", "alu4", pattern_file,
-             "--backend", "pool", "--jobs", "2", "--partitions", "3"]
+             "--backend", "supervised", "--jobs", "2", "--partitions", "3"]
         )
         assert code == 0
         assert "3 partitions" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--backend", "pool"],             # the pool backend is gone
+            ["--resume", "campaign.jsonl"],    # resume is --store DIR now
+        ],
+    )
+    def test_removed_flags_exit_two(self, pattern_file, flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["faultsim", "alu4", pattern_file] + flags)
+        assert excinfo.value.code == 2
+        capsys.readouterr()
 
     @pytest.mark.parametrize(
         "flags",
@@ -147,44 +162,51 @@ class TestSupervisedCampaigns:
         assert code == 3
         assert "LOWER BOUND" in captured.err
 
-    def test_resume_skips_journaled_partitions(self, pattern_file, tmp_path, capsys):
-        journal = str(tmp_path / "campaign.jsonl")
-        first = main(
-            ["faultsim", "alu4", pattern_file, "--jobs", "2",
-             "--partitions", "4", "--resume", journal]
-        )
+    def test_resume_skips_stored_partitions(self, pattern_file, tmp_path, capsys):
+        store = str(tmp_path / "store")
+        flags = ["--jobs", "2", "--partitions", "4", "--store", store,
+                 "--runner-id", "r0"]
+        first = main(["faultsim", "alu4", pattern_file] + flags)
         first_out = capsys.readouterr().out
         assert first == 0
-        second = main(
-            ["faultsim", "alu4", pattern_file, "--jobs", "2",
-             "--partitions", "4", "--resume", journal]
-        )
+        # The same runner re-run against its finished store: nothing left
+        # to grade, the merge is read back from the store.
+        second = main(["faultsim", "alu4", pattern_file] + flags)
         second_out = capsys.readouterr().out
-        assert second == 0
-        assert "resumed from journal: 4/4 partitions skipped" in second_out
+        assert second == 5
+        assert "[r0]: 0/4 shards graded by this runner" in second_out
         assert first_out.splitlines()[1] == second_out.splitlines()[1]  # coverage
 
     def test_resume_wrong_campaign_exits_two(self, pattern_file, tmp_path, capsys):
-        journal = str(tmp_path / "campaign.jsonl")
+        store = str(tmp_path / "store")
         assert main(
-            ["faultsim", "alu4", pattern_file, "--resume", journal]
+            ["faultsim", "alu4", pattern_file, "--store", store,
+             "--runner-id", "r0"]
         ) == 0
         capsys.readouterr()
         code = main(
             ["faultsim", "alu4", pattern_file, "--seed", "9",
-             "--resume", journal]
+             "--store", store, "--runner-id", "r0"]
         )
         captured = capsys.readouterr()
         assert code == 2
-        assert "error:" in captured.err
+        assert "error:" in captured.err and "seed" in captured.err
 
-    def test_atpg_resume_flag(self, tmp_path, capsys):
-        journal = str(tmp_path / "atpg.jsonl")
-        assert main(["atpg", "alu4", "--resume", journal, "--jobs", "2"]) == 0
-        assert "fault_coverage" in capsys.readouterr().out
-        import os
-
-        assert os.path.exists(journal)
+    def test_atpg_store_rerun_grades_nothing(self, tmp_path, capsys):
+        store = str(tmp_path / "store")
+        runs = []
+        for name in ("first.pat", "second.pat"):
+            output = str(tmp_path / name)
+            assert main(
+                ["atpg", "alu4", "--store", store, "--jobs", "2", "-o", output]
+            ) == 0
+            runs.append((capsys.readouterr().out, open(output).read()))
+        (first_out, first_patterns), (second_out, second_patterns) = runs
+        assert "fault_coverage" in first_out
+        assert f"store {store}: 0 batch shards graded" not in first_out
+        assert f"store {store}: 0 batch shards graded by this run" in second_out
+        assert second_patterns == first_patterns
+        assert sorted(os.listdir(store))[0] == "pass-000"
 
     def test_store_first_runner_grades_everything(self, pattern_file, tmp_path, capsys):
         store = str(tmp_path / "store")
@@ -270,4 +292,4 @@ class TestSupervisedCampaigns:
 
         monkeypatch.setattr(cli, "_cmd_plan", interrupted)
         assert main(["plan"]) == 130
-        assert "--resume" in capsys.readouterr().err
+        assert "--store" in capsys.readouterr().err

@@ -1,13 +1,14 @@
 """Cross-backend × cross-kernel conformance oracle.
 
 Single source of truth for the dispatch/kernel contract: every
-fault-simulation backend (``serial``, ``ppsfp``, ``pool``,
-``supervised``) × every gate-evaluation kernel (``python`` bigints,
-``numpy`` uint64 lanes) × every word width must produce *bit-identical*
-results — the same ``detected`` map (same first-detection pattern
-indices), the same ``undetected`` list, the same coverage — and, within
-one engine family, identical deterministic work counters
-(``events_propagated``, ``words_evaluated``, ``good_passes``).
+fault-simulation backend (``serial``, ``ppsfp``, ``supervised``, and
+``store`` — the supervised backend publishing to and merging from a
+fresh shard store, the resume path) × every gate-evaluation kernel
+(``python`` bigints, ``numpy`` uint64 lanes) × every word width must
+produce *bit-identical* results — the same ``detected`` map (same
+first-detection pattern indices), the same ``undetected`` list, the same
+coverage — and, within one engine family, identical deterministic work
+counters (``events_propagated``, ``words_evaluated``, ``good_passes``).
 
 The oracle is the python-kernel single-process PPSFP engine at the
 default 64-bit width.  Everything else is measured against it (detection
@@ -22,6 +23,7 @@ and regression-pin tests.
 """
 
 import functools
+import tempfile
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -33,6 +35,8 @@ from repro.faults import collapse_faults, full_fault_list
 from repro.sim.dispatch import BACKEND_NAMES
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.parallel import KERNELS, WORD_WIDTH
+from repro.sim.store import ShardStore
+from repro.sim.supervisor import SupervisedPoolBackend
 
 from tests.oracle_util import small_netlists
 
@@ -49,6 +53,10 @@ CIRCUIT_FACTORIES = (
 CIRCUIT_NAMES = [name for name, _ in CIRCUIT_FACTORIES]
 
 N_PATTERNS = 96
+
+#: Multiprocess engines: the supervised backend in memory and over a
+#: shard store (every shard published, the merge read back from disk).
+MULTIPROCESS = ("store", "supervised")
 
 #: Width ladder for the single-process matrix; 100 pins the no-power-of-
 #: two-assumption property alongside the characterized widths.
@@ -91,9 +99,15 @@ def _simulate(name, engine, kernel, width, drop=True, jobs=None):
         netlist, word_width=width, cache=None, kernel=kernel
     )
     patterns = [list(p) for p in _patterns(name)]
-    return simulator.simulate(
-        patterns, list(_universe(name)), drop=drop, engine=engine, jobs=jobs
-    )
+    if engine != "store":
+        return simulator.simulate(
+            patterns, list(_universe(name)), drop=drop, engine=engine, jobs=jobs
+        )
+    with tempfile.TemporaryDirectory(prefix="repro_conformance_") as root:
+        backend = SupervisedPoolBackend(jobs=jobs, store=ShardStore(root))
+        return simulator.simulate(
+            patterns, list(_universe(name)), drop=drop, engine=backend
+        )
 
 
 @functools.lru_cache(maxsize=None)
@@ -162,7 +176,7 @@ class TestBackendMatrix:
 
     @pytest.mark.parametrize("name", CIRCUIT_NAMES)
     @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("engine", ("pool", "supervised"))
+    @pytest.mark.parametrize("engine", MULTIPROCESS)
     def test_multiprocess_matches_oracle(self, name, kernel, engine):
         result = _simulate(name, engine, kernel, 256, jobs=2)
         _assert_detection(result, _oracle(name))
@@ -172,7 +186,7 @@ class TestBackendMatrix:
 
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("width", (64, 1024))
-    @pytest.mark.parametrize("engine", ("pool", "supervised"))
+    @pytest.mark.parametrize("engine", MULTIPROCESS)
     def test_multiprocess_width_ladder(self, kernel, width, engine):
         name = "rand8"
         result = _simulate(name, engine, kernel, width, jobs=2)
@@ -186,10 +200,10 @@ class TestNoDropConformance:
     the heaviest counter path, exact across the full matrix."""
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("engine", BACKEND_NAMES)
+    @pytest.mark.parametrize("engine", BACKEND_NAMES + ("store",))
     def test_no_drop_matches_oracle(self, kernel, engine):
         name = "rand8"
-        jobs = 2 if engine in ("pool", "supervised") else None
+        jobs = 2 if engine in MULTIPROCESS else None
         result = _simulate(name, engine, kernel, 256, drop=False, jobs=jobs)
         _assert_detection(result, _oracle(name, drop=False))
         if engine != "serial":

@@ -4,7 +4,7 @@ The full cross-backend × cross-kernel × cross-width agreement matrix
 lives in ``test_conformance.py``; this file keeps what is specific to
 the dispatch layer itself — deterministic partitioning, min-merge
 semantics, degenerate edge cases (1 worker, 0 faults), stats
-instrumentation, backend registry, and the transition/bridging
+instrumentation, the name → engine map, and the transition/bridging
 regression pins.
 """
 
@@ -20,9 +20,7 @@ from repro.faults import (
 )
 from repro.sim.dispatch import (
     BACKEND_NAMES,
-    PoolBackend,
     default_partition_count,
-    get_backend,
     merge_results,
     partition_faults,
 )
@@ -43,7 +41,7 @@ class TestDispatchEdgeCases:
         faults = _universe(netlist)
         patterns = random_patterns(simulator.view.num_inputs, 96, seed=7)
         reference = simulator.simulate(patterns, faults, engine="ppsfp")
-        one = simulator.simulate(patterns, faults, engine="pool", jobs=1)
+        one = simulator.simulate(patterns, faults, engine="supervised", jobs=1)
         assert one.detected == reference.detected
         assert one.undetected == reference.undetected
 
@@ -65,7 +63,9 @@ class TestDispatchEdgeCases:
         faults = _universe(netlist)
         patterns = random_patterns(simulator.view.num_inputs, 64, seed=5)
         runs = [
-            simulator.simulate(patterns, faults, engine="pool", jobs=jobs, seed=9)
+            simulator.simulate(
+                patterns, faults, engine="supervised", jobs=jobs, seed=9
+            )
             for jobs in (1, 2, 3, 4)
         ]
         for other in runs[1:]:
@@ -108,14 +108,14 @@ class TestPartitioning:
 
 
 class TestStatsInstrumentation:
-    def test_pool_stats_totals(self):
+    def test_supervised_stats_totals(self):
         netlist = generators.random_circuit(7, 55, seed=21)
         simulator = FaultSimulator(netlist)
         faults = _universe(netlist)
         patterns = random_patterns(simulator.view.num_inputs, 64, seed=21)
-        result = simulator.simulate(patterns, faults, engine="pool", jobs=2)
+        result = simulator.simulate(patterns, faults, engine="supervised", jobs=2)
         stats = result.stats
-        assert stats["engine"] == "pool"
+        assert stats["engine"] == "supervised"
         assert stats["jobs"] == 2
         assert stats["faults_simulated"] == len(faults)
         partitions = stats["partitions"]
@@ -139,14 +139,17 @@ class TestStatsInstrumentation:
             assert result.stats["faults_simulated"] == len(faults)
             assert result.stats["words_evaluated"] > 0
 
-    def test_get_backend_registry(self):
+    def test_simulate_maps_every_backend_name(self):
+        netlist = benchmarks.c17()
+        simulator = FaultSimulator(netlist)
+        faults = full_fault_list(netlist)
+        patterns = random_patterns(simulator.view.num_inputs, 16, seed=4)
         for name in BACKEND_NAMES:
-            assert get_backend(name).name == name
-        backend = get_backend("pool", jobs=3, seed=4)
-        assert isinstance(backend, PoolBackend)
-        assert backend.jobs == 3 and backend.seed == 4
-        with pytest.raises(ValueError):
-            get_backend("gpu")
+            result = simulator.simulate(patterns, faults, engine=name, jobs=2)
+            assert result.stats["engine"] == name
+        for unknown in ("gpu", "pool"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                simulator.simulate(patterns, faults, engine=unknown)
 
 
 class TestExplicitSubsetCoverage:
@@ -180,12 +183,12 @@ class TestExplicitSubsetCoverage:
 class TestFlowThreading:
     """The backend choice reaches the ATPG and compression flows."""
 
-    def test_run_atpg_pool_backend_matches_ppsfp(self):
+    def test_run_atpg_supervised_backend_matches_ppsfp(self):
         from repro.atpg.engine import run_atpg
 
         netlist = generators.random_circuit(6, 40, seed=17)
         base = run_atpg(netlist, seed=3, backend="ppsfp")
-        pooled = run_atpg(netlist, seed=3, backend="pool", jobs=2)
+        pooled = run_atpg(netlist, seed=3, backend="supervised", jobs=2)
         assert pooled.fault_coverage == base.fault_coverage
         assert pooled.detected == base.detected
         assert len(pooled.patterns) == len(base.patterns)
@@ -199,10 +202,10 @@ class TestFlowThreading:
         design = insert_scan(netlist, n_chains=4)
         edt = EdtSystem(design, n_input_channels=2, n_output_channels=2)
         graded = run_compressed_atpg(
-            edt, seed=1, grade=True, backend="pool", jobs=2
+            edt, seed=1, grade=True, backend="supervised", jobs=2
         )
         assert graded.graded_coverage is not None
-        assert graded.grading_stats["engine"] == "pool"
+        assert graded.grading_stats["engine"] == "supervised"
         # The independent re-grade can only confirm more, never less, than
         # the drop-based bookkeeping (same patterns, same universe).
         assert graded.graded_coverage >= graded.fault_coverage - 1e-9

@@ -31,6 +31,7 @@ from repro.obs.events import (
 from repro.obs.trace import write_chrome_trace
 from repro.sim.chaos import ChaosPlan
 from repro.sim.faultsim import FaultSimulator
+from repro.sim.store import ShardStore
 from repro.sim.supervisor import SupervisedPoolBackend, SupervisorConfig
 
 
@@ -153,9 +154,13 @@ class TestJsonlSideFiles:
 
 
 class TestBackendEventWiring:
-    @pytest.mark.parametrize("engine", ["pool", "supervised"])
-    def test_sharded_runs_ship_partition_events(self, engine):
+    @pytest.mark.parametrize("engine", ["store", "supervised"])
+    def test_sharded_runs_ship_partition_events(self, engine, tmp_path):
         simulator, patterns, faults = _campaign()
+        if engine == "store":
+            engine = SupervisedPoolBackend(
+                jobs=2, partitions=4, store=ShardStore(str(tmp_path))
+            )
         with obs.observe("run") as observation:
             result = simulator.simulate(
                 patterns, faults, engine=engine, jobs=2, partitions=4
@@ -196,9 +201,10 @@ class TestBackendEventWiring:
         """Event payloads ride stats even with no observation active."""
         simulator, patterns, faults = _campaign()
         result = simulator.simulate(
-            patterns, faults, engine="pool", jobs=1, partitions=3
+            patterns, faults, engine="supervised", jobs=1, partitions=3
         )
-        assert len(result.stats["events"]) == 3
+        # The supervisor's own timeline plus one payload per worker.
+        assert len(result.stats["events"]) == 1 + 3
 
 
 class TestMetricsLossAnnotation:

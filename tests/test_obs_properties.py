@@ -4,7 +4,7 @@ The observability layer's core claim is that per-partition worker metrics
 merge back into the parent exactly like fault results min-merge: the
 totals are independent of how the partials are grouped (associativity),
 of the order they arrive in (commutativity), and — end to end — of the
-pool's worker count and partition order.  Hypothesis holds all three.
+supervised backend's worker count and partition order.  Hypothesis holds all three.
 """
 
 import random
@@ -161,7 +161,7 @@ class TestPartitionMergeInvariance:
 
         reference, ppsfp = counters(1, "ppsfp")
         for jobs in (1, 2):
-            pooled, result = counters(jobs, "pool")
-            assert pooled == reference
+            supervised, result = counters(jobs, "supervised")
+            assert supervised == reference
             assert result.detected == ppsfp.detected
             assert result.undetected == ppsfp.undetected

@@ -67,10 +67,10 @@ class TestEngineAgreement:
 
     @settings(max_examples=8, deadline=None)
     @given(seed=seeds)
-    def test_pool_matches_ppsfp(self, seed):
-        """Pool-backend coverage equals ppsfp coverage on any random circuit
-        and pattern set, and its stats account for the whole collapsed
-        universe."""
+    def test_supervised_matches_ppsfp(self, seed):
+        """Supervised-backend coverage equals ppsfp coverage on any random
+        circuit and pattern set, and its stats account for the whole
+        collapsed universe."""
         netlist = small_circuit(seed)
         simulator = FaultSimulator(netlist)
         faults, _ = collapse_faults(netlist, full_fault_list(netlist))
@@ -79,14 +79,15 @@ class TestEngineAgreement:
             simulator.view.num_inputs, rng.randint(1, 80), seed=seed
         )
         ppsfp = simulator.simulate(patterns, faults, engine="ppsfp")
-        pool = simulator.simulate(
-            patterns, faults, engine="pool", jobs=rng.choice([1, 2]), seed=seed
+        supervised = simulator.simulate(
+            patterns, faults, engine="supervised", jobs=rng.choice([1, 2]),
+            seed=seed,
         )
-        assert pool.coverage == ppsfp.coverage
-        assert pool.detected == ppsfp.detected
-        assert pool.stats["faults_simulated"] == len(faults)
+        assert supervised.coverage == ppsfp.coverage
+        assert supervised.detected == ppsfp.detected
+        assert supervised.stats["faults_simulated"] == len(faults)
         assert sum(
-            p["faults"] for p in pool.stats["partitions"]
+            p["faults"] for p in supervised.stats["partitions"]
         ) == len(faults)
 
 

@@ -24,7 +24,8 @@ from repro.obs.regress import (
     failures,
     pair_bench_files,
 )
-from repro.sim.journal import CampaignJournal
+from repro.sim.faultsim import FaultSimResult
+from repro.sim.store import CampaignKey, ShardStore
 
 
 def _bench_report(rows, counters=None, name="bench.widesim"):
@@ -267,53 +268,23 @@ class TestObsCli:
         assert "error:" in capsys.readouterr().err
 
     def test_tail_reports_progress(self, tmp_path, capsys):
-        journal = CampaignJournal(str(tmp_path / "j.jsonl"))
-        journal._append({"kind": "header", "version": 1, "key": {"seed": 0}})
-        journal._append(
-            {
-                "kind": "partition", "index": 0, "total": 50,
-                "patterns_simulated": 10,
-                "detected": [["g", 0, 1, 2]], "undetected": [],
-            }
+        store = ShardStore(str(tmp_path / "store"), runner_id="r0")
+        store.initialize(
+            CampaignKey("sig", "pat", "flt", seed=0, partitions=4, drop=True), 4
         )
-        journal.heartbeat(
-            partition=0, faults_graded=50, faults_total=200,
-            partitions_done=1, partitions_total=4,
-        )
-        journal.close()
-        assert main(["obs", "tail", str(tmp_path / "j.jsonl")]) == 0
+        store.publish(0, FaultSimResult(total_faults=50, patterns_simulated=10))
+        assert main(["obs", "tail", store.root]) == 0
         out = capsys.readouterr().out
-        assert "partitions 1/4" in out
-        assert "faults graded 50/200" in out
+        assert "partitions 1/4 done" in out
+        assert "faults graded 50" in out
+        assert "r0: 1 published" in out
 
-    def test_tail_aggregates_resumed_sections(self, tmp_path, capsys):
-        """A resumed run's fresh section still counts earlier checkpoints."""
-        journal = CampaignJournal(str(tmp_path / "j.jsonl"))
-        journal._append({"kind": "header", "version": 1, "key": {"seed": 0}})
-        journal._append(
-            {
-                "kind": "partition", "index": 0, "total": 50,
-                "patterns_simulated": 10,
-                "detected": [["g", 0, 1, 2]], "undetected": [],
-            }
-        )
-        # Resume of the same campaign: same key, no new records yet.
-        journal._append({"kind": "header", "version": 1, "key": {"seed": 0}})
-        journal.close()
-        assert main(["obs", "tail", str(tmp_path / "j.jsonl")]) == 0
-        assert "faults graded 50" in capsys.readouterr().out
-        # A different campaign key resets the tally.
-        journal = CampaignJournal(str(tmp_path / "j.jsonl"))
-        journal._append({"kind": "header", "version": 1, "key": {"seed": 9}})
-        journal.close()
-        assert main(["obs", "tail", str(tmp_path / "j.jsonl")]) == 0
-        assert "faults graded 0" in capsys.readouterr().out
-
-    def test_tail_empty_journal(self, tmp_path, capsys):
-        path = tmp_path / "empty.jsonl"
+    def test_tail_plain_file_exits_two(self, tmp_path, capsys):
+        """Progress lives in a --store directory; a file is refused."""
+        path = tmp_path / "campaign.jsonl"
         path.write_text("")
-        assert main(["obs", "tail", str(path)]) == 0
-        assert "no campaign sections" in capsys.readouterr().out
+        assert main(["obs", "tail", str(path)]) == 2
+        assert "--store" in capsys.readouterr().err
 
 
 class TestBenchEnvelopeCompat:

@@ -86,7 +86,7 @@ class TestBenchEnvelopes:
     BENCH_DIR = Path(__file__).parent.parent / "benchmarks"
 
     def test_dispatch_speedup_assertion_recorded(self):
-        """The pool-speedup capability gate must leave an explicit verdict
+        """The parallel-speedup capability gate must leave an explicit verdict
         in the envelope — ``asserted`` plus a ``skipped_reason`` — instead
         of silently skipping on low-core hosts (the old behavior printed
         the skip to stdout and recorded nothing)."""

@@ -3,11 +3,11 @@
 :mod:`repro.sim.shm` owns one hard promise — **no leaked segments**: the
 parent creates each campaign arena, workers only ever map it, and the
 parent unlinks it on every exit path.  These tests scan ``/dev/shm``
-around pool and supervised campaigns under the failure modes the chaos
+around supervised campaigns under the failure modes the chaos
 harness can inject — worker crashes, hangs killed on deadline, injected
 exceptions, corrupt results — and around a ``KeyboardInterrupt``
 delivered mid-spawn, asserting the segment count returns to its starting
-point every time.
+point every time, including across a store-backed interrupt and resume.
 
 The arena itself is covered first: zero-copy read-only array views,
 pickled fallback blocks, spec roundtrip through attach, and idempotent
@@ -23,7 +23,7 @@ from repro.faults import collapse_faults, full_fault_list
 from repro.sim import shm
 from repro.sim.chaos import ChaosPlan
 from repro.sim.faultsim import FaultSimulator
-from repro.sim.journal import CampaignJournal
+from repro.sim.store import ShardStore
 from repro.sim.supervisor import SupervisedPoolBackend, SupervisorConfig
 
 KERNELS = ("python", "numpy")
@@ -105,29 +105,31 @@ class TestSharedArena:
             arena.destroy()
 
 
-class TestPoolLeaks:
+class TestSupervisedLeaks:
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_clean_pool_run(self, kernel, no_leaked_segments):
+    def test_clean_run(self, kernel, no_leaked_segments):
         simulator, faults, patterns, reference = _setup(kernel)
         result = simulator.simulate(
-            patterns, faults, engine="pool", jobs=2
+            patterns, faults, engine="supervised", jobs=2
         )
         assert result.detected == reference.detected
 
-    def test_pool_worker_exception(self, no_leaked_segments):
-        """A worker partition raising inside the pool must still tear the
-        arena down (the dispatch ``finally`` owns it)."""
+    def test_kernel_exception_everywhere_still_unlinks(self, no_leaked_segments):
+        """A kernel raising in every worker *and* inline degrades every
+        shard to failed, and the arena still comes down (the supervisor's
+        ``finally`` owns it)."""
         simulator, faults, patterns, _ = _setup("numpy")
         original = FaultSimulator._simulate_ppsfp
-        with pytest.raises(Exception):
-            try:
-                FaultSimulator._simulate_ppsfp = lambda *a, **k: 1 / 0
-                simulator.simulate(patterns, faults, engine="pool", jobs=2)
-            finally:
-                FaultSimulator._simulate_ppsfp = original
-
-
-class TestSupervisedLeaks:
+        try:
+            FaultSimulator._simulate_ppsfp = lambda *a, **k: 1 / 0
+            result = SupervisedPoolBackend(
+                jobs=2, partitions=3,
+                config=SupervisorConfig(max_retries=0, backoff_s=0.0),
+            ).run(simulator, patterns, faults)
+        finally:
+            FaultSimulator._simulate_ppsfp = original
+        assert len(result.stats["failed_partitions"]) == 3
+        assert result.detected == {}
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_crash_recovery(self, kernel, no_leaked_segments):
         """Workers killed mid-read leave only their own mappings behind,
@@ -172,27 +174,41 @@ class TestSupervisedLeaks:
     def test_keyboard_interrupt_unlinks(
         self, kernel, tmp_path, monkeypatch, no_leaked_segments
     ):
-        """Ctrl-C mid-campaign: workers are reaped, the journal is
-        flushed, and the arena is unlinked on the way up."""
-        simulator, faults, patterns, _ = _setup(kernel)
-        backend = SupervisedPoolBackend(
-            jobs=1,
-            partitions=4,
-            journal=CampaignJournal(str(tmp_path / "interrupted.jsonl")),
-        )
-        spawned = []
+        """Ctrl-C mid-campaign: workers are reaped and the arena is
+        unlinked on the way up; the same interrupt against a shard store
+        resumes on re-run, bit-identically and still leak-free."""
+        simulator, faults, patterns, reference = _setup(kernel)
+        root = str(tmp_path / "interrupted")
         original_spawn = SupervisedPoolBackend._spawn
 
-        def interrupting_spawn(self, *args, **kwargs):
-            if len(spawned) >= 2:
-                raise KeyboardInterrupt
-            slot = original_spawn(self, *args, **kwargs)
-            spawned.append(slot)
-            return slot
+        def interrupted_run(backend):
+            spawned = []
 
-        monkeypatch.setattr(SupervisedPoolBackend, "_spawn", interrupting_spawn)
-        with pytest.raises(KeyboardInterrupt):
-            backend.run(simulator, patterns, faults)
-        backend.journal.close()
-        for slot in spawned:
-            assert not slot.process.is_alive()
+            def interrupting_spawn(self, *args, **kwargs):
+                if len(spawned) >= 2:
+                    raise KeyboardInterrupt
+                slot = original_spawn(self, *args, **kwargs)
+                spawned.append(slot)
+                return slot
+
+            monkeypatch.setattr(
+                SupervisedPoolBackend, "_spawn", interrupting_spawn
+            )
+            with pytest.raises(KeyboardInterrupt):
+                backend.run(simulator, patterns, faults)
+            monkeypatch.undo()
+            for slot in spawned:
+                assert not slot.process.is_alive()
+
+        interrupted_run(SupervisedPoolBackend(jobs=1, partitions=4))
+        interrupted_run(
+            SupervisedPoolBackend(
+                jobs=1, partitions=4, store=ShardStore(root, runner_id="r0")
+            )
+        )
+        resumed = SupervisedPoolBackend(
+            jobs=1, partitions=4, store=ShardStore(root, runner_id="r0")
+        ).run(simulator, patterns, faults)
+        assert resumed.detected == reference.detected
+        assert resumed.undetected == reference.undetected
+        assert resumed.stats["store"]["shards_graded_here"] == 2

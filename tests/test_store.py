@@ -16,26 +16,31 @@ import json
 import multiprocessing
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.atpg.random_gen import random_patterns
-from repro.circuit import generators
+from repro.circuit import benchmarks, generators
 from repro.faults import collapse_faults, full_fault_list
 from repro.faults.model import StuckAtFault
 from repro.obs.events import LEASE_CLAIM, LEASE_LOST, LEASE_STEAL, PUBLISH
 from repro.sim import shm
 from repro.sim.chaos import HOST_KILL_EXIT_CODE, HostChaosInjection, HostChaosPlan
+from repro.sim.chaos import ChaosPlan
 from repro.sim.faultsim import FaultSimResult, FaultSimulator
-from repro.sim.journal import CampaignKey
 from repro.sim.store import (
+    CampaignKey,
     ShardStore,
     StoreCorruptionError,
     StoreMismatchError,
+    fault_digest,
+    pattern_digest,
     read_store_progress,
     result_digest,
+    serialize_partial,
     validate_store_args,
 )
 from repro.sim.supervisor import SupervisedPoolBackend, SupervisorConfig
@@ -117,6 +122,42 @@ class TestValidation:
         assert plan.for_runner("r9") is None
 
 
+class TestDigests:
+    def test_pattern_digest_deterministic_and_sensitive(self):
+        patterns = [[0, 1, 0], [1, 1, 1]]
+        assert pattern_digest(patterns) == pattern_digest([list(p) for p in patterns])
+        assert pattern_digest(patterns) != pattern_digest([[0, 1, 0]])
+        assert pattern_digest(patterns) != pattern_digest([[1, 1, 1], [0, 1, 0]])
+        flipped = [[0, 1, 1], [1, 1, 1]]
+        assert pattern_digest(patterns) != pattern_digest(flipped)
+
+    def test_fault_digest_order_insensitive(self):
+        a = StuckAtFault(3, 0, 1)
+        b = StuckAtFault(7, -1, 0)
+        assert fault_digest([a, b]) == fault_digest([b, a])
+        assert fault_digest([a, b]) != fault_digest([a])
+        assert fault_digest([a]) != fault_digest([StuckAtFault(3, 0, 0)])
+
+    def test_campaign_key_binds_every_dimension(self):
+        netlist = generators.random_circuit(6, 35, seed=5)
+        faults, _ = collapse_faults(netlist, full_fault_list(netlist))
+        patterns = random_patterns(
+            FaultSimulator(netlist).view.num_inputs, 64, seed=5
+        )
+        base = CampaignKey.build(netlist, patterns, faults, 0, 8, True)
+        assert base == CampaignKey.build(netlist, patterns, faults, 0, 8, True)
+        assert base != CampaignKey.build(netlist, patterns, faults, 1, 8, True)
+        assert base != CampaignKey.build(netlist, patterns, faults, 0, 9, True)
+        assert base != CampaignKey.build(netlist, patterns, faults, 0, 8, False)
+        assert base != CampaignKey.build(netlist, patterns[:-1], faults, 0, 8, True)
+        other = benchmarks.c17()
+        other_faults, _ = collapse_faults(other, full_fault_list(other))
+        key_other = CampaignKey.build(
+            other, patterns, other_faults, 0, 8, True
+        )
+        assert base.signature != key_other.signature
+
+
 class TestCampaignIdentity:
     def test_initialize_pins_and_attaches(self, tmp_path):
         store = _store(tmp_path)
@@ -176,6 +217,22 @@ class TestLeaseLifecycle:
         kinds = [event.kind for event in mine.events.events]
         assert LEASE_LOST in kinds
 
+    def test_own_orphaned_lease_reclaimed_at_once(self, tmp_path):
+        """A runner reattaching under its own id does not wait out the
+        live lease its dead predecessor left; peers still do."""
+        clock = FakeClock()
+        dead = _store(tmp_path, runner="r0", clock=clock)
+        dead.initialize(_key(), 1)
+        assert dead.try_claim(0) is not None  # then the host dies
+        peer = _store(tmp_path, runner="r1", clock=clock)
+        peer.initialize(_key(), 1)
+        assert peer.try_claim(0) is None  # a peer must wait for expiry
+        reborn = _store(tmp_path, runner="r0", clock=clock)
+        reborn.initialize(_key(), 1)
+        lease = reborn.try_claim(0)
+        assert lease is not None and lease.stolen_from == "r0"
+        assert reborn.try_claim(0) is None  # now held in-process: live
+
     def test_release_frees_the_shard(self, tmp_path):
         clock = FakeClock()
         mine = _store(tmp_path, runner="r0", clock=clock)
@@ -223,6 +280,23 @@ class TestPublish:
         assert results[0].detected == _partial(0).detected
         assert results[0].stats["published_by"] == "r0"
 
+    def test_publish_and_load_identity(self, tmp_path):
+        """A real shard result survives publish → load field for field."""
+        netlist = generators.random_circuit(6, 35, seed=5)
+        simulator = FaultSimulator(netlist)
+        faults, _ = collapse_faults(netlist, full_fault_list(netlist))
+        patterns = random_patterns(simulator.view.num_inputs, 64, seed=5)
+        partial = simulator.simulate(patterns, faults[:10])
+        store = _store(tmp_path)
+        store.initialize(_key(), 1)
+        assert store.publish(0, partial) is True
+        restored = store.load_results()[0]
+        assert restored.detected == partial.detected
+        assert restored.undetected == partial.undetected
+        assert restored.total_faults == partial.total_faults
+        assert restored.patterns_simulated == partial.patterns_simulated
+        assert restored.stats["published_by"] == "r0"
+
     def test_divergent_duplicate_is_corruption(self, tmp_path):
         clock = FakeClock()
         mine = _store(tmp_path, runner="r0", clock=clock)
@@ -252,8 +326,6 @@ class TestPublish:
         one, two = _partial(3), _partial(3)
         two.stats["wall_time_s"] = 1e9
         two.stats["metrics"] = {"different": True}
-        from repro.sim.journal import serialize_partial
-
         assert result_digest(serialize_partial(3, one)) == result_digest(
             serialize_partial(3, two)
         )
@@ -576,6 +648,32 @@ class TestStoreCampaigns:
         assert progress["steals"] >= 1  # the steal is visible in telemetry
         _assert_clean_exit(tmp_path)
 
+    def test_killed_runner_reattaches_without_waiting_out_its_lease(
+        self, tmp_path
+    ):
+        """Resume after a host kill: the same runner id, re-run against
+        the same store, reclaims its own dead leases at once — it must not
+        sit out a 30 s lease it knows is orphaned."""
+        simulator, faults, patterns, reference = _setup()
+        exit_codes, _ = _launch_fleet(
+            str(tmp_path), simulator.netlist, patterns, faults, ["r1"],
+            host_chaos=HostChaosPlan.single("r1", "kill", after=1),
+            lease_s=30.0,
+        )
+        assert exit_codes["r1"] == HOST_KILL_EXIT_CODE
+        assert read_store_progress(str(tmp_path))["leased"] >= 1
+        start = time.monotonic()
+        exit_codes, reports = _launch_fleet(
+            str(tmp_path), simulator.netlist, patterns, faults, ["r1"],
+            lease_s=30.0,
+        )
+        assert time.monotonic() - start < 5.0
+        assert exit_codes == {"r1": 0}
+        (report,) = reports
+        _assert_report_identical(report, reference)
+        assert 1 <= report["store"]["shards_graded_here"] < 6
+        _assert_clean_exit(tmp_path)
+
     def test_host_stall_converges(self, tmp_path):
         """A stalled runner keeps grading while peers steal its shards;
         the double grades must converge first-write-wins."""
@@ -625,33 +723,53 @@ class TestStoreCampaigns:
         assert result.stats["retries"] == 1
         _assert_clean_exit(tmp_path)
 
-    def test_journal_replay_publishes_to_store(self, tmp_path):
-        """A journaled campaign resumed in store mode publishes its
-        checkpointed shards instead of re-grading them."""
-        from repro.sim.journal import CampaignJournal
-
+    def test_resume_after_failed_campaign_matches_ppsfp(self, tmp_path):
+        """Kill a campaign's shard for good (no retries, no fallback),
+        re-run against the same store: only that shard is graded."""
         simulator, faults, patterns, reference = _setup()
-        journal_path = str(tmp_path / "campaign.jsonl")
-        first = SupervisedPoolBackend(
-            jobs=2, seed=0, partitions=4,
-            journal=CampaignJournal(journal_path),
-        )
-        simulator.simulate(patterns, faults, engine=first)
-        store_dir = str(tmp_path / "store")
+        root = str(tmp_path / "resume")
+        crashed = SupervisedPoolBackend(
+            jobs=2, partitions=6,
+            chaos=ChaosPlan.single(4, "crash"),
+            config=SupervisorConfig(max_retries=0, inline_fallback=False),
+            store=ShardStore(root, runner_id="r0"),
+        ).run(simulator, patterns, faults)
+        assert len(crashed.stats["failed_partitions"]) == 1
+        assert crashed.coverage < reference.coverage
+
         resumed = SupervisedPoolBackend(
-            jobs=2, seed=0, partitions=4,
-            journal=CampaignJournal(journal_path),
-            store=ShardStore(store_dir, runner_id="r0"),
-        )
-        result = FaultSimulator(simulator.netlist).simulate(
-            patterns, faults, engine=resumed
-        )
-        _assert_identical(result, reference)
-        assert result.stats["journal_skipped"] == 4
-        assert result.stats["store"]["shards_graded_here"] == 4
-        assert all(
-            row["source"] == "journal" for row in result.stats["partitions"]
-        )
+            jobs=2, partitions=6, store=ShardStore(root, runner_id="r0"),
+        ).run(simulator, patterns, faults)
+        assert resumed.stats["store"]["shards_graded_here"] == 1
+        _assert_identical(resumed, reference)
+        sources = {p["partition"]: p["source"] for p in resumed.stats["partitions"]}
+        assert sources[4] == "worker"  # the only shard re-graded
+        assert sum(source == "peer" for source in sources.values()) == 5
+        _assert_clean_exit(root)
+
+    def test_rewritten_result_refused_against_current_campaign(self, tmp_path):
+        """A published result rewritten consistently (digest recomputed)
+        but no longer grading its shard is refused, never merged."""
+        simulator, faults, patterns, _ = _setup()
+        root = str(tmp_path / "tampered")
+
+        def rerun():
+            return SupervisedPoolBackend(
+                jobs=2, partitions=4, store=ShardStore(root, runner_id="r0"),
+            ).run(simulator, patterns, faults)
+
+        rerun()
+        path = os.path.join(root, "shards", "00002.result")
+        payload = json.load(open(path))
+        partial = payload["partial"]
+        partial["undetected"] = partial["undetected"][:-1] or partial["undetected"]
+        partial["total"] -= 1
+        payload["digest"] = result_digest(partial)
+        os.unlink(path)  # result files are link-protected: replace whole file
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+        with pytest.raises(StoreCorruptionError, match="shard 2"):
+            rerun()
 
     def test_progress_view_fields(self, tmp_path):
         simulator, faults, patterns, _ = _setup()

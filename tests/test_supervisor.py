@@ -20,7 +20,7 @@ from repro.circuit import benchmarks, generators
 from repro.faults import collapse_faults, full_fault_list
 from repro.sim.chaos import CRASH_EXIT_CODE, ChaosError, ChaosPlan
 from repro.sim.faultsim import FaultSimResult, FaultSimulator
-from repro.sim.journal import CampaignJournal
+from repro.sim.store import ShardStore
 from repro.sim.supervisor import (
     SupervisedPoolBackend,
     SupervisorConfig,
@@ -284,12 +284,13 @@ class TestChaosPlan:
 
 
 class TestKeyboardInterruptTeardown:
-    def test_workers_reaped_and_journal_flushed(self, tmp_path, monkeypatch):
-        """An interrupt mid-campaign must kill children, keep the journal."""
+    def test_workers_reaped_and_store_resumes(self, tmp_path, monkeypatch):
+        """An interrupt mid-campaign must kill children and release its
+        leases; re-running against the same store resumes."""
         simulator, faults, patterns, _ = _setup()
-        journal_path = tmp_path / "interrupted.jsonl"
+        root = str(tmp_path / "interrupted")
         backend = SupervisedPoolBackend(
-            jobs=1, partitions=4, journal=CampaignJournal(str(journal_path))
+            jobs=1, partitions=4, store=ShardStore(root, runner_id="r0")
         )
         spawned = []
         original_spawn = SupervisedPoolBackend._spawn
@@ -304,26 +305,22 @@ class TestKeyboardInterruptTeardown:
         monkeypatch.setattr(SupervisedPoolBackend, "_spawn", interrupting_spawn)
         with pytest.raises(KeyboardInterrupt):
             backend.run(simulator, patterns, faults)
-        backend.journal.close()
-        # Every spawned worker is dead, and completed shards are durable.
+        # Every spawned worker is dead, completed shards are durable, and
+        # no lease outlives the interrupt.
         for slot in spawned:
             assert not slot.process.is_alive()
         assert not multiprocessing.active_children()
-        completed = sum(
-            1
-            for line in journal_path.read_text().splitlines()
-            if '"kind":"partition"' in line
-        )
-        assert completed == 2
+        assert len(backend.store.done_indices()) == 2
+        assert backend.store.leases() == {}
         monkeypatch.undo()
-        # The interrupted campaign resumes: journal shards are skipped and
-        # the final merge is bit-identical to a clean run.
+        # The interrupted campaign resumes: published shards are merged
+        # from the store, and the result is bit-identical to a clean run.
         resumed = SupervisedPoolBackend(
-            jobs=1, partitions=4, journal=CampaignJournal(str(journal_path))
+            jobs=1, partitions=4, store=ShardStore(root, runner_id="r0")
         ).run(simulator, patterns, faults)
         reference = simulator.simulate(patterns, faults)
         _assert_identical(resumed, reference)
-        assert resumed.stats["journal_skipped"] == 2
+        assert resumed.stats["store"]["shards_graded_here"] == 2
 
 
 class TestChaosScheduleProperty:
