@@ -329,13 +329,10 @@ def run_atpg(
     # the final set and top off from the phase-2 fills (each known-good).
     if compact and phase2_fills:
         with obs.span("top_off"):
-            counted = [
-                f
-                for f in faults
-                if f not in set(result.untestable)
-                and f not in set(result.aborted)
-                and f not in set(result.consistency_errors)
-            ]
+            excluded = {
+                *result.untestable, *result.aborted, *result.consistency_errors
+            }
+            counted = [f for f in faults if f not in excluded]
             check = batch_sim(result.patterns, counted)
             missing = [f for f in counted if f not in check.detected]
             # Top off one fill at a time: each fill was already simulated as

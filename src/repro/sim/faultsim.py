@@ -136,35 +136,50 @@ class FaultSimulator:
         # the kernel, and both kernels produce bit-identical results.
         np_kernel = self.parallel.np_kernel
         self._np_evaluators = np_kernel.evaluators if np_kernel is not None else None
-        self._np_consumers = None
+        gates = netlist.gates
         # Per-gate compiled evaluators for cone propagation: the gate-type
         # dispatch chain is resolved once here instead of once per event.
         self._evaluators = [
             None
             if gate.type == GateType.INPUT
             else compile_parallel_evaluator(gate.type, len(gate.fanin))
-            for gate in netlist.gates
+            for gate in gates
         ]
-        order = netlist.topo_order
-        self._topo_position = [0] * len(netlist.gates)
-        for position, gate_index in enumerate(order):
-            self._topo_position[gate_index] = position
-        if self._np_evaluators is not None:
-            # Pre-filtered heap entries per gate — (topo position, consumer)
-            # for every non-sequential consumer — so the numpy event loop
-            # never touches gate properties while scheduling.
-            self._np_consumers = [
-                tuple(
-                    (self._topo_position[consumer], consumer)
-                    for consumer in gate.fanout
-                    if not netlist.gates[consumer].is_sequential
-                )
-                for gate in netlist.gates
-            ]
-        # Observation readers and, for branch-into-observation faults, the
-        # set of (reader position -> gate read).
+        self._fanins = [tuple(gate.fanin) for gate in gates]
+        topo_position = [0] * len(gates)
+        for position, gate_index in enumerate(netlist.topo_order):
+            topo_position[gate_index] = position
+        # Pre-filtered heap entries per gate — (topo position, consumer) for
+        # every combinational consumer — so both kernels' event loops never
+        # touch gate properties while scheduling.
+        self._consumers = [
+            tuple(
+                (topo_position[consumer], consumer)
+                for consumer in gate.fanout
+                if not gates[consumer].is_sequential
+            )
+            for gate in gates
+        ]
+        # PO markers and flops: a branch fault on one of their pins is seen
+        # directly at that observation position, bypassing the stem value.
+        self._observes_directly = [
+            gate.type == GateType.OUTPUT or gate.is_sequential for gate in gates
+        ]
+        # Observation readers, and each reader's response-vector positions
+        # (one gate can drive several POs / flop D pins).
         self._readers = list(self.view.output_readers)
+        # A plain set, not a frozenset: ``dict.keys() & set`` iterates the
+        # smaller operand, ``dict.keys() & frozenset`` the frozenset.
         self._reader_set = set(self._readers)
+        self._reader_positions: Dict[int, List[int]] = {}
+        for position, reader in enumerate(self._readers):
+            self._reader_positions.setdefault(reader, []).append(position)
+        # Response-vector position of each PO marker and flop gate (POs
+        # then flop D's), where a branch fault on its pin is observed.
+        self._direct_positions: Dict[int, int] = {}
+        observation_gates = list(netlist.outputs) + list(netlist.flops)
+        for position, gate_index in enumerate(observation_gates):
+            self._direct_positions.setdefault(gate_index, position)
         # Lifetime instrumentation counters; simulate* methods snapshot
         # deltas into FaultSimResult.stats.
         self._events_propagated = 0
@@ -289,61 +304,74 @@ class FaultSimulator:
 
         ``seeds`` maps gate index -> faulty word (already different from the
         good word, or the propagation stops immediately).  Returns the map
-        of all gates whose faulty word differs from good.
+        of all gates whose faulty word differs from good — and only those,
+        which is what lets the readout visit just the faulty readers.
         """
-        gates = self.netlist.gates
         evaluators = self._evaluators
+        fanins = self._fanins
+        consumers = self._consumers
         faulty: Dict[int, int] = {}
         heap: List[Tuple[int, int]] = []
         enqueued = set()
-
-        def schedule(gate_index: int) -> None:
-            if gate_index not in enqueued:
-                enqueued.add(gate_index)
-                heappush(heap, (self._topo_position[gate_index], gate_index))
+        events = 0
 
         for gate_index, word in seeds.items():
             if word != good[gate_index]:
                 faulty[gate_index] = word
-                for consumer in gates[gate_index].fanout:
-                    if not gates[consumer].is_sequential:
-                        schedule(consumer)
+                for entry in consumers[gate_index]:
+                    if entry[1] not in enqueued:
+                        enqueued.add(entry[1])
+                        heappush(heap, entry)
 
         while heap:
             _, gate_index = heappop(heap)
             enqueued.discard(gate_index)
-            gate = gates[gate_index]
-            inputs = [faulty.get(driver, good[driver]) for driver in gate.fanin]
+            inputs = [
+                faulty[driver] if driver in faulty else good[driver]
+                for driver in fanins[gate_index]
+            ]
             word = evaluators[gate_index](inputs, mask)
-            self._events_propagated += 1
-            self._words_evaluated += 1
+            events += 1
             if word == good[gate_index]:
                 faulty.pop(gate_index, None)
                 continue
             if faulty.get(gate_index) == word:
                 continue
             faulty[gate_index] = word
-            for consumer in gate.fanout:
-                if not gates[consumer].is_sequential:
-                    schedule(consumer)
+            for entry in consumers[gate_index]:
+                if entry[1] not in enqueued:
+                    enqueued.add(entry[1])
+                    heappush(heap, entry)
+        self._events_propagated += events
+        self._words_evaluated += events
         return faulty
 
     def _stuck_at_seeds(
         self, fault: StuckAtFault, good: Sequence[int], mask: int
     ) -> Dict[int, int]:
         """Initial faulty words for a stuck-at fault."""
-        gates = self.netlist.gates
         forced = mask if fault.value else 0
         if fault.pin == OUTPUT_PIN:
             return {fault.gate: forced}
-        gate = gates[fault.gate]
-        if gate.type == GateType.OUTPUT or gate.is_sequential:
+        if self._observes_directly[fault.gate]:
             # Branch straight into an observation point: handled at readout.
             return {}
-        inputs = [good[driver] for driver in gate.fanin]
+        inputs = [good[driver] for driver in self._fanins[fault.gate]]
         inputs[fault.pin] = forced
         self._words_evaluated += 1
         return {fault.gate: self._evaluators[fault.gate](inputs, mask)}
+
+    def _reader_diff(self, good: Sequence[int], faulty: Dict[int, int]) -> int:
+        """OR of faulty ^ good over the observation readers in ``faulty``.
+
+        Exact because ``faulty`` holds only gates whose word differs from
+        good: every other reader XORs to zero, so the cost follows the
+        fault's cone, not the circuit's observation surface.
+        """
+        diff = 0
+        for reader in faulty.keys() & self._reader_set:
+            diff |= faulty[reader] ^ good[reader]
+        return diff
 
     def _detection_word(
         self,
@@ -353,18 +381,12 @@ class FaultSimulator:
         mask: int,
     ) -> int:
         """Patterns (bitmask) on which the fault effect reaches observation."""
-        diff = 0
-        for reader in self._readers:
-            diff |= faulty.get(reader, good[reader]) ^ good[reader]
+        diff = self._reader_diff(good, faulty) if faulty else 0
         # A branch fault feeding a PO or flop D pin is observed directly at
         # that single observation position, bypassing the stem value.
-        if fault.pin != OUTPUT_PIN:
-            gate = self.netlist.gates[fault.gate]
-            if gate.type == GateType.OUTPUT or gate.is_sequential:
-                forced = mask if fault.value else 0
-                driver = gate.fanin[fault.pin]
-                observed_good = good[driver]
-                diff |= forced ^ observed_good
+        if fault.pin != OUTPUT_PIN and self._observes_directly[fault.gate]:
+            forced = mask if fault.value else 0
+            diff |= forced ^ good[self._fanins[fault.gate][fault.pin]]
         return diff & mask
 
     # ------------------------------------------------------------------
@@ -523,9 +545,9 @@ class FaultSimulator:
     # at these sizes).
 
     def _propagate_np(self, seeds, good, mask):
-        gates = self.netlist.gates
         evaluators = self._np_evaluators
-        consumers = self._np_consumers
+        fanins = self._fanins
+        consumers = self._consumers
         values = good.values
         faulty: Dict[int, object] = {}
         faulty_bytes: Dict[int, bytes] = {}
@@ -548,7 +570,7 @@ class FaultSimulator:
             enqueued.discard(gate_index)
             inputs = [
                 faulty[driver] if driver in faulty else values[driver]
-                for driver in gates[gate_index].fanin
+                for driver in fanins[gate_index]
             ]
             word = evaluators[gate_index](inputs, mask)
             events += 1
@@ -570,16 +592,14 @@ class FaultSimulator:
         return faulty
 
     def _stuck_at_seeds_np(self, fault: StuckAtFault, good, mask):
-        gates = self.netlist.gates
         np_kernel = self.parallel.np_kernel
         forced = mask if fault.value else np_kernel.zero(good.n_patterns)
         if fault.pin == OUTPUT_PIN:
             return {fault.gate: forced}
-        gate = gates[fault.gate]
-        if gate.type == GateType.OUTPUT or gate.is_sequential:
+        if self._observes_directly[fault.gate]:
             # Branch straight into an observation point: handled at readout.
             return {}
-        inputs = [good.values[driver] for driver in gate.fanin]
+        inputs = [good.values[driver] for driver in self._fanins[fault.gate]]
         inputs[fault.pin] = forced
         self._words_evaluated += 1
         return {fault.gate: self._np_evaluators[fault.gate](inputs, mask)}
@@ -587,9 +607,7 @@ class FaultSimulator:
     def _detection_word_np(self, fault: StuckAtFault, good, faulty, mask):
         """Lane-array twin of :meth:`_detection_word` (or ``None``).
 
-        Only readers present in the faulty map contribute — every other
-        reader XORs to zero — which replaces the all-readers loop that
-        dominates the python kernel's readout on replicated circuits.
+        Reads out only the faulty readers, like :meth:`_reader_diff`.
         """
         diff = None
         values = good.values
@@ -599,14 +617,11 @@ class FaultSimulator:
                 diff = delta
             else:
                 diff |= delta
-        if fault.pin != OUTPUT_PIN:
-            gate = self.netlist.gates[fault.gate]
-            if gate.type == GateType.OUTPUT or gate.is_sequential:
-                np_kernel = self.parallel.np_kernel
-                forced = mask if fault.value else np_kernel.zero(good.n_patterns)
-                driver = gate.fanin[fault.pin]
-                delta = forced ^ values[driver]
-                diff = delta if diff is None else diff | delta
+        if fault.pin != OUTPUT_PIN and self._observes_directly[fault.gate]:
+            np_kernel = self.parallel.np_kernel
+            forced = mask if fault.value else np_kernel.zero(good.n_patterns)
+            delta = forced ^ values[self._fanins[fault.gate][fault.pin]]
+            diff = delta if diff is None else diff | delta
         if diff is not None:
             diff &= mask
         return diff
@@ -720,11 +735,9 @@ class FaultSimulator:
         for reader in self._readers:
             if words[reader] != good[reader]:
                 return True
-        if fault.pin != OUTPUT_PIN:
-            gate = gates[fault.gate]
-            if gate.type == GateType.OUTPUT or gate.is_sequential:
-                if forced != good[gate.fanin[fault.pin]]:
-                    return True
+        if fault.pin != OUTPUT_PIN and self._observes_directly[fault.gate]:
+            if forced != good[self._fanins[fault.gate][fault.pin]]:
+                return True
         return False
 
     # ------------------------------------------------------------------
@@ -749,39 +762,32 @@ class FaultSimulator:
             good = self.parallel.evaluate_words(self.parallel.pack_block(chunk), n)
             seeds = self._stuck_at_seeds(fault, good, mask)
             faulty = self._propagate(seeds, good, mask) if seeds else {}
-            per_output_diff: List[int] = []
-            for reader in self._readers:
-                per_output_diff.append(
-                    (faulty.get(reader, good[reader]) ^ good[reader]) & mask
-                )
+            # Response position -> failing-pattern word, filled only for the
+            # faulty readers (every other position reads zero).
+            position_diff: Dict[int, int] = {}
+            for reader in faulty.keys() & self._reader_set:
+                delta = (faulty[reader] ^ good[reader]) & mask
+                for position in self._reader_positions[reader]:
+                    position_diff[position] = delta
             # Direct observation of branch-into-observation faults.
-            if fault.pin != OUTPUT_PIN:
-                gate = self.netlist.gates[fault.gate]
-                if gate.type == GateType.OUTPUT or gate.is_sequential:
-                    forced = mask if fault.value else 0
-                    driver = gate.fanin[fault.pin]
-                    position = self._direct_reader_position(fault.gate)
-                    if position is not None:
-                        per_output_diff[position] |= (forced ^ good[driver]) & mask
+            if fault.pin != OUTPUT_PIN and self._observes_directly[fault.gate]:
+                forced = mask if fault.value else 0
+                driver = self._fanins[fault.gate][fault.pin]
+                position = self._direct_positions.get(fault.gate)
+                if position is not None:
+                    position_diff[position] = position_diff.get(position, 0) | (
+                        (forced ^ good[driver]) & mask
+                    )
+            observed = sorted(
+                (position, diff) for position, diff in position_diff.items() if diff
+            )
             for bit in range(n):
                 failing = tuple(
-                    position
-                    for position, diff in enumerate(per_output_diff)
-                    if (diff >> bit) & 1
+                    position for position, diff in observed if (diff >> bit) & 1
                 )
                 if failing:
                     signature[start + bit] = failing
         return signature
-
-    def _direct_reader_position(self, observation_gate: int) -> Optional[int]:
-        """Response-vector position of a PO marker or flop gate."""
-        if observation_gate in self.netlist.outputs:
-            return self.netlist.outputs.index(observation_gate)
-        if observation_gate in self.netlist.flops:
-            return len(self.netlist.outputs) + self.netlist.flops.index(
-                observation_gate
-            )
-        return None
 
     # ------------------------------------------------------------------
     # Transition-delay faults (launch-on-capture pairs)
@@ -895,10 +901,7 @@ class FaultSimulator:
                 if forced_b != value_b:
                     seeds[fault.net_b] = forced_b
                 faulty = self._propagate(seeds, good, mask) if seeds else {}
-                diff = 0
-                for reader in self._readers:
-                    diff |= faulty.get(reader, good[reader]) ^ good[reader]
-                diff &= mask
+                diff = self._reader_diff(good, faulty) & mask
                 if diff:
                     first_bit = (diff & -diff).bit_length() - 1
                     if fault not in result.detected:

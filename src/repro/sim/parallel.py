@@ -51,8 +51,9 @@ WORD_WIDTHS = (64, 256, 1024, 4096)
 #: The selectable simulation kernels: ``"python"`` packs patterns into
 #: Python bigints (one word per signal), ``"numpy"`` into uint64 lane
 #: arrays (:mod:`repro.sim.npsim`).  Results are bit-identical; numpy wins
-#: at wide words on replicated circuits, python at narrow words and on
-#: single-pattern flows (PODEM verify, serial engine).
+#: drop-free wide-word campaigns on large replicated circuits, python the
+#: fault-dropping campaigns the flows run and single-pattern flows (PODEM
+#: verify, serial engine) — see EXPERIMENTS.md E3.
 KERNELS = ("python", "numpy")
 
 

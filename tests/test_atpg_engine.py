@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.atpg import engine as engine_module
 from repro.atpg import run_atpg, x_fill
 from repro.atpg.engine import atpg_table_row
 from repro.circuit import benchmarks
@@ -103,6 +104,38 @@ class TestFaultAccounting:
         result = run_atpg(c17, faults=faults, seed=1)
         assert result.total_faults == 8
         assert result.test_coverage == 1.0
+
+    def test_verdict_lists_iterated_constant_times(self, monkeypatch):
+        """The flow walks untestable/aborted/consistency_errors a fixed
+        number of times, however many faults it grades — a per-fault
+        rebuild of these sets once made top_off quadratic."""
+
+        class CountingList(list):
+            def __init__(self):
+                super().__init__()
+                self.iterations = 0
+
+            def __iter__(self):
+                self.iterations += 1
+                return super().__iter__()
+
+        class CountingResult(engine_module.AtpgResult):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.untestable = CountingList()
+                self.aborted = CountingList()
+                self.consistency_errors = CountingList()
+
+        monkeypatch.setattr(engine_module, "AtpgResult", CountingResult)
+        netlist = benchmarks.get_benchmark("mac4_x8")
+        faults, _ = collapse_faults(netlist, full_fault_list(netlist))
+        for count in (len(faults) // 4, len(faults)):
+            result = engine_module.run_atpg(netlist, faults=faults[:count], seed=0)
+            assert result.untestable  # mac4 cores carry redundant faults
+            for verdicts in (
+                result.untestable, result.aborted, result.consistency_errors
+            ):
+                assert verdicts.iterations <= 2
 
 
 class TestEngineFlow:
