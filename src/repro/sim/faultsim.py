@@ -488,9 +488,9 @@ class FaultSimulator:
         """PPSFP on the configured kernel.
 
         ``patterns`` may be ``None`` when ``good_chunks`` and ``n_patterns``
-        are given — worker partitions never re-pack patterns, so backends
-        fanning the good response out through shared memory do not ship the
-        pattern list at all.
+        are given — worker partitions never re-pack patterns, so the
+        supervised backend hands workers the good response and not the
+        pattern list.
         """
         if self.kernel == "numpy":
             return self._simulate_ppsfp_np(

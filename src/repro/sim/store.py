@@ -77,12 +77,27 @@ RENEW_FRACTION = 0.5
 _KEPT_STATS = ("events_propagated", "words_evaluated", "wall_time_s", "metrics")
 
 
+#: ``bytes.translate`` table mapping each byte ``b`` to ``b & 1``.
+_LOW_BIT = bytes(b & 1 for b in range(256))
+
+
 def pattern_digest(patterns: Sequence[Sequence[int]]) -> str:
-    """Stable digest of a pattern set (order- and value-sensitive)."""
+    """Stable digest of a pattern set (order- and value-sensitive).
+
+    Hashes one byte ``int(bit) & 1`` per bit.  The common case (ints and
+    bools in 0-255) packs a whole pattern in C; anything else falls back
+    to the per-bit loop, which gives the same bytes.
+    """
     hasher = hashlib.sha256()
     hasher.update(f"{len(patterns)}:".encode())
     for pattern in patterns:
-        hasher.update(bytes(int(bit) & 1 for bit in pattern))
+        try:
+            # list() first: bytes() of a buffer (a numpy row) would copy
+            # its raw memory instead of one byte per bit.
+            row = bytes(list(pattern)).translate(_LOW_BIT)
+        except (TypeError, ValueError):
+            row = bytes(int(bit) & 1 for bit in pattern)
+        hasher.update(row)
         hasher.update(b";")
     return hasher.hexdigest()[:24]
 

@@ -31,6 +31,11 @@ runs deterministic shards (seeded partitioning and min-merge from
   against the same store grades only the shards not yet published — a
   killed campaign resumes bit-identically.
 
+There is one driver: every campaign runs over a shard store.  A caller
+that passes none gets a private one in a temporary directory (on tmpfs
+where the host has it), removed on every exit path.  Workers receive the
+good-machine response by ``fork`` copy-on-write.
+
 The failure modes are exercised deterministically by
 :mod:`repro.sim.chaos`; ``tests/test_supervisor.py`` asserts that the
 recovered merge is bit-identical to single-process PPSFP under every
@@ -41,6 +46,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -60,7 +66,6 @@ from ..obs.events import (
     TIMEOUT,
     EventLog,
 )
-from . import shm
 from .chaos import (
     HOST_KILL_EXIT_CODE,
     KILL,
@@ -79,6 +84,10 @@ from .dispatch import (
 )
 from .faultsim import FaultSimResult, FaultSimulator, _unique
 from .store import CampaignKey, Lease, ShardStore, StoreCorruptionError
+
+#: Name prefix of the private store directory a run without ``store=``
+#: creates and always removes.
+PRIVATE_STORE_PREFIX = "repro-campaign-"
 
 
 @dataclass
@@ -145,21 +154,14 @@ def validate_partial(
 
 
 def _supervised_worker(conn, index, attempt, shard, drop, netlist,
-                       arena_spec, meta, chaos, good_chunks=None) -> None:
+                       meta, chaos, good_chunks) -> None:
     """Worker entry: grade one shard, send (status, payload), exit.
 
-    Runs in its own process; the netlist arrives by copy-on-write under
-    ``fork`` (pickled under ``spawn``), and the pattern matrix plus the
-    shared good-machine response are mapped read-only from the campaign
-    arena — one shared segment instead of one pickle per attempt.  Any
-    exception — including injected chaos — is reported as an ``error``
-    message so the supervisor need not wait for a timeout to learn about
-    it.  Workers never unlink the arena; the parent owns it.
-
-    Store-mode campaigns pass ``good_chunks`` directly (inherited by
-    ``fork`` copy-on-write) and no arena: a host-level ``kill`` injection
-    terminates the parent with ``os._exit``, which would leak any shared
-    segment the parent owned — with no arena there is nothing to leak.
+    Runs in its own process; the netlist and the shared good-machine
+    response arrive by copy-on-write under ``fork`` (pickled under
+    ``spawn``).  Any exception — including injected chaos — is reported
+    as an ``error`` message so the supervisor need not wait for a timeout
+    to learn about it.
     """
     status, payload = "error", "worker exited without result"
     n_patterns = meta["n_patterns"]
@@ -171,10 +173,6 @@ def _supervised_worker(conn, index, attempt, shard, drop, netlist,
         )
         if chaos is not None:
             chaos.execute_pre(index, attempt)
-        if arena_spec is not None:
-            # The arena (and with it every zero-copy good-block view) must
-            # outlive the simulation; the process exit reclaims the mapping.
-            _, good_chunks = shm.attach_campaign(arena_spec, meta)
         simulator = FaultSimulator(
             netlist,
             word_width=meta["word_width"],
@@ -227,7 +225,7 @@ _RECOVERY_COUNTERS = (
 
 @dataclass
 class _Campaign:
-    """Bookkeeping for one supervised run, shared by both loops."""
+    """Bookkeeping for one supervised run."""
 
     shards: List[List[StuckAtFault]]
     n_patterns: int
@@ -259,7 +257,8 @@ class SupervisedPoolBackend(FaultSimBackend):
     bit-identical to ``ppsfp`` on a clean run.  The backend survives
     worker crashes, hangs and corrupt results, degrades gracefully
     instead of dying, and with ``store=`` shares the campaign with other
-    runners and resumes from the store's published shards.
+    runners and resumes from the store's published shards.  Without
+    ``store=`` it runs over a private temporary store.
     """
 
     name = "supervised"
@@ -305,101 +304,23 @@ class SupervisedPoolBackend(FaultSimBackend):
 
     def run(self, simulator, patterns, faults, drop=True):
         if self.store is not None:
-            return self._run_store(simulator, patterns, faults, drop)
-        start_time = time.perf_counter()
-        universe = _unique(faults)
-        jobs, shards = self._plan(universe)
-
-        good_start = time.perf_counter()
-        parallel = simulator.parallel
-        passes0 = parallel.evaluations
-        # The campaign arena holds the packed pattern matrix and the
-        # good-machine response in one shared segment; the parent owns it
-        # and unlinks it in the ``finally`` below on every exit path —
-        # normal completion, poisoned shards, and KeyboardInterrupt.
-        arena, meta = shm.pack_campaign(simulator, patterns)
-        good_chunks = shm.good_chunks_from(arena, meta)
-        good_words = (parallel.evaluations - passes0) * parallel.num_scheduled
-        good_seconds = time.perf_counter() - good_start
-
-        campaign = _Campaign(
-            shards, len(patterns), drop, EventLog(),
-            pending=[(index, 0, 0.0) for index in range(len(shards))],
-        )
-        results: Dict[int, FaultSimResult] = {}
-        try:
-            if shards:
-                self._supervise(
-                    simulator, arena, meta, good_chunks, jobs, campaign, results
-                )
-        finally:
-            arena.destroy()
-
-        result = merge_results(
-            [results[i] for i in sorted(results)], universe, len(patterns), drop
-        )
-        self._fill_stats(
-            result, results, campaign, jobs, good_seconds, good_words,
-            start_time, simulator,
-        )
+            return self._run_store(self.store, simulator, patterns, faults, drop)
+        # No store given: run over a private one on tmpfs (where the host
+        # has it, so its fsyncs cost no disk I/O), removed on every exit
+        # path.  It has no path worth reporting and no peers.
+        tmpfs = "/dev/shm" if os.path.isdir("/dev/shm") else None
+        with tempfile.TemporaryDirectory(
+            prefix=PRIVATE_STORE_PREFIX, dir=tmpfs
+        ) as root:
+            result = self._run_store(
+                ShardStore(root), simulator, patterns, faults, drop
+            )
+        del result.stats["store"]
         return result
 
     # ------------------------------------------------------------------
-    # Supervision loop
+    # Supervision
     # ------------------------------------------------------------------
-
-    def _supervise(
-        self, simulator, arena, meta, good_chunks, jobs, campaign, results
-    ) -> None:
-        running: List[_Slot] = []
-        pending = campaign.pending
-        faults_total = sum(len(shard) for shard in campaign.shards)
-
-        def record(index: int, partial: FaultSimResult, source: str, attempt: int):
-            results[index] = partial
-            campaign.note(index, source, attempt)
-            # Campaign heartbeat on every shard flush: the live progress
-            # gauges the trace exporter renders as a counter series.
-            campaign.events.emit(
-                HEARTBEAT, "progress",
-                partition=index,
-                faults_graded=sum(r.total_faults for r in results.values()),
-                faults_total=faults_total,
-                partitions_done=len(results),
-                partitions_total=len(campaign.shards),
-            )
-
-        def poison(slot: _Slot, reason: str) -> None:
-            self._finish_poisoned(
-                simulator, good_chunks, campaign, slot.index, slot.attempt,
-                reason, record,
-            )
-
-        try:
-            while pending or running:
-                now = time.monotonic()
-                # Launch eligible shards into free slots, lowest index first.
-                pending.sort(key=lambda item: (item[2], item[0]))
-                while len(running) < jobs and pending and pending[0][2] <= now:
-                    index, attempt, _ = pending.pop(0)
-                    running.append(
-                        self._spawn(simulator, arena, meta, campaign, index, attempt)
-                    )
-                progressed = False
-                for slot in list(running):
-                    outcome = self._poll_slot(slot, now)
-                    if outcome is None:
-                        continue
-                    progressed = True
-                    running.remove(slot)
-                    self._handle_outcome(slot, outcome, campaign, record, poison)
-                if not progressed:
-                    time.sleep(self.config.poll_interval_s)
-        except BaseException:
-            # KeyboardInterrupt or anything else: reap every child before
-            # propagating.
-            self._terminate(running)
-            raise
 
     def _handle_outcome(
         self, slot: _Slot, outcome, campaign: _Campaign,
@@ -459,13 +380,12 @@ class SupervisedPoolBackend(FaultSimBackend):
             return
         poison(slot, payload)
 
-    def _spawn(self, simulator, arena, meta, campaign, index, attempt,
-               good_chunks=None):
+    def _spawn(self, simulator, meta, campaign, index, attempt, good_chunks):
         """Start one worker process for one shard attempt.
 
-        ``arena`` may be ``None`` (store mode), in which case the caller
-        supplies ``good_chunks`` directly — free under ``fork`` (COW),
-        pickled through the process args on platforms without it.
+        ``good_chunks`` reaches the worker free under ``fork``
+        (copy-on-write), pickled through the process args on platforms
+        without it.
         """
         if self.chaos is not None:
             mode = self.chaos.mode_for(index, attempt)
@@ -482,8 +402,7 @@ class SupervisedPoolBackend(FaultSimBackend):
             target=_supervised_worker,
             args=(
                 child_conn, index, attempt, campaign.shards[index],
-                campaign.drop, simulator.netlist,
-                arena.spec if arena is not None else None, meta, self.chaos,
+                campaign.drop, simulator.netlist, meta, self.chaos,
                 good_chunks,
             ),
             daemon=True,
@@ -577,7 +496,7 @@ class SupervisedPoolBackend(FaultSimBackend):
         return False
 
     # ------------------------------------------------------------------
-    # Shared-store mode (multi-runner campaigns, resume)
+    # The driver: one loop over a shard store (multi-runner, resume)
     # ------------------------------------------------------------------
 
     @staticmethod
@@ -595,20 +514,18 @@ class SupervisedPoolBackend(FaultSimBackend):
         offset = sum(runner_id.encode()) % n_shards
         return [(offset + i) % n_shards for i in range(n_shards)]
 
-    def _run_store(self, simulator, patterns, faults, drop):
-        """Cooperatively execute one campaign over a shared shard store.
+    def _run_store(self, store, simulator, patterns, faults, drop):
+        """Cooperatively execute one campaign over a shard store.
 
-        The single-runner path above owns its shards outright; here every
-        shard is *claimed* from the store under a heartbeat-renewed lease,
-        so any number of independently launched runner processes share the
-        campaign and steal from dead peers — and a runner re-run against a
-        store it (or anyone) already partly filled grades only what is
-        missing.  Three deliberate differences, each load-bearing:
+        Every shard is *claimed* from the store under a heartbeat-renewed
+        lease, so any number of independently launched runner processes
+        share the campaign and steal from dead peers — and a runner re-run
+        against a store it (or anyone) already partly filled grades only
+        what is missing.  Three properties, each load-bearing:
 
-        * no /dev/shm arena — the good-machine response reaches workers by
-          ``fork`` copy-on-write, because a host-level ``kill`` injection
-          exits with ``os._exit`` and would leak any segment this parent
-          owned;
+        * the good-machine response reaches workers by ``fork``
+          copy-on-write, so a host-level ``kill`` injection (``os._exit``)
+          leaves no shared resource behind;
         * grading runs in child processes, so this supervision loop stays
           free to renew leases however long a shard takes;
         * the final merge reads *only* the store's published result files —
@@ -617,7 +534,6 @@ class SupervisedPoolBackend(FaultSimBackend):
           single-runner run) by construction.
         """
         start_time = time.perf_counter()
-        store = self.store
         universe = _unique(faults)
         jobs, shards = self._plan(universe)
         n_patterns = len(patterns)
@@ -828,8 +744,8 @@ class SupervisedPoolBackend(FaultSimBackend):
                         continue
                     running.append(
                         self._spawn(
-                            simulator, None, meta, campaign, index, attempt,
-                            good_chunks=good_chunks(),
+                            simulator, meta, campaign, index, attempt,
+                            good_chunks(),
                         )
                     )
 
@@ -915,8 +831,9 @@ class SupervisedPoolBackend(FaultSimBackend):
             "publish_conflicts": store.publish_conflicts,
             "steals": store.steals,
             "leases_swept": swept,
+            # An empty campaign has no shards a peer could have finished.
             "finished_by_peers": (
-                state["wins"] == 0 and len(results) >= len(shards)
+                bool(shards) and graded_here == 0 and len(results) >= len(shards)
             ),
         }
         return result
@@ -927,9 +844,9 @@ class SupervisedPoolBackend(FaultSimBackend):
 
     @staticmethod
     def _context():
-        # fork shares the parent's netlist for free (the patterns and good
-        # response ride the shared-memory arena either way); platforms
-        # without fork pickle the netlist through the Process args.
+        # fork shares the parent's netlist and good-machine response for
+        # free (copy-on-write); platforms without fork pickle both through
+        # the Process args.
         try:
             return multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -963,9 +880,6 @@ class SupervisedPoolBackend(FaultSimBackend):
     ) -> None:
         per_partition: List[Dict[str, object]] = []
         merged = MetricRegistry()
-        event_payloads: List[Dict[str, object]] = []
-        if len(campaign.events):
-            event_payloads.append(campaign.events.to_payload())
         metrics_lost = campaign.metrics_lost
         for index in sorted(results):
             partial = results[index]
@@ -973,8 +887,6 @@ class SupervisedPoolBackend(FaultSimBackend):
             # A partial without worker metrics gets its registry rebuilt
             # from the kept stats so the merge stays total.
             merged.merge_dict(stats.get("metrics") or partition_metrics(partial))
-            if stats.get("worker_events"):
-                event_payloads.append(stats["worker_events"])
             row = {
                 "partition": index,
                 "faults": len(campaign.shards[index]),
@@ -1023,8 +935,10 @@ class SupervisedPoolBackend(FaultSimBackend):
         if total_lost:
             result.stats["metrics_lost_attempts"] = total_lost
             result.stats["metrics_lower_bound"] = True
-        if event_payloads:
-            result.stats["events"] = event_payloads
+        if len(campaign.events):
+            # Worker logs were stitched into the supervisor's timeline as
+            # they arrived, so one payload carries the whole run.
+            result.stats["events"] = [campaign.events.to_payload()]
         if campaign.failed:
             result.stats["failed_partitions"] = campaign.failed
             result.stats["coverage_lower_bound"] = result.coverage

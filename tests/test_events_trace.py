@@ -75,8 +75,10 @@ class TestEventLogStitching:
         worker = EventLog()
         # Simulate a different perf_counter zero point in the worker: its
         # wall clock agrees but its monotonic clock is offset by 1000s.
+        # Derived from the parent's offset, not sampled again, so the
+        # check measures the rebasing arithmetic and not clock jitter.
         shift = 1000.0
-        worker.wall_minus_mono -= shift
+        worker.wall_minus_mono = parent.wall_minus_mono - shift
         worker.events.append(
             TelemetryEvent(
                 kind=PARTITION_END, name="w", pid=worker.pid,
@@ -203,8 +205,16 @@ class TestBackendEventWiring:
         result = simulator.simulate(
             patterns, faults, engine="supervised", jobs=1, partitions=3
         )
-        # The supervisor's own timeline plus one payload per worker.
-        assert len(result.stats["events"]) == 1 + 3
+        # Every partition's worker timeline is in the shipped payloads.
+        events = [
+            event
+            for payload in result.stats["events"]
+            for event in payload["events"]
+        ]
+        for kind in (PARTITION_BEGIN, PARTITION_END):
+            assert {
+                event["partition"] for event in events if event["kind"] == kind
+            } == {0, 1, 2}
 
 
 class TestMetricsLossAnnotation:

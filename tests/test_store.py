@@ -5,19 +5,20 @@ domain, the host: for ANY host-level chaos schedule — a runner killed
 outright, stalling its lease renewals, or partitioned from the store —
 the survivors' merged result must be bit-identical to a clean
 single-runner run (same detected map, same first-detection indices,
-same undetected list), with zero leaked leases and zero /dev/shm
-segments at exit.  The lease primitives themselves are pinned both by
-unit tests with an injectable clock and by a hypothesis interleaving
-property: no shard is ever double-graded into the merge, and every
-shard terminates ``done``.
+same undetected list), with zero leaked leases and temp files at exit.
+The lease primitives themselves are pinned both by unit tests with an
+injectable clock and by a hypothesis interleaving property: no shard is
+ever double-graded into the merge, and every shard terminates ``done``.
 """
 
+import hashlib
 import json
 import multiprocessing
 import os
 import tempfile
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +28,6 @@ from repro.circuit import benchmarks, generators
 from repro.faults import collapse_faults, full_fault_list
 from repro.faults.model import StuckAtFault
 from repro.obs.events import LEASE_CLAIM, LEASE_LOST, LEASE_STEAL, PUBLISH
-from repro.sim import shm
 from repro.sim.chaos import HOST_KILL_EXIT_CODE, HostChaosInjection, HostChaosPlan
 from repro.sim.chaos import ChaosPlan
 from repro.sim.faultsim import FaultSimResult, FaultSimulator
@@ -130,6 +130,34 @@ class TestDigests:
         assert pattern_digest(patterns) != pattern_digest([[1, 1, 1], [0, 1, 0]])
         flipped = [[0, 1, 1], [1, 1, 1]]
         assert pattern_digest(patterns) != pattern_digest(flipped)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.one_of(
+                    st.booleans(),
+                    st.integers(-1000, 1000),
+                    st.integers(0, 255).map(np.uint8),
+                    st.integers(-(2 ** 40), 2 ** 40).map(np.int64),
+                ),
+                max_size=12,
+            ),
+            max_size=6,
+        ),
+    )
+    def test_pattern_digest_matches_per_bit_reference(self, patterns):
+        """The packed digest hashes exactly the per-bit bytes, so stores
+        created before it still attach."""
+        reference = hashlib.sha256(f"{len(patterns)}:".encode())
+        for pattern in patterns:
+            reference.update(bytes(int(bit) & 1 for bit in pattern))
+            reference.update(b";")
+        expected = reference.hexdigest()[:24]
+        assert pattern_digest(patterns) == expected
+        # numpy int64 rows, whose raw buffer is 8 bytes per bit.
+        rows = [np.array([int(bit) for bit in p], dtype=np.int64) for p in patterns]
+        assert pattern_digest(rows) == expected
 
     def test_fault_digest_order_insensitive(self):
         a = StuckAtFault(3, 0, 1)
@@ -521,7 +549,6 @@ def _assert_clean_exit(root):
     assert leases == [], f"leaked leases: {leases}"
     tmp = [n for n in os.listdir(shards_dir) if n.startswith(".tmp-")]
     assert tmp == [], f"leaked temp files: {tmp}"
-    assert shm.segment_names() == []
 
 
 class TestStoreCampaigns:
@@ -580,6 +607,21 @@ class TestStoreCampaigns:
         assert all(
             row["source"] == "peer" for row in result.stats["partitions"]
         )
+        _assert_clean_exit(tmp_path)
+
+    def test_empty_campaign_not_finished_by_peers(self, tmp_path):
+        """Zero shards: nothing for a peer to have finished (the CLI would
+        otherwise report exit 5, "nothing left to grade")."""
+        simulator, _, patterns, _ = _setup()
+        backend = SupervisedPoolBackend(
+            jobs=2, seed=0,
+            store=ShardStore(str(tmp_path), runner_id="r0", lease_s=5.0),
+        )
+        result = backend.run(simulator, patterns, [])
+        assert result.total_faults == 0 and result.detected == {}
+        stats = result.stats["store"]
+        assert stats["n_shards"] == 0
+        assert stats["finished_by_peers"] is False
         _assert_clean_exit(tmp_path)
 
     def test_mismatched_campaign_rejected(self, tmp_path):
