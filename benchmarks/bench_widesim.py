@@ -7,12 +7,16 @@ detection maps must be bit-identical at every width — the timing sweep
 doubles as the differential correctness check.
 
 A second **kernel ladder** extends E3 past the python-bigint width wall:
-the numpy uint64-lane kernel (:mod:`repro.sim.npsim`) is timed at widths
+the numpy kernel (:mod:`repro.sim.npsim`), which packs patterns with
+``np.packbits`` and runs the good-machine pass on uint64 lanes before
+handing bigint words to the shared cone propagation, is timed at widths
 4096, 8192, and 16384 against the python kernel at 4096 on the same
-16384-pattern campaign.  Each rung is one warm-up run plus replicated
-timed runs summarized by the median (bigint arithmetic and numpy ufunc
-dispatch both have noisy cold paths on shared machines), and every rung's
-detection map must be bit-identical to the python reference.
+16384-pattern campaign.  The two kernels differ only in packing and the
+good pass, so the ladder measures exactly those.  Each rung is one
+warm-up run plus replicated timed runs summarized by the median (bigint
+arithmetic and numpy ufunc dispatch both have noisy cold paths on shared
+machines), and every rung's detection map must be bit-identical to the
+python reference.
 
 Acceptance pins:
 

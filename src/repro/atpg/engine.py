@@ -27,7 +27,7 @@ from ..circuit.values import X
 from ..faults.collapse import collapse_faults
 from ..faults.model import StuckAtFault
 from ..faults.stuck_at import full_fault_list
-from ..sim.faultsim import FaultSimulator
+from ..sim.faultsim import FaultSimulator, unique_faults
 from ..sim.parallel import WORD_WIDTH
 from .compaction import care_bit_stats, static_compact
 from .portfolio import make_engine
@@ -193,6 +193,7 @@ def run_atpg(
     netlist.finalize()
     if faults is None:
         faults, _ = collapse_faults(netlist, full_fault_list(netlist))
+    faults = unique_faults(faults)
     simulator = FaultSimulator(netlist, word_width=word_width, kernel=kernel)
     rng = random.Random(seed)
     result = AtpgResult(total_faults=len(faults), engine=engine)

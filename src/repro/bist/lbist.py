@@ -23,7 +23,7 @@ from ..compression.misr import MISR
 from ..faults.collapse import collapse_faults
 from ..faults.model import StuckAtFault
 from ..faults.stuck_at import full_fault_list
-from ..sim.faultsim import FaultSimulator
+from ..sim.faultsim import FaultSimulator, unique_faults
 from ..sim.parallel import WORD_WIDTH
 
 
@@ -113,6 +113,7 @@ class StumpsController:
         """Apply ``n_patterns`` PRPG patterns, recording the coverage curve."""
         if faults is None:
             faults, _ = collapse_faults(self.netlist, full_fault_list(self.netlist))
+        faults = unique_faults(faults)
         result = LbistResult(total_faults=len(faults))
         remaining = list(faults)
         detected_total = 0
@@ -247,11 +248,11 @@ def run_weighted_lbist(
     (the coverage comparison against uniform STUMPS is what matters).
     """
     from ..atpg.random_gen import weighted_random_patterns
-    from ..sim.faultsim import FaultSimulator
 
     netlist.finalize()
     if faults is None:
         faults, _ = collapse_faults(netlist, full_fault_list(netlist))
+    faults = unique_faults(faults)
     simulator = FaultSimulator(netlist, word_width=word_width, kernel=kernel)
     with obs.span("derive_weights"):
         weights = derive_input_weights(netlist)

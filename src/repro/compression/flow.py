@@ -27,7 +27,7 @@ from ..faults.collapse import collapse_faults
 from ..faults.model import StuckAtFault
 from ..faults.stuck_at import full_fault_list
 from ..scan.insertion import ScanDesign
-from ..sim.faultsim import FaultSimulator
+from ..sim.faultsim import FaultSimulator, unique_faults
 from ..sim.parallel import WORD_WIDTH
 from .edt import EdtSystem, EncodedPattern
 
@@ -117,6 +117,7 @@ def run_compressed_atpg(
     netlist = design.netlist
     if faults is None:
         faults, _ = collapse_faults(netlist, full_fault_list(netlist))
+    faults = unique_faults(faults)
     simulator = FaultSimulator(netlist, word_width=word_width, kernel=kernel)
     rng = random.Random(seed)
     result = CompressedAtpgResult(total_faults=len(faults))

@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from ..circuit.netlist import Netlist
 from ..faults.model import StuckAtFault
 from ..obs import MetricRegistry
-from .faultsim import FaultSimResult, FaultSimulator, _unique
+from .faultsim import FaultSimResult, FaultSimulator, unique_faults
 
 #: Backend names accepted by ``FaultSimulator.simulate(engine=...)`` and the
 #: ``--backend`` CLI flag: the two in-process engines and the supervised
@@ -85,7 +85,7 @@ def partition_faults(
     same seed and partition count the shards are identical on every run
     and every worker count.
     """
-    unique = _unique(faults)
+    unique = unique_faults(faults)
     if not unique:
         return []
     n = max(1, min(n_partitions, len(unique)))

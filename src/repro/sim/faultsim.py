@@ -63,7 +63,7 @@ _SUPERVISOR_STAT_KEYS = (
 )
 
 
-def _unique(faults: Iterable[object]) -> List[object]:
+def unique_faults(faults: Iterable[object]) -> List[object]:
     """Requested fault universe, first-occurrence order, duplicates removed.
 
     Callers may hand the same fault twice (e.g. a subset assembled from
@@ -112,7 +112,9 @@ class FaultSimulator:
     :data:`repro.sim.parallel.WORD_WIDTHS` for the characterized ladder) —
     results are bit-identical for every width.  ``cache`` configures the
     good-machine response cache (default: the process-wide cache; ``None``
-    disables it).
+    disables it).  ``kernel`` picks how good-machine passes pack and
+    evaluate (see :data:`repro.sim.parallel.KERNELS`); fault cones always
+    propagate on bigint words, so results are bit-identical for both.
     """
 
     def __init__(
@@ -130,12 +132,6 @@ class FaultSimulator:
         self.kernel = self.parallel.kernel
         self.word_width = self.parallel.word_width
         self.view = self.parallel.view
-        # Numpy-kernel cone evaluators (uint64 lane arrays); the python
-        # closures below are always compiled too — the serial engine and
-        # the transition/bridging flows stay on bigint words regardless of
-        # the kernel, and both kernels produce bit-identical results.
-        np_kernel = self.parallel.np_kernel
-        self._np_evaluators = np_kernel.evaluators if np_kernel is not None else None
         gates = netlist.gates
         # Per-gate compiled evaluators for cone propagation: the gate-type
         # dispatch chain is resolved once here instead of once per event.
@@ -150,8 +146,8 @@ class FaultSimulator:
         for position, gate_index in enumerate(netlist.topo_order):
             topo_position[gate_index] = position
         # Pre-filtered heap entries per gate — (topo position, consumer) for
-        # every combinational consumer — so both kernels' event loops never
-        # touch gate properties while scheduling.
+        # every combinational consumer — so the event loop never touches
+        # gate properties while scheduling.
         self._consumers = [
             tuple(
                 (topo_position[consumer], consumer)
@@ -444,60 +440,37 @@ class FaultSimulator:
                 return self._publish(runner())
         return self._publish(runner())
 
-    def good_response(self, patterns: Sequence[Sequence[int]]) -> List[object]:
-        """Good-machine response for every ``word_width`` chunk of ``patterns``.
+    def good_response(self, patterns: Sequence[Sequence[int]]) -> List[List[int]]:
+        """Good-machine words for every ``word_width`` chunk of ``patterns``.
 
-        One block per chunk — the shared response the supervised backend computes
-        once and hand to every worker partition: a list of packed gate
-        words under the python kernel, a :class:`repro.sim.npsim.GoodBlock`
-        under the numpy kernel.  Chunks already in the good-machine cache
+        One word list per chunk (:meth:`ParallelSimulator.good_words`): the
+        shared response the supervised backend computes once and hands to
+        every worker partition.  Chunks already in the good-machine cache
         are served without a pass.
         """
-        chunks: List[object] = []
         width = self.word_width
-        if self.kernel == "numpy":
-            from . import npsim
-
-            np_kernel = self.parallel.np_kernel
-            bits = npsim.as_bit_matrix(patterns)
-            for start in range(0, len(bits), width):
-                chunk = bits[start : start + width]
-                chunks.append(
-                    self.parallel.evaluate_array(
-                        np_kernel.pack_block(chunk), len(chunk)
-                    )
-                )
-            return chunks
-        for start in range(0, len(patterns), width):
-            chunk = patterns[start : start + width]
-            chunks.append(
-                self.parallel.evaluate_words(
-                    self.parallel.pack_block(chunk), len(chunk)
-                )
-            )
-        return chunks
+        return [
+            self.parallel.good_words(patterns[start : start + width])
+            for start in range(0, len(patterns), width)
+        ]
 
     def _simulate_ppsfp(
         self,
         patterns: Optional[Sequence[Sequence[int]]],
         faults: Iterable[StuckAtFault],
         drop: bool,
-        good_chunks: Optional[Sequence[object]] = None,
+        good_chunks: Optional[Sequence[List[int]]] = None,
         n_patterns: Optional[int] = None,
     ) -> FaultSimResult:
-        """PPSFP on the configured kernel.
+        """PPSFP: one good pass per chunk, then every active fault's cone.
 
         ``patterns`` may be ``None`` when ``good_chunks`` and ``n_patterns``
         are given — worker partitions never re-pack patterns, so the
         supervised backend hands workers the good response and not the
         pattern list.
         """
-        if self.kernel == "numpy":
-            return self._simulate_ppsfp_np(
-                patterns, faults, drop, good_chunks, n_patterns
-            )
         since = self._snapshot()
-        active = _unique(faults)
+        active = unique_faults(faults)
         result = FaultSimResult(total_faults=len(active))
         width = self.word_width
         total = len(patterns) if patterns is not None else n_patterns
@@ -509,9 +482,7 @@ class FaultSimulator:
             if good_chunks is not None:
                 good = good_chunks[chunk_index]
             else:
-                good = self.parallel.evaluate_words(
-                    self.parallel.pack_block(patterns[start : start + n]), n
-                )
+                good = self.parallel.good_words(patterns[start : start + n])
             survivors: List[StuckAtFault] = []
             for fault in active:
                 seeds = self._stuck_at_seeds(fault, good, mask)
@@ -519,150 +490,6 @@ class FaultSimulator:
                 detect = self._detection_word(fault, good, faulty, mask)
                 if detect:
                     first_bit = (detect & -detect).bit_length() - 1
-                    if fault not in result.detected:
-                        result.detected[fault] = start + first_bit
-                    if not drop:
-                        survivors.append(fault)
-                else:
-                    survivors.append(fault)
-            active = survivors
-            result.patterns_simulated = min(start + n, total)
-        result.undetected = [f for f in active if f not in result.detected]
-        if not drop:
-            result.patterns_simulated = total
-        return self._fill_stats(result, "ppsfp", since)
-
-    # ------------------------------------------------------------------
-    # Numpy-kernel stuck-at PPSFP (repro.sim.npsim)
-    # ------------------------------------------------------------------
-    #
-    # Structurally isomorphic to the bigint path above — same seeds, same
-    # event-driven cone propagation, same convergence rule — so detected
-    # maps, undetected order, patterns_simulated, AND the deterministic
-    # events/words counters are bit-identical between kernels (the
-    # conformance suite pins this).  Words are (n_lanes,) uint64 arrays;
-    # convergence compares raw row bytes (~10x cheaper than array_equal
-    # at these sizes).
-
-    def _propagate_np(self, seeds, good, mask):
-        evaluators = self._np_evaluators
-        fanins = self._fanins
-        consumers = self._consumers
-        values = good.values
-        faulty: Dict[int, object] = {}
-        faulty_bytes: Dict[int, bytes] = {}
-        heap: List[Tuple[int, int]] = []
-        enqueued = set()
-        events = 0
-
-        for gate_index, word in seeds.items():
-            raw = word.tobytes()
-            if raw != good.row_bytes(gate_index):
-                faulty[gate_index] = word
-                faulty_bytes[gate_index] = raw
-                for entry in consumers[gate_index]:
-                    if entry[1] not in enqueued:
-                        enqueued.add(entry[1])
-                        heappush(heap, entry)
-
-        while heap:
-            _, gate_index = heappop(heap)
-            enqueued.discard(gate_index)
-            inputs = [
-                faulty[driver] if driver in faulty else values[driver]
-                for driver in fanins[gate_index]
-            ]
-            word = evaluators[gate_index](inputs, mask)
-            events += 1
-            raw = word.tobytes()
-            if raw == good.row_bytes(gate_index):
-                faulty.pop(gate_index, None)
-                faulty_bytes.pop(gate_index, None)
-                continue
-            if faulty_bytes.get(gate_index) == raw:
-                continue
-            faulty[gate_index] = word
-            faulty_bytes[gate_index] = raw
-            for entry in consumers[gate_index]:
-                if entry[1] not in enqueued:
-                    enqueued.add(entry[1])
-                    heappush(heap, entry)
-        self._events_propagated += events
-        self._words_evaluated += events
-        return faulty
-
-    def _stuck_at_seeds_np(self, fault: StuckAtFault, good, mask):
-        np_kernel = self.parallel.np_kernel
-        forced = mask if fault.value else np_kernel.zero(good.n_patterns)
-        if fault.pin == OUTPUT_PIN:
-            return {fault.gate: forced}
-        if self._observes_directly[fault.gate]:
-            # Branch straight into an observation point: handled at readout.
-            return {}
-        inputs = [good.values[driver] for driver in self._fanins[fault.gate]]
-        inputs[fault.pin] = forced
-        self._words_evaluated += 1
-        return {fault.gate: self._np_evaluators[fault.gate](inputs, mask)}
-
-    def _detection_word_np(self, fault: StuckAtFault, good, faulty, mask):
-        """Lane-array twin of :meth:`_detection_word` (or ``None``).
-
-        Reads out only the faulty readers, like :meth:`_reader_diff`.
-        """
-        diff = None
-        values = good.values
-        for reader in faulty.keys() & self._reader_set:
-            delta = faulty[reader] ^ values[reader]
-            if diff is None:
-                diff = delta
-            else:
-                diff |= delta
-        if fault.pin != OUTPUT_PIN and self._observes_directly[fault.gate]:
-            np_kernel = self.parallel.np_kernel
-            forced = mask if fault.value else np_kernel.zero(good.n_patterns)
-            delta = forced ^ values[self._fanins[fault.gate][fault.pin]]
-            diff = delta if diff is None else diff | delta
-        if diff is not None:
-            diff &= mask
-        return diff
-
-    def _simulate_ppsfp_np(
-        self,
-        patterns: Optional[Sequence[Sequence[int]]],
-        faults: Iterable[StuckAtFault],
-        drop: bool,
-        good_chunks: Optional[Sequence[object]] = None,
-        n_patterns: Optional[int] = None,
-    ) -> FaultSimResult:
-        from . import npsim
-
-        since = self._snapshot()
-        active = _unique(faults)
-        result = FaultSimResult(total_faults=len(active))
-        width = self.word_width
-        np_kernel = self.parallel.np_kernel
-        total = len(patterns) if patterns is not None else n_patterns
-        bits = npsim.as_bit_matrix(patterns) if good_chunks is None else None
-        for chunk_index, start in enumerate(range(0, total, width)):
-            if drop and not active:
-                break
-            n = min(width, total - start)
-            mask = np_kernel.mask(n)
-            if good_chunks is not None:
-                good = good_chunks[chunk_index]
-            else:
-                good = self.parallel.evaluate_array(
-                    np_kernel.pack_block(bits[start : start + n]), n
-                )
-            survivors: List[StuckAtFault] = []
-            for fault in active:
-                seeds = self._stuck_at_seeds_np(fault, good, mask)
-                faulty = self._propagate_np(seeds, good, mask) if seeds else {}
-                diff = self._detection_word_np(fault, good, faulty, mask)
-                first_bit = (
-                    npsim.first_pattern_bit(diff) if diff is not None else None
-                )
-                if first_bit is not None:
                     if fault not in result.detected:
                         result.detected[fault] = start + first_bit
                     if not drop:
@@ -684,7 +511,7 @@ class FaultSimulator:
     ) -> FaultSimResult:
         """Naive engine: full re-simulation per (fault, pattern)."""
         since = self._snapshot()
-        active = _unique(faults)
+        active = unique_faults(faults)
         result = FaultSimResult(total_faults=len(active))
         for pattern_index, pattern in enumerate(patterns):
             if drop and not active:
@@ -759,7 +586,7 @@ class FaultSimulator:
             chunk = patterns[start : start + width]
             n = len(chunk)
             mask = (1 << n) - 1
-            good = self.parallel.evaluate_words(self.parallel.pack_block(chunk), n)
+            good = self.parallel.good_words(chunk)
             seeds = self._stuck_at_seeds(fault, good, mask)
             faulty = self._propagate(seeds, good, mask) if seeds else {}
             # Response position -> failing-pattern word, filled only for the
@@ -806,7 +633,7 @@ class FaultSimulator:
         propagates the transient stuck-at effect to an observation point.
         """
         since = self._snapshot()
-        active = _unique(faults)
+        active = unique_faults(faults)
         result = FaultSimResult(total_faults=len(active))
         width = self.word_width
         for start in range(0, len(pattern_pairs), width):
@@ -815,14 +642,8 @@ class FaultSimulator:
             chunk = pattern_pairs[start : start + width]
             n = len(chunk)
             mask = (1 << n) - 1
-            # The pack buffer is reused, so each packed block is consumed by
-            # evaluate_words before the next pack overwrites it.
-            good_launch = self.parallel.evaluate_words(
-                self.parallel.pack_block([pair[0] for pair in chunk]), n
-            )
-            good_capture = self.parallel.evaluate_words(
-                self.parallel.pack_block([pair[1] for pair in chunk]), n
-            )
+            good_launch = self.parallel.good_words([pair[0] for pair in chunk])
+            good_capture = self.parallel.good_words([pair[1] for pair in chunk])
             survivors: List[TransitionFault] = []
             for fault in active:
                 site_launch = self._site_value(fault, good_launch)
@@ -881,7 +702,7 @@ class FaultSimulator:
         standard zero-feedback assumption for prototype bridging analysis.
         """
         since = self._snapshot()
-        active = _unique(faults)
+        active = unique_faults(faults)
         result = FaultSimResult(total_faults=len(active))
         width = self.word_width
         for start in range(0, len(patterns), width):
@@ -890,7 +711,7 @@ class FaultSimulator:
             chunk = patterns[start : start + width]
             n = len(chunk)
             mask = (1 << n) - 1
-            good = self.parallel.evaluate_words(self.parallel.pack_block(chunk), n)
+            good = self.parallel.good_words(chunk)
             survivors: List[BridgingFault] = []
             for fault in active:
                 value_a, value_b = good[fault.net_a], good[fault.net_b]

@@ -23,15 +23,17 @@ immutable (every engine in :mod:`repro.sim` already does).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 #: Default byte budget (approximate) for the process-wide cache.  At the
 #: default 64-bit word width a 5k-gate block is ~200 KB, so the default
 #: budget holds a few hundred blocks; at width 4096 it holds a handful.
 DEFAULT_MAX_BYTES = 64 << 20
 
-#: Cache key: (netlist signature, n_patterns, masked packed input words).
-CacheKey = Tuple[str, int, Tuple[int, ...]]
+#: Cache key: (netlist signature, n_patterns, packed input content) — the
+#: masked input words under the python kernel, the packed lane bytes under
+#: numpy.  Both kernels store the same value type: one bigint per gate.
+CacheKey = Tuple[str, int, Union[Tuple[int, ...], bytes]]
 
 
 class GoodMachineCache:
@@ -49,13 +51,9 @@ class GoodMachineCache:
         return len(self._entries)
 
     @staticmethod
-    def _entry_bytes(words, n_patterns: int) -> int:
-        # Numpy-kernel blocks (repro.sim.npsim.GoodBlock) know their exact
-        # array size; bigint lists are estimated — a CPython int costs ~28
-        # bytes plus its payload, and the list adds one pointer per element.
-        nbytes = getattr(words, "nbytes", None)
-        if nbytes is not None:
-            return nbytes + 64
+    def _entry_bytes(words: List[int], n_patterns: int) -> int:
+        # A CPython int costs ~28 bytes plus its payload, and the list adds
+        # one pointer per element.
         return len(words) * (36 + n_patterns // 8) + 64
 
     def get(self, key: CacheKey) -> Optional[List[int]]:

@@ -1,43 +1,38 @@
-"""NumPy uint64 vectorized simulation kernel (``kernel="numpy"``).
+"""NumPy packing and good-machine pass (``kernel="numpy"``).
+
+The numpy kernel does the two jobs vectorization wins and nothing else:
+
+* **Pattern packing** — ``np.packbits`` over the transposed bit matrix
+  replaces the pure-Python bit loop that dominates wide-word profiles.
+* **Good-machine passes** — the compiled schedule runs as in-place
+  array ops over one ``(num_gates, n_lanes)`` block.
+
+The pass result leaves this module as the same good-machine word list
+the python kernel produces (one bigint per gate), so fault-cone
+propagation, seeding and readout have one implementation, on bigints,
+in :mod:`repro.sim.faultsim`.  Fault cones on the replicated
+AI-accelerator circuits average a few dozen events, too small for lane
+arrays to beat bigint ops (EXPERIMENTS.md E3, "Kernel crossover").
 
 Each signal is an ``(n_lanes,)`` little-endian uint64 array: lane ``j``
 carries patterns ``64*j .. 64*j+63``, bit *k* of lane *j* belonging to
-pattern ``64*j + k`` — exactly the bit order of the Python-bigint kernel
-in :mod:`repro.sim.parallel`, so a packed row and the corresponding
-bigint word are the same bytes (``int.from_bytes(row.tobytes(),
-"little")``).  The same masked-words invariant holds: every value array
-has all bits at positions ``>= n_patterns`` zero, non-inverting gate ops
+pattern ``64*j + k`` — exactly the bit order of the bigint words, so a
+packed row and the corresponding word are the same bytes.  The
+masked-words invariant holds as in :mod:`repro.sim.parallel`: every row
+has all bits at positions ``>= n_patterns`` zero, non-inverting ops
 preserve it for free, and only inverting ops re-mask.
 
-Where the vectorization actually pays (profiled on the E3 ladder):
-
-* **Pattern packing** — ``np.packbits`` over the transposed bit matrix
-  replaces the pure-Python bit loop that dominates wide-word profiles
-  (~67% of fault-sim wall time at ``word_width`` 4096).
-* **Good-machine passes** — the compiled schedule runs as in-place
-  array ops over one ``(num_gates, n_lanes)`` block.
-* **Detection readout** — only readers actually present in the faulty
-  map contribute to the detection word (everything else XORs to zero),
-  replacing the all-readers bigint loop.
-
-Cone propagation stays event-driven (fault cones on the replicated
-AI-accelerator circuits average a few dozen events per fault, far too
-small to win from full-array passes); convergence checks compare raw
-row bytes, which beats ``np.array_equal`` by ~10x at these sizes.
-
-This module requires :mod:`numpy` (a core dependency of ``repro.sim``);
-:mod:`repro.sim.parallel` imports it lazily so the python kernel keeps
-working even on an interpreter without numpy.
+:mod:`repro.sim.parallel` imports this module lazily, so the python
+kernel keeps working on an interpreter without numpy.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
 from ..circuit.gates import GateType
-from ..circuit.netlist import Netlist
 
 #: Canonical lane dtype: little-endian uint64, so ``row.tobytes()`` is
 #: the little-endian byte serialization of the equivalent bigint word.
@@ -47,6 +42,16 @@ LANE_DTYPE = np.dtype("<u8")
 LANE_BITS = 64
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+#: Reducing ufunc and output inversion of each AND/OR/XOR-family gate.
+_REDUCERS = {
+    GateType.AND: (np.bitwise_and, False),
+    GateType.NAND: (np.bitwise_and, True),
+    GateType.OR: (np.bitwise_or, False),
+    GateType.NOR: (np.bitwise_or, True),
+    GateType.XOR: (np.bitwise_xor, False),
+    GateType.XNOR: (np.bitwise_xor, True),
+}
 
 
 def lanes_for(n_patterns: int) -> int:
@@ -123,115 +128,13 @@ def int_to_words(word: int, n_lanes: int) -> np.ndarray:
     ).copy()
 
 
-class GoodBlock:
-    """One good-machine pass over a pattern chunk, in lane form.
-
-    ``values`` is the read-only ``(num_gates, n_lanes)`` array; ``raw``
-    (lazy) is its flat byte image, sliced per gate for the cheap
-    convergence compares in cone propagation.  Instances are shared
-    through the good-machine cache — treat them as immutable.
-    """
-
-    __slots__ = ("values", "n_patterns", "n_lanes", "_raw")
-
-    def __init__(self, values: np.ndarray, n_patterns: int):
-        values.flags.writeable = False
-        self.values = values
-        self.n_patterns = n_patterns
-        self.n_lanes = values.shape[1]
-        self._raw: Optional[bytes] = None
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.values.nbytes)
-
-    def row(self, gate_index: int) -> np.ndarray:
-        return self.values[gate_index]
-
-    def row_bytes(self, gate_index: int) -> bytes:
-        raw = self._raw
-        if raw is None:
-            raw = self._raw = self.values.tobytes()
-        stride = self.n_lanes * 8
-        return raw[gate_index * stride : (gate_index + 1) * stride]
-
-    def word(self, gate_index: int) -> int:
-        """The bigint word of one gate (cross-kernel checks and tests)."""
-        return words_to_int(self.values[gate_index])
-
-
-def compile_array_evaluator(gate_type: GateType, arity: int) -> Callable:
-    """An array-op twin of :func:`repro.circuit.gates.compile_parallel_evaluator`.
-
-    Returns ``fn(inputs, mask) -> np.ndarray`` over uint64 lane arrays,
-    allocating its result (cone propagation stores it in the faulty map).
-    Same precondition: inputs are already masked, so only inverting
-    outputs re-mask.
-    """
-    if gate_type == GateType.CONST0:
-        return lambda inputs, mask: np.zeros_like(mask)
-    if gate_type == GateType.CONST1:
-        return lambda inputs, mask: mask.copy()
-    if gate_type in (GateType.BUF, GateType.OUTPUT, GateType.DFF, GateType.SDFF):
-        return lambda inputs, mask: inputs[0].copy()
-    if gate_type == GateType.NOT:
-        return lambda inputs, mask: ~inputs[0] & mask
-    if gate_type == GateType.MUX2:
-        def mux2(inputs, mask):
-            select = inputs[0]
-            return (~select & inputs[1]) | (select & inputs[2])
-
-        return mux2
-    if gate_type in (GateType.AND, GateType.NAND):
-        if arity == 2 and gate_type == GateType.AND:
-            return lambda inputs, mask: inputs[0] & inputs[1]
-        if arity == 2:
-            return lambda inputs, mask: ~(inputs[0] & inputs[1]) & mask
-
-        def and_n(inputs, mask, invert=gate_type == GateType.NAND):
-            acc = inputs[0].copy()
-            for word in inputs[1:]:
-                acc &= word
-            return (~acc & mask) if invert else acc
-
-        return and_n
-    if gate_type in (GateType.OR, GateType.NOR):
-        if arity == 2 and gate_type == GateType.OR:
-            return lambda inputs, mask: inputs[0] | inputs[1]
-        if arity == 2:
-            return lambda inputs, mask: ~(inputs[0] | inputs[1]) & mask
-
-        def or_n(inputs, mask, invert=gate_type == GateType.NOR):
-            acc = inputs[0].copy()
-            for word in inputs[1:]:
-                acc |= word
-            return (~acc & mask) if invert else acc
-
-        return or_n
-    if gate_type in (GateType.XOR, GateType.XNOR):
-        if arity == 2 and gate_type == GateType.XOR:
-            return lambda inputs, mask: inputs[0] ^ inputs[1]
-        if arity == 2:
-            return lambda inputs, mask: ~(inputs[0] ^ inputs[1]) & mask
-
-        def xor_n(inputs, mask, invert=gate_type == GateType.XNOR):
-            acc = inputs[0].copy()
-            for word in inputs[1:]:
-                acc ^= word
-            return (~acc & mask) if invert else acc
-
-        return xor_n
-    if gate_type == GateType.INPUT:
-        raise ValueError("INPUT gates are driven externally, not evaluated")
-    raise ValueError(f"unsupported gate type: {gate_type}")
-
-
 def _compile_pass_op(out: int, gate_type: GateType, fanin: Sequence[int]) -> Callable:
     """One compiled good-pass step: ``op(V, m)`` writes row ``V[out]``.
 
-    In-place ``out=`` forms avoid per-gate temporaries on the hot
-    2-input paths; the invariant mirrors :func:`repro.sim.parallel._compile_op`
-    (inputs masked, only inverting ops re-mask).
+    In-place ``out=`` forms avoid per-gate temporaries; n-ary gates reduce
+    their fanin rows with the gate's ufunc.  The invariant mirrors
+    :func:`repro.sim.parallel._compile_op` (inputs masked, only inverting
+    ops re-mask).
     """
     if gate_type in (GateType.BUF, GateType.OUTPUT):
         def op(V, m, o=out, a=fanin[0]):
@@ -260,67 +163,47 @@ def _compile_pass_op(out: int, gate_type: GateType, fanin: Sequence[int]) -> Cal
             V[o] = (~select & V[a]) | (select & V[b])
 
         return op
-    if len(fanin) == 2 and gate_type in (
-        GateType.AND,
-        GateType.NAND,
-        GateType.OR,
-        GateType.NOR,
-        GateType.XOR,
-        GateType.XNOR,
-    ):
-        a_index, b_index = fanin
-        ufunc = {
-            GateType.AND: np.bitwise_and,
-            GateType.NAND: np.bitwise_and,
-            GateType.OR: np.bitwise_or,
-            GateType.NOR: np.bitwise_or,
-            GateType.XOR: np.bitwise_xor,
-            GateType.XNOR: np.bitwise_xor,
-        }[gate_type]
-        if gate_type in (GateType.AND, GateType.OR, GateType.XOR):
-            def op(V, m, o=out, a=a_index, b=b_index, fn=ufunc):
+    if gate_type not in _REDUCERS:
+        raise ValueError(f"unsupported gate type: {gate_type}")
+    ufunc, invert = _REDUCERS[gate_type]
+    if len(fanin) == 2:
+        if not invert:
+            def op(V, m, o=out, a=fanin[0], b=fanin[1], fn=ufunc):
                 fn(V[a], V[b], out=V[o])
 
         else:
-            def op(V, m, o=out, a=a_index, b=b_index, fn=ufunc):
+            def op(V, m, o=out, a=fanin[0], b=fanin[1], fn=ufunc):
                 fn(V[a], V[b], out=V[o])
                 np.bitwise_not(V[o], out=V[o])
                 np.bitwise_and(V[o], m, out=V[o])
 
         return op
-    evaluator = compile_array_evaluator(gate_type, len(fanin))
 
-    def op(V, m, o=out, fi=tuple(fanin), fn=evaluator):
-        V[o] = fn([V[i] for i in fi], m)
+    def op(V, m, o=out, rows=np.array(fanin, dtype=np.intp), fn=ufunc, inv=invert):
+        fn.reduce(V[rows], axis=0, out=V[o])
+        if inv:
+            np.bitwise_not(V[o], out=V[o])
+            np.bitwise_and(V[o], m, out=V[o])
 
     return op
 
 
 class NumpyKernel:
-    """Compiled numpy engine for one netlist.
+    """Compiled numpy packer and good-machine pass for one netlist.
 
     Built by :class:`repro.sim.parallel.ParallelSimulator` when
-    ``kernel="numpy"``; holds the in-place good-pass schedule, the
-    per-gate allocating cone evaluators, and memoized lane masks.
+    ``kernel="numpy"``; holds the in-place good-pass schedule and
+    memoized lane masks.
     """
 
-    def __init__(self, netlist: Netlist, view, schedule):
-        self.netlist = netlist
-        self.view = view
-        self.num_gates = len(netlist.gates)
+    def __init__(self, num_gates: int, input_gates: Sequence[int], schedule):
+        self.num_gates = num_gates
         self._ops = tuple(
             _compile_pass_op(index, gate_type, fanin)
             for index, gate_type, fanin in schedule
         )
-        self.evaluators: List[Optional[Callable]] = [
-            None
-            if gate.type == GateType.INPUT
-            else compile_array_evaluator(gate.type, len(gate.fanin))
-            for gate in netlist.gates
-        ]
         self._masks: Dict[int, np.ndarray] = {}
-        self._zeros: Dict[int, np.ndarray] = {}
-        self._input_rows = np.array(view.input_gates, dtype=np.intp)
+        self._input_rows = np.array(input_gates, dtype=np.intp)
 
     def mask(self, n_patterns: int) -> np.ndarray:
         mask = self._masks.get(n_patterns)
@@ -328,42 +211,24 @@ class NumpyKernel:
             mask = self._masks[n_patterns] = lane_mask(n_patterns)
         return mask
 
-    def zero(self, n_patterns: int) -> np.ndarray:
-        """A shared read-only all-zero lane row (a forced stuck-at-0 word)."""
-        zero = self._zeros.get(n_patterns)
-        if zero is None:
-            zero = np.zeros(lanes_for(n_patterns), dtype=LANE_DTYPE)
-            zero.flags.writeable = False
-            self._zeros[n_patterns] = zero
-        return zero
+    def pack_block(self, patterns: Sequence[Sequence[int]]) -> np.ndarray:
+        """Pack a pattern chunk into per-input lane rows."""
+        return pack_bits(as_bit_matrix(patterns))
 
-    def pack_block(self, bits: np.ndarray) -> np.ndarray:
-        """Pack a chunk of the bit matrix into per-input lane rows."""
-        return pack_bits(bits)
+    def run_pass(self, packed: np.ndarray, n_patterns: int) -> List[int]:
+        """One full-schedule pass: packed input rows -> every gate's word.
 
-    def run_pass(
-        self, packed: np.ndarray, n_patterns: int
-    ) -> GoodBlock:
-        """One full-schedule pass: packed input rows -> all gate values."""
+        The lane block leaves as bigint words through one ``tobytes`` of
+        the whole block, sliced per gate row.
+        """
         mask = self.mask(n_patterns)
         values = np.zeros((self.num_gates, len(mask)), dtype=LANE_DTYPE)
         values[self._input_rows] = packed & mask
         for op in self._ops:
             op(values, mask)
-        return GoodBlock(values, n_patterns)
-
-    def read_rows(
-        self, block: GoodBlock, rows: Sequence[int]
-    ) -> np.ndarray:
-        """Bit matrix ``(n_patterns, len(rows))`` of selected gate rows."""
-        return unpack_bits(block.values[np.array(rows, dtype=np.intp)], block.n_patterns)
-
-
-def first_pattern_bit(diff: np.ndarray) -> Optional[int]:
-    """Index of the lowest set bit across the lane array, or ``None``."""
-    nonzero = np.flatnonzero(diff)
-    if not nonzero.size:
-        return None
-    lane = int(nonzero[0])
-    value = int(diff[lane])
-    return lane * LANE_BITS + ((value & -value).bit_length() - 1)
+        raw = values.tobytes()
+        stride = len(mask) * 8
+        return [
+            int.from_bytes(raw[start : start + stride], "little")
+            for start in range(0, len(raw), stride)
+        ]

@@ -42,19 +42,25 @@ from .view import CombinationalView
 WORD_WIDTH = 64
 
 #: The supported word-width ladder.  Any positive width works; these are the
-#: sizes the benchmarks characterize.  Beyond 4096 the bigint ops dominate
-#: the python kernel and the per-gate amortization has nothing left to win —
-#: the numpy kernel (``kernel="numpy"``) keeps scaling there (E3 extends the
-#: ladder to 8192/16384 on it).
+#: sizes the benchmarks characterize.  Beyond 4096 the python kernel's
+#: bit-loop packing and bigint good pass dominate and the per-gate
+#: amortization has nothing left to win — the numpy kernel
+#: (``kernel="numpy"``) packs and runs the good pass vectorized, so E3
+#: extends the ladder to 8192/16384 on it.
 WORD_WIDTHS = (64, 256, 1024, 4096)
 
-#: The selectable simulation kernels: ``"python"`` packs patterns into
-#: Python bigints (one word per signal), ``"numpy"`` into uint64 lane
-#: arrays (:mod:`repro.sim.npsim`).  Results are bit-identical; numpy wins
-#: drop-free wide-word campaigns on large replicated circuits, python the
-#: fault-dropping campaigns the flows run and single-pattern flows (PODEM
-#: verify, serial engine) — see EXPERIMENTS.md E3.
+#: The selectable good-machine kernels: ``"python"`` packs patterns and
+#: runs the good pass on Python bigints, ``"numpy"`` on uint64 lane
+#: arrays (:mod:`repro.sim.npsim`).  Both hand back the same per-gate
+#: bigint words (:meth:`ParallelSimulator.good_words`), and fault cones
+#: always propagate on bigints, so results and work counters are
+#: bit-identical.  numpy wins wide-word packing and good passes on large
+#: replicated circuits, python single-pattern flows (PODEM verify, serial
+#: engine) — see EXPERIMENTS.md E3.
 KERNELS = ("python", "numpy")
+
+#: Maps ASCII ``"0"``/``"1"`` to bit values 0/1 for response readout.
+_ASCII_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def validate_kernel(kernel: str) -> str:
@@ -204,14 +210,16 @@ class ParallelSimulator:
         self.evaluations = 0
         self.cache_hits = 0
         self.cache_misses = 0
-        #: The compiled numpy engine, present only under ``kernel="numpy"``
-        #: (the python closures above are always built — they are cheap and
-        #: the serial/transition/bridging paths stay on bigint words).
+        #: The numpy packer and good pass, present only under
+        #: ``kernel="numpy"`` (the python closures above are always built —
+        #: they are cheap and the serial engine evaluates through them).
         self.np_kernel = None
         if kernel == "numpy":
             from . import npsim
 
-            self.np_kernel = npsim.NumpyKernel(netlist, self.view, self._schedule)
+            self.np_kernel = npsim.NumpyKernel(
+                len(netlist.gates), self.view.input_gates, self._schedule
+            )
 
     @property
     def cache(self) -> Optional[goodcache.GoodMachineCache]:
@@ -251,96 +259,97 @@ class ParallelSimulator:
                 f"expected {self.view.num_inputs} input words, got {len(input_words)}"
             )
         mask = (1 << n_patterns) - 1
-        cache = self._cache
         key = None
-        if cache is not None:
+        if self._cache is not None:
             key = (
                 self._signature,
                 n_patterns,
                 tuple(word & mask for word in input_words),
             )
-            cached = cache.get(key)
-            if cached is not None:
-                self.cache_hits += 1
-                return cached
-            self.cache_misses += 1
-        words: List[int] = [0] * len(self.netlist.gates)
-        for position, gate_index in enumerate(self.view.input_gates):
-            words[gate_index] = input_words[position] & mask
-        for op in self._ops:
-            op(words, mask)
-        self.evaluations += 1
-        if cache is not None:
-            cache.put(key, words, n_patterns)
+        words = self._cached(key)
+        if words is None:
+            words = [0] * len(self.netlist.gates)
+            for position, gate_index in enumerate(self.view.input_gates):
+                words[gate_index] = input_words[position] & mask
+            for op in self._ops:
+                op(words, mask)
+            self._computed(key, words, n_patterns)
         return words
 
-    def evaluate_array(self, packed, n_patterns: int):
-        """Numpy-kernel twin of :meth:`evaluate_words`.
+    def good_words(self, patterns: Sequence[Sequence[int]]) -> List[int]:
+        """Good-machine words for one chunk of at most ``word_width`` patterns.
 
-        ``packed`` is the ``(num_inputs, n_lanes)`` uint64 lane matrix from
-        :meth:`repro.sim.npsim.NumpyKernel.pack_block`; returns a
-        :class:`repro.sim.npsim.GoodBlock` of all gate values, served from
-        (and stored into) the same good-machine cache as the bigint path —
-        the byte-content keys never collide with the tuple keys the python
-        kernel uses.  Treat the returned block as immutable.
+        Returns one bigint word per gate (bit *k* belongs to pattern *k*)
+        under either kernel: python packs with :meth:`pack_block` and runs
+        :meth:`evaluate_words`; numpy packs with ``np.packbits`` and runs
+        the lane pass of :class:`repro.sim.npsim.NumpyKernel`.  Every
+        fault-simulation consumer takes its good machine from here, and the
+        list may be shared through the good-machine cache: treat it as
+        immutable.
         """
+        n_patterns = len(patterns)
         kernel = self.np_kernel
         if kernel is None:
-            raise RuntimeError("evaluate_array requires kernel='numpy'")
+            return self.evaluate_words(self.pack_block(patterns), n_patterns)
         if n_patterns > self.word_width:
             raise ValueError(f"at most {self.word_width} patterns per pass")
+        packed = kernel.pack_block(patterns)
         if packed.shape[0] != self.view.num_inputs:
             raise ValueError(
-                f"expected {self.view.num_inputs} input rows, got {packed.shape[0]}"
+                f"expected {self.view.num_inputs} input bits, got {packed.shape[0]}"
             )
-        cache = self._cache
         key = None
-        if cache is not None:
-            mask = kernel.mask(n_patterns)
-            key = (self._signature, n_patterns, (packed & mask).tobytes())
-            cached = cache.get(key)
-            if cached is not None:
-                self.cache_hits += 1
-                return cached
+        if self._cache is not None:
+            # Packed rows are zero past n_patterns, so the bytes are canonical.
+            key = (self._signature, n_patterns, packed.tobytes())
+        words = self._cached(key)
+        if words is None:
+            words = kernel.run_pass(packed, n_patterns)
+            self._computed(key, words, n_patterns)
+        return words
+
+    def _cached(self, key) -> Optional[List[int]]:
+        """The cached words for ``key`` (``None`` when caching is off)."""
+        if key is None:
+            return None
+        words = self._cache.get(key)
+        if words is None:
             self.cache_misses += 1
-        block = kernel.run_pass(packed, n_patterns)
+        else:
+            self.cache_hits += 1
+        return words
+
+    def _computed(self, key, words: List[int], n_patterns: int) -> None:
+        """Count one computed pass and cache its words."""
         self.evaluations += 1
-        if cache is not None:
-            cache.put(key, block, n_patterns)
-        return block
+        if key is not None:
+            self._cache.put(key, words, n_patterns)
 
     def evaluate_batch(self, patterns: Sequence[Sequence[int]]) -> List[List[int]]:
-        """Evaluate up to ``word_width`` patterns; one response vector each."""
+        """Evaluate up to ``word_width`` patterns; one response vector each.
+
+        Each reader word is formatted as a bit string (pattern 0 first) and
+        the strings are transposed with ``zip``, so the readout runs at C
+        speed instead of one shift per reader per pattern.
+        """
         n_patterns = len(patterns)
-        words = self.evaluate_words(self.pack_block(patterns), n_patterns)
-        responses: List[List[int]] = [[] for _ in range(n_patterns)]
-        for reader in self.view.output_readers:
-            word = words[reader]
-            for bit in range(n_patterns):
-                responses[bit].append((word >> bit) & 1)
-        return responses
+        if n_patterns == 0:
+            return []
+        words = self.good_words(patterns)
+        readers = self.view.output_readers
+        if not readers:
+            return [[] for _ in range(n_patterns)]
+        spec = f"0{n_patterns}b"
+        rows = [
+            format(words[reader], spec)[::-1].encode().translate(_ASCII_BITS)
+            for reader in readers
+        ]
+        return [list(bits) for bits in zip(*rows)]
 
     def responses(self, patterns: Sequence[Sequence[int]]) -> List[List[int]]:
         """Evaluate any number of patterns, ``word_width`` at a time."""
-        if self.np_kernel is not None:
-            return self._responses_array(patterns)
         out: List[List[int]] = []
         width = self.word_width
         for start in range(0, len(patterns), width):
             out.extend(self.evaluate_batch(patterns[start : start + width]))
-        return out
-
-    def _responses_array(self, patterns: Sequence[Sequence[int]]) -> List[List[int]]:
-        """Numpy-kernel responses: vectorized pack, pass, and unpack."""
-        from . import npsim
-
-        kernel = self.np_kernel
-        bits = npsim.as_bit_matrix(patterns)
-        readers = self.view.output_readers
-        out: List[List[int]] = []
-        width = self.word_width
-        for start in range(0, len(bits), width):
-            chunk = bits[start : start + width]
-            block = self.evaluate_array(kernel.pack_block(chunk), len(chunk))
-            out.extend(kernel.read_rows(block, readers).tolist())
         return out

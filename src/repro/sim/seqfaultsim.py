@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..circuit.gates import GateType, evaluate_parallel
 from ..circuit.netlist import Netlist
 from ..faults.model import OUTPUT_PIN, StuckAtFault
-from .faultsim import FaultSimResult
+from .faultsim import FaultSimResult, unique_faults
 from .parallel import WORD_WIDTH
 
 #: Faulty machines per word (lane 0 is the fault-free reference).  Derived
@@ -159,6 +159,7 @@ class SequentialFaultSimulator:
         faulty machine's POs diverge from the good machine's.  All machines
         start from ``initial_state`` (default all-zero reset).
         """
+        faults = unique_faults(faults)
         result = FaultSimResult(total_faults=len(faults))
         remaining = list(faults)
         base_state = list(initial_state or [0] * len(self.netlist.flops))

@@ -82,7 +82,7 @@ from .dispatch import (
     partition_metrics,
     validate_pool_args,
 )
-from .faultsim import FaultSimResult, FaultSimulator, _unique
+from .faultsim import FaultSimResult, FaultSimulator, unique_faults
 from .store import CampaignKey, Lease, ShardStore, StoreCorruptionError
 
 #: Name prefix of the private store directory a run without ``store=``
@@ -173,11 +173,11 @@ def _supervised_worker(conn, index, attempt, shard, drop, netlist,
         )
         if chaos is not None:
             chaos.execute_pre(index, attempt)
+        # Workers only propagate cones over the shipped good response,
+        # which is bigint words under either kernel, so no numpy pass is
+        # ever built here.
         simulator = FaultSimulator(
-            netlist,
-            word_width=meta["word_width"],
-            cache=None,
-            kernel=meta["kernel"],
+            netlist, word_width=meta["word_width"], cache=None
         )
         partial = simulator._simulate_ppsfp(
             None, shard, drop, good_chunks=good_chunks, n_patterns=n_patterns
@@ -534,7 +534,7 @@ class SupervisedPoolBackend(FaultSimBackend):
           single-runner run) by construction.
         """
         start_time = time.perf_counter()
-        universe = _unique(faults)
+        universe = unique_faults(faults)
         jobs, shards = self._plan(universe)
         n_patterns = len(patterns)
         key = CampaignKey.build(
@@ -550,11 +550,7 @@ class SupervisedPoolBackend(FaultSimBackend):
             if self.host_chaos is not None
             else None
         )
-        meta = {
-            "n_patterns": n_patterns,
-            "word_width": simulator.word_width,
-            "kernel": simulator.kernel,
-        }
+        meta = {"n_patterns": n_patterns, "word_width": simulator.word_width}
 
         leases: Dict[int, Lease] = {}
         abandoned: set = set()

@@ -1,11 +1,13 @@
-"""Cone-proportional PPSFP: the python kernel's readout and propagation.
+"""Cone-proportional PPSFP: the one readout and propagation routine.
 
-The bigint kernel reads out only the observation readers present in a
-fault's faulty map, and propagates from precompiled consumer lists.
-These tests hold both to straightforward references written here — an
-all-readers readout and a full topological re-sweep of the faulty
-machine — over hypothesis netlists, and pin that readout work follows
-the fault's cone, not the circuit's observation surface.
+Fault cones propagate on bigint words from precompiled consumer lists,
+and the readout visits only the observation readers present in a
+fault's faulty map.  Both kernels feed this one routine their
+good-machine words, so these tests run it over each kernel's words and
+hold it to straightforward references written here — an all-readers
+readout and a full topological re-sweep of the faulty machine — over
+hypothesis netlists, and pin that readout work follows the fault's
+cone, not the circuit's observation surface.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -16,6 +18,7 @@ from repro.circuit.builder import NetlistBuilder
 from repro.circuit.gates import GateType, evaluate_parallel
 from repro.faults import OUTPUT_PIN, collapse_faults, full_fault_list
 from repro.sim.faultsim import FaultSimulator
+from repro.sim.parallel import KERNELS
 
 from tests.oracle_util import small_netlists
 
@@ -89,12 +92,15 @@ def _reference_detection(simulator, fault, good, faulty, mask):
 
 
 def _check_against_references(netlist, faults, patterns):
-    simulator = FaultSimulator(netlist, cache=None)
+    for kernel in KERNELS:
+        _check_kernel_against_references(netlist, faults, patterns, kernel)
+
+
+def _check_kernel_against_references(netlist, faults, patterns, kernel):
+    simulator = FaultSimulator(netlist, cache=None, kernel=kernel)
     n = len(patterns)
     mask = (1 << n) - 1
-    good = simulator.parallel.evaluate_words(
-        simulator.parallel.pack_block(patterns), n
-    )
+    good = simulator.parallel.good_words(patterns)
     for fault in faults:
         seeds = simulator._stuck_at_seeds(fault, good, mask)
         faulty = simulator._propagate(seeds, good, mask) if seeds else {}

@@ -3,8 +3,9 @@
 Single source of truth for the dispatch/kernel contract: every
 fault-simulation backend (``serial``, ``ppsfp``, ``supervised``, and
 ``store`` — the supervised backend publishing to and merging from a
-fresh shard store, the resume path) × every gate-evaluation kernel
-(``python`` bigints, ``numpy`` uint64 lanes) × every word width must
+fresh shard store, the resume path) × every good-machine kernel
+(``python`` bigints, ``numpy`` uint64 lanes; cones always propagate on
+bigints) × every word width must
 produce *bit-identical* results — the same ``detected`` map (same
 first-detection pattern indices), the same ``undetected`` list, the same
 coverage — and, within one engine family, identical deterministic work
@@ -172,7 +173,8 @@ class TestKernelMatrix:
 
 
 class TestBackendMatrix:
-    """Multiprocess engines: every backend × kernel, shm fan-out included."""
+    """Multiprocess engines: every backend × kernel, each run over a
+    private shard store (``supervised``) or an explicit one (``store``)."""
 
     @pytest.mark.parametrize("name", CIRCUIT_NAMES)
     @pytest.mark.parametrize("kernel", KERNELS)
@@ -237,8 +239,8 @@ class TestAtpgVectorConformance:
 
     This closes the loop between the two halves of the toolkit — if the
     packed python kernel and the numpy uint64-lane kernel disagreed about
-    an ATPG vector, either the engine's implication or a kernel's fault
-    injection would be wrong.  Hypothesis drives structurally diverse
+    an ATPG vector, either the engine's implication, a kernel's good
+    pass, or the shared fault injection would be wrong.  Hypothesis drives structurally diverse
     netlists (muxes, dangling cones, redundant logic) through all four
     engines.
     """

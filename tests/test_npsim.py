@@ -1,38 +1,37 @@
-"""Property tests for the numpy uint64 lane kernel (:mod:`repro.sim.npsim`).
+"""Property tests for the numpy packer and good pass (:mod:`repro.sim.npsim`).
 
-Hypothesis sweeps random netlists and pattern blocks through both
-kernels and checks the structural contracts the conformance matrix
-builds on:
+The numpy kernel packs patterns and runs good-machine passes; fault
+cones always propagate on bigint words.  Hypothesis sweeps random
+netlists and pattern blocks through both kernels and checks the
+contracts the conformance matrix builds on:
 
+* :meth:`ParallelSimulator.good_words` returns identical word lists
+  under both kernels, on circuits with n-ary gates, constants and muxes,
+  at widths that do and do not fill their last lane;
 * numpy and python kernels produce identical responses, detections, and
   deterministic counters on arbitrary circuits;
 * ``pack_bits``/``unpack_bits`` roundtrip exactly, and a packed lane row
   is byte-identical to the bigint word of
   :func:`repro.sim.parallel.pack_patterns`;
 * the masked-words invariant — no bits at positions ``>= n_patterns`` —
-  holds after *every* gate op in a good-machine pass (each gate's row is
-  written by exactly one op, so checking all rows checks all ops);
-* every array evaluator agrees with its scalar-bigint twin from
-  :mod:`repro.circuit.gates`, including the inverting re-mask.
+  holds after *every* gate op in a good-machine pass (each gate's word is
+  written by exactly one op, so checking all words checks all ops).
 """
 
 import random
 
 import numpy as np
-import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.atpg.random_gen import random_patterns
 from repro.circuit import generators
-from repro.circuit.gates import GateType, compile_parallel_evaluator
+from repro.circuit.builder import NetlistBuilder
+from repro.circuit.gates import GateType
 from repro.faults import collapse_faults, full_fault_list
 from repro.sim import npsim
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.npsim import (
     LANE_DTYPE,
-    GoodBlock,
-    compile_array_evaluator,
-    first_pattern_bit,
     int_to_words,
     lane_mask,
     lanes_for,
@@ -45,6 +44,12 @@ from repro.sim.parallel import ParallelSimulator, pack_patterns
 SMALL = dict(max_examples=15, deadline=None)
 seeds = st.integers(0, 10**6)
 
+#: Gates that take any number of inputs; the numpy pass reduces them.
+NARY = (
+    GateType.AND, GateType.NAND, GateType.OR,
+    GateType.NOR, GateType.XOR, GateType.XNOR,
+)
+
 
 def small_circuit(seed):
     rng = random.Random(seed)
@@ -53,13 +58,70 @@ def small_circuit(seed):
     )
 
 
-def random_lane_array(rng, n_patterns):
-    """A random already-masked lane row for ``n_patterns`` patterns."""
-    word = rng.getrandbits(n_patterns) if n_patterns else 0
-    return int_to_words(word, lanes_for(max(n_patterns, 1)))
+@st.composite
+def mixed_netlists(draw):
+    """Every gate type the good pass compiles: 1- to 5-input AND/OR/XOR
+    family gates, NOT, BUF, MUX2, both constants, and a scan flop whose
+    output feeds later logic."""
+    builder = NetlistBuilder()
+    lines = [builder.input(f"i{k}") for k in range(draw(st.integers(2, 6)))]
+    lines += [builder.const0(), builder.const1()]
+    nary = {
+        GateType.AND: builder.and_, GateType.NAND: builder.nand,
+        GateType.OR: builder.or_, GateType.NOR: builder.nor,
+        GateType.XOR: builder.xor, GateType.XNOR: builder.xnor,
+    }
+
+    def pick():
+        return lines[draw(st.integers(0, len(lines) - 1))]
+
+    for step in range(draw(st.integers(4, 30))):
+        kind = draw(st.sampled_from(NARY + (GateType.NOT, GateType.BUF, GateType.MUX2)))
+        if kind in nary:
+            line = nary[kind](*(pick() for _ in range(draw(st.integers(1, 5)))))
+        elif kind == GateType.NOT:
+            line = builder.not_(pick())
+        elif kind == GateType.BUF:
+            line = builder.buf(pick())
+        else:
+            line = builder.mux(pick(), pick(), pick())
+        lines.append(line)
+        if step == 2:
+            lines.append(builder.dff(line, name="ff"))
+    for k in range(draw(st.integers(1, 4))):
+        builder.output(f"y{k}", lines[-1 - k])
+    return builder.build()
 
 
 class TestKernelEquivalence:
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(
+        netlist=mixed_netlists(),
+        width=st.sampled_from((64, 100, 4096)),
+        data=st.data(),
+    )
+    def test_good_words_identical_across_kernels(self, netlist, width, data):
+        """One word list per gate, the same under both kernels, with no
+        bit set at or above ``n_patterns`` — including the padding bits of
+        a partly filled last lane, which inverting gates and CONST1 would
+        set without their re-mask."""
+        n_patterns = data.draw(st.integers(1, width))
+        python = ParallelSimulator(netlist, word_width=width, cache=None)
+        numpy = ParallelSimulator(
+            netlist, word_width=width, cache=None, kernel="numpy"
+        )
+        patterns = random_patterns(
+            python.view.num_inputs, n_patterns, seed=data.draw(seeds)
+        )
+        words = numpy.good_words(patterns)
+        assert words == python.good_words(patterns)
+        assert all(word >> n_patterns == 0 for word in words)
+        assert numpy.evaluations == python.evaluations == 1
+
     @settings(**SMALL)
     @given(seed=seeds, n_patterns=st.integers(1, 90))
     def test_responses_and_detections_match_python(self, seed, n_patterns):
@@ -77,25 +139,6 @@ class TestKernelEquivalence:
         assert result.undetected == base.undetected
         for counter in ("events_propagated", "words_evaluated", "good_passes"):
             assert result.stats[counter] == base.stats[counter], counter
-
-    @settings(**SMALL)
-    @given(seed=seeds, n_patterns=st.integers(1, 90))
-    def test_good_block_words_equal_bigint_words(self, seed, n_patterns):
-        """Every gate's lane row serializes to the python kernel's word."""
-        netlist = small_circuit(seed)
-        patterns = random_patterns(len(netlist.inputs), n_patterns, seed=seed)
-        python = ParallelSimulator(netlist, cache=None, word_width=128)
-        numpy = ParallelSimulator(
-            netlist, cache=None, word_width=128, kernel="numpy"
-        )
-        packed = python.pack_block(patterns)
-        words = python.evaluate_words(packed, n_patterns)
-        kernel = numpy.np_kernel
-        block = kernel.run_pass(
-            kernel.pack_block(npsim.as_bit_matrix(patterns)), n_patterns
-        )
-        for gate_index in range(len(netlist.gates)):
-            assert block.word(gate_index) == words[gate_index], gate_index
 
 
 class TestPackRoundtrip:
@@ -139,25 +182,20 @@ class TestPackRoundtrip:
         word = rng.getrandbits(n_patterns)
         row = int_to_words(word, lanes_for(n_patterns))
         assert words_to_int(row) == word
-        assert first_pattern_bit(row) == (
-            (word & -word).bit_length() - 1 if word else None
-        )
 
 
 class TestMaskedWordsInvariant:
     @settings(**SMALL)
     @given(seed=seeds, n_patterns=st.integers(1, 130))
     def test_invariant_after_every_gate_op(self, seed, n_patterns):
-        """Each gate row is written by exactly one compiled op, so a
-        fully-masked value block proves the invariant op by op."""
+        """Each gate word is written by exactly one compiled op, so a
+        fully-masked word list proves the invariant op by op."""
         netlist = small_circuit(seed)
         patterns = random_patterns(len(netlist.inputs), n_patterns, seed=seed)
         kernel = ParallelSimulator(netlist, cache=None, kernel="numpy").np_kernel
-        block = kernel.run_pass(
-            kernel.pack_block(npsim.as_bit_matrix(patterns)), n_patterns
-        )
-        mask = lane_mask(n_patterns)
-        assert not np.any(block.values & ~mask)
+        words = kernel.run_pass(kernel.pack_block(patterns), n_patterns)
+        assert len(words) == len(netlist.gates)
+        assert all(word >> n_patterns == 0 for word in words)
 
     @settings(**SMALL)
     @given(seed=seeds, n_patterns=st.integers(1, 130))
@@ -167,67 +205,9 @@ class TestMaskedWordsInvariant:
         netlist = small_circuit(seed)
         patterns = random_patterns(len(netlist.inputs), n_patterns, seed=seed)
         kernel = ParallelSimulator(netlist, cache=None, kernel="numpy").np_kernel
-        packed = kernel.pack_block(npsim.as_bit_matrix(patterns))
+        packed = kernel.pack_block(patterns)
         clean = kernel.run_pass(packed, n_patterns)
         dirty = packed | ~kernel.mask(n_patterns)
-        block = kernel.run_pass(dirty, n_patterns)
-        assert not np.any(block.values & ~lane_mask(n_patterns))
-        assert np.array_equal(block.values, clean.values)
-
-    @settings(**SMALL)
-    @given(
-        seed=seeds,
-        n_patterns=st.integers(1, 130),
-        gate_type=st.sampled_from(
-            [
-                GateType.AND, GateType.NAND, GateType.OR, GateType.NOR,
-                GateType.XOR, GateType.XNOR, GateType.NOT, GateType.BUF,
-                GateType.MUX2, GateType.CONST0, GateType.CONST1,
-            ]
-        ),
-        arity=st.integers(1, 4),
-    )
-    def test_array_evaluator_matches_scalar_twin(
-        self, seed, n_patterns, gate_type, arity
-    ):
-        if gate_type in (GateType.NOT, GateType.BUF):
-            arity = 1
-        elif gate_type == GateType.MUX2:
-            arity = 3
-        elif gate_type in (GateType.CONST0, GateType.CONST1):
-            arity = 0
-        elif arity < 2:
-            arity = 2
-        rng = random.Random(seed)
-        rows = [random_lane_array(rng, n_patterns) for _ in range(arity)]
-        mask = lane_mask(n_patterns)
-        array_fn = compile_array_evaluator(gate_type, arity)
-        scalar_fn = compile_parallel_evaluator(gate_type, arity)
-        out = array_fn(rows, mask)
-        expected = scalar_fn(
-            [words_to_int(row) for row in rows],
-            words_to_int(mask),
-        )
-        assert words_to_int(out) == expected
-        assert not np.any(out & ~mask)
-
-
-class TestGoodBlock:
-    def test_rows_read_only_and_byte_stable(self):
-        values = np.arange(8, dtype=LANE_DTYPE).reshape(4, 2)
-        block = GoodBlock(values, 100)
-        with pytest.raises(ValueError):
-            block.values[0, 0] = 1
-        for gate_index in range(4):
-            assert block.row_bytes(gate_index) == (
-                block.values[gate_index].tobytes()
-            )
-            assert block.word(gate_index) == words_to_int(
-                block.values[gate_index]
-            )
-        assert block.nbytes == values.nbytes
-
-    def test_first_pattern_bit_multi_lane(self):
-        row = int_to_words(1 << 200, 4)
-        assert first_pattern_bit(row) == 200
-        assert first_pattern_bit(int_to_words(0, 4)) is None
+        words = kernel.run_pass(dirty, n_patterns)
+        assert all(word >> n_patterns == 0 for word in words)
+        assert words == clean
