@@ -152,7 +152,6 @@ def run_atpg(
     jobs: Optional[int] = None,
     partitions: Optional[int] = None,
     word_width: int = WORD_WIDTH,
-    kernel: str = "python",
     podem_time_budget_s: Optional[float] = None,
     store: Optional[str] = None,
     engine: str = "podem",
@@ -181,20 +180,18 @@ def run_atpg(
     ``engine`` picks the deterministic generator — ``"podem"`` (default),
     ``"dalg"`` (D-algorithm, proves untestability), ``"guided"``
     (SCOAP-guided restarts), or ``"portfolio"`` (all three raced per
-    fault; see :mod:`repro.atpg.portfolio`).  ``word_width`` sets the patterns packed per
-    simulation word and ``kernel`` the gate-evaluation backend
-    (``"python"`` bigints or ``"numpy"`` uint64 lanes — see
-    :mod:`repro.sim.npsim`); results are identical for every width and
-    kernel.  The per-cube dynamic-dropping sims inside phase 2 always run
-    single-process PPSFP: they grade one pattern at a time, where pool
-    dispatch is pure overhead.
+    fault; see :mod:`repro.atpg.portfolio`).  ``word_width`` sets the
+    patterns packed per simulation word; results are identical for
+    every width.  The per-cube dynamic-dropping sims inside phase 2
+    always run single-process PPSFP: they grade one pattern at a time,
+    where pool dispatch is pure overhead.
     """
     start = time.perf_counter()
     netlist.finalize()
     if faults is None:
         faults, _ = collapse_faults(netlist, full_fault_list(netlist))
     faults = unique_faults(faults)
-    simulator = FaultSimulator(netlist, word_width=word_width, kernel=kernel)
+    simulator = FaultSimulator(netlist, word_width=word_width)
     rng = random.Random(seed)
     result = AtpgResult(total_faults=len(faults), engine=engine)
     remaining = list(faults)

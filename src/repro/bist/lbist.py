@@ -53,8 +53,7 @@ class StumpsController:
     """PRPG + MISR wrapped around one netlist's full-scan view.
 
     ``word_width`` sets the patterns packed per simulation word for both
-    the coverage grading and the signature pass, ``kernel`` the
-    gate-evaluation backend (see :mod:`repro.sim.npsim`).  The two passes
+    the coverage grading and the signature pass.  The two passes
     share one :class:`ParallelSimulator`, so with chunking aligned
     (``checkpoint_every`` a multiple of ``word_width``) the signature pass
     replays the coverage loop's good-machine blocks straight from the
@@ -66,12 +65,11 @@ class StumpsController:
         netlist: Netlist,
         config: Optional[LbistConfig] = None,
         word_width: int = WORD_WIDTH,
-        kernel: str = "python",
     ):
         netlist.finalize()
         self.netlist = netlist
         self.config = config or LbistConfig()
-        self.simulator = FaultSimulator(netlist, word_width=word_width, kernel=kernel)
+        self.simulator = FaultSimulator(netlist, word_width=word_width)
         self.parallel = self.simulator.parallel
         n_inputs = self.simulator.view.num_inputs
         self._prpg = LFSR(self.config.prpg_length, seed=self.config.seed | 1)
@@ -239,7 +237,6 @@ def run_weighted_lbist(
     faults: Optional[Sequence[StuckAtFault]] = None,
     seed: int = 1,
     word_width: int = WORD_WIDTH,
-    kernel: str = "python",
 ) -> LbistResult:
     """LBIST with COP-derived weighted-random patterns.
 
@@ -253,7 +250,7 @@ def run_weighted_lbist(
     if faults is None:
         faults, _ = collapse_faults(netlist, full_fault_list(netlist))
     faults = unique_faults(faults)
-    simulator = FaultSimulator(netlist, word_width=word_width, kernel=kernel)
+    simulator = FaultSimulator(netlist, word_width=word_width)
     with obs.span("derive_weights"):
         weights = derive_input_weights(netlist)
     result = LbistResult(total_faults=len(faults))
@@ -291,9 +288,8 @@ def coverage_curve(
     faults: Optional[Sequence[StuckAtFault]] = None,
     checkpoint_every: int = 64,
     word_width: int = WORD_WIDTH,
-    kernel: str = "python",
 ) -> List[Dict[str, float]]:
     """Convenience: just the (patterns, coverage) series for E2/E6 plots."""
-    controller = StumpsController(netlist, config, word_width=word_width, kernel=kernel)
+    controller = StumpsController(netlist, config, word_width=word_width)
     result = controller.run(n_patterns, faults, checkpoint_every)
     return result.coverage_points

@@ -56,9 +56,9 @@ from .faults import collapse_faults, full_fault_list
 from .scan.patfile import format_patterns, load_patterns
 from .sim.chaos import ChaosPlan, HostChaosPlan
 from .sim.dispatch import BACKEND_NAMES
-from .sim.faultsim import FaultSimulator
+from .sim.faultsim import RECOVERY_COUNTERS, FaultSimulator
 from .sim.store import ShardStore, read_store_progress
-from .sim.parallel import KERNELS, WORD_WIDTH, WORD_WIDTHS
+from .sim.parallel import WORD_WIDTH, WORD_WIDTHS
 from .sim.supervisor import SupervisedPoolBackend, SupervisorConfig
 from .sim.view import CombinationalView
 
@@ -125,7 +125,6 @@ def _cmd_atpg(args) -> int:
         jobs=args.jobs,
         partitions=args.partitions,
         word_width=args.word_width,
-        kernel=args.kernel,
         podem_time_budget_s=args.podem_budget,
         store=args.store,
         engine=args.engine,
@@ -199,9 +198,7 @@ def _cmd_faultsim(args) -> int:
     netlist = _load_circuit(_circuit_spec(args))
     pattern_file = load_patterns(args.patterns)
     faults, _ = collapse_faults(netlist, full_fault_list(netlist))
-    simulator = FaultSimulator(
-        netlist, word_width=args.word_width, kernel=args.kernel
-    )
+    simulator = FaultSimulator(netlist, word_width=args.word_width)
     expected = simulator.view.num_inputs
     for position, pattern in enumerate(pattern_file.patterns):
         if len(pattern) != expected:
@@ -244,14 +241,7 @@ def _cmd_faultsim(args) -> int:
             if "load_imbalance" in stats:
                 line += f", imbalance {stats['load_imbalance']}"
         print(line)
-        recovery = {
-            key: stats[key]
-            for key in (
-                "retries", "worker_crashes", "timeouts",
-                "invalid_results", "inline_fallbacks",
-            )
-            if stats.get(key)
-        }
+        recovery = {key: stats[key] for key in RECOVERY_COUNTERS if stats.get(key)}
         if recovery:
             print(
                 "recovered: "
@@ -293,9 +283,7 @@ def _cmd_faultsim(args) -> int:
 
 def _cmd_lbist(args) -> int:
     netlist = _load_circuit(_circuit_spec(args))
-    controller = StumpsController(
-        netlist, word_width=args.word_width, kernel=args.kernel
-    )
+    controller = StumpsController(netlist, word_width=args.word_width)
     result = controller.run(args.patterns)
     for point in result.coverage_points:
         print(f"{int(point['patterns']):6d} patterns: {point['coverage']:.4f}")
@@ -435,16 +423,6 @@ def _add_word_width_argument(parser: argparse.ArgumentParser) -> None:
             f"(default: {WORD_WIDTH}; characterized ladder: "
             f"{'/'.join(str(w) for w in WORD_WIDTHS)}; results are "
             "bit-identical for every width)"
-        ),
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=list(KERNELS),
-        default="python",
-        help=(
-            "gate-evaluation kernel: 'python' bigint words or 'numpy' "
-            "uint64 lane arrays (default: python; results are "
-            "bit-identical for both)"
         ),
     )
 

@@ -91,7 +91,6 @@ def run_compressed_atpg(
     backend: str = "ppsfp",
     jobs: Optional[int] = None,
     word_width: int = WORD_WIDTH,
-    kernel: str = "python",
     engine: str = "podem",
 ) -> CompressedAtpgResult:
     """Generate compressed patterns with fault dropping on decompressed data.
@@ -108,9 +107,8 @@ def run_compressed_atpg(
     against the full fault universe on the chosen ``backend``/``jobs``
     (see :mod:`repro.sim.dispatch`) — the cross-check a tester sign-off
     would run — filling ``graded_coverage`` and ``grading_stats``.
-    ``word_width`` sets the patterns packed per simulation word and
-    ``kernel`` the gate-evaluation backend (see :mod:`repro.sim.npsim`)
-    for every fault-simulation pass in the flow.
+    ``word_width`` sets the patterns packed per simulation word for
+    every fault-simulation pass in the flow.
     """
     start = time.perf_counter()
     design = edt.design
@@ -118,7 +116,7 @@ def run_compressed_atpg(
     if faults is None:
         faults, _ = collapse_faults(netlist, full_fault_list(netlist))
     faults = unique_faults(faults)
-    simulator = FaultSimulator(netlist, word_width=word_width, kernel=kernel)
+    simulator = FaultSimulator(netlist, word_width=word_width)
     rng = random.Random(seed)
     result = CompressedAtpgResult(total_faults=len(faults))
     remaining = list(faults)

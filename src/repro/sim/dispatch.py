@@ -24,7 +24,6 @@ import math
 import random
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..circuit.netlist import Netlist
 from ..faults.model import StuckAtFault
 from ..obs import MetricRegistry
 from .faultsim import FaultSimResult, FaultSimulator, unique_faults
@@ -163,13 +162,3 @@ class FaultSimBackend:
         drop: bool = True,
     ) -> FaultSimResult:
         raise NotImplementedError
-
-    def simulate_netlist(
-        self,
-        netlist: Netlist,
-        patterns: Sequence[Sequence[int]],
-        faults: Iterable[StuckAtFault],
-        drop: bool = True,
-    ) -> FaultSimResult:
-        """Convenience entry when no :class:`FaultSimulator` exists yet."""
-        return self.run(FaultSimulator(netlist), patterns, faults, drop=drop)

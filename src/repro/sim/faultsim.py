@@ -16,7 +16,8 @@ Three stuck-at engines are provided, matching the E3 experiment:
   partial results are min-merged.
 
 Transition-delay (launch-on-capture pairs) and bridging faults reuse the
-same cone machinery.
+same cone machinery and the same grading loop: each fault model only
+supplies its good-machine chunks and a per-fault detection word.
 
 Every ``simulate*`` call fills :attr:`FaultSimResult.stats` with
 per-run instrumentation (faults simulated, cone events propagated, packed
@@ -29,7 +30,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..circuit.gates import GateType, compile_parallel_evaluator, evaluate_parallel
@@ -52,9 +53,9 @@ _PARENT_STAT_KEYS = (
     "wall_time_s",
 )
 
-#: Supervisor recovery stats that become first-class ``supervisor.*``
-#: counters when present.
-_SUPERVISOR_STAT_KEYS = (
+#: Recovery counters every supervised run reports in its stats; they
+#: become first-class ``supervisor.*`` counters when present.
+RECOVERY_COUNTERS = (
     "retries",
     "worker_crashes",
     "timeouts",
@@ -273,7 +274,7 @@ class FaultSimulator:
         observation.counter("faultsim.runs").add(1)
         observation.add_counters(
             "supervisor",
-            {key: stats[key] for key in _SUPERVISOR_STAT_KEYS if key in stats},
+            {key: stats[key] for key in RECOVERY_COUNTERS if key in stats},
         )
         if "failed_partitions" in stats:
             observation.counter("supervisor.failed_partitions").add(
@@ -454,6 +455,51 @@ class FaultSimulator:
             for start in range(0, len(patterns), width)
         ]
 
+    def _grade(
+        self,
+        faults: Iterable[object],
+        total: int,
+        good_chunk: Callable[[int, int], object],
+        detect: Callable[[object, object, int], int],
+        drop: bool,
+        engine: str,
+    ) -> FaultSimResult:
+        """The one PPSFP grading loop every fault model shares.
+
+        Steps ``word_width`` chunks over ``total`` stimuli.
+        ``good_chunk(start, n)`` supplies a chunk's good-machine words and
+        ``detect(fault, good, mask)`` a fault's detection word for it.  The
+        loop alone owns dropping, the survivor list and first-detection
+        indices, and it stops before asking for a chunk nobody is left to
+        grade.
+        """
+        since = self._snapshot()
+        active = unique_faults(faults)
+        result = FaultSimResult(total_faults=len(active))
+        detected = result.detected
+        width = self.word_width
+        for start in range(0, total, width):
+            if drop and not active:
+                break
+            n = min(width, total - start)
+            mask = (1 << n) - 1
+            good = good_chunk(start, n)
+            survivors = []
+            for fault in active:
+                word = detect(fault, good, mask)
+                if word:
+                    if fault not in detected:
+                        detected[fault] = start + (word & -word).bit_length() - 1
+                    if drop:
+                        continue
+                survivors.append(fault)
+            active = survivors
+            result.patterns_simulated = start + n
+        result.undetected = [f for f in active if f not in detected]
+        if not drop:
+            result.patterns_simulated = total
+        return self._fill_stats(result, engine, since)
+
     def _simulate_ppsfp(
         self,
         patterns: Optional[Sequence[Sequence[int]]],
@@ -469,39 +515,25 @@ class FaultSimulator:
         supervised backend hands workers the good response and not the
         pattern list.
         """
-        since = self._snapshot()
-        active = unique_faults(faults)
-        result = FaultSimResult(total_faults=len(active))
-        width = self.word_width
         total = len(patterns) if patterns is not None else n_patterns
-        for chunk_index, start in enumerate(range(0, total, width)):
-            if drop and not active:
-                break
-            n = min(width, total - start)
-            mask = (1 << n) - 1
-            if good_chunks is not None:
-                good = good_chunks[chunk_index]
-            else:
-                good = self.parallel.good_words(patterns[start : start + n])
-            survivors: List[StuckAtFault] = []
-            for fault in active:
-                seeds = self._stuck_at_seeds(fault, good, mask)
-                faulty = self._propagate(seeds, good, mask) if seeds else {}
-                detect = self._detection_word(fault, good, faulty, mask)
-                if detect:
-                    first_bit = (detect & -detect).bit_length() - 1
-                    if fault not in result.detected:
-                        result.detected[fault] = start + first_bit
-                    if not drop:
-                        survivors.append(fault)
-                else:
-                    survivors.append(fault)
-            active = survivors
-            result.patterns_simulated = min(start + n, total)
-        result.undetected = [f for f in active if f not in result.detected]
-        if not drop:
-            result.patterns_simulated = total
-        return self._fill_stats(result, "ppsfp", since)
+        if good_chunks is not None:
+            width = self.word_width
+            good_chunk = lambda start, n: good_chunks[start // width]
+        else:
+            good_chunk = lambda start, n: self.parallel.good_words(
+                patterns[start : start + n]
+            )
+        return self._grade(
+            faults, total, good_chunk, self._stuck_at_detect, drop, "ppsfp"
+        )
+
+    def _stuck_at_detect(
+        self, fault: StuckAtFault, good: Sequence[int], mask: int
+    ) -> int:
+        """Seed, propagate and read out one stuck-at fault."""
+        seeds = self._stuck_at_seeds(fault, good, mask)
+        faulty = self._propagate(seeds, good, mask) if seeds else {}
+        return self._detection_word(fault, good, faulty, mask)
 
     def _simulate_serial(
         self,
@@ -632,50 +664,32 @@ class FaultSimulator:
         required transition at the fault site and the capture vector
         propagates the transient stuck-at effect to an observation point.
         """
-        since = self._snapshot()
-        active = unique_faults(faults)
-        result = FaultSimResult(total_faults=len(active))
-        width = self.word_width
-        for start in range(0, len(pattern_pairs), width):
-            if drop and not active:
-                break
-            chunk = pattern_pairs[start : start + width]
-            n = len(chunk)
-            mask = (1 << n) - 1
-            good_launch = self.parallel.good_words([pair[0] for pair in chunk])
-            good_capture = self.parallel.good_words([pair[1] for pair in chunk])
-            survivors: List[TransitionFault] = []
-            for fault in active:
-                site_launch = self._site_value(fault, good_launch)
-                site_capture = self._site_value(fault, good_capture)
-                if fault.slow_to == 1:
-                    transition = ~site_launch & site_capture  # 0 -> 1
-                else:
-                    transition = site_launch & ~site_capture  # 1 -> 0
-                transition &= mask
-                if not transition:
-                    survivors.append(fault)
-                    continue
-                stuck = StuckAtFault(fault.gate, fault.pin, fault.acts_as_stuck)
-                seeds = self._stuck_at_seeds(stuck, good_capture, mask)
-                faulty = self._propagate(seeds, good_capture, mask) if seeds else {}
-                detect = self._detection_word(stuck, good_capture, faulty, mask)
-                detect &= transition
-                if detect:
-                    first_bit = (detect & -detect).bit_length() - 1
-                    if fault not in result.detected:
-                        result.detected[fault] = start + first_bit
-                    if not drop:
-                        survivors.append(fault)
-                else:
-                    survivors.append(fault)
-            active = survivors
-            result.patterns_simulated = min(start + n, len(pattern_pairs))
-        result.undetected = [f for f in active if f not in result.detected]
-        if not drop:
-            result.patterns_simulated = len(pattern_pairs)
+        good_words = self.parallel.good_words
+
+        def good_chunk(start: int, n: int) -> Tuple[List[int], List[int]]:
+            chunk = pattern_pairs[start : start + n]
+            launch = good_words([pair[0] for pair in chunk])
+            return launch, good_words([pair[1] for pair in chunk])
+
+        def detect(fault: TransitionFault, good, mask: int) -> int:
+            good_launch, good_capture = good
+            site_launch = self._site_value(fault, good_launch)
+            site_capture = self._site_value(fault, good_capture)
+            if fault.slow_to == 1:
+                transition = ~site_launch & site_capture  # 0 -> 1
+            else:
+                transition = site_launch & ~site_capture  # 1 -> 0
+            transition &= mask
+            if not transition:
+                return 0
+            stuck = StuckAtFault(fault.gate, fault.pin, fault.acts_as_stuck)
+            return self._stuck_at_detect(stuck, good_capture, mask) & transition
+
         return self._publish(
-            self._fill_stats(result, "ppsfp-transition", since)
+            self._grade(
+                faults, len(pattern_pairs), good_chunk, detect, drop,
+                "ppsfp-transition",
+            )
         )
 
     def _site_value(self, fault, good: Sequence[int]) -> int:
@@ -700,44 +714,29 @@ class FaultSimulator:
         Approximation: the shorted values are resolved from the good-machine
         driven values and then propagated once (no fixpoint iteration), the
         standard zero-feedback assumption for prototype bridging analysis.
+        A feedback bridge (one net in the other's fanout cone) keeps its
+        forced word only in chunks that never re-evaluate that net, so its
+        detections can depend on ``word_width``.
         """
-        since = self._snapshot()
-        active = unique_faults(faults)
-        result = FaultSimResult(total_faults=len(active))
-        width = self.word_width
-        for start in range(0, len(patterns), width):
-            if drop and not active:
-                break
-            chunk = patterns[start : start + width]
-            n = len(chunk)
-            mask = (1 << n) - 1
-            good = self.parallel.good_words(chunk)
-            survivors: List[BridgingFault] = []
-            for fault in active:
-                value_a, value_b = good[fault.net_a], good[fault.net_b]
-                forced_a, forced_b = _resolve_words(fault, value_a, value_b, mask)
-                seeds = {}
-                if forced_a != value_a:
-                    seeds[fault.net_a] = forced_a
-                if forced_b != value_b:
-                    seeds[fault.net_b] = forced_b
-                faulty = self._propagate(seeds, good, mask) if seeds else {}
-                diff = self._reader_diff(good, faulty) & mask
-                if diff:
-                    first_bit = (diff & -diff).bit_length() - 1
-                    if fault not in result.detected:
-                        result.detected[fault] = start + first_bit
-                    if not drop:
-                        survivors.append(fault)
-                else:
-                    survivors.append(fault)
-            active = survivors
-            result.patterns_simulated = min(start + n, len(patterns))
-        result.undetected = [f for f in active if f not in result.detected]
-        if not drop:
-            result.patterns_simulated = len(patterns)
+
+        def detect(fault: BridgingFault, good: Sequence[int], mask: int) -> int:
+            value_a, value_b = good[fault.net_a], good[fault.net_b]
+            forced_a, forced_b = _resolve_words(fault, value_a, value_b, mask)
+            seeds = {}
+            if forced_a != value_a:
+                seeds[fault.net_a] = forced_a
+            if forced_b != value_b:
+                seeds[fault.net_b] = forced_b
+            faulty = self._propagate(seeds, good, mask) if seeds else {}
+            return self._reader_diff(good, faulty) & mask
+
+        good_chunk = lambda start, n: self.parallel.good_words(
+            patterns[start : start + n]
+        )
         return self._publish(
-            self._fill_stats(result, "ppsfp-bridging", since)
+            self._grade(
+                faults, len(patterns), good_chunk, detect, drop, "ppsfp-bridging"
+            )
         )
 
 

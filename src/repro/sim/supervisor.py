@@ -82,7 +82,12 @@ from .dispatch import (
     partition_metrics,
     validate_pool_args,
 )
-from .faultsim import FaultSimResult, FaultSimulator, unique_faults
+from .faultsim import (
+    RECOVERY_COUNTERS,
+    FaultSimResult,
+    FaultSimulator,
+    unique_faults,
+)
 from .store import CampaignKey, Lease, ShardStore, StoreCorruptionError
 
 #: Name prefix of the private store directory a run without ``store=``
@@ -214,15 +219,6 @@ class _Slot:
     deadline: Optional[float]
 
 
-#: Recovery counters every supervised run reports in its stats.
-_RECOVERY_COUNTERS = (
-    "retries",
-    "worker_crashes",
-    "timeouts",
-    "invalid_results",
-    "inline_fallbacks",
-)
-
 @dataclass
 class _Campaign:
     """Bookkeeping for one supervised run."""
@@ -234,7 +230,7 @@ class _Campaign:
     # campaign heartbeats, stitched with the workers' shipped logs.
     events: EventLog
     counters: Dict[str, int] = field(
-        default_factory=lambda: dict.fromkeys(_RECOVERY_COUNTERS, 0)
+        default_factory=lambda: dict.fromkeys(RECOVERY_COUNTERS, 0)
     )
     sources: Dict[int, str] = field(default_factory=dict)
     attempts_used: Dict[int, int] = field(default_factory=dict)

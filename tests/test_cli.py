@@ -71,6 +71,17 @@ class TestCommands:
         assert main(["atpg", str(path)]) == 0
         assert "fault_coverage" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "command",
+        [["atpg", "c17"], ["faultsim", "c17", "c17.pat"], ["lbist", "c17"]],
+    )
+    def test_kernel_flag_removed(self, command, capsys):
+        """The good-pass kernel is chosen on ``FaultSimulator`` only."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + ["--kernel", "numpy"])
+        assert excinfo.value.code == 2
+        assert "--kernel" in capsys.readouterr().err
+
     def test_lbist(self, capsys):
         assert main(["lbist", "par16", "--patterns", "128"]) == 0
         out = capsys.readouterr().out

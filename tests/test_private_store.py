@@ -28,8 +28,6 @@ from repro.sim.supervisor import (
     SupervisorConfig,
 )
 
-KERNELS = ("python", "numpy")
-
 
 def private_store_dirs():
     """Private store directories alive on this machine."""
@@ -59,9 +57,9 @@ def leaves_nothing():
     assert not alive, f"workers still alive: {alive}"
 
 
-def _setup(kernel, n_inputs=6, n_gates=40, seed=7, n_patterns=96):
+def _setup(n_inputs=6, n_gates=40, seed=7, n_patterns=96):
     netlist = generators.random_circuit(n_inputs, n_gates, seed=seed)
-    simulator = FaultSimulator(netlist, cache=None, kernel=kernel)
+    simulator = FaultSimulator(netlist, cache=None)
     faults, _ = collapse_faults(netlist, full_fault_list(netlist))
     patterns = random_patterns(simulator.view.num_inputs, n_patterns, seed=seed)
     reference = simulator.simulate(patterns, faults, engine="ppsfp")
@@ -69,9 +67,8 @@ def _setup(kernel, n_inputs=6, n_gates=40, seed=7, n_patterns=96):
 
 
 class TestPrivateStoreCleanup:
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_clean_run(self, kernel, leaves_nothing):
-        simulator, faults, patterns, reference = _setup(kernel)
+    def test_clean_run(self, leaves_nothing):
+        simulator, faults, patterns, reference = _setup()
         result = simulator.simulate(
             patterns, faults, engine="supervised", jobs=2
         )
@@ -81,7 +78,7 @@ class TestPrivateStoreCleanup:
     def test_kernel_exception_everywhere_cleans_up(self, leaves_nothing):
         """A kernel raising in every worker *and* inline degrades every
         shard to failed, and the private store still comes down."""
-        simulator, faults, patterns, _ = _setup("numpy")
+        simulator, faults, patterns, _ = _setup()
         original = FaultSimulator._simulate_ppsfp
         try:
             FaultSimulator._simulate_ppsfp = lambda *a, **k: 1 / 0
@@ -94,9 +91,8 @@ class TestPrivateStoreCleanup:
         assert len(result.stats["failed_partitions"]) == 3
         assert result.detected == {}
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_crash_recovery(self, kernel, leaves_nothing):
-        simulator, faults, patterns, reference = _setup(kernel)
+    def test_crash_recovery(self, leaves_nothing):
+        simulator, faults, patterns, reference = _setup()
         backend = SupervisedPoolBackend(
             jobs=2,
             partitions=4,
@@ -106,9 +102,8 @@ class TestPrivateStoreCleanup:
         assert result.detected == reference.detected
         assert result.stats["worker_crashes"] >= 1
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_timeout_kills(self, kernel, leaves_nothing):
-        simulator, faults, patterns, reference = _setup(kernel)
+    def test_timeout_kills(self, leaves_nothing):
+        simulator, faults, patterns, reference = _setup()
         backend = SupervisedPoolBackend(
             jobs=2,
             partitions=4,
@@ -122,7 +117,7 @@ class TestPrivateStoreCleanup:
     def test_unrecoverable_partition_cleans_up(self, leaves_nothing):
         """Even a run that degrades to a partial result (inline fallback
         poisoned too) removes its private store."""
-        simulator, faults, patterns, _ = _setup("numpy")
+        simulator, faults, patterns, _ = _setup()
         backend = SupervisedPoolBackend(
             jobs=2,
             partitions=4,
@@ -132,14 +127,13 @@ class TestPrivateStoreCleanup:
         result = backend.run(simulator, patterns, faults)
         assert result.stats["failed_partitions"]
 
-    @pytest.mark.parametrize("kernel", KERNELS)
     def test_keyboard_interrupt_cleans_up(
-        self, kernel, tmp_path, monkeypatch, leaves_nothing
+        self, tmp_path, monkeypatch, leaves_nothing
     ):
         """Ctrl-C mid-campaign: workers are reaped and the private store
         is removed on the way up; the same interrupt against a given
         shard store resumes on re-run, bit-identically."""
-        simulator, faults, patterns, reference = _setup(kernel)
+        simulator, faults, patterns, reference = _setup()
         root = str(tmp_path / "interrupted")
         original_spawn = SupervisedPoolBackend._spawn
 
