@@ -244,7 +244,7 @@ def run_atpg(
                 used = sorted(set(sim.detected.values()))
                 kept_patterns.extend(batch_patterns[index] for index in used)
                 result.detected_random += len(sim.detected)
-                remaining = [f for f in remaining if f not in sim.detected]
+                remaining = sim.undetected
             result.random_pattern_count += len(batch_patterns)
             if len(sim.detected) < min_batch_yield:
                 break

@@ -216,7 +216,7 @@ def run_sequential_atpg(
         if graded.detected:
             result.sequences.append(sequence)
             result.detected_random += len(graded.detected)
-            remaining = [f for f in remaining if f not in graded.detected]
+            remaining = graded.undetected
 
     # Phase 2: last-frame PODEM on the unrolled model, validated.
     model = unroll(netlist, n_frames, initial_state="zero")

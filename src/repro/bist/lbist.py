@@ -13,6 +13,7 @@ mismatch detection end to end.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -53,11 +54,10 @@ class StumpsController:
     """PRPG + MISR wrapped around one netlist's full-scan view.
 
     ``word_width`` sets the patterns packed per simulation word for both
-    the coverage grading and the signature pass.  The two passes
-    share one :class:`ParallelSimulator`, so with chunking aligned
-    (``checkpoint_every`` a multiple of ``word_width``) the signature pass
-    replays the coverage loop's good-machine blocks straight from the
-    response cache.
+    the coverage grading and the signature pass.  The two passes share
+    one :class:`ParallelSimulator` and chunk the same pattern list, so the
+    signature pass replays the coverage pass's good-machine blocks
+    straight from the response cache.
     """
 
     def __init__(
@@ -109,38 +109,53 @@ class StumpsController:
         checkpoint_every: int = 64,
     ) -> LbistResult:
         """Apply ``n_patterns`` PRPG patterns, recording the coverage curve."""
+        if checkpoint_every < 1:
+            raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
         if faults is None:
             faults, _ = collapse_faults(self.netlist, full_fault_list(self.netlist))
-        faults = unique_faults(faults)
-        result = LbistResult(total_faults=len(faults))
-        remaining = list(faults)
-        detected_total = 0
-        all_patterns: List[List[int]] = []
-        applied = 0
         with obs.span("coverage_loop"):
-            while applied < n_patterns:
-                chunk_size = min(checkpoint_every, n_patterns - applied)
-                chunk = self.generate_patterns(chunk_size)
-                all_patterns.extend(chunk)
-                sim = self.simulator.simulate(chunk, remaining, drop=True)
-                detected_total += len(sim.detected)
-                remaining = [f for f in remaining if f not in sim.detected]
-                applied += chunk_size
-                result.coverage_points.append(
-                    {
-                        "patterns": float(applied),
-                        "coverage": detected_total / len(faults)
-                        if faults
-                        else 1.0,
-                    }
-                )
-        result.patterns_applied = applied
-        result.final_coverage = detected_total / len(faults) if faults else 1.0
-        result.undetected = remaining
+            patterns = self.generate_patterns(n_patterns)
+            result = _grade_pattern_set(
+                self.simulator, patterns, faults, checkpoint_every
+            )
         with obs.span("signature"):
-            result.signature = self.good_signature(all_patterns)
+            result.signature = self.good_signature(patterns)
         _publish_lbist(result)
         return result
+
+
+def _grade_pattern_set(
+    simulator: FaultSimulator,
+    patterns: Sequence[Sequence[int]],
+    faults: Sequence[StuckAtFault],
+    checkpoint_every: int,
+) -> LbistResult:
+    """Grade ``patterns`` in one drop-mode call.
+
+    A fault's first-detection index is the pattern that a
+    checkpoint-by-checkpoint loop would credit it to, so the coverage at
+    each checkpoint is the count of first detections below it.
+    """
+    faults = unique_faults(faults)
+    graded = simulator.simulate(patterns, faults, drop=True)
+    firsts = sorted(graded.detected.values())
+    n_patterns = len(patterns)
+
+    def coverage(applied: int) -> float:
+        return bisect_left(firsts, applied) / len(faults) if faults else 1.0
+
+    result = LbistResult(
+        patterns_applied=n_patterns,
+        total_faults=len(faults),
+        final_coverage=coverage(n_patterns),
+        undetected=graded.undetected,
+    )
+    for start in range(0, n_patterns, checkpoint_every):
+        applied = min(start + checkpoint_every, n_patterns)
+        result.coverage_points.append(
+            {"patterns": float(applied), "coverage": coverage(applied)}
+        )
+    return result
 
 
 def _publish_lbist(result: LbistResult) -> None:
@@ -249,34 +264,17 @@ def run_weighted_lbist(
     netlist.finalize()
     if faults is None:
         faults, _ = collapse_faults(netlist, full_fault_list(netlist))
-    faults = unique_faults(faults)
     simulator = FaultSimulator(netlist, word_width=word_width)
     with obs.span("derive_weights"):
         weights = derive_input_weights(netlist)
-    result = LbistResult(total_faults=len(faults))
-    remaining = list(faults)
-    detected_total = 0
-    applied = 0
-    chunk_size = word_width
     with obs.span("coverage_loop"):
-        while applied < n_patterns:
-            count = min(chunk_size, n_patterns - applied)
-            chunk = weighted_random_patterns(
+        patterns: List[List[int]] = []
+        for applied in range(0, n_patterns, word_width):  # one draw per word
+            count = min(word_width, n_patterns - applied)
+            patterns += weighted_random_patterns(
                 len(weights), count, weights, seed=seed * 131 + applied
             )
-            graded = simulator.simulate(chunk, remaining, drop=True)
-            detected_total += len(graded.detected)
-            remaining = [f for f in remaining if f not in graded.detected]
-            applied += count
-            result.coverage_points.append(
-                {
-                    "patterns": float(applied),
-                    "coverage": detected_total / len(faults) if faults else 1.0,
-                }
-            )
-    result.patterns_applied = applied
-    result.final_coverage = detected_total / len(faults) if faults else 1.0
-    result.undetected = remaining
+        result = _grade_pattern_set(simulator, patterns, faults, word_width)
     _publish_lbist(result)
     return result
 

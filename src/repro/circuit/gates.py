@@ -19,15 +19,16 @@ sequential elements:
 ``SDFF``     scan D flip-flop, fanin ``(d, scan_in, scan_enable)``
 ===========  =========================================================
 
-Evaluation is provided for all three algebras in :mod:`repro.circuit.values`
-plus 64-way bit-parallel 2-valued evaluation (one Python int per signal,
-``width`` patterns per word).
+Evaluation is provided for the 2- and 4-valued algebras of
+:mod:`repro.circuit.values` (the D-calculus lives in
+:mod:`repro.circuit.dcalc`) plus 64-way bit-parallel 2-valued evaluation
+(one Python int per signal, ``width`` patterns per word).
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Sequence, Tuple
+from typing import Sequence
 
 from .values import ONE, X, ZERO, v_and, v_not, v_or, v_xor
 
@@ -253,13 +254,6 @@ def compile_parallel_evaluator(gate_type: GateType, arity: int):
     if gate_type == GateType.INPUT:
         raise ValueError("INPUT gates are driven externally, not evaluated")
     raise ValueError(f"unsupported gate type: {gate_type}")
-
-
-def evaluate_d(gate_type: GateType, inputs: Sequence[Tuple[int, int]]) -> Tuple[int, int]:
-    """D-calculus evaluation: evaluate the good and faulty rails separately."""
-    good = evaluate(gate_type, [value[0] for value in inputs])
-    faulty = evaluate(gate_type, [value[1] for value in inputs])
-    return (good, faulty)
 
 
 def fanin_count_valid(gate_type: GateType, count: int) -> bool:

@@ -7,8 +7,9 @@ Three algebras appear in classic test literature and all are provided here:
 * **4-valued** (``0``/``1``/``X``/``Z``) — used by event-driven simulation of
   circuits whose inputs may be unassigned (``X``) or undriven (``Z``).
 * **5-valued D-calculus** (``0``/``1``/``X``/``D``/``D'``) — used by the ATPG
-  engines.  A D-value is a *pair* of the good-machine value and the
-  faulty-machine value; ``D`` means good=1/faulty=0 and ``D'`` the reverse.
+  engines, packed into small integers in :mod:`repro.circuit.dcalc`.  A
+  D-value pairs a good-machine rail with a faulty-machine rail, and the
+  ``v_*`` operators below are its rail-wise reference.
 
 Values are plain small integers so they can index truth tables quickly; the
 module is deliberately free of classes on the hot path.
@@ -104,55 +105,3 @@ def v_xor(left: int, right: int) -> int:
     if left == X or right == X:
         return X
     return left ^ right
-
-
-# ---------------------------------------------------------------------------
-# 5-valued D-calculus
-#
-# Encoded as (good, faulty) pairs of *2-valued-or-X* values.  The canonical
-# five values get dedicated constants for readability in the ATPG code.
-# ---------------------------------------------------------------------------
-
-#: D-calculus constants: (good value, faulty value).
-D_ZERO = (ZERO, ZERO)
-D_ONE = (ONE, ONE)
-D_X = (X, X)
-D = (ONE, ZERO)
-D_BAR = (ZERO, ONE)
-
-_D_NAMES = {D_ZERO: "0", D_ONE: "1", D_X: "X", D: "D", D_BAR: "D'"}
-
-
-def d_name(value: Tuple[int, int]) -> str:
-    """Human-readable name of a D-calculus value."""
-    return _D_NAMES.get(value, f"({value_to_char(value[0])},{value_to_char(value[1])})")
-
-
-def d_not(value: Tuple[int, int]) -> Tuple[int, int]:
-    """D-calculus NOT, applied rail-wise."""
-    return (v_not(value[0]), v_not(value[1]))
-
-
-def d_and(left: Tuple[int, int], right: Tuple[int, int]) -> Tuple[int, int]:
-    """D-calculus AND, applied rail-wise."""
-    return (v_and(left[0], right[0]), v_and(left[1], right[1]))
-
-
-def d_or(left: Tuple[int, int], right: Tuple[int, int]) -> Tuple[int, int]:
-    """D-calculus OR, applied rail-wise."""
-    return (v_or(left[0], right[0]), v_or(left[1], right[1]))
-
-
-def d_xor(left: Tuple[int, int], right: Tuple[int, int]) -> Tuple[int, int]:
-    """D-calculus XOR, applied rail-wise."""
-    return (v_xor(left[0], right[0]), v_xor(left[1], right[1]))
-
-
-def is_faulted(value: Tuple[int, int]) -> bool:
-    """True when the good and faulty rails hold opposite known values."""
-    return value in (D, D_BAR)
-
-
-def has_unknown(value: Tuple[int, int]) -> bool:
-    """True when either rail is unknown."""
-    return value[0] == X or value[1] == X

@@ -621,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lbist = commands.add_parser("lbist", help="run STUMPS logic BIST")
     _add_circuit_arguments(lbist)
-    lbist.add_argument("--patterns", type=int, default=512)
+    lbist.add_argument("--patterns", type=_positive_int, default=512)
     _add_word_width_argument(lbist)
     _add_obs_arguments(lbist)
     lbist.set_defaults(handler=_cmd_lbist)

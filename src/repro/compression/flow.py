@@ -22,11 +22,9 @@ from typing import List, Optional, Sequence
 from .. import obs
 from ..atpg.engine import x_fill
 from ..atpg.portfolio import make_engine
-from ..atpg.random_gen import random_patterns
 from ..faults.collapse import collapse_faults
 from ..faults.model import StuckAtFault
 from ..faults.stuck_at import full_fault_list
-from ..scan.insertion import ScanDesign
 from ..sim.faultsim import FaultSimulator, unique_faults
 from ..sim.parallel import WORD_WIDTH
 from .edt import EdtSystem, EncodedPattern
@@ -119,7 +117,6 @@ def run_compressed_atpg(
     simulator = FaultSimulator(netlist, word_width=word_width)
     rng = random.Random(seed)
     result = CompressedAtpgResult(total_faults=len(faults))
-    remaining = list(faults)
     n_pi = len(netlist.inputs)
 
     # ------------------------------------------------------------------
@@ -127,28 +124,30 @@ def run_compressed_atpg(
     # ------------------------------------------------------------------
     n_vars = edt.config.variables_per_pattern
     with obs.span("compression_random"):
+        candidates, patterns = [], []
         for _ in range(random_pattern_budget):
-            if not remaining:
-                break
             variables = [rng.randint(0, 1) for _ in range(n_vars)]
-            loads = edt.decompressor.expand(variables)
-            state = edt.loads_to_state(loads)
+            state = edt.loads_to_state(edt.decompressor.expand(variables))
             pi_bits = [rng.randint(0, 1) for _ in range(n_pi)]
-            pattern = pi_bits + state
-            sim = simulator.simulate([pattern], remaining, drop=True)
-            if sim.detected:
-                result.applied_patterns.append(pattern)
-                result.encoded.append(
-                    EncodedPattern(
-                        pi_bits=pi_bits,
-                        channel_stream=edt.decompressor.variables_to_channel_stream(
-                            variables
-                        ),
-                        expanded_state=state,
-                    )
+            candidates.append((variables, pi_bits, state))
+            patterns.append(pi_bits + state)
+        # Grade once; keep each first detection's pattern.  Candidates drawn
+        # after the last fault falls shift no later draw: phase 2 has none.
+        sim = simulator.simulate(patterns, faults, drop=True)
+        for index in sorted(set(sim.detected.values())):
+            variables, pi_bits, state = candidates[index]
+            result.applied_patterns.append(patterns[index])
+            result.encoded.append(
+                EncodedPattern(
+                    pi_bits=pi_bits,
+                    channel_stream=edt.decompressor.variables_to_channel_stream(
+                        variables
+                    ),
+                    expanded_state=state,
                 )
-                result.detected += len(sim.detected)
-                remaining = [f for f in remaining if f not in sim.detected]
+            )
+        result.detected = len(sim.detected)
+        remaining = sim.undetected
 
     # ------------------------------------------------------------------
     # Phase 2: deterministic cubes, encoded one at a time.

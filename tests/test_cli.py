@@ -88,6 +88,13 @@ class TestCommands:
         assert "final coverage" in out
         assert "signature" in out
 
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_lbist_rejects_nonpositive_patterns(self, count, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lbist", "--circuit", "c17", "--patterns", count])
+        assert excinfo.value.code == 2
+        assert "--patterns" in capsys.readouterr().err
+
     def test_mbist(self, capsys):
         assert main(["mbist", "--cells", "32", "--samples", "5"]) == 0
         out = capsys.readouterr().out

@@ -10,7 +10,6 @@ from repro.circuit.gates import (
     controlled_value,
     controlling_value,
     evaluate,
-    evaluate_d,
     evaluate_parallel,
     fanin_count_valid,
     is_inverting,
@@ -114,16 +113,6 @@ class TestParallelAgreesWithScalar:
     def test_parallel_constants(self):
         assert evaluate_parallel(GateType.CONST0, [], 0b111) == 0
         assert evaluate_parallel(GateType.CONST1, [], 0b111) == 0b111
-
-
-class TestEvaluateD:
-    def test_rails_independent(self):
-        result = evaluate_d(GateType.AND, [(ONE, ZERO), (ONE, ONE)])
-        assert result == (ONE, ZERO)
-
-    def test_x_propagates_per_rail(self):
-        result = evaluate_d(GateType.OR, [(X, ONE), (ZERO, ZERO)])
-        assert result == (X, ONE)
 
 
 class TestGateAttributes:

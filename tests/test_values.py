@@ -1,27 +1,15 @@
-"""4-valued algebra and D-calculus pair operations."""
+"""4-valued algebra."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.circuit.values import (
-    D,
-    D_BAR,
-    D_ONE,
-    D_X,
-    D_ZERO,
     FOUR_VALUES,
     ONE,
     X,
     Z,
     ZERO,
     char_to_value,
-    d_and,
-    d_name,
-    d_not,
-    d_or,
-    d_xor,
-    has_unknown,
-    is_faulted,
     string_to_values,
     v_and,
     v_not,
@@ -107,51 +95,3 @@ class TestStringConversion:
 
     def test_value_to_char(self):
         assert [value_to_char(v) for v in FOUR_VALUES] == ["0", "1", "X", "Z"]
-
-
-class TestDCalculus:
-    def test_d_constants(self):
-        assert D == (ONE, ZERO)
-        assert D_BAR == (ZERO, ONE)
-
-    def test_d_not_swaps_polarity(self):
-        assert d_not(D) == D_BAR
-        assert d_not(D_BAR) == D
-        assert d_not(D_ONE) == D_ZERO
-
-    def test_d_and_absorbs(self):
-        assert d_and(D, D_ZERO) == D_ZERO
-        assert d_and(D, D_ONE) == D
-
-    def test_d_or_dominates(self):
-        assert d_or(D, D_ONE) == D_ONE
-        assert d_or(D, D_ZERO) == D
-
-    def test_d_xor(self):
-        assert d_xor(D, D_BAR) == D_ONE  # (1^0, 0^1)
-        assert d_xor(D, D) == D_ZERO
-
-    def test_is_faulted(self):
-        assert is_faulted(D)
-        assert is_faulted(D_BAR)
-        assert not is_faulted(D_ONE)
-        assert not is_faulted(D_X)
-
-    def test_has_unknown(self):
-        assert has_unknown(D_X)
-        assert has_unknown((X, ONE))
-        assert not has_unknown(D)
-
-    def test_d_name(self):
-        assert d_name(D) == "D"
-        assert d_name(D_BAR) == "D'"
-        assert d_name(D_X) == "X"
-
-    @given(
-        a=st.tuples(binary, binary),
-        b=st.tuples(binary, binary),
-    )
-    def test_d_ops_are_railwise(self, a, b):
-        assert d_and(a, b) == (v_and(a[0], b[0]), v_and(a[1], b[1]))
-        assert d_or(a, b) == (v_or(a[0], b[0]), v_or(a[1], b[1]))
-        assert d_xor(a, b) == (v_xor(a[0], b[0]), v_xor(a[1], b[1]))
