@@ -14,7 +14,9 @@ regimes and records the rows to ``BENCH_supervisor.json``:
   store (every shard merged from disk; the checkpoint read path).
 
 Every regime must produce a detection map bit-identical to single-process
-PPSFP — the timing sweep doubles as the differential correctness check.
+PPSFP — the timing sweep doubles as the differential correctness check —
+and the clean regimes must report no crash, retry or inline fallback
+(the inline fallback would otherwise hide a broken worker path).
 Acceptance pin: a clean supervised run stays within 3x of the ppsfp
 baseline (with two or more cores it is usually faster; the bound only
 guards against the supervision loop going quadratic).
@@ -75,12 +77,17 @@ def _campaign(size, n_patterns, store_dir):
         assert result.undetected == reference.undetected, name
         regimes.append({"regime": name, "wall_time_s": seconds, **extra})
 
+    def check_clean(name, result, seconds, **extra):
+        for counter in ("worker_crashes", "retries", "inline_fallbacks"):
+            assert result.stats[counter] == 0, (name, counter)
+        check(name, result, seconds, **extra)
+
     regimes.append({"regime": "ppsfp", "wall_time_s": base_s})
     clean, clean_s = _timed(
         SupervisedPoolBackend(jobs=JOBS, partitions=PARTITIONS),
         simulator, patterns, faults,
     )
-    check(
+    check_clean(
         "supervised", clean, clean_s,
         overhead_x=clean_s / base_s if base_s else 0.0,
     )
@@ -109,10 +116,10 @@ def _campaign(size, n_patterns, store_dir):
 
     full, full_s = _timed(store_backend(), simulator, patterns, faults)
     assert full.stats["store"]["shards_graded_here"] == PARTITIONS
-    check("store", full, full_s)
+    check_clean("store", full, full_s)
     resumed, resumed_s = _timed(store_backend(), simulator, patterns, faults)
     assert resumed.stats["store"]["shards_graded_here"] == 0
-    check("resume", resumed, resumed_s)
+    check_clean("resume", resumed, resumed_s)
 
     for row in regimes:
         row["circuit"] = netlist.name
@@ -143,7 +150,10 @@ def _run_smoke():
     with tempfile.TemporaryDirectory() as store_dir:
         rows = _campaign(SMOKE_SIZE, SMOKE_PATTERNS, store_dir)
     print_table("supervisor smoke", rows)
-    print("OK: supervised/chaos/store/resume all bit-identical to ppsfp")
+    print(
+        "OK: supervised/chaos/store/resume all bit-identical to ppsfp; "
+        "clean regimes recovered nothing"
+    )
     return 0
 
 

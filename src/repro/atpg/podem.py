@@ -81,7 +81,7 @@ class Podem:
         self.netlist = netlist
         self.view = CombinationalView(netlist)
         self.backtrack_limit = backtrack_limit
-        if time_budget_s is not None and time_budget_s < 0:
+        if time_budget_s is not None and not time_budget_s >= 0:
             raise ValueError(f"time_budget_s must be >= 0, got {time_budget_s}")
         #: Per-fault wall-clock budget; one pathological fault can spend
         #: minutes inside the backtrack limit on deep reconvergent cones,

@@ -142,12 +142,12 @@ def histogram(
 
 
 def merge_metrics(payload: Optional[Dict[str, object]]) -> None:
-    """Merge a serialized worker registry into the current observation.
+    """Merge a serialized metric registry into the current observation.
 
-    This is the parent half of the worker-metrics round trip: supervised
-    workers serialize their registry into the partial result's
-    ``stats["metrics"]``, and the parent folds every partial's registry in
-    (in any order — the merge is associative and commutative).
+    The supervised backend builds one registry per published partition
+    result in the parent (workers ship none), merges them into the run's
+    ``stats["metrics"]``, and folds that in here (in any order — the merge
+    is associative and commutative).
     """
     observation = current()
     if observation is not None and payload:

@@ -3,7 +3,6 @@
 from .chaos import ChaosPlan, HostChaosInjection, HostChaosPlan
 from .dispatch import (
     BACKEND_NAMES,
-    FaultSimBackend,
     merge_results,
     partition_faults,
     validate_pool_args,
@@ -36,7 +35,6 @@ __all__ = [
     "ParallelSimulator",
     "FaultSimulator",
     "FaultSimResult",
-    "FaultSimBackend",
     "SupervisedPoolBackend",
     "SupervisorConfig",
     "ChaosPlan",

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..faults.model import StuckAtFault
 from ..obs import MetricRegistry
-from .faultsim import FaultSimResult, FaultSimulator, unique_faults
+from .faultsim import FaultSimResult, unique_faults
 
 #: Backend names accepted by ``FaultSimulator.simulate(engine=...)`` and the
 #: ``--backend`` CLI flag: the two in-process engines and the supervised
@@ -97,13 +97,12 @@ def partition_faults(
 
 
 def partition_metrics(partial: FaultSimResult) -> Dict[str, object]:
-    """Serialized worker-side metric registry for one partition result.
+    """Serialized metric registry for one partition result.
 
-    Built inside the worker (or rebuilt in the parent for a partial that
-    carries none) so per-partition counters travel home
-    inside ``stats["metrics"]`` and fold together with the registry's
-    associative, commutative merge — the totals are independent of worker
-    count, completion order, and partition grouping.
+    Built in the parent from each published result's kept stats (workers
+    ship none), then folded together with the registry's associative,
+    commutative merge — the totals are independent of worker count,
+    completion order, and partition grouping.
     """
     stats = partial.stats
     registry = MetricRegistry()
@@ -148,17 +147,3 @@ def merge_results(
         result.patterns_simulated = n_patterns
     return result
 
-
-class FaultSimBackend:
-    """A strategy for running stuck-at fault simulation over one netlist."""
-
-    name = "?"
-
-    def run(
-        self,
-        simulator: FaultSimulator,
-        patterns: Sequence[Sequence[int]],
-        faults: Iterable[StuckAtFault],
-        drop: bool = True,
-    ) -> FaultSimResult:
-        raise NotImplementedError

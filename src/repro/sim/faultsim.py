@@ -41,9 +41,9 @@ from .parallel import WORD_WIDTH, ParallelSimulator
 
 #: ``stats`` keys the parent process contributes to the observation's
 #: ``faultsim.*`` counters — the good-machine side of a run, which no
-#: worker partition ever sees.  Worker-side counters (events, words,
+#: worker partition ever sees.  Cone-side counters (events, words,
 #: faults) come either from the same stats (single-process engines) or
-#: from the merged per-partition metric registries (supervised).
+#: from the per-partition registries the parent merges (supervised).
 _PARENT_STAT_KEYS = (
     "good_passes",
     "good_cache_hits",
@@ -182,6 +182,11 @@ class FaultSimulator:
         self._events_propagated = 0
         self._words_evaluated = 0
 
+    def __reduce__(self):
+        # Pickled only to a supervised worker where ``fork`` is missing:
+        # the compiled evaluators are closures, so recompile, uncached.
+        return (FaultSimulator, (self.netlist, self.word_width, None))
+
     def _snapshot(self) -> Tuple[int, int, int, int, int, int, float]:
         parallel = self.parallel
         cache = parallel.cache
@@ -231,20 +236,20 @@ class FaultSimulator:
         so a RunReport's ``faultsim.*`` counters bit-identically match the
         legacy stats dict for every engine.  Supervised runs carry a
         merged per-partition metric registry in ``stats["metrics"]``
-        (built worker-side, merged in the parent); single-process runs
+        (built and merged in the parent); single-process runs
         publish the equivalent counters straight from stats.
         """
         observation = obs.current()
         if observation is None:
             return result
         stats = result.stats
-        worker_metrics = stats.get("metrics")
-        if worker_metrics:
-            # Worker-side counters (events, partition words, faults) come
-            # home through the associative registry merge; the parent adds
+        merged_metrics = stats.get("metrics")
+        if merged_metrics:
+            # Per-partition counters (events, partition words, faults)
+            # arrive through the associative registry merge; the parent adds
             # only its own good-machine word contribution on top so the
             # total equals stats["words_evaluated"] exactly.
-            observation.merge_metrics(worker_metrics)
+            observation.merge_metrics(merged_metrics)
             observation.counter("faultsim.words_evaluated").add(
                 stats.get("good_words_evaluated", 0)
             )
@@ -408,11 +413,12 @@ class FaultSimulator:
 
         ``engine`` selects the backend by name — ``"serial"``,
         ``"ppsfp"``, or ``"supervised"`` (fault-tolerant multiprocess
-        PPSFP, see :mod:`repro.sim.supervisor`) — or is a ready
-        :class:`repro.sim.dispatch.FaultSimBackend` instance, which lets
-        callers attach shard stores, timeouts, or chaos plans.  ``jobs`` sizes the worker pool; ``seed`` and
-        ``partitions`` control the deterministic fault sharding — results
-        are identical for any worker count.
+        PPSFP, see :mod:`repro.sim.supervisor`) — or is any object with
+        ``run(simulator, patterns, faults, drop)``, such as a configured
+        ``SupervisedPoolBackend``, which lets callers attach shard stores,
+        timeouts, or chaos plans.  ``jobs`` sizes the worker pool;
+        ``seed`` and ``partitions`` control the deterministic fault
+        sharding — results are identical for any worker count.
         """
         if not isinstance(engine, str):
             runner = lambda: engine.run(self, patterns, faults, drop=drop)

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, replace
@@ -71,10 +72,10 @@ STORE_VERSION = 1
 #: Renew a held lease once less than this fraction of ``lease_s`` remains.
 RENEW_FRACTION = 0.5
 
-#: Per-shard stats fields preserved in a published result.  ``metrics`` is
-#: the worker's serialized metric registry (plain dicts, JSON-safe) so
-#: loaded partials merge into observations like fresh ones.
-_KEPT_STATS = ("events_propagated", "words_evaluated", "wall_time_s", "metrics")
+#: Per-shard stats fields preserved in a published result: with the
+#: detection map they are all a partition's metric registry is built from
+#: (:func:`repro.sim.dispatch.partition_metrics`).
+_KEPT_STATS = ("events_propagated", "words_evaluated", "wall_time_s")
 
 
 #: ``bytes.translate`` table mapping each byte ``b`` to ``b & 1``.
@@ -194,7 +195,8 @@ def validate_store_args(
 
     ``runner_id`` names lease ownership and event files, so it must be a
     short filesystem-safe token; ``lease_s`` is the heartbeat deadline —
-    nonpositive values would make every lease stealable at birth.
+    nonpositive values would make every lease stealable at birth, and an
+    infinite (or NaN) one would make a dead runner's leases unstealable.
     """
     if not isinstance(runner_id, str) or not runner_id:
         raise ValueError(f"runner_id must be a non-empty string, got {runner_id!r}")
@@ -208,8 +210,10 @@ def validate_store_args(
             f"runner_id {runner_id!r} may only contain letters, digits, "
             f"'.', '_' and '-' (it names files in the store)"
         )
-    if not isinstance(lease_s, (int, float)) or not lease_s > 0:
-        raise ValueError(f"lease_s must be a positive number, got {lease_s!r}")
+    if not isinstance(lease_s, (int, float)) or not 0 < lease_s < math.inf:
+        raise ValueError(
+            f"lease_s must be a finite positive number, got {lease_s!r}"
+        )
 
 
 def result_digest(serialized: Dict[str, object]) -> str:

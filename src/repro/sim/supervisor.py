@@ -33,8 +33,9 @@ runs deterministic shards (seeded partitioning and min-merge from
 
 There is one driver: every campaign runs over a shard store.  A caller
 that passes none gets a private one in a temporary directory (on tmpfs
-where the host has it), removed on every exit path.  Workers receive the
-good-machine response by ``fork`` copy-on-write.
+where the host has it), removed on every exit path.  Every shard attempt
+is graded by :func:`_grade_shard` on the caller's compiled simulator,
+which workers inherit with the good response by ``fork`` copy-on-write.
 
 The failure modes are exercised deterministically by
 :mod:`repro.sim.chaos`; ``tests/test_supervisor.py`` asserts that the
@@ -44,11 +45,13 @@ injected schedule.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import tempfile
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..faults.model import StuckAtFault
@@ -75,7 +78,6 @@ from .chaos import (
     HostChaosPlan,
 )
 from .dispatch import (
-    FaultSimBackend,
     default_partition_count,
     merge_results,
     partition_faults,
@@ -85,7 +87,6 @@ from .dispatch import (
 from .faultsim import (
     RECOVERY_COUNTERS,
     FaultSimResult,
-    FaultSimulator,
     unique_faults,
 )
 from .store import CampaignKey, Lease, ShardStore, StoreCorruptionError
@@ -93,6 +94,10 @@ from .store import CampaignKey, Lease, ShardStore, StoreCorruptionError
 #: Name prefix of the private store directory a run without ``store=``
 #: creates and always removes.
 PRIVATE_STORE_PREFIX = "repro-campaign-"
+
+#: Longest the supervision loop blocks on its workers between looks at
+#: leases, retry backoff, deadlines and peers.
+WAIT_S = 0.01
 
 
 @dataclass
@@ -111,18 +116,16 @@ class SupervisorConfig:
     max_retries: int = 2
     backoff_s: float = 0.05
     inline_fallback: bool = True
-    poll_interval_s: float = 0.01
 
     def validate(self) -> None:
-        if self.timeout_s is not None and self.timeout_s <= 0:
+        # Reject NaN too: a NaN deadline or backoff never elapses.
+        if self.timeout_s is not None and not self.timeout_s > 0:
             raise ValueError(f"timeout_s must be positive, got {self.timeout_s}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_s < 0:
-            raise ValueError(f"backoff_s must be >= 0, got {self.backoff_s}")
-        if self.poll_interval_s <= 0:
+        if not 0 <= self.backoff_s < math.inf:
             raise ValueError(
-                f"poll_interval_s must be positive, got {self.poll_interval_s}"
+                f"backoff_s must be finite and >= 0, got {self.backoff_s}"
             )
 
 
@@ -158,40 +161,40 @@ def validate_partial(
     return None
 
 
-def _supervised_worker(conn, index, attempt, shard, drop, netlist,
-                       meta, chaos, good_chunks) -> None:
+def _grade_shard(simulator, chaos, index, attempt, shard, drop, good_chunks,
+                 n_patterns, inline=False) -> FaultSimResult:
+    """Grade one shard attempt, in a worker or inline: chaos pre-hook,
+    cone propagation over ``good_chunks`` (bigint words, so the
+    simulator's cache and kernel go untouched), chaos corruption."""
+    if chaos is not None:
+        chaos.execute_pre(index, attempt, inline=inline)
+    partial = simulator._simulate_ppsfp(
+        None, shard, drop, good_chunks=good_chunks, n_patterns=n_patterns
+    )
+    if chaos is not None:
+        partial = chaos.corrupt_result(index, attempt, partial, n_patterns)
+    return partial
+
+
+def _supervised_worker(conn, simulator, chaos, index, attempt, shard, drop,
+                       good_chunks, n_patterns) -> None:
     """Worker entry: grade one shard, send (status, payload), exit.
 
-    Runs in its own process; the netlist and the shared good-machine
-    response arrive by copy-on-write under ``fork`` (pickled under
-    ``spawn``).  Any exception — including injected chaos — is reported
-    as an ``error`` message so the supervisor need not wait for a timeout
-    to learn about it.
+    Any exception — including injected chaos — is reported as an
+    ``error`` message so the supervisor need not wait for a timeout to
+    learn about it.
     """
     status, payload = "error", "worker exited without result"
-    n_patterns = meta["n_patterns"]
     try:
         log = EventLog()
         log.emit(
             PARTITION_BEGIN, "partition",
             partition=index, attempt=attempt, faults=len(shard),
         )
-        if chaos is not None:
-            chaos.execute_pre(index, attempt)
-        # Workers only propagate cones over the shipped good response,
-        # which is bigint words under either kernel, so no numpy pass is
-        # ever built here.
-        simulator = FaultSimulator(
-            netlist, word_width=meta["word_width"], cache=None
+        partial = _grade_shard(
+            simulator, chaos, index, attempt, shard, drop, good_chunks,
+            n_patterns,
         )
-        partial = simulator._simulate_ppsfp(
-            None, shard, drop, good_chunks=good_chunks, n_patterns=n_patterns
-        )
-        if chaos is not None:
-            partial = chaos.corrupt_result(index, attempt, partial, n_patterns)
-        # After chaos corruption, so the registry describes the partial as
-        # actually shipped (a rejected partial's metrics die with it).
-        partial.stats["metrics"] = partition_metrics(partial)
         log.emit(
             PARTITION_END, "partition",
             partition=index, attempt=attempt, detected=len(partial.detected),
@@ -244,7 +247,7 @@ class _Campaign:
         self.attempts_used[index] = attempt + 1
 
 
-class SupervisedPoolBackend(FaultSimBackend):
+class SupervisedPoolBackend:
     """Fault-tolerant multiprocess PPSFP over deterministic partitions.
 
     ``jobs`` (worker processes, default: CPU count), ``seed`` (the
@@ -376,12 +379,12 @@ class SupervisedPoolBackend(FaultSimBackend):
             return
         poison(slot, payload)
 
-    def _spawn(self, simulator, meta, campaign, index, attempt, good_chunks):
+    def _spawn(self, simulator, campaign, index, attempt, good_chunks):
         """Start one worker process for one shard attempt.
 
-        ``good_chunks`` reaches the worker free under ``fork``
-        (copy-on-write), pickled through the process args on platforms
-        without it.
+        ``simulator`` and ``good_chunks`` reach the worker free under
+        ``fork`` (copy-on-write), pickled through the process args on
+        platforms without it (the simulator then recompiles there).
         """
         if self.chaos is not None:
             mode = self.chaos.mode_for(index, attempt)
@@ -397,9 +400,9 @@ class SupervisedPoolBackend(FaultSimBackend):
         process = context.Process(
             target=_supervised_worker,
             args=(
-                child_conn, index, attempt, campaign.shards[index],
-                campaign.drop, simulator.netlist, meta, self.chaos,
-                good_chunks,
+                child_conn, simulator, self.chaos, index, attempt,
+                campaign.shards[index], campaign.drop, good_chunks,
+                campaign.n_patterns,
             ),
             daemon=True,
         )
@@ -460,19 +463,12 @@ class SupervisedPoolBackend(FaultSimBackend):
                 partition=index, attempt=inline_attempt, reason=reason[:200],
             )
             try:
-                if self.chaos is not None:
-                    self.chaos.execute_pre(index, inline_attempt, inline=True)
-                partial = simulator._simulate_ppsfp(
-                    None, shard, campaign.drop,
-                    good_chunks=good_chunks, n_patterns=n_patterns,
+                partial = _grade_shard(
+                    simulator, self.chaos, index, inline_attempt, shard,
+                    campaign.drop, good_chunks, n_patterns, inline=True,
                 )
-                if self.chaos is not None:
-                    partial = self.chaos.corrupt_result(
-                        index, inline_attempt, partial, n_patterns
-                    )
                 invalid = validate_partial(partial, shard, n_patterns)
                 if invalid is None:
-                    partial.stats["metrics"] = partition_metrics(partial)
                     record(index, partial, "inline", inline_attempt)
                     return True
                 reason = f"inline fallback invalid result: {invalid}"
@@ -519,9 +515,9 @@ class SupervisedPoolBackend(FaultSimBackend):
         against a store it (or anyone) already partly filled grades only
         what is missing.  Three properties, each load-bearing:
 
-        * the good-machine response reaches workers by ``fork``
-          copy-on-write, so a host-level ``kill`` injection (``os._exit``)
-          leaves no shared resource behind;
+        * the compiled simulator and good-machine response reach workers
+          by ``fork`` copy-on-write, so a host-level ``kill`` injection
+          (``os._exit``) leaves no shared resource behind;
         * grading runs in child processes, so this supervision loop stays
           free to renew leases however long a shard takes;
         * the final merge reads *only* the store's published result files —
@@ -546,7 +542,6 @@ class SupervisedPoolBackend(FaultSimBackend):
             if self.host_chaos is not None
             else None
         )
-        meta = {"n_patterns": n_patterns, "word_width": simulator.word_width}
 
         leases: Dict[int, Lease] = {}
         abandoned: set = set()
@@ -619,9 +614,7 @@ class SupervisedPoolBackend(FaultSimBackend):
             if store.publish(index, partial):
                 state["wins"] += 1
             state["published"] += 1
-            lease = leases.pop(index, None)
-            if lease is not None:
-                store.release(lease)
+            leases.pop(index, None)  # publish dropped the lease file
             events.emit(
                 HEARTBEAT, "progress",
                 partition=index,
@@ -736,8 +729,7 @@ class SupervisedPoolBackend(FaultSimBackend):
                         continue
                     running.append(
                         self._spawn(
-                            simulator, meta, campaign, index, attempt,
-                            good_chunks(),
+                            simulator, campaign, index, attempt, good_chunks()
                         )
                     )
 
@@ -763,7 +755,12 @@ class SupervisedPoolBackend(FaultSimBackend):
                         )
                         if not live_peer:
                             break  # graceful degradation: lower bound
-                time.sleep(self.config.poll_interval_s)
+                # Wake as soon as a worker reports or dies.
+                wait(
+                    [slot.conn for slot in running]
+                    + [slot.process.sentinel for slot in running],
+                    WAIT_S,
+                )
         except BaseException:
             # KeyboardInterrupt or anything else: reap children, give the
             # held leases back immediately (peers — or this runner's next
@@ -836,9 +833,7 @@ class SupervisedPoolBackend(FaultSimBackend):
 
     @staticmethod
     def _context():
-        # fork shares the parent's netlist and good-machine response for
-        # free (copy-on-write); platforms without fork pickle both through
-        # the Process args.
+        # fork shares the parent's simulator and good response for free.
         try:
             return multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -876,9 +871,7 @@ class SupervisedPoolBackend(FaultSimBackend):
         for index in sorted(results):
             partial = results[index]
             stats = partial.stats
-            # A partial without worker metrics gets its registry rebuilt
-            # from the kept stats so the merge stays total.
-            merged.merge_dict(stats.get("metrics") or partition_metrics(partial))
+            merged.merge_dict(partition_metrics(partial))
             row = {
                 "partition": index,
                 "faults": len(campaign.shards[index]),
@@ -911,7 +904,7 @@ class SupervisedPoolBackend(FaultSimBackend):
             faults_simulated=result.total_faults,
             n_partitions=len(campaign.shards),
             partitions=per_partition,
-            # Derived from the merged worker registries rather than the raw
+            # Derived from the merged per-shard registries rather than the raw
             # partition list: the production totals ride the same
             # associative merge the observability layer guarantees.
             events_propagated=merged.counter("faultsim.events_propagated").value,

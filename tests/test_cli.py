@@ -276,6 +276,8 @@ class TestSupervisedCampaigns:
             ["--store", "S", "--lease-s", "0"],
             ["--store", "S", "--host-chaos", "r0:frobnicate"],
             ["--store", "S", "--host-chaos", "r0"],     # missing mode
+            ["--store", "S", "--lease-s", "inf"],       # never stolen
+            ["--timeout", "nan"],                       # never trips
         ],
     )
     def test_store_invalid_arguments_exit_two(

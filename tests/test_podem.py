@@ -156,6 +156,9 @@ class TestTimeBudget:
     def test_negative_budget_rejected(self, c17):
         with pytest.raises(ValueError, match="time_budget_s"):
             Podem(c17, time_budget_s=-1.0)
+        # A NaN budget would make every deadline comparison false.
+        with pytest.raises(ValueError, match="time_budget_s"):
+            Podem(c17, time_budget_s=float("nan"))
 
     def test_run_atpg_counts_timeouts_separately(self):
         from repro.atpg.engine import run_atpg

@@ -487,7 +487,7 @@ def _run_runner(root, runner_id, netlist, patterns, faults, queue,
     store = ShardStore(root, runner_id=runner_id, lease_s=lease_s)
     backend = SupervisedPoolBackend(
         jobs=jobs, seed=0, partitions=partitions,
-        config=SupervisorConfig(poll_interval_s=0.005),
+        config=SupervisorConfig(),
         store=store, host_chaos=host_chaos,
     )
     result = FaultSimulator(netlist).simulate(patterns, faults, engine=backend)
@@ -737,7 +737,7 @@ class TestStoreCampaigns:
         store = ShardStore(str(tmp_path), runner_id="r0", lease_s=5.0)
         backend = SupervisedPoolBackend(
             jobs=2, seed=0, partitions=4,
-            config=SupervisorConfig(poll_interval_s=0.005),
+            config=SupervisorConfig(),
             store=store,
             host_chaos=HostChaosPlan.single(
                 "r0", "partition", after=1, duration_s=0.3

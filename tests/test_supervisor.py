@@ -10,6 +10,7 @@ a traceback.
 """
 
 import multiprocessing
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +42,13 @@ def _assert_identical(result, reference):
     assert result.detected == reference.detected
     assert result.undetected == reference.undetected
     assert result.total_faults == reference.total_faults
+
+
+def _assert_nothing_recovered(result):
+    # Identity alone is not enough: the inline fallback rescues a broken
+    # worker path bit-identically.
+    for counter in ("worker_crashes", "retries", "inline_fallbacks"):
+        assert result.stats[counter] == 0, counter
 
 
 class TestCleanRuns:
@@ -256,6 +264,57 @@ class TestValidation:
             ChaosPlan(schedule={0: ("explode",)})
         with pytest.raises(ValueError, match="partition index"):
             ChaosPlan(schedule={-1: ("crash",)})
+        # A NaN deadline never trips and a NaN backoff never elapses, so
+        # either would leave a hung or retried shard waiting forever.
+        for name in ("timeout_s", "backoff_s"):
+            with pytest.raises(ValueError, match=name):
+                SupervisorConfig(**{name: float("nan")}).validate()
+
+
+class TestWorkersShareTheSimulator:
+    """Workers grade on the caller's compiled simulator, never their own."""
+
+    def test_workers_build_no_simulator(self, monkeypatch):
+        simulator, faults, patterns, reference = _setup()
+
+        def no_build(self, *args, **kwargs):
+            raise RuntimeError("a FaultSimulator was built mid-campaign")
+
+        # Inherited by the forked workers: a worker that builds its own
+        # simulator fails, and only the inline fallback would rescue it.
+        monkeypatch.setattr(FaultSimulator, "__init__", no_build)
+        result = SupervisedPoolBackend(jobs=2, partitions=4).run(
+            simulator, patterns, faults
+        )
+        _assert_identical(result, reference)
+        _assert_nothing_recovered(result)
+
+    def test_spawn_context_grades_identically(self, monkeypatch):
+        """Without fork the simulator is pickled to the worker."""
+        simulator, faults, patterns, reference = _setup(n_gates=25, n_patterns=32)
+        monkeypatch.setattr(
+            SupervisedPoolBackend, "_context",
+            staticmethod(lambda: multiprocessing.get_context("spawn")),
+        )
+        result = SupervisedPoolBackend(jobs=2, partitions=2).run(
+            simulator, patterns, faults
+        )
+        _assert_identical(result, reference)
+        _assert_nothing_recovered(result)
+
+    @pytest.mark.parametrize("width", [1, 64])
+    def test_pickled_simulator_grades_identically(self, width):
+        netlist = generators.random_circuit(6, 40, seed=7)
+        simulator = FaultSimulator(netlist, word_width=width)
+        faults, _ = collapse_faults(netlist, full_fault_list(netlist))
+        patterns = random_patterns(simulator.view.num_inputs, 96, seed=7)
+        copy = pickle.loads(pickle.dumps(simulator))
+        assert copy.word_width == width
+        for drop in (True, False):
+            _assert_identical(
+                copy.simulate(patterns, faults, drop=drop),
+                simulator.simulate(patterns, faults, drop=drop),
+            )
 
 
 class TestChaosPlan:
