@@ -38,7 +38,7 @@ def _a1_warmup():
             for chain in range(config.n_chains)
             if equations[cycle][chain] == 0
         )
-        success = dict(encoding_probability(config, [16], seed=3))[16]
+        success = dict(encoding_probability(decompressor, [16], seed=3))[16]
         rows.append(
             {
                 "warmup_cycles": warmup,

@@ -10,7 +10,7 @@ Regenerates: success-rate series over care-bit counts for 1/2/4-channel
 configurations of the same decompressor.
 """
 
-from repro.compression.decompressor import EdtConfig, encoding_probability
+from repro.compression.decompressor import Decompressor, EdtConfig, encoding_probability
 
 from .util import print_series, run_once
 
@@ -27,7 +27,7 @@ def _run():
             generator_length=24,
         )
         series[n_channels] = dict(
-            encoding_probability(config, CARE_COUNTS, seed=7)
+            encoding_probability(Decompressor(config), CARE_COUNTS, seed=7)
         )
     return series
 

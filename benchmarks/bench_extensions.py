@@ -18,11 +18,8 @@ from repro.atpg import run_atpg
 from repro.atpg.timeframe import run_sequential_atpg
 from repro.bist.lbist import StumpsController, run_weighted_lbist
 from repro.circuit import benchmarks, generators
-from repro.compression.decompressor import EdtConfig, encoding_probability
-from repro.compression.reseeding import (
-    ReseedingConfig,
-    reseeding_encoding_probability,
-)
+from repro.compression.decompressor import Decompressor, EdtConfig, encoding_probability
+from repro.compression.reseeding import ReseedingCompressor, ReseedingConfig
 from repro.dft.access import Instrument, access_schedule_comparison
 from repro.dft.economics import coverage_dppm_table, poisson_yield
 from repro.faults import collapse_faults, full_fault_list
@@ -36,8 +33,8 @@ def _x1_reseeding():
     counts = [8, 16, 24, 32, 40, 56]
     reseed_config = ReseedingConfig(lfsr_length=32, n_chains=8, chain_length=16)
     edt_config = EdtConfig(n_channels=2, n_chains=8, chain_length=16)
-    reseed = dict(reseeding_encoding_probability(reseed_config, counts, seed=4))
-    edt = dict(encoding_probability(edt_config, counts, seed=4))
+    reseed = dict(encoding_probability(ReseedingCompressor(reseed_config), counts, seed=4))
+    edt = dict(encoding_probability(Decompressor(edt_config), counts, seed=4))
     return [
         {"care_bits": c, "reseeding_32b_seed": reseed[c], "edt_2ch": edt[c]}
         for c in counts

@@ -89,7 +89,7 @@ class StumpsController:
                 (self._prpg.state >> bit) & 1
                 for bit in range(self.config.prpg_length)
             ]
-            patterns.append(self._shifter.concrete(cells))
+            patterns.append(self._shifter.xor(cells))
         return patterns
 
     def good_signature(self, patterns: Sequence[Sequence[int]]) -> int:

@@ -1,15 +1,16 @@
 """Test compression: GF(2) solving, linear generators, EDT, compactors, MISR."""
 
-from .compactor import CompactorConfig, XorCompactor, greedy_x_mask
-from .decompressor import Decompressor, EdtConfig, encoding_probability
+from .compactor import CompactorConfig, SpatialCompactor, XorCompactor, greedy_x_mask
+from .decompressor import (
+    Decompressor,
+    EdtConfig,
+    LinearDecompressor,
+    encoding_probability,
+)
 from .edt import EdtEncodingResult, EdtSystem, EncodedPattern
 from .flow import CompressedAtpgResult, run_compressed_atpg
 from .gf2 import GF2System, dot_bits, rank_of, solve_system
-from .reseeding import (
-    ReseedingCompressor,
-    ReseedingConfig,
-    reseeding_encoding_probability,
-)
+from .reseeding import ReseedingCompressor, ReseedingConfig
 from .lfsr import LFSR, PhaseShifter, RingGenerator, primitive_taps
 from .misr import MISR, measure_aliasing, theoretical_aliasing_probability
 from .xcompact import XCompactConfig, XCompactor, minimum_channels
@@ -24,9 +25,11 @@ __all__ = [
     "PhaseShifter",
     "primitive_taps",
     "EdtConfig",
+    "LinearDecompressor",
     "Decompressor",
     "encoding_probability",
     "CompactorConfig",
+    "SpatialCompactor",
     "XorCompactor",
     "greedy_x_mask",
     "MISR",
@@ -39,7 +42,6 @@ __all__ = [
     "EncodedPattern",
     "ReseedingConfig",
     "ReseedingCompressor",
-    "reseeding_encoding_probability",
     "XCompactConfig",
     "XCompactor",
     "minimum_channels",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Set
 
 from ..circuit.values import ONE, X, ZERO
 
@@ -43,12 +43,16 @@ class CompactorConfig:
         return [sorted(group) for group in groups]
 
 
-class XorCompactor:
-    """Spatial XOR compactor over per-cycle chain slices."""
+class SpatialCompactor:
+    """XOR space compactor: channel ``c`` outputs the XOR of the chains in
+    ``channel_chains[c]``, per shift cycle."""
 
-    def __init__(self, config: CompactorConfig):
-        self.config = config
-        self.groups = config.groups()
+    def __init__(self, channel_chains: Sequence[Sequence[int]]):
+        self.channel_chains = [list(chains) for chains in channel_chains]
+
+    @property
+    def n_channels(self) -> int:
+        return len(self.channel_chains)
 
     def compact_slice(
         self, chain_bits: Sequence[int], mask: Optional[Sequence[int]] = None
@@ -59,9 +63,9 @@ class XorCompactor:
         chain entirely, turning its contribution into constant 0.
         """
         outputs: List[int] = []
-        for group in self.groups:
+        for chains in self.channel_chains:
             acc = ZERO
-            for chain in group:
+            for chain in chains:
                 bit = chain_bits[chain]
                 if mask is not None and not mask[chain]:
                     continue
@@ -78,18 +82,38 @@ class XorCompactor:
         mask: Optional[Sequence[int]] = None,
     ) -> List[List[int]]:
         """Compact a full unload: ``streams[chain][cycle]`` -> per-cycle
-        channel vectors."""
+        channel vectors (short chains pad with 0)."""
         if not chain_streams:
             return []
         n_cycles = max(len(stream) for stream in chain_streams)
-        compacted: List[List[int]] = []
-        for cycle in range(n_cycles):
-            chain_bits = [
-                stream[cycle] if cycle < len(stream) else ZERO
-                for stream in chain_streams
-            ]
-            compacted.append(self.compact_slice(chain_bits, mask))
-        return compacted
+        return [
+            self.compact_slice(
+                [
+                    stream[cycle] if cycle < len(stream) else ZERO
+                    for stream in chain_streams
+                ],
+                mask,
+            )
+            for cycle in range(n_cycles)
+        ]
+
+    def syndrome(
+        self,
+        good_streams: Sequence[Sequence[int]],
+        faulty_streams: Sequence[Sequence[int]],
+        mask: Optional[Sequence[int]] = None,
+    ) -> Set[int]:
+        """Channels whose compacted faulty response differs from good on
+        some cycle.  X positions compare as equal — the tester masks them.
+        """
+        good = self.compact_unload(good_streams, mask)
+        faulty = self.compact_unload(faulty_streams, mask)
+        return {
+            channel
+            for good_slice, faulty_slice in zip(good, faulty)
+            for channel, (g, f) in enumerate(zip(good_slice, faulty_slice))
+            if g != X and f != X and g != f
+        }
 
     def observable_difference(
         self,
@@ -97,18 +121,17 @@ class XorCompactor:
         faulty_streams: Sequence[Sequence[int]],
         mask: Optional[Sequence[int]] = None,
     ) -> bool:
-        """Would the compacted faulty response differ observably from good?
+        """Would the compacted faulty response differ observably from good?"""
+        return bool(self.syndrome(good_streams, faulty_streams, mask))
 
-        A difference is observable only where both compacted values are
-        known (X positions compare as equal — the tester masks them).
-        """
-        good = self.compact_unload(good_streams, mask)
-        faulty = self.compact_unload(faulty_streams, mask)
-        for good_slice, faulty_slice in zip(good, faulty):
-            for g, f in zip(good_slice, faulty_slice):
-                if g != X and f != X and g != f:
-                    return True
-        return False
+
+class XorCompactor(SpatialCompactor):
+    """Each chain feeds one channel: a balanced partition into XOR groups."""
+
+    def __init__(self, config: CompactorConfig):
+        self.config = config
+        self.groups = config.groups()
+        super().__init__(self.groups)
 
 
 def greedy_x_mask(chain_x_density: Sequence[float], budget: int) -> List[int]:

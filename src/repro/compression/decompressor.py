@@ -16,11 +16,15 @@ Encoding succeeds with high probability while care bits ≤ ~(variables − 20)
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .gf2 import GF2System, dot_bits
+from .gf2 import GF2System
 from .lfsr import PhaseShifter, RingGenerator
+
+#: ``{(chain, position): value}``; position 0 is the cell next to scan-in.
+CareBits = Dict[Tuple[int, int], int]
 
 
 @dataclass(frozen=True)
@@ -47,8 +51,80 @@ class EdtConfig:
         return self.n_chains * self.chain_length
 
 
-class Decompressor:
-    """Symbolic + concrete model of the EDT stimulus path."""
+class LinearDecompressor:
+    """A stimulus decompressor that is linear over GF(2).
+
+    Each chain input, at each shift cycle, is an XOR of the decompressor's
+    input variables, so encoding a cube is one linear solve.  A subclass
+    supplies both views of its datapath: ``_symbolic_cycles()`` returns the
+    variable mask entering each chain per shift cycle (built once, here),
+    and ``_concrete_cycles(variables)`` yields the chain input bits per
+    cycle, simulated from concrete inputs.  The concrete path never reads
+    the equations, so :meth:`verify` is an independent check of
+    :meth:`solve_cube`.
+    """
+
+    def __init__(self, n_chains: int, chain_length: int, n_variables: int):
+        self.n_chains = n_chains
+        self.chain_length = chain_length
+        self.n_variables = n_variables
+        self._equations = self._symbolic_cycles()
+
+    def cell_equations(self) -> List[List[int]]:
+        """``equations[cycle][chain]`` — variable bitmask loaded into chain
+        input at shift ``cycle`` (which lands in cell ``chain_length-1-cycle``
+        counted from scan-in)."""
+        return self._equations
+
+    def _system(
+        self, care_items: Iterable[Tuple[Tuple[int, int], int]]
+    ) -> Optional[GF2System]:
+        """Eliminate ``((chain, position), value)`` care bits in order;
+        None at the first one that contradicts the ones before it."""
+        system = GF2System(self.n_variables)
+        for (chain, position), value in care_items:
+            if not (0 <= chain < self.n_chains and 0 <= position < self.chain_length):
+                raise ValueError(f"cell ({chain}, {position}) out of range")
+            # The bit entering at shift cycle c ends at position L-1-c.
+            row = self._equations[self.chain_length - 1 - position][chain]
+            if not system.add_equation(row, value):
+                return None
+        return system
+
+    def solve_cube(self, care_bits: CareBits) -> Optional[List[int]]:
+        """Solve for input variables reproducing ``{(chain, position): value}``.
+
+        ``position`` counts from scan-in: the flop adjacent to scan-in is
+        position 0 and receives the *last* shifted bit.  Returns one bit per
+        variable, or None when the cube is not encodable.
+        """
+        system = self._system(sorted(care_bits.items()))
+        return None if system is None else system.solve()
+
+    def expand(self, variables) -> List[List[int]]:
+        """Concrete decompression: returns ``load[chain][position]``.
+
+        Position 0 is the cell next to scan-in, matching
+        :meth:`solve_cube`'s coordinates.
+        """
+        loads = [[0] * self.chain_length for _ in range(self.n_chains)]
+        for cycle, chain_bits in enumerate(self._concrete_cycles(variables)):
+            position = self.chain_length - 1 - cycle
+            for chain, bit in enumerate(chain_bits):
+                loads[chain][position] = bit
+        return loads
+
+    def verify(self, care_bits: CareBits, variables) -> bool:
+        """Check an expansion honours every care bit (test helper)."""
+        loads = self.expand(variables)
+        return all(
+            loads[chain][position] == value
+            for (chain, position), value in care_bits.items()
+        )
+
+
+class Decompressor(LinearDecompressor):
+    """EDT stimulus path: injector-fed ring generator into a phase shifter."""
 
     def __init__(self, config: EdtConfig):
         self.config = config
@@ -61,132 +137,70 @@ class Decompressor:
             taps_per_output=config.phase_taps,
             seed=config.seed + 1,
         )
+        super().__init__(
+            config.n_chains, config.chain_length, config.variables_per_pattern
+        )
 
-    # ------------------------------------------------------------------
-    # Symbolic: cell equations
-    # ------------------------------------------------------------------
-
-    def cell_equations(self) -> List[List[int]]:
-        """``equations[cycle][chain]`` — variable bitmask loaded into chain
-        input at shift ``cycle`` (which lands in cell ``chain_length-1-cycle``
-        counted from scan-in).
-
-        The generator is clocked once *before* each shift use, so injected
-        bits immediately influence the same-cycle chain inputs.
-        """
+    def _symbolic_cycles(self) -> List[List[int]]:
+        # The generator is clocked once *before* each shift use, so injected
+        # bits immediately influence the same-cycle chain inputs.
         self.generator.reset()
         for _ in range(self.config.warmup_cycles):
             self.generator.step_symbolic()
         per_cycle: List[List[int]] = []
-        for _ in range(self.config.chain_length):
+        for _ in range(self.chain_length):
             self.generator.step_symbolic()
-            per_cycle.append(self.shifter.symbolic(self.generator.symbolic))
+            per_cycle.append(self.shifter.xor(self.generator.symbolic))
         return per_cycle
 
-    def solve_cube(
-        self, care_bits: Dict[Tuple[int, int], int]
-    ) -> Optional[List[int]]:
-        """Solve for channel inputs reproducing ``{(chain, position): value}``.
-
-        ``position`` counts from scan-in: the flop adjacent to scan-in is
-        position 0 and receives the *last* shifted bit.  Returns the
-        variable assignment (one bit per channel per cycle) or None when
-        the cube is not encodable.
-        """
-        equations = self.cell_equations()
-        chain_length = self.config.chain_length
-        system = GF2System(self.config.variables_per_pattern)
-        for (chain, position), value in sorted(care_bits.items()):
-            if not 0 <= chain < self.config.n_chains:
-                raise ValueError(f"chain {chain} out of range")
-            if not 0 <= position < chain_length:
-                raise ValueError(f"cell position {position} out of range")
-            # The bit entering at shift cycle c ends at position L-1-c.
-            cycle = chain_length - 1 - position
-            if not system.add_equation(equations[cycle][chain], value):
-                return None
-        return system.solve()
-
-    # ------------------------------------------------------------------
-    # Concrete: expand channel data to scan loads
-    # ------------------------------------------------------------------
+    def _concrete_cycles(self, variables: Sequence[int]) -> Iterator[List[int]]:
+        stream = self.variables_to_channel_stream(variables)
+        warmup = self.config.warmup_cycles
+        self.generator.reset()
+        for channel_bits in stream[:warmup]:
+            self.generator.step_concrete(channel_bits)
+        for channel_bits in stream[warmup:]:
+            self.generator.step_concrete(channel_bits)
+            yield self.shifter.xor(self.generator.state_bits)
 
     def variables_to_channel_stream(
         self, variables: Sequence[int]
     ) -> List[List[int]]:
         """Reshape the flat solution into ``stream[cycle][channel]``."""
         n = self.config.n_channels
-        total_cycles = self.config.chain_length + self.config.warmup_cycles
         return [
-            list(variables[cycle * n : (cycle + 1) * n])
-            for cycle in range(total_cycles)
+            list(variables[start : start + n])
+            for start in range(0, self.n_variables, n)
         ]
-
-    def expand(self, variables: Sequence[int]) -> List[List[int]]:
-        """Concrete decompression: returns ``load[chain][position]``.
-
-        Position 0 is the cell next to scan-in, matching
-        :meth:`solve_cube`'s coordinates.
-        """
-        stream = self.variables_to_channel_stream(variables)
-        self.generator.reset()
-        loads: List[List[int]] = [
-            [0] * self.config.chain_length for _ in range(self.config.n_chains)
-        ]
-        warmup = self.config.warmup_cycles
-        for cycle in range(warmup):
-            self.generator.step_concrete(stream[cycle])
-        for cycle in range(self.config.chain_length):
-            self.generator.step_concrete(stream[warmup + cycle])
-            chain_bits = self.shifter.concrete(self.generator.state_bits)
-            position = self.config.chain_length - 1 - cycle
-            for chain in range(self.config.n_chains):
-                loads[chain][position] = chain_bits[chain]
-        return loads
-
-    def verify(self, care_bits: Dict[Tuple[int, int], int], variables: Sequence[int]) -> bool:
-        """Check an expansion honours every care bit (test helper)."""
-        loads = self.expand(variables)
-        return all(
-            loads[chain][position] == value
-            for (chain, position), value in care_bits.items()
-        )
 
 
 def encoding_probability(
-    config: EdtConfig, care_bit_counts: Sequence[int], seed: int = 0
+    decompressor: LinearDecompressor,
+    care_bit_counts: Sequence[int],
+    seed: int = 0,
+    trials: int = 50,
 ) -> List[Tuple[int, float]]:
-    """Monte-Carlo encoding success rate vs. care-bit count (E5 driver).
+    """Monte-Carlo encoding success rate vs. care-bit count (E5/X1 driver).
 
-    For each count, draws random cubes (random cells, random values) and
-    reports the fraction that solve.
+    For each count, draws ``trials`` random cubes (random cells, random
+    values) and reports the fraction that solve.  A cube's values are drawn
+    one care bit at a time and stop at its first contradiction.
     """
-    import random as _random
-
-    rng = _random.Random(seed)
-    decompressor = Decompressor(config)
-    equations = decompressor.cell_equations()
-    chain_length = config.chain_length
-    results: List[Tuple[int, float]] = []
+    rng = random.Random(seed)
     cells = [
         (chain, position)
-        for chain in range(config.n_chains)
-        for position in range(chain_length)
+        for chain in range(decompressor.n_chains)
+        for position in range(decompressor.chain_length)
     ]
-    trials = 50
+    results: List[Tuple[int, float]] = []
     for count in care_bit_counts:
         count = min(count, len(cells))
-        successes = 0
-        for _ in range(trials):
-            chosen = rng.sample(cells, count)
-            system = GF2System(config.variables_per_pattern)
-            ok = True
-            for chain, position in chosen:
-                cycle = chain_length - 1 - position
-                if not system.add_equation(equations[cycle][chain], rng.randint(0, 1)):
-                    ok = False
-                    break
-            if ok:
-                successes += 1
+        successes = sum(
+            decompressor._system(
+                (cell, rng.randint(0, 1)) for cell in rng.sample(cells, count)
+            )
+            is not None
+            for _ in range(trials)
+        )
         results.append((count, successes / trials))
     return results

@@ -33,6 +33,11 @@ class EncodedPattern:
     channel_stream: List[List[int]]  # [cycle][channel]
     expanded_state: List[int]  # decompressed flop load, netlist flop order
 
+    @property
+    def pattern(self) -> List[int]:
+        """The full-scan-view pattern applied on silicon."""
+        return self.pi_bits + self.expanded_state
+
 
 @dataclass
 class EdtEncodingResult:
@@ -114,18 +119,19 @@ class EdtSystem:
             if variables is None:
                 result.failed_cubes.append(index)
                 continue
-            stream = self.decompressor.variables_to_channel_stream(variables)
-            loads = self.decompressor.expand(variables)
-            state = self.loads_to_state(loads)
             pi_filled = [0 if v == X else v for v in pi_part]
-            result.encoded.append(
-                EncodedPattern(
-                    pi_bits=pi_filled,
-                    channel_stream=stream,
-                    expanded_state=state,
-                )
-            )
+            result.encoded.append(self.encoded_pattern(variables, pi_filled))
         return result
+
+    def encoded_pattern(
+        self, variables: Sequence[int], pi_bits: List[int]
+    ) -> EncodedPattern:
+        """The pattern that channel data ``variables`` plus ``pi_bits`` apply."""
+        return EncodedPattern(
+            pi_bits=pi_bits,
+            channel_stream=self.decompressor.variables_to_channel_stream(variables),
+            expanded_state=self.loads_to_state(self.decompressor.expand(variables)),
+        )
 
     def loads_to_state(self, loads: Sequence[Sequence[int]]) -> List[int]:
         """Convert per-chain cell loads into netlist flop order."""
@@ -141,9 +147,7 @@ class EdtSystem:
         These are what actually gets applied on silicon — fault simulation
         of them grades the compressed test.
         """
-        return [
-            encoded.pi_bits + encoded.expanded_state for encoded in result.encoded
-        ]
+        return [encoded.pattern for encoded in result.encoded]
 
     # ------------------------------------------------------------------
     # Response side

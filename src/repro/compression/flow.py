@@ -124,28 +124,18 @@ def run_compressed_atpg(
     # ------------------------------------------------------------------
     n_vars = edt.config.variables_per_pattern
     with obs.span("compression_random"):
-        candidates, patterns = [], []
+        candidates = []
         for _ in range(random_pattern_budget):
             variables = [rng.randint(0, 1) for _ in range(n_vars)]
-            state = edt.loads_to_state(edt.decompressor.expand(variables))
             pi_bits = [rng.randint(0, 1) for _ in range(n_pi)]
-            candidates.append((variables, pi_bits, state))
-            patterns.append(pi_bits + state)
+            candidates.append(edt.encoded_pattern(variables, pi_bits))
+        patterns = [candidate.pattern for candidate in candidates]
         # Grade once; keep each first detection's pattern.  Candidates drawn
         # after the last fault falls shift no later draw: phase 2 has none.
         sim = simulator.simulate(patterns, faults, drop=True)
         for index in sorted(set(sim.detected.values())):
-            variables, pi_bits, state = candidates[index]
             result.applied_patterns.append(patterns[index])
-            result.encoded.append(
-                EncodedPattern(
-                    pi_bits=pi_bits,
-                    channel_stream=edt.decompressor.variables_to_channel_stream(
-                        variables
-                    ),
-                    expanded_state=state,
-                )
-            )
+            result.encoded.append(candidates[index])
         result.detected = len(sim.detected)
         remaining = sim.undetected
 
@@ -177,21 +167,10 @@ def run_compressed_atpg(
                 pattern = x_fill(cube, rng, "random")
                 result.bypass_patterns.append(pattern)
             else:
-                loads = edt.decompressor.expand(variables)
-                state = edt.loads_to_state(loads)
-                pi_bits = [
-                    v if v in (0, 1) else rng.randint(0, 1) for v in pi_part
-                ]
-                pattern = pi_bits + state
-                result.encoded.append(
-                    EncodedPattern(
-                        pi_bits=pi_bits,
-                        channel_stream=edt.decompressor.variables_to_channel_stream(
-                            variables
-                        ),
-                        expanded_state=state,
-                    )
-                )
+                pi_bits = [v if v in (0, 1) else rng.randint(0, 1) for v in pi_part]
+                encoded = edt.encoded_pattern(variables, pi_bits)
+                result.encoded.append(encoded)
+                pattern = encoded.pattern
             result.applied_patterns.append(pattern)
             sim = simulator.simulate([pattern], list(undetected), drop=True)
             result.detected += len(sim.detected)

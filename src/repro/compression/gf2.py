@@ -10,7 +10,7 @@ variables.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, KeysView, List, Optional, Sequence, Tuple
 
 
 class GF2System:
@@ -27,6 +27,11 @@ class GF2System:
     @property
     def rank(self) -> int:
         return len(self._pivots)
+
+    @property
+    def pivots(self) -> KeysView[int]:
+        """Variables the equations pin down; every other variable is free."""
+        return self._pivots.keys()
 
     def add_equation(self, row: int, rhs: int) -> bool:
         """Add one equation, eliminating against existing pivots.

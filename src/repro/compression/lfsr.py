@@ -10,8 +10,9 @@ Three linear blocks underpin both LBIST and EDT compression:
   many chain inputs, decorrelating adjacent chains.
 
 Each block can run *concrete* (ints) or *symbolic* (each state bit is a
-GF(2) linear combination of injected variables, encoded as a bitmask).  The
-symbolic mode is what the EDT solver consumes.
+GF(2) linear combination of injected variables, encoded as a bitmask; the
+phase shifter's one XOR method serves both).  The symbolic mode is what the
+EDT solver consumes.
 """
 
 from __future__ import annotations
@@ -113,6 +114,11 @@ class RingGenerator:
         taps: Optional[Sequence[int]] = None,
         seed: int = 0,
     ):
+        if n_channels > length:
+            # A channel without its own injector cell would reach no state bit.
+            raise ValueError(
+                f"{n_channels} channels need {n_channels} generator cells, got {length}"
+            )
         self.length = length
         self.n_channels = n_channels
         self.taps = tuple(taps) if taps is not None else tuple(primitive_taps(length))
@@ -176,18 +182,12 @@ class PhaseShifter:
                     break
             self.rows.append(list(row))
 
-    def concrete(self, cells: Sequence[int]) -> List[int]:
-        """XOR-combine concrete cell values into output bits."""
-        outputs = []
-        for row in self.rows:
-            acc = 0
-            for cell in row:
-                acc ^= cells[cell]
-            outputs.append(acc)
-        return outputs
+    def xor(self, cells: Sequence[int]) -> List[int]:
+        """XOR-combine cells into output values.
 
-    def symbolic(self, cells: Sequence[int]) -> List[int]:
-        """XOR-combine symbolic bitmasks into output masks."""
+        Cells are 0/1 bits (concrete) or GF(2) variable bitmasks (symbolic);
+        XOR is the same operation on both.
+        """
         outputs = []
         for row in self.rows:
             acc = 0

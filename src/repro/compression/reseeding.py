@@ -2,19 +2,19 @@
 
 The precursor to EDT: store one LFSR *seed* per test cube; on chip, load
 the seed and free-run the PRPG + phase shifter for a full scan load.  The
-linear algebra mirrors the EDT solve, but the variable pool is fixed at
-the LFSR length — so the seed register must be sized for the *worst-case*
-cube (care bits ≤ L − ~20 for high encoding probability), whereas EDT's
-continuous injection grows variables with shift length.  That structural
+solve is EDT's (both are a :class:`LinearDecompressor`), but the variable
+pool is fixed at the LFSR length — so the seed register must be sized for
+the *worst-case* cube (care bits ≤ L − ~20 for high encoding probability),
+whereas EDT's continuous injection grows variables with shift length.  That structural
 difference is exactly what the reseeding-vs-EDT ablation demonstrates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional
 
-from .gf2 import GF2System
+from .decompressor import CareBits, LinearDecompressor
 from .lfsr import LFSR, PhaseShifter, primitive_taps
 
 
@@ -32,13 +32,9 @@ class ReseedingConfig:
     def variables_per_pattern(self) -> int:
         return self.lfsr_length
 
-    @property
-    def seed_bits_per_pattern(self) -> int:
-        return self.lfsr_length
 
-
-class ReseedingCompressor:
-    """Symbolic + concrete model of seed-per-pattern compression."""
+class ReseedingCompressor(LinearDecompressor):
+    """Seed-per-pattern compression: the variables are the LFSR seed bits."""
 
     def __init__(self, config: ReseedingConfig):
         self.config = config
@@ -49,123 +45,41 @@ class ReseedingCompressor:
             taps_per_output=config.phase_taps,
             seed=config.seed + 1,
         )
+        super().__init__(config.n_chains, config.chain_length, config.lfsr_length)
 
-    # ------------------------------------------------------------------
-    # Symbolic machinery: every state bit is a mask over seed bits.
-    # ------------------------------------------------------------------
-
-    def _symbolic_step(self, state: List[int]) -> List[int]:
-        """One LFSR cycle on symbolic masks (mirrors ``LFSR.step``)."""
-        length = self.config.lfsr_length
-        feedback = 0
-        for tap in self.taps:
-            feedback ^= state[length - tap]
-        return state[1:] + [feedback]
-
-    def cell_equations(self) -> List[List[int]]:
-        """``equations[cycle][chain]`` — seed-bit mask entering each chain."""
+    def _symbolic_cycles(self) -> List[List[int]]:
+        # Each state bit is a mask over seed bits; a cycle mirrors LFSR.step.
         length = self.config.lfsr_length
         state = [1 << bit for bit in range(length)]
         per_cycle: List[List[int]] = []
-        for _ in range(self.config.chain_length):
-            state = self._symbolic_step(state)
-            per_cycle.append(self.shifter.symbolic(state))
+        for _ in range(self.chain_length):
+            feedback = 0
+            for tap in self.taps:
+                feedback ^= state[length - tap]
+            state = state[1:] + [feedback]
+            per_cycle.append(self.shifter.xor(state))
         return per_cycle
 
-    def solve_cube(
-        self, care_bits: Dict[Tuple[int, int], int]
-    ) -> Optional[int]:
-        """Seed value reproducing the cube, or None when not encodable."""
-        equations = self.cell_equations()
-        chain_length = self.config.chain_length
-        system = GF2System(self.config.lfsr_length)
-        for (chain, position), value in sorted(care_bits.items()):
-            if not 0 <= chain < self.config.n_chains:
-                raise ValueError(f"chain {chain} out of range")
-            if not 0 <= position < chain_length:
-                raise ValueError(f"cell position {position} out of range")
-            cycle = chain_length - 1 - position
-            if not system.add_equation(equations[cycle][chain], value):
-                return None
-        solution = system.solve()
-        if solution is None:
-            return None
-        seed = 0
-        for bit, value in enumerate(solution):
-            seed |= value << bit
-        if seed:
-            return seed
-        # The all-zero LFSR state is degenerate (and only reachable when the
-        # cube itself is all-zero-compatible): flip a *free* variable, i.e.
-        # any single-bit seed that still verifies the care bits.
-        for bit in range(self.config.lfsr_length):
-            candidate = 1 << bit
-            if self.verify(care_bits, candidate):
-                return candidate
-        return None
-
-    # ------------------------------------------------------------------
-    # Concrete expansion
-    # ------------------------------------------------------------------
-
-    def expand(self, seed: int) -> List[List[int]]:
-        """Free-run the PRPG from ``seed``; returns ``load[chain][position]``."""
-        lfsr = LFSR(self.config.lfsr_length, taps=self.taps, seed=seed)
-        loads = [
-            [0] * self.config.chain_length for _ in range(self.config.n_chains)
-        ]
-        for cycle in range(self.config.chain_length):
+    def _concrete_cycles(self, seed: int) -> Iterator[List[int]]:
+        """Free-run the PRPG from ``seed``."""
+        length = self.config.lfsr_length
+        lfsr = LFSR(length, taps=self.taps, seed=seed)
+        for _ in range(self.chain_length):
             lfsr.step()
-            cells = [
-                (lfsr.state >> bit) & 1
-                for bit in range(self.config.lfsr_length)
-            ]
-            chain_bits = self.shifter.concrete(cells)
-            position = self.config.chain_length - 1 - cycle
-            for chain in range(self.config.n_chains):
-                loads[chain][position] = chain_bits[chain]
-        return loads
+            yield self.shifter.xor([(lfsr.state >> bit) & 1 for bit in range(length)])
 
-    def verify(self, care_bits: Dict[Tuple[int, int], int], seed: int) -> bool:
-        """Expansion honours every care bit (test helper)."""
-        loads = self.expand(seed)
-        return all(
-            loads[chain][position] == value
-            for (chain, position), value in care_bits.items()
-        )
-
-
-def reseeding_encoding_probability(
-    config: ReseedingConfig, care_bit_counts: Sequence[int], seed: int = 0, trials: int = 50
-) -> List[Tuple[int, float]]:
-    """Monte-Carlo encoding success vs care-bit count (ablation driver)."""
-    import random as _random
-
-    rng = _random.Random(seed)
-    compressor = ReseedingCompressor(config)
-    equations = compressor.cell_equations()
-    chain_length = config.chain_length
-    cells = [
-        (chain, position)
-        for chain in range(config.n_chains)
-        for position in range(chain_length)
-    ]
-    results: List[Tuple[int, float]] = []
-    for count in care_bit_counts:
-        count = min(count, len(cells))
-        successes = 0
-        for _ in range(trials):
-            chosen = rng.sample(cells, count)
-            system = GF2System(config.lfsr_length)
-            ok = True
-            for chain, position in chosen:
-                cycle = chain_length - 1 - position
-                if not system.add_equation(
-                    equations[cycle][chain], rng.randint(0, 1)
-                ):
-                    ok = False
-                    break
-            if ok:
-                successes += 1
-        results.append((count, successes / trials))
-    return results
+    def solve_cube(self, care_bits: CareBits) -> Optional[int]:
+        """Seed value reproducing the cube, or None when not encodable."""
+        system = self._system(sorted(care_bits.items()))
+        if system is None:
+            return None
+        solution = system.solve()
+        if not any(solution):
+            # The all-zero LFSR state is degenerate.  Another solution exists
+            # exactly when some variable is free: force one to 1.
+            free = [bit for bit in range(self.n_variables) if bit not in system.pivots]
+            if not free:
+                return None
+            system.add_equation(1 << free[0], 1)
+            solution = system.solve()
+        return sum(value << bit for bit, value in enumerate(solution))

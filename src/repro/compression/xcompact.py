@@ -21,7 +21,7 @@ from itertools import combinations
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..circuit.values import X, ZERO
+from .compactor import SpatialCompactor
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,9 @@ class XCompactConfig:
             )
 
 
-class XCompactor:
-    """Constant-weight-code spatial compactor."""
+class XCompactor(SpatialCompactor):
+    """Constant-weight-code spatial compactor: chain ``i`` feeds the
+    channels of ``rows[i]``."""
 
     def __init__(self, config: XCompactConfig):
         self.config = config
@@ -54,57 +55,12 @@ class XCompactor:
         self._row_index: Dict[Tuple[int, ...], int] = {
             row: chain for chain, row in enumerate(self.rows)
         }
-
-    # ------------------------------------------------------------------
-
-    def compact_slice(self, chain_bits: Sequence[int]) -> List[int]:
-        """One shift cycle: 4-valued chain bits -> channel values."""
-        outputs: List[int] = []
-        for channel in range(self.config.n_channels):
-            acc = ZERO
-            for chain, row in enumerate(self.rows):
-                if channel not in row:
-                    continue
-                bit = chain_bits[chain]
-                if bit == X:
-                    acc = X
-                elif acc != X:
-                    acc ^= bit
-            outputs.append(acc)
-        return outputs
-
-    def compact_unload(
-        self, chain_streams: Sequence[Sequence[int]]
-    ) -> List[List[int]]:
-        """Compact a full unload: ``streams[chain][cycle]``."""
-        if not chain_streams:
-            return []
-        n_cycles = max(len(stream) for stream in chain_streams)
-        return [
-            self.compact_slice(
-                [
-                    stream[cycle] if cycle < len(stream) else ZERO
-                    for stream in chain_streams
-                ]
-            )
-            for cycle in range(n_cycles)
-        ]
-
-    def observable_difference(
-        self,
-        good_streams: Sequence[Sequence[int]],
-        faulty_streams: Sequence[Sequence[int]],
-    ) -> bool:
-        """Does the compacted faulty response differ where both are known?"""
-        good = self.compact_unload(good_streams)
-        faulty = self.compact_unload(faulty_streams)
-        for good_slice, faulty_slice in zip(good, faulty):
-            for g, f in zip(good_slice, faulty_slice):
-                if g != X and f != X and g != f:
-                    return True
-        return False
-
-    # ------------------------------------------------------------------
+        super().__init__(
+            [
+                [chain for chain, row in enumerate(self.rows) if channel in row]
+                for channel in range(config.n_channels)
+            ]
+        )
 
     def locate_failing_chain(
         self,
@@ -113,17 +69,11 @@ class XCompactor:
     ) -> Optional[int]:
         """Decode a single-chain failure from the channel syndrome.
 
-        Collects the set of channels that miscompare on any cycle; if that
-        syndrome equals one row's codeword, returns the chain.  Multiple-
-        chain failures generally produce unmatched syndromes (None).
+        If the set of channels that miscompare on any cycle equals one
+        row's codeword, returns that chain.  Multiple-chain failures
+        generally produce unmatched syndromes (None).
         """
-        good = self.compact_unload(good_streams)
-        faulty = self.compact_unload(faulty_streams)
-        syndrome: set = set()
-        for good_slice, faulty_slice in zip(good, faulty):
-            for channel, (g, f) in enumerate(zip(good_slice, faulty_slice)):
-                if g != X and f != X and g != f:
-                    syndrome.add(channel)
+        syndrome = self.syndrome(good_streams, faulty_streams)
         return self._row_index.get(tuple(sorted(syndrome)))
 
 

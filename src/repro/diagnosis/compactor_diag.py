@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..compression.compactor import XorCompactor
+from ..compression.compactor import SpatialCompactor
 from ..faults.model import StuckAtFault
 from ..scan.insertion import ScanDesign
 from ..sim.faultsim import FaultSimulator
@@ -28,7 +28,7 @@ class CompactedDiagnoser:
     def __init__(
         self,
         design: ScanDesign,
-        compactor: XorCompactor,
+        compactor: SpatialCompactor,
         faults: Sequence[StuckAtFault],
     ):
         self.design = design
@@ -57,7 +57,7 @@ class CompactedDiagnoser:
         if not raw:
             return failures
         good_responses = self.parallel.responses(list(patterns))
-        n_channels = len(self.compactor.groups)
+        n_channels = self.compactor.n_channels
         for pattern_index, outputs in raw.items():
             good = good_responses[pattern_index]
             faulty = list(good)

@@ -39,7 +39,7 @@ class TestCompressedAtpg:
     def test_encoded_patterns_expand_consistently(self, flow_setup):
         """Each stored channel stream must re-expand to the stored state."""
         design, capture, edt, flow = flow_setup
-        for encoded in flow.encoded[:10]:
+        for encoded in flow.encoded:
             flat = [
                 bit for cycle in encoded.channel_stream for bit in cycle
             ]

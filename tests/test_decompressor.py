@@ -58,6 +58,21 @@ class TestSolveExpand:
         with pytest.raises(ValueError):
             decompressor.solve_cube({(0, 99): 1})
 
+    def test_more_channels_than_generator_cells_rejected(self):
+        """A channel without its own injector cell would make solutions that
+        do not reproduce the cube; the geometry is refused instead."""
+        with pytest.raises(ValueError, match="generator cells"):
+            Decompressor(
+                EdtConfig(
+                    n_channels=6,
+                    n_chains=8,
+                    chain_length=8,
+                    generator_length=4,
+                    warmup_cycles=2,
+                )
+            )
+        Decompressor(EdtConfig(4, n_chains=8, chain_length=8, generator_length=4))
+
     def test_channel_stream_shape(self):
         decompressor = Decompressor(CONFIG)
         variables = decompressor.solve_cube({(0, 0): 1})
@@ -81,7 +96,7 @@ class TestSolveExpand:
 class TestEncodingCapacity:
     def test_success_collapses_past_knee(self):
         results = dict(
-            encoding_probability(CONFIG, [4, 16, 28, 48, 96], seed=3)
+            encoding_probability(Decompressor(CONFIG), [4, 16, 28, 48, 96], seed=3)
         )
         assert results[4] == 1.0
         assert results[16] > 0.9
@@ -90,9 +105,9 @@ class TestEncodingCapacity:
         assert results[4] >= results[28] >= results[96]
 
     def test_more_channels_raise_capacity(self):
-        few = dict(encoding_probability(CONFIG, [30], seed=5))[30]
+        few = dict(encoding_probability(Decompressor(CONFIG), [30], seed=5))[30]
         rich_config = EdtConfig(
             n_channels=4, n_chains=8, chain_length=16, generator_length=24
         )
-        rich = dict(encoding_probability(rich_config, [30], seed=5))[30]
+        rich = dict(encoding_probability(Decompressor(rich_config), [30], seed=5))[30]
         assert rich >= few

@@ -106,7 +106,7 @@ class TestPhaseShifter:
     def test_concrete_is_xor(self):
         shifter = PhaseShifter(4, 2, taps_per_output=2, seed=0)
         cells = [1, 0, 1, 1]
-        outputs = shifter.concrete(cells)
+        outputs = shifter.xor(cells)
         for row, out in zip(shifter.rows, outputs):
             expected = 0
             for cell in row:

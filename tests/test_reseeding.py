@@ -5,12 +5,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compression.decompressor import EdtConfig, encoding_probability
-from repro.compression.reseeding import (
-    ReseedingCompressor,
-    ReseedingConfig,
-    reseeding_encoding_probability,
+from repro.compression.decompressor import (
+    Decompressor,
+    EdtConfig,
+    encoding_probability,
 )
+from repro.compression.reseeding import ReseedingCompressor, ReseedingConfig
 
 CONFIG = ReseedingConfig(lfsr_length=32, n_chains=8, chain_length=16)
 
@@ -47,6 +47,29 @@ class TestSolveExpand:
                 predicted = dot_bits(equations[cycle][chain], seed_bits)
                 assert loads[chain][position] == predicted
 
+    def test_zero_solution_cubes_match_exhaustive_search(self):
+        """An all-zero cube is unencodable only when no nonzero seed
+        reproduces it; every seed of an 8-bit LFSR is tried."""
+        config = ReseedingConfig(lfsr_length=8, n_chains=4, chain_length=6)
+        compressor = ReseedingCompressor(config)
+        loads = {seed: compressor.expand(seed) for seed in range(1, 256)}
+        cells = [(chain, position) for chain in range(4) for position in range(6)]
+        rng = random.Random(8)
+        encodable = 0
+        for _ in range(300):
+            care = {cell: 0 for cell in rng.sample(cells, rng.randint(1, 12))}
+            seeds = [
+                seed
+                for seed, load in loads.items()
+                if all(load[chain][position] == 0 for chain, position in care)
+            ]
+            solution = compressor.solve_cube(care)
+            assert (solution is not None) == bool(seeds)
+            if solution is not None:
+                assert solution in seeds
+                encodable += 1
+        assert encodable > 0
+
     def test_overconstrained_fails(self):
         rng = random.Random(2)
         compressor = ReseedingCompressor(CONFIG)
@@ -69,7 +92,7 @@ class TestCapacityContrast:
         length — EDT's grows with it.  The structural reason EDT won."""
         counts = [8, 24, 40, 64]
         reseed = dict(
-            reseeding_encoding_probability(CONFIG, counts, seed=4)
+            encoding_probability(ReseedingCompressor(CONFIG), counts, seed=4)
         )
         assert reseed[8] > 0.95
         assert reseed[24] > 0.7
@@ -77,5 +100,5 @@ class TestCapacityContrast:
         # EDT with the same per-pattern *storage* (2 ch x 16+8 cycles = 48
         # variables) keeps encoding where reseeding has already died.
         edt_config = EdtConfig(n_channels=2, n_chains=8, chain_length=16)
-        edt = dict(encoding_probability(edt_config, counts, seed=4))
+        edt = dict(encoding_probability(Decompressor(edt_config), counts, seed=4))
         assert edt[40] > reseed[40]
