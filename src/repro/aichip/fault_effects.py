@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .nn import MLP, QuantizedMLP, trained_reference_model
-from .systolic import PEFault, SystolicArray, random_pe_faults
+from .systolic import SystolicArray, random_pe_faults
 
 
 @dataclass

@@ -5,7 +5,6 @@ from .compaction import (
     care_bit_stats,
     cubes_compatible,
     merge_cubes,
-    reverse_order_compact,
     static_compact,
 )
 from .dalg import DAlgorithm
@@ -20,7 +19,7 @@ from .portfolio import (
     make_engine,
 )
 from .random_gen import exhaustive_patterns, random_patterns, weighted_random_patterns
-from .scoap import Testability, compute_testability, hardest_lines
+from .scoap import Testability, compute_testability
 from .tdf import TdfAtpgResult, random_loc_pairs, run_tdf_atpg
 from .timeframe import (
     SequentialAtpgResult,
@@ -50,11 +49,9 @@ __all__ = [
     "static_compact",
     "cubes_compatible",
     "merge_cubes",
-    "reverse_order_compact",
     "care_bit_stats",
     "compute_testability",
     "Testability",
-    "hardest_lines",
     "run_tdf_atpg",
     "TdfAtpgResult",
     "random_loc_pairs",

@@ -1,15 +1,9 @@
 """Test-set compaction.
 
-Two classic techniques:
-
-* **static compaction** — merge test cubes whose specified bits do not
-  conflict (an X position accepts either value).  Run after generation.
-* **reverse-order compaction** — fault-simulate the pattern set in reverse
-  order with fault dropping and keep only patterns that detect at least one
-  not-yet-detected fault.
-
-Both shrink pattern count without losing coverage; E4 uses the cube
-statistics (care-bit density) they expose.
+**Static compaction** merges test cubes whose specified bits do not
+conflict (an X position accepts either value), after generation.  It
+shrinks the pattern count without losing coverage; E4 uses the cube
+statistics (care-bit density) exposed here.
 """
 
 from __future__ import annotations
@@ -17,7 +11,6 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from ..circuit.values import X
-from ..sim.faultsim import FaultSimulator
 
 
 def cubes_compatible(first: Sequence[int], second: Sequence[int]) -> bool:
@@ -57,19 +50,3 @@ def care_bit_stats(cubes: Sequence[Sequence[int]]) -> Tuple[int, int, float]:
     total = sum(len(cube) for cube in cubes)
     density = care / total if total else 0.0
     return care, total, density
-
-
-def reverse_order_compact(
-    patterns: Sequence[Sequence[int]],
-    faults: Sequence[object],
-    simulator: FaultSimulator,
-) -> List[List[int]]:
-    """Keep only patterns that first-detect a fault when replayed in reverse.
-
-    Later patterns in a generated set tend to target hard faults whose tests
-    also cover many easy ones, so reversing maximizes dropping.
-    """
-    reversed_patterns = [list(p) for p in reversed(patterns)]
-    result = simulator.simulate(reversed_patterns, faults, drop=True)
-    useful = sorted(set(result.detected.values()))
-    return [reversed_patterns[index] for index in useful]

@@ -148,25 +148,3 @@ def compute_testability(netlist: Netlist) -> Testability:
                 co[driver] = cost
 
     return Testability(cc0=cc0, cc1=cc1, co=co)
-
-
-def hardest_lines(netlist: Netlist, measures: Testability, count: int) -> List[int]:
-    """Gate indices with the worst detectability, worst first.
-
-    Ports, constants and flops are excluded — test points go on logic lines.
-    """
-    skip = {GateType.INPUT, GateType.OUTPUT, GateType.CONST0, GateType.CONST1}
-    candidates = [
-        gate.index
-        for gate in netlist.gates
-        if gate.type not in skip and not gate.is_sequential
-    ]
-    ranked = sorted(
-        candidates,
-        key=lambda i: -(
-            min(measures.cc0[i], INFINITY)
-            + min(measures.cc1[i], INFINITY)
-            + min(measures.co[i], INFINITY)
-        ),
-    )
-    return ranked[:count]

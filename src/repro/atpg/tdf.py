@@ -28,11 +28,9 @@ from ..circuit.netlist import Netlist
 from ..circuit.values import ONE, X, ZERO
 from ..faults.model import OUTPUT_PIN, StuckAtFault, TransitionFault
 from ..faults.transition import full_transition_list
-from ..sim.faultsim import FaultSimResult, FaultSimulator
+from ..sim.faultsim import FaultSimulator
 from ..sim.logicsim import LogicSimulator
-from .engine import x_fill
 from .podem import Podem
-from .random_gen import random_patterns
 
 PatternPair = Tuple[List[int], List[int]]
 

@@ -155,20 +155,6 @@ def compute_cop(
     return CopMeasures(cp=cp, op=op)
 
 
-def hard_fault_count(
-    netlist: Netlist,
-    measures: CopMeasures,
-    threshold: float,
-    faults: List[StuckAtFault],
-) -> int:
-    """Faults whose random detection probability is below ``threshold``."""
-    return sum(
-        1
-        for fault in faults
-        if measures.fault_detection_probability(netlist, fault) < threshold
-    )
-
-
 def hard_line_count(netlist: Netlist, measures: CopMeasures, threshold: float) -> int:
     """Gates whose harder stuck-at fault stays below ``threshold``.
 

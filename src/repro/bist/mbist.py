@@ -8,8 +8,8 @@ each March algorithm against each functional fault model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence
 
 from .. import obs
 from .march import Direction, MarchTest, ALL_MARCH_TESTS

@@ -21,8 +21,9 @@ with the classic functional fault models injected as read/write hooks:
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 
 @dataclass(frozen=True)
@@ -179,8 +180,16 @@ def sample_faults(
     count: int,
     seed: int = 0,
 ) -> List[MemoryFault]:
-    """Draw ``count`` random single faults of one kind (for E7)."""
-    rng = random.Random(seed ^ hash(kind) & 0xFFFF)
+    """Draw ``count`` random single faults of one kind (for E7).
+
+    The stream depends only on the arguments: the per-kind seed uses a
+    stable hash of ``kind``, never the process-salted ``hash(str)``.
+    """
+    if n_cells < 2:
+        raise ValueError(f"need at least 2 memory cells, got {n_cells}")
+    if count < 1:
+        raise ValueError(f"need at least 1 fault sample, got {count}")
+    rng = random.Random(seed ^ zlib.crc32(kind.encode()) & 0xFFFF)
     faults: List[MemoryFault] = []
     for _ in range(count):
         cell = rng.randrange(n_cells)

@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple
 
 from ..circuit.gates import GateType
 from ..circuit.netlist import Netlist
-from .cop import CopMeasures, compute_cop, hard_line_count
+from .cop import compute_cop, hard_line_count
 
 
 @dataclass

@@ -12,7 +12,7 @@ objects; buses are LSB-first.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from .builder import NetlistBuilder
 from .gates import GateType
@@ -344,7 +344,7 @@ def random_sequential(
 
 
 def chain_of_inverters(length: int, name: Optional[str] = None) -> Netlist:
-    """A single inverter chain — the smallest useful path-delay workload."""
+    """A single inverter chain: one path, ``length`` levels deep."""
     builder = NetlistBuilder(name or f"invchain{length}")
     signal = builder.input("a")
     for _ in range(length):

@@ -631,9 +631,9 @@ def build_parser() -> argparse.ArgumentParser:
     lbist.set_defaults(handler=_cmd_lbist)
 
     mbist = commands.add_parser("mbist", help="March coverage matrix")
-    mbist.add_argument("--cells", type=int, default=64)
-    mbist.add_argument("--samples", type=int, default=30)
-    mbist.add_argument("--seed", type=int, default=0)
+    mbist.add_argument("--cells", type=_positive_int, default=64)
+    mbist.add_argument("--samples", type=_positive_int, default=30)
+    mbist.add_argument("--seed", type=_nonnegative_int, default=0)
     _add_obs_arguments(mbist)
     mbist.set_defaults(handler=_cmd_mbist)
 

@@ -1,6 +1,6 @@
 """Test compression: GF(2) solving, linear generators, EDT, compactors, MISR."""
 
-from .compactor import CompactorConfig, SpatialCompactor, XorCompactor, greedy_x_mask
+from .compactor import CompactorConfig, XorCompactor, greedy_x_mask
 from .decompressor import (
     Decompressor,
     EdtConfig,
@@ -13,7 +13,6 @@ from .gf2 import GF2System, dot_bits, rank_of, solve_system
 from .reseeding import ReseedingCompressor, ReseedingConfig
 from .lfsr import LFSR, PhaseShifter, RingGenerator, primitive_taps
 from .misr import MISR, measure_aliasing, theoretical_aliasing_probability
-from .xcompact import XCompactConfig, XCompactor, minimum_channels
 
 __all__ = [
     "GF2System",
@@ -29,7 +28,6 @@ __all__ = [
     "Decompressor",
     "encoding_probability",
     "CompactorConfig",
-    "SpatialCompactor",
     "XorCompactor",
     "greedy_x_mask",
     "MISR",
@@ -42,7 +40,4 @@ __all__ = [
     "EncodedPattern",
     "ReseedingConfig",
     "ReseedingCompressor",
-    "XCompactConfig",
-    "XCompactor",
-    "minimum_channels",
 ]

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set
 
-from ..circuit.values import ONE, X, ZERO
+from ..circuit.values import X, ZERO
 
 
 @dataclass(frozen=True)
@@ -43,16 +43,17 @@ class CompactorConfig:
         return [sorted(group) for group in groups]
 
 
-class SpatialCompactor:
-    """XOR space compactor: channel ``c`` outputs the XOR of the chains in
-    ``channel_chains[c]``, per shift cycle."""
+class XorCompactor:
+    """XOR space compactor: each chain feeds one channel, and channel ``c``
+    outputs the XOR of the chains in ``groups[c]``, per shift cycle."""
 
-    def __init__(self, channel_chains: Sequence[Sequence[int]]):
-        self.channel_chains = [list(chains) for chains in channel_chains]
+    def __init__(self, config: CompactorConfig):
+        self.config = config
+        self.groups = config.groups()
 
     @property
     def n_channels(self) -> int:
-        return len(self.channel_chains)
+        return len(self.groups)
 
     def compact_slice(
         self, chain_bits: Sequence[int], mask: Optional[Sequence[int]] = None
@@ -63,7 +64,7 @@ class SpatialCompactor:
         chain entirely, turning its contribution into constant 0.
         """
         outputs: List[int] = []
-        for chains in self.channel_chains:
+        for chains in self.groups:
             acc = ZERO
             for chain in chains:
                 bit = chain_bits[chain]
@@ -123,15 +124,6 @@ class SpatialCompactor:
     ) -> bool:
         """Would the compacted faulty response differ observably from good?"""
         return bool(self.syndrome(good_streams, faulty_streams, mask))
-
-
-class XorCompactor(SpatialCompactor):
-    """Each chain feeds one channel: a balanced partition into XOR groups."""
-
-    def __init__(self, config: CompactorConfig):
-        self.config = config
-        self.groups = config.groups()
-        super().__init__(self.groups)
 
 
 def greedy_x_mask(chain_x_density: Sequence[float], budget: int) -> List[int]:

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..circuit.values import X
 from ..scan.insertion import ScanDesign
-from ..scan.timing import ScanCost, compressed_scan_cost, compression_ratio, scan_cost
+from ..scan.timing import compressed_scan_cost, compression_ratio, scan_cost
 from .compactor import CompactorConfig, XorCompactor
 from .decompressor import Decompressor, EdtConfig
 

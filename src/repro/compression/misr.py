@@ -9,7 +9,7 @@ helper used by the E6 experiment.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .lfsr import primitive_taps
 

@@ -20,12 +20,11 @@ from .economics import (
     tester_cost_per_die,
 )
 from .degrade import BinningPolicy, DegradeOutcome, test_and_degrade, yield_with_degradation
-from .flatten import core_of_gate, local_index, replicate_netlist
+from .flatten import replicate_netlist
 from .planner import DftPlan, DftPlanInputs, build_plan, plan_comparison_table
 from .retarget import (
     FlatVsHierRow,
     RetargetCost,
-    broadcast_compare,
     broadcast_detects_all_cores,
     compare_flat_hierarchical,
     retarget_cost,
@@ -42,14 +41,11 @@ from .wrapper import WrappedCore, wrap_core
 
 __all__ = [
     "replicate_netlist",
-    "core_of_gate",
-    "local_index",
     "wrap_core",
     "WrappedCore",
     "retarget_cost",
     "RetargetCost",
     "broadcast_detects_all_cores",
-    "broadcast_compare",
     "compare_flat_hierarchical",
     "FlatVsHierRow",
     "TestTask",

@@ -17,7 +17,7 @@ update cycle; opening a deeper level requires one pass per level.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
 
 @dataclass(frozen=True)

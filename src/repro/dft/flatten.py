@@ -9,9 +9,8 @@ logic.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
-from ..circuit.gates import GateType
 from ..circuit.netlist import Netlist
 
 
@@ -35,13 +34,3 @@ def replicate_netlist(core: Netlist, n_copies: int, name: Optional[str] = None) 
             )
     chip.finalize()
     return chip
-
-
-def core_of_gate(chip: Netlist, gate_index: int, core_size: int) -> int:
-    """Which copy a flat-netlist gate belongs to (replication inverse)."""
-    return gate_index // core_size
-
-
-def local_index(gate_index: int, core_size: int) -> int:
-    """A flat-netlist gate's index inside its core."""
-    return gate_index % core_size

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 from ..aichip.accelerator import AcceleratorConfig
 from ..bist.march import MARCH_C_MINUS, MarchTest, operation_count
 from ..scan.timing import compressed_scan_cost, scan_cost
-from .schedule import TestTask, schedule_report, schedule_tests
+from .schedule import TestTask, schedule_report
 
 
 @dataclass

@@ -19,8 +19,8 @@ measurements rather than a formula.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Sequence
 
 from ..atpg.engine import AtpgResult, run_atpg
 from ..circuit.netlist import Netlist
@@ -125,63 +125,6 @@ def broadcast_detects_all_cores(
     chip_result = chip_sim.simulate(chip_patterns, chip_faults, drop=True)
     expected = len(core_result.detected) * n_cores
     return len(chip_result.detected) == expected
-
-
-def broadcast_compare(
-    core: Netlist,
-    patterns: Sequence[Sequence[int]],
-    defective_cores: Dict[int, "StuckAtFault"],
-    n_cores: int,
-) -> Dict[str, object]:
-    """On-chip compare for broadcast test: majority vote across replicas.
-
-    With every core receiving identical stimulus, a defective core is the
-    one whose unload disagrees with the majority — the comparator tree the
-    case-study chips ship instead of hauling every core's response off
-    chip.  ``defective_cores`` maps core id → its (single) defect.
-
-    Returns the flagged cores and whether the vote identified exactly the
-    defective set (it does whenever defective cores are a minority and
-    their defects are detected by the pattern set).
-    """
-    from ..faults.model import StuckAtFault  # noqa: F401 (type reference)
-
-    simulator = FaultSimulator(core)
-    good = simulator.parallel.responses(list(patterns))
-    per_core: List[List[List[int]]] = []
-    for core_id in range(n_cores):
-        if core_id in defective_cores:
-            signature = simulator.failure_signature(
-                list(patterns), defective_cores[core_id]
-            )
-            responses = [list(r) for r in good]
-            for pattern_index, outputs in signature.items():
-                for output in outputs:
-                    responses[pattern_index][output] ^= 1
-            per_core.append(responses)
-        else:
-            per_core.append([list(r) for r in good])
-
-    flagged: set = set()
-    for pattern_index in range(len(patterns)):
-        for output in range(len(good[pattern_index])):
-            votes = [per_core[c][pattern_index][output] for c in range(n_cores)]
-            majority = 1 if sum(votes) * 2 > n_cores else 0
-            for core_id, vote in enumerate(votes):
-                if vote != majority:
-                    flagged.add(core_id)
-
-    detectable = {
-        core_id
-        for core_id, fault in defective_cores.items()
-        if simulator.failure_signature(list(patterns), fault)
-    }
-    return {
-        "flagged_cores": sorted(flagged),
-        "defective_cores": sorted(defective_cores),
-        "detectable_cores": sorted(detectable),
-        "exact": flagged == detectable,
-    }
 
 
 @dataclass

@@ -15,7 +15,7 @@ flows ship).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 
 @dataclass(frozen=True)

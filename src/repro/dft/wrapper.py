@@ -15,7 +15,7 @@ combinational view is then 100 % flop-driven and flop-observed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..circuit.gates import GateType
 from ..circuit.netlist import Netlist

@@ -1,12 +1,5 @@
 """Fault diagnosis: dictionaries, effect-cause, compactor-aware."""
 
-from .chain_diag import (
-    ChainDefect,
-    ChainDefectModel,
-    ChainDiagnoser,
-    ChainDiagnosisResult,
-    observe_defective_die,
-)
 from .compactor_diag import CompactedDiagnoser, CompactedFailures
 from .dictionary import FaultDictionary, Failures, signature_to_failures
 from .effect_cause import DiagnosisResult, EffectCauseDiagnoser, inject_and_observe
@@ -20,9 +13,4 @@ __all__ = [
     "inject_and_observe",
     "CompactedDiagnoser",
     "CompactedFailures",
-    "ChainDefect",
-    "ChainDefectModel",
-    "ChainDiagnoser",
-    "ChainDiagnosisResult",
-    "observe_defective_die",
 ]

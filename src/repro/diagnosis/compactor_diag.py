@@ -9,10 +9,9 @@ experiment quantifies exactly that loss against raw-response diagnosis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
-from ..compression.compactor import SpatialCompactor
+from ..compression.compactor import XorCompactor
 from ..faults.model import StuckAtFault
 from ..scan.insertion import ScanDesign
 from ..sim.faultsim import FaultSimulator
@@ -28,7 +27,7 @@ class CompactedDiagnoser:
     def __init__(
         self,
         design: ScanDesign,
-        compactor: SpatialCompactor,
+        compactor: XorCompactor,
         faults: Sequence[StuckAtFault],
     ):
         self.design = design

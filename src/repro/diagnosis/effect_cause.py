@@ -13,7 +13,7 @@ layout-aware refinements.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from ..faults.collapse import collapse_faults
 from ..faults.model import OUTPUT_PIN, StuckAtFault

@@ -3,18 +3,7 @@
 from .bridging import sample_bridging_faults
 from .collapse import collapse_faults, collapse_ratio, line_fault
 from .model import OUTPUT_PIN, BridgingFault, StuckAtFault, TransitionFault
-from .path_delay import (
-    NON_ROBUST,
-    NOT_TESTED,
-    ROBUST,
-    DelayPath,
-    PathDelayFault,
-    classify_pair,
-    grade_paths,
-    longest_paths,
-    path_delay_faults,
-)
-from .stuck_at import fault_sites, full_fault_list, output_stem_faults
+from .stuck_at import fault_sites, full_fault_list
 from .transition import full_transition_list
 
 __all__ = [
@@ -24,19 +13,9 @@ __all__ = [
     "BridgingFault",
     "fault_sites",
     "full_fault_list",
-    "output_stem_faults",
     "full_transition_list",
     "sample_bridging_faults",
     "collapse_faults",
     "collapse_ratio",
     "line_fault",
-    "DelayPath",
-    "PathDelayFault",
-    "longest_paths",
-    "path_delay_faults",
-    "classify_pair",
-    "grade_paths",
-    "ROBUST",
-    "NON_ROBUST",
-    "NOT_TESTED",
 ]

@@ -49,15 +49,3 @@ def full_fault_list(netlist: Netlist) -> List[StuckAtFault]:
         faults.append(StuckAtFault(gate, pin, 0))
         faults.append(StuckAtFault(gate, pin, 1))
     return faults
-
-
-def output_stem_faults(netlist: Netlist) -> List[StuckAtFault]:
-    """A reduced universe with stem faults only (used by quick experiments)."""
-    netlist.finalize()
-    faults: List[StuckAtFault] = []
-    for gate in netlist.gates:
-        if gate.type == GateType.OUTPUT:
-            continue
-        faults.append(StuckAtFault(gate.index, OUTPUT_PIN, 0))
-        faults.append(StuckAtFault(gate.index, OUTPUT_PIN, 1))
-    return faults

@@ -12,7 +12,6 @@ from .patfile import (
     format_patterns,
     load_patterns,
     parse_patterns,
-    save_patterns,
 )
 from .patterns import ScanOperation, ScanScheduler
 from .power import (
@@ -40,7 +39,6 @@ __all__ = [
     "PatternFormatError",
     "format_patterns",
     "parse_patterns",
-    "save_patterns",
     "load_patterns",
     "ShiftPowerReport",
     "weighted_transition_metric",

@@ -128,12 +128,6 @@ def parse_patterns(text: str) -> PatternFile:
     )
 
 
-def save_patterns(path: str, *args, **kwargs) -> None:
-    """Format and write a pattern file to disk."""
-    with open(path, "w") as handle:
-        handle.write(format_patterns(*args, **kwargs))
-
-
 def load_patterns(path: str) -> PatternFile:
     """Read and parse a pattern file from disk."""
     with open(path) as handle:

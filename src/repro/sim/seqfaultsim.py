@@ -130,7 +130,8 @@ class SequentialFaultSimulator:
                 word = (word & ~force_mask) | value
             words[gate_index] = word
 
-        po_words = [words[gates[po].fanin[0]] for po in netlist.outputs]
+        # Read the PO markers themselves, so faults injected on them show.
+        po_words = [words[po] for po in netlist.outputs]
         next_state: List[int] = []
         for flop in netlist.flops:
             gate = gates[flop]

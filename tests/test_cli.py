@@ -1,9 +1,13 @@
 """Command-line interface."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -99,6 +103,38 @@ class TestCommands:
         assert main(["mbist", "--cells", "32", "--samples", "5"]) == 0
         out = capsys.readouterr().out
         assert "March C-" in out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--cells", "1"],     # no aggressor cell for coupling faults
+            ["--cells", "0"],
+            ["--samples", "0"],   # an all-1.00 matrix from zero faults
+            ["--samples", "-1"],
+            ["--seed", "-1"],
+        ],
+    )
+    def test_mbist_bad_sizes_exit_two(self, flags, capsys):
+        try:
+            code = main(["mbist"] + flags)
+        except SystemExit as exc:  # argparse-level rejections
+            code = exc.code
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_mbist_independent_of_hash_seed(self):
+        """The E7 fault populations must not follow ``str`` hash salting."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        outputs = set()
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-m", "repro", "mbist", "--cells", "16",
+                 "--samples", "8"],
+                capture_output=True, text=True, env=env, check=True,
+            )
+            outputs.add(run.stdout)
+        assert len(outputs) == 1
 
     def test_plan(self, capsys):
         assert main(["plan"]) == 0

@@ -1,20 +1,15 @@
-"""Static and reverse-order test-set compaction."""
+"""Cube operations and static test-set compaction."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.atpg.compaction import (
     care_bit_stats,
     cubes_compatible,
     merge_cubes,
-    reverse_order_compact,
     static_compact,
 )
-from repro.atpg.random_gen import random_patterns
-from repro.circuit import benchmarks
 from repro.circuit.values import X
-from repro.faults import full_fault_list
-from repro.sim.faultsim import FaultSimulator
 
 cube_strategy = st.lists(st.sampled_from([0, 1, X]), min_size=4, max_size=4)
 
@@ -56,14 +51,3 @@ class TestCubeOps:
     def test_care_bit_stats_empty(self):
         assert care_bit_stats([]) == (0, 0, 0.0)
 
-
-class TestReverseOrderCompaction:
-    def test_reduces_without_losing_coverage(self, alu4):
-        simulator = FaultSimulator(alu4)
-        faults = full_fault_list(alu4)
-        patterns = random_patterns(simulator.view.num_inputs, 150, seed=4)
-        baseline = simulator.simulate(patterns, faults, drop=True)
-        compacted = reverse_order_compact(patterns, faults, simulator)
-        after = simulator.simulate(compacted, faults, drop=True)
-        assert len(compacted) < len(patterns)
-        assert len(after.detected) == len(baseline.detected)

@@ -141,3 +141,8 @@ class TestSampling:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             sample_faults(32, "GLITCH", 1)
+
+    @pytest.mark.parametrize("n_cells, count", [(1, 5), (0, 5), (32, 0), (32, -1)])
+    def test_degenerate_sizes_rejected(self, n_cells, count):
+        with pytest.raises(ValueError):
+            sample_faults(n_cells, "CFin", count)

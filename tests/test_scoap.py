@@ -1,6 +1,6 @@
 """SCOAP testability measures."""
 
-from repro.atpg.scoap import INFINITY, compute_testability, hardest_lines
+from repro.atpg.scoap import INFINITY, compute_testability
 from repro.circuit import generators
 from repro.circuit.builder import NetlistBuilder
 
@@ -83,23 +83,3 @@ class TestObservability:
         cost = measures.detect_cost(g, 0)
         assert cost == measures.cc1[g] + measures.co[g]
 
-
-class TestHardestLines:
-    def test_comparator_core_ranks_hardest(self):
-        netlist = generators.random_resistant(10, cones=2)
-        measures = compute_testability(netlist)
-        worst = hardest_lines(netlist, measures, 4)
-        assert len(worst) == 4
-        # The wide-AND cone gates should dominate the worst list.
-        scores = [
-            measures.cc0[g] + measures.cc1[g] + measures.co[g] for g in worst
-        ]
-        assert scores == sorted(scores, reverse=True)
-
-    def test_excludes_ports_and_flops(self, mac4):
-        measures = compute_testability(mac4)
-        worst = hardest_lines(mac4, measures, 10)
-        for line in worst:
-            gate = mac4.gates[line]
-            assert gate.type.value not in ("input", "output")
-            assert not gate.is_sequential

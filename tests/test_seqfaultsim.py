@@ -42,7 +42,7 @@ def _naive_sequential_detects(netlist, fault, vectors):
             if faulty and index == fault.gate and fault.pin == OUTPUT_PIN:
                 value = forced
             words[index] = value
-        outputs = [words[gates[po].fanin[0]] for po in netlist.outputs]
+        outputs = [words[po] for po in netlist.outputs]
         nxt = []
         for flop in netlist.flops:
             data = words[gates[flop].fanin[0]]
@@ -90,6 +90,32 @@ class TestAgainstNaiveReference:
         short = simulator.simulate(long_vectors[:2], faults, drop=True)
         full = simulator.simulate(long_vectors, faults, drop=True)
         assert len(full.detected) > len(short.detected)
+
+
+class TestOutputMarkerFaults:
+    def test_detection_matches_good_machine_trace(self, mac4):
+        """A fault on a PO marker pins that output to a constant, so it is
+        detected exactly on the first cycle the good machine drives the
+        other value there."""
+        simulator = SequentialFaultSimulator(mac4)
+        rng = random.Random(11)
+        vectors = [
+            [rng.randint(0, 1) for _ in range(len(mac4.inputs))]
+            for _ in range(32)
+        ]
+        trace = LogicSimulator(mac4).run_sequence(vectors)
+        outputs = {po: position for position, po in enumerate(mac4.outputs)}
+        faults = [f for f in full_fault_list(mac4) if f.gate in outputs]
+        assert faults
+        graded = simulator.simulate(vectors, faults, drop=True)
+        for fault in faults:
+            position = outputs[fault.gate]
+            expected = next(
+                (cycle for cycle, values in enumerate(trace)
+                 if values[position] != fault.value),
+                None,
+            )
+            assert graded.detected.get(fault) == expected, fault
 
 
 class TestStateMemory:
