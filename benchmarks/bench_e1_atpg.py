@@ -13,7 +13,8 @@ CI envelope: PODEM-only vs the portfolio on a random-pattern-resistant
 circuit at a deliberately tight backtrack budget, so a hard-fault tail
 exists for the portfolio to close.  Each engine contributes
 ``<engine>_x<N>`` replicate rows (the ``repro obs gate`` convention)
-carrying wall time plus the deterministic campaign counters, written to
+carrying wall time plus the deterministic campaign counters (verdicts and
+the engines' ``atpg.implications`` work counter), written to
 ``BENCH_atpg_smoke.json`` and gated against
 ``baselines/BENCH_atpg_smoke.json``.
 """
@@ -21,6 +22,7 @@ carrying wall time plus the deterministic campaign counters, written to
 import sys
 import time
 
+from repro import obs
 from repro.atpg import atpg_table_row, run_atpg
 from repro.circuit import benchmarks, generators
 
@@ -63,16 +65,18 @@ def test_e1_atpg_summary(benchmark):
 
 def _smoke_campaign(engine):
     netlist = generators.random_resistant(14, cones=3)
-    start = time.perf_counter()
-    result = run_atpg(
-        netlist,
-        engine=engine,
-        seed=SMOKE_SEED,
-        random_batches=2,
-        backtrack_limit=SMOKE_BACKTRACK_LIMIT,
-    )
-    wall = time.perf_counter() - start
-    return result, wall
+    with obs.observe("bench.atpg_smoke", engine=engine) as observation:
+        start = time.perf_counter()
+        result = run_atpg(
+            netlist,
+            engine=engine,
+            seed=SMOKE_SEED,
+            random_batches=2,
+            backtrack_limit=SMOKE_BACKTRACK_LIMIT,
+        )
+        wall = time.perf_counter() - start
+    implications = observation.metrics.counter("atpg.implications").value
+    return result, wall, implications
 
 
 def _run_smoke():
@@ -81,7 +85,7 @@ def _run_smoke():
     for engine in SMOKE_ENGINES:
         replicates = []
         for rep in range(SMOKE_REPLICATES):
-            result, wall = _smoke_campaign(engine)
+            result, wall, implications = _smoke_campaign(engine)
             summary = result.summary()
             replicates.append(result)
             rows.append(
@@ -94,6 +98,7 @@ def _run_smoke():
                     "patterns_simulated": len(result.patterns),
                     "proved_untestable": summary["proved_untestable"],
                     "aborted": len(result.aborted),
+                    "implications": implications,
                     "test_coverage": summary["test_coverage"],
                 }
             )

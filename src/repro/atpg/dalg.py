@@ -41,15 +41,21 @@ import time
 from typing import List, Optional, Tuple
 
 from ..circuit.dcalc import good_rail, has_x, is_faulted
-from ..circuit.gates import (
-    GateType,
-    controlling_value,
-    is_inverting,
-    noncontrolling_value,
-)
 from ..circuit.netlist import Netlist
 from ..circuit.values import X
 from ..faults.model import OUTPUT_PIN, StuckAtFault
+from .implication import (
+    BUF,
+    CONST0,
+    CONST1,
+    CONTROLLING,
+    INVERTING,
+    MUX2,
+    NONCONTROLLING,
+    NOT,
+    XNOR,
+    XOR,
+)
 from .podem import _RAIL_X, Podem, PodemResult
 from .scoap import Testability
 
@@ -58,9 +64,6 @@ __all__ = ["DAlgorithm"]
 # Goal kinds on the agenda (the J-frontier).
 _JUSTIFY = 0  # ("justify", line, v): make the good rail of `line` equal v
 _GROUND = 1  # ("ground", line): make both rails of `line` known
-
-_AND_FAMILY = (GateType.AND, GateType.NAND, GateType.OR, GateType.NOR)
-_XOR_FAMILY = (GateType.XOR, GateType.XNOR)
 
 
 class _Decision:
@@ -106,13 +109,9 @@ class DAlgorithm(Podem):
     # Search
     # ------------------------------------------------------------------
 
-    def generate(self, fault: StuckAtFault) -> PodemResult:
-        deadline = (
-            None
-            if self.time_budget_s is None
-            else time.perf_counter() + self.time_budget_s
-        )
-        return self._search(fault, self.backtrack_limit, deadline)
+    # Bound here, not inherited, so a profiler that wraps each engine's
+    # ``generate`` separately attributes D-algorithm calls to this class.
+    generate = Podem.generate
 
     def _search(
         self,
@@ -123,7 +122,6 @@ class DAlgorithm(Podem):
         n_inputs = self.view.num_inputs
         assignment = [X] * n_inputs
         self._cone_gates, self._cone_readers = self._fault_cone(fault)
-        self._cone_reader_set = frozenset(self._cone_readers)
         self._cone_set = frozenset(self._cone_gates)
         if not self._cone_readers and not self._branch_reaches_observation(fault):
             return PodemResult(status="untestable", backtracks=0)
@@ -219,45 +217,41 @@ class DAlgorithm(Podem):
             trail.append(position)
             return False
 
-        gate = self.netlist.gates[line]
-        gate_type = gate.type
-        if gate_type in (GateType.BUF, GateType.OUTPUT):
-            goals.append((_JUSTIFY, gate.fanin[0], target))
+        code = self._core.codes[line]
+        fanin = self._core.fanins[line]
+        if code == BUF:
+            goals.append((_JUSTIFY, fanin[0], target))
             return False
-        if gate_type == GateType.NOT:
-            goals.append((_JUSTIFY, gate.fanin[0], 1 - target))
+        if code == NOT:
+            goals.append((_JUSTIFY, fanin[0], 1 - target))
             return False
-        if gate_type in (GateType.CONST0, GateType.CONST1):
+        if code == CONST0 or code == CONST1:
             return True  # consts are always implied; reaching here is a conflict
-        if gate_type in _AND_FAMILY:
+        if CONTROLLING[code] is not None:
             return self._justify_and_family(
-                gate, line, target, values, goals, decisions, trail
+                code, fanin, target, values, goals, decisions, trail
             )
-        if gate_type in _XOR_FAMILY:
+        if code == XOR or code == XNOR:
             return self._justify_xor_family(
-                gate, line, target, values, goals, decisions, trail
+                fanin, line, target, values, goals, decisions, trail
             )
-        if gate_type == GateType.MUX2:
-            return self._justify_mux(
-                gate, line, target, values, goals, decisions, trail
-            )
+        if code == MUX2:
+            return self._justify_mux(fanin, target, values, goals, decisions, trail)
         return True  # pragma: no cover - exhaustive over combinational types
 
     def _justify_and_family(
-        self, gate, line, target, values, goals, decisions, trail
+        self, code, fanin, target, values, goals, decisions, trail
     ) -> bool:
-        control = controlling_value(gate.type)
-        produced_by_noncontrol = (
-            control if is_inverting(gate.type) else 1 - control
-        )
+        control = CONTROLLING[code]
+        produced_by_noncontrol = control if INVERTING[code] else 1 - control
         open_fanins = [
-            f for f in gate.fanin if good_rail(values[f]) == _RAIL_X
+            f for f in fanin if good_rail(values[f]) == _RAIL_X
         ]
         if target == produced_by_noncontrol:
             # Forced: every input must go non-controlling (any input at the
             # controlling value would have implied the opposite output).
-            for fanin in open_fanins:
-                goals.append((_JUSTIFY, fanin, 1 - control))
+            for driver in open_fanins:
+                goals.append((_JUSTIFY, driver, 1 - control))
             return False
         # Branch: some input must take the controlling value.  All open
         # inputs are alternatives — completeness needs each one tried.
@@ -270,10 +264,10 @@ class DAlgorithm(Podem):
         return self._branch(alternatives, goals, decisions, trail)
 
     def _justify_xor_family(
-        self, gate, line, target, values, goals, decisions, trail
+        self, fanin, line, target, values, goals, decisions, trail
     ) -> bool:
         open_fanins = [
-            f for f in gate.fanin if good_rail(values[f]) == _RAIL_X
+            f for f in fanin if good_rail(values[f]) == _RAIL_X
         ]
         if not open_fanins:
             return True
@@ -291,9 +285,9 @@ class DAlgorithm(Podem):
         return self._branch(alternatives, goals, decisions, trail)
 
     def _justify_mux(
-        self, gate, line, target, values, goals, decisions, trail
+        self, fanin, target, values, goals, decisions, trail
     ) -> bool:
-        select, when0, when1 = gate.fanin
+        select, when0, when1 = fanin
         select_good = good_rail(values[select])
         if select_good != _RAIL_X:
             goals.append(
@@ -332,10 +326,10 @@ class DAlgorithm(Podem):
                 [(_JUSTIFY, line, 1 - cheap)],
             ]
             return self._branch(alternatives, goals, decisions, trail)
-        gate = self.netlist.gates[line]
-        if gate.type in (GateType.CONST0, GateType.CONST1):
+        code = self._core.codes[line]
+        if code == CONST0 or code == CONST1:
             return False
-        candidates = [f for f in gate.fanin if has_x(values[f])]
+        candidates = [f for f in self._core.fanins[line] if has_x(values[f])]
         if not candidates:
             # All inputs known yet output X: impossible for healthy gates
             # (implication is complete per gate); treat as conflict.
@@ -409,20 +403,20 @@ class DAlgorithm(Podem):
         """Goal bundles that drive the fault effect through one frontier
         gate: side inputs to non-controlling values, X faulty rails in the
         cone grounded so the gate's output can resolve to a D."""
-        gate = self.netlist.gates[gate_index]
-        gate_type = gate.type
+        code = self._core.codes[gate_index]
+        drivers = self._core.fanins[gate_index]
         injected_pin = (
             fault.pin
             if gate_index == fault.gate and fault.pin != OUTPUT_PIN
             else None
         )
 
-        if gate_type == GateType.MUX2:
-            return self._mux_bundles(gate, injected_pin, values)
+        if code == MUX2:
+            return self._mux_bundles(drivers, injected_pin, values)
 
         bundle: List[Tuple[int, int, int]] = []
-        noncontrol = noncontrolling_value(gate_type)
-        for pin, fanin in enumerate(gate.fanin):
+        noncontrol = NONCONTROLLING[code]
+        for pin, fanin in enumerate(drivers):
             if pin == injected_pin:
                 continue
             value = values[fanin]
@@ -442,14 +436,14 @@ class DAlgorithm(Podem):
         return [bundle] if bundle else []
 
     def _mux_bundles(
-        self, gate, injected_pin: Optional[int], values: List[int]
+        self, drivers, injected_pin: Optional[int], values: List[int]
     ) -> List[List[Tuple[int, int, int]]]:
         """Propagation modes for a 2:1 mux frontier gate.
 
         A D on a data input passes when the select routes that side; a D
         on the select passes when the two data inputs differ (both
         orderings are alternatives)."""
-        select, when0, when1 = gate.fanin
+        select, when0, when1 = drivers
         modes: List[List[Tuple[int, int, int]]] = []
 
         def faulted_or_injected(pin: int, fanin: int) -> bool:

@@ -24,14 +24,12 @@ budget, which is a proof no matter how small the slice was.
 
 from __future__ import annotations
 
-import time
 from typing import List, Optional, Sequence
 
-from ..circuit.gates import noncontrolling_value
 from ..circuit.netlist import Netlist
 from ..faults.model import StuckAtFault
+from .implication import NONCONTROLLING
 from .podem import _RAIL_X, Podem, PodemResult
-from ..circuit.dcalc import good_rail, is_faulted
 from .scoap import Testability
 
 __all__ = ["GuidedPodem"]
@@ -66,25 +64,20 @@ class GuidedPodem(Podem):
     def _detect_cost(self, gate_index: int, values: List[int]) -> int:
         """SCOAP cost of pushing the D through ``gate_index``: observe the
         output, and justify each *open* side input non-controlling."""
-        gate = self.netlist.gates[gate_index]
         cost = self.measures.co[gate_index]
-        noncontrol = noncontrolling_value(gate.type)
+        noncontrol = NONCONTROLLING[self._core.codes[gate_index]]
         if noncontrol is None:
             return cost
-        for driver in gate.fanin:
-            value = values[driver]
-            if is_faulted(value):
-                continue
-            if good_rail(value) == _RAIL_X:
-                cost += self.measures.controllability(driver, noncontrol)
+        # Faulted drivers (known good rail) help and cost nothing.
+        side_cost = self.measures.cc1 if noncontrol else self.measures.cc0
+        for driver in self._core.fanins[gate_index]:
+            if values[driver] // 3 == _RAIL_X:
+                cost += side_cost[driver]
         return cost
 
     def generate(self, fault: StuckAtFault) -> PodemResult:
-        deadline = (
-            None
-            if self.time_budget_s is None
-            else time.perf_counter() + self.time_budget_s
-        )
+        deadline = self._deadline()
+        self._implications = 0
         slices = _budget_slices(self.backtrack_limit, self.restarts)
         total_backtracks = 0
         outcome = PodemResult(status="aborted", reason="backtracks")
@@ -95,6 +88,7 @@ class GuidedPodem(Podem):
             if outcome.status != "aborted" or outcome.reason == "time":
                 break
         outcome.backtracks = total_backtracks
+        self._publish_implications()
         return outcome
 
 

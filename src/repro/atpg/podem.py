@@ -10,9 +10,19 @@ Implementation notes for speed (this is the toolkit's hottest loop):
 
 * D-pairs are packed into single ints (see :mod:`repro.circuit.dcalc`) and
   gates evaluate by table lookup;
+* the inner loops read one compiled :class:`~repro.atpg.implication.ImplicationCore`
+  per netlist — integer type codes, fanin tuples, combinational successor
+  keys ``(topo << 32) | gate`` — shared by every engine bound to it, so no
+  loop compares a ``GateType`` or asks ``Gate.is_sequential``;
+* the fault-free all-X implication is computed once per netlist; each
+  target fault copies it and re-implies only its fanout cone in topo order
+  (exact: nothing outside the cone can see the fault), so a call costs the
+  cone, not the chip;
 * implication is event-driven — one input changes per decision, so only its
   fanout cone re-evaluates;
-* all frontier/detection scans are restricted to the fault's fanout cone.
+* all frontier/detection scans are restricted to the fault's fanout cone;
+* ``atpg.implications`` counts the gates re-implied per target fault (cone
+  pass plus event-driven re-implication), added once per ``generate`` call.
 
 The engine produces a *test cube*: an input vector over ``{0, 1, X}`` whose
 X positions are don't-cares.  Compaction and compression exploit those X's;
@@ -26,25 +36,28 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..circuit.dcalc import (
-    AND_TABLE,
-    DX,
-    NOT_TABLE,
-    OR_TABLE,
-    XOR_TABLE,
-    good_rail,
-    has_x,
-    is_faulted,
-    pack,
-)
-from ..circuit.gates import GateType, controlling_value, is_inverting, noncontrolling_value
+from .. import obs
+from ..circuit.dcalc import FAULTED, good_rail
 from ..circuit.netlist import Netlist
 from ..circuit.values import X
 from ..faults.model import OUTPUT_PIN, StuckAtFault
 from ..sim.view import CombinationalView
+from .implication import (
+    _RAIL_X,
+    BUF,
+    CONST0,
+    CONST1,
+    CONTROLLING,
+    GATE_MASK,
+    HAS_X,
+    INVERTING,
+    NONCONTROLLING,
+    NOT,
+    SOURCE,
+    evaluate,
+    implication_core,
+)
 from .scoap import Testability, compute_testability
-
-_RAIL_X = 2  # rail encoding of "unknown" inside a packed D-value
 
 
 @dataclass
@@ -91,61 +104,28 @@ class Podem:
         self._input_position: Dict[int, int] = {
             gate: position for position, gate in enumerate(self.view.input_gates)
         }
-        self._topo_position = [0] * len(netlist.gates)
-        for position, gate_index in enumerate(netlist.topo_order):
-            self._topo_position[gate_index] = position
+        self._core = implication_core(netlist)
         # Per-fault scratch, (re)bound by generate().
         self._cone_gates: List[int] = []
         self._cone_readers: List[int] = []
-        self._cone_reader_set: frozenset = frozenset()
+        self._implications = 0
 
     # ------------------------------------------------------------------
     # Packed D-calculus implication (event-driven)
     # ------------------------------------------------------------------
 
     def _recompute(self, gate_index: int, fault: StuckAtFault, values: List[int]) -> int:
-        """Evaluate one gate's packed D-value with fault injection."""
-        gate = self.netlist.gates[gate_index]
-        gate_type = gate.type
-        fanin = gate.fanin
+        """Evaluate one gate's packed D-value, injecting ``fault`` at its site."""
+        code = self._core.codes[gate_index]
+        fanin = self._core.fanins[gate_index]
+        if gate_index != fault.gate:
+            return evaluate(code, fanin, values)
         stuck = fault.value
-
-        if gate_type == GateType.CONST0:
-            result = 0  # pack(0, 0)
-        elif gate_type == GateType.CONST1:
-            result = 4  # pack(1, 1)
-        else:
-            inputs = [values[driver] for driver in fanin]
-            if gate_index == fault.gate and fault.pin != OUTPUT_PIN:
-                original = inputs[fault.pin]
-                inputs[fault.pin] = (original // 3) * 3 + stuck
-            if gate_type in (GateType.BUF, GateType.OUTPUT):
-                result = inputs[0]
-            elif gate_type == GateType.NOT:
-                result = NOT_TABLE[inputs[0]]
-            elif gate_type == GateType.AND or gate_type == GateType.NAND:
-                acc = 4
-                for value in inputs:
-                    acc = AND_TABLE[acc][value]
-                result = NOT_TABLE[acc] if gate_type == GateType.NAND else acc
-            elif gate_type == GateType.OR or gate_type == GateType.NOR:
-                acc = 0
-                for value in inputs:
-                    acc = OR_TABLE[acc][value]
-                result = NOT_TABLE[acc] if gate_type == GateType.NOR else acc
-            elif gate_type == GateType.XOR or gate_type == GateType.XNOR:
-                acc = 0
-                for value in inputs:
-                    acc = XOR_TABLE[acc][value]
-                result = NOT_TABLE[acc] if gate_type == GateType.XNOR else acc
-            elif gate_type == GateType.MUX2:
-                result = _mux_packed(inputs[0], inputs[1], inputs[2])
-            else:  # pragma: no cover - exhaustive over combinational types
-                raise ValueError(f"unhandled gate type {gate_type}")
-
-        if gate_index == fault.gate and fault.pin == OUTPUT_PIN:
-            result = (result // 3) * 3 + stuck
-        return result
+        if fault.pin == OUTPUT_PIN:
+            return (evaluate(code, fanin, values) // 3) * 3 + stuck
+        inputs = [values[driver] for driver in fanin]
+        inputs[fault.pin] = (inputs[fault.pin] // 3) * 3 + stuck
+        return evaluate(code, range(len(inputs)), inputs)
 
     def _set_input(
         self, position: int, value: int, fault: StuckAtFault, values: List[int]
@@ -164,38 +144,57 @@ class Podem:
     def _propagate_change(
         self, source: int, fault: StuckAtFault, values: List[int]
     ) -> None:
-        """Event-driven re-implication through the fanout cone of ``source``."""
-        gates = self.netlist.gates
-        topo = self._topo_position
-        heap: List[int] = []
-        enqueued = set()
+        """Event-driven re-implication through the fanout cone of ``source``.
 
-        for consumer in gates[source].fanout:
-            if not gates[consumer].is_sequential:
-                enqueued.add(consumer)
-                heappush(heap, (topo[consumer] << 32) | consumer)
+        The heap holds successor keys, so gates pop in topo order.
+        """
+        core = self._core
+        successors, codes, fanins = core.successors, core.codes, core.fanins
+        site = fault.gate
+        heap = list(successors[source])  # sorted, hence already a heap
+        enqueued = set(heap)
+        implied = 0
         while heap:
-            gate_index = heappop(heap) & 0xFFFFFFFF
-            packed = self._recompute(gate_index, fault, values)
+            gate_index = heappop(heap) & GATE_MASK
+            implied += 1
+            if gate_index == site:
+                packed = self._recompute(gate_index, fault, values)
+            else:
+                packed = evaluate(codes[gate_index], fanins[gate_index], values)
             if packed == values[gate_index]:
                 continue
             values[gate_index] = packed
-            for consumer in gates[gate_index].fanout:
-                if consumer not in enqueued and not gates[consumer].is_sequential:
-                    enqueued.add(consumer)
-                    heappush(heap, (topo[consumer] << 32) | consumer)
+            for key in successors[gate_index]:
+                if key not in enqueued:
+                    enqueued.add(key)
+                    heappush(heap, key)
+        self._implications += implied
 
     def _initial_values(self, fault: StuckAtFault) -> List[int]:
-        """All-X implication with the fault injected at its site."""
-        gates = self.netlist.gates
-        values = [DX] * len(gates)
-        for gate_index in self.netlist.topo_order:
-            gate = gates[gate_index]
-            if gate.type == GateType.INPUT or gate.is_sequential:
-                if fault.pin == OUTPUT_PIN and gate_index == fault.gate:
+        """All-X implication with the fault injected at its site.
+
+        Copies the netlist's fault-free all-X state and re-implies only
+        the fault's cone (``_cone_gates``, topo order); every other gate
+        keeps its fault-free value.  The cone's only possible source is
+        the fault site itself.
+        """
+        core = self._core
+        codes, fanins = core.codes, core.fanins
+        values = list(core.fault_free)
+        site = fault.gate
+        implied = 0
+        for gate_index in self._cone_gates:
+            code = codes[gate_index]
+            if code == SOURCE:
+                if fault.pin == OUTPUT_PIN:
                     values[gate_index] = _RAIL_X * 3 + fault.value
                 continue
-            values[gate_index] = self._recompute(gate_index, fault, values)
+            if gate_index == site:
+                values[gate_index] = self._recompute(gate_index, fault, values)
+            else:
+                values[gate_index] = evaluate(code, fanins[gate_index], values)
+            implied += 1
+        self._implications += implied
         return values
 
     # ------------------------------------------------------------------
@@ -204,46 +203,46 @@ class Podem:
 
     def _fault_cone(self, fault: StuckAtFault) -> Tuple[List[int], List[int]]:
         """(cone gates in topo order, observation readers inside the cone)."""
-        cone = self.netlist.fanout_cone([fault.gate])
-        ordered = sorted(cone, key=lambda g: self._topo_position[g])
-        readers = [r for r in self.view.output_readers if r in cone]
-        return ordered, readers
+        core = self._core
+        successors = core.successors
+        root = fault.gate
+        keys = {(core.topo[root] << 32) | root}
+        stack = [root]
+        while stack:
+            for key in successors[stack.pop()]:
+                if key not in keys:
+                    keys.add(key)
+                    stack.append(key & GATE_MASK)
+        ordered = [key & GATE_MASK for key in sorted(keys)]
+        is_reader = core.is_reader
+        return ordered, [gate for gate in ordered if is_reader[gate]]
 
     def _detected(self, fault: StuckAtFault, values: List[int]) -> bool:
         """Fault effect visible at an observation point?"""
         for reader in self._cone_readers:
-            if is_faulted(values[reader]):
+            if values[reader] in FAULTED:
                 return True
         return self._branch_observed(fault, values)
 
     def _branch_observed(self, fault: StuckAtFault, values: List[int]) -> bool:
         """Branch faults feeding a PO or flop D pin are observed directly."""
-        if fault.pin == OUTPUT_PIN:
+        if not self._branch_reaches_observation(fault):
             return False
-        gate = self.netlist.gates[fault.gate]
-        if gate.type != GateType.OUTPUT and not gate.is_sequential:
-            return False
-        good = good_rail(values[gate.fanin[fault.pin]])
+        good = values[self._core.fanins[fault.gate][fault.pin]] // 3
         return good != _RAIL_X and good != fault.value
 
     def _branch_reaches_observation(self, fault: StuckAtFault) -> bool:
-        if fault.pin == OUTPUT_PIN:
-            return False
-        gate = self.netlist.gates[fault.gate]
-        return gate.type == GateType.OUTPUT or gate.is_sequential
+        return fault.pin != OUTPUT_PIN and self._core.observes[fault.gate]
 
     def _site_good_value(self, fault: StuckAtFault, values: List[int]) -> int:
         """Good rail at the fault site (0/1/2-for-X)."""
-        if fault.pin == OUTPUT_PIN:
-            return good_rail(values[fault.gate])
-        driver = self.netlist.gates[fault.gate].fanin[fault.pin]
-        return good_rail(values[driver])
+        return good_rail(values[self._excitation_target(fault)])
 
     def _excitation_target(self, fault: StuckAtFault) -> int:
         """Gate whose good value must be set to excite the fault."""
         if fault.pin == OUTPUT_PIN:
             return fault.gate
-        return self.netlist.gates[fault.gate].fanin[fault.pin]
+        return self._core.fanins[fault.gate][fault.pin]
 
     def _d_frontier(self, fault: StuckAtFault, values: List[int]) -> List[int]:
         """Cone gates with an X output and at least one faulted input.
@@ -254,28 +253,26 @@ class Podem:
         good rail opposes the stuck value.
         """
         frontier: List[int] = []
-        gates = self.netlist.gates
+        codes, fanins = self._core.codes, self._core.fanins
+        site = fault.gate if fault.pin != OUTPUT_PIN else -1
         for index in self._cone_gates:
-            gate = gates[index]
-            if gate.type == GateType.INPUT or gate.is_sequential:
+            if not HAS_X[values[index]] or codes[index] == SOURCE:
                 continue
-            if not has_x(values[index]):
-                continue
-            if index == fault.gate and fault.pin != OUTPUT_PIN:
-                driver_good = good_rail(values[gate.fanin[fault.pin]])
+            fanin = fanins[index]
+            if index == site:
+                driver_good = values[fanin[fault.pin]] // 3
                 if driver_good != _RAIL_X and driver_good != fault.value:
                     frontier.append(index)
                     continue
-            for driver in gate.fanin:
-                if is_faulted(values[driver]):
+            for driver in fanin:
+                if values[driver] in FAULTED:
                     frontier.append(index)
                     break
         return frontier
 
     def _x_path_exists(self, frontier: Sequence[int], values: List[int]) -> bool:
         """Can any D-frontier gate still reach a reader through X gates?"""
-        readers = self._cone_reader_set
-        gates = self.netlist.gates
+        is_reader, successors = self._core.is_reader, self._core.successors
         seen = set()
         stack = list(frontier)
         while stack:
@@ -283,13 +280,11 @@ class Podem:
             if index in seen:
                 continue
             seen.add(index)
-            if index in readers:
+            if is_reader[index]:
                 return True
-            for consumer in gates[index].fanout:
-                gate = gates[consumer]
-                if gate.is_sequential:
-                    continue
-                if has_x(values[consumer]):
+            for key in successors[index]:
+                consumer = key & GATE_MASK
+                if HAS_X[values[consumer]]:
                     stack.append(consumer)
         return False
 
@@ -313,17 +308,18 @@ class Podem:
         # the dual-rail model can know the good value while the faulty
         # rail (downstream of the fault through reconvergence) is still X,
         # and resolving that rail also goes through PI assignments.
+        codes, fanins = self._core.codes, self._core.fanins
         for best in self._rank_frontier(frontier, values):
-            gate = self.netlist.gates[best]
-            noncontrol = noncontrolling_value(gate.type)
-            for driver in gate.fanin:
-                if has_x(values[driver]) and not is_faulted(values[driver]):
-                    target = noncontrol if noncontrol is not None else 1
-                    if good_rail(values[driver]) != _RAIL_X:
+            noncontrol = NONCONTROLLING[codes[best]]
+            for driver in fanins[best]:
+                value = values[driver]
+                if HAS_X[value]:  # an X rail rules out a D on the driver
+                    good = value // 3
+                    if good != _RAIL_X:
                         # Good rail fixed: aim the backtrace at keeping it
                         # (the X faulty rail follows the same assignments).
-                        target = good_rail(values[driver])
-                    return (driver, target)
+                        return (driver, good)
+                    return (driver, 1 if noncontrol is None else noncontrol)
         return None
 
     def _rank_frontier(
@@ -346,55 +342,47 @@ class Podem:
         Returns ``(input_position, value)`` or None when every path is
         blocked by assigned gates.
         """
-        gates = self.netlist.gates
+        codes, fanins = self._core.codes, self._core.fanins
+        cc0, cc1 = self.measures.cc0, self.measures.cc1
+        input_position = self._input_position
         current, target = gate_index, value
-        for _ in range(len(gates) + 1):
-            if current in self._input_position:
-                if good_rail(values[current]) == _RAIL_X:
-                    return (self._input_position[current], target)
+        for _ in range(len(codes) + 1):
+            position = input_position.get(current)
+            if position is not None:
+                if values[current] // 3 == _RAIL_X:
+                    return (position, target)
                 return None
-            gate = gates[current]
-            gate_type = gate.type
-            if gate_type in (GateType.CONST0, GateType.CONST1):
+            code = codes[current]
+            if code == CONST0 or code == CONST1:
                 return None
             # Walk through any rail still unknown: a known-good line whose
             # faulty rail is X still depends on unassigned PIs.
-            candidates = [d for d in gate.fanin if has_x(values[d])]
+            candidates = [d for d in fanins[current] if HAS_X[values[d]]]
             if not candidates:
                 return None
-            if gate_type in (GateType.BUF, GateType.NOT, GateType.OUTPUT):
-                current = gate.fanin[0]
-                if gate_type == GateType.NOT:
+            if code == BUF or code == NOT:
+                current = fanins[current][0]
+                if code == NOT:
                     target = 1 - target
                 continue
-            control = controlling_value(gate_type)
+            control = CONTROLLING[code]
             if control is not None:
-                if _needs_all_inputs(gate_type, target):
+                # All inputs non-controlling produce ``control`` on an
+                # inverting gate, its complement otherwise.
+                if target == (control if INVERTING[code] else 1 - control):
                     # Every input must be non-controlling: attack the
                     # hardest X input first (classic PODEM heuristic).
-                    next_target = 1 - control
-                    current = max(
-                        candidates,
-                        key=lambda d: self.measures.controllability(d, next_target),
-                    )
+                    target = 1 - control
+                    current = max(candidates, key=(cc1 if target else cc0).__getitem__)
                 else:
                     # One controlling input suffices: take the easiest.
-                    next_target = control
-                    current = min(
-                        candidates,
-                        key=lambda d: self.measures.controllability(d, control),
-                    )
-                target = next_target
+                    target = control
+                    current = min(candidates, key=(cc1 if target else cc0).__getitem__)
                 continue
             # XOR/XNOR/MUX: any X input can serve; pick the cheapest input
             # and value, let implication plus backtracking settle parity.
-            current = min(
-                candidates,
-                key=lambda d: min(self.measures.cc0[d], self.measures.cc1[d]),
-            )
-            target = (
-                0 if self.measures.cc0[current] <= self.measures.cc1[current] else 1
-            )
+            current = min(candidates, key=lambda d: min(cc0[d], cc1[d]))
+            target = 0 if cc0[current] <= cc1[current] else 1
         return None
 
     # ------------------------------------------------------------------
@@ -403,12 +391,22 @@ class Podem:
 
     def generate(self, fault: StuckAtFault) -> PodemResult:
         """Attempt to generate a test cube detecting ``fault``."""
-        deadline = (
-            None
-            if self.time_budget_s is None
-            else time.perf_counter() + self.time_budget_s
-        )
-        return self._search(fault, self.backtrack_limit, deadline)
+        self._implications = 0
+        outcome = self._search(fault, self.backtrack_limit, self._deadline())
+        self._publish_implications()
+        return outcome
+
+    def _deadline(self) -> Optional[float]:
+        """``perf_counter`` deadline of a call starting now (None = unlimited)."""
+        if self.time_budget_s is None:
+            return None
+        return time.perf_counter() + self.time_budget_s
+
+    def _publish_implications(self) -> None:
+        """Add this call's re-implied gate tally to ``atpg.implications``."""
+        counter = obs.counter("atpg.implications")
+        if counter is not None:
+            counter.add(self._implications)
 
     def _abort_reason(self, deadline: Optional[float]) -> str:
         """Reason for an abort at the backtrack-budget trip point.
@@ -432,7 +430,6 @@ class Podem:
         n_inputs = self.view.num_inputs
         assignment = [X] * n_inputs
         self._cone_gates, self._cone_readers = self._fault_cone(fault)
-        self._cone_reader_set = frozenset(self._cone_readers)
         if not self._cone_readers and not self._branch_reaches_observation(fault):
             return PodemResult(status="untestable", backtracks=0)
         values = self._initial_values(fault)
@@ -479,31 +476,3 @@ class Podem:
                 self._set_input(position, X, fault, values)
             else:
                 return PodemResult(status="untestable", backtracks=backtracks)
-
-
-def _mux_rail(select: int, when0: int, when1: int) -> int:
-    """One rail of a 2:1 mux: known select picks a side; X select is known
-    only when both sides agree."""
-    if select == 0:
-        return when0
-    if select == 1:
-        return when1
-    if when0 == when1 and when0 != _RAIL_X:
-        return when0
-    return _RAIL_X
-
-
-def _mux_packed(select: int, when0: int, when1: int) -> int:
-    """Packed-value 2:1 mux evaluation, rail by rail."""
-    good = _mux_rail(select // 3, when0 // 3, when1 // 3)
-    faulty = _mux_rail(select % 3, when0 % 3, when1 % 3)
-    return good * 3 + faulty
-
-
-def _needs_all_inputs(gate_type: GateType, output_value: int) -> bool:
-    """True when the target output needs every input non-controlling."""
-    control = controlling_value(gate_type)
-    if control is None:
-        return False
-    produced_by_noncontrol = control if is_inverting(gate_type) else 1 - control
-    return output_value == produced_by_noncontrol

@@ -13,7 +13,17 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    TypeVar,
+)
 
 from .gates import (
     SEQUENTIAL_TYPES,
@@ -21,6 +31,8 @@ from .gates import (
     GateType,
     fanin_count_valid,
 )
+
+_Derived = TypeVar("_Derived")
 
 
 @dataclass
@@ -68,6 +80,7 @@ class Netlist:
         self.flops: List[int] = []
         self._topo: Optional[List[int]] = None
         self._signature: Optional[str] = None
+        self._derived: Dict[str, object] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -134,6 +147,7 @@ class Netlist:
         """
         if self._topo is not None:
             return
+        self._derived.clear()
         for gate in self.gates:
             for driver in gate.fanin:
                 if driver >= len(self.gates):
@@ -192,6 +206,19 @@ class Netlist:
         self.finalize()
         assert self._topo is not None
         return self._topo
+
+    def derived(self, key: str, build: Callable[["Netlist"], _Derived]) -> _Derived:
+        """``build(self)`` for the finalized graph, memoized under ``key``.
+
+        Engines keep compiled tables here so every engine bound to one
+        netlist shares one copy.  The memo is dropped whenever the topo
+        order is recomputed, so :meth:`add` (or any invalidation of
+        ``_topo`` after patching fanins in place) invalidates it.
+        """
+        self.finalize()
+        if key not in self._derived:
+            self._derived[key] = build(self)
+        return self._derived[key]  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # Queries

@@ -53,6 +53,10 @@ COUNTER_LEAVES = frozenset(
         "good_passes",
         "detected",
         "gates",
+        # ATPG campaign verdicts and engine work (BENCH_atpg_smoke.json).
+        "aborted",
+        "proved_untestable",
+        "implications",
     }
 )
 

@@ -288,6 +288,29 @@ class TestObsCli:
 
 
 class TestBenchEnvelopeCompat:
+    @pytest.mark.parametrize(
+        "drift",
+        [{"aborted": 5, "proved_untestable": -3}, {"implications": 1}],
+        ids=["verdicts", "implications"],
+    )
+    def test_atpg_smoke_drift_fails_the_gate(self, tmp_path, drift):
+        """ATPG verdicts and engine work are exact counters: a copy of the
+        committed smoke envelope with shifted counts fails CI's gate."""
+        import pathlib
+
+        baseline = (
+            pathlib.Path(__file__).resolve().parent.parent
+            / "benchmarks" / "baselines" / "BENCH_atpg_smoke.json"
+        )
+        report = json.loads(baseline.read_text())
+        for row in report["payload"]["rows"]:
+            for leaf, delta in drift.items():
+                row[leaf] += delta
+        tampered = tmp_path / baseline.name
+        tampered.write_text(json.dumps(report))
+        argv = ["obs", "gate", str(baseline), str(tampered), "--threshold", "2.0"]
+        assert main(argv) == EXIT_REGRESSION
+
     def test_committed_bench_files_are_comparable(self):
         """Every committed BENCH_*.json self-compares clean (gate idempotence)."""
         import pathlib
