@@ -2,13 +2,16 @@
 
 The dispatch layer decouples *what* is simulated (the PPSFP kernel in
 :mod:`repro.sim.faultsim`) from *how the fault universe is scheduled*.
-The collapsed fault list is partitioned deterministically (seeded
-shuffle + round-robin, partition count independent of worker count), the
-good-machine response is computed once, each worker runs cone-limited
-PPSFP over its partition against that shared response, and the partial
-results are min-merged — so first-detecting-pattern semantics survive
-sharding and the outcome is bit-identical to PPSFP for any number of
-workers.  :class:`repro.sim.supervisor.SupervisedPoolBackend` is the one
+The collapsed fault list is partitioned deterministically (faults
+grouped by fanout-free region, groups shuffled with the seed and placed
+largest-first on the least-loaded shard; partition count independent of
+worker count), the good-machine response is computed once, each worker
+runs PPSFP over its partition against that shared response, and the
+partial results are min-merged — so first-detecting-pattern semantics
+survive sharding and the outcome is bit-identical to PPSFP for any number
+of workers.  Keeping a region in one shard also keeps the work counters
+bit-identical: its faults share one ``obs(root)`` propagation per chunk,
+as they do in process.  :class:`repro.sim.supervisor.SupervisedPoolBackend` is the one
 driver that runs the shards.
 
 Accelerator-scale fault universes (Sadi & Guin's yield-loss setting, the
@@ -22,7 +25,8 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Optional, Sequence
+from heapq import heappop, heappush
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..faults.model import StuckAtFault
 from ..obs import MetricRegistry
@@ -74,25 +78,38 @@ def default_partition_count(n_faults: int) -> int:
 
 
 def partition_faults(
-    faults: Sequence[StuckAtFault], n_partitions: int, seed: int = 0
+    faults: Sequence[StuckAtFault],
+    n_partitions: int,
+    seed: int = 0,
+    key: Optional[Callable[[StuckAtFault], object]] = None,
 ) -> List[List[StuckAtFault]]:
-    """Shard ``faults`` into ``n_partitions`` deterministic partitions.
+    """Shard ``faults`` into at most ``n_partitions`` deterministic partitions.
 
-    A seeded shuffle spreads structurally adjacent faults (which share
-    fanout cones and detection profiles) across partitions, then
-    round-robin assignment balances sizes to within one fault.  Given the
-    same seed and partition count the shards are identical on every run
+    Faults with equal ``key`` form one group and land in one partition
+    (without ``key`` every fault is its own group).  A seeded shuffle
+    spreads structurally adjacent groups across partitions, then each
+    group, largest first, goes to the least-loaded partition (lowest index
+    on ties), so sizes differ by at most the largest group — by at most one
+    fault without ``key``, where this is plain round-robin.  Given the same
+    seed, partition count and key the shards are identical on every run
     and every worker count.
     """
     unique = unique_faults(faults)
     if not unique:
         return []
-    n = max(1, min(n_partitions, len(unique)))
-    order = list(range(len(unique)))
-    random.Random(seed).shuffle(order)
+    grouped: Dict[object, List[StuckAtFault]] = {}
+    for fault in unique:
+        grouped.setdefault(fault if key is None else key(fault), []).append(fault)
+    groups = list(grouped.values())
+    random.Random(seed).shuffle(groups)
+    groups.sort(key=len, reverse=True)  # stable: ties keep the shuffle
+    n = max(1, min(n_partitions, len(groups)))
     partitions: List[List[StuckAtFault]] = [[] for _ in range(n)]
-    for position, index in enumerate(order):
-        partitions[position % n].append(unique[index])
+    loads = [(0, index) for index in range(n)]
+    for group in groups:
+        load, index = heappop(loads)
+        partitions[index].extend(group)
+        heappush(loads, (load + len(group), index))
     return partitions
 
 

@@ -6,8 +6,13 @@ Three stuck-at engines are provided, matching the E3 experiment:
   textbook baseline; trivially correct, painfully slow.
 * **ppsfp** — Parallel-Pattern Single-Fault Propagation: ``word_width``
   patterns per machine word (64 by default, up to 4096), good machine
-  simulated once per word, each fault then propagated event-wise through
-  its fanout cone only.  With fault dropping this is the production
+  simulated once per word.  Stuck-at faults are then graded by
+  critical-path tracing over fanout-free regions (Waicukauski et al.,
+  1985; HOPE, 1992): a fault's effect is evaluated up its region's tree
+  path to the region root, and ANDed with ``obs(root)``, the patterns on
+  which flipping the root reaches an observation point.  ``obs(root)``
+  costs one event-wise cone propagation per root and word chunk, shared by
+  every fault of the region.  With fault dropping this is the production
   algorithm every commercial fault simulator uses.
 * **supervised** — the PPSFP kernel sharded across worker processes
   (see :mod:`repro.sim.dispatch` and :mod:`repro.sim.supervisor`): the
@@ -18,6 +23,8 @@ Three stuck-at engines are provided, matching the E3 experiment:
 Transition-delay (launch-on-capture pairs) and bridging faults reuse the
 same cone machinery and the same grading loop: each fault model only
 supplies its good-machine chunks and a per-fault detection word.
+Transition faults are traced like stuck-at faults; bridging faults and
+:meth:`FaultSimulator.failure_signature` propagate each fault's own cone.
 
 Every ``simulate*`` call fills :attr:`FaultSimResult.stats` with
 per-run instrumentation (faults simulated, cone events propagated, packed
@@ -38,6 +45,7 @@ from ..circuit.netlist import Netlist
 from ..faults.model import OUTPUT_PIN, BridgingFault, StuckAtFault, TransitionFault
 from . import goodcache
 from .parallel import WORD_WIDTH, ParallelSimulator
+from .view import CombinationalView
 
 #: ``stats`` keys the parent process contributes to the observation's
 #: ``faultsim.*`` counters — the good-machine side of a run, which no
@@ -62,6 +70,51 @@ RECOVERY_COUNTERS = (
     "invalid_results",
     "inline_fallbacks",
 )
+
+
+class FanoutFreeRegions:
+    """The fanout-free regions (FFRs) of a netlist's combinational view.
+
+    A gate's region parent is its one combinational consumer when it feeds
+    exactly one gate (on any number of pins) and is not an observation
+    reader; every other gate roots a region.  Each region is a tree, so a
+    fault effect inside it reaches the root only along one path, and is
+    observed exactly where flipping the root would be.
+
+    ``parent[g]`` is that consumer or -1, ``pins[g]`` the parent's pins
+    that read ``g``, and ``root[g]`` the root of ``g``'s region.
+    """
+
+    def __init__(self, netlist: Netlist):
+        gates = netlist.gates
+        readers = set(CombinationalView(netlist).output_readers)
+        self.parent = [-1] * len(gates)
+        self.pins: List[Tuple[int, ...]] = [()] * len(gates)
+        for gate in gates:
+            consumers = set(gate.fanout)
+            if len(consumers) != 1 or gate.index in readers:
+                continue
+            (consumer,) = consumers
+            if gates[consumer].is_sequential:
+                continue
+            self.parent[gate.index] = consumer
+            self.pins[gate.index] = tuple(
+                pin
+                for pin, driver in enumerate(gates[consumer].fanin)
+                if driver == gate.index
+            )
+        # A parent is a combinational consumer, so it follows its child in
+        # topo order: resolve roots from the outputs back.
+        self.root = list(range(len(gates)))
+        for gate_index in reversed(netlist.topo_order):
+            consumer = self.parent[gate_index]
+            if consumer >= 0:
+                self.root[gate_index] = self.root[consumer]
+
+
+def fanout_free_regions(netlist: Netlist) -> FanoutFreeRegions:
+    """The netlist's :class:`FanoutFreeRegions`, built once and shared."""
+    return netlist.derived("sim.ffr", FanoutFreeRegions)
 
 
 def unique_faults(faults: Iterable[object]) -> List[object]:
@@ -177,6 +230,7 @@ class FaultSimulator:
         observation_gates = list(netlist.outputs) + list(netlist.flops)
         for position, gate_index in enumerate(observation_gates):
             self._direct_positions.setdefault(gate_index, position)
+        self._regions = fanout_free_regions(netlist)
         # Lifetime instrumentation counters; simulate* methods snapshot
         # deltas into FaultSimResult.stats.
         self._events_propagated = 0
@@ -186,6 +240,14 @@ class FaultSimulator:
         # Pickled only to a supervised worker where ``fork`` is missing:
         # the compiled evaluators are closures, so recompile, uncached.
         return (FaultSimulator, (self.netlist, self.word_width, None))
+
+    def fault_region(self, fault: StuckAtFault) -> int:
+        """Root of the fanout-free region a stuck-at fault is traced in.
+
+        Faults of one region share its ``obs(root)`` within a chunk, so
+        the supervised backend keeps each region in one shard.
+        """
+        return self._regions.root[fault.gate]
 
     def _snapshot(self) -> Tuple[int, int, int, int, int, int, float]:
         parallel = self.parallel
@@ -382,7 +444,11 @@ class FaultSimulator:
         faulty: Dict[int, int],
         mask: int,
     ) -> int:
-        """Patterns (bitmask) on which the fault effect reaches observation."""
+        """Patterns (bitmask) on which the fault effect reaches observation.
+
+        The full-cone readout of a fault's own propagation: what
+        critical-path tracing (:meth:`_stuck_at_grader`) must equal.
+        """
         diff = self._reader_diff(good, faulty) if faulty else 0
         # A branch fault feeding a PO or flop D pin is observed directly at
         # that single observation position, bypassing the stem value.
@@ -466,7 +532,7 @@ class FaultSimulator:
         faults: Iterable[object],
         total: int,
         good_chunk: Callable[[int, int], object],
-        detect: Callable[[object, object, int], int],
+        grader: Callable[[object, int], Callable[[object], int]],
         drop: bool,
         engine: str,
     ) -> FaultSimResult:
@@ -474,10 +540,11 @@ class FaultSimulator:
 
         Steps ``word_width`` chunks over ``total`` stimuli.
         ``good_chunk(start, n)`` supplies a chunk's good-machine words and
-        ``detect(fault, good, mask)`` a fault's detection word for it.  The
-        loop alone owns dropping, the survivor list and first-detection
-        indices, and it stops before asking for a chunk nobody is left to
-        grade.
+        ``grader(good, mask)`` the chunk's ``detect(fault)``, which returns
+        a fault's detection word; whatever ``detect`` memoises lives for
+        that chunk only.  The loop alone owns dropping, the survivor list
+        and first-detection indices, and it stops before asking for a
+        chunk nobody is left to grade.
         """
         since = self._snapshot()
         active = unique_faults(faults)
@@ -489,10 +556,10 @@ class FaultSimulator:
                 break
             n = min(width, total - start)
             mask = (1 << n) - 1
-            good = good_chunk(start, n)
+            detect = grader(good_chunk(start, n), mask)
             survivors = []
             for fault in active:
-                word = detect(fault, good, mask)
+                word = detect(fault)
                 if word:
                     if fault not in detected:
                         detected[fault] = start + (word & -word).bit_length() - 1
@@ -530,16 +597,73 @@ class FaultSimulator:
                 patterns[start : start + n]
             )
         return self._grade(
-            faults, total, good_chunk, self._stuck_at_detect, drop, "ppsfp"
+            faults, total, good_chunk, self._stuck_at_grader, drop, "ppsfp"
         )
 
-    def _stuck_at_detect(
-        self, fault: StuckAtFault, good: Sequence[int], mask: int
-    ) -> int:
-        """Seed, propagate and read out one stuck-at fault."""
-        seeds = self._stuck_at_seeds(fault, good, mask)
-        faulty = self._propagate(seeds, good, mask) if seeds else {}
-        return self._detection_word(fault, good, faulty, mask)
+    def _stuck_at_grader(
+        self, good: Sequence[int], mask: int
+    ) -> Callable[[StuckAtFault], int]:
+        """One chunk's stuck-at detection by critical-path tracing.
+
+        The returned ``detect(fault)`` evaluates the fault site, then each
+        region parent up to the root with the faulty word on every pin
+        that reads the child, using the compiled evaluators — so MUX
+        selects, XOR side inputs and repeated pins need no rule of their
+        own.  The effect at the root is ANDed with ``obs(root)``: exact,
+        because a fanout-free region is a tree and patterns are bitwise
+        independent.  ``obs(root)`` is memoised per root for this chunk
+        and computed only once a fault's effect reaches that root.  Branch
+        faults on PO and flop pins are read out directly.
+        """
+        evaluators = self._evaluators
+        fanins = self._fanins
+        parent = self._regions.parent
+        parent_pins = self._regions.pins
+        observes_directly = self._observes_directly
+        observability: Dict[int, int] = {}
+
+        def detect(fault: StuckAtFault) -> int:
+            forced = mask if fault.value else 0
+            gate = fault.gate
+            if fault.pin == OUTPUT_PIN:
+                word = forced
+                evaluated = 0
+            elif observes_directly[gate]:
+                return (forced ^ good[fanins[gate][fault.pin]]) & mask
+            else:
+                inputs = [good[driver] for driver in fanins[gate]]
+                inputs[fault.pin] = forced
+                word = evaluators[gate](inputs, mask)
+                evaluated = 1
+            diff = word ^ good[gate]
+            consumer = parent[gate]
+            while diff and consumer >= 0:
+                inputs = [good[driver] for driver in fanins[consumer]]
+                for pin in parent_pins[gate]:
+                    inputs[pin] = word
+                word = evaluators[consumer](inputs, mask)
+                evaluated += 1
+                gate = consumer
+                diff = word ^ good[gate]
+                consumer = parent[gate]
+            self._words_evaluated += evaluated
+            if not diff:
+                return 0
+            observed = observability.get(gate)
+            if observed is None:
+                observed = observability[gate] = self._observability(
+                    gate, good, mask
+                )
+            return diff & observed
+
+        return detect
+
+    def _observability(self, root: int, good: Sequence[int], mask: int) -> int:
+        """Patterns on which flipping ``root`` reaches an observation point."""
+        if root in self._reader_set:
+            return mask
+        faulty = self._propagate({root: good[root] ^ mask}, good, mask)
+        return self._reader_diff(good, faulty) & mask
 
     def _simulate_serial(
         self,
@@ -677,23 +801,28 @@ class FaultSimulator:
             launch = good_words([pair[0] for pair in chunk])
             return launch, good_words([pair[1] for pair in chunk])
 
-        def detect(fault: TransitionFault, good, mask: int) -> int:
+        def grader(good, mask: int) -> Callable[[TransitionFault], int]:
             good_launch, good_capture = good
-            site_launch = self._site_value(fault, good_launch)
-            site_capture = self._site_value(fault, good_capture)
-            if fault.slow_to == 1:
-                transition = ~site_launch & site_capture  # 0 -> 1
-            else:
-                transition = site_launch & ~site_capture  # 1 -> 0
-            transition &= mask
-            if not transition:
-                return 0
-            stuck = StuckAtFault(fault.gate, fault.pin, fault.acts_as_stuck)
-            return self._stuck_at_detect(stuck, good_capture, mask) & transition
+            detect_stuck = self._stuck_at_grader(good_capture, mask)
+
+            def detect(fault: TransitionFault) -> int:
+                site_launch = self._site_value(fault, good_launch)
+                site_capture = self._site_value(fault, good_capture)
+                if fault.slow_to == 1:
+                    transition = ~site_launch & site_capture  # 0 -> 1
+                else:
+                    transition = site_launch & ~site_capture  # 1 -> 0
+                transition &= mask
+                if not transition:
+                    return 0
+                stuck = StuckAtFault(fault.gate, fault.pin, fault.acts_as_stuck)
+                return detect_stuck(stuck) & transition
+
+            return detect
 
         return self._publish(
             self._grade(
-                faults, len(pattern_pairs), good_chunk, detect, drop,
+                faults, len(pattern_pairs), good_chunk, grader, drop,
                 "ppsfp-transition",
             )
         )
@@ -725,23 +854,26 @@ class FaultSimulator:
         detections can depend on ``word_width``.
         """
 
-        def detect(fault: BridgingFault, good: Sequence[int], mask: int) -> int:
-            value_a, value_b = good[fault.net_a], good[fault.net_b]
-            forced_a, forced_b = _resolve_words(fault, value_a, value_b, mask)
-            seeds = {}
-            if forced_a != value_a:
-                seeds[fault.net_a] = forced_a
-            if forced_b != value_b:
-                seeds[fault.net_b] = forced_b
-            faulty = self._propagate(seeds, good, mask) if seeds else {}
-            return self._reader_diff(good, faulty) & mask
+        def grader(good: Sequence[int], mask: int) -> Callable[[BridgingFault], int]:
+            def detect(fault: BridgingFault) -> int:
+                value_a, value_b = good[fault.net_a], good[fault.net_b]
+                forced_a, forced_b = _resolve_words(fault, value_a, value_b, mask)
+                seeds = {}
+                if forced_a != value_a:
+                    seeds[fault.net_a] = forced_a
+                if forced_b != value_b:
+                    seeds[fault.net_b] = forced_b
+                faulty = self._propagate(seeds, good, mask) if seeds else {}
+                return self._reader_diff(good, faulty) & mask
+
+            return detect
 
         good_chunk = lambda start, n: self.parallel.good_words(
             patterns[start : start + n]
         )
         return self._publish(
             self._grade(
-                faults, len(patterns), good_chunk, detect, drop, "ppsfp-bridging"
+                faults, len(patterns), good_chunk, grader, drop, "ppsfp-bridging"
             )
         )
 

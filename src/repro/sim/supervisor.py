@@ -291,15 +291,22 @@ class SupervisedPoolBackend:
     # Main entry
     # ------------------------------------------------------------------
 
-    def _plan(self, universe):
-        """Worker count and deterministic shards for ``universe``."""
+    def _plan(self, simulator, universe):
+        """Worker count and deterministic shards for ``universe``.
+
+        Each fanout-free region's faults share one shard, so every shard
+        traces them against one ``obs(root)`` per chunk, as in process.
+        """
         jobs = self.jobs if self.jobs is not None else (os.cpu_count() or 1)
         n_partitions = (
             self.partitions
             if self.partitions is not None
             else default_partition_count(len(universe))
         )
-        return max(1, jobs), partition_faults(universe, n_partitions, self.seed)
+        shards = partition_faults(
+            universe, n_partitions, self.seed, key=simulator.fault_region
+        )
+        return max(1, jobs), shards
 
     def run(self, simulator, patterns, faults, drop=True):
         if self.store is not None:
@@ -527,7 +534,7 @@ class SupervisedPoolBackend:
         """
         start_time = time.perf_counter()
         universe = unique_faults(faults)
-        jobs, shards = self._plan(universe)
+        jobs, shards = self._plan(simulator, universe)
         n_patterns = len(patterns)
         key = CampaignKey.build(
             simulator.netlist, patterns, universe, self.seed, len(shards), drop

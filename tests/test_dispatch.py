@@ -91,6 +91,39 @@ class TestPartitioning:
         assert sorted(flattened) == sorted(faults)
         assert max(len(s) for s in shards) - min(len(s) for s in shards) <= 1
 
+    def test_grouped_partitions_keep_each_region_in_one_shard(self):
+        netlist = generators.random_circuit(8, 120, seed=21)
+        simulator = FaultSimulator(netlist, cache=None)
+        faults = _universe(netlist)
+        key = simulator.fault_region
+        sizes = {}
+        for fault in faults:
+            sizes[key(fault)] = sizes.get(key(fault), 0) + 1
+        assert max(sizes.values()) > 1  # some region holds several faults
+        shards = partition_faults(faults, 6, seed=4, key=key)
+        flattened = [fault for shard in shards for fault in shard]
+        assert sorted(flattened) == sorted(faults)
+        home = {}
+        for index, shard in enumerate(shards):
+            for fault in shard:
+                assert home.setdefault(key(fault), index) == index
+        loads = [len(shard) for shard in shards]
+        assert max(loads) - min(loads) <= max(sizes.values())
+
+    def test_grouped_partitions_deterministic_given_seed(self):
+        netlist = generators.random_circuit(8, 120, seed=21)
+        key = FaultSimulator(netlist, cache=None).fault_region
+        faults = _universe(netlist)
+        a = partition_faults(faults, 6, seed=4, key=key)
+        assert a == partition_faults(faults, 6, seed=4, key=key)
+        assert a != partition_faults(faults, 6, seed=5, key=key)
+
+    def test_grouped_partitions_never_exceed_the_group_count(self):
+        faults = _universe(benchmarks.c17())
+        shards = partition_faults(faults, 8, seed=0, key=lambda fault: fault.value)
+        assert len(shards) == 2
+        assert [len({fault.value for fault in shard}) for shard in shards] == [1, 1]
+
     def test_partition_count_independent_of_jobs(self):
         assert default_partition_count(0) == 0
         assert default_partition_count(1) == 1

@@ -1,0 +1,205 @@
+"""Critical-path tracing over fanout-free regions (``repro.sim.faultsim``).
+
+PPSFP grades a stuck-at fault by evaluating its effect up the region's
+tree path and ANDing it with ``obs(root)``, one shared cone propagation
+per region root and chunk.  Three contracts:
+
+* **Exactness** — the traced detection word equals the full-cone
+  reference, the fault's own propagation read out at every reader, for
+  every collapsed fault plus branch faults on every PO marker and flop D
+  pin, at widths 1/7/64/100; transition detections match the same
+  reference ANDed with the launched transition.
+* **Determinism** — the ``obs(root)`` memo lives for one chunk of one
+  grade, so grading the same patterns again reports the same work.
+* **One table per netlist** — every simulator on a netlist shares its
+  region table, and an edit to the netlist rebuilds it.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.atpg.random_gen import random_patterns
+from repro.circuit.builder import NetlistBuilder
+from repro.circuit.gates import GateType
+from repro.faults import collapse_faults, full_fault_list
+from repro.faults.model import StuckAtFault
+from repro.faults.transition import full_transition_list
+from repro.sim.faultsim import FaultSimulator, fanout_free_regions
+
+from tests.oracle_util import small_netlists
+from tests.test_conformance import CIRCUIT_NAMES, _circuit, _universe
+
+WIDTHS = (1, 7, 64, 100)
+
+
+def _shapes():
+    """MUX selects and XOR side inputs inside regions, drivers read on two
+    pins, and regions rooted at a PO reader and at a flop D reader."""
+    b = NetlistBuilder()
+    x = [b.input(f"x{k}") for k in range(5)]
+    state = b.dff(x[0], name="s0")
+    twice = b.and_(x[1], x[1])
+    select = b.not_(x[2])
+    picked = b.mux(select, twice, b.xor(x[3], state))
+    same_pins = b.mux(x[4], x[4], picked)
+    parity = b.xnor(same_pins, b.xor(x[0], x[0]))
+    b.output("y0", b.nand(parity, x[3]))
+    b.output("y1", b.buf(twice))
+    b.dff(b.or_(parity, b.nor(x[1], state)), name="s1")
+    return b.build()
+
+
+def _branch_faults(netlist):
+    """Branch faults on every PO marker and flop D pin (observed directly)."""
+    return [
+        StuckAtFault(gate, 0, value)
+        for gate in list(netlist.outputs) + list(netlist.flops)
+        for value in (0, 1)
+    ]
+
+
+def _full_cone(simulator, fault, good, mask):
+    seeds = simulator._stuck_at_seeds(fault, good, mask)
+    faulty = simulator._propagate(seeds, good, mask) if seeds else {}
+    return simulator._detection_word(fault, good, faulty, mask)
+
+
+def _check_regions(netlist):
+    """The table matches its definition gate by gate."""
+    gates = netlist.gates
+    regions = fanout_free_regions(netlist)
+    readers = {gates[po].fanin[0] for po in netlist.outputs}
+    readers |= {gates[ff].fanin[0] for ff in netlist.flops}
+    for gate in gates:
+        consumers = set(gate.fanout)
+        parent = regions.parent[gate.index]
+        if parent < 0:
+            assert regions.root[gate.index] == gate.index
+            assert (
+                len(consumers) != 1
+                or gate.index in readers
+                or gates[next(iter(consumers))].is_sequential
+            )
+            continue
+        assert consumers == {parent} and gate.index not in readers
+        assert not gates[parent].is_sequential
+        assert regions.pins[gate.index] == tuple(
+            pin for pin, driver in enumerate(gates[parent].fanin)
+            if driver == gate.index
+        )
+        assert regions.root[gate.index] == regions.root[parent]
+
+
+def _check_traced(netlist, faults, seed=0):
+    _check_regions(netlist)
+    for width in WIDTHS:
+        simulator = FaultSimulator(netlist, word_width=width, cache=None)
+        patterns = random_patterns(simulator.view.num_inputs, width, seed=seed)
+        good = simulator.parallel.good_words(patterns)
+        mask = (1 << width) - 1
+        detect = simulator._stuck_at_grader(good, mask)
+        for fault in faults:
+            assert detect(fault) == _full_cone(simulator, fault, good, mask), (
+                width, fault,
+            )
+
+
+def _traced_faults(netlist):
+    collapsed, _ = collapse_faults(netlist, full_fault_list(netlist))
+    return list(collapsed) + _branch_faults(netlist)
+
+
+class TestExactness:
+    @pytest.mark.parametrize("name", CIRCUIT_NAMES)
+    def test_conformance_circuits(self, name):
+        netlist = _circuit(name)
+        _check_traced(netlist, list(_universe(name)) + _branch_faults(netlist))
+
+    def test_mux_xor_and_repeated_pins(self):
+        netlist = _shapes()
+        types = {gate.type for gate in netlist.gates}
+        assert {GateType.MUX2, GateType.XOR, GateType.XNOR} <= types
+        assert any(len(pins) == 2 for pins in fanout_free_regions(netlist).pins)
+        _check_traced(netlist, full_fault_list(netlist) + _branch_faults(netlist))
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(netlist=small_netlists(), seed=st.integers(min_value=0, max_value=99))
+    def test_hypothesis_netlists(self, netlist, seed):
+        _check_traced(netlist, _traced_faults(netlist), seed=seed)
+
+
+def _reference_transition(simulator, pairs, faults):
+    """First detecting pair per fault from the full-cone readout."""
+    good_words = simulator.parallel.good_words
+    width = simulator.word_width
+    detected = {}
+    for start in range(0, len(pairs), width):
+        chunk = pairs[start : start + width]
+        mask = (1 << len(chunk)) - 1
+        launch = good_words([pair[0] for pair in chunk])
+        capture = good_words([pair[1] for pair in chunk])
+        for fault in faults:
+            if fault in detected:
+                continue
+            before = simulator._site_value(fault, launch)
+            after = simulator._site_value(fault, capture)
+            rising = ~before & after if fault.slow_to == 1 else before & ~after
+            stuck = StuckAtFault(fault.gate, fault.pin, fault.acts_as_stuck)
+            word = _full_cone(simulator, stuck, capture, mask) & rising & mask
+            if word:
+                detected[fault] = start + (word & -word).bit_length() - 1
+    return detected
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("name", ["rand8", "mac2", "seq6"])
+def test_transition_detections_match_full_cone(name, width):
+    netlist = _circuit(name)
+    simulator = FaultSimulator(netlist, word_width=width, cache=None)
+    n_inputs = simulator.view.num_inputs
+    launch = random_patterns(n_inputs, 150, seed=width)
+    capture = random_patterns(n_inputs, 150, seed=width + 1)
+    pairs = list(zip(launch, capture))
+    faults = full_transition_list(netlist)
+    result = simulator.simulate_transition(pairs, faults, drop=False)
+    assert result.detected == _reference_transition(simulator, pairs, faults)
+
+
+def test_regrading_reports_identical_counters():
+    """A cache-served regrade reads the same word lists; the obs(root)
+    memo must not survive the chunk that built it."""
+    netlist = _circuit("mac2")
+    simulator = FaultSimulator(netlist)  # process-wide good cache
+    patterns = random_patterns(simulator.view.num_inputs, 200, seed=31)
+    faults = list(_universe("mac2"))
+    cold = simulator.simulate(patterns, faults)
+    served = [simulator.simulate(patterns, faults) for _ in range(2)]
+    assert served[0].stats["good_passes"] == 0
+    assert served[0].stats["good_cache_hits"] > 0
+    assert cold.stats["events_propagated"] > 0
+    for run in served:
+        assert run.detected == cold.detected
+        assert run.stats["events_propagated"] == cold.stats["events_propagated"]
+    counters = ("events_propagated", "words_evaluated", "good_passes")
+    assert [served[0].stats[c] for c in counters] == [
+        served[1].stats[c] for c in counters
+    ]
+
+
+def test_one_region_table_per_netlist():
+    b = NetlistBuilder()
+    x, y = b.input("x"), b.input("y")
+    b.output("z", b.and_(b.not_(x), y))
+    netlist = b.build()
+    first = FaultSimulator(netlist, cache=None)
+    second = FaultSimulator(netlist, word_width=7, cache=None)
+    assert first._regions is second._regions is fanout_free_regions(netlist)
+    before = fanout_free_regions(netlist)
+    netlist.add(GateType.OUTPUT, "w", [x])
+    assert fanout_free_regions(netlist) is not before
+    _check_regions(netlist)
