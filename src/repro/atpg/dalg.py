@@ -40,11 +40,7 @@ from __future__ import annotations
 import time
 from typing import List, Optional, Tuple
 
-from ..circuit.dcalc import good_rail, has_x, is_faulted
-from ..circuit.netlist import Netlist
-from ..circuit.values import X
-from ..faults.model import OUTPUT_PIN, StuckAtFault
-from .implication import (
+from ..circuit.compiled import (
     BUF,
     CONST0,
     CONST1,
@@ -56,6 +52,10 @@ from .implication import (
     XNOR,
     XOR,
 )
+from ..circuit.dcalc import good_rail, has_x, is_faulted
+from ..circuit.netlist import Netlist
+from ..circuit.values import X
+from ..faults.model import OUTPUT_PIN, StuckAtFault
 from .podem import _RAIL_X, Podem, PodemResult
 from .scoap import Testability
 
@@ -217,8 +217,8 @@ class DAlgorithm(Podem):
             trail.append(position)
             return False
 
-        code = self._core.codes[line]
-        fanin = self._core.fanins[line]
+        code = self._compiled.codes[line]
+        fanin = self._compiled.fanins[line]
         if code == BUF:
             goals.append((_JUSTIFY, fanin[0], target))
             return False
@@ -326,10 +326,10 @@ class DAlgorithm(Podem):
                 [(_JUSTIFY, line, 1 - cheap)],
             ]
             return self._branch(alternatives, goals, decisions, trail)
-        code = self._core.codes[line]
+        code = self._compiled.codes[line]
         if code == CONST0 or code == CONST1:
             return False
-        candidates = [f for f in self._core.fanins[line] if has_x(values[f])]
+        candidates = [f for f in self._compiled.fanins[line] if has_x(values[f])]
         if not candidates:
             # All inputs known yet output X: impossible for healthy gates
             # (implication is complete per gate); treat as conflict.
@@ -403,8 +403,8 @@ class DAlgorithm(Podem):
         """Goal bundles that drive the fault effect through one frontier
         gate: side inputs to non-controlling values, X faulty rails in the
         cone grounded so the gate's output can resolve to a D."""
-        code = self._core.codes[gate_index]
-        drivers = self._core.fanins[gate_index]
+        code = self._compiled.codes[gate_index]
+        drivers = self._compiled.fanins[gate_index]
         injected_pin = (
             fault.pin
             if gate_index == fault.gate and fault.pin != OUTPUT_PIN

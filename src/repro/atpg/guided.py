@@ -26,9 +26,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+from ..circuit.compiled import NONCONTROLLING
 from ..circuit.netlist import Netlist
 from ..faults.model import StuckAtFault
-from .implication import NONCONTROLLING
 from .podem import _RAIL_X, Podem, PodemResult
 from .scoap import Testability
 
@@ -65,12 +65,12 @@ class GuidedPodem(Podem):
         """SCOAP cost of pushing the D through ``gate_index``: observe the
         output, and justify each *open* side input non-controlling."""
         cost = self.measures.co[gate_index]
-        noncontrol = NONCONTROLLING[self._core.codes[gate_index]]
+        noncontrol = NONCONTROLLING[self._compiled.codes[gate_index]]
         if noncontrol is None:
             return cost
         # Faulted drivers (known good rail) help and cost nothing.
         side_cost = self.measures.cc1 if noncontrol else self.measures.cc0
-        for driver in self._core.fanins[gate_index]:
+        for driver in self._compiled.fanins[gate_index]:
             if values[driver] // 3 == _RAIL_X:
                 cost += side_cost[driver]
         return cost

@@ -10,14 +10,15 @@ Implementation notes for speed (this is the toolkit's hottest loop):
 
 * D-pairs are packed into single ints (see :mod:`repro.circuit.dcalc`) and
   gates evaluate by table lookup;
-* the inner loops read one compiled :class:`~repro.atpg.implication.ImplicationCore`
-  per netlist — integer type codes, fanin tuples, combinational successor
-  keys ``(topo << 32) | gate`` — shared by every engine bound to it, so no
-  loop compares a ``GateType`` or asks ``Gate.is_sequential``;
-* the fault-free all-X implication is computed once per netlist; each
-  target fault copies it and re-implies only its fanout cone in topo order
-  (exact: nothing outside the cone can see the fault), so a call costs the
-  cone, not the chip;
+* the inner loops read the netlist's one
+  :class:`~repro.circuit.compiled.CompiledNetlist` — integer type codes,
+  fanin tuples, combinational successor keys ``(topo << 32) | gate`` —
+  shared with every other engine bound to it (fault simulation included),
+  so no loop compares a ``GateType`` or asks ``Gate.is_sequential``;
+* the fault-free all-X implication is computed once per netlist, on the
+  first ATPG call; each target fault copies it and re-implies only its
+  fanout cone in topo order (exact: nothing outside the cone can see the
+  fault), so a call costs the cone, not the chip;
 * implication is event-driven — one input changes per decision, so only its
   fanout cone re-evaluates;
 * all frontier/detection scans are restricted to the fault's fanout cone;
@@ -37,12 +38,7 @@ from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
-from ..circuit.dcalc import FAULTED, good_rail
-from ..circuit.netlist import Netlist
-from ..circuit.values import X
-from ..faults.model import OUTPUT_PIN, StuckAtFault
-from ..sim.view import CombinationalView
-from .implication import (
+from ..circuit.compiled import (
     _RAIL_X,
     BUF,
     CONST0,
@@ -54,9 +50,14 @@ from .implication import (
     NONCONTROLLING,
     NOT,
     SOURCE,
+    compiled,
     evaluate,
-    implication_core,
 )
+from ..circuit.dcalc import FAULTED, good_rail
+from ..circuit.netlist import Netlist
+from ..circuit.values import X
+from ..faults.model import OUTPUT_PIN, StuckAtFault
+from ..sim.view import CombinationalView
 from .scoap import Testability, compute_testability
 
 
@@ -104,7 +105,7 @@ class Podem:
         self._input_position: Dict[int, int] = {
             gate: position for position, gate in enumerate(self.view.input_gates)
         }
-        self._core = implication_core(netlist)
+        self._compiled = compiled(netlist)
         # Per-fault scratch, (re)bound by generate().
         self._cone_gates: List[int] = []
         self._cone_readers: List[int] = []
@@ -116,8 +117,8 @@ class Podem:
 
     def _recompute(self, gate_index: int, fault: StuckAtFault, values: List[int]) -> int:
         """Evaluate one gate's packed D-value, injecting ``fault`` at its site."""
-        code = self._core.codes[gate_index]
-        fanin = self._core.fanins[gate_index]
+        code = self._compiled.codes[gate_index]
+        fanin = self._compiled.fanins[gate_index]
         if gate_index != fault.gate:
             return evaluate(code, fanin, values)
         stuck = fault.value
@@ -148,8 +149,8 @@ class Podem:
 
         The heap holds successor keys, so gates pop in topo order.
         """
-        core = self._core
-        successors, codes, fanins = core.successors, core.codes, core.fanins
+        tables = self._compiled
+        successors, codes, fanins = tables.successors, tables.codes, tables.fanins
         site = fault.gate
         heap = list(successors[source])  # sorted, hence already a heap
         enqueued = set(heap)
@@ -178,9 +179,9 @@ class Podem:
         keeps its fault-free value.  The cone's only possible source is
         the fault site itself.
         """
-        core = self._core
-        codes, fanins = core.codes, core.fanins
-        values = list(core.fault_free)
+        tables = self._compiled
+        codes, fanins = tables.codes, tables.fanins
+        values = list(tables.fault_free)
         site = fault.gate
         implied = 0
         for gate_index in self._cone_gates:
@@ -203,10 +204,10 @@ class Podem:
 
     def _fault_cone(self, fault: StuckAtFault) -> Tuple[List[int], List[int]]:
         """(cone gates in topo order, observation readers inside the cone)."""
-        core = self._core
-        successors = core.successors
+        tables = self._compiled
+        successors = tables.successors
         root = fault.gate
-        keys = {(core.topo[root] << 32) | root}
+        keys = {(tables.topo[root] << 32) | root}
         stack = [root]
         while stack:
             for key in successors[stack.pop()]:
@@ -214,7 +215,7 @@ class Podem:
                     keys.add(key)
                     stack.append(key & GATE_MASK)
         ordered = [key & GATE_MASK for key in sorted(keys)]
-        is_reader = core.is_reader
+        is_reader = tables.is_reader
         return ordered, [gate for gate in ordered if is_reader[gate]]
 
     def _detected(self, fault: StuckAtFault, values: List[int]) -> bool:
@@ -228,11 +229,11 @@ class Podem:
         """Branch faults feeding a PO or flop D pin are observed directly."""
         if not self._branch_reaches_observation(fault):
             return False
-        good = values[self._core.fanins[fault.gate][fault.pin]] // 3
+        good = values[self._compiled.fanins[fault.gate][fault.pin]] // 3
         return good != _RAIL_X and good != fault.value
 
     def _branch_reaches_observation(self, fault: StuckAtFault) -> bool:
-        return fault.pin != OUTPUT_PIN and self._core.observes[fault.gate]
+        return fault.pin != OUTPUT_PIN and self._compiled.observes[fault.gate]
 
     def _site_good_value(self, fault: StuckAtFault, values: List[int]) -> int:
         """Good rail at the fault site (0/1/2-for-X)."""
@@ -242,7 +243,7 @@ class Podem:
         """Gate whose good value must be set to excite the fault."""
         if fault.pin == OUTPUT_PIN:
             return fault.gate
-        return self._core.fanins[fault.gate][fault.pin]
+        return self._compiled.fanins[fault.gate][fault.pin]
 
     def _d_frontier(self, fault: StuckAtFault, values: List[int]) -> List[int]:
         """Cone gates with an X output and at least one faulted input.
@@ -253,7 +254,7 @@ class Podem:
         good rail opposes the stuck value.
         """
         frontier: List[int] = []
-        codes, fanins = self._core.codes, self._core.fanins
+        codes, fanins = self._compiled.codes, self._compiled.fanins
         site = fault.gate if fault.pin != OUTPUT_PIN else -1
         for index in self._cone_gates:
             if not HAS_X[values[index]] or codes[index] == SOURCE:
@@ -272,7 +273,7 @@ class Podem:
 
     def _x_path_exists(self, frontier: Sequence[int], values: List[int]) -> bool:
         """Can any D-frontier gate still reach a reader through X gates?"""
-        is_reader, successors = self._core.is_reader, self._core.successors
+        is_reader, successors = self._compiled.is_reader, self._compiled.successors
         seen = set()
         stack = list(frontier)
         while stack:
@@ -308,7 +309,7 @@ class Podem:
         # the dual-rail model can know the good value while the faulty
         # rail (downstream of the fault through reconvergence) is still X,
         # and resolving that rail also goes through PI assignments.
-        codes, fanins = self._core.codes, self._core.fanins
+        codes, fanins = self._compiled.codes, self._compiled.fanins
         for best in self._rank_frontier(frontier, values):
             noncontrol = NONCONTROLLING[codes[best]]
             for driver in fanins[best]:
@@ -342,7 +343,7 @@ class Podem:
         Returns ``(input_position, value)`` or None when every path is
         blocked by assigned gates.
         """
-        codes, fanins = self._core.codes, self._core.fanins
+        codes, fanins = self._compiled.codes, self._compiled.fanins
         cc0, cc1 = self.measures.cc0, self.measures.cc1
         input_position = self._input_position
         current, target = gate_index, value

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
+from ..circuit.compiled import compiled
 from ..circuit.gates import GateType
 from ..circuit.netlist import Netlist
 
@@ -102,10 +103,9 @@ def compute_testability(netlist: Netlist) -> Testability:
 
     co = [INFINITY] * len(gates)
     for po in netlist.outputs:
-        co[gates[po].fanin[0]] = 0
         co[po] = 0
-    for flop in netlist.flops:
-        co[gates[flop].fanin[0]] = 0
+    for reader in compiled(netlist).readers:
+        co[reader] = 0
 
     for index in reversed(netlist.topo_order):
         gate = gates[index]

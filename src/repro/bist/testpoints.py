@@ -85,7 +85,7 @@ def _insert_control(modified: Netlist, line: int, cp_value: float, tag: int) -> 
             continue
         gate.fanin = [point if driver == line else driver for driver in gate.fanin]
     modified.gates[point].fanin = [line, enable]
-    modified._topo = None
+    modified.invalidate()
     modified.finalize()
     return point, kind, enable
 
@@ -167,7 +167,6 @@ def insert_test_points(
             if best_line is None:
                 continue
             modified.add(GateType.OUTPUT, f"tp_obs_{best_line}", [best_line])
-            modified._topo = None
             modified.finalize()
             plan.observe_points.append(best_line)
             used_observe.add(best_line)

@@ -71,7 +71,7 @@ def mac_unit(width: int, acc_width: Optional[int] = None, name: Optional[str] = 
         builder.netlist.gates[flop_index].fanin[0] = next_state
     builder.output_bus("acc_out", acc_flops)
     netlist = builder.netlist
-    netlist._topo = None  # invalidate: fanins were patched in place
+    netlist.invalidate()
     netlist.finalize()
     return netlist
 
@@ -114,7 +114,7 @@ def systolic_pe(width: int = 4, name: Optional[str] = None) -> Netlist:
     builder.output_bus("a_out", a_reg)
     builder.output_bus("psum_out", psum_reg)
     netlist = builder.netlist
-    netlist._topo = None
+    netlist.invalidate()
     netlist.finalize()
     return netlist
 
@@ -338,7 +338,7 @@ def random_sequential(
     if not dangling:
         builder.output("po0", logic_signals[-1])
     netlist = builder.netlist
-    netlist._topo = None
+    netlist.invalidate()
     netlist.finalize()
     return netlist
 

@@ -66,7 +66,8 @@ class NetlistError(ValueError):
 class Netlist:
     """A named collection of gates with port and state bookkeeping.
 
-    Structural mutation happens through :meth:`add`; afterwards call
+    Structural mutation happens through :meth:`add`, or by patching fanins
+    in place and then calling :meth:`invalidate`; afterwards call
     :meth:`finalize` (or let the first query do it) to compute fanout lists,
     levels, and the topological order.
     """
@@ -115,9 +116,19 @@ class Netlist:
             self.outputs.append(index)
         elif gate_type in SEQUENTIAL_TYPES:
             self.flops.append(index)
+        self.invalidate()
+        return index
+
+    def invalidate(self) -> None:
+        """Drop everything derived from the graph's structure.
+
+        :meth:`add` calls it; call it after patching fanins in place.  The
+        topo order, the structural signature and every :meth:`derived`
+        table are rebuilt on their next use.
+        """
         self._topo = None
         self._signature = None
-        return index
+        self._derived.clear()
 
     def index_of(self, name: str) -> int:
         """Look up a gate index by name."""
@@ -147,7 +158,6 @@ class Netlist:
         """
         if self._topo is not None:
             return
-        self._derived.clear()
         for gate in self.gates:
             for driver in gate.fanin:
                 if driver >= len(self.gates):
@@ -211,9 +221,8 @@ class Netlist:
         """``build(self)`` for the finalized graph, memoized under ``key``.
 
         Engines keep compiled tables here so every engine bound to one
-        netlist shares one copy.  The memo is dropped whenever the topo
-        order is recomputed, so :meth:`add` (or any invalidation of
-        ``_topo`` after patching fanins in place) invalidates it.
+        netlist shares one copy.  :meth:`invalidate` (and so :meth:`add`)
+        drops the memo.
         """
         self.finalize()
         if key not in self._derived:
@@ -302,7 +311,7 @@ class Netlist:
         index order share a signature even when their names differ, so
         :meth:`clone` copies and replicated cores hit the same entries of the
         good-machine response cache (:mod:`repro.sim.goodcache`).  Memoized;
-        invalidated by :meth:`add`.
+        dropped by :meth:`invalidate`.
         """
         if self._signature is None:
             hasher = hashlib.sha256()

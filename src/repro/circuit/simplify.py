@@ -227,7 +227,7 @@ def simplify(netlist: Netlist, name: Optional[str] = None) -> Tuple[Netlist, Sim
     for po in netlist.outputs:
         rebuilt.add(GateType.OUTPUT, gates[po].name, [mapped(gates[po].fanin[0])])
 
-    rebuilt._topo = None
+    rebuilt.invalidate()
     rebuilt.finalize()
     dead = sum(
         1

@@ -1,8 +1,7 @@
-"""Fault models: stuck-at, transition-delay, bridging; collapsing."""
+"""Fault models: stuck-at, transition-delay; collapsing."""
 
-from .bridging import sample_bridging_faults
 from .collapse import collapse_faults, collapse_ratio, line_fault
-from .model import OUTPUT_PIN, BridgingFault, StuckAtFault, TransitionFault
+from .model import OUTPUT_PIN, StuckAtFault, TransitionFault
 from .stuck_at import fault_sites, full_fault_list
 from .transition import full_transition_list
 
@@ -10,11 +9,9 @@ __all__ = [
     "OUTPUT_PIN",
     "StuckAtFault",
     "TransitionFault",
-    "BridgingFault",
     "fault_sites",
     "full_fault_list",
     "full_transition_list",
-    "sample_bridging_faults",
     "collapse_faults",
     "collapse_ratio",
     "line_fault",

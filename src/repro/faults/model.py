@@ -2,15 +2,13 @@
 
 A *fault site* is a line of the netlist: either a gate's output stem
 (``pin == OUTPUT_PIN``) or one of its input branches (``pin >= 0``, the
-fanin position).  Three classic fault models are provided:
+fanin position).  Two classic fault models are provided:
 
 * :class:`StuckAtFault` — the line is permanently 0 or 1.
 * :class:`TransitionFault` — the line is slow-to-rise or slow-to-fall; it
   behaves like a temporary stuck-at in the second vector of a pattern pair.
-* :class:`BridgingFault` — two nets are shorted (wired-AND, wired-OR, or one
-  net dominates the other).
 
-All are frozen dataclasses so they hash into fault lists and dictionaries.
+Both are frozen dataclasses so they hash into fault lists and dictionaries.
 """
 
 from __future__ import annotations
@@ -68,35 +66,3 @@ class TransitionFault:
             where = f"{gate.name}.in{self.pin}({driver})"
         kind = "STR" if self.slow_to == 1 else "STF"
         return f"{where} {kind}"
-
-
-@dataclass(frozen=True, order=True)
-class BridgingFault:
-    """Short between the outputs of gates ``net_a`` and ``net_b``.
-
-    ``kind`` selects the resolution function: ``"and"`` (wired-AND),
-    ``"or"`` (wired-OR), ``"dom_a"`` (net A drives both), ``"dom_b"``.
-    """
-
-    net_a: int
-    net_b: int
-    kind: str
-
-    def resolved(self, value_a: int, value_b: int) -> "tuple[int, int]":
-        """Values the two nets take given their driven values (2-valued)."""
-        if self.kind == "and":
-            both = value_a & value_b
-            return both, both
-        if self.kind == "or":
-            both = value_a | value_b
-            return both, both
-        if self.kind == "dom_a":
-            return value_a, value_a
-        if self.kind == "dom_b":
-            return value_b, value_b
-        raise ValueError(f"unknown bridging kind {self.kind!r}")
-
-    def describe(self, netlist: Netlist) -> str:
-        a = netlist.gates[self.net_a].name
-        b = netlist.gates[self.net_b].name
-        return f"bridge[{self.kind}]({a},{b})"

@@ -119,7 +119,7 @@ def insert_scan(
             scanned.add(GateType.OUTPUT, f"scan_out{chain_id}", [previous])
         )
 
-    scanned._topo = None
+    scanned.invalidate()
     scanned.finalize()
     return ScanDesign(
         netlist=scanned,

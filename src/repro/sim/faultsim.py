@@ -20,11 +20,15 @@ Three stuck-at engines are provided, matching the E3 experiment:
   cone-limited PPSFP against a shared good-machine response, and the
   partial results are min-merged.
 
-Transition-delay (launch-on-capture pairs) and bridging faults reuse the
-same cone machinery and the same grading loop: each fault model only
-supplies its good-machine chunks and a per-fault detection word.
-Transition faults are traced like stuck-at faults; bridging faults and
-:meth:`FaultSimulator.failure_signature` propagate each fault's own cone.
+Transition-delay faults (launch-on-capture pairs) reuse the same grading
+loop: a fault model only supplies its good-machine chunks and a per-fault
+detection word, and transition faults are traced like stuck-at faults.
+:meth:`FaultSimulator.failure_signature` propagates each fault's own cone.
+
+Every engine reads the netlist's one
+:class:`~repro.circuit.compiled.CompiledNetlist` — fanins, the evaluation
+schedule, successor keys, readers and the fanout-free regions — the same
+tables ATPG reads; only the per-gate evaluator closures are built here.
 
 Every ``simulate*`` call fills :attr:`FaultSimResult.stats` with
 per-run instrumentation (faults simulated, cone events propagated, packed
@@ -40,12 +44,12 @@ from heapq import heappop, heappush
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import obs
-from ..circuit.gates import GateType, compile_parallel_evaluator, evaluate_parallel
+from ..circuit.compiled import GATE_MASK, compiled
+from ..circuit.gates import compile_parallel_evaluator
 from ..circuit.netlist import Netlist
-from ..faults.model import OUTPUT_PIN, BridgingFault, StuckAtFault, TransitionFault
+from ..faults.model import OUTPUT_PIN, StuckAtFault, TransitionFault
 from . import goodcache
 from .parallel import WORD_WIDTH, ParallelSimulator
-from .view import CombinationalView
 
 #: ``stats`` keys the parent process contributes to the observation's
 #: ``faultsim.*`` counters — the good-machine side of a run, which no
@@ -70,51 +74,6 @@ RECOVERY_COUNTERS = (
     "invalid_results",
     "inline_fallbacks",
 )
-
-
-class FanoutFreeRegions:
-    """The fanout-free regions (FFRs) of a netlist's combinational view.
-
-    A gate's region parent is its one combinational consumer when it feeds
-    exactly one gate (on any number of pins) and is not an observation
-    reader; every other gate roots a region.  Each region is a tree, so a
-    fault effect inside it reaches the root only along one path, and is
-    observed exactly where flipping the root would be.
-
-    ``parent[g]`` is that consumer or -1, ``pins[g]`` the parent's pins
-    that read ``g``, and ``root[g]`` the root of ``g``'s region.
-    """
-
-    def __init__(self, netlist: Netlist):
-        gates = netlist.gates
-        readers = set(CombinationalView(netlist).output_readers)
-        self.parent = [-1] * len(gates)
-        self.pins: List[Tuple[int, ...]] = [()] * len(gates)
-        for gate in gates:
-            consumers = set(gate.fanout)
-            if len(consumers) != 1 or gate.index in readers:
-                continue
-            (consumer,) = consumers
-            if gates[consumer].is_sequential:
-                continue
-            self.parent[gate.index] = consumer
-            self.pins[gate.index] = tuple(
-                pin
-                for pin, driver in enumerate(gates[consumer].fanin)
-                if driver == gate.index
-            )
-        # A parent is a combinational consumer, so it follows its child in
-        # topo order: resolve roots from the outputs back.
-        self.root = list(range(len(gates)))
-        for gate_index in reversed(netlist.topo_order):
-            consumer = self.parent[gate_index]
-            if consumer >= 0:
-                self.root[gate_index] = self.root[consumer]
-
-
-def fanout_free_regions(netlist: Netlist) -> FanoutFreeRegions:
-    """The netlist's :class:`FanoutFreeRegions`, built once and shared."""
-    return netlist.derived("sim.ffr", FanoutFreeRegions)
 
 
 def unique_faults(faults: Iterable[object]) -> List[object]:
@@ -160,7 +119,7 @@ class FaultSimResult:
 
 
 class FaultSimulator:
-    """Stuck-at / transition / bridging fault simulation over one netlist.
+    """Stuck-at / transition fault simulation over one netlist.
 
     ``word_width`` sets the patterns packed per PPSFP word (default 64; see
     :data:`repro.sim.parallel.WORD_WIDTHS` for the characterized ladder) —
@@ -178,7 +137,6 @@ class FaultSimulator:
         cache: object = goodcache.USE_DEFAULT,
         kernel: str = "python",
     ):
-        netlist.finalize()
         self.netlist = netlist
         self.parallel = ParallelSimulator(
             netlist, word_width=word_width, cache=cache, kernel=kernel
@@ -186,43 +144,23 @@ class FaultSimulator:
         self.kernel = self.parallel.kernel
         self.word_width = self.parallel.word_width
         self.view = self.parallel.view
+        self._compiled = tables = compiled(netlist)
+        # Per-gate compiled evaluators for the scheduled gates: the
+        # gate-type dispatch chain is resolved once here instead of once
+        # per event.
         gates = netlist.gates
-        # Per-gate compiled evaluators for cone propagation: the gate-type
-        # dispatch chain is resolved once here instead of once per event.
-        self._evaluators = [
-            None
-            if gate.type == GateType.INPUT
-            else compile_parallel_evaluator(gate.type, len(gate.fanin))
-            for gate in gates
-        ]
-        self._fanins = [tuple(gate.fanin) for gate in gates]
-        topo_position = [0] * len(gates)
-        for position, gate_index in enumerate(netlist.topo_order):
-            topo_position[gate_index] = position
-        # Pre-filtered heap entries per gate — (topo position, consumer) for
-        # every combinational consumer — so the event loop never touches
-        # gate properties while scheduling.
-        self._consumers = [
-            tuple(
-                (topo_position[consumer], consumer)
-                for consumer in gate.fanout
-                if not gates[consumer].is_sequential
+        self._evaluators: List[Optional[Callable]] = [None] * len(gates)
+        for gate_index in tables.schedule:
+            self._evaluators[gate_index] = compile_parallel_evaluator(
+                gates[gate_index].type, len(tables.fanins[gate_index])
             )
-            for gate in gates
-        ]
-        # PO markers and flops: a branch fault on one of their pins is seen
-        # directly at that observation position, bypassing the stem value.
-        self._observes_directly = [
-            gate.type == GateType.OUTPUT or gate.is_sequential for gate in gates
-        ]
-        # Observation readers, and each reader's response-vector positions
-        # (one gate can drive several POs / flop D pins).
-        self._readers = list(self.view.output_readers)
         # A plain set, not a frozenset: ``dict.keys() & set`` iterates the
         # smaller operand, ``dict.keys() & frozenset`` the frozenset.
-        self._reader_set = set(self._readers)
+        self._reader_set = set(tables.readers)
+        # Each reader's response-vector positions (one gate can drive
+        # several POs / flop D pins).
         self._reader_positions: Dict[int, List[int]] = {}
-        for position, reader in enumerate(self._readers):
+        for position, reader in enumerate(tables.readers):
             self._reader_positions.setdefault(reader, []).append(position)
         # Response-vector position of each PO marker and flop gate (POs
         # then flop D's), where a branch fault on its pin is observed.
@@ -230,7 +168,6 @@ class FaultSimulator:
         observation_gates = list(netlist.outputs) + list(netlist.flops)
         for position, gate_index in enumerate(observation_gates):
             self._direct_positions.setdefault(gate_index, position)
-        self._regions = fanout_free_regions(netlist)
         # Lifetime instrumentation counters; simulate* methods snapshot
         # deltas into FaultSimResult.stats.
         self._events_propagated = 0
@@ -247,7 +184,7 @@ class FaultSimulator:
         Faults of one region share its ``obs(root)`` within a chunk, so
         the supervised backend keeps each region in one shard.
         """
-        return self._regions.root[fault.gate]
+        return self._compiled.root[fault.gate]
 
     def _snapshot(self) -> Tuple[int, int, int, int, int, int, float]:
         parallel = self.parallel
@@ -372,24 +309,25 @@ class FaultSimulator:
         which is what lets the readout visit just the faulty readers.
         """
         evaluators = self._evaluators
-        fanins = self._fanins
-        consumers = self._consumers
+        fanins = self._compiled.fanins
+        successors = self._compiled.successors
         faulty: Dict[int, int] = {}
-        heap: List[Tuple[int, int]] = []
+        # Successor keys pop in topo order, so a popped gate is never
+        # pushed again and ``enqueued`` only grows.
+        heap: List[int] = []
         enqueued = set()
         events = 0
 
         for gate_index, word in seeds.items():
             if word != good[gate_index]:
                 faulty[gate_index] = word
-                for entry in consumers[gate_index]:
-                    if entry[1] not in enqueued:
-                        enqueued.add(entry[1])
-                        heappush(heap, entry)
+                for key in successors[gate_index]:
+                    if key not in enqueued:
+                        enqueued.add(key)
+                        heappush(heap, key)
 
         while heap:
-            _, gate_index = heappop(heap)
-            enqueued.discard(gate_index)
+            gate_index = heappop(heap) & GATE_MASK
             inputs = [
                 faulty[driver] if driver in faulty else good[driver]
                 for driver in fanins[gate_index]
@@ -402,10 +340,10 @@ class FaultSimulator:
             if faulty.get(gate_index) == word:
                 continue
             faulty[gate_index] = word
-            for entry in consumers[gate_index]:
-                if entry[1] not in enqueued:
-                    enqueued.add(entry[1])
-                    heappush(heap, entry)
+            for key in successors[gate_index]:
+                if key not in enqueued:
+                    enqueued.add(key)
+                    heappush(heap, key)
         self._events_propagated += events
         self._words_evaluated += events
         return faulty
@@ -417,10 +355,10 @@ class FaultSimulator:
         forced = mask if fault.value else 0
         if fault.pin == OUTPUT_PIN:
             return {fault.gate: forced}
-        if self._observes_directly[fault.gate]:
+        if self._compiled.observes[fault.gate]:
             # Branch straight into an observation point: handled at readout.
             return {}
-        inputs = [good[driver] for driver in self._fanins[fault.gate]]
+        inputs = [good[driver] for driver in self._compiled.fanins[fault.gate]]
         inputs[fault.pin] = forced
         self._words_evaluated += 1
         return {fault.gate: self._evaluators[fault.gate](inputs, mask)}
@@ -452,9 +390,9 @@ class FaultSimulator:
         diff = self._reader_diff(good, faulty) if faulty else 0
         # A branch fault feeding a PO or flop D pin is observed directly at
         # that single observation position, bypassing the stem value.
-        if fault.pin != OUTPUT_PIN and self._observes_directly[fault.gate]:
+        if fault.pin != OUTPUT_PIN and self._compiled.observes[fault.gate]:
             forced = mask if fault.value else 0
-            diff |= forced ^ good[self._fanins[fault.gate][fault.pin]]
+            diff |= forced ^ good[self._compiled.fanins[fault.gate][fault.pin]]
         return diff & mask
 
     # ------------------------------------------------------------------
@@ -616,10 +554,9 @@ class FaultSimulator:
         faults on PO and flop pins are read out directly.
         """
         evaluators = self._evaluators
-        fanins = self._fanins
-        parent = self._regions.parent
-        parent_pins = self._regions.pins
-        observes_directly = self._observes_directly
+        tables = self._compiled
+        fanins, parent, parent_pins = tables.fanins, tables.parent, tables.pins
+        observes_directly = tables.observes
         observability: Dict[int, int] = {}
 
         def detect(fault: StuckAtFault) -> int:
@@ -700,33 +637,28 @@ class FaultSimulator:
         self, fault: StuckAtFault, input_words: Sequence[int], good: Sequence[int]
     ) -> bool:
         """Full faulty-machine evaluation of one pattern (width-1 words)."""
-        gates = self.netlist.gates
-        words: List[int] = [0] * len(gates)
+        tables = self._compiled
+        fanins, evaluators = tables.fanins, self._evaluators
+        words: List[int] = [0] * len(fanins)
         self._words_evaluated += self.parallel.num_scheduled
         forced = 1 if fault.value else 0
+        site, stem = fault.gate, fault.pin == OUTPUT_PIN
         for position, gate_index in enumerate(self.view.input_gates):
             words[gate_index] = input_words[position] & 1
-        if fault.pin == OUTPUT_PIN and gates[fault.gate].type == GateType.INPUT:
-            words[fault.gate] = forced
-        for gate_index in self.netlist.topo_order:
-            gate = gates[gate_index]
-            if gate.type == GateType.INPUT or gate.is_sequential:
-                if fault.pin == OUTPUT_PIN and gate_index == fault.gate:
-                    words[gate_index] = forced
+        if stem:
+            words[site] = forced
+        for gate_index in tables.schedule:
+            if gate_index == site and stem:
                 continue
-            inputs = [words[driver] for driver in gate.fanin]
-            if gate_index == fault.gate and fault.pin != OUTPUT_PIN:
+            inputs = [words[driver] for driver in fanins[gate_index]]
+            if gate_index == site:
                 inputs[fault.pin] = forced
-            value = evaluate_parallel(gate.type, inputs, 1)
-            if gate_index == fault.gate and fault.pin == OUTPUT_PIN:
-                value = forced
-            words[gate_index] = value
-        for reader in self._readers:
+            words[gate_index] = evaluators[gate_index](inputs, 1)
+        for reader in tables.readers:
             if words[reader] != good[reader]:
                 return True
-        if fault.pin != OUTPUT_PIN and self._observes_directly[fault.gate]:
-            if forced != good[self._fanins[fault.gate][fault.pin]]:
-                return True
+        if not stem and tables.observes[site]:
+            return forced != good[fanins[site][fault.pin]]
         return False
 
     # ------------------------------------------------------------------
@@ -759,9 +691,9 @@ class FaultSimulator:
                 for position in self._reader_positions[reader]:
                     position_diff[position] = delta
             # Direct observation of branch-into-observation faults.
-            if fault.pin != OUTPUT_PIN and self._observes_directly[fault.gate]:
+            if fault.pin != OUTPUT_PIN and self._compiled.observes[fault.gate]:
                 forced = mask if fault.value else 0
-                driver = self._fanins[fault.gate][fault.pin]
+                driver = self._compiled.fanins[fault.gate][fault.pin]
                 position = self._direct_positions.get(fault.gate)
                 if position is not None:
                     position_diff[position] = position_diff.get(position, 0) | (
@@ -831,65 +763,4 @@ class FaultSimulator:
         """Good-machine word at a fault site (branch value = stem value)."""
         if fault.pin == OUTPUT_PIN:
             return good[fault.gate]
-        driver = self.netlist.gates[fault.gate].fanin[fault.pin]
-        return good[driver]
-
-    # ------------------------------------------------------------------
-    # Bridging faults
-    # ------------------------------------------------------------------
-
-    def simulate_bridging(
-        self,
-        patterns: Sequence[Sequence[int]],
-        faults: Iterable[BridgingFault],
-        drop: bool = True,
-    ) -> FaultSimResult:
-        """Simulate wired-logic bridges.
-
-        Approximation: the shorted values are resolved from the good-machine
-        driven values and then propagated once (no fixpoint iteration), the
-        standard zero-feedback assumption for prototype bridging analysis.
-        A feedback bridge (one net in the other's fanout cone) keeps its
-        forced word only in chunks that never re-evaluate that net, so its
-        detections can depend on ``word_width``.
-        """
-
-        def grader(good: Sequence[int], mask: int) -> Callable[[BridgingFault], int]:
-            def detect(fault: BridgingFault) -> int:
-                value_a, value_b = good[fault.net_a], good[fault.net_b]
-                forced_a, forced_b = _resolve_words(fault, value_a, value_b, mask)
-                seeds = {}
-                if forced_a != value_a:
-                    seeds[fault.net_a] = forced_a
-                if forced_b != value_b:
-                    seeds[fault.net_b] = forced_b
-                faulty = self._propagate(seeds, good, mask) if seeds else {}
-                return self._reader_diff(good, faulty) & mask
-
-            return detect
-
-        good_chunk = lambda start, n: self.parallel.good_words(
-            patterns[start : start + n]
-        )
-        return self._publish(
-            self._grade(
-                faults, len(patterns), good_chunk, grader, drop, "ppsfp-bridging"
-            )
-        )
-
-
-def _resolve_words(
-    fault: BridgingFault, value_a: int, value_b: int, mask: int
-) -> Tuple[int, int]:
-    """Word-parallel wired-logic resolution of a bridge."""
-    if fault.kind == "and":
-        both = value_a & value_b
-        return both, both
-    if fault.kind == "or":
-        both = value_a | value_b
-        return (both & mask, both & mask)
-    if fault.kind == "dom_a":
-        return value_a, value_a
-    if fault.kind == "dom_b":
-        return value_b, value_b
-    raise ValueError(f"unknown bridging kind {fault.kind!r}")
+        return good[self._compiled.fanins[fault.gate][fault.pin]]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from ..circuit.compiled import compiled
 from ..circuit.gates import GateType, evaluate
 from ..circuit.netlist import Netlist
 from ..circuit.values import ONE, X, ZERO
@@ -25,9 +26,9 @@ class LogicSimulator:
     """4-valued simulator over a fixed netlist."""
 
     def __init__(self, netlist: Netlist):
-        netlist.finalize()
         self.netlist = netlist
         self.view = CombinationalView(netlist)
+        self._compiled = compiled(netlist)
 
     # ------------------------------------------------------------------
     # Combinational (full-scan view)
@@ -45,15 +46,14 @@ class LogicSimulator:
                 "(PIs + flops)"
             )
         gates = self.netlist.gates
+        fanins = self._compiled.fanins
         values: List[int] = [X] * len(gates)
         for position, gate_index in enumerate(self.view.input_gates):
             values[gate_index] = pattern[position]
-        for gate_index in self.netlist.topo_order:
-            gate = gates[gate_index]
-            if gate.type == GateType.INPUT or gate.is_sequential:
-                continue
+        for gate_index in self._compiled.schedule:
             values[gate_index] = evaluate(
-                gate.type, [values[driver] for driver in gate.fanin]
+                gates[gate_index].type,
+                [values[driver] for driver in fanins[gate_index]],
             )
         return values
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence
 
+from ..circuit.compiled import compiled
 from ..circuit.gates import GateType, compile_parallel_evaluator
 from ..circuit.netlist import Netlist
 from . import goodcache
@@ -185,25 +186,21 @@ class ParallelSimulator:
         if word_width < 1:
             raise ValueError(f"word_width must be positive, got {word_width}")
         validate_kernel(kernel)
-        netlist.finalize()
         self.netlist = netlist
         self.word_width = word_width
         self.kernel = kernel
         self.view = CombinationalView(netlist)
-        # The evaluation schedule, kept in tuple form for introspection...
-        self._schedule = [
-            (g.index, g.type, tuple(g.fanin))
-            for g in (netlist.gates[i] for i in netlist.topo_order)
-            if g.type != GateType.INPUT and not g.is_sequential
-        ]
-        # ...and compiled once into per-gate specialized closures.
+        # The netlist's evaluation schedule, compiled once into per-gate
+        # specialized closures.
+        gates = netlist.gates
+        tables = compiled(netlist)
         self._ops = tuple(
-            _compile_op(index, gate_type, fanin)
-            for index, gate_type, fanin in self._schedule
+            _compile_op(index, gates[index].type, tables.fanins[index])
+            for index in tables.schedule
         )
         #: Gate evaluations per full-circuit pass (instrumentation unit for
         #: the fault simulators' ``words_evaluated`` counters).
-        self.num_scheduled = len(self._schedule)
+        self.num_scheduled = len(tables.schedule)
         self._signature = netlist.structural_signature()
         self._cache = goodcache.resolve_cache(cache)
         self._pack_buffer: List[int] = [0] * self.view.num_inputs
@@ -218,7 +215,9 @@ class ParallelSimulator:
             from . import npsim
 
             self.np_kernel = npsim.NumpyKernel(
-                len(netlist.gates), self.view.input_gates, self._schedule
+                len(gates),
+                self.view.input_gates,
+                [(i, gates[i].type, tables.fanins[i]) for i in tables.schedule],
             )
 
     @property

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..circuit.gates import GateType, evaluate_parallel
+from ..circuit.compiled import compiled
+from ..circuit.gates import evaluate_parallel
 from ..circuit.netlist import Netlist
 from ..faults.model import OUTPUT_PIN, StuckAtFault
 from .faultsim import FaultSimResult, unique_faults
@@ -42,15 +43,10 @@ class SequentialFaultSimulator:
                 f"word_width must fit the reference lane plus at least one "
                 f"faulty lane, got {word_width}"
             )
-        netlist.finalize()
         self.netlist = netlist
         self.word_width = word_width
         self.lanes_per_word = word_width - 1
-        self._schedule = [
-            (g.index, g.type, tuple(g.fanin))
-            for g in (netlist.gates[i] for i in netlist.topo_order)
-            if g.type != GateType.INPUT and not g.is_sequential
-        ]
+        self._compiled = compiled(netlist)
 
     # ------------------------------------------------------------------
 
@@ -118,13 +114,14 @@ class SequentialFaultSimulator:
                 word = (word & ~force_mask) | value
             words[flop] = word
 
-        for gate_index, gate_type, fanin in self._schedule:
-            inputs = [words[driver] for driver in fanin]
+        fanins = self._compiled.fanins
+        for gate_index in self._compiled.schedule:
+            inputs = [words[driver] for driver in fanins[gate_index]]
             pin_list = pins.get(gate_index)
             if pin_list:
                 for pin, force_mask, value in pin_list:
                     inputs[pin] = (inputs[pin] & ~force_mask) | value
-            word = evaluate_parallel(gate_type, inputs, mask)
+            word = evaluate_parallel(gates[gate_index].type, inputs, mask)
             if gate_index in stem:
                 force_mask, value = stem[gate_index]
                 word = (word & ~force_mask) | value
@@ -134,8 +131,7 @@ class SequentialFaultSimulator:
         po_words = [words[po] for po in netlist.outputs]
         next_state: List[int] = []
         for flop in netlist.flops:
-            gate = gates[flop]
-            data = words[gate.fanin[0]]
+            data = words[fanins[flop][0]]
             # Pin-0 branch faults on the flop corrupt what gets latched.
             pin_list = pins.get(flop)
             if pin_list:

@@ -4,8 +4,8 @@ The full cross-backend × cross-kernel × cross-width agreement matrix
 lives in ``test_conformance.py``; this file keeps what is specific to
 the dispatch layer itself — deterministic partitioning, min-merge
 semantics, degenerate edge cases (1 worker, 0 faults), stats
-instrumentation, the name → engine map, and the transition/bridging
-regression pins.
+instrumentation, the name → engine map, and the transition regression
+pin.
 """
 
 import pytest
@@ -16,7 +16,6 @@ from repro.faults import (
     collapse_faults,
     full_fault_list,
     full_transition_list,
-    sample_bridging_faults,
 )
 from repro.sim.dispatch import (
     BACKEND_NAMES,
@@ -245,9 +244,9 @@ class TestFlowThreading:
 
 
 class TestTransitionBridgingParity:
-    """Regression pins: the dispatch refactor must leave the transition and
-    bridging engines bit-identical to the pre-refactor serial path (values
-    captured from the seed implementation)."""
+    """Regression pin: the dispatch refactor must leave the transition
+    engine bit-identical to the pre-refactor serial path (values captured
+    from the seed implementation)."""
 
     @staticmethod
     def _digest(result):
@@ -268,15 +267,3 @@ class TestTransitionBridgingParity:
             assert len(result.detected) == 243
             assert self._digest(result) == "a4950a198adb560c"
         assert result.stats["engine"] == "ppsfp-transition"
-
-    def test_bridging_results_pinned(self):
-        netlist = generators.random_circuit(7, 55, seed=12)
-        simulator = FaultSimulator(netlist)
-        faults = sample_bridging_faults(netlist, 30, seed=12)
-        patterns = random_patterns(simulator.view.num_inputs, 96, seed=12)
-        assert len(faults) == 30
-        for drop in (True, False):
-            result = simulator.simulate_bridging(patterns, faults, drop=drop)
-            assert len(result.detected) == 30
-            assert self._digest(result) == "27e2f99e35bf05c6"
-        assert result.stats["engine"] == "ppsfp-bridging"

@@ -1,24 +1,17 @@
-"""Transition and bridging grading: width- and drop-invariant detections.
+"""Transition grading: width- and drop-invariant detections.
 
 Stuck-at grading has independent references (the serial engine in
 ``test_conformance.py``, the cone references in
-``test_cone_readout.py``).  Transition and bridging faults have none, so
-these properties pin what the shared PPSFP grading loop must preserve
-for them: at every word width, dropping and not dropping agree on every
-first-detecting pattern index and every survivor, and the detection map
-is the same at every width.
-
-One exception is pinned, not hidden: a *feedback* bridge, one net in the
-other's fanout cone, is graded per chunk — the forced net keeps its
-forced word only if no pattern in the chunk re-evaluates it — so its
-detections depend on the width.  Feedback bridges are held to the
-drop/no-drop agreement alone.
+``test_cone_readout.py``).  This property pins what the shared PPSFP
+grading loop must preserve for transition faults: at every word width,
+dropping and not dropping agree on every first-detecting pattern index
+and every survivor, and the detection map is the same at every width.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.atpg.random_gen import random_patterns
-from repro.faults import full_transition_list, sample_bridging_faults
+from repro.faults import full_transition_list
 from repro.sim.faultsim import FaultSimulator
 
 from tests.oracle_util import small_netlists
@@ -49,14 +42,6 @@ def _outcomes(netlist, grade, stimuli, faults):
     return outcomes
 
 
-def _restricted(outcome, keep):
-    detected, undetected = outcome
-    return (
-        {fault: index for fault, index in detected.items() if keep(fault)},
-        [fault for fault in undetected if keep(fault)],
-    )
-
-
 def _random_stimuli(netlist, data, max_size):
     n_inputs = len(netlist.inputs) + len(netlist.flops)
     return random_patterns(
@@ -85,28 +70,3 @@ def test_transition_detections_invariant(netlist, data):
         faults,
     )
     assert all(outcome == outcomes[64] for outcome in outcomes.values())
-
-
-@PROPERTY_SETTINGS
-@given(netlist=small_netlists(), data=st.data())
-def test_bridging_detections_invariant(netlist, data):
-    faults = sample_bridging_faults(
-        netlist,
-        data.draw(st.integers(min_value=1, max_value=12)),
-        seed=data.draw(st.integers(0, 10**6)),
-    )
-    outcomes = _outcomes(
-        netlist,
-        lambda sim, stimuli, fs, drop: sim.simulate_bridging(stimuli, fs, drop),
-        _random_stimuli(netlist, data, 240),
-        faults,
-    )
-    feedback = {
-        fault
-        for fault in faults
-        if fault.net_b in netlist.fanout_cone([fault.net_a])
-        or fault.net_a in netlist.fanout_cone([fault.net_b])
-    }
-    keep = lambda fault: fault not in feedback
-    reference = _restricted(outcomes[64], keep)
-    assert all(_restricted(o, keep) == reference for o in outcomes.values())

@@ -1,12 +1,9 @@
 """Fault enumeration, description, and equivalence collapsing."""
 
-import pytest
-
 from repro.circuit import benchmarks, generators
 from repro.circuit.builder import NetlistBuilder
 from repro.faults import (
     OUTPUT_PIN,
-    BridgingFault,
     StuckAtFault,
     TransitionFault,
     collapse_faults,
@@ -15,7 +12,6 @@ from repro.faults import (
     full_fault_list,
     full_transition_list,
     line_fault,
-    sample_bridging_faults,
 )
 
 
@@ -138,31 +134,3 @@ class TestCollapsing:
                     f"{member.describe(c17)} not equivalent to "
                     f"{members[0].describe(c17)}"
                 )
-
-
-class TestBridging:
-    def test_sampling_is_deterministic(self, alu4):
-        a = sample_bridging_faults(alu4, 10, seed=3)
-        b = sample_bridging_faults(alu4, 10, seed=3)
-        assert a == b
-
-    def test_no_self_or_adjacent_bridges(self, alu4):
-        faults = sample_bridging_faults(alu4, 20, seed=1)
-        for fault in faults:
-            assert fault.net_a != fault.net_b
-            assert fault.net_b not in alu4.gates[fault.net_a].fanin
-            assert fault.net_a not in alu4.gates[fault.net_b].fanin
-
-    def test_resolution_functions(self):
-        fault_and = BridgingFault(0, 1, "and")
-        fault_or = BridgingFault(0, 1, "or")
-        fault_dom = BridgingFault(0, 1, "dom_a")
-        assert fault_and.resolved(1, 0) == (0, 0)
-        assert fault_or.resolved(1, 0) == (1, 1)
-        assert fault_dom.resolved(1, 0) == (1, 1)
-        with pytest.raises(ValueError):
-            BridgingFault(0, 1, "weird").resolved(0, 1)
-
-    def test_describe(self, alu4):
-        fault = sample_bridging_faults(alu4, 1, seed=0)[0]
-        assert "bridge[" in fault.describe(alu4)

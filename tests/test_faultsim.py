@@ -12,7 +12,6 @@ from repro.faults import (
     StuckAtFault,
     full_fault_list,
     full_transition_list,
-    sample_bridging_faults,
 )
 from repro.sim.faultsim import FaultSimulator
 
@@ -135,36 +134,6 @@ class TestTransitionFaults:
         ]
         result = simulator.simulate_transition(pairs, faults)
         assert result.coverage > 0.85
-
-
-class TestBridgingFaults:
-    def test_dominant_bridge_detected(self, alu4):
-        simulator = FaultSimulator(alu4)
-        faults = sample_bridging_faults(alu4, 30, seed=5)
-        width = simulator.view.num_inputs
-        patterns = random_patterns(width, 200, seed=6)
-        result = simulator.simulate_bridging(patterns, faults)
-        # Most sampled bridges are detectable with enough random patterns.
-        assert result.coverage > 0.5
-
-    def test_bridge_between_identical_nets_undetected(self):
-        """Bridging two copies of the same signal changes nothing."""
-        from repro.circuit.builder import NetlistBuilder
-        from repro.faults.model import BridgingFault
-
-        builder = NetlistBuilder()
-        a = builder.input("a")
-        g1 = builder.buf(a)
-        g2 = builder.buf(a)
-        builder.output("y1", g1)
-        builder.output("y2", g2)
-        netlist = builder.build()
-        simulator = FaultSimulator(netlist)
-        fault = BridgingFault(g1, g2, "and")
-        result = simulator.simulate_bridging(
-            [[0], [1]], [fault], drop=False
-        )
-        assert fault not in result.detected
 
 
 class TestFailureSignature:

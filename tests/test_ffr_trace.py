@@ -12,7 +12,12 @@ per region root and chunk.  Three contracts:
 * **Determinism** — the ``obs(root)`` memo lives for one chunk of one
   grade, so grading the same patterns again reports the same work.
 * **One table per netlist** — every simulator on a netlist shares its
-  region table, and an edit to the netlist rebuilds it.
+  compiled region table, and an edit to the netlist rebuilds it.
+
+Every traced netlist first passes the table oracle: the whole
+:class:`~repro.circuit.compiled.CompiledNetlist` (schedule, readers,
+successor keys, observation flags and fanout-free regions) is checked
+against its definition.
 """
 
 import pytest
@@ -21,11 +26,14 @@ from hypothesis import strategies as st
 
 from repro.atpg.random_gen import random_patterns
 from repro.circuit.builder import NetlistBuilder
+from repro.circuit.compiled import compiled
 from repro.circuit.gates import GateType
 from repro.faults import collapse_faults, full_fault_list
 from repro.faults.model import StuckAtFault
 from repro.faults.transition import full_transition_list
-from repro.sim.faultsim import FaultSimulator, fanout_free_regions
+from repro.scan.insertion import insert_scan
+from repro.sim.faultsim import FaultSimulator
+from repro.sim.view import CombinationalView
 
 from tests.oracle_util import small_netlists
 from tests.test_conformance import CIRCUIT_NAMES, _circuit, _universe
@@ -65,17 +73,36 @@ def _full_cone(simulator, fault, good, mask):
     return simulator._detection_word(fault, good, faulty, mask)
 
 
-def _check_regions(netlist):
-    """The table matches its definition gate by gate."""
+def _check_tables(netlist):
+    """The compiled netlist matches its definition gate by gate."""
     gates = netlist.gates
-    regions = fanout_free_regions(netlist)
-    readers = {gates[po].fanin[0] for po in netlist.outputs}
-    readers |= {gates[ff].fanin[0] for ff in netlist.flops}
+    tables = compiled(netlist)
+    assert tables.schedule == tuple(
+        index
+        for index in netlist.topo_order
+        if gates[index].type != GateType.INPUT and not gates[index].is_sequential
+    )
+    assert tables.readers == CombinationalView(netlist).output_readers
+    readers = set(tables.readers)
+    position = {index: p for p, index in enumerate(netlist.topo_order)}
     for gate in gates:
+        assert tables.successors[gate.index] == tuple(
+            sorted(
+                {
+                    (position[consumer] << 32) | consumer
+                    for consumer in gate.fanout
+                    if not gates[consumer].is_sequential
+                }
+            )
+        )
+        assert tables.fanins[gate.index] == tuple(gate.fanin)
+        assert tables.observes[gate.index] == (
+            gate.type == GateType.OUTPUT or gate.is_sequential
+        )
         consumers = set(gate.fanout)
-        parent = regions.parent[gate.index]
+        parent = tables.parent[gate.index]
         if parent < 0:
-            assert regions.root[gate.index] == gate.index
+            assert tables.root[gate.index] == gate.index
             assert (
                 len(consumers) != 1
                 or gate.index in readers
@@ -84,15 +111,15 @@ def _check_regions(netlist):
             continue
         assert consumers == {parent} and gate.index not in readers
         assert not gates[parent].is_sequential
-        assert regions.pins[gate.index] == tuple(
+        assert tables.pins[gate.index] == tuple(
             pin for pin, driver in enumerate(gates[parent].fanin)
             if driver == gate.index
         )
-        assert regions.root[gate.index] == regions.root[parent]
+        assert tables.root[gate.index] == tables.root[parent]
 
 
 def _check_traced(netlist, faults, seed=0):
-    _check_regions(netlist)
+    _check_tables(netlist)
     for width in WIDTHS:
         simulator = FaultSimulator(netlist, word_width=width, cache=None)
         patterns = random_patterns(simulator.view.num_inputs, width, seed=seed)
@@ -116,11 +143,27 @@ class TestExactness:
         netlist = _circuit(name)
         _check_traced(netlist, list(_universe(name)) + _branch_faults(netlist))
 
+    def test_scan_flop_feeding_one_gate_roots_a_region(self):
+        """A flop read by one gate and by the next SDFF's scan-in pin has
+        two consumers, so it roots its own region."""
+        netlist = insert_scan(_circuit("seq6"), n_chains=1).netlist
+        tables = compiled(netlist)
+        gates = netlist.gates
+        rooted = [
+            flop
+            for flop in netlist.flops
+            if len(set(tables.successors[flop])) == 1
+            and any(gates[c].is_sequential for c in gates[flop].fanout)
+        ]
+        assert rooted
+        assert all(tables.parent[flop] == -1 for flop in rooted)
+        _check_traced(netlist, _traced_faults(netlist))
+
     def test_mux_xor_and_repeated_pins(self):
         netlist = _shapes()
         types = {gate.type for gate in netlist.gates}
         assert {GateType.MUX2, GateType.XOR, GateType.XNOR} <= types
-        assert any(len(pins) == 2 for pins in fanout_free_regions(netlist).pins)
+        assert any(len(pins) == 2 for pins in compiled(netlist).pins)
         _check_traced(netlist, full_fault_list(netlist) + _branch_faults(netlist))
 
     @settings(
@@ -198,8 +241,8 @@ def test_one_region_table_per_netlist():
     netlist = b.build()
     first = FaultSimulator(netlist, cache=None)
     second = FaultSimulator(netlist, word_width=7, cache=None)
-    assert first._regions is second._regions is fanout_free_regions(netlist)
-    before = fanout_free_regions(netlist)
+    assert first._compiled is second._compiled is compiled(netlist)
+    before = compiled(netlist)
     netlist.add(GateType.OUTPUT, "w", [x])
-    assert fanout_free_regions(netlist) is not before
-    _check_regions(netlist)
+    assert compiled(netlist) is not before
+    _check_tables(netlist)

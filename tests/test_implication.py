@@ -1,6 +1,6 @@
-"""The compiled ATPG implication core (``repro.atpg.implication``).
+"""The compiled netlist under ATPG (``repro.circuit.compiled``).
 
-Two contracts:
+Three contracts:
 
 * **Exactness** — the cone-sized initial state (the netlist's fault-free
   all-X implication with only the fault's fanout cone re-implied) equals a
@@ -10,6 +10,9 @@ Two contracts:
 * **Work follows the cone, not the chip** — a core-0 fault of the
   replicated MAC array costs the same ``atpg.implications``, verdict,
   backtracks and cube on 4, 8 and 16 cores.
+* **One copy, built once, paid for by its users** — the ATPG engines and
+  every simulator share one ``compiled(netlist)``, rebuilt after ``add``
+  or ``invalidate``; only ATPG computes the fault-free all-X state.
 """
 
 import pytest
@@ -17,15 +20,20 @@ from hypothesis import HealthCheck, given, settings
 
 from repro import obs
 from repro.atpg.dalg import DAlgorithm
-from repro.atpg.implication import implication_core
 from repro.atpg.podem import Podem
 from repro.atpg.portfolio import PortfolioAtpg
+from repro.atpg.random_gen import random_patterns
+from repro.bist.lbist import StumpsController
 from repro.circuit import benchmarks
+from repro.circuit.compiled import GATE_MASK, compiled
 from repro.circuit.dcalc import from_fourvalued
 from repro.circuit.gates import GateType, evaluate
 from repro.circuit.values import X
 from repro.faults import collapse_faults, full_fault_list
 from repro.faults.model import OUTPUT_PIN, StuckAtFault
+from repro.sim.faultsim import FaultSimulator
+from repro.sim.parallel import ParallelSimulator
+from repro.sim.seqfaultsim import SequentialFaultSimulator
 
 from tests.oracle_util import small_netlists
 from tests.test_conformance import CIRCUIT_NAMES, _circuit, _universe
@@ -133,15 +141,62 @@ def test_cone_initial_state_is_exact_on_generated_netlists(engine_class, netlist
 
 
 def test_engines_share_one_core_per_netlist():
-    netlist = _circuit("rand8").clone()
-    portfolio = PortfolioAtpg(netlist)
-    cores = {id(engine._core) for _, engine in portfolio.engines}
-    assert cores == {id(implication_core(netlist))}
-    before = implication_core(netlist)
+    """ATPG and every simulator read one ``compiled(netlist)``; ``add``
+    replaces it."""
+    netlist = _circuit("seq6").clone()
+    tables = compiled(netlist)
+    engines = [
+        Podem(netlist),
+        DAlgorithm(netlist),
+        FaultSimulator(netlist, cache=None),
+        FaultSimulator(netlist, word_width=7, cache=None),
+        SequentialFaultSimulator(netlist),
+    ]
+    engines += [engine for _, engine in PortfolioAtpg(netlist).engines]
+    assert all(engine._compiled is tables for engine in engines)
+    parallel = ParallelSimulator(netlist, cache=None)
+    assert compiled(netlist) is tables
+    assert parallel.num_scheduled == len(tables.schedule)
     netlist.add(GateType.OUTPUT, "late_po", [netlist.inputs[0]])
-    after = implication_core(netlist)
-    assert after is not before
+    after = compiled(netlist)
+    assert after is not tables
     assert len(after.codes) == len(netlist.gates)
+    assert FaultSimulator(netlist, cache=None)._compiled is after
+
+
+def test_invalidate_drops_tables_and_signature():
+    """Patching a fanin in place, then ``invalidate``, rebuilds the
+    compiled tables and changes the structural signature."""
+    netlist = _circuit("rand8").clone()
+    before = compiled(netlist)
+    signature = netlist.structural_signature()
+    gate = next(
+        g for g in netlist.gates
+        if g.fanin and netlist.inputs[1] not in g.fanin
+        and g.type not in (GateType.DFF, GateType.SDFF)
+    )
+    gate.fanin[0] = netlist.inputs[1]
+    netlist.invalidate()
+    after = compiled(netlist)
+    assert after is not before
+    assert after.fanins[gate.index][0] == netlist.inputs[1]
+    assert gate.index in [key & GATE_MASK for key in after.successors[netlist.inputs[1]]]
+    assert netlist.structural_signature() != signature
+
+
+def test_grading_flows_never_imply_the_fault_free_state():
+    """Only ATPG reads ``fault_free``: ppsfp, supervised and STUMPS runs
+    on a fresh netlist leave it uncomputed; one PODEM call computes it."""
+    netlist = _circuit("mac2").clone()
+    faults, _ = collapse_faults(netlist, full_fault_list(netlist))
+    simulator = FaultSimulator(netlist, cache=None)
+    patterns = random_patterns(simulator.view.num_inputs, 128, seed=5)
+    simulator.simulate(patterns, faults)
+    simulator.simulate(patterns, faults, engine="supervised", jobs=2)
+    StumpsController(netlist).run(64)
+    assert compiled(netlist)._fault_free is None
+    Podem(netlist).generate(faults[0])
+    assert compiled(netlist)._fault_free is not None
 
 
 def test_core0_fault_work_is_independent_of_array_size():

@@ -55,7 +55,7 @@ class TestSequential:
         builder.netlist.gates[flop].fanin[0] = inv
         builder.output("q", flop)
         netlist = builder.netlist
-        netlist._topo = None
+        netlist.invalidate()
         netlist.finalize()
         sim = LogicSimulator(netlist)
         trace = sim.run_sequence([[]] * 4, initial_state=[0])

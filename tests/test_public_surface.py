@@ -36,8 +36,6 @@ _PENDING = "no flow user yet: wire it in or delete it in the next pass"
 ALLOWLIST: Dict[str, str] = {
     "compression.misr.measure_aliasing": _ORACLE,
     "compression.misr.theoretical_aliasing_probability": _ORACLE,
-    "faults.bridging.sample_bridging_faults": _ORACLE,
-    "faults.bridging.candidate_nets": _ORACLE,
     "diagnosis.dictionary.FaultDictionary": _ORACLE,
     "compression.gf2.rank_of": _SUBSTRATE,
     "compression.gf2.dot_bits": _SUBSTRATE,

@@ -92,7 +92,7 @@ class TestChainStreams:
         victim = design.chains[0][1]
         const = netlist.add(GateType.CONST0, "chain_break")
         netlist.gates[victim].fanin[1] = const
-        netlist._topo = None
+        netlist.invalidate()
         netlist.finalize()
         assert not chain_flush_detects(design)
 
