@@ -17,7 +17,7 @@ from .nn import (
     make_blobs,
     trained_reference_model,
 )
-from .quantize import QMAX, QMIN, QuantParams, calibrate, requantize
+from .quantize import QMAX, QMIN, QuantParams, calibrate
 from .systolic import PRODUCT_BITS, PEFault, SystolicArray, random_pe_faults
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "trained_reference_model",
     "QuantParams",
     "calibrate",
-    "requantize",
     "QMIN",
     "QMAX",
     "SystolicArray",

@@ -19,9 +19,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..bist.memory import Memory, MemoryFault
-from ..circuit.generators import systolic_pe
-from ..circuit.netlist import Netlist
 from .systolic import PEFault, SystolicArray
 
 
@@ -36,37 +33,15 @@ class CoreConfig:
 
 
 class Core:
-    """One compute core: systolic array + activation/weight SRAM."""
+    """One compute core: a systolic array; :class:`CoreConfig` sizes its SRAM."""
 
-    def __init__(
-        self,
-        core_id: int,
-        config: CoreConfig,
-        pe_faults: Sequence[PEFault] = (),
-        sram_faults: Sequence[MemoryFault] = (),
-    ):
+    def __init__(self, core_id: int, config: CoreConfig, pe_faults: Sequence[PEFault] = ()):
         self.core_id = core_id
         self.config = config
         self.array = SystolicArray(
             config.array_rows, config.array_cols, faults=pe_faults
         )
-        self.sram = Memory(config.sram_bits, faults=list(sram_faults))
         self.enabled = True
-
-    @property
-    def healthy(self) -> bool:
-        return self.enabled and not self.array.faults
-
-    def map_out_faulty_pes(self) -> int:
-        """Graceful degradation: exclude rows containing faulty PEs.
-
-        Returns the number of rows removed.  (Column map-out is symmetric;
-        row granularity matches weight-stationary tiling.)
-        """
-        bad = {(fault.row, fault.col) for fault in self.array.faults}
-        before = len(self.array.usable_rows())
-        self.array.mapped_out |= bad
-        return before - len(self.array.usable_rows())
 
 
 @dataclass
@@ -76,14 +51,6 @@ class AcceleratorConfig:
     n_cores: int = 4
     core: CoreConfig = field(default_factory=CoreConfig)
 
-    def core_netlist(self) -> Netlist:
-        """The gate-level netlist of one PE (identical in every core).
-
-        Hierarchical DFT runs ATPG on this single instance and retargets
-        the result to all ``n_cores * rows * cols`` replicas.
-        """
-        return systolic_pe(self.core.pe_width)
-
 
 class TiledAccelerator:
     """The whole chip: cores + a trivial batch scheduler."""
@@ -92,18 +59,11 @@ class TiledAccelerator:
         self,
         config: Optional[AcceleratorConfig] = None,
         core_pe_faults: Optional[Dict[int, Sequence[PEFault]]] = None,
-        core_sram_faults: Optional[Dict[int, Sequence[MemoryFault]]] = None,
     ):
         self.config = config or AcceleratorConfig()
         pe_faults = core_pe_faults or {}
-        sram_faults = core_sram_faults or {}
         self.cores: List[Core] = [
-            Core(
-                core_id,
-                self.config.core,
-                pe_faults=pe_faults.get(core_id, ()),
-                sram_faults=sram_faults.get(core_id, ()),
-            )
+            Core(core_id, self.config.core, pe_faults=pe_faults.get(core_id, ()))
             for core_id in range(self.config.n_cores)
         ]
 
@@ -154,14 +114,6 @@ class TiledAccelerator:
 
     def faulty_cores(self) -> List[int]:
         return [core.core_id for core in self.cores if core.array.faults]
-
-    def degrade_gracefully(self) -> Dict[int, int]:
-        """Map out faulty PE rows in every core; returns rows lost per core."""
-        return {
-            core.core_id: core.map_out_faulty_pes()
-            for core in self.cores
-            if core.array.faults
-        }
 
     def summary(self) -> Dict[str, object]:
         return {

@@ -20,6 +20,9 @@ import numpy as np
 from .nn import MLP, QuantizedMLP, trained_reference_model
 from .systolic import SystolicArray, random_pe_faults
 
+#: The E9 array geometry.
+_ROWS, _COLS = 8, 8
+
 
 @dataclass
 class SweepPoint:
@@ -83,7 +86,7 @@ def _attribute_errors(
             suspects.add((int(sample) % rows, col))
 
 
-def detect_faulty_pes(array: SystolicArray, width: int = 8) -> List[Tuple[int, int]]:
+def detect_faulty_pes(array: SystolicArray) -> List[Tuple[int, int]]:
     """Functional MAC screen: exercise and localize faulty PEs.
 
     Identity activation batches make each sample exercise exactly one array
@@ -118,8 +121,6 @@ def detect_faulty_pes(array: SystolicArray, width: int = 8) -> List[Tuple[int, i
 
 def accuracy_fault_sweep(
     fault_counts: Sequence[int] = (0, 1, 2, 4, 8, 16),
-    rows: int = 8,
-    cols: int = 8,
     seed: int = 3,
     model_fixture: Optional[Tuple[MLP, np.ndarray, np.ndarray]] = None,
 ) -> FaultSweepResult:
@@ -129,6 +130,7 @@ def accuracy_fault_sweep(
     re-measure.  The curve should show graceful degradation before map-out
     and near-baseline accuracy after, at a cycle cost.
     """
+    rows, cols = _ROWS, _COLS
     model, test_x, test_y = model_fixture or trained_reference_model()
     quantized = QuantizedMLP.from_float(model, test_x)
     baseline = model.accuracy(test_x, test_y)
@@ -169,23 +171,18 @@ def accuracy_fault_sweep(
     return result
 
 
-def detection_is_complete(
-    rows: int = 8, cols: int = 8, trials: int = 20, seed: int = 11
-) -> Dict[str, float]:
+def detection_is_complete(trials: int = 20, seed: int = 11) -> Dict[str, float]:
     """Measure the functional screen's per-fault detection rate.
 
     Weight-register faults only manifest under weights that use the flipped
     bit, so the screen's walking-weight pass matters; this metric quantifies
     residual escapes.
     """
-    import random as _random
-
-    rng = _random.Random(seed)
     detected = 0
     total = 0
     for trial in range(trials):
-        faults = random_pe_faults(rows, cols, 1, seed=seed * 100 + trial)
-        array = SystolicArray(rows, cols, faults=faults)
+        faults = random_pe_faults(_ROWS, _COLS, 1, seed=seed * 100 + trial)
+        array = SystolicArray(_ROWS, _COLS, faults=faults)
         suspects = set(detect_faulty_pes(array))
         total += 1
         if (faults[0].row, faults[0].col) in suspects:

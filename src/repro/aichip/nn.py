@@ -20,23 +20,17 @@ from .quantize import QuantParams, calibrate
 
 
 def make_blobs(
-    n_samples: int,
-    n_features: int = 8,
-    n_classes: int = 3,
-    spread: float = 0.9,
-    seed: int = 0,
-    centers: Optional[np.ndarray] = None,
+    n_samples: int, centers: np.ndarray, seed: int = 0
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Synthetic Gaussian-blob classification data (features, labels).
 
-    Pass the same ``centers`` to draw train and test sets from one task;
-    omitting it derives centers from ``seed``.
+    ``centers`` (classes x features, see :func:`blob_centers`) defines the
+    task, so train and test sets drawn around the same centers share it.
     """
     rng = np.random.default_rng(seed)
-    if centers is None:
-        centers = rng.normal(0.0, 2.0, size=(n_classes, n_features))
+    n_classes, n_features = centers.shape
     labels = rng.integers(0, n_classes, size=n_samples)
-    features = centers[labels] + rng.normal(0.0, spread, size=(n_samples, n_features))
+    features = centers[labels] + rng.normal(0.0, 0.9, size=(n_samples, n_features))
     return features, labels
 
 
@@ -66,17 +60,16 @@ class MLP:
         self.layers = layers
 
     @staticmethod
-    def random(
-        sizes: Sequence[int], seed: int = 0, last_relu: bool = False
-    ) -> "MLP":
-        """He-initialized MLP with layer widths ``sizes``."""
+    def random(sizes: Sequence[int], seed: int = 0) -> "MLP":
+        """He-initialized MLP with layer widths ``sizes``; every layer but
+        the last has a ReLU."""
         rng = np.random.default_rng(seed)
         layers: List[DenseLayer] = []
         for i in range(len(sizes) - 1):
             fan_in, fan_out = sizes[i], sizes[i + 1]
             weights = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
             biases = np.zeros(fan_out)
-            relu = (i < len(sizes) - 2) or last_relu
+            relu = i < len(sizes) - 2
             layers.append(DenseLayer(weights, biases, relu=relu))
         return MLP(layers)
 
@@ -100,11 +93,11 @@ class MLP:
         inputs: np.ndarray,
         labels: np.ndarray,
         epochs: int = 60,
-        learning_rate: float = 0.05,
-        batch_size: int = 64,
         seed: int = 0,
     ) -> List[float]:
-        """Softmax cross-entropy SGD; returns per-epoch training accuracy."""
+        """Softmax cross-entropy SGD (learning rate 0.05, batches of 64);
+        returns per-epoch training accuracy."""
+        learning_rate, batch_size = 0.05, 64
         rng = np.random.default_rng(seed)
         n_classes = self.layers[-1].weights.shape[1]
         history: List[float] = []
@@ -171,11 +164,7 @@ class QuantizedMLP:
         self.matmul_hook = matmul_hook
 
     @staticmethod
-    def from_float(
-        model: MLP,
-        calibration_inputs: np.ndarray,
-        matmul_hook: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
-    ) -> "QuantizedMLP":
+    def from_float(model: MLP, calibration_inputs: np.ndarray) -> "QuantizedMLP":
         """Post-training quantization with activation calibration."""
         input_params = calibrate(calibration_inputs)
         layers: List[QuantizedLayer] = []
@@ -193,7 +182,7 @@ class QuantizedMLP:
             activations = activations @ layer.weights + layer.biases
             if layer.relu:
                 activations = np.maximum(activations, 0.0)
-        return QuantizedMLP(layers, input_params, matmul_hook)
+        return QuantizedMLP(layers, input_params)
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         """Float logits computed through int8 matmuls."""
@@ -228,22 +217,12 @@ class QuantizedMLP:
         return float(np.mean(self.predict(inputs) == labels))
 
 
-def trained_reference_model(
-    n_features: int = 8,
-    n_classes: int = 3,
-    hidden: int = 16,
-    n_train: int = 1200,
-    n_test: int = 400,
-    seed: int = 7,
-) -> Tuple[MLP, np.ndarray, np.ndarray]:
-    """A trained float MLP plus its held-out test set (E9 fixture)."""
-    centers = blob_centers(n_features, n_classes, seed)
-    train_x, train_y = make_blobs(
-        n_train, n_features, n_classes, seed=seed, centers=centers
-    )
-    test_x, test_y = make_blobs(
-        n_test, n_features, n_classes, seed=seed + 1, centers=centers
-    )
-    model = MLP.random([n_features, hidden, n_classes], seed=seed)
+def trained_reference_model(seed: int = 7) -> Tuple[MLP, np.ndarray, np.ndarray]:
+    """A trained float MLP (8 features, 16 hidden, 3 classes) plus its
+    held-out test set (E9 fixture): 1200 training and 400 test samples."""
+    centers = blob_centers(8, 3, seed)
+    train_x, train_y = make_blobs(1200, centers, seed=seed)
+    test_x, test_y = make_blobs(400, centers, seed=seed + 1)
+    model = MLP.random([8, 16, 3], seed=seed)
     model.train(train_x, train_y, epochs=40, seed=seed)
     return model, test_x, test_y

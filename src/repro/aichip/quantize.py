@@ -31,10 +31,6 @@ class QuantParams:
         q = np.round(values / self.scale)
         return np.clip(q, QMIN, QMAX).astype(np.int32)
 
-    def dequantize(self, values: np.ndarray) -> np.ndarray:
-        """int8 -> float."""
-        return values.astype(np.float64) * self.scale
-
 
 def calibrate(values: np.ndarray) -> QuantParams:
     """Choose a symmetric scale covering the tensor's max magnitude."""
@@ -43,17 +39,3 @@ def calibrate(values: np.ndarray) -> QuantParams:
         peak = 1.0
     return QuantParams(scale=peak / QMAX)
 
-
-def quantize_matmul_output_scale(
-    input_params: QuantParams, weight_params: QuantParams
-) -> float:
-    """Scale of an int32 accumulator produced by quantized matmul."""
-    return input_params.scale * weight_params.scale
-
-
-def requantize(
-    accumulator: np.ndarray, acc_scale: float, out_params: QuantParams
-) -> np.ndarray:
-    """int32 accumulator -> int8 activation under ``out_params``."""
-    floats = accumulator.astype(np.float64) * acc_scale
-    return out_params.quantize(floats)

@@ -197,7 +197,7 @@ class SystolicArray:
 
 
 def random_pe_faults(
-    rows: int, cols: int, count: int, seed: int = 0, kinds: Sequence[str] = ("dead", "stuck_bit", "weight_bit")
+    rows: int, cols: int, count: int, seed: int = 0
 ) -> List[PEFault]:
     """Sample distinct-PE random faults for the E9 sweep."""
     import random as _random
@@ -207,7 +207,7 @@ def random_pe_faults(
     rng.shuffle(cells)
     faults: List[PEFault] = []
     for row, col in cells[:count]:
-        kind = rng.choice(list(kinds))
+        kind = rng.choice(("dead", "stuck_bit", "weight_bit"))
         if kind == "dead":
             faults.append(PEFault(row, col, "dead"))
         elif kind == "stuck_bit":

@@ -145,7 +145,6 @@ def run_atpg(
     random_batches: int = 8,
     min_batch_yield: int = 1,
     backtrack_limit: int = 64,
-    fill_mode: str = "random",
     compact: bool = True,
     seed: int = 0,
     backend: object = "ppsfp",
@@ -162,7 +161,7 @@ def run_atpg(
     batch — one packed simulation word each); the phase also stops early
     when a batch detects fewer than ``min_batch_yield`` new faults.
     Deterministic cubes are statically compacted when ``compact`` is set,
-    then X-filled with ``fill_mode``.
+    then randomly X-filled.
 
     ``backend``/``jobs``/``partitions`` pick the fault-simulation engine
     for the batch passes (random phase, final verification, coverage
@@ -300,7 +299,7 @@ def run_atpg(
             cubes.append(cube)
             # Dynamic compaction: the filled test usually detects extra
             # faults.
-            filled = x_fill(cube, rng, fill_mode)
+            filled = x_fill(cube, rng)
             phase2_fills.append(filled)
             sim = simulator.simulate([filled], list(undetected), drop=True)
             result.detected_deterministic += len(sim.detected)
@@ -318,7 +317,7 @@ def run_atpg(
     with obs.span("compact"):
         if compact and cubes:
             cubes = static_compact(cubes)
-        deterministic_patterns = [x_fill(cube, rng, fill_mode) for cube in cubes]
+        deterministic_patterns = [x_fill(cube, rng) for cube in cubes]
     result.cubes = cubes
     result.patterns = kept_patterns + deterministic_patterns
 

@@ -34,6 +34,9 @@ from .scoap import Testability
 
 __all__ = ["GuidedPodem"]
 
+#: Searches per fault, each from a rotated frontier order.
+_RESTARTS = 3
+
 
 class GuidedPodem(Podem):
     """PODEM variant with SCOAP detect-cost frontier ranking + restarts."""
@@ -44,10 +47,8 @@ class GuidedPodem(Podem):
         backtrack_limit: int = 64,
         measures: Optional[Testability] = None,
         time_budget_s: Optional[float] = None,
-        restarts: int = 3,
     ):
         super().__init__(netlist, backtrack_limit, measures, time_budget_s)
-        self.restarts = max(1, restarts)
         self._rotation = 0
 
     def _rank_frontier(
@@ -78,7 +79,7 @@ class GuidedPodem(Podem):
     def generate(self, fault: StuckAtFault) -> PodemResult:
         deadline = self._deadline()
         self._implications = 0
-        slices = _budget_slices(self.backtrack_limit, self.restarts)
+        slices = _budget_slices(self.backtrack_limit)
         total_backtracks = 0
         outcome = PodemResult(status="aborted", reason="backtracks")
         for rotation, slice_limit in enumerate(slices):
@@ -92,15 +93,13 @@ class GuidedPodem(Podem):
         return outcome
 
 
-def _budget_slices(backtrack_limit: int, restarts: int) -> List[int]:
-    """Split a backtrack budget into geometrically growing restart slices
-    summing to ~``backtrack_limit`` (each slice at least 1)."""
-    if restarts <= 1:
-        return [backtrack_limit]
-    weight_total = (1 << restarts) - 1
+def _budget_slices(backtrack_limit: int) -> List[int]:
+    """Split a backtrack budget into :data:`_RESTARTS` geometrically growing
+    slices summing to ~``backtrack_limit`` (each slice at least 1)."""
+    weight_total = (1 << _RESTARTS) - 1
     slices = [
         max(1, (backtrack_limit * (1 << index)) // weight_total)
-        for index in range(restarts)
+        for index in range(_RESTARTS)
     ]
     # Give any rounding remainder to the final (largest) slice.
     slices[-1] += max(0, backtrack_limit - sum(slices))

@@ -14,7 +14,7 @@ nondeterministic; the relay keeps campaigns bit-identical run to run,
 which the equivalence oracle and the campaign determinism pins require.
 
 The D-algorithm anchors the relay with a larger backtrack allowance
-(``dalg_limit_factor`` × the base limit): it runs last, only on faults
+(4 × the base limit): it runs last, only on faults
 the cheap engines already failed, where spending a deeper search to
 either find the vector or prove redundancy is exactly the point.
 """
@@ -29,7 +29,7 @@ from ..faults.model import StuckAtFault
 from .dalg import DAlgorithm
 from .guided import GuidedPodem
 from .podem import Podem, PodemResult
-from .scoap import Testability, compute_testability
+from .scoap import compute_testability
 
 __all__ = ["ENGINE_NAMES", "PORTFOLIO_MEMBERS", "PortfolioAtpg", "PortfolioResult", "make_engine"]
 
@@ -61,15 +61,13 @@ class PortfolioAtpg:
         self,
         netlist: Netlist,
         backtrack_limit: int = 64,
-        measures: Optional[Testability] = None,
         time_budget_s: Optional[float] = None,
-        dalg_limit_factor: int = 4,
     ):
         netlist.finalize()
         self.netlist = netlist
         self.backtrack_limit = backtrack_limit
         self.time_budget_s = time_budget_s
-        self.measures = measures or compute_testability(netlist)
+        self.measures = compute_testability(netlist)
         share = (
             None
             if time_budget_s is None
@@ -88,7 +86,7 @@ class PortfolioAtpg:
                 "dalg",
                 DAlgorithm(
                     netlist,
-                    backtrack_limit * dalg_limit_factor,
+                    backtrack_limit * 4,
                     self.measures,
                     share,
                 ),
@@ -132,20 +130,17 @@ def make_engine(
     name: str,
     netlist: Netlist,
     backtrack_limit: int = 64,
-    measures: Optional[Testability] = None,
     time_budget_s: Optional[float] = None,
 ):
     """Engine factory behind ``run_atpg(engine=...)`` and the CLI flag."""
     if name == "podem":
-        return Podem(netlist, backtrack_limit, measures, time_budget_s)
+        return Podem(netlist, backtrack_limit, time_budget_s=time_budget_s)
     if name == "guided":
-        return GuidedPodem(netlist, backtrack_limit, measures, time_budget_s)
+        return GuidedPodem(netlist, backtrack_limit, time_budget_s=time_budget_s)
     if name == "dalg":
-        return DAlgorithm(netlist, backtrack_limit, measures, time_budget_s)
+        return DAlgorithm(netlist, backtrack_limit, time_budget_s=time_budget_s)
     if name == "portfolio":
-        return PortfolioAtpg(
-            netlist, backtrack_limit, measures, time_budget_s
-        )
+        return PortfolioAtpg(netlist, backtrack_limit, time_budget_s)
     raise ValueError(
         f"unknown ATPG engine {name!r}; expected one of {ENGINE_NAMES}"
     )

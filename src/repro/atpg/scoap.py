@@ -37,11 +37,6 @@ class Testability:
     def controllability(self, gate: int, value: int) -> int:
         return self.cc1[gate] if value else self.cc0[gate]
 
-    def detect_cost(self, gate: int, stuck_value: int) -> int:
-        """Cost proxy for detecting ``gate`` output s-a-``stuck_value``."""
-        excite = self.controllability(gate, 1 - stuck_value)
-        return excite + self.co[gate]
-
 
 def compute_testability(netlist: Netlist) -> Testability:
     """Compute CC0/CC1/CO for every gate (full-scan view)."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..circuit.gates import GateType
 from ..circuit.netlist import Netlist
@@ -184,14 +184,12 @@ class SequentialAtpgResult:
 
 def run_sequential_atpg(
     netlist: Netlist,
-    faults: Optional[Sequence[StuckAtFault]] = None,
     n_frames: int = 4,
     n_random_sequences: int = 64,
-    sequence_length: int = 8,
-    backtrack_limit: int = 64,
     seed: int = 0,
 ) -> SequentialAtpgResult:
-    """Random sequences + time-frame PODEM top-off, all from reset.
+    """Random sequences of 8 cycles + time-frame PODEM top-off (backtrack
+    limit 64) over the collapsed fault list, all from reset.
 
     Every deterministic sequence is validated with the fault active in all
     cycles; failures count as ``unvalidated`` rather than detected.
@@ -200,8 +198,7 @@ def run_sequential_atpg(
     netlist.finalize()
     if not netlist.flops:
         raise ValueError("use run_atpg for purely combinational circuits")
-    if faults is None:
-        faults, _ = collapse_faults(netlist, full_fault_list(netlist))
+    faults, _ = collapse_faults(netlist, full_fault_list(netlist))
     simulator = SequentialFaultSimulator(netlist)
     result = SequentialAtpgResult(total_faults=len(faults))
     n_pi = len(netlist.inputs)
@@ -211,7 +208,7 @@ def run_sequential_atpg(
     for index in range(n_random_sequences):
         if not remaining:
             break
-        sequence = random_patterns(n_pi, sequence_length, seed=seed * 977 + index)
+        sequence = random_patterns(n_pi, 8, seed=seed * 977 + index)
         graded = simulator.simulate(sequence, remaining, drop=True)
         if graded.detected:
             result.sequences.append(sequence)
@@ -220,7 +217,7 @@ def run_sequential_atpg(
 
     # Phase 2: last-frame PODEM on the unrolled model, validated.
     model = unroll(netlist, n_frames, initial_state="zero")
-    podem = Podem(model.netlist, backtrack_limit=backtrack_limit)
+    podem = Podem(model.netlist)
     import random as _random
 
     rng = _random.Random(seed)

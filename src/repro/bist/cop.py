@@ -20,7 +20,6 @@ from typing import Dict, List, Optional
 
 from ..circuit.gates import GateType
 from ..circuit.netlist import Netlist
-from ..faults.model import OUTPUT_PIN, StuckAtFault
 
 
 @dataclass
@@ -33,17 +32,6 @@ class CopMeasures:
     def detection_probability(self, gate: int, stuck_value: int) -> float:
         excite = self.cp[gate] if stuck_value == 0 else 1.0 - self.cp[gate]
         return excite * self.op[gate]
-
-    def fault_detection_probability(
-        self, netlist: Netlist, fault: StuckAtFault
-    ) -> float:
-        """Detection probability for stem or branch faults."""
-        if fault.pin == OUTPUT_PIN:
-            return self.detection_probability(fault.gate, fault.value)
-        driver = netlist.gates[fault.gate].fanin[fault.pin]
-        excite = self.cp[driver] if fault.value == 0 else 1.0 - self.cp[driver]
-        # Branch observability approximated by the consuming gate's port.
-        return excite * self.op[fault.gate] if self.op[fault.gate] else excite * self.op[driver]
 
 
 def compute_cop(

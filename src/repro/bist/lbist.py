@@ -200,19 +200,14 @@ def _cop_hardness(netlist: Netlist, overrides: dict) -> float:
     return total
 
 
-def derive_input_weights(
-    netlist: Netlist,
-    low: float = 0.25,
-    high: float = 0.75,
-    min_gain: float = 0.05,
-) -> List[float]:
+def derive_input_weights(netlist: Netlist) -> List[float]:
     """Per-input 1-probabilities for weighted-random LBIST.
 
     Greedy iterative selection on the continuous COP hardness objective:
-    each round tries biasing every still-unassigned input toward 0 and
-    toward 1 (with earlier choices already applied) and commits the single
-    best move; rounds stop when no move improves by ``min_gain``.  Inputs
-    never chosen stay at 0.5.
+    each round tries biasing every still-unassigned input toward 0 (0.25)
+    and toward 1 (0.75), with earlier choices already applied, and commits
+    the single best move; rounds stop when no move improves by 0.05.
+    Inputs never chosen stay at 0.5.
     """
     from ..sim.view import CombinationalView
 
@@ -228,11 +223,11 @@ def derive_input_weights(
         for gate in inputs:
             if gate in chosen:
                 continue
-            for weight in (low, high):
+            for weight in (0.25, 0.75):
                 trial = dict(overrides)
                 trial[gate] = weight
                 objective = _cop_hardness(netlist, trial)
-                if objective < current - min_gain and (
+                if objective < current - 0.05 and (
                     best is None or objective < best[2]
                 ):
                     best = (gate, weight, objective)
@@ -249,11 +244,11 @@ def derive_input_weights(
 def run_weighted_lbist(
     netlist: Netlist,
     n_patterns: int,
-    faults: Optional[Sequence[StuckAtFault]] = None,
     seed: int = 1,
     word_width: int = WORD_WIDTH,
 ) -> LbistResult:
-    """LBIST with COP-derived weighted-random patterns.
+    """LBIST with COP-derived weighted-random patterns, graded over the
+    collapsed fault list.
 
     Real implementations realize the weights with programmable weighting
     logic behind the PRPG; here the weighted source is modeled directly
@@ -262,8 +257,7 @@ def run_weighted_lbist(
     from ..atpg.random_gen import weighted_random_patterns
 
     netlist.finalize()
-    if faults is None:
-        faults, _ = collapse_faults(netlist, full_fault_list(netlist))
+    faults, _ = collapse_faults(netlist, full_fault_list(netlist))
     simulator = FaultSimulator(netlist, word_width=word_width)
     with obs.span("derive_weights"):
         weights = derive_input_weights(netlist)
@@ -280,14 +274,8 @@ def run_weighted_lbist(
 
 
 def coverage_curve(
-    netlist: Netlist,
-    n_patterns: int,
-    config: Optional[LbistConfig] = None,
-    faults: Optional[Sequence[StuckAtFault]] = None,
-    checkpoint_every: int = 64,
-    word_width: int = WORD_WIDTH,
+    netlist: Netlist, n_patterns: int, checkpoint_every: int = 64
 ) -> List[Dict[str, float]]:
     """Convenience: just the (patterns, coverage) series for E2/E6 plots."""
-    controller = StumpsController(netlist, config, word_width=word_width)
-    result = controller.run(n_patterns, faults, checkpoint_every)
+    result = StumpsController(netlist).run(n_patterns, checkpoint_every=checkpoint_every)
     return result.coverage_points

@@ -191,14 +191,6 @@ ALL_MARCH_TESTS: Tuple[MarchTest, ...] = (
 )
 
 
-def march_test_by_name(name: str) -> MarchTest:
-    """Look up a March algorithm by its display name."""
-    for test in ALL_MARCH_TESTS:
-        if test.name == name:
-            return test
-    raise KeyError(f"unknown March test {name!r}")
-
-
 def operation_count(test: MarchTest, n_addresses: int) -> int:
     """Total memory operations the test performs on an N-address array."""
     return test.complexity * n_addresses

@@ -9,7 +9,7 @@ each March algorithm against each functional fault model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from .. import obs
 from .march import Direction, MarchTest, ALL_MARCH_TESTS
@@ -96,26 +96,23 @@ class CoverageCell:
 
 
 def coverage_matrix(
-    tests: Sequence[MarchTest] = ALL_MARCH_TESTS,
-    fault_kinds: Sequence[str] = FAULT_KINDS,
-    n_cells: int = 64,
-    samples_per_kind: int = 40,
-    seed: int = 0,
+    n_cells: int = 64, samples_per_kind: int = 40, seed: int = 0
 ) -> Dict[str, Dict[str, CoverageCell]]:
-    """Detection-rate matrix: ``matrix[test.name][kind] -> CoverageCell``.
+    """Detection-rate matrix over every March test and fault kind:
+    ``matrix[test.name][kind] -> CoverageCell``.
 
     For each fault kind, the same sampled fault population is graded
     against every algorithm, so columns are directly comparable.
     """
     populations = {
         kind: sample_faults(n_cells, kind, samples_per_kind, seed=seed)
-        for kind in fault_kinds
+        for kind in FAULT_KINDS
     }
     matrix: Dict[str, Dict[str, CoverageCell]] = {}
     with obs.span(
-        "coverage_matrix", tests=len(tests), fault_kinds=len(fault_kinds)
+        "coverage_matrix", tests=len(ALL_MARCH_TESTS), fault_kinds=len(FAULT_KINDS)
     ):
-        for test in tests:
+        for test in ALL_MARCH_TESTS:
             row: Dict[str, CoverageCell] = {}
             for kind, faults in populations.items():
                 detected = sum(

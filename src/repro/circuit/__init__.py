@@ -5,7 +5,6 @@ from .bench import load_bench, parse_bench, save_bench, write_bench
 from .gates import GateType
 from .verilog import load_verilog, parse_verilog, save_verilog, write_verilog
 from .netlist import Gate, Netlist, NetlistError
-from .simplify import SimplifyReport, simplify
 from .values import ONE, X, Z, ZERO
 
 __all__ = [
@@ -22,8 +21,6 @@ __all__ = [
     "write_verilog",
     "load_verilog",
     "save_verilog",
-    "simplify",
-    "SimplifyReport",
     "ZERO",
     "ONE",
     "X",

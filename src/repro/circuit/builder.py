@@ -128,13 +128,11 @@ class NetlistBuilder:
         carry = self.or_(self.and_(a, b), self.and_(partial, carry_in))
         return total, carry
 
-    def ripple_adder(
-        self, a: Sequence[int], b: Sequence[int], carry_in: Optional[int] = None
-    ) -> Tuple[List[int], int]:
+    def ripple_adder(self, a: Sequence[int], b: Sequence[int]) -> Tuple[List[int], int]:
         """Ripple-carry add two equal-width buses; return ``(sum_bus, carry_out)``."""
         if len(a) != len(b):
             raise ValueError("ripple_adder requires equal-width buses")
-        carry = carry_in if carry_in is not None else self.const0()
+        carry = self.const0()
         total: List[int] = []
         for bit_a, bit_b in zip(a, b):
             s, carry = self.full_adder(bit_a, bit_b, carry)

@@ -40,14 +40,14 @@ def multiplier(width: int, name: Optional[str] = None) -> Netlist:
     return builder.build()
 
 
-def mac_unit(width: int, acc_width: Optional[int] = None, name: Optional[str] = None) -> Netlist:
+def mac_unit(width: int, name: Optional[str] = None) -> Netlist:
     """Multiply-accumulate unit: ``acc' = acc + a * b`` (sequential).
 
-    The accumulator is a register bank of DFFs; this is the canonical AI-chip
-    datapath cell the tutorial's case studies revolve around.
+    The accumulator is a register bank of ``2 * width + 4`` DFFs; this is
+    the canonical AI-chip datapath cell the tutorial's case studies revolve
+    around.
     """
-    if acc_width is None:
-        acc_width = 2 * width + 4
+    acc_width = 2 * width + 4
     builder = NetlistBuilder(name or f"mac{width}")
     a = builder.input_bus("a", width)
     b = builder.input_bus("b", width)
@@ -153,16 +153,15 @@ def parity_tree(width: int, name: Optional[str] = None) -> Netlist:
     return builder.build()
 
 
-def wide_comparator(width: int, constant: Optional[int] = None, name: Optional[str] = None) -> Netlist:
+def wide_comparator(width: int, name: Optional[str] = None) -> Netlist:
     """Equality comparator against a constant — a random-resistant circuit.
 
     Detecting a stuck-at-0 on the wide AND output requires the single input
-    combination equal to ``constant`` (probability ``2**-width`` per random
-    pattern), making this the classic motivation for LBIST test points.
+    combination equal to the constant, ``random.Random(width)``'s first
+    ``width`` bits (probability ``2**-width`` per random pattern), making
+    this the classic motivation for LBIST test points.
     """
-    rng = random.Random(width)
-    if constant is None:
-        constant = rng.getrandbits(width)
+    constant = random.Random(width).getrandbits(width)
     builder = NetlistBuilder(name or f"cmp{width}")
     bus = builder.input_bus("a", width)
     hit = builder.equals_const(bus, constant)

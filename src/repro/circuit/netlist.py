@@ -246,9 +246,6 @@ class Netlist:
     def input_names(self) -> List[str]:
         return [self.gates[i].name for i in self.inputs]
 
-    def output_names(self) -> List[str]:
-        return [self.gates[i].name for i in self.outputs]
-
     def fanin_cone(self, roots: Iterable[int]) -> Set[int]:
         """All gates in the transitive combinational fanin of ``roots``.
 
@@ -281,16 +278,6 @@ class Netlist:
                 if not self.gates[consumer].is_sequential:
                     stack.append(consumer)
         return seen
-
-    def observation_points(self) -> List[int]:
-        """Gate indices where fault effects are observed: POs and flop D pins.
-
-        For full-scan circuits a fault effect reaching either a primary
-        output or any flop input is observable during unload.
-        """
-        points = list(self.outputs)
-        points.extend(self.flops)
-        return points
 
     def stats(self) -> Dict[str, int]:
         """Summary counts, used in reports and benchmark tables."""

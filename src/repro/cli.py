@@ -407,6 +407,16 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _nonnegative_float(text: str) -> float:
+    value = float(text)
+    # NaN or inf as a tolerance would pass every drift.
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {value}"
+        )
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     # A NaN deadline never trips and an infinite lease is never stolen.
@@ -662,14 +672,14 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument(
             "--mad-k",
-            type=float,
+            type=_nonnegative_float,
             default=3.0,
             help="noise band half-width in scaled MADs of the baseline "
             "replicates (default: 3.0)",
         )
         sub.add_argument(
             "--counter-tolerance",
-            type=float,
+            type=_nonnegative_float,
             default=0.0,
             help="relative drift allowed on deterministic work counters "
             "(default: 0 = exact)",

@@ -7,7 +7,7 @@ from .decompressor import (
     LinearDecompressor,
     encoding_probability,
 )
-from .edt import EdtEncodingResult, EdtSystem, EncodedPattern
+from .edt import EdtSystem, EncodedPattern
 from .flow import CompressedAtpgResult, run_compressed_atpg
 from .gf2 import GF2System, dot_bits, rank_of, solve_system
 from .reseeding import ReseedingCompressor, ReseedingConfig
@@ -36,7 +36,6 @@ __all__ = [
     "EdtSystem",
     "CompressedAtpgResult",
     "run_compressed_atpg",
-    "EdtEncodingResult",
     "EncodedPattern",
     "ReseedingConfig",
     "ReseedingCompressor",

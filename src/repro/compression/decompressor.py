@@ -46,10 +46,6 @@ class EdtConfig:
     def variables_per_pattern(self) -> int:
         return self.n_channels * (self.chain_length + self.warmup_cycles)
 
-    @property
-    def cells_per_pattern(self) -> int:
-        return self.n_chains * self.chain_length
-
 
 class LinearDecompressor:
     """A stimulus decompressor that is linear over GF(2).
@@ -178,12 +174,11 @@ def encoding_probability(
     decompressor: LinearDecompressor,
     care_bit_counts: Sequence[int],
     seed: int = 0,
-    trials: int = 50,
 ) -> List[Tuple[int, float]]:
     """Monte-Carlo encoding success rate vs. care-bit count (E5/X1 driver).
 
-    For each count, draws ``trials`` random cubes (random cells, random
-    values) and reports the fraction that solve.  A cube's values are drawn
+    For each count, draws 50 random cubes (random cells, random values)
+    and reports the fraction that solve.  A cube's values are drawn
     one care bit at a time and stop at its first contradiction.
     """
     rng = random.Random(seed)
@@ -200,7 +195,7 @@ def encoding_probability(
                 (cell, rng.randint(0, 1)) for cell in rng.sample(cells, count)
             )
             is not None
-            for _ in range(trials)
+            for _ in range(50)
         )
-        results.append((count, successes / trials))
+        results.append((count, successes / 50))
     return results

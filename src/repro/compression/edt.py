@@ -8,15 +8,16 @@
 * an :class:`~repro.compression.compactor.XorCompactor` on the response
   side (with optional X-masking),
 
-and exposes the pattern-level operations the E4 experiment measures:
-encode a cube set, expand it back, fault-simulate through the compactor,
-and report compression statistics against bypass (uncompressed) scan.
+and exposes the pattern-level operations compressed ATPG
+(:mod:`repro.compression.flow`) and the E4 experiment use: split a cube
+into care bits, build the pattern that channel data applies, and report
+compression statistics against bypass (uncompressed) scan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 from ..circuit.values import X
 from ..scan.insertion import ScanDesign
@@ -39,20 +40,6 @@ class EncodedPattern:
         return self.pi_bits + self.expanded_state
 
 
-@dataclass
-class EdtEncodingResult:
-    """Cube-set encoding outcome and the compression bookkeeping."""
-
-    encoded: List[EncodedPattern] = field(default_factory=list)
-    failed_cubes: List[int] = field(default_factory=list)  # cube indices
-    care_bits_total: int = 0
-
-    @property
-    def encoding_success_rate(self) -> float:
-        total = len(self.encoded) + len(self.failed_cubes)
-        return len(self.encoded) / total if total else 1.0
-
-
 class EdtSystem:
     """Compression wrapper around a scan-inserted netlist."""
 
@@ -61,7 +48,6 @@ class EdtSystem:
         design: ScanDesign,
         n_input_channels: int = 2,
         n_output_channels: int = 2,
-        generator_length: int = 24,
         seed: int = 1,
     ):
         self.design = design
@@ -69,7 +55,7 @@ class EdtSystem:
             n_channels=n_input_channels,
             n_chains=design.n_chains,
             chain_length=design.max_chain_length,
-            generator_length=generator_length,
+            generator_length=24,
             seed=seed,
         )
         self.decompressor = Decompressor(self.config)
@@ -105,24 +91,6 @@ class EdtSystem:
             care[(chain, position)] = value
         return pi_part, care
 
-    def encode_cubes(self, cubes: Sequence[Sequence[int]]) -> EdtEncodingResult:
-        """Encode every cube; unencodable cubes are reported, not dropped
-        silently (callers typically split or top-up with bypass patterns).
-        """
-        result = EdtEncodingResult()
-        for index, cube in enumerate(cubes):
-            pi_part, care = self.cube_to_care_bits(cube)
-            result.care_bits_total += len(care) + sum(
-                1 for v in pi_part if v != X
-            )
-            variables = self.decompressor.solve_cube(care)
-            if variables is None:
-                result.failed_cubes.append(index)
-                continue
-            pi_filled = [0 if v == X else v for v in pi_part]
-            result.encoded.append(self.encoded_pattern(variables, pi_filled))
-        return result
-
     def encoded_pattern(
         self, variables: Sequence[int], pi_bits: List[int]
     ) -> EncodedPattern:
@@ -141,54 +109,13 @@ class EdtSystem:
                 by_flop[flop] = loads[chain_id][position]
         return [by_flop[flop] for flop in self.design.netlist.flops]
 
-    def expanded_patterns(self, result: EdtEncodingResult) -> List[List[int]]:
-        """Full-scan-view patterns realized by the encoded set.
-
-        These are what actually gets applied on silicon — fault simulation
-        of them grades the compressed test.
-        """
-        return [encoded.pattern for encoded in result.encoded]
-
-    # ------------------------------------------------------------------
-    # Response side
-    # ------------------------------------------------------------------
-
-    def response_to_chain_streams(
-        self, state_response: Sequence[int]
-    ) -> List[List[int]]:
-        """Arrange a captured flop state into per-chain unload streams."""
-        return self.design.state_to_chain_bits(list(state_response))
-
-    def compact_response(
-        self,
-        state_response: Sequence[int],
-        mask: Optional[Sequence[int]] = None,
-    ) -> List[List[int]]:
-        """Compacted per-cycle channel outputs for one captured state."""
-        streams = self.response_to_chain_streams(state_response)
-        return self.compactor.compact_unload(streams, mask)
-
-    def fault_visible_through_compactor(
-        self,
-        good_state: Sequence[int],
-        faulty_state: Sequence[int],
-        mask: Optional[Sequence[int]] = None,
-    ) -> bool:
-        """Does a faulty capture remain observable after compaction?"""
-        return self.compactor.observable_difference(
-            self.response_to_chain_streams(good_state),
-            self.response_to_chain_streams(faulty_state),
-            mask,
-        )
-
     # ------------------------------------------------------------------
     # Cost reporting
     # ------------------------------------------------------------------
 
-    def cost_versus_bypass(
-        self, n_patterns: int, bypass_chains: int = 1
-    ) -> Dict[str, object]:
-        """E4 row: compressed vs. bypass-scan cost for ``n_patterns``."""
+    def cost_versus_bypass(self, n_patterns: int) -> Dict[str, object]:
+        """E4 row: compressed vs. single-chain bypass-scan cost for
+        ``n_patterns``."""
         netlist = self.design.netlist
         n_flops = len(netlist.flops)
         # Scan-in pins and scan_enable are not tester stimulus: the flop
@@ -196,7 +123,7 @@ class EdtSystem:
         # replace them entirely.  Only functional PIs/POs remain.
         n_pis = len(netlist.inputs) - len(self.design.scan_inputs) - 1
         n_pos = len(netlist.outputs) - len(self.design.scan_outputs)
-        bypass = scan_cost(n_patterns, n_flops, bypass_chains, n_pis, n_pos)
+        bypass = scan_cost(n_patterns, n_flops, 1, n_pis, n_pos)
         compressed = compressed_scan_cost(
             n_patterns,
             n_flops,

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence
 
 from .. import obs
 from ..atpg.engine import x_fill
-from ..atpg.portfolio import make_engine
+from ..atpg.podem import Podem
 from ..faults.collapse import collapse_faults
 from ..faults.model import StuckAtFault
 from ..faults.stuck_at import full_fault_list
@@ -83,27 +83,20 @@ def run_compressed_atpg(
     edt: EdtSystem,
     faults: Optional[Sequence[StuckAtFault]] = None,
     random_pattern_budget: int = 128,
-    backtrack_limit: int = 64,
     seed: int = 0,
     grade: bool = False,
-    backend: str = "ppsfp",
-    jobs: Optional[int] = None,
     word_width: int = WORD_WIDTH,
-    engine: str = "podem",
 ) -> CompressedAtpgResult:
     """Generate compressed patterns with fault dropping on decompressed data.
 
     Phase 1 applies PRPG-style random *encoded* patterns (random channel
     data expanded through the decompressor — free on a real tester).
-    Phase 2 runs the deterministic ``engine`` (``podem``/``dalg``/
-    ``guided``/``portfolio``, see :mod:`repro.atpg.portfolio`) per
-    surviving fault, encodes the cube, expands it, and fault-simulates
-    the expansion; unencodable cubes fall back to an X-filled bypass
-    pattern.
+    Phase 2 runs PODEM per surviving fault, encodes the cube, expands it,
+    and fault-simulates the expansion; unencodable cubes fall back to an
+    X-filled bypass pattern.
 
     With ``grade`` set, the finished pattern set is re-graded from scratch
-    against the full fault universe on the chosen ``backend``/``jobs``
-    (see :mod:`repro.sim.dispatch`) — the cross-check a tester sign-off
+    against the full fault universe — the cross-check a tester sign-off
     would run — filling ``graded_coverage`` and ``grading_stats``.
     ``word_width`` sets the patterns packed per simulation word for
     every fault-simulation pass in the flow.
@@ -142,7 +135,7 @@ def run_compressed_atpg(
     # ------------------------------------------------------------------
     # Phase 2: deterministic cubes, encoded one at a time.
     # ------------------------------------------------------------------
-    generator = make_engine(engine, netlist, backtrack_limit=backtrack_limit)
+    generator = Podem(netlist)
     undetected = set(remaining)
     with obs.span("compression_encode"):
         for fault in remaining:
@@ -191,12 +184,7 @@ def run_compressed_atpg(
     if grade and result.applied_patterns:
         with obs.span("grade"):
             graded = simulator.simulate(
-                result.applied_patterns,
-                faults,
-                drop=True,
-                engine=backend,
-                jobs=jobs,
-                seed=seed,
+                result.applied_patterns, faults, drop=True, seed=seed
             )
             result.graded_coverage = graded.coverage
             result.grading_stats = dict(graded.stats)

@@ -25,10 +25,6 @@ class GF2System:
         self.inconsistent = False
 
     @property
-    def rank(self) -> int:
-        return len(self._pivots)
-
-    @property
     def pivots(self) -> KeysView[int]:
         """Variables the equations pin down; every other variable is free."""
         return self._pivots.keys()

@@ -84,15 +84,6 @@ class LFSR:
         """``count`` pseudo-random patterns of ``width`` bits each."""
         return [self.pattern(width) for _ in range(count)]
 
-    def period_lower_bound(self, limit: int = 1 << 20) -> int:
-        """Walk the sequence until the seed state recurs (capped)."""
-        start = self.state
-        for count in range(1, limit + 1):
-            self.step()
-            if self.state == start:
-                return count
-        return limit
-
 
 class RingGenerator:
     """Modular LFSR with per-cycle channel injection (the EDT kernel).
@@ -107,13 +98,7 @@ class RingGenerator:
     variables and every state bit is a bitmask over them.
     """
 
-    def __init__(
-        self,
-        length: int,
-        n_channels: int,
-        taps: Optional[Sequence[int]] = None,
-        seed: int = 0,
-    ):
+    def __init__(self, length: int, n_channels: int, seed: int = 0):
         if n_channels > length:
             # A channel without its own injector cell would reach no state bit.
             raise ValueError(
@@ -121,7 +106,7 @@ class RingGenerator:
             )
         self.length = length
         self.n_channels = n_channels
-        self.taps = tuple(taps) if taps is not None else tuple(primitive_taps(length))
+        self.taps = tuple(primitive_taps(length))
         rng = random.Random(seed)
         # Spread injector positions evenly with a deterministic shuffle.
         positions = list(range(length))

@@ -9,7 +9,7 @@ helper used by the E6 experiment.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .lfsr import primitive_taps
 
@@ -24,9 +24,9 @@ class MISR:
     :mod:`repro.compression.compactor`).
     """
 
-    def __init__(self, length: int, taps: Optional[Sequence[int]] = None, seed: int = 0):
+    def __init__(self, length: int, seed: int = 0):
         self.length = length
-        self.taps = tuple(taps) if taps is not None else tuple(primitive_taps(length))
+        self.taps = tuple(primitive_taps(length))
         self.state = seed & ((1 << length) - 1)
 
     def absorb(self, slice_bits: Sequence[int]) -> None:

@@ -181,15 +181,14 @@ def build_balanced_network(
 def access_schedule_comparison(
     instruments: Sequence[Instrument],
     accesses: Sequence[Sequence[str]],
-    fanout: int = 4,
 ) -> Dict[str, object]:
-    """Total cycles for an access schedule, flat vs SIB network.
+    """Total cycles for an access schedule, flat vs a fanout-4 SIB network.
 
     ``accesses`` is a list of instrument-name groups, each accessed once
     (the network reverts to all-closed between groups — conservative for
     the SIB side).
     """
-    network = build_balanced_network(instruments, fanout)
+    network = build_balanced_network(instruments, 4)
     flat_total = sum(
         flat_chain_cycles(instruments, group)["total_cycles"]
         for group in accesses

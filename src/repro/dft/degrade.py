@@ -89,16 +89,14 @@ def test_and_degrade(
     )
 
 
-def yield_with_degradation(
-    chips: Sequence[TiledAccelerator], policy: Optional[BinningPolicy] = None
-) -> Dict[str, object]:
+def yield_with_degradation(chips: Sequence[TiledAccelerator]) -> Dict[str, object]:
     """Population view: yield with vs without map-out.
 
     Without degradation a chip ships only if *every* PE is clean; with it,
     partial chips ship into derated bins — the yield uplift the case study
-    claims.
+    claims.  Chips are binned under the default :class:`BinningPolicy`.
     """
-    policy = policy or BinningPolicy()
+    policy = BinningPolicy()
     perfect = 0
     shippable = 0
     bins: Dict[str, int] = {}

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 
 def poisson_yield(die_area_cm2: float, defect_density_per_cm2: float) -> float:
@@ -95,17 +95,14 @@ def tester_cost_per_die(cycles: int, model: TestCostModel) -> float:
     return seconds * model.tester_cost_per_second
 
 
-def coverage_dppm_table(
-    yield_fraction: float,
-    coverages: Sequence[float] = (0.90, 0.95, 0.99, 0.995, 0.999, 1.0),
-) -> List[Dict[str, float]]:
+def coverage_dppm_table(yield_fraction: float) -> List[Dict[str, float]]:
     """The classic table: fault coverage vs shipped DPPM at fixed yield."""
     return [
         {
             "coverage": coverage,
             "dppm": round(dppm(yield_fraction, coverage), 1),
         }
-        for coverage in coverages
+        for coverage in (0.90, 0.95, 0.99, 0.995, 0.999, 1.0)
     ]
 
 

@@ -148,11 +148,10 @@ def build_plan(
     return plan
 
 
-def plan_comparison_table(
-    accelerator: Optional[AcceleratorConfig] = None,
-) -> List[Dict[str, object]]:
-    """Four corners: ±compression x ±broadcast (the case-study table)."""
-    accelerator = accelerator or AcceleratorConfig()
+def plan_comparison_table() -> List[Dict[str, object]]:
+    """Four corners: ±compression x ±broadcast (the case-study table) for
+    the default :class:`AcceleratorConfig`."""
+    accelerator = AcceleratorConfig()
     rows: List[Dict[str, object]] = []
     for use_compression in (False, True):
         for broadcast in (False, True):

@@ -9,7 +9,7 @@ experiment quantifies exactly that loss against raw-response diagnosis.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from ..compression.compactor import XorCompactor
 from ..faults.model import StuckAtFault
@@ -78,9 +78,9 @@ class CompactedDiagnoser:
         self,
         patterns: Sequence[Sequence[int]],
         observed: CompactedFailures,
-        top: int = 10,
     ) -> List[Tuple[StuckAtFault, float]]:
-        """Rank faults by Jaccard similarity of compacted signatures."""
+        """The ten faults whose compacted signatures best match ``observed``
+        (Jaccard similarity)."""
         scored: List[Tuple[StuckAtFault, float]] = []
         for fault in self.faults:
             predicted = self.compacted_signature(patterns, fault)
@@ -91,57 +91,4 @@ class CompactedDiagnoser:
             if score > 0.0:
                 scored.append((fault, score))
         scored.sort(key=lambda item: (-item[1], item[0]))
-        return scored[:top]
-
-    def resolution_versus_raw(
-        self,
-        patterns: Sequence[Sequence[int]],
-        sample_faults: Sequence[StuckAtFault],
-    ) -> Dict[str, float]:
-        """E10 row: suspect-count with and without the compactor.
-
-        For each sampled defect, injects it, diagnoses from raw and from
-        compacted observations, and averages the top-score suspect count.
-        """
-        raw_sizes: List[int] = []
-        compact_sizes: List[int] = []
-        hits_raw = 0
-        hits_compact = 0
-        for defect in sample_faults:
-            raw_observed = self.simulator.failure_signature(patterns, defect)
-            if not raw_observed:
-                continue
-            # Raw diagnosis: exact signature match count.
-            from .dictionary import signature_to_failures
-
-            observed_set = signature_to_failures(raw_observed)
-            raw_matches = [
-                fault
-                for fault in self.faults
-                if signature_to_failures(
-                    self.simulator.failure_signature(patterns, fault)
-                )
-                == observed_set
-            ]
-            raw_sizes.append(len(raw_matches))
-            if defect in raw_matches:
-                hits_raw += 1
-
-            compact_observed = self.compacted_signature(patterns, defect)
-            ranked = self.diagnose(patterns, compact_observed)
-            if ranked:
-                best = ranked[0][1]
-                top_set = [fault for fault, score in ranked if score == best]
-                compact_sizes.append(len(top_set))
-                if defect in top_set:
-                    hits_compact += 1
-            else:
-                compact_sizes.append(0)
-        count = len(raw_sizes) or 1
-        return {
-            "defects_diagnosed": float(len(raw_sizes)),
-            "avg_suspects_raw": sum(raw_sizes) / count,
-            "avg_suspects_compacted": sum(compact_sizes) / count,
-            "hit_rate_raw": hits_raw / count,
-            "hit_rate_compacted": hits_compact / count,
-        }
+        return scored[:10]

@@ -83,13 +83,12 @@ class EffectCauseDiagnoser:
         self,
         patterns: Sequence[Sequence[int]],
         observed: Failures,
-        passing_sample: int = 32,
     ) -> DiagnosisResult:
         """Rank single-stuck-at suspects for an observed failure set.
 
         ``observed`` is the tester log: {(pattern index, output position)}.
         Candidates must reproduce every observed failure and stay silent on
-        (a sample of) passing patterns; scoring is exact-match first, then
+        the first 32 passing patterns; scoring is exact-match first, then
         Jaccard similarity.
         """
         result = DiagnosisResult()
@@ -104,7 +103,7 @@ class EffectCauseDiagnoser:
         # would have failed elsewhere get rejected.
         passing = [
             index for index in range(len(patterns)) if index not in set(failing_patterns)
-        ][:passing_sample]
+        ][:32]
         probe_indices = failing_patterns + passing
         probe_patterns = [patterns[index] for index in probe_indices]
         remap = {local: original for local, original in enumerate(probe_indices)}

@@ -1,6 +1,6 @@
 """Fault models: stuck-at, transition-delay; collapsing."""
 
-from .collapse import collapse_faults, collapse_ratio, line_fault
+from .collapse import collapse_faults, line_fault
 from .model import OUTPUT_PIN, StuckAtFault, TransitionFault
 from .stuck_at import fault_sites, full_fault_list
 from .transition import full_transition_list
@@ -13,6 +13,5 @@ __all__ = [
     "full_fault_list",
     "full_transition_list",
     "collapse_faults",
-    "collapse_ratio",
     "line_fault",
 ]

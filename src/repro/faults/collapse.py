@@ -122,10 +122,3 @@ def _and_out(gate_type: GateType) -> int:
 def _or_out(gate_type: GateType) -> int:
     """Output value of OR-family gates when an input is stuck controlling."""
     return 0 if gate_type == GateType.NOR else 1
-
-
-def collapse_ratio(original: int, collapsed: int) -> float:
-    """Fraction of faults removed by collapsing."""
-    if original == 0:
-        return 0.0
-    return 1.0 - collapsed / original

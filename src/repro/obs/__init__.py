@@ -19,8 +19,7 @@ Example::
     with obs.observe("repro.atpg", circuit="mac4") as o:
         run_atpg(netlist)
     report = obs.RunReport.from_observation(o)
-    print(report.to_json())        # stable-schema JSON
-    print(report.to_prometheus())  # Prometheus text format
+    print(report.to_json())  # stable-schema JSON
 
 Observations nest (the innermost wins), which keeps library code
 composable: a benchmark can observe a whole sweep while each CLI-style

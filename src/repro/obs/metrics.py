@@ -283,74 +283,3 @@ class MetricRegistry:
                 registry._metrics[key] = metric_cls.from_dict(entry)
                 registry._labels[key] = labels
         return registry
-
-    # ------------------------------------------------------------------
-    # Prometheus text export
-    # ------------------------------------------------------------------
-
-    def to_prometheus(self, prefix: str = "repro") -> str:
-        """Prometheus text-format exposition of every metric."""
-        lines: List[str] = []
-        typed: Dict[str, str] = {}
-        for name, labels, metric in self.items():
-            flat = _prom_name(prefix, name)
-            if metric.kind == "histogram":
-                if flat not in typed:
-                    typed[flat] = "histogram"
-                    lines.append(f"# TYPE {flat} histogram")
-                cumulative = 0
-                for edge, count in zip(metric.bounds, metric.bucket_counts):
-                    cumulative += count
-                    lines.append(
-                        f"{flat}_bucket{_prom_labels(labels, le=_fmt(edge))} {cumulative}"
-                    )
-                lines.append(
-                    f"{flat}_bucket{_prom_labels(labels, le='+Inf')} {metric.count}"
-                )
-                lines.append(f"{flat}_sum{_prom_labels(labels)} {_fmt(metric.total)}")
-                lines.append(f"{flat}_count{_prom_labels(labels)} {metric.count}")
-                continue
-            if flat not in typed:
-                typed[flat] = metric.kind
-                lines.append(f"# TYPE {flat} {metric.kind}")
-            value = metric.value
-            if value is None:
-                continue
-            lines.append(f"{flat}{_prom_labels(labels)} {_fmt(value)}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _prom_name(prefix: str, name: str) -> str:
-    flat = "".join(c if c.isalnum() or c == "_" else "_" for c in name)
-    return f"{prefix}_{flat}" if prefix else flat
-
-
-def _escape_label_value(value: str) -> str:
-    """Prometheus text-format label escaping: ``\\``, ``"``, newline.
-
-    Backslash must be escaped first or the other escapes' own
-    backslashes would be doubled.
-    """
-    return (
-        str(value)
-        .replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-    )
-
-
-def _prom_labels(labels: Dict[str, str], **extra: str) -> str:
-    merged = dict(labels)
-    merged.update(extra)
-    if not merged:
-        return ""
-    inner = ",".join(
-        f'{k}="{_escape_label_value(v)}"' for k, v in sorted(merged.items())
-    )
-    return "{" + inner + "}"
-
-
-def _fmt(value: Number) -> str:
-    if isinstance(value, float) and value.is_integer():
-        return str(int(value))
-    return repr(value) if isinstance(value, float) else str(value)

@@ -28,6 +28,7 @@ Consumed by the ``repro obs diff`` / ``repro obs gate`` CLI commands;
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -79,14 +80,15 @@ class RegressConfig:
     abs_floor_s: float = 0.005  # ignore wall deltas under 5 ms
 
     def validate(self) -> None:
-        if self.wall_threshold < 0:
-            raise ValueError(f"threshold must be >= 0, got {self.wall_threshold}")
-        if self.mad_k < 0:
-            raise ValueError(f"mad_k must be >= 0, got {self.mad_k}")
-        if self.counter_tolerance < 0:
-            raise ValueError(
-                f"counter tolerance must be >= 0, got {self.counter_tolerance}"
-            )
+        for label, value in (
+            ("threshold", self.wall_threshold),
+            ("mad_k", self.mad_k),
+            ("counter tolerance", self.counter_tolerance),
+        ):
+            # A NaN band compares false against every drift and an infinite
+            # one holds every drift, so either would pass any regression.
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{label} must be finite and >= 0, got {value}")
 
 
 @dataclass

@@ -20,10 +20,6 @@ Top-level schema (version 1)::
       "payload": ...,                     # optional: bench rows, etc.
       "events": {"clock": {...}, "events": [...], "epoch_mono": ...}  # optional
     }
-
-``to_prometheus`` renders the metrics (plus every span's wall time as a
-``repro_span_seconds`` sample labeled by its path) in the Prometheus
-text exposition format, for scraping long campaigns.
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .metrics import MetricRegistry, _prom_labels
+from .metrics import MetricRegistry
 from .span import Observation
 
 #: Current report schema version.  Bump only for *incompatible* changes;
@@ -126,8 +122,8 @@ class RunReport:
             events_payload=dict(payload.get("events", {})),
         )
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
@@ -136,26 +132,6 @@ class RunReport:
     def registry(self) -> MetricRegistry:
         """The metrics section rehydrated into a live registry."""
         return MetricRegistry.from_dict(self.metrics)
-
-    # ------------------------------------------------------------------
-    # Exports
-    # ------------------------------------------------------------------
-
-    def to_prometheus(self, prefix: str = "repro") -> str:
-        """Prometheus text format: all metrics + span durations."""
-        text = self.registry().to_prometheus(prefix=prefix)
-        lines: List[str] = []
-        if self.span:
-            lines.append(f"# TYPE {prefix}_span_seconds gauge")
-            _span_samples(self.span, "", prefix, lines)
-        return text + ("\n".join(lines) + "\n" if lines else "")
-
-    def counter_value(self, name: str, default: object = 0) -> object:
-        """Convenience: a counter's value by bare name (no labels)."""
-        entry = self.metrics.get("counters", {}).get(name)
-        if entry is None:
-            return default
-        return entry.get("value", default)
 
     # ------------------------------------------------------------------
     # Schema-compat support
@@ -183,13 +159,3 @@ def _collect_paths(node: object, prefix: str, paths: set) -> None:
         path = f"{prefix}[]"
         for item in node:
             _collect_paths(item, path, paths)
-
-
-def _span_samples(
-    span: Dict[str, object], parent: str, prefix: str, lines: List[str]
-) -> None:
-    path = f"{parent}/{span.get('name', '?')}" if parent else str(span.get("name", "?"))
-    labels = _prom_labels({"path": path})
-    lines.append(f"{prefix}_span_seconds{labels} {span.get('wall_time_s', 0.0)!r}")
-    for child in span.get("children", []):
-        _span_samples(child, path, prefix, lines)

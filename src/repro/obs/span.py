@@ -38,10 +38,6 @@ class Span:
         self._elapsed: Optional[float] = None
 
     @property
-    def finished(self) -> bool:
-        return self._elapsed is not None
-
-    @property
     def start_mono(self) -> float:
         """``time.perf_counter()`` reading at span open (process-local)."""
         return self._start
@@ -58,12 +54,6 @@ class Span:
             # perf_counter is monotonic, but defend the invariant anyway:
             # a span's duration is never negative.
             self._elapsed = max(0.0, time.perf_counter() - self._start)
-        return self
-
-    def annotate(self, **labels: object) -> "Span":
-        """Attach labels after the fact (values are stringified)."""
-        for key, value in labels.items():
-            self.labels[str(key)] = str(value)
         return self
 
     def child(self, name: str, labels: Optional[Dict[str, str]] = None) -> "Span":

@@ -44,9 +44,6 @@ class ScanDesign:
     def max_chain_length(self) -> int:
         return max((len(chain) for chain in self.chains), default=0)
 
-    def chain_of(self, flop: int) -> int:
-        return self.flop_position[flop][0]
-
     def state_to_chain_bits(self, state: Sequence[int]) -> List[List[int]]:
         """Split a flop-state vector (netlist flop order) into per-chain
         shift streams, *first-shifted-in bit first*.

@@ -3,15 +3,14 @@
 :class:`ScanScheduler` turns combinational test patterns (the ATPG view:
 PIs + flop state in, POs + next state out) into the actual tester protocol —
 shift in, force PIs, capture, shift out — and drives the 4-valued simulator
-through it.  Used by the integration tests to prove end-to-end that scan
-delivers exactly the responses combinational ATPG predicted, and by the
-test-time model to count cycles.
+through it.  The scan-protocol oracle: tests use it to prove end to end
+that scan delivers exactly the responses combinational ATPG predicted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..circuit.values import ZERO
 from ..sim.logicsim import LogicSimulator
@@ -40,10 +39,6 @@ class ScanScheduler:
         # Functional PIs: everything except scan_in/scan_enable.
         special = set(design.scan_inputs) | {design.scan_enable}
         self.functional_inputs = [g for g in netlist.inputs if g not in special]
-
-    @property
-    def cycles_per_load(self) -> int:
-        return self.design.max_chain_length
 
     def _base_inputs(self, scan_enable: int) -> List[int]:
         inputs = [0] * len(self.design.netlist.inputs)
@@ -83,26 +78,20 @@ class ScanScheduler:
                         unloaded[chain_id].append(result["outputs"][position])
         return state, unloaded
 
-    def apply_pattern(
-        self,
-        pattern: Sequence[int],
-        pattern_index: int = 0,
-        state: Optional[List[int]] = None,
-    ) -> Tuple[ScanOperation, List[int]]:
-        """Load, capture, and unload one combinational pattern.
+    def apply_pattern(self, pattern: Sequence[int], pattern_index: int) -> ScanOperation:
+        """Load, capture, and unload one combinational pattern from an
+        all-zero scan state.
 
         ``pattern`` is in the combinational-view order of the *scan-inserted*
         netlist: functional PIs + scan ports + flop state.  Only the
         functional-PI and flop-state positions are honoured; scan ports are
-        driven by the protocol.  Returns the operation record and the
-        post-unload residual state.
+        driven by the protocol.
         """
         design = self.design
         netlist = design.netlist
         n_pi = len(netlist.inputs)
         pi_part, state_part = pattern[:n_pi], pattern[n_pi:]
-        if state is None:
-            state = [ZERO] * len(netlist.flops)
+        state = [ZERO] * len(netlist.flops)
 
         # 1. Shift in the target state.
         load_state = [v if v in (0, 1) else 0 for v in state_part]
@@ -124,22 +113,11 @@ class ScanScheduler:
         zeros = [[0] * len(chain) for chain in design.chains]
         # The unload stream emerges last-chain-position first, which is
         # exactly the "first-shifted-in first" stream format.
-        state, unloaded = self._shift(state, zeros, collect=True)
-        unloaded_state = design.chain_bits_to_state(unloaded)
-        operation = ScanOperation(
+        _, unloaded = self._shift(state, zeros, collect=True)
+        return ScanOperation(
             pattern_index=pattern_index,
             shift_cycles=2 * design.max_chain_length,
             capture_cycles=1,
-            unloaded_state=unloaded_state,
+            unloaded_state=design.chain_bits_to_state(unloaded),
             observed_outputs=observed,
         )
-        return operation, state
-
-    def run_patterns(self, patterns: Sequence[Sequence[int]]) -> List[ScanOperation]:
-        """Apply a whole pattern set sequentially."""
-        operations: List[ScanOperation] = []
-        state: Optional[List[int]] = None
-        for index, pattern in enumerate(patterns):
-            operation, state = self.apply_pattern(pattern, index, state)
-            operations.append(operation)
-        return operations

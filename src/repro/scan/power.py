@@ -49,10 +49,6 @@ class ShiftPowerReport:
     total_wtm: int
     peak_wtm: int
 
-    @property
-    def average_wtm(self) -> float:
-        return self.total_wtm / self.patterns if self.patterns else 0.0
-
 
 def pattern_set_power(
     design: ScanDesign, patterns: Sequence[Sequence[int]]
@@ -71,21 +67,19 @@ def pattern_set_power(
     )
 
 
-def adjacent_fill(
-    design: ScanDesign, cube: Sequence[int], pi_fill: int = 0
-) -> List[int]:
+def adjacent_fill(design: ScanDesign, cube: Sequence[int]) -> List[int]:
     """Chain-aware adjacent fill: X's copy their shift-order neighbour.
 
     The view-order ``repeat`` fill loses most of its benefit because chain
     stitching interleaves flops; filling along each chain's actual shift
     order is what minimizes WTM.  Specified bits are untouched; PI X's
-    take ``pi_fill``.
+    take 0.
     """
     n_pi = len(design.netlist.inputs)
     filled = list(cube)
     for position in range(n_pi):
         if filled[position] == X:
-            filled[position] = pi_fill
+            filled[position] = 0
     flop_position = {
         flop: n_pi + index
         for index, flop in enumerate(design.netlist.flops)

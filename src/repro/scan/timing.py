@@ -42,10 +42,6 @@ class ScanCost:
             self.stimulus_bits_per_pattern + self.response_bits_per_pattern
         )
 
-    def test_seconds(self, shift_clock_hz: float = 100e6) -> float:
-        """Wall-clock test time at a given shift clock."""
-        return self.test_cycles / shift_clock_hz
-
 
 def scan_cost(
     patterns: int,

@@ -100,11 +100,6 @@ class ChaosPlan:
                     )
 
     @classmethod
-    def single(cls, partition: int, mode: str, times: int = 1, **kwargs) -> "ChaosPlan":
-        """Fail one partition's first ``times`` attempts with ``mode``."""
-        return cls(schedule={partition: (mode,) * times}, **kwargs)
-
-    @classmethod
     def parse(cls, specs: Sequence[str], **kwargs) -> "ChaosPlan":
         """Parse CLI specs like ``2:crash,crash,raise`` (repeatable flag)."""
         schedule: Dict[int, Tuple[str, ...]] = {}
@@ -218,12 +213,6 @@ class HostChaosPlan:
     """
 
     schedule: Dict[str, HostChaosInjection] = field(default_factory=dict)
-
-    @classmethod
-    def single(
-        cls, runner: str, mode: str, after: int = 0, duration_s: float = 0.0
-    ) -> "HostChaosPlan":
-        return cls(schedule={runner: HostChaosInjection(mode, after, duration_s)})
 
     @classmethod
     def parse(cls, specs: Sequence[str]) -> "HostChaosPlan":

@@ -110,13 +110,6 @@ class FaultSimResult:
             return 1.0
         return len(self.detected) / self.total_faults
 
-    def detections_by_pattern(self) -> Dict[int, int]:
-        """Histogram: pattern index -> number of faults it first detected."""
-        histogram: Dict[int, int] = {}
-        for pattern_index in self.detected.values():
-            histogram[pattern_index] = histogram.get(pattern_index, 0) + 1
-        return histogram
-
 
 class FaultSimulator:
     """Stuck-at / transition fault simulation over one netlist.

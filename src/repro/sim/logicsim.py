@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence
 from ..circuit.compiled import compiled
 from ..circuit.gates import GateType, evaluate
 from ..circuit.netlist import Netlist
-from ..circuit.values import ONE, X, ZERO
+from ..circuit.values import X, ZERO
 from .view import CombinationalView
 
 
@@ -112,23 +112,3 @@ class LogicSimulator:
             trace.append(result["outputs"])
             state = result["state"]
         return trace
-
-    def run_to_ints(
-        self,
-        input_vectors: Sequence[Sequence[int]],
-        initial_state: Optional[Sequence[int]] = None,
-    ) -> List[int]:
-        """Like :meth:`run_sequence` but packs each PO vector into an int.
-
-        Raises if any observed output is X — intended for verifying
-        fully-specified datapath behaviour (e.g. MAC accumulation).
-        """
-        packed: List[int] = []
-        for outputs in self.run_sequence(input_vectors, initial_state):
-            word = 0
-            for position, value in enumerate(outputs):
-                if value not in (ZERO, ONE):
-                    raise ValueError(f"output bit {position} is unknown")
-                word |= value << position
-            packed.append(word)
-        return packed

@@ -281,14 +281,13 @@ class ShardStore:
         runner_id: str = "runner",
         lease_s: float = 30.0,
         clock: Callable[[], float] = time.time,
-        events: Optional[EventLog] = None,
     ):
         validate_store_args(runner_id=runner_id, lease_s=lease_s)
         self.root = str(root)
         self.runner_id = runner_id
         self.lease_s = float(lease_s)
         self.clock = clock
-        self.events = events if events is not None else EventLog()
+        self.events = EventLog()
         self.steals = 0
         self.publish_conflicts = 0
         self._n_shards: Optional[int] = None
@@ -618,9 +617,6 @@ class ShardStore:
             if lease is not None:
                 held[lease.shard] = lease
         return held
-
-    def is_complete(self) -> bool:
-        return len(self.done_indices()) >= self.n_shards
 
     def load_results(self) -> Dict[int, FaultSimResult]:
         """Deserialize every published shard result, digest-verified.

@@ -14,7 +14,7 @@ responses are plain value vectors shared by every engine in the toolkit.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from ..circuit.netlist import Netlist
 
@@ -44,18 +44,6 @@ class CombinationalView:
     def input_names(self) -> List[str]:
         gates = self.netlist.gates
         return [gates[i].name for i in self.input_gates]
-
-    def output_names(self) -> List[str]:
-        names = [self.netlist.gates[po].name for po in self.netlist.outputs]
-        names += [
-            f"{self.netlist.gates[ff].name}.D" for ff in self.netlist.flops
-        ]
-        return names
-
-    def split_pattern(self, pattern: Sequence[int]) -> Tuple[Sequence[int], Sequence[int]]:
-        """Split a test vector into ``(primary_inputs, flop_state)`` parts."""
-        n_pi = len(self.netlist.inputs)
-        return pattern[:n_pi], pattern[n_pi:]
 
     def read_outputs(self, values: Sequence[int]) -> List[int]:
         """Extract the response vector from a full gate-value assignment."""

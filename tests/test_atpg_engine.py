@@ -159,15 +159,3 @@ class TestEngineFlow:
     def test_unknown_engine_rejected(self, c17):
         with pytest.raises(ValueError, match="engine"):
             run_atpg(c17, engine="quantum")
-
-    def test_compressed_flow_takes_engine(self):
-        from repro.compression import EdtSystem, run_compressed_atpg
-        from repro.circuit import generators
-        from repro.dft import wrap_core
-        from repro.scan import insert_scan
-
-        core = generators.systolic_pe(2)
-        design = insert_scan(wrap_core(core).netlist, n_chains=4)
-        edt = EdtSystem(design, n_input_channels=2, n_output_channels=2)
-        flow = run_compressed_atpg(edt, seed=1, engine="portfolio")
-        assert flow.summary()["test_coverage"] == 1.0

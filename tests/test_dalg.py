@@ -193,9 +193,8 @@ class TestGuidedPodem:
     def test_restart_slices_accumulate_backtracks(self):
         from repro.atpg.guided import _budget_slices
 
-        assert sum(_budget_slices(64, 3)) == 64
-        assert _budget_slices(64, 1) == [64]
-        assert all(s >= 1 for s in _budget_slices(2, 3))
+        assert sum(_budget_slices(64)) == 64
+        assert all(s >= 1 for s in _budget_slices(2))
 
     def test_deterministic(self, adder4):
         first = GuidedPodem(adder4)

@@ -131,14 +131,3 @@ class TestCompactedDiagnosis:
             best = ranked[0][1]
             top = [f for f, s in ranked if s == best]
             assert defect in top
-
-    def test_resolution_report_fields(self, compact_setup):
-        design, capture, patterns, diagnoser = compact_setup
-        report = diagnoser.resolution_versus_raw(patterns, diagnoser.faults[:6])
-        assert report["avg_suspects_raw"] >= 1.0 or report["defects_diagnosed"] == 0
-        assert 0.0 <= report["hit_rate_compacted"] <= 1.0
-        # Compaction cannot make resolution better than raw on average.
-        assert (
-            report["avg_suspects_compacted"] >= report["avg_suspects_raw"] - 1e-9
-            or report["hit_rate_compacted"] <= report["hit_rate_raw"]
-        )

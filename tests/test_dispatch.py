@@ -225,23 +225,6 @@ class TestFlowThreading:
         assert pooled.detected == base.detected
         assert len(pooled.patterns) == len(base.patterns)
 
-    def test_compressed_atpg_grading_backend(self):
-        from repro.compression.edt import EdtSystem
-        from repro.compression.flow import run_compressed_atpg
-        from repro.scan import insert_scan
-
-        netlist = generators.random_sequential(4, 60, 16, seed=9)
-        design = insert_scan(netlist, n_chains=4)
-        edt = EdtSystem(design, n_input_channels=2, n_output_channels=2)
-        graded = run_compressed_atpg(
-            edt, seed=1, grade=True, backend="supervised", jobs=2
-        )
-        assert graded.graded_coverage is not None
-        assert graded.grading_stats["engine"] == "supervised"
-        # The independent re-grade can only confirm more, never less, than
-        # the drop-based bookkeeping (same patterns, same universe).
-        assert graded.graded_coverage >= graded.fault_coverage - 1e-9
-
 
 class TestTransitionBridgingParity:
     """Regression pin: the dispatch refactor must leave the transition

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro.atpg import run_atpg
-from repro.bist.lbist import StumpsController, run_weighted_lbist
+from repro.bist.lbist import StumpsController
 from repro.circuit import generators
 from repro.compression.edt import EdtSystem
 from repro.compression.flow import run_compressed_atpg
@@ -53,16 +53,6 @@ def _stumps():
     return _collapsed(netlist), run
 
 
-def _weighted_lbist():
-    netlist = generators.mac_unit(2)
-
-    def run(faults):
-        result = run_weighted_lbist(netlist, 96, faults)
-        return result.total_faults, result.final_coverage, result.undetected
-
-    return _collapsed(netlist), run
-
-
 def _sequential():
     netlist = generators.random_sequential(5, 60, 8, seed=7)
     rng = random.Random(1)
@@ -96,8 +86,8 @@ def _compressed():
 
 @pytest.mark.parametrize(
     "flow",
-    [_atpg, _stumps, _weighted_lbist, _sequential, _compressed],
-    ids=["run_atpg", "stumps", "weighted_lbist", "sequential", "compressed"],
+    [_atpg, _stumps, _sequential, _compressed],
+    ids=["run_atpg", "stumps", "sequential", "compressed"],
 )
 def test_repeated_faults_count_once(flow):
     faults, run = flow()

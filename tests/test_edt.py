@@ -4,6 +4,7 @@ import pytest
 
 from repro.atpg import run_atpg
 from repro.circuit import generators
+from repro.circuit.values import X
 from repro.compression.edt import EdtSystem
 from repro.faults import collapse_faults, full_fault_list
 from repro.scan import insert_scan, partition_faults
@@ -22,17 +23,27 @@ def edt_setup():
     return design, capture, atpg, edt
 
 
+def _expanded(edt, cubes):
+    """The full-scan-view pattern each encodable cube expands to."""
+    patterns = []
+    for cube in cubes:
+        pi_part, care = edt.cube_to_care_bits(cube)
+        variables = edt.decompressor.solve_cube(care)
+        if variables is not None:
+            pi_bits = [0 if v == X else v for v in pi_part]
+            patterns.append(edt.encoded_pattern(variables, pi_bits).pattern)
+    return patterns
+
+
 class TestEncoding:
     def test_most_cubes_encode(self, edt_setup):
         design, capture, atpg, edt = edt_setup
-        result = edt.encode_cubes(atpg.cubes)
-        assert result.encoding_success_rate > 0.85
+        assert len(_expanded(edt, atpg.cubes)) > 0.85 * len(atpg.cubes)
 
     def test_expanded_patterns_preserve_targeted_coverage(self, edt_setup):
         """Decompressed patterns must detect what their cubes promised."""
         design, capture, atpg, edt = edt_setup
-        result = edt.encode_cubes(atpg.cubes)
-        expanded = edt.expanded_patterns(result)
+        expanded = _expanded(edt, atpg.cubes)
         simulator = FaultSimulator(design.netlist)
         baseline = simulator.simulate(atpg.patterns, capture, drop=True)
         compressed = simulator.simulate(expanded, capture, drop=True)
@@ -40,41 +51,13 @@ class TestEncoding:
         # (unencodable cubes fall back to bypass in a real flow).
         assert len(compressed.detected) >= 0.85 * len(baseline.detected)
 
-    def test_care_bits_counted(self, edt_setup):
-        design, capture, atpg, edt = edt_setup
-        result = edt.encode_cubes(atpg.cubes)
-        assert result.care_bits_total > 0
-
     def test_cube_coordinates_roundtrip(self, edt_setup):
         design, capture, atpg, edt = edt_setup
-        from repro.circuit.values import X
-
         cube = atpg.cubes[0]
         pi_part, care = edt.cube_to_care_bits(cube)
         n_pi = len(design.netlist.inputs)
         specified_flops = sum(1 for v in cube[n_pi:] if v != X)
         assert len(care) == specified_flops
-
-
-class TestResponseSide:
-    def test_fault_visible_through_compactor(self, edt_setup):
-        design, capture, atpg, edt = edt_setup
-        state = [0] * len(design.netlist.flops)
-        faulty = list(state)
-        faulty[3] ^= 1
-        assert edt.fault_visible_through_compactor(state, faulty)
-
-    def test_identical_states_invisible(self, edt_setup):
-        design, capture, atpg, edt = edt_setup
-        state = [0] * len(design.netlist.flops)
-        assert not edt.fault_visible_through_compactor(state, list(state))
-
-    def test_compact_response_shape(self, edt_setup):
-        design, capture, atpg, edt = edt_setup
-        state = [0] * len(design.netlist.flops)
-        compacted = edt.compact_response(state)
-        assert len(compacted) == design.max_chain_length
-        assert all(len(slice_) == 2 for slice_ in compacted)
 
 
 class TestCostModel:

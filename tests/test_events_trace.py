@@ -183,7 +183,7 @@ class TestBackendEventWiring:
         backend = SupervisedPoolBackend(
             jobs=2, partitions=4,
             config=SupervisorConfig(backoff_s=0.0),
-            chaos=ChaosPlan.single(1, "crash"),
+            chaos=ChaosPlan.parse(["1:crash"]),
         )
         with obs.observe("run") as observation:
             result = simulator.simulate(patterns, faults, engine=backend)
@@ -223,7 +223,7 @@ class TestMetricsLossAnnotation:
         backend = SupervisedPoolBackend(
             jobs=2, partitions=4,
             config=SupervisorConfig(backoff_s=0.0),
-            chaos=ChaosPlan.single(2, "crash", times=2),
+            chaos=ChaosPlan.parse(["2:crash,crash"]),
         )
         result = backend.run(simulator, patterns, faults)
         assert result.stats["metrics_lost_attempts"] == 2
@@ -282,7 +282,7 @@ class TestChromeTrace:
         assert "repro.faultsim" in span_names and "faultsim" in span_names
 
     def test_chaos_schedule_appears_as_instants(self):
-        report = self._report(chaos=ChaosPlan.single(0, "crash"))
+        report = self._report(chaos=ChaosPlan.parse(["0:crash"]))
         events = chrome_trace(report)["traceEvents"]
         instants = {e["name"] for e in events if e["ph"] == "i"}
         assert "chaos:crash p0" in instants

@@ -52,14 +52,6 @@ class TestStuckAtCorrectness:
         # First-detection indices agree too.
         assert dropped.detected == kept.detected
 
-    def test_detections_by_pattern_histogram(self, c17):
-        simulator = FaultSimulator(c17)
-        faults = full_fault_list(c17)
-        patterns = exhaustive_patterns(5)
-        result = simulator.simulate(patterns, faults, drop=True)
-        histogram = result.detections_by_pattern()
-        assert sum(histogram.values()) == len(result.detected)
-
 
 class TestEngineAgreement:
     @settings(max_examples=6, deadline=None)

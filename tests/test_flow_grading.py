@@ -95,9 +95,7 @@ class TestWeightedMatchesChunkedLoop:
     @pytest.mark.parametrize("n_patterns", [128, 150])
     def test_curve_and_survivors(self, resistant, width, n_patterns):
         netlist, faults = resistant
-        result = run_weighted_lbist(
-            netlist, n_patterns, faults, seed=5, word_width=width
-        )
+        result = run_weighted_lbist(netlist, n_patterns, seed=5, word_width=width)
 
         weights = derive_input_weights(netlist)
         chunks = [
@@ -180,8 +178,8 @@ class TestOneGradePerPatternSet:
 
     @pytest.mark.parametrize("n_patterns", [64, 512])
     def test_weighted(self, resistant, call_log, n_patterns):
-        netlist, faults = resistant
-        run_weighted_lbist(netlist, n_patterns, faults)
+        netlist, _ = resistant
+        run_weighted_lbist(netlist, n_patterns)
         assert call_log == [("simulate", n_patterns)]
 
     @pytest.mark.parametrize("budget", [16, 128])

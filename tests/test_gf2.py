@@ -82,7 +82,7 @@ class TestRank:
         system.add_equation(0b11, 0)
         system.add_equation(0b10, 1)
         system.add_equation(0b01, 1)  # dependent
-        assert system.rank == 2
+        assert len(system.pivots) == 2
 
     def test_dot_bits(self):
         assert dot_bits(0b101, [1, 0, 1]) == 0

@@ -50,7 +50,7 @@ class TestCoreFlow:
         logic = LogicSimulator(design.netlist)
         n_po = len(design.netlist.outputs)
         for index, pattern in enumerate(atpg.patterns[:3]):
-            operation, _ = scheduler.apply_pattern(pattern, index)
+            operation = scheduler.apply_pattern(pattern, index)
             predicted = logic.response(pattern)
             assert operation.unloaded_state == predicted[n_po:]
 
@@ -58,8 +58,11 @@ class TestCoreFlow:
         _, _, design, capture, _, atpg = core_flow
         assert atpg.cubes
         edt = EdtSystem(design, n_input_channels=2, n_output_channels=2)
-        encoded = edt.encode_cubes(atpg.cubes)
-        assert encoded.encoding_success_rate > 0.8
+        encodable = [
+            edt.decompressor.solve_cube(edt.cube_to_care_bits(cube)[1]) is not None
+            for cube in atpg.cubes
+        ]
+        assert sum(encodable) > 0.8 * len(encodable)
 
     def test_chip_level_broadcast(self, core_flow):
         core, *_ = core_flow

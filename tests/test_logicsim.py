@@ -61,11 +61,6 @@ class TestSequential:
         trace = sim.run_sequence([[]] * 4, initial_state=[0])
         assert [t[0] for t in trace] == [0, 1, 0, 1]
 
-    def test_run_to_ints_rejects_x(self, s27):
-        sim = LogicSimulator(s27)
-        with pytest.raises(ValueError):
-            sim.run_to_ints([[0, 0, 0, 0]], initial_state=[X, X, X])
-
     def test_scan_shift_uses_si_pin(self):
         from repro.circuit.gates import GateType
 

@@ -1,7 +1,5 @@
 """March algorithm definitions and notation."""
 
-import pytest
-
 from repro.bist.march import (
     ALL_MARCH_TESTS,
     MARCH_A,
@@ -12,7 +10,6 @@ from repro.bist.march import (
     Direction,
     MarchElement,
     Operation,
-    march_test_by_name,
     operation_count,
     r0,
     r1,
@@ -78,11 +75,6 @@ class TestNotation:
 
 
 class TestLookup:
-    def test_by_name(self):
-        assert march_test_by_name("March C-") is MARCH_C_MINUS
-        with pytest.raises(KeyError):
-            march_test_by_name("March Z")
-
     def test_operation_count(self):
         assert operation_count(MARCH_C_MINUS, 1024) == 10 * 1024
         assert operation_count(MATS, 64) == 4 * 64

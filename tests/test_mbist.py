@@ -46,27 +46,17 @@ class TestCoverageExpectations:
     """The textbook detection claims, verified by simulation."""
 
     def test_march_c_minus_covers_everything(self):
-        matrix = coverage_matrix(
-            tests=[MARCH_C_MINUS], n_cells=48, samples_per_kind=30, seed=2
-        )
+        matrix = coverage_matrix(n_cells=48, samples_per_kind=30, seed=2)
         row = matrix["March C-"]
         for kind, cell in row.items():
             assert cell.rate == 1.0, f"March C- missed {kind}"
 
     def test_mats_misses_coupling_faults(self):
-        matrix = coverage_matrix(
-            tests=[MATS], fault_kinds=("CFid",), n_cells=48, samples_per_kind=30
-        )
+        matrix = coverage_matrix(n_cells=48, samples_per_kind=30)
         assert matrix["MATS"]["CFid"].rate < 0.5
 
     def test_coverage_improves_with_stronger_tests(self):
-        matrix = coverage_matrix(
-            tests=[MATS, MATS_PLUS, MARCH_C_MINUS],
-            fault_kinds=("TF", "CFin"),
-            n_cells=48,
-            samples_per_kind=25,
-            seed=1,
-        )
+        matrix = coverage_matrix(n_cells=48, samples_per_kind=25, seed=1)
 
         def total(name):
             return sum(cell.detected for cell in matrix[name].values())
@@ -74,20 +64,13 @@ class TestCoverageExpectations:
         assert total("MATS") <= total("MATS+") <= total("March C-")
 
     def test_af_detected_by_mats_plus(self):
-        matrix = coverage_matrix(
-            tests=[MATS_PLUS], fault_kinds=("AF",), n_cells=48, samples_per_kind=30
-        )
+        matrix = coverage_matrix(n_cells=48, samples_per_kind=30)
         assert matrix["MATS+"]["AF"].rate == 1.0
 
 
 class TestReporting:
     def test_format_matrix(self):
-        matrix = coverage_matrix(
-            tests=[MATS, MARCH_C_MINUS],
-            fault_kinds=("SAF", "TF"),
-            n_cells=32,
-            samples_per_kind=10,
-        )
+        matrix = coverage_matrix(n_cells=32, samples_per_kind=10)
         text = format_matrix(matrix)
         assert "MATS" in text and "March C-" in text
         assert "SAF" in text and "TF" in text

@@ -52,7 +52,7 @@ class TestConstruction:
     def test_port_bookkeeping(self):
         netlist = build_simple()
         assert netlist.input_names() == ["a", "b"]
-        assert netlist.output_names() == ["y"]
+        assert [netlist.gates[i].name for i in netlist.outputs] == ["y"]
         assert netlist.flops == []
 
     def test_index_lookup(self):
@@ -130,16 +130,6 @@ class TestQueries:
         assert flop not in netlist.fanout_cone([a]) or True  # flop excluded from traversal
         cone = netlist.fanout_cone([a])
         assert g not in cone  # blocked by the flop boundary
-
-    def test_observation_points(self):
-        netlist = Netlist()
-        a = netlist.add(GateType.INPUT, "a")
-        flop = netlist.add(GateType.DFF, "ff", [a])
-        netlist.add(GateType.OUTPUT, "y", [flop])
-        netlist.finalize()
-        points = netlist.observation_points()
-        assert flop in points
-        assert netlist.index_of("y") in points
 
     def test_stats(self, adder4):
         stats = adder4.stats()

@@ -19,8 +19,8 @@ def fixture():
 
 class TestData:
     def test_blobs_deterministic(self):
-        a = make_blobs(50, seed=3)
-        b = make_blobs(50, seed=3)
+        a = make_blobs(50, blob_centers(8, 3, seed=3), seed=3)
+        b = make_blobs(50, blob_centers(8, 3, seed=3), seed=3)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_shared_centers_define_one_task(self):
@@ -30,7 +30,7 @@ class TestData:
         assert x1.shape == x2.shape
 
     def test_shapes(self):
-        x, y = make_blobs(100, n_features=6, n_classes=4, seed=0)
+        x, y = make_blobs(100, blob_centers(6, 4, seed=0), seed=0)
         assert x.shape == (100, 6)
         assert set(y) <= {0, 1, 2, 3}
 
@@ -77,6 +77,7 @@ class TestQuantizedInference:
             calls.append((x.shape, w.shape))
             return x @ w
 
-        quantized = QuantizedMLP.from_float(model, test_x, matmul_hook=hook)
-        quantized.predict(test_x[:5])
+        quantized = QuantizedMLP.from_float(model, test_x)
+        hooked = QuantizedMLP(quantized.layers, quantized.input_params, matmul_hook=hook)
+        hooked.predict(test_x[:5])
         assert len(calls) == len(quantized.layers)

@@ -80,8 +80,8 @@ class TestSpan:
 
     def test_find_and_annotate(self):
         observation = Observation("root")
-        with observation.span("phase") as span:
-            span.annotate(patterns=64)
+        with observation.span("phase", patterns=64):
+            pass
         found = observation.root.find("phase")
         assert found is not None
         assert found.labels == {"patterns": "64"}
@@ -142,19 +142,6 @@ class TestMetrics:
         )
         assert observation.counter("stats.events").value == 3
         assert len(observation.metrics) == 1
-
-    def test_prometheus_export(self):
-        registry = MetricRegistry()
-        registry.counter("faultsim.runs", engine="pool").add(2)
-        registry.gauge("coverage").set(0.25)
-        registry.histogram("wall", bounds=(1.0,)).observe(0.5)
-        text = registry.to_prometheus(prefix="repro")
-        assert "# TYPE repro_faultsim_runs counter" in text
-        assert 'repro_faultsim_runs{engine="pool"} 2' in text
-        assert "repro_coverage 0.25" in text
-        assert 'repro_wall_bucket{le="1"} 1' in text
-        assert 'repro_wall_bucket{le="+Inf"} 1' in text
-        assert "repro_wall_count 1" in text
 
 
 class TestActiveObservation:
@@ -219,8 +206,9 @@ class TestRunReport:
             obs.counter("a.b").add(1)
         report = RunReport.from_observation(observation, meta={"argv": []})
         assert report.name == "repro.test"
-        assert report.counter_value("a.b") == 42
-        assert report.counter_value("missing", default=None) is None
+        counters = report.metrics["counters"]
+        assert counters["a.b"]["value"] == 42
+        assert "missing" not in counters
         assert report.schema_version >= 1
 
     def test_rejects_non_report_payloads(self):
@@ -228,15 +216,6 @@ class TestRunReport:
             RunReport.from_dict({"hello": "world"})
         with pytest.raises(ValueError):
             RunReport.from_dict({"schema_version": "one"})
-
-    def test_prometheus_includes_span_samples(self):
-        with obs.observe("root") as observation:
-            with obs.span("phase"):
-                obs.counter("n").add(1)
-        report = RunReport.from_observation(observation)
-        text = report.to_prometheus()
-        assert 'repro_span_seconds{path="root"}' in text
-        assert 'repro_span_seconds{path="root/phase"}' in text
 
 
 class TestDeepTrees:
@@ -300,10 +279,10 @@ class TestObserveStackDiscipline:
         # outer entry (the `.remove` path), leaving the inner one current.
         outer_cm.__exit__(None, None, None)
         assert obs.current() is inner
-        assert outer.root.finished
+        assert outer.root._elapsed is not None  # finished
         inner_cm.__exit__(None, None, None)
         assert obs.current() is None
-        assert inner.root.finished
+        assert inner.root._elapsed is not None
 
     def test_double_exit_is_harmless(self):
         cm = obs.observe("once")
@@ -328,39 +307,3 @@ class TestObserveStackDiscipline:
         b_cm.__exit__(None, None, None)
         assert a.counter("n").value == 0
         assert b.counter("n").value == 11
-
-
-class TestPrometheusLabelEscaping:
-    """Golden pin of the text-exposition escaping and label ordering."""
-
-    def test_escapes_backslash_quote_newline(self):
-        registry = MetricRegistry()
-        registry.counter("paths", path='C:\\tmp\\"x"\nnext').add(1)
-        text = registry.to_prometheus(prefix="repro")
-        assert (
-            'repro_paths{path="C:\\\\tmp\\\\\\"x\\"\\nnext"} 1' in text
-        )
-        # The physical output line must stay a single line.
-        (sample,) = [l for l in text.splitlines() if l.startswith("repro_paths")]
-        assert "\n" not in sample
-
-    def test_labels_sorted_deterministically(self):
-        registry = MetricRegistry()
-        registry.counter("m", zeta="1", alpha="2", mid="3").add(1)
-        text = registry.to_prometheus(prefix="repro")
-        assert 'repro_m{alpha="2",mid="3",zeta="1"} 1' in text
-
-    def test_golden_report_export(self):
-        """Pin the full to_prometheus output for a labeled report."""
-        with obs.observe("root") as observation:
-            observation.counter("files", file='a"b\\c').add(2)
-        report = RunReport.from_observation(observation)
-        report.span["wall_time_s"] = 0.25  # fixed for the golden text
-        report.span["children"] = []
-        golden = (
-            "# TYPE repro_files counter\n"
-            'repro_files{file="a\\"b\\\\c"} 2\n'
-            "# TYPE repro_span_seconds gauge\n"
-            'repro_span_seconds{path="root"} 0.25\n'
-        )
-        assert report.to_prometheus() == golden

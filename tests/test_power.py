@@ -44,7 +44,6 @@ class TestPatternSetPower:
         report = pattern_set_power(design, patterns)
         assert report.patterns == 2
         assert report.total_wtm == 0  # constant loads
-        assert report.average_wtm == 0.0
 
     def test_alternating_state_costs(self, design):
         n_pi = len(design.netlist.inputs)

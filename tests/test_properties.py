@@ -16,7 +16,6 @@ from repro.atpg.podem import Podem
 from repro.atpg.random_gen import random_patterns
 from repro.circuit import generators
 from repro.circuit.bench import parse_bench, write_bench
-from repro.circuit.simplify import simplify
 from repro.circuit.verilog import parse_verilog, write_verilog
 from repro.faults import collapse_faults, full_fault_list
 from repro.scan import insert_scan
@@ -138,16 +137,6 @@ class TestPodemSoundness:
 
 
 class TestStructuralTransforms:
-    @settings(**SMALL)
-    @given(seed=seeds)
-    def test_simplify_preserves_function(self, seed):
-        netlist = small_sequential(seed)
-        rebuilt, _ = simplify(netlist)
-        sim_a, sim_b = LogicSimulator(netlist), LogicSimulator(rebuilt)
-        patterns = random_patterns(sim_a.view.num_inputs, 10, seed=seed)
-        for pattern in patterns:
-            assert sim_a.response(pattern) == sim_b.response(pattern)
-
     @settings(**SMALL)
     @given(seed=seeds)
     def test_scan_insertion_preserves_capture_function(self, seed):

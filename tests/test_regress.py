@@ -183,6 +183,10 @@ class TestCompareReports:
             RegressConfig(mad_k=-1).validate()
         with pytest.raises(ValueError):
             RegressConfig(counter_tolerance=-1).validate()
+        for field in ("wall_threshold", "mad_k", "counter_tolerance"):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match="finite"):
+                    RegressConfig(**{field: value}).validate()
 
     def test_finding_render_mentions_severity_and_ratio(self):
         finding = Finding(
@@ -252,6 +256,29 @@ class TestObsCli:
         base, cur = self._write_pair(tmp_path, factor=2.0)
         assert main(["obs", "diff", base, cur]) == 0
         assert "[FAIL]" in capsys.readouterr().out
+
+    def _write_counter_drift(self, tmp_path):
+        base = tmp_path / "base.json"
+        base.write_text(_bench_report(_replicated_rows()).to_json())
+        cur = tmp_path / "cur.json"
+        cur.write_text(_bench_report(_replicated_rows(events=6000)).to_json())
+        return str(base), str(cur)
+
+    def test_gate_fails_counter_drift_at_zero_tolerance(self, tmp_path):
+        base, cur = self._write_counter_drift(tmp_path)
+        assert main(["obs", "gate", base, cur, "--counter-tolerance", "0"]) == (
+            EXIT_REGRESSION
+        )
+
+    @pytest.mark.parametrize("flag", ["--counter-tolerance", "--mad-k"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_gate_rejects_nonfinite_tolerance(self, tmp_path, capsys, flag, value):
+        # NaN and inf would widen the band until every drift passes.
+        base, cur = self._write_counter_drift(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["obs", "gate", base, cur, flag, value])
+        assert excinfo.value.code == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_gate_threshold_flag(self, tmp_path):
         base, cur = self._write_pair(tmp_path, factor=1.3)

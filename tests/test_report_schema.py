@@ -141,9 +141,9 @@ class TestRoundTrip:
         assert clone.to_dict() == report.to_dict()
         assert clone.to_json() == report.to_json()
         assert clone.key_paths() == report.key_paths()
-        assert clone.counter_value("atpg.faults") == report.counter_value(
+        assert clone.metrics["counters"]["atpg.faults"] == report.metrics["counters"][
             "atpg.faults"
-        )
+        ]
 
     def test_written_file_is_stable_json(self, tmp_path, capsys):
         """sort_keys means two loads of the same run serialize identically."""

@@ -77,9 +77,3 @@ class TestObservability:
         last = netlist.gates[netlist.outputs[0]].fanin[0]
         assert measures.co[pi] > measures.co[last]
 
-    def test_detect_cost_combines(self, c17):
-        measures = compute_testability(c17)
-        g = c17.index_of("10")
-        cost = measures.detect_cost(g, 0)
-        assert cost == measures.cc1[g] + measures.co[g]
-

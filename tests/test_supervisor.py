@@ -96,7 +96,7 @@ class TestChaosRecovery:
     def test_crash_recovered(self):
         simulator, faults, patterns, reference = _setup()
         backend = SupervisedPoolBackend(
-            jobs=2, chaos=ChaosPlan.single(2, "crash", times=2)
+            jobs=2, chaos=ChaosPlan.parse(["2:crash,crash"])
         )
         result = backend.run(simulator, patterns, faults)
         _assert_identical(result, reference)
@@ -111,7 +111,7 @@ class TestChaosRecovery:
         simulator, faults, patterns, reference = _setup()
         backend = SupervisedPoolBackend(
             jobs=2,
-            chaos=ChaosPlan.single(1, "hang"),
+            chaos=ChaosPlan.parse(["1:hang"]),
             config=SupervisorConfig(timeout_s=0.5),
         )
         result = backend.run(simulator, patterns, faults)
@@ -121,7 +121,7 @@ class TestChaosRecovery:
     def test_raise_reported_and_recovered(self):
         simulator, faults, patterns, reference = _setup()
         backend = SupervisedPoolBackend(
-            jobs=2, chaos=ChaosPlan.single(0, "raise")
+            jobs=2, chaos=ChaosPlan.parse(["0:raise"])
         )
         result = backend.run(simulator, patterns, faults)
         _assert_identical(result, reference)
@@ -130,7 +130,7 @@ class TestChaosRecovery:
     def test_corrupt_result_rejected_and_recovered(self):
         simulator, faults, patterns, reference = _setup()
         backend = SupervisedPoolBackend(
-            jobs=2, chaos=ChaosPlan.single(3, "corrupt")
+            jobs=2, chaos=ChaosPlan.parse(["3:corrupt"])
         )
         result = backend.run(simulator, patterns, faults)
         _assert_identical(result, reference)
@@ -140,7 +140,7 @@ class TestChaosRecovery:
         """Crashing every pool attempt forces the parent to grade inline."""
         simulator, faults, patterns, reference = _setup()
         backend = SupervisedPoolBackend(
-            jobs=2, chaos=ChaosPlan.single(4, "crash", times=3)
+            jobs=2, chaos=ChaosPlan.parse(["4:crash,crash,crash"])
         )
         result = backend.run(simulator, patterns, faults)
         _assert_identical(result, reference)
@@ -166,7 +166,7 @@ class TestGracefulDegradation:
         simulator, faults, patterns, reference = _setup()
         backend = SupervisedPoolBackend(
             jobs=2,
-            chaos=ChaosPlan.single(3, "crash", times=3),
+            chaos=ChaosPlan.parse(["3:crash,crash,crash"]),
             config=SupervisorConfig(inline_fallback=False),
         )
         result = backend.run(simulator, patterns, faults)
@@ -202,7 +202,7 @@ class TestGracefulDegradation:
         simulator, faults, patterns, _ = _setup()
         backend = SupervisedPoolBackend(
             jobs=2,
-            chaos=ChaosPlan.single(0, "crash", times=2),
+            chaos=ChaosPlan.parse(["0:crash,crash"]),
             config=SupervisorConfig(max_retries=0),
         )
         result = backend.run(simulator, patterns, faults)
@@ -334,7 +334,7 @@ class TestChaosPlan:
             ChaosPlan.parse(["3:"])
 
     def test_raise_hook(self):
-        plan = ChaosPlan.single(1, "raise")
+        plan = ChaosPlan.parse(["1:raise"])
         with pytest.raises(ChaosError):
             plan.execute_pre(1, 0)
         plan.execute_pre(1, 1)  # attempt past schedule: no-op

@@ -1,7 +1,5 @@
 """Scan cost models (test time / data volume)."""
 
-import pytest
-
 from repro.scan.timing import (
     ScanCost,
     compressed_scan_cost,
@@ -32,10 +30,6 @@ class TestPlainScan:
         cost = scan_cost(5, 10, 1, n_pis=3, n_pos=2)
         assert cost.stimulus_bits_per_pattern == 13
         assert cost.response_bits_per_pattern == 12
-
-    def test_test_seconds(self):
-        cost = scan_cost(10, 100, 4)
-        assert cost.test_seconds(1e6) == pytest.approx(cost.test_cycles / 1e6)
 
 
 class TestCompressedScan:

@@ -25,14 +25,6 @@ class TestCombinationalOrdering:
         for reader, po in zip(view.output_readers, netlist.outputs):
             assert reader == netlist.gates[po].fanin[0]
 
-    def test_split_pattern_no_flops(self):
-        netlist = benchmarks.c17()
-        view = CombinationalView(netlist)
-        pattern = list(range(view.num_inputs))
-        pis, state = view.split_pattern(pattern)
-        assert list(pis) == pattern
-        assert list(state) == []
-
 
 class TestSequentialOrdering:
     def test_inputs_are_pis_then_flops(self):
@@ -49,16 +41,6 @@ class TestSequentialOrdering:
         assert view.output_readers == expected
         assert view.num_outputs == len(netlist.outputs) + len(netlist.flops)
 
-    def test_split_pattern_separates_scan_state(self):
-        netlist = benchmarks.s27()
-        view = CombinationalView(netlist)
-        n_pi = len(netlist.inputs)
-        pattern = list(range(view.num_inputs))
-        pis, state = view.split_pattern(pattern)
-        assert list(pis) == pattern[:n_pi]
-        assert list(state) == pattern[n_pi:]
-        assert len(state) == len(netlist.flops)
-
     def test_names_follow_vector_order(self):
         netlist = benchmarks.s27()
         view = CombinationalView(netlist)
@@ -66,13 +48,6 @@ class TestSequentialOrdering:
         assert view.input_names() == [
             gates[i].name for i in view.input_gates
         ]
-        names = view.output_names()
-        assert len(names) == view.num_outputs
-        po_names = [gates[po].name for po in netlist.outputs]
-        assert names[: len(po_names)] == po_names
-        # Pseudo-PO names carry the .D suffix of the flop they capture into.
-        for name, ff in zip(names[len(po_names):], netlist.flops):
-            assert name == f"{gates[ff].name}.D"
 
     def test_read_outputs_indexes_readers(self):
         netlist = benchmarks.s27()

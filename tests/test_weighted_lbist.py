@@ -41,11 +41,3 @@ class TestWeightedCoverage:
         result = run_weighted_lbist(netlist, 256, seed=1)
         coverages = [p["coverage"] for p in result.coverage_points]
         assert coverages == sorted(coverages)
-
-    def test_custom_fault_list(self):
-        from repro.faults import collapse_faults, full_fault_list
-
-        netlist = generators.wide_comparator(10)
-        faults, _ = collapse_faults(netlist, full_fault_list(netlist))
-        result = run_weighted_lbist(netlist, 128, faults=faults[:10], seed=1)
-        assert result.total_faults == 10
