@@ -13,11 +13,8 @@ broadcast semantics (core patterns detect every replica's faults).
 
 from repro.atpg import run_atpg
 from repro.circuit import generators
-from repro.dft import (
-    broadcast_detects_all_cores,
-    compare_flat_hierarchical,
-    replicate_netlist,
-)
+from repro.circuit.benchmarks import replicate_netlist
+from repro.dft import broadcast_detects_all_cores, compare_flat_hierarchical
 
 from .util import print_table, run_once
 

@@ -50,7 +50,7 @@ from repro import obs
 from repro.atpg.engine import run_atpg
 from repro.atpg.random_gen import random_patterns
 from repro.circuit import generators
-from repro.dft.flatten import replicate_netlist
+from repro.circuit.benchmarks import replicate_netlist
 from repro.faults import collapse_faults, full_fault_list
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.goodcache import DEFAULT_CACHE

@@ -14,12 +14,12 @@ Run:  python examples/hierarchical_soc.py
 
 from repro.atpg import run_atpg
 from repro.circuit import generators
+from repro.circuit.benchmarks import replicate_netlist
 from repro.dft import (
     broadcast_detects_all_cores,
     build_plan,
     compare_flat_hierarchical,
     plan_comparison_table,
-    replicate_netlist,
 )
 
 

@@ -1,5 +1,6 @@
 """Test generation: PODEM / D-algorithm / guided engines and their
-per-fault portfolio, random/weighted patterns, compaction, TDF ATPG."""
+per-fault portfolio, random/weighted patterns, compaction, sequential
+ATPG."""
 
 from .compaction import (
     care_bit_stats,
@@ -20,7 +21,6 @@ from .portfolio import (
 )
 from .random_gen import exhaustive_patterns, random_patterns, weighted_random_patterns
 from .scoap import Testability, compute_testability
-from .tdf import TdfAtpgResult, random_loc_pairs, run_tdf_atpg
 from .timeframe import (
     SequentialAtpgResult,
     UnrolledModel,
@@ -52,9 +52,6 @@ __all__ = [
     "care_bit_stats",
     "compute_testability",
     "Testability",
-    "run_tdf_atpg",
-    "TdfAtpgResult",
-    "random_loc_pairs",
     "unroll",
     "UnrolledModel",
     "map_fault_to_frame",

@@ -9,7 +9,7 @@ point the tests, examples, and benchmark harnesses use.
 from __future__ import annotations
 
 import re
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 from . import generators
 from .bench import parse_bench
@@ -97,24 +97,43 @@ def benchmark_names() -> List[str]:
 _REPLICATED = re.compile(r"^(?P<base>[A-Za-z0-9]+)_x(?P<copies>\d+)$")
 
 
+def replicate_netlist(core: Netlist, n_copies: int, name: Optional[str] = None) -> Netlist:
+    """N structurally independent copies of ``core`` in one netlist.
+
+    The flat view of a multi-core chip, which hierarchical DFT is measured
+    against: one netlist holding N copies of the core, handed to ATPG
+    whole.  Gate ``g`` of copy ``k`` is named ``core{k}/{g.name}``.  Ports
+    are per-copy (the chip pins a flat ATPG run would see through scan).
+    """
+    if n_copies < 1:
+        raise ValueError(f"need at least one copy of {core.name}, got {n_copies}")
+    core.finalize()
+    chip = Netlist(name or f"{core.name}_x{n_copies}")
+    for copy in range(n_copies):
+        offset = len(chip.gates)
+        for gate in core.gates:
+            chip.add(
+                gate.type,
+                f"core{copy}/{gate.name}",
+                [driver + offset for driver in gate.fanin],
+            )
+    chip.finalize()
+    return chip
+
+
 def get_benchmark(name: str) -> Netlist:
     """Build the named benchmark circuit (a fresh instance every call).
 
     Besides the registered names, ``<base>_x<N>`` (e.g. ``mac4_x32``)
     replicates benchmark ``<base>`` into an ``N``-core flat netlist via
-    :func:`repro.dft.flatten.replicate_netlist`.
+    :func:`replicate_netlist`.
     """
     factory = _REGISTRY.get(name)
     if factory is None:
         match = _REPLICATED.match(name)
         if match and match.group("base") in _REGISTRY:
-            from ..dft.flatten import replicate_netlist
-
-            copies = int(match.group("copies"))
-            if copies < 1:
-                raise KeyError(f"replicated benchmark {name!r} needs >= 1 copy")
             return replicate_netlist(
-                _REGISTRY[match.group("base")](), copies
+                _REGISTRY[match.group("base")](), int(match.group("copies"))
             )
         raise KeyError(
             f"unknown benchmark {name!r}; available: {benchmark_names()} "

@@ -19,7 +19,8 @@ Every subcommand also takes ``--report FILE`` (RunReport JSON),
 ``--profile`` (span tree + counters on stdout), and ``--trace FILE``
 (Chrome trace-event JSON for Perfetto/``chrome://tracing``).
 
-Exit codes: ``0`` success; ``2`` bad arguments (argparse) or campaign
+Exit codes: ``0`` success; ``2`` bad arguments (argparse, an unknown
+circuit, an unreadable file, a pattern file for other inputs) or campaign
 mismatch (shard store keyed to a different circuit/pattern set); ``3`` a
 supervised fault-sim campaign completed *partially*
 (unrecoverable partitions — reported coverage is a lower bound);
@@ -38,6 +39,7 @@ import argparse
 import math
 import os
 import sys
+from itertools import zip_longest
 from typing import List, Optional
 
 import time
@@ -77,12 +79,21 @@ EXIT_INTERRUPTED = 130
 
 
 def _load_circuit(spec: str) -> Netlist:
-    """Resolve a circuit argument: benchmark name, .bench, or .v file."""
-    if spec.endswith(".bench"):
-        return load_bench(spec)
-    if spec.endswith(".v"):
-        return load_verilog(spec)
-    return benchmarks.get_benchmark(spec)
+    """Resolve a circuit argument: benchmark name, .bench, or .v file.
+
+    An unknown name or an unreadable file is a bad argument: it raises
+    ``ValueError``, which :func:`main` reports as exit code 2.
+    """
+    if spec.endswith((".bench", ".v")):
+        load = load_bench if spec.endswith(".bench") else load_verilog
+        try:
+            return load(spec)
+        except OSError as exc:
+            raise ValueError(f"cannot read {spec!r}: {exc.strerror}") from None
+    try:
+        return benchmarks.get_benchmark(spec)
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from None
 
 
 def _circuit_spec(args) -> str:
@@ -197,9 +208,23 @@ def _supervised_backend(args) -> Optional[SupervisedPoolBackend]:
 
 def _cmd_faultsim(args) -> int:
     netlist = _load_circuit(_circuit_spec(args))
-    pattern_file = load_patterns(args.patterns)
+    try:
+        pattern_file = load_patterns(args.patterns)
+    except OSError as exc:
+        raise ValueError(f"cannot read {args.patterns!r}: {exc.strerror}") from None
     faults, _ = collapse_faults(netlist, full_fault_list(netlist))
     simulator = FaultSimulator(netlist, word_width=args.word_width)
+    # Bits apply by position: a file written for another circuit, or with
+    # its inputs in another order, would grade the wrong stimuli.
+    if pattern_file.input_names:
+        names = zip_longest(pattern_file.input_names, simulator.view.input_names())
+        for position, (found, wanted) in enumerate(names):
+            if found != wanted:
+                raise ValueError(
+                    f"{args.patterns!r} input {position} is {found!r} but "
+                    f"{netlist.name} input {position} is {wanted!r} — wrong "
+                    f"pattern file for this circuit?"
+                )
     expected = simulator.view.num_inputs
     for position, pattern in enumerate(pattern_file.patterns):
         if len(pattern) != expected:

@@ -20,7 +20,6 @@ from .economics import (
     tester_cost_per_die,
 )
 from .degrade import BinningPolicy, DegradeOutcome, test_and_degrade, yield_with_degradation
-from .flatten import replicate_netlist
 from .planner import DftPlan, DftPlanInputs, build_plan, plan_comparison_table
 from .retarget import (
     FlatVsHierRow,
@@ -40,7 +39,6 @@ from .schedule import (
 from .wrapper import WrappedCore, wrap_core
 
 __all__ = [
-    "replicate_netlist",
     "wrap_core",
     "WrappedCore",
     "retarget_cost",

@@ -23,13 +23,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from ..atpg.engine import AtpgResult, run_atpg
+from ..circuit.benchmarks import replicate_netlist
 from ..circuit.netlist import Netlist
 from ..faults.collapse import collapse_faults
 from ..faults.stuck_at import full_fault_list
 from ..scan.insertion import ScanDesign, insert_scan
 from ..scan.timing import scan_cost
 from ..sim.faultsim import FaultSimulator
-from .flatten import replicate_netlist
 
 
 @dataclass
@@ -104,7 +104,7 @@ def broadcast_detects_all_cores(
     it concretely: chip-level patterns built by duplicating the core
     pattern across copies detect exactly the per-core images of the faults
     the core patterns detect.  ``chip`` must be
-    :func:`~repro.dft.flatten.replicate_netlist` of ``core``.
+    :func:`~repro.circuit.benchmarks.replicate_netlist` of ``core``.
     """
     core_sim = FaultSimulator(core)
     core_faults, _ = collapse_faults(core, full_fault_list(core))

@@ -20,9 +20,6 @@ Three stuck-at engines are provided, matching the E3 experiment:
   cone-limited PPSFP against a shared good-machine response, and the
   partial results are min-merged.
 
-Transition-delay faults (launch-on-capture pairs) reuse the same grading
-loop: a fault model only supplies its good-machine chunks and a per-fault
-detection word, and transition faults are traced like stuck-at faults.
 :meth:`FaultSimulator.failure_signature` propagates each fault's own cone.
 
 Every engine reads the netlist's one
@@ -47,7 +44,7 @@ from .. import obs
 from ..circuit.compiled import GATE_MASK, compiled
 from ..circuit.gates import compile_parallel_evaluator
 from ..circuit.netlist import Netlist
-from ..faults.model import OUTPUT_PIN, StuckAtFault, TransitionFault
+from ..faults.model import OUTPUT_PIN, StuckAtFault
 from . import goodcache
 from .parallel import WORD_WIDTH, ParallelSimulator
 
@@ -76,7 +73,7 @@ RECOVERY_COUNTERS = (
 )
 
 
-def unique_faults(faults: Iterable[object]) -> List[object]:
+def unique_faults(faults: Iterable[StuckAtFault]) -> List[StuckAtFault]:
     """Requested fault universe, first-occurrence order, duplicates removed.
 
     Callers may hand the same fault twice (e.g. a subset assembled from
@@ -99,8 +96,8 @@ class FaultSimResult:
     """
 
     total_faults: int
-    detected: Dict[object, int] = field(default_factory=dict)
-    undetected: List[object] = field(default_factory=list)
+    detected: Dict[StuckAtFault, int] = field(default_factory=dict)
+    undetected: List[StuckAtFault] = field(default_factory=list)
     patterns_simulated: int = 0
     stats: Dict[str, object] = field(default_factory=dict)
 
@@ -112,7 +109,7 @@ class FaultSimResult:
 
 
 class FaultSimulator:
-    """Stuck-at / transition fault simulation over one netlist.
+    """Stuck-at fault simulation over one netlist.
 
     ``word_width`` sets the patterns packed per PPSFP word (default 64; see
     :data:`repro.sim.parallel.WORD_WIDTHS` for the characterized ladder) —
@@ -458,36 +455,40 @@ class FaultSimulator:
             for start in range(0, len(patterns), width)
         ]
 
-    def _grade(
+    def _simulate_ppsfp(
         self,
-        faults: Iterable[object],
-        total: int,
-        good_chunk: Callable[[int, int], object],
-        grader: Callable[[object, int], Callable[[object], int]],
+        patterns: Optional[Sequence[Sequence[int]]],
+        faults: Iterable[StuckAtFault],
         drop: bool,
-        engine: str,
+        good_chunks: Optional[Sequence[List[int]]] = None,
+        n_patterns: Optional[int] = None,
     ) -> FaultSimResult:
-        """The one PPSFP grading loop every fault model shares.
+        """PPSFP: one good pass per chunk, then every active fault's trace.
 
-        Steps ``word_width`` chunks over ``total`` stimuli.
-        ``good_chunk(start, n)`` supplies a chunk's good-machine words and
-        ``grader(good, mask)`` the chunk's ``detect(fault)``, which returns
-        a fault's detection word; whatever ``detect`` memoises lives for
-        that chunk only.  The loop alone owns dropping, the survivor list
-        and first-detection indices, and it stops before asking for a
-        chunk nobody is left to grade.
+        Steps ``word_width`` chunks over the patterns; each chunk's
+        ``detect`` (:meth:`_stuck_at_grader`) and whatever it memoises live
+        for that chunk only.  This loop alone owns dropping, the survivor
+        list and first-detection indices, and it stops before a chunk
+        nobody is left to grade.  ``patterns`` may be ``None`` when
+        ``good_chunks`` and ``n_patterns`` are given — worker partitions
+        never re-pack patterns, so the supervised backend hands workers the
+        good response and not the pattern list.
         """
         since = self._snapshot()
         active = unique_faults(faults)
         result = FaultSimResult(total_faults=len(active))
         detected = result.detected
+        total = len(patterns) if patterns is not None else n_patterns
         width = self.word_width
         for start in range(0, total, width):
             if drop and not active:
                 break
             n = min(width, total - start)
-            mask = (1 << n) - 1
-            detect = grader(good_chunk(start, n), mask)
+            if good_chunks is not None:
+                good = good_chunks[start // width]
+            else:
+                good = self.parallel.good_words(patterns[start : start + n])
+            detect = self._stuck_at_grader(good, (1 << n) - 1)
             survivors = []
             for fault in active:
                 word = detect(fault)
@@ -502,34 +503,7 @@ class FaultSimulator:
         result.undetected = [f for f in active if f not in detected]
         if not drop:
             result.patterns_simulated = total
-        return self._fill_stats(result, engine, since)
-
-    def _simulate_ppsfp(
-        self,
-        patterns: Optional[Sequence[Sequence[int]]],
-        faults: Iterable[StuckAtFault],
-        drop: bool,
-        good_chunks: Optional[Sequence[List[int]]] = None,
-        n_patterns: Optional[int] = None,
-    ) -> FaultSimResult:
-        """PPSFP: one good pass per chunk, then every active fault's cone.
-
-        ``patterns`` may be ``None`` when ``good_chunks`` and ``n_patterns``
-        are given — worker partitions never re-pack patterns, so the
-        supervised backend hands workers the good response and not the
-        pattern list.
-        """
-        total = len(patterns) if patterns is not None else n_patterns
-        if good_chunks is not None:
-            width = self.word_width
-            good_chunk = lambda start, n: good_chunks[start // width]
-        else:
-            good_chunk = lambda start, n: self.parallel.good_words(
-                patterns[start : start + n]
-            )
-        return self._grade(
-            faults, total, good_chunk, self._stuck_at_grader, drop, "ppsfp"
-        )
+        return self._fill_stats(result, "ppsfp", since)
 
     def _stuck_at_grader(
         self, good: Sequence[int], mask: int
@@ -702,58 +676,3 @@ class FaultSimulator:
                 if failing:
                     signature[start + bit] = failing
         return signature
-
-    # ------------------------------------------------------------------
-    # Transition-delay faults (launch-on-capture pairs)
-    # ------------------------------------------------------------------
-
-    def simulate_transition(
-        self,
-        pattern_pairs: Sequence[Tuple[Sequence[int], Sequence[int]]],
-        faults: Iterable[TransitionFault],
-        drop: bool = True,
-    ) -> FaultSimResult:
-        """Simulate transition faults against launch/capture pattern pairs.
-
-        A fault is detected by a pair when the good machine launches the
-        required transition at the fault site and the capture vector
-        propagates the transient stuck-at effect to an observation point.
-        """
-        good_words = self.parallel.good_words
-
-        def good_chunk(start: int, n: int) -> Tuple[List[int], List[int]]:
-            chunk = pattern_pairs[start : start + n]
-            launch = good_words([pair[0] for pair in chunk])
-            return launch, good_words([pair[1] for pair in chunk])
-
-        def grader(good, mask: int) -> Callable[[TransitionFault], int]:
-            good_launch, good_capture = good
-            detect_stuck = self._stuck_at_grader(good_capture, mask)
-
-            def detect(fault: TransitionFault) -> int:
-                site_launch = self._site_value(fault, good_launch)
-                site_capture = self._site_value(fault, good_capture)
-                if fault.slow_to == 1:
-                    transition = ~site_launch & site_capture  # 0 -> 1
-                else:
-                    transition = site_launch & ~site_capture  # 1 -> 0
-                transition &= mask
-                if not transition:
-                    return 0
-                stuck = StuckAtFault(fault.gate, fault.pin, fault.acts_as_stuck)
-                return detect_stuck(stuck) & transition
-
-            return detect
-
-        return self._publish(
-            self._grade(
-                faults, len(pattern_pairs), good_chunk, grader, drop,
-                "ppsfp-transition",
-            )
-        )
-
-    def _site_value(self, fault, good: Sequence[int]) -> int:
-        """Good-machine word at a fault site (branch value = stem value)."""
-        if fault.pin == OUTPUT_PIN:
-            return good[fault.gate]
-        return good[self._compiled.fanins[fault.gate][fault.pin]]

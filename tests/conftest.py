@@ -33,7 +33,7 @@ def alu4():
 
 @pytest.fixture
 def small_seq():
-    """A small sequential circuit for scan/TDF tests."""
+    """A small sequential circuit for scan tests."""
     return generators.random_sequential(6, 80, 10, seed=2)
 
 

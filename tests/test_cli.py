@@ -145,6 +145,47 @@ class TestCommands:
             main(["frobnicate"])
 
 
+class TestBadArguments:
+    """Bad circuits and pattern files exit 2 with one ``error:`` line."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["stats", "nope"],
+            ["atpg", "mac4_x0"],
+            ["stats", "missing.bench"],
+            ["fsim", "c17", "missing.pat"],
+        ],
+    )
+    def test_bad_circuit_or_file_exits_two(self, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_foreign_pattern_file_exits_two(self, tmp_path, capsys):
+        pattern_file = str(tmp_path / "add8.pat")
+        assert main(["atpg", "add8", "-o", pattern_file]) == 0
+        assert main(["atpg", "cmp16", "-o", str(tmp_path / "cmp16.pat")]) == 0
+        capsys.readouterr()
+        assert main(["fsim", "cmp16", pattern_file]) == 2
+        assert "input 8 is 'b[0]' but cmp16 input 8 is 'a[8]'" in capsys.readouterr().err
+        assert main(["fsim", "cmp16", str(tmp_path / "cmp16.pat")]) == 0
+
+    def test_permuted_inputs_exit_two(self, tmp_path, capsys):
+        own = tmp_path / "c17.pat"
+        assert main(["atpg", "c17", "-o", str(own)]) == 0
+        permuted = tmp_path / "permuted.pat"
+        permuted.write_text(
+            own.read_text().replace("inputs 1 2 3 6 7", "inputs 7 6 3 2 1")
+        )
+        capsys.readouterr()
+        assert main(["fsim", "c17", str(permuted)]) == 2
+        assert "input 0 is '7' but c17 input 0 is '1'" in capsys.readouterr().err
+        assert main(["fsim", "c17", str(own)]) == 0
+
+
 class TestSupervisedCampaigns:
     @pytest.fixture()
     def pattern_file(self, tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.atpg import run_atpg
 from repro.circuit import benchmarks, generators
+from repro.circuit.benchmarks import replicate_netlist
 from repro.dft import (
     BinningPolicy,
     DftPlanInputs,
@@ -11,7 +12,6 @@ from repro.dft import (
     build_plan,
     compare_flat_hierarchical,
     plan_comparison_table,
-    replicate_netlist,
     retarget_cost,
     schedule_report,
     schedule_tests,

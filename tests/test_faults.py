@@ -5,11 +5,9 @@ from repro.circuit.builder import NetlistBuilder
 from repro.faults import (
     OUTPUT_PIN,
     StuckAtFault,
-    TransitionFault,
     collapse_faults,
     fault_sites,
     full_fault_list,
-    full_transition_list,
     line_fault,
 )
 
@@ -47,15 +45,6 @@ class TestEnumeration:
     def test_describe(self, c17):
         fault = StuckAtFault(c17.index_of("10"), OUTPUT_PIN, 0)
         assert "s-a-0" in fault.describe(c17)
-
-    def test_transition_list_mirrors_stuck_sites(self, c17):
-        stuck = full_fault_list(c17)
-        transition = full_transition_list(c17)
-        assert len(transition) == len(stuck)
-        str_fault = transition[0]
-        assert str_fault.slow_to == 1
-        assert str_fault.acts_as_stuck == 0
-        assert "STR" in str_fault.describe(c17)
 
 
 class TestCollapsing:

@@ -1,18 +1,11 @@
 """Fault-simulation engines: correctness and cross-engine agreement."""
 
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.atpg.random_gen import exhaustive_patterns, random_patterns
 from repro.circuit import benchmarks, generators
-from repro.faults import (
-    OUTPUT_PIN,
-    StuckAtFault,
-    full_fault_list,
-    full_transition_list,
-)
+from repro.faults import OUTPUT_PIN, StuckAtFault, full_fault_list
 from repro.sim.faultsim import FaultSimulator
 
 
@@ -79,53 +72,6 @@ class TestEngineAgreement:
         simulator = FaultSimulator(c17)
         with pytest.raises(ValueError):
             simulator.simulate([[0] * 5], [], engine="quantum")
-
-
-class TestTransitionFaults:
-    def test_transition_needs_launch(self):
-        """A single vector pair with no transition at the site detects
-        nothing even though the capture vector alone would."""
-        netlist = generators.chain_of_inverters(2)
-        simulator = FaultSimulator(netlist)
-        fault = full_transition_list(netlist)[0]  # STR on the input line
-        static_pair = ([1], [1])  # no 0->1 launch
-        result = simulator.simulate_transition([static_pair], [fault])
-        assert fault not in result.detected
-        launch_pair = ([0], [1])
-        result = simulator.simulate_transition([launch_pair], [fault])
-        assert fault in result.detected
-
-    def test_str_and_stf_need_opposite_launches(self):
-        netlist = generators.chain_of_inverters(1)
-        simulator = FaultSimulator(netlist)
-        faults = full_transition_list(netlist)
-        str_faults = [f for f in faults if f.slow_to == 1]
-        stf_faults = [f for f in faults if f.slow_to == 0]
-        rise = [([0], [1])]
-        fall = [([1], [0])]
-        rise_result = simulator.simulate_transition(rise, faults, drop=False)
-        fall_result = simulator.simulate_transition(fall, faults, drop=False)
-        # Rising pair detects STR at the PI; falling detects STF there.
-        pi_str = [f for f in str_faults if f.pin == OUTPUT_PIN and netlist.gates[f.gate].type.value == "input"]
-        pi_stf = [f for f in stf_faults if f.pin == OUTPUT_PIN and netlist.gates[f.gate].type.value == "input"]
-        assert all(f in rise_result.detected for f in pi_str)
-        assert all(f in fall_result.detected for f in pi_stf)
-        assert all(f not in fall_result.detected for f in pi_str)
-
-    def test_transition_coverage_with_many_pairs(self, adder4):
-        simulator = FaultSimulator(adder4)
-        faults = full_transition_list(adder4)
-        rng = random.Random(0)
-        width = simulator.view.num_inputs
-        pairs = [
-            (
-                [rng.randint(0, 1) for _ in range(width)],
-                [rng.randint(0, 1) for _ in range(width)],
-            )
-            for _ in range(300)
-        ]
-        result = simulator.simulate_transition(pairs, faults)
-        assert result.coverage > 0.85
 
 
 class TestFailureSignature:

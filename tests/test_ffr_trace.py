@@ -7,8 +7,7 @@ per region root and chunk.  Three contracts:
 * **Exactness** — the traced detection word equals the full-cone
   reference, the fault's own propagation read out at every reader, for
   every collapsed fault plus branch faults on every PO marker and flop D
-  pin, at widths 1/7/64/100; transition detections match the same
-  reference ANDed with the launched transition.
+  pin, at widths 1/7/64/100.
 * **Determinism** — the ``obs(root)`` memo lives for one chunk of one
   grade, so grading the same patterns again reports the same work.
 * **One table per netlist** — every simulator on a netlist shares its
@@ -30,7 +29,6 @@ from repro.circuit.compiled import compiled
 from repro.circuit.gates import GateType
 from repro.faults import collapse_faults, full_fault_list
 from repro.faults.model import StuckAtFault
-from repro.faults.transition import full_transition_list
 from repro.scan.insertion import insert_scan
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.view import CombinationalView
@@ -174,43 +172,6 @@ class TestExactness:
     @given(netlist=small_netlists(), seed=st.integers(min_value=0, max_value=99))
     def test_hypothesis_netlists(self, netlist, seed):
         _check_traced(netlist, _traced_faults(netlist), seed=seed)
-
-
-def _reference_transition(simulator, pairs, faults):
-    """First detecting pair per fault from the full-cone readout."""
-    good_words = simulator.parallel.good_words
-    width = simulator.word_width
-    detected = {}
-    for start in range(0, len(pairs), width):
-        chunk = pairs[start : start + width]
-        mask = (1 << len(chunk)) - 1
-        launch = good_words([pair[0] for pair in chunk])
-        capture = good_words([pair[1] for pair in chunk])
-        for fault in faults:
-            if fault in detected:
-                continue
-            before = simulator._site_value(fault, launch)
-            after = simulator._site_value(fault, capture)
-            rising = ~before & after if fault.slow_to == 1 else before & ~after
-            stuck = StuckAtFault(fault.gate, fault.pin, fault.acts_as_stuck)
-            word = _full_cone(simulator, stuck, capture, mask) & rising & mask
-            if word:
-                detected[fault] = start + (word & -word).bit_length() - 1
-    return detected
-
-
-@pytest.mark.parametrize("width", WIDTHS)
-@pytest.mark.parametrize("name", ["rand8", "mac2", "seq6"])
-def test_transition_detections_match_full_cone(name, width):
-    netlist = _circuit(name)
-    simulator = FaultSimulator(netlist, word_width=width, cache=None)
-    n_inputs = simulator.view.num_inputs
-    launch = random_patterns(n_inputs, 150, seed=width)
-    capture = random_patterns(n_inputs, 150, seed=width + 1)
-    pairs = list(zip(launch, capture))
-    faults = full_transition_list(netlist)
-    result = simulator.simulate_transition(pairs, faults, drop=False)
-    assert result.detected == _reference_transition(simulator, pairs, faults)
 
 
 def test_regrading_reports_identical_counters():

@@ -1,10 +1,15 @@
 """Generated circuits must compute what they claim."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.circuit import generators
 from repro.circuit.benchmarks import benchmark_names, get_benchmark
 from repro.sim.logicsim import LogicSimulator
@@ -159,6 +164,27 @@ class TestBenchmarkRegistry:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             get_benchmark("nope")
+
+    def test_replicated_name_needs_a_copy(self):
+        with pytest.raises(ValueError, match="at least one copy"):
+            get_benchmark("mac4_x0")
+
+    def test_replicated_benchmark_stays_in_the_substrate(self):
+        """Building ``<base>_xN`` loads neither the DFT layer nor numpy."""
+        script = (
+            "import sys\n"
+            "from repro.circuit.benchmarks import get_benchmark\n"
+            "assert get_benchmark('mac4_x4').num_gates > 0\n"
+            "print(sorted(name for name in ('numpy', 'repro.dft', 'repro.aichip')"
+            " if name in sys.modules))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert run.stdout.strip() == "[]"
 
     def test_fresh_instances(self):
         a = get_benchmark("c17")

@@ -7,7 +7,8 @@ import pytest
 from repro.atpg import run_atpg
 from repro.circuit import generators
 from repro.compression.edt import EdtSystem
-from repro.dft import replicate_netlist, broadcast_detects_all_cores, wrap_core
+from repro.circuit.benchmarks import replicate_netlist
+from repro.dft import broadcast_detects_all_cores, wrap_core
 from repro.faults import collapse_faults, full_fault_list
 from repro.scan import (
     ScanScheduler,

@@ -50,7 +50,6 @@ _SUBSTRATE = "test and oracle substrate"
 _FAKE = "tests substitute a fake, or a small stand-in bound, through it"
 _INVARIANCE = "an oracle varies it to show results do not depend on it"
 _WRITER = "format writer, the round-trip half of a reader (DESIGN rows 5, 27)"
-_TDF = "transition-fault ATPG, DESIGN core row 9 (its speed-up is its own item)"
 _ECONOMICS = "test-economics model that X6 cites"
 _NUMPY = "numpy kernel helper, deleted with the kernel (ROADMAP item 7)"
 _ENCODING = "small value/encoding helper"
@@ -76,10 +75,6 @@ ALLOWLIST: Dict[str, str] = {
     "circuit.verilog.write_verilog": _WRITER,
     "circuit.verilog.save_verilog": _WRITER,
     "circuit.verilog.sanitize_net_name": _WRITER,
-    "atpg.tdf.TdfAtpgResult": _TDF,
-    "atpg.tdf.random_loc_pairs": _TDF,
-    "atpg.tdf.run_tdf_atpg": _TDF,
-    "faults.transition.full_transition_list": _TDF,
     "dft.economics.TestCostModel": _ECONOMICS,
     "dft.economics.coverage_for_dppm": _ECONOMICS,
     "dft.economics.mapout_yield_uplift": _ECONOMICS,
@@ -99,10 +94,6 @@ ALLOWLIST: Dict[str, str] = {
     "scan.patterns.ScanScheduler": _ORACLE,
     "scan.patterns.ScanOperation": _ORACLE,
     # Methods.
-    "atpg.tdf.TdfAtpgResult.coverage": _TDF,
-    "atpg.tdf.TdfAtpgResult.detected": _TDF,
-    "faults.model.TransitionFault.acts_as_stuck": _TDF,
-    "sim.faultsim.FaultSimulator.simulate_transition": _TDF,
     "diagnosis.dictionary.FaultDictionary.build": _ORACLE,
     "diagnosis.dictionary.FaultDictionary.diagnostic_resolution": _ORACLE,
     "diagnosis.dictionary.FaultDictionary.equivalence_classes": _ORACLE,
