@@ -1,4 +1,4 @@
-"""Extension experiments (X1-X5): the tutorial's adjacent claims.
+"""Extension experiments (X1–X4, X6): the tutorial's adjacent claims.
 
 X1  Reseeding vs EDT capacity: a seed register caps care bits at the LFSR
     length; EDT's continuous injection scales with shift length.
@@ -8,23 +8,19 @@ X3  Low-power X-fill: adjacent (repeat) fill cuts shift power several-fold
     versus random fill at identical coverage.
 X4  SIB access network: sparse instrument access is several times faster
     than a flat daisy chain; access-everything flips the winner.
-X5  Sequential (non-scan) ATPG: time-frame deterministic sequences lift
-    coverage over random sequences from reset.
 X6  Test economics: the Williams-Brown DPPM table that justifies chasing
     the last coverage percent.
 """
 
 from repro.atpg import run_atpg
-from repro.atpg.timeframe import run_sequential_atpg
 from repro.bist.lbist import StumpsController, run_weighted_lbist
-from repro.circuit import benchmarks, generators
+from repro.circuit import generators
 from repro.compression.decompressor import Decompressor, EdtConfig, encoding_probability
 from repro.compression.reseeding import ReseedingCompressor, ReseedingConfig
 from repro.dft.access import Instrument, access_schedule_comparison
 from repro.dft.economics import coverage_dppm_table, poisson_yield
 from repro.faults import collapse_faults, full_fault_list
 from repro.scan import fill_policy_comparison, insert_scan, partition_faults
-from repro.sim.seqfaultsim import SequentialFaultSimulator
 
 from .util import print_table, run_once
 
@@ -119,48 +115,6 @@ def test_x4_sib_network(benchmark):
     ])
     assert sparse["sib_cycles"] < sparse["flat_cycles"]
     assert dense["sib_cycles"] > dense["flat_cycles"]
-
-
-def _x5_sequential():
-    rows = []
-    for name, netlist in (
-        ("s27", benchmarks.s27()),
-        ("seq50", generators.random_sequential(4, 50, 6, seed=11)),
-    ):
-        random_only = run_sequential_atpg(
-            netlist, n_frames=4, n_random_sequences=8, seed=3
-        )
-        # Random-only baseline with deterministic phase disabled is
-        # approximated by grading the random sequences alone.
-        simulator = SequentialFaultSimulator(netlist)
-        faults, _ = collapse_faults(netlist, full_fault_list(netlist))
-        import random as _random
-
-        from repro.atpg.random_gen import random_patterns
-
-        detected = set()
-        for index in range(8):
-            sequence = random_patterns(
-                len(netlist.inputs), 8, seed=3 * 977 + index
-            )
-            graded = simulator.simulate(sequence, faults, drop=True)
-            detected.update(graded.detected)
-        rows.append(
-            {
-                "circuit": name,
-                "random_cov": len(detected) / len(faults),
-                "with_deterministic": random_only.coverage,
-                "unvalidated": random_only.unvalidated,
-            }
-        )
-    return rows
-
-
-def test_x5_sequential_atpg(benchmark):
-    rows = run_once(benchmark, _x5_sequential)
-    print_table("X5: sequential ATPG (reset-based, 4-frame window)", rows)
-    for row in rows:
-        assert row["with_deterministic"] >= row["random_cov"]
 
 
 def _x6_economics():

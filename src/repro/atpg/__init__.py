@@ -1,6 +1,6 @@
 """Test generation: PODEM / D-algorithm / guided engines and their
-per-fault portfolio, random/weighted patterns, compaction, sequential
-ATPG."""
+per-fault portfolio, random/weighted patterns and compaction, all over
+the full-scan combinational view."""
 
 from .compaction import (
     care_bit_stats,
@@ -21,13 +21,6 @@ from .portfolio import (
 )
 from .random_gen import exhaustive_patterns, random_patterns, weighted_random_patterns
 from .scoap import Testability, compute_testability
-from .timeframe import (
-    SequentialAtpgResult,
-    UnrolledModel,
-    map_fault_to_frame,
-    run_sequential_atpg,
-    unroll,
-)
 
 __all__ = [
     "Podem",
@@ -52,9 +45,4 @@ __all__ = [
     "care_bit_stats",
     "compute_testability",
     "Testability",
-    "unroll",
-    "UnrolledModel",
-    "map_fault_to_frame",
-    "run_sequential_atpg",
-    "SequentialAtpgResult",
 ]

@@ -1,8 +1,8 @@
 """One compiled netlist under every engine.
 
-ATPG, fault simulation, good-machine and sequential simulation all walk
-the same gate-level graph.  :class:`CompiledNetlist` compiles what their
-inner loops read into flat per-gate tables:
+ATPG, fault simulation and 4-valued logic simulation all walk the same
+gate-level graph.  :class:`CompiledNetlist` compiles what their inner
+loops read into flat per-gate tables:
 
 * integer type codes (no ``GateType`` enum compares or hashes) and fanin
   tuples;

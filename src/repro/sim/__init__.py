@@ -20,7 +20,6 @@ from .store import (
 from .supervisor import SupervisedPoolBackend, SupervisorConfig
 from .goodcache import DEFAULT_CACHE, GoodMachineCache
 from .logicsim import LogicSimulator
-from .seqfaultsim import LANES_PER_WORD, SequentialFaultSimulator
 from .parallel import (
     WORD_WIDTH,
     WORD_WIDTHS,
@@ -51,8 +50,6 @@ __all__ = [
     "merge_results",
     "partition_faults",
     "validate_pool_args",
-    "SequentialFaultSimulator",
-    "LANES_PER_WORD",
     "CombinationalView",
     "WORD_WIDTH",
     "WORD_WIDTHS",

@@ -4,21 +4,21 @@ Two entry points:
 
 * :meth:`LogicSimulator.evaluate` — one combinational evaluation of the
   full-scan view (pattern in, response out), with X propagation.
-* :meth:`LogicSimulator.run_sequence` — cycle-accurate sequential simulation
-  (flops clocked every cycle), used for functional verification of the
-  generated datapath blocks and for scan-chain shift simulation.
+* :meth:`LogicSimulator.step` — one clock cycle (flops clocked), used for
+  functional verification of the generated datapath blocks and for
+  scan-chain shift simulation.
 
 Values are the 4-valued constants of :mod:`repro.circuit.values`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..circuit.compiled import compiled
 from ..circuit.gates import GateType, evaluate
 from ..circuit.netlist import Netlist
-from ..circuit.values import X, ZERO
+from ..circuit.values import X
 from .view import CombinationalView
 
 
@@ -65,10 +65,6 @@ class LogicSimulator:
     # Sequential
     # ------------------------------------------------------------------
 
-    def initial_state(self, value: int = X) -> List[int]:
-        """A flop-state vector, one entry per flop in netlist order."""
-        return [value] * len(self.netlist.flops)
-
     def step(
         self,
         inputs: Sequence[int],
@@ -98,17 +94,3 @@ class LogicSimulator:
             else:
                 next_state.append(values[gate.fanin[0]])
         return {"outputs": outputs, "state": next_state}
-
-    def run_sequence(
-        self,
-        input_vectors: Sequence[Sequence[int]],
-        initial_state: Optional[Sequence[int]] = None,
-    ) -> List[List[int]]:
-        """Clock the circuit through ``input_vectors``; return per-cycle POs."""
-        state = list(initial_state) if initial_state is not None else self.initial_state(ZERO)
-        trace: List[List[int]] = []
-        for vector in input_vectors:
-            result = self.step(vector, state)
-            trace.append(result["outputs"])
-            state = result["state"]
-        return trace

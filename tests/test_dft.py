@@ -64,7 +64,7 @@ class TestWrapping:
         sim = LogicSimulator(wrapped.netlist)
         pattern = [1, 1, 0, 0, 0, 1, 0, 0]  # a=3, b=2
         # Cycle 1 latches inputs into the boundary cells.
-        step1 = sim.step(pattern, sim.initial_state(0))
+        step1 = sim.step(pattern, [0] * len(wrapped.netlist.flops))
         # Cycle 2's capture loads output boundary cells with the sum.
         step2 = sim.step(pattern, step1["state"])
         out_cells = [

@@ -7,8 +7,6 @@ covers the engines): a repeated fault would otherwise inflate
 survivors.
 """
 
-import random
-
 import pytest
 
 from repro.atpg import run_atpg
@@ -18,7 +16,6 @@ from repro.compression.edt import EdtSystem
 from repro.compression.flow import run_compressed_atpg
 from repro.faults import collapse_faults, full_fault_list
 from repro.scan import insert_scan
-from repro.sim.seqfaultsim import SequentialFaultSimulator
 
 
 def _collapsed(netlist):
@@ -53,18 +50,6 @@ def _stumps():
     return _collapsed(netlist), run
 
 
-def _sequential():
-    netlist = generators.random_sequential(5, 60, 8, seed=7)
-    rng = random.Random(1)
-    vectors = [[rng.randint(0, 1) for _ in netlist.inputs] for _ in range(6)]
-
-    def run(faults):
-        result = SequentialFaultSimulator(netlist).simulate(vectors, faults)
-        return result.total_faults, result.coverage, result.undetected
-
-    return full_fault_list(netlist), run
-
-
 def _compressed():
     design = insert_scan(generators.random_sequential(6, 60, 12, seed=6), n_chains=4)
     edt = EdtSystem(design, n_input_channels=2, n_output_channels=2)
@@ -86,8 +71,8 @@ def _compressed():
 
 @pytest.mark.parametrize(
     "flow",
-    [_atpg, _stumps, _sequential, _compressed],
-    ids=["run_atpg", "stumps", "sequential", "compressed"],
+    [_atpg, _stumps, _compressed],
+    ids=["run_atpg", "stumps", "compressed"],
 )
 def test_repeated_faults_count_once(flow):
     faults, run = flow()

@@ -7,6 +7,7 @@ from repro.atpg.random_gen import exhaustive_patterns, random_patterns
 from repro.circuit import benchmarks, generators
 from repro.faults import OUTPUT_PIN, StuckAtFault, full_fault_list
 from repro.sim.faultsim import FaultSimulator
+from repro.sim.logicsim import LogicSimulator
 
 
 class TestStuckAtCorrectness:
@@ -44,6 +45,30 @@ class TestStuckAtCorrectness:
         assert set(dropped.detected) == set(kept.detected)
         # First-detection indices agree too.
         assert dropped.detected == kept.detected
+
+
+class TestOutputMarkerFaults:
+    @pytest.mark.parametrize("width", [1, 7, 64])
+    def test_detection_matches_good_machine_response(self, mac4, width):
+        """A fault on a PO marker pins that output to a constant, so it is
+        detected exactly by the first pattern whose good response drives
+        the other value there."""
+        simulator = FaultSimulator(mac4, word_width=width, cache=None)
+        patterns = random_patterns(simulator.view.num_inputs, 32, seed=11)
+        logic = LogicSimulator(mac4)
+        responses = [logic.response(pattern) for pattern in patterns]
+        outputs = {po: position for position, po in enumerate(mac4.outputs)}
+        faults = [f for f in full_fault_list(mac4) if f.gate in outputs]
+        assert faults
+        graded = simulator.simulate(patterns, faults, drop=True)
+        for fault in faults:
+            position = outputs[fault.gate]
+            expected = next(
+                (index for index, response in enumerate(responses)
+                 if response[position] != fault.value),
+                None,
+            )
+            assert graded.detected.get(fault) == expected, fault
 
 
 class TestEngineAgreement:

@@ -77,7 +77,7 @@ class TestSequentialGenerators:
     def test_mac_accumulates(self):
         netlist = generators.mac_unit(4)
         sim = LogicSimulator(netlist)
-        state = sim.initial_state(0)
+        state = [0] * len(netlist.flops)
         acc = 0
         rng = random.Random(1)
         for _ in range(6):
@@ -89,6 +89,7 @@ class TestSequentialGenerators:
                 [v for v in sim.step([0] * 8, state)["outputs"]]
             )
             # acc_out reads the registered accumulator after the update.
+            assert observed == acc
             assert _to_int(step["state"]) == acc
 
     def test_systolic_pe_mac_behaviour(self):
@@ -110,7 +111,7 @@ class TestSequentialGenerators:
                     values.append(load)
             return values
 
-        state = sim.initial_state(0)
+        state = [0] * len(netlist.flops)
         # Cycle 1: load weight 5.
         step = sim.step(pattern(0, 5, 0, 1), state)
         state = step["state"]

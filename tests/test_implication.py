@@ -32,8 +32,8 @@ from repro.circuit.values import X
 from repro.faults import collapse_faults, full_fault_list
 from repro.faults.model import OUTPUT_PIN, StuckAtFault
 from repro.sim.faultsim import FaultSimulator
+from repro.sim.logicsim import LogicSimulator
 from repro.sim.parallel import ParallelSimulator
-from repro.sim.seqfaultsim import SequentialFaultSimulator
 
 from tests.oracle_util import small_netlists
 from tests.test_conformance import CIRCUIT_NAMES, _circuit, _universe
@@ -150,7 +150,7 @@ def test_engines_share_one_core_per_netlist():
         DAlgorithm(netlist),
         FaultSimulator(netlist, cache=None),
         FaultSimulator(netlist, word_width=7, cache=None),
-        SequentialFaultSimulator(netlist),
+        LogicSimulator(netlist),
     ]
     engines += [engine for _, engine in PortfolioAtpg(netlist).engines]
     assert all(engine._compiled is tables for engine in engines)

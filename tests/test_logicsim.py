@@ -58,8 +58,13 @@ class TestSequential:
         netlist.invalidate()
         netlist.finalize()
         sim = LogicSimulator(netlist)
-        trace = sim.run_sequence([[]] * 4, initial_state=[0])
-        assert [t[0] for t in trace] == [0, 1, 0, 1]
+        state = [0]
+        trace = []
+        for _ in range(4):
+            result = sim.step([], state)
+            trace.append(result["outputs"][0])
+            state = result["state"]
+        assert trace == [0, 1, 0, 1]
 
     def test_scan_shift_uses_si_pin(self):
         from repro.circuit.gates import GateType
@@ -80,8 +85,8 @@ class TestSequential:
 
     def test_s27_deterministic_from_reset(self, s27):
         sim = LogicSimulator(s27)
-        trace = sim.run_sequence(
-            [[0, 1, 0, 1], [1, 0, 1, 0], [1, 1, 1, 1]],
-            initial_state=[0, 0, 0],
-        )
-        assert all(value in (0, 1) for step in trace for value in step)
+        state = [0, 0, 0]
+        for vector in ([0, 1, 0, 1], [1, 0, 1, 0], [1, 1, 1, 1]):
+            result = sim.step(vector, state)
+            state = result["state"]
+            assert all(value in (0, 1) for value in result["outputs"])

@@ -101,7 +101,6 @@ ALLOWLIST: Dict[str, str] = {
     "diagnosis.dictionary.FaultDictionary.lookup": _ORACLE,
     "scan.patterns.ScanScheduler.apply_pattern": _ORACLE,
     "scan.insertion.ScanDesign.chain_bits_to_state": _ORACLE,
-    "sim.logicsim.LogicSimulator.run_sequence": _ORACLE,
     "compression.misr.MISR.absorb_stream": _ORACLE,
     "circuit.netlist.Netlist.fanout_cone": _SUBSTRATE,
     "sim.view.CombinationalView.num_outputs": _SUBSTRATE,
@@ -112,7 +111,6 @@ ALLOWLIST: Dict[str, str] = {
     "scan.patfile.format_patterns(expects)": _WRITER,
     "bist.lbist.run_weighted_lbist(word_width)": _INVARIANCE,
     "compression.flow.run_compressed_atpg(word_width)": _INVARIANCE,
-    "sim.seqfaultsim.SequentialFaultSimulator(word_width)": _INVARIANCE,
     "compression.flow.run_compressed_atpg(random_pattern_budget)": (
         "the scaling oracle varies it: one grading call per pattern set"
     ),

@@ -22,13 +22,11 @@ from repro.faults import collapse_faults, full_fault_list
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.goodcache import DEFAULT_CACHE, GoodMachineCache
 from repro.sim.parallel import (
-    WORD_WIDTH,
     WORD_WIDTHS,
     ParallelSimulator,
     pack_patterns,
     unpack_word,
 )
-from repro.sim.seqfaultsim import SequentialFaultSimulator
 
 SMALL = dict(max_examples=10, deadline=None)
 seeds = st.integers(0, 10**6)
@@ -208,35 +206,6 @@ class TestGoodMachineCache:
         stats = DEFAULT_CACHE.stats()
         for key in ("entries", "approx_bytes", "hits", "misses", "evictions"):
             assert key in stats
-
-
-class TestSequentialWordWidth:
-    def test_lanes_derived_from_word_width(self):
-        netlist = generators.random_sequential(4, 30, 4, seed=2)
-        default = SequentialFaultSimulator(netlist)
-        assert default.lanes_per_word == WORD_WIDTH - 1
-        wide = SequentialFaultSimulator(netlist, word_width=256)
-        assert wide.lanes_per_word == 255
-
-    def test_wide_sequential_matches_default(self):
-        netlist = generators.random_sequential(4, 35, 4, seed=8)
-        faults = full_fault_list(netlist)
-        rng = random.Random(8)
-        sequences = [
-            [[rng.randint(0, 1) for _ in range(len(netlist.inputs))] for _ in range(4)]
-            for _ in range(100)
-        ]
-        base = SequentialFaultSimulator(netlist).simulate(sequences, faults)
-        wide = SequentialFaultSimulator(netlist, word_width=256).simulate(
-            sequences, faults
-        )
-        assert wide.detected == base.detected
-        assert wide.undetected == base.undetected
-
-    def test_minimum_width_rejected(self):
-        netlist = generators.random_sequential(3, 20, 3, seed=1)
-        with pytest.raises(ValueError):
-            SequentialFaultSimulator(netlist, word_width=1)
 
 
 class TestFlowWidthThreading:
