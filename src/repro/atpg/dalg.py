@@ -31,13 +31,12 @@ injection, checked every step), so every returned cube detects its
 fault under any X-fill of the remaining don't-cares.
 
 Budgets mirror PODEM: ``backtrack_limit`` bounds conflict-driven
-backtracks, ``time_budget_s`` bounds wall clock, and an abort reports
-the first-tripped budget in ``reason``.
+backtracks, ``work_budget`` bounds the gates one call re-implies, and an
+abort reports the budget whose check fired first in ``reason``.
 """
 
 from __future__ import annotations
 
-import time
 from typing import List, Optional, Tuple
 
 from ..circuit.compiled import (
@@ -100,9 +99,9 @@ class DAlgorithm(Podem):
         netlist: Netlist,
         backtrack_limit: int = 64,
         measures: Optional[Testability] = None,
-        time_budget_s: Optional[float] = None,
+        work_budget: Optional[int] = None,
     ):
-        super().__init__(netlist, backtrack_limit, measures, time_budget_s)
+        super().__init__(netlist, backtrack_limit, measures, work_budget)
         self._cone_set: frozenset = frozenset()
 
     # ------------------------------------------------------------------
@@ -113,14 +112,10 @@ class DAlgorithm(Podem):
     # ``generate`` separately attributes D-algorithm calls to this class.
     generate = Podem.generate
 
-    def _search(
-        self,
-        fault: StuckAtFault,
-        backtrack_limit: int,
-        deadline: Optional[float],
-    ) -> PodemResult:
+    def _search(self, fault: StuckAtFault, backtrack_limit: int) -> PodemResult:
         n_inputs = self.view.num_inputs
         assignment = [X] * n_inputs
+        work_budget = self.work_budget
         self._cone_gates, self._cone_readers = self._fault_cone(fault)
         self._cone_set = frozenset(self._cone_gates)
         if not self._cone_readers and not self._branch_reaches_observation(fault):
@@ -141,9 +136,9 @@ class DAlgorithm(Podem):
                 return PodemResult(
                     status="detected", cube=list(assignment), backtracks=backtracks
                 )
-            if deadline is not None and time.perf_counter() > deadline:
+            if work_budget is not None and self._implications > work_budget:
                 return PodemResult(
-                    status="aborted", backtracks=backtracks, reason="time"
+                    status="aborted", backtracks=backtracks, reason="work"
                 )
 
             conflict = False
@@ -164,9 +159,7 @@ class DAlgorithm(Podem):
             backtracks += 1
             if backtracks > backtrack_limit:
                 return PodemResult(
-                    status="aborted",
-                    backtracks=backtracks,
-                    reason=self._abort_reason(deadline),
+                    status="aborted", backtracks=backtracks, reason="backtracks"
                 )
             while decisions:
                 decision = decisions[-1]

@@ -40,24 +40,18 @@ def x_fill(cube: Sequence[int], rng: random.Random, mode: str = "random") -> Lis
     ``repeat`` copies the previous specified bit (reduces shift power in
     scan chains — the fill commercial tools call "adjacent fill").
     """
+    if mode not in ("random", "zero", "one", "repeat"):
+        raise ValueError(f"unknown fill mode {mode!r}")
     filled: List[int] = []
-    last = 0
     for value in cube:
-        if value != X:
-            filled.append(value)
-            last = value
-        elif mode == "random":
-            bit = rng.randint(0, 1)
-            filled.append(bit)
-            last = bit
-        elif mode == "zero":
-            filled.append(0)
-        elif mode == "one":
-            filled.append(1)
-        elif mode == "repeat":
-            filled.append(last)
-        else:
-            raise ValueError(f"unknown fill mode {mode!r}")
+        if value == X:
+            if mode == "random":
+                value = rng.randint(0, 1)
+            elif mode == "repeat":
+                value = filled[-1] if filled else 0
+            else:
+                value = 0 if mode == "zero" else 1
+        filled.append(value)
     return filled
 
 
@@ -72,10 +66,6 @@ class AtpgResult:
     detected_deterministic: int = 0
     untestable: List[StuckAtFault] = field(default_factory=list)
     aborted: List[StuckAtFault] = field(default_factory=list)
-    #: Why PODEM gave up, per aborted fault: "backtracks" or "time".
-    #: Aborted faults are unresolved-within-budget, NOT proven untestable,
-    #: so they stay in the fault-coverage denominator.
-    abort_reasons: Dict[str, int] = field(default_factory=dict)
     consistency_errors: List[StuckAtFault] = field(default_factory=list)
     random_pattern_count: int = 0
     cpu_seconds: float = 0.0
@@ -86,8 +76,10 @@ class AtpgResult:
     #: untestable), keyed by engine name.  For single engines the only
     #: key is the engine itself; the portfolio attributes per member.
     winner_engines: Dict[str, int] = field(default_factory=dict)
-    #: Per-engine abort reasons for faults no engine settled — the audit
-    #: trail that makes every abort explained, never silent.
+    #: Per-engine abort reasons ("backtracks" or "work") for faults no
+    #: engine settled — the audit trail that makes every abort explained,
+    #: never silent.  Aborted faults are unresolved within budget, NOT
+    #: proven untestable, so they stay in the fault-coverage denominator.
     engine_abort_reasons: Dict[str, Dict[str, int]] = field(default_factory=dict)
     #: Batch-pass shards this ``run_atpg(store=...)`` call graded itself
     #: (zero when every pass resumed complete from the store).
@@ -125,8 +117,6 @@ class AtpgResult:
         }
         summary["proved_untestable"] = len(self.untestable)
         summary["engine"] = self.engine
-        if self.abort_reasons.get("time"):
-            summary["aborted_timeout"] = self.abort_reasons["time"]
         if self.winner_engines:
             summary["winner_engine"] = dict(sorted(self.winner_engines.items()))
         if self.engine_abort_reasons:
@@ -151,7 +141,7 @@ def run_atpg(
     jobs: Optional[int] = None,
     partitions: Optional[int] = None,
     word_width: int = WORD_WIDTH,
-    podem_time_budget_s: Optional[float] = None,
+    work_budget: Optional[int] = None,
     store: Optional[str] = None,
     engine: str = "podem",
 ) -> AtpgResult:
@@ -171,11 +161,11 @@ def run_atpg(
     publishing its completed shards to its own sub-store
     (``<store>/pass-000``, ``pass-001``, ...), so re-running the flow
     with the same ``store`` resumes a killed campaign without re-grading
-    them.  ``podem_time_budget_s`` caps each PODEM search's wall
-    clock, so one pathological fault aborts (counted separately in
-    :meth:`AtpgResult.summary` — aborted is not untestable) instead of
-    stalling the campaign; it applies to whichever deterministic
-    ``engine`` runs phase 2 (the portfolio splits it across members).
+    them.  ``work_budget`` caps the gates each deterministic search
+    re-implies, so one pathological fault aborts with reason ``"work"``
+    (aborted is not untestable) instead of stalling the campaign; it
+    counts work, not the clock, so verdicts repeat on any host, and each
+    portfolio member gets all of it.
     ``engine`` picks the deterministic generator — ``"podem"`` (default),
     ``"dalg"`` (D-algorithm, proves untestability), ``"guided"``
     (SCOAP-guided restarts), or ``"portfolio"`` (all three raced per
@@ -191,6 +181,10 @@ def run_atpg(
         faults, _ = collapse_faults(netlist, full_fault_list(netlist))
     faults = unique_faults(faults)
     simulator = FaultSimulator(netlist, word_width=word_width)
+    # Built before phase 1, so a bad engine name fails before any grading.
+    generator = make_engine(
+        engine, netlist, backtrack_limit=backtrack_limit, work_budget=work_budget
+    )
     rng = random.Random(seed)
     result = AtpgResult(total_faults=len(faults), engine=engine)
     remaining = list(faults)
@@ -251,12 +245,6 @@ def run_atpg(
     # ------------------------------------------------------------------
     # Phase 2: deterministic generation with dynamic fault dropping.
     # ------------------------------------------------------------------
-    generator = make_engine(
-        engine,
-        netlist,
-        backtrack_limit=backtrack_limit,
-        time_budget_s=podem_time_budget_s,
-    )
     cubes: List[List[int]] = []
     phase2_fills: List[List[int]] = []
     queue = list(remaining)
@@ -278,12 +266,8 @@ def run_atpg(
                 continue
             if outcome.status == "aborted":
                 result.aborted.append(fault)
-                reason = outcome.reason or "backtracks"
-                result.abort_reasons[reason] = (
-                    result.abort_reasons.get(reason, 0) + 1
-                )
                 per_engine = getattr(outcome, "engine_reasons", None) or {
-                    engine: reason
+                    engine: outcome.reason
                 }
                 for member, member_reason in per_engine.items():
                     member_counts = result.engine_abort_reasons.setdefault(

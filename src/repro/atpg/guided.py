@@ -19,7 +19,9 @@ on.
 A conclusive outcome (``detected`` or ``untestable``) from any slice is
 final: detection is validated by forward implication, and untestability
 means the slice *exhausted the whole decision tree* without tripping a
-budget, which is a proof no matter how small the slice was.
+budget, which is a proof no matter how small the slice was.  The
+``work_budget`` covers the whole call: its tally sums over every slice,
+and a slice that exhausts it ends the restarts.
 """
 
 from __future__ import annotations
@@ -46,9 +48,9 @@ class GuidedPodem(Podem):
         netlist: Netlist,
         backtrack_limit: int = 64,
         measures: Optional[Testability] = None,
-        time_budget_s: Optional[float] = None,
+        work_budget: Optional[int] = None,
     ):
-        super().__init__(netlist, backtrack_limit, measures, time_budget_s)
+        super().__init__(netlist, backtrack_limit, measures, work_budget)
         self._rotation = 0
 
     def _rank_frontier(
@@ -77,16 +79,15 @@ class GuidedPodem(Podem):
         return cost
 
     def generate(self, fault: StuckAtFault) -> PodemResult:
-        deadline = self._deadline()
         self._implications = 0
         slices = _budget_slices(self.backtrack_limit)
         total_backtracks = 0
         outcome = PodemResult(status="aborted", reason="backtracks")
         for rotation, slice_limit in enumerate(slices):
             self._rotation = rotation
-            outcome = self._search(fault, slice_limit, deadline)
+            outcome = self._search(fault, slice_limit)
             total_backtracks += outcome.backtracks
-            if outcome.status != "aborted" or outcome.reason == "time":
+            if outcome.status != "aborted" or outcome.reason == "work":
                 break
         outcome.backtracks = total_backtracks
         self._publish_implications()

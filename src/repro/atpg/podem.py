@@ -25,6 +25,12 @@ Implementation notes for speed (this is the toolkit's hottest loop):
 * ``atpg.implications`` counts the gates re-implied per target fault (cone
   pass plus event-driven re-implication), added once per ``generate`` call.
 
+Two budgets bound a search.  Both count work, not the wall clock, so a
+verdict is the same on any host: ``backtrack_limit`` caps dead-end
+backtracks and the optional ``work_budget`` caps the gates one
+``generate`` call re-implies (the ``atpg.implications`` tally).  An
+abort names the budget whose check fired first.
+
 The engine produces a *test cube*: an input vector over ``{0, 1, X}`` whose
 X positions are don't-cares.  Compaction and compression exploit those X's;
 :func:`repro.atpg.engine.x_fill` randomizes them for fault simulation.
@@ -32,7 +38,6 @@ X positions are don't-cares.  Compaction and compression exploit those X's;
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -66,8 +71,8 @@ class PodemResult:
     """Outcome of one PODEM run for one fault.
 
     ``reason`` distinguishes *why* an aborted search gave up:
-    ``"backtracks"`` (the classic decision-budget abort) or ``"time"``
-    (the per-fault wall-clock budget) — an aborted fault is *not*
+    ``"backtracks"`` (the classic decision-budget abort) or ``"work"``
+    (the per-fault re-implied gate budget) — an aborted fault is *not*
     untestable, just unresolved within budget.
     """
 
@@ -89,18 +94,22 @@ class Podem:
         netlist: Netlist,
         backtrack_limit: int = 64,
         measures: Optional[Testability] = None,
-        time_budget_s: Optional[float] = None,
+        work_budget: Optional[int] = None,
     ):
         netlist.finalize()
         self.netlist = netlist
         self.view = CombinationalView(netlist)
         self.backtrack_limit = backtrack_limit
-        if time_budget_s is not None and not time_budget_s >= 0:
-            raise ValueError(f"time_budget_s must be >= 0, got {time_budget_s}")
-        #: Per-fault wall-clock budget; one pathological fault can spend
-        #: minutes inside the backtrack limit on deep reconvergent cones,
-        #: so campaigns cap the *time* too (None = unlimited).
-        self.time_budget_s = time_budget_s
+        if work_budget is not None and (
+            isinstance(work_budget, bool)
+            or not isinstance(work_budget, int)
+            or work_budget < 0
+        ):
+            raise ValueError(
+                f"work_budget must be an int >= 0, got {work_budget!r}"
+            )
+        #: Most gates one ``generate`` call may re-imply (None = unlimited).
+        self.work_budget = work_budget
         self.measures = measures or compute_testability(netlist)
         self._input_position: Dict[int, int] = {
             gate: position for position, gate in enumerate(self.view.input_gates)
@@ -393,15 +402,9 @@ class Podem:
     def generate(self, fault: StuckAtFault) -> PodemResult:
         """Attempt to generate a test cube detecting ``fault``."""
         self._implications = 0
-        outcome = self._search(fault, self.backtrack_limit, self._deadline())
+        outcome = self._search(fault, self.backtrack_limit)
         self._publish_implications()
         return outcome
-
-    def _deadline(self) -> Optional[float]:
-        """``perf_counter`` deadline of a call starting now (None = unlimited)."""
-        if self.time_budget_s is None:
-            return None
-        return time.perf_counter() + self.time_budget_s
 
     def _publish_implications(self) -> None:
         """Add this call's re-implied gate tally to ``atpg.implications``."""
@@ -409,27 +412,11 @@ class Podem:
         if counter is not None:
             counter.add(self._implications)
 
-    def _abort_reason(self, deadline: Optional[float]) -> str:
-        """Reason for an abort at the backtrack-budget trip point.
-
-        Both budgets can trip in the same step (the backtrack that blows
-        the decision budget can also be the first check past the wall
-        deadline); report whichever budget was exhausted *first* — the
-        wall clock ran out before this backtrack was even counted.
-        """
-        if deadline is not None and time.perf_counter() > deadline:
-            return "time"
-        return "backtracks"
-
-    def _search(
-        self,
-        fault: StuckAtFault,
-        backtrack_limit: int,
-        deadline: Optional[float],
-    ) -> PodemResult:
-        """One budgeted PODEM search (``generate`` minus budget setup)."""
+    def _search(self, fault: StuckAtFault, backtrack_limit: int) -> PodemResult:
+        """One budgeted PODEM search (``generate`` minus the tally reset)."""
         n_inputs = self.view.num_inputs
         assignment = [X] * n_inputs
+        work_budget = self.work_budget
         self._cone_gates, self._cone_readers = self._fault_cone(fault)
         if not self._cone_readers and not self._branch_reaches_observation(fault):
             return PodemResult(status="untestable", backtracks=0)
@@ -442,9 +429,9 @@ class Podem:
                 return PodemResult(
                     status="detected", cube=list(assignment), backtracks=backtracks
                 )
-            if deadline is not None and time.perf_counter() > deadline:
+            if work_budget is not None and self._implications > work_budget:
                 return PodemResult(
-                    status="aborted", backtracks=backtracks, reason="time"
+                    status="aborted", backtracks=backtracks, reason="work"
                 )
             objective = self._objective(fault, values)
             step = (
@@ -462,9 +449,7 @@ class Podem:
             backtracks += 1
             if backtracks > backtrack_limit:
                 return PodemResult(
-                    status="aborted",
-                    backtracks=backtracks,
-                    reason=self._abort_reason(deadline),
+                    status="aborted", backtracks=backtracks, reason="backtracks"
                 )
             while decision_stack:
                 position, value, flipped = decision_stack.pop()

@@ -5,11 +5,10 @@ The three deterministic engines have complementary strengths — PODEM is
 fastest on easy faults, the SCOAP-guided restarts crack faults one bad
 initial path traps PODEM in, and the D-algorithm's exhaustive frontier
 search *proves* untestability where both PODEM variants can only abort.
-The portfolio runs them per fault as a deterministic time-sliced relay:
-each engine gets an equal share of ``time_budget_s`` (all of it when no
-budget is set), the first conclusive verdict (``detected`` or
-``untestable``) wins, and an all-engines-abort records every engine's
-reason.  A true wall-clock race would be faster on a multicore box but
+The portfolio runs them per fault as a deterministic relay: each engine
+gets the whole ``work_budget``, the first conclusive verdict
+(``detected`` or ``untestable``) wins, and an all-engines-abort records
+every engine's reason.  A true race would be faster on a multicore box but
 nondeterministic; the relay keeps campaigns bit-identical run to run,
 which the equivalence oracle and the campaign determinism pins require.
 
@@ -61,35 +60,21 @@ class PortfolioAtpg:
         self,
         netlist: Netlist,
         backtrack_limit: int = 64,
-        time_budget_s: Optional[float] = None,
+        work_budget: Optional[int] = None,
     ):
         netlist.finalize()
         self.netlist = netlist
         self.backtrack_limit = backtrack_limit
-        self.time_budget_s = time_budget_s
         self.measures = compute_testability(netlist)
-        share = (
-            None
-            if time_budget_s is None
-            else time_budget_s / len(PORTFOLIO_MEMBERS)
-        )
         self.engines: List[Tuple[str, Podem]] = [
-            (
-                "podem",
-                Podem(netlist, backtrack_limit, self.measures, share),
-            ),
+            ("podem", Podem(netlist, backtrack_limit, self.measures, work_budget)),
             (
                 "guided",
-                GuidedPodem(netlist, backtrack_limit, self.measures, share),
+                GuidedPodem(netlist, backtrack_limit, self.measures, work_budget),
             ),
             (
                 "dalg",
-                DAlgorithm(
-                    netlist,
-                    backtrack_limit * 4,
-                    self.measures,
-                    share,
-                ),
+                DAlgorithm(netlist, backtrack_limit * 4, self.measures, work_budget),
             ),
         ]
 
@@ -110,17 +95,12 @@ class PortfolioAtpg:
                     engine_reasons=reasons,
                     engine_backtracks=backtracks,
                 )
-            reasons[name] = outcome.reason or "backtracks"
-        # Every member aborted: surface "time" if any member ran out of
-        # wall clock (the campaign-level aborted_timeout accounting keys
-        # off it), else the decision-budget reason.
-        reason = (
-            "time" if "time" in reasons.values() else "backtracks"
-        )
+            reasons[name] = outcome.reason
+        # Every member aborted: the relay ends on the anchor's reason.
         return PortfolioResult(
             status="aborted",
             backtracks=total_backtracks,
-            reason=reason,
+            reason=outcome.reason,
             engine_reasons=reasons,
             engine_backtracks=backtracks,
         )
@@ -130,17 +110,17 @@ def make_engine(
     name: str,
     netlist: Netlist,
     backtrack_limit: int = 64,
-    time_budget_s: Optional[float] = None,
+    work_budget: Optional[int] = None,
 ):
     """Engine factory behind ``run_atpg(engine=...)`` and the CLI flag."""
     if name == "podem":
-        return Podem(netlist, backtrack_limit, time_budget_s=time_budget_s)
+        return Podem(netlist, backtrack_limit, work_budget=work_budget)
     if name == "guided":
-        return GuidedPodem(netlist, backtrack_limit, time_budget_s=time_budget_s)
+        return GuidedPodem(netlist, backtrack_limit, work_budget=work_budget)
     if name == "dalg":
-        return DAlgorithm(netlist, backtrack_limit, time_budget_s=time_budget_s)
+        return DAlgorithm(netlist, backtrack_limit, work_budget=work_budget)
     if name == "portfolio":
-        return PortfolioAtpg(netlist, backtrack_limit, time_budget_s)
+        return PortfolioAtpg(netlist, backtrack_limit, work_budget)
     raise ValueError(
         f"unknown ATPG engine {name!r}; expected one of {ENGINE_NAMES}"
     )

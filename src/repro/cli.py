@@ -137,7 +137,7 @@ def _cmd_atpg(args) -> int:
         jobs=args.jobs,
         partitions=args.partitions,
         word_width=args.word_width,
-        podem_time_budget_s=args.podem_budget,
+        work_budget=args.work_budget,
         store=args.store,
         engine=args.engine,
     )
@@ -628,12 +628,13 @@ def build_parser() -> argparse.ArgumentParser:
         "the per-fault portfolio racing all three",
     )
     atpg.add_argument(
-        "--podem-budget",
-        type=_positive_float,
+        "--work-budget",
+        type=_positive_int,
         default=None,
-        metavar="SECONDS",
-        help="per-fault PODEM wall-clock budget; over-budget faults are "
-        "counted as aborted (not untestable) instead of stalling the run",
+        metavar="GATES",
+        help="per-fault cap on the gates a deterministic search re-implies; "
+        "over-budget faults are counted as aborted (not untestable) instead "
+        "of stalling the run, with the same verdicts on any host",
     )
     atpg.add_argument(
         "--store",

@@ -83,6 +83,11 @@ class TestXFill:
         with pytest.raises(ValueError):
             x_fill([X], random.Random(0), "diagonal")
 
+    def test_unknown_mode_rejected_without_an_x(self):
+        """A bad mode is an error even when the cube has nothing to fill."""
+        with pytest.raises(ValueError, match="bogus"):
+            x_fill([0, 1, 1], random.Random(0), "bogus")
+
 
 class TestFaultAccounting:
     def test_partition_is_exact(self, alu4):
@@ -98,6 +103,19 @@ class TestFaultAccounting:
     def test_fault_coverage_le_test_coverage(self, alu4):
         result = run_atpg(alu4, seed=5)
         assert result.fault_coverage <= result.test_coverage
+
+    def test_unknown_engine_fails_before_grading(self, monkeypatch):
+        calls = []
+        real = FaultSimulator.simulate
+
+        def spy(self, *args, **kwargs):
+            calls.append(1)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(FaultSimulator, "simulate", spy)
+        with pytest.raises(ValueError, match="podme"):
+            run_atpg(benchmarks.get_benchmark("mac4_x4"), engine="podme")
+        assert calls == []
 
     def test_custom_fault_list(self, c17):
         faults = full_fault_list(c17)[:8]

@@ -141,7 +141,7 @@ class TestPortfolioAccounting:
         for fault, outcome in _verdicts(name, "portfolio").items():
             assert outcome.status in ("detected", "untestable", "aborted")
             if outcome.status == "aborted":
-                assert outcome.reason in ("backtracks", "time")
+                assert outcome.reason in ("backtracks", "work")
                 assert set(outcome.engine_reasons) == set(PORTFOLIO_MEMBERS)
             else:
                 assert outcome.winner in PORTFOLIO_MEMBERS

@@ -86,6 +86,29 @@ class TestCommands:
         assert excinfo.value.code == 2
         assert "--kernel" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--work-budget", "0"],
+            ["--work-budget", "-1"],
+            ["--work-budget", "1.5"],
+            ["--work-budget", "abc"],
+            ["--podem-budget", "1"],  # the wall-clock budget is gone
+        ],
+    )
+    def test_atpg_bad_work_budget_exits_two(self, flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["atpg", "c17"] + flags)
+        assert excinfo.value.code == 2
+        assert flags[0] in capsys.readouterr().err
+
+    def test_atpg_work_budget_aborts_on_work(self, capsys):
+        assert main(
+            ["atpg", "rres12", "--engine", "portfolio", "--work-budget", "2000"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "'podem': {'work':" in out
+
     def test_lbist(self, capsys):
         assert main(["lbist", "par16", "--patterns", "128"]) == 0
         out = capsys.readouterr().out

@@ -2,7 +2,6 @@
 proofs, frontier/mux propagation paths, and budget accounting."""
 
 import random
-import time
 
 import pytest
 
@@ -141,23 +140,27 @@ class TestBudgets:
         aborted = [o for o in outcomes if o.status == "aborted"]
         assert aborted and all(o.reason == "backtracks" for o in aborted)
 
-    def test_expired_deadline_reports_time(self):
+    def test_work_budget_reports_work(self):
         netlist = generators.random_resistant(14, cones=3)
         faults, _ = collapse_faults(netlist, full_fault_list(netlist))
-        dalg = DAlgorithm(netlist, backtrack_limit=10**6, time_budget_s=0.0)
+        dalg = DAlgorithm(netlist, backtrack_limit=10**6, work_budget=200)
         outcomes = [dalg.generate(f) for f in faults]
         aborted = [o for o in outcomes if o.status == "aborted"]
-        assert aborted and all(o.reason == "time" for o in aborted)
+        assert aborted and all(o.reason == "work" for o in aborted)
+        fault, outcome = next(
+            (f, o) for f, o in zip(faults, outcomes) if o.detected
+        )
+        _confirm(netlist, fault, outcome.cube)
 
-    def test_first_tripped_budget_is_time(self):
-        """Both budgets exhausted in the same step: the wall clock ran
-        out first, so "time" must win (same contract as PODEM's)."""
+    def test_first_tripped_budget_is_work(self):
+        """Both budgets at zero: the work check comes first in each search
+        step, so "work" must win (same contract as PODEM's)."""
         netlist = generators.random_resistant(14, cones=3)
         faults, _ = collapse_faults(netlist, full_fault_list(netlist))
-        dalg = DAlgorithm(netlist, backtrack_limit=0, time_budget_s=0.0)
+        dalg = DAlgorithm(netlist, backtrack_limit=0, work_budget=0)
         outcomes = [dalg.generate(f) for f in faults]
         aborted = [o for o in outcomes if o.status == "aborted"]
-        assert aborted and all(o.reason == "time" for o in aborted)
+        assert aborted and all(o.reason == "work" for o in aborted)
 
     def test_deterministic(self, adder4):
         first = DAlgorithm(adder4)

@@ -1,9 +1,11 @@
 """PODEM test generation: every cube must be confirmed by fault simulation."""
 
 import random
+import time
 
 import pytest
 
+from repro.atpg import DAlgorithm, GuidedPodem, PortfolioAtpg, make_engine
 from repro.atpg.engine import x_fill
 from repro.atpg.podem import Podem
 from repro.circuit import benchmarks, generators
@@ -107,70 +109,127 @@ class TestUntestable:
         assert aborted and all(o.reason == "backtracks" for o in aborted)
 
 
-class TestTimeBudget:
-    def test_time_budget_aborts_with_reason(self):
+class TestWorkBudget:
+    """``work_budget`` caps the gates one ``generate`` call re-implies."""
+
+    @pytest.mark.parametrize("engine_class", [Podem, GuidedPodem, DAlgorithm])
+    def test_zero_budget_aborts_every_search(self, engine_class):
+        """Each search past the cone check re-implies at least one gate,
+        so a zero budget aborts it before the first decision."""
         netlist = generators.random_resistant(14, cones=3)
         faults, _ = collapse_faults(netlist, full_fault_list(netlist))
-        podem = Podem(netlist, backtrack_limit=10**6, time_budget_s=1e-7)
+        engine = engine_class(netlist, backtrack_limit=10**6, work_budget=0)
+        for fault in faults:
+            outcome = engine.generate(fault)
+            if outcome.backtracks == 0 and outcome.status == "untestable":
+                continue  # rejected by the cone check, before any work
+            assert (outcome.status, outcome.reason) == ("aborted", "work")
+
+    def test_work_budget_aborts_with_reason(self):
+        netlist = generators.random_resistant(14, cones=3)
+        faults, _ = collapse_faults(netlist, full_fault_list(netlist))
+        podem = Podem(netlist, backtrack_limit=10**6, work_budget=200)
         outcomes = [podem.generate(f) for f in faults]
         aborted = [o for o in outcomes if o.status == "aborted"]
-        assert aborted and all(o.reason == "time" for o in aborted)
+        assert aborted and all(o.reason == "work" for o in aborted)
         # A detected cube from a budgeted search is still a real test.
-        for fault, outcome in zip(faults, outcomes):
-            if outcome.detected:
-                _confirm(netlist, fault, outcome.cube)
-                break
+        detected = [(f, o) for f, o in zip(faults, outcomes) if o.detected]
+        assert detected
+        for fault, outcome in detected[:5]:
+            _confirm(netlist, fault, outcome.cube)
 
     def test_first_tripped_budget_wins(self):
-        """Both budgets exhausted in the same search step: the abort must
-        name the budget that tripped *first*.  An expired wall clock beats
-        the backtrack counter; with wall clock to spare, the backtrack
-        limit is the tripped budget."""
+        """The work check comes first in each search step, so with both
+        budgets at zero it names the abort; with work to spare, the
+        backtrack limit does."""
         netlist = generators.random_resistant(14, cones=3)
         faults, _ = collapse_faults(netlist, full_fault_list(netlist))
-        both_zero = Podem(netlist, backtrack_limit=0, time_budget_s=0.0)
-        outcomes = [both_zero.generate(f) for f in faults]
-        aborted = [o for o in outcomes if o.status == "aborted"]
-        assert aborted and all(o.reason == "time" for o in aborted)
-        clock_to_spare = Podem(
-            netlist, backtrack_limit=0, time_budget_s=3600.0
+        for work_budget, reason in ((0, "work"), (10**9, "backtracks")):
+            podem = Podem(netlist, backtrack_limit=0, work_budget=work_budget)
+            outcomes = [podem.generate(f) for f in faults]
+            aborted = [o for o in outcomes if o.status == "aborted"]
+            assert aborted and all(o.reason == reason for o in aborted)
+
+    def test_guided_tally_spans_restart_slices(self):
+        """A guided search's budget covers all its restart slices together:
+        a budget that fits every slice alone still trips on their sum."""
+        from repro.atpg.guided import _budget_slices
+
+        netlist = generators.random_resistant(14, cones=3)
+        faults, _ = collapse_faults(netlist, full_fault_list(netlist))
+        unlimited = GuidedPodem(netlist, backtrack_limit=1)
+        for fault in faults:
+            if unlimited.generate(fault).status == "aborted":
+                break
+        else:
+            pytest.fail("no fault ran every restart slice")
+        per_slice = []
+        for rotation, slice_limit in enumerate(_budget_slices(1)):
+            unlimited._rotation, unlimited._implications = rotation, 0
+            unlimited._search(fault, slice_limit)
+            per_slice.append(unlimited._implications)
+        budgeted = GuidedPodem(netlist, backtrack_limit=1, work_budget=max(per_slice))
+        outcome = budgeted.generate(fault)
+        assert (outcome.status, outcome.reason) == ("aborted", "work")
+
+    @pytest.mark.parametrize("capped", [False, True])
+    def test_no_binding_budget_is_unchanged(self, capped):
+        """None, or a budget no search's tally exceeds, changes nothing."""
+        netlist = generators.random_resistant(14, cones=3)
+        faults, _ = collapse_faults(netlist, full_fault_list(netlist))
+        free = PortfolioAtpg(netlist, backtrack_limit=4)
+        expected, largest = [], 0
+        for fault in faults:
+            expected.append(free.generate(fault))
+            largest = max(largest, *(e._implications for _, e in free.engines))
+        assert any(o.status == "aborted" for o in expected)
+        budgeted = PortfolioAtpg(
+            netlist, backtrack_limit=4, work_budget=largest if capped else None
         )
-        outcomes = [clock_to_spare.generate(f) for f in faults]
-        aborted = [o for o in outcomes if o.status == "aborted"]
-        assert aborted and all(o.reason == "backtracks" for o in aborted)
+        assert [budgeted.generate(f) for f in faults] == expected
 
-    def test_abort_reason_unit(self, c17):
-        import time
+    @pytest.mark.parametrize("bad", [-1, 1.5, 10.0, True, float("nan")])
+    def test_bad_budget_rejected(self, c17, bad):
+        with pytest.raises(ValueError, match="work_budget"):
+            Podem(c17, work_budget=bad)
+        with pytest.raises(ValueError, match="work_budget"):
+            make_engine("portfolio", c17, work_budget=bad)
 
-        podem = Podem(c17)
-        assert podem._abort_reason(None) == "backtracks"
-        assert podem._abort_reason(time.perf_counter() - 1.0) == "time"
-        assert podem._abort_reason(time.perf_counter() + 60.0) == "backtracks"
+    def test_verdicts_ignore_a_slow_clock(self, monkeypatch):
+        """The same budget gives the same verdicts, cubes and reasons on a
+        host 100x slower: nothing in a search reads the clock."""
+        netlist = benchmarks.get_benchmark("rres12")
+        faults, _ = collapse_faults(netlist, full_fault_list(netlist))
 
-    def test_no_budget_is_unchanged(self, c17):
-        with_budget = Podem(c17, time_budget_s=3600.0)
-        without = Podem(c17)
-        for fault in full_fault_list(c17):
-            assert with_budget.generate(fault).cube == without.generate(fault).cube
+        def verdicts():
+            portfolio = PortfolioAtpg(netlist, work_budget=2000)
+            return [portfolio.generate(fault) for fault in faults]
 
-    def test_negative_budget_rejected(self, c17):
-        with pytest.raises(ValueError, match="time_budget_s"):
-            Podem(c17, time_budget_s=-1.0)
-        # A NaN budget would make every deadline comparison false.
-        with pytest.raises(ValueError, match="time_budget_s"):
-            Podem(c17, time_budget_s=float("nan"))
+        fast = verdicts()
+        real = time.perf_counter
+        origin = real()
+        monkeypatch.setattr(
+            time, "perf_counter", lambda: origin + 100 * (real() - origin)
+        )
+        slow = verdicts()
+        assert slow == fast
+        reasons = {o.reason for o in fast if o.status == "aborted"}
+        assert reasons == {"work"}
+        assert any(o.detected for o in fast)
 
-    def test_run_atpg_counts_timeouts_separately(self):
+    def test_run_atpg_counts_work_aborts(self):
         from repro.atpg.engine import run_atpg
 
         netlist = generators.random_resistant(14, cones=3)
         result = run_atpg(
-            netlist, random_batches=2, podem_time_budget_s=1e-7, compact=False
+            netlist, random_batches=2, work_budget=0, compact=False
         )
         summary = result.summary()
-        if result.abort_reasons.get("time"):
-            assert summary["aborted_timeout"] == result.abort_reasons["time"]
-            assert summary["aborted"] >= summary["aborted_timeout"]
+        assert result.aborted
+        assert result.engine_abort_reasons == {
+            "podem": {"work": len(result.aborted)}
+        }
+        assert summary["engine_abort_reasons"] == result.engine_abort_reasons
         # Aborted faults stay in the coverage denominator: not untestable.
         assert result.total_faults >= len(result.untestable) + result.detected
 
