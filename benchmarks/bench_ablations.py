@@ -12,13 +12,13 @@ A4  X-masking in the compactor: with X-producing responses, masking
 
 import time
 
-from repro.atpg import run_atpg
+from repro.atpg.engine import run_atpg
 from repro.atpg.random_gen import random_patterns
 from repro.circuit import benchmarks, generators
 from repro.circuit.values import X
 from repro.compression.compactor import CompactorConfig, XorCompactor, greedy_x_mask
 from repro.compression.decompressor import Decompressor, EdtConfig, encoding_probability
-from repro.faults import full_fault_list
+from repro.faults.stuck_at import full_fault_list
 from repro.sim.faultsim import FaultSimulator
 
 from .util import print_table, run_once

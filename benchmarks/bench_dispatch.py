@@ -19,7 +19,8 @@ import time
 
 from repro.atpg.random_gen import random_patterns
 from repro.circuit import generators
-from repro.faults import collapse_faults, full_fault_list
+from repro.faults.collapse import collapse_faults
+from repro.faults.stuck_at import full_fault_list
 from repro.sim.faultsim import FaultSimulator
 
 from .util import print_table, run_once, write_bench_json

@@ -23,7 +23,7 @@ import sys
 import time
 
 from repro import obs
-from repro.atpg import atpg_table_row, run_atpg
+from repro.atpg.engine import atpg_table_row, run_atpg
 from repro.circuit import benchmarks, generators
 
 from .util import print_table, run_once, write_bench_json

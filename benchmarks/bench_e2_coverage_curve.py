@@ -9,7 +9,7 @@ Regenerates: coverage(n) series for random patterns on a random-resistant
 circuit, plus the deterministic top-off end point.
 """
 
-from repro.atpg import run_atpg
+from repro.atpg.engine import run_atpg
 from repro.bist.lbist import coverage_curve
 from repro.circuit import generators
 

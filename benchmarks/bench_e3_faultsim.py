@@ -17,7 +17,7 @@ import time
 
 from repro.atpg.random_gen import random_patterns
 from repro.circuit import benchmarks
-from repro.faults import full_fault_list
+from repro.faults.stuck_at import full_fault_list
 from repro.sim.faultsim import FaultSimulator
 
 from .util import print_table, run_once

@@ -11,10 +11,10 @@ CPU and patterns, plus broadcast/serial/flat data volumes, and verifies
 broadcast semantics (core patterns detect every replica's faults).
 """
 
-from repro.atpg import run_atpg
+from repro.atpg.engine import run_atpg
 from repro.circuit import generators
 from repro.circuit.benchmarks import replicate_netlist
-from repro.dft import broadcast_detects_all_cores, compare_flat_hierarchical
+from repro.dft.retarget import broadcast_detects_all_cores, compare_flat_hierarchical
 
 from .util import print_table, run_once
 

@@ -12,15 +12,17 @@ X6  Test economics: the Williams-Brown DPPM table that justifies chasing
     the last coverage percent.
 """
 
-from repro.atpg import run_atpg
+from repro.atpg.engine import run_atpg
 from repro.bist.lbist import StumpsController, run_weighted_lbist
 from repro.circuit import generators
 from repro.compression.decompressor import Decompressor, EdtConfig, encoding_probability
 from repro.compression.reseeding import ReseedingCompressor, ReseedingConfig
 from repro.dft.access import Instrument, access_schedule_comparison
 from repro.dft.economics import coverage_dppm_table, poisson_yield
-from repro.faults import collapse_faults, full_fault_list
-from repro.scan import fill_policy_comparison, insert_scan, partition_faults
+from repro.faults.collapse import collapse_faults
+from repro.faults.stuck_at import full_fault_list
+from repro.scan.insertion import insert_scan, partition_faults
+from repro.scan.power import fill_policy_comparison
 
 from .util import print_table, run_once
 

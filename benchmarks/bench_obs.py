@@ -14,7 +14,7 @@ with numbers and records them to ``BENCH_obs.json``:
   plus its projected share of one E3 campaign.  Acceptance pin: that
   share stays under ``OVERHEAD_BOUND`` (2%).
 * ``stitch_xN`` — cost of re-basing and merging worker event payloads
-  (:func:`repro.obs.stitch_payloads`) at trace-export scale.
+  (:func:`repro.obs.events.stitch_payloads`) at trace-export scale.
 
 ``python -m benchmarks.bench_obs --smoke`` runs a small circuit with
 fewer replicates in a few seconds and writes ``BENCH_obs_smoke.json``
@@ -28,8 +28,9 @@ import time
 from repro import obs
 from repro.atpg.random_gen import random_patterns
 from repro.circuit import generators
-from repro.faults import collapse_faults, full_fault_list
-from repro.obs.events import EventLog, HEARTBEAT, SPAN_BEGIN
+from repro.faults.collapse import collapse_faults
+from repro.faults.stuck_at import full_fault_list
+from repro.obs.events import HEARTBEAT, SPAN_BEGIN, EventLog, stitch_payloads
 from repro.sim.faultsim import FaultSimulator
 
 from .util import print_table, run_once, write_bench_json
@@ -123,10 +124,10 @@ def _stitch_rows(replicates, stitch):
             log.emit(HEARTBEAT, "hb", partition=source, faults_graded=index)
         payloads.append(log.to_payload())
     rows = []
-    obs.stitch_payloads(payloads)  # warm-up: allocator + dict churn
+    stitch_payloads(payloads)  # warm-up: allocator + dict churn
     for rep in range(replicates):
         start = time.perf_counter()
-        merged = obs.stitch_payloads(payloads)
+        merged = stitch_payloads(payloads)
         elapsed = time.perf_counter() - start
         rows.append(
             {

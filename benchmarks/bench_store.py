@@ -33,7 +33,8 @@ import time
 
 from repro.atpg.random_gen import random_patterns
 from repro.circuit import generators
-from repro.faults import collapse_faults, full_fault_list
+from repro.faults.collapse import collapse_faults
+from repro.faults.stuck_at import full_fault_list
 from repro.sim.dispatch import partition_faults
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.store import CampaignKey, ShardStore

@@ -51,7 +51,8 @@ from repro.atpg.engine import run_atpg
 from repro.atpg.random_gen import random_patterns
 from repro.circuit import generators
 from repro.circuit.benchmarks import replicate_netlist
-from repro.faults import collapse_faults, full_fault_list
+from repro.faults.collapse import collapse_faults
+from repro.faults.stuck_at import full_fault_list
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.goodcache import DEFAULT_CACHE
 from repro.sim.parallel import WORD_WIDTHS

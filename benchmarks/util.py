@@ -13,7 +13,8 @@ import time
 from pathlib import Path
 from typing import Dict, Optional, Sequence
 
-from repro.obs import Observation, RunReport
+from repro.obs.report import RunReport
+from repro.obs.span import Observation
 
 
 def print_table(title: str, rows: Sequence[Dict[str, object]]) -> None:
@@ -57,10 +58,10 @@ def write_bench_json(
 
     Written as ``BENCH_<name>.json`` next to the benchmark modules so
     successive runs (and CI) can diff measured numbers without re-parsing
-    the stdout tables.  Every file is a :class:`repro.obs.RunReport`
+    the stdout tables.  Every file is a :class:`repro.obs.report.RunReport`
     envelope — the same stable schema as ``repro <cmd> --report`` files —
     with the benchmark's rows under ``payload``.  Pass the
-    :class:`~repro.obs.Observation` the benchmark ran under to include
+    :class:`~repro.obs.span.Observation` the benchmark ran under to include
     its span tree and counters alongside the rows.
     """
     if observation is not None:

@@ -13,11 +13,13 @@ Run:  python examples/compress_ai_core.py
 """
 
 from repro.circuit import generators
-from repro.compression import EdtSystem, run_compressed_atpg
-from repro.dft import wrap_core
-from repro.faults import collapse_faults, full_fault_list
-from repro.scan import chain_flush_detects, insert_scan, partition_faults
-from repro.sim import FaultSimulator
+from repro.compression.edt import EdtSystem
+from repro.compression.flow import run_compressed_atpg
+from repro.dft.wrapper import wrap_core
+from repro.faults.collapse import collapse_faults
+from repro.faults.stuck_at import full_fault_list
+from repro.scan.insertion import chain_flush_detects, insert_scan, partition_faults
+from repro.sim.faultsim import FaultSimulator
 
 
 def main() -> None:

@@ -15,17 +15,15 @@ Run:  python examples/diagnose_failure.py
 
 import random
 
-from repro.atpg import run_atpg
+from repro.atpg.engine import run_atpg
 from repro.circuit import generators
 from repro.compression.compactor import CompactorConfig, XorCompactor
-from repro.diagnosis import (
-    CompactedDiagnoser,
-    EffectCauseDiagnoser,
-    inject_and_observe,
-)
-from repro.faults import collapse_faults, full_fault_list
-from repro.scan import insert_scan, partition_faults
-from repro.sim import FaultSimulator
+from repro.diagnosis.compactor_diag import CompactedDiagnoser
+from repro.diagnosis.effect_cause import EffectCauseDiagnoser, inject_and_observe
+from repro.faults.collapse import collapse_faults
+from repro.faults.stuck_at import full_fault_list
+from repro.scan.insertion import insert_scan, partition_faults
+from repro.sim.faultsim import FaultSimulator
 
 
 def main() -> None:

@@ -12,15 +12,11 @@ is *one* core's test, broadcast.  This example:
 Run:  python examples/hierarchical_soc.py
 """
 
-from repro.atpg import run_atpg
+from repro.atpg.engine import run_atpg
 from repro.circuit import generators
 from repro.circuit.benchmarks import replicate_netlist
-from repro.dft import (
-    broadcast_detects_all_cores,
-    build_plan,
-    compare_flat_hierarchical,
-    plan_comparison_table,
-)
+from repro.dft.planner import build_plan, plan_comparison_table
+from repro.dft.retarget import broadcast_detects_all_cores, compare_flat_hierarchical
 
 
 def main() -> None:

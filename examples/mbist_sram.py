@@ -12,15 +12,9 @@ decision process:
 Run:  python examples/mbist_sram.py
 """
 
-from repro.bist import (
-    ALL_MARCH_TESTS,
-    Memory,
-    MemoryFault,
-    coverage_matrix,
-    format_matrix,
-    operation_count,
-    run_march,
-)
+from repro.bist.march import ALL_MARCH_TESTS, operation_count
+from repro.bist.mbist import coverage_matrix, format_matrix, run_march
+from repro.bist.memory import Memory, MemoryFault
 
 
 def main() -> None:

@@ -7,10 +7,11 @@ patterns by independent fault simulation.
 Run:  python examples/quickstart.py
 """
 
-from repro.atpg import run_atpg
+from repro.atpg.engine import run_atpg
 from repro.circuit import generators
-from repro.faults import collapse_faults, full_fault_list
-from repro.sim import FaultSimulator
+from repro.faults.collapse import collapse_faults
+from repro.faults.stuck_at import full_fault_list
+from repro.sim.faultsim import FaultSimulator
 
 
 def main() -> None:

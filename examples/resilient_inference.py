@@ -14,17 +14,11 @@ Run:  python examples/resilient_inference.py
 
 import numpy as np
 
-from repro.aichip import (
-    AcceleratorConfig,
-    QuantizedMLP,
-    SystolicArray,
-    TiledAccelerator,
-    detect_faulty_pes,
-    random_pe_faults,
-    run_inference_on_array,
-    trained_reference_model,
-)
-from repro.dft import yield_with_degradation
+from repro.aichip.accelerator import AcceleratorConfig, TiledAccelerator
+from repro.aichip.fault_effects import detect_faulty_pes, run_inference_on_array
+from repro.aichip.nn import QuantizedMLP, trained_reference_model
+from repro.aichip.systolic import SystolicArray, random_pe_faults
+from repro.dft.degrade import yield_with_degradation
 
 
 def main() -> None:

@@ -51,11 +51,11 @@ from ..circuit.compiled import (
     XNOR,
     XOR,
 )
-from ..circuit.dcalc import good_rail, has_x, is_faulted
+from ..circuit.dcalc import _RAIL_X, good_rail, has_x, is_faulted
 from ..circuit.netlist import Netlist
 from ..circuit.values import X
 from ..faults.model import OUTPUT_PIN, StuckAtFault
-from .podem import _RAIL_X, Podem, PodemResult
+from .podem import Podem, PodemResult
 from .scoap import Testability
 
 __all__ = ["DAlgorithm"]

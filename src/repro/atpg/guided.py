@@ -29,9 +29,10 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..circuit.compiled import NONCONTROLLING
+from ..circuit.dcalc import _RAIL_X
 from ..circuit.netlist import Netlist
 from ..faults.model import StuckAtFault
-from .podem import _RAIL_X, Podem, PodemResult
+from .podem import Podem, PodemResult
 from .scoap import Testability
 
 __all__ = ["GuidedPodem"]

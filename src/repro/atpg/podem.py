@@ -44,7 +44,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..circuit.compiled import (
-    _RAIL_X,
     BUF,
     CONST0,
     CONST1,
@@ -58,7 +57,7 @@ from ..circuit.compiled import (
     compiled,
     evaluate,
 )
-from ..circuit.dcalc import FAULTED, good_rail
+from ..circuit.dcalc import _RAIL_X, FAULTED, good_rail
 from ..circuit.netlist import Netlist
 from ..circuit.values import X
 from ..faults.model import OUTPUT_PIN, StuckAtFault

@@ -1,76 +1,1 @@
 """Built-in self test: STUMPS logic BIST, test points, memory BIST, March."""
-
-from .cop import CopMeasures, compute_cop, hard_line_count
-from .lbist import (
-    LbistConfig,
-    LbistResult,
-    StumpsController,
-    coverage_curve,
-    derive_input_weights,
-    run_weighted_lbist,
-)
-from .march import (
-    ALL_MARCH_TESTS,
-    MARCH_A,
-    MARCH_B,
-    MARCH_C_MINUS,
-    MARCH_X,
-    MARCH_Y,
-    MATS,
-    MATS_PLUS,
-    MATS_PLUS_PLUS,
-    Direction,
-    MarchElement,
-    MarchTest,
-    Operation,
-    operation_count,
-)
-from .mbist import (
-    CoverageCell,
-    MarchRunResult,
-    coverage_matrix,
-    detects_fault,
-    format_matrix,
-    run_march,
-)
-from .memory import FAULT_KINDS, Memory, MemoryFault, sample_faults
-from .testpoints import TestPointPlan, insert_test_points, neutral_control_values
-
-__all__ = [
-    "CopMeasures",
-    "compute_cop",
-    "hard_line_count",
-    "StumpsController",
-    "LbistConfig",
-    "LbistResult",
-    "coverage_curve",
-    "derive_input_weights",
-    "run_weighted_lbist",
-    "insert_test_points",
-    "TestPointPlan",
-    "neutral_control_values",
-    "Memory",
-    "MemoryFault",
-    "FAULT_KINDS",
-    "sample_faults",
-    "MarchTest",
-    "MarchElement",
-    "Operation",
-    "Direction",
-    "MATS",
-    "MATS_PLUS",
-    "MATS_PLUS_PLUS",
-    "MARCH_X",
-    "MARCH_Y",
-    "MARCH_C_MINUS",
-    "MARCH_A",
-    "MARCH_B",
-    "ALL_MARCH_TESTS",
-    "operation_count",
-    "run_march",
-    "MarchRunResult",
-    "detects_fault",
-    "coverage_matrix",
-    "CoverageCell",
-    "format_matrix",
-]

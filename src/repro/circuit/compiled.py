@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .dcalc import AND_TABLE, DX, NOT_TABLE, OR_TABLE, XOR_TABLE, has_x
+from .dcalc import _RAIL_X, AND_TABLE, DX, NOT_TABLE, OR_TABLE, XOR_TABLE, has_x
 from .gates import (
     SEQUENTIAL_TYPES,
     GateType,
@@ -66,8 +66,6 @@ INVERTING = tuple(is_inverting(gate_type) for gate_type in _TYPES)
 
 #: Low 32 bits of a successor key: the gate index.
 GATE_MASK = 0xFFFFFFFF
-
-_RAIL_X = 2  # rail encoding of "unknown" inside a packed D-value
 
 #: ``HAS_X[v]`` is :func:`~repro.circuit.dcalc.has_x` by lookup.
 HAS_X = tuple(has_x(value) for value in range(9))

@@ -18,14 +18,14 @@ from __future__ import annotations
 from typing import Tuple
 
 #: Rail encoding inside a packed value.
-_R0, _R1, _RX = 0, 1, 2
+_R0, _R1, _RAIL_X = 0, 1, 2
 
 #: Packed constants.
 D0 = _R0 * 3 + _R0  # good 0, faulty 0
 DB = _R0 * 3 + _R1  # D-bar: good 0, faulty 1
 D = _R1 * 3 + _R0  # D: good 1, faulty 0
 D1 = _R1 * 3 + _R1  # good 1, faulty 1
-DX = _RX * 3 + _RX  # both unknown
+DX = _RAIL_X * 3 + _RAIL_X  # both unknown
 
 
 def pack(good: int, faulty: int) -> int:
@@ -46,7 +46,7 @@ def _rail_and(a: int, b: int) -> int:
         return _R0
     if a == _R1 and b == _R1:
         return _R1
-    return _RX
+    return _RAIL_X
 
 
 def _rail_or(a: int, b: int) -> int:
@@ -54,18 +54,18 @@ def _rail_or(a: int, b: int) -> int:
         return _R1
     if a == _R0 and b == _R0:
         return _R0
-    return _RX
+    return _RAIL_X
 
 
 def _rail_xor(a: int, b: int) -> int:
-    if a == _RX or b == _RX:
-        return _RX
+    if a == _RAIL_X or b == _RAIL_X:
+        return _RAIL_X
     return a ^ b
 
 
 def _rail_not(a: int) -> int:
-    if a == _RX:
-        return _RX
+    if a == _RAIL_X:
+        return _RAIL_X
     return 1 - a
 
 
@@ -97,7 +97,7 @@ FAULTED = frozenset({D, DB})
 
 def has_x(value: int) -> bool:
     """Either rail unknown?"""
-    return value // 3 == _RX or value % 3 == _RX
+    return value // 3 == _RAIL_X or value % 3 == _RAIL_X
 
 
 def is_faulted(value: int) -> bool:
@@ -107,6 +107,6 @@ def is_faulted(value: int) -> bool:
 
 def from_fourvalued(good: int, faulty: int) -> int:
     """Pack two 4-valued rails (Z treated as X)."""
-    g = _RX if good > 1 else good
-    f = _RX if faulty > 1 else faulty
+    g = _RAIL_X if good > 1 else good
+    f = _RAIL_X if faulty > 1 else faulty
     return g * 3 + f

@@ -45,17 +45,22 @@ from typing import List, Optional
 import time
 
 from . import obs
-from .atpg import ENGINE_NAMES, atpg_table_row, run_atpg
+from .atpg.engine import atpg_table_row, run_atpg
+from .atpg.portfolio import ENGINE_NAMES
 from .obs import regress
+from .obs.metrics import metric_id
 from .obs.regress import RegressConfig
+from .obs.report import RunReport
+from .obs.span import Observation
+from .obs.trace import write_chrome_trace
 from .bist.lbist import StumpsController
 from .bist.mbist import coverage_matrix, format_matrix
 from .circuit import benchmarks
 from .circuit.bench import load_bench
 from .circuit.netlist import Netlist
 from .circuit.verilog import load_verilog
-from .dft.planner import build_plan
-from .faults import collapse_faults, full_fault_list
+from .faults.collapse import collapse_faults
+from .faults.stuck_at import full_fault_list
 from .scan.patfile import format_patterns, load_patterns
 from .sim.chaos import ChaosPlan, HostChaosPlan
 from .sim.dispatch import BACKEND_NAMES
@@ -327,6 +332,10 @@ def _cmd_mbist(args) -> int:
 
 
 def _cmd_plan(_args) -> int:
+    # Imported here: the planner models the accelerator in numpy, which no
+    # other subcommand needs.
+    from .dft.planner import build_plan
+
     plan = build_plan()
     for key, value in plan.report.items():
         print(f"{key}: {value}")
@@ -348,15 +357,25 @@ def _regress_config(args) -> RegressConfig:
     return config
 
 
+def _compare_reports(args):
+    """Findings for ``args.baseline`` against ``args.current``; an unreadable
+    report is a bad argument (exit 2)."""
+    config = _regress_config(args)
+    try:
+        return regress.compare_paths(args.baseline, args.current, config)
+    except OSError as exc:
+        raise ValueError(f"cannot read {exc.filename!r}: {exc.strerror}") from None
+
+
 def _cmd_obs_diff(args) -> int:
-    results = regress.compare_paths(args.baseline, args.current, _regress_config(args))
+    results = _compare_reports(args)
     for line in regress.format_findings(results, verbose=args.verbose):
         print(line)
     return 0
 
 
 def _cmd_obs_gate(args) -> int:
-    results = regress.compare_paths(args.baseline, args.current, _regress_config(args))
+    results = _compare_reports(args)
     for line in regress.format_findings(results, verbose=args.verbose):
         print(line)
     failing = [
@@ -755,13 +774,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_profile(observation: "obs.Observation") -> None:
+def _print_profile(observation: Observation) -> None:
     """Human-readable span tree and metric values (the ``--profile`` view)."""
     print("--- profile: spans ---")
     for line in observation.root.tree_lines():
         print(line)
     samples = [
-        (obs.metric_id(name, labels), metric)
+        (metric_id(name, labels), metric)
         for name, labels, metric in observation.metrics.items()
         if metric.kind in ("counter", "gauge") and metric.value is not None
     ]
@@ -782,13 +801,13 @@ def _run_observed(args, argv: Optional[List[str]]) -> int:
         "argv": list(argv) if argv is not None else list(sys.argv[1:]),
         "exit_code": code,
     }
-    report = obs.RunReport.from_observation(observation, meta=meta)
+    report = RunReport.from_observation(observation, meta=meta)
     if args.report:
         with open(args.report, "w") as handle:
             handle.write(report.to_json() + "\n")
         print(f"wrote run report to {args.report}")
     if getattr(args, "trace", None):
-        obs.write_chrome_trace(args.trace, report)
+        write_chrome_trace(args.trace, report)
         print(f"wrote trace-event timeline to {args.trace}")
     if args.profile:
         _print_profile(observation)

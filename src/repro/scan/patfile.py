@@ -68,6 +68,15 @@ def format_patterns(
     return "\n".join(lines) + "\n"
 
 
+def _bits(text: str, line_number: int) -> List[int]:
+    try:
+        return [_VALUE[c] for c in text]
+    except KeyError as exc:
+        raise PatternFormatError(
+            f"line {line_number}: bad bit {exc.args[0]!r}"
+        ) from None
+
+
 def parse_patterns(text: str) -> PatternFile:
     """Parse pattern-file text back into structured form."""
     circuit = ""
@@ -86,19 +95,17 @@ def parse_patterns(text: str) -> PatternFile:
         elif keyword == "inputs":
             input_names = fields[1:]
         elif keyword == "patterns":
+            if len(fields) != 2 or not fields[1].isdecimal():
+                raise PatternFormatError(
+                    f"line {line_number}: patterns needs a non-negative count"
+                )
             declared = int(fields[1])
         elif keyword == "pattern":
             if len(fields) != 3:
                 raise PatternFormatError(
                     f"line {line_number}: pattern needs index and bits"
                 )
-            bits = fields[2]
-            try:
-                values = [_VALUE[c] for c in bits]
-            except KeyError as exc:
-                raise PatternFormatError(
-                    f"line {line_number}: bad bit {exc.args[0]!r}"
-                ) from None
+            values = _bits(fields[2], line_number)
             if input_names and len(values) != len(input_names):
                 raise PatternFormatError(
                     f"line {line_number}: width {len(values)} != "
@@ -111,7 +118,9 @@ def parse_patterns(text: str) -> PatternFile:
                 raise PatternFormatError(
                     f"line {line_number}: expect before any pattern"
                 )
-            expects[-1] = [_VALUE[c] for c in fields[1]]
+            if len(fields) != 2:
+                raise PatternFormatError(f"line {line_number}: expect needs bits")
+            expects[-1] = _bits(fields[1], line_number)
         else:
             raise PatternFormatError(
                 f"line {line_number}: unknown keyword {keyword!r}"

@@ -29,7 +29,7 @@ from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..faults.model import StuckAtFault
-from ..obs import MetricRegistry
+from ..obs.metrics import MetricRegistry
 from .faultsim import FaultSimResult, unique_faults
 
 #: Backend names accepted by ``FaultSimulator.simulate(engine=...)`` and the

@@ -55,7 +55,7 @@ from multiprocessing.connection import wait
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..faults.model import StuckAtFault
-from ..obs import MetricRegistry
+from ..obs.metrics import MetricRegistry
 from ..obs.events import (
     CHAOS,
     CRASH,

@@ -5,11 +5,11 @@ import random
 import pytest
 
 from repro.atpg import engine as engine_module
-from repro.atpg import run_atpg, x_fill
-from repro.atpg.engine import atpg_table_row
+from repro.atpg.engine import atpg_table_row, run_atpg, x_fill
 from repro.circuit import benchmarks
 from repro.circuit.values import X
-from repro.faults import collapse_faults, full_fault_list
+from repro.faults.collapse import collapse_faults
+from repro.faults.stuck_at import full_fault_list
 from repro.sim.faultsim import FaultSimulator
 
 

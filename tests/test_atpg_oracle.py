@@ -26,10 +26,11 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.atpg import ENGINE_NAMES, PORTFOLIO_MEMBERS, make_engine, run_atpg
 from repro.atpg.dalg import DAlgorithm
-from repro.atpg.engine import x_fill
-from repro.faults import collapse_faults, full_fault_list
+from repro.atpg.engine import run_atpg, x_fill
+from repro.atpg.portfolio import ENGINE_NAMES, PORTFOLIO_MEMBERS, make_engine
+from repro.faults.collapse import collapse_faults
+from repro.faults.stuck_at import full_fault_list
 from repro.sim.faultsim import FaultSimulator
 
 from tests.oracle_util import exhaustive_truth, small_netlists

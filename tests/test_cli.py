@@ -196,6 +196,14 @@ class TestBadArguments:
         assert "input 8 is 'b[0]' but cmp16 input 8 is 'a[8]'" in capsys.readouterr().err
         assert main(["fsim", "cmp16", str(tmp_path / "cmp16.pat")]) == 0
 
+    @pytest.mark.parametrize("line", ["patterns", "expect", "expect 0Q", "patterns abc"])
+    def test_malformed_pattern_file_exits_two(self, line, tmp_path, capsys):
+        bad = tmp_path / "bad.pat"
+        bad.write_text(f"circuit c17\npattern 0 01010\n{line}\n")
+        assert main(["fsim", "c17", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: ") and err.count("\n") == 1
+
     def test_permuted_inputs_exit_two(self, tmp_path, capsys):
         own = tmp_path / "c17.pat"
         assert main(["atpg", "c17", "-o", str(own)]) == 0

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.atpg import run_atpg
+from repro.atpg.engine import run_atpg
 from repro.circuit import generators
 from repro.compression.edt import EdtSystem
 from repro.compression.flow import run_compressed_atpg
-from repro.faults import collapse_faults, full_fault_list
-from repro.scan import insert_scan, partition_faults
+from repro.faults.collapse import collapse_faults
+from repro.faults.stuck_at import full_fault_list
+from repro.scan.insertion import insert_scan, partition_faults
 from repro.sim.faultsim import FaultSimulator
 
 

@@ -25,8 +25,9 @@ from repro.compression.flow import run_compressed_atpg
 from repro.compression.gf2 import dot_bits, rank_of
 from repro.compression.lfsr import PRIMITIVE_TAPS
 from repro.compression.reseeding import ReseedingCompressor, ReseedingConfig
-from repro.faults import collapse_faults, full_fault_list
-from repro.scan import insert_scan
+from repro.faults.collapse import collapse_faults
+from repro.faults.stuck_at import full_fault_list
+from repro.scan.insertion import insert_scan
 from repro.sim.faultsim import FaultSimulator
 
 SMALL_LENGTHS = sorted(length for length in PRIMITIVE_TAPS if length <= 12)

@@ -16,7 +16,9 @@ from repro.atpg.random_gen import exhaustive_patterns, random_patterns
 from repro.circuit import benchmarks, generators
 from repro.circuit.builder import NetlistBuilder
 from repro.circuit.gates import GateType, evaluate_parallel
-from repro.faults import OUTPUT_PIN, collapse_faults, full_fault_list
+from repro.faults.collapse import collapse_faults
+from repro.faults.model import OUTPUT_PIN
+from repro.faults.stuck_at import full_fault_list
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.parallel import KERNELS
 

@@ -32,7 +32,8 @@ from hypothesis import strategies as st
 
 from repro.atpg.random_gen import random_patterns
 from repro.circuit import benchmarks, generators
-from repro.faults import collapse_faults, full_fault_list
+from repro.faults.collapse import collapse_faults
+from repro.faults.stuck_at import full_fault_list
 from repro.sim.dispatch import BACKEND_NAMES
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.parallel import KERNELS, WORD_WIDTH
@@ -254,7 +255,7 @@ class TestAtpgVectorConformance:
     def test_every_cube_detects_under_every_kernel(self, netlist, data):
         import random as _random
 
-        from repro.atpg import ENGINE_NAMES, make_engine
+        from repro.atpg.portfolio import ENGINE_NAMES, make_engine
         from repro.atpg.engine import x_fill
 
         netlist.finalize()

@@ -5,11 +5,15 @@ import random
 
 import pytest
 
-from repro.atpg import DAlgorithm, GuidedPodem, Podem
+from repro.atpg.dalg import DAlgorithm
+from repro.atpg.guided import GuidedPodem
+from repro.atpg.podem import Podem
 from repro.atpg.engine import x_fill
 from repro.circuit import benchmarks, generators
 from repro.circuit.builder import NetlistBuilder
-from repro.faults import OUTPUT_PIN, StuckAtFault, collapse_faults, full_fault_list
+from repro.faults.collapse import collapse_faults
+from repro.faults.model import OUTPUT_PIN, StuckAtFault
+from repro.faults.stuck_at import full_fault_list
 from repro.sim.faultsim import FaultSimulator
 
 from tests.oracle_util import exhaustive_truth

@@ -2,28 +2,23 @@
 
 import pytest
 
-from repro.atpg import run_atpg
+from repro.atpg.engine import run_atpg
 from repro.circuit import benchmarks, generators
 from repro.circuit.benchmarks import replicate_netlist
-from repro.dft import (
-    BinningPolicy,
-    DftPlanInputs,
+from repro.dft.degrade import BinningPolicy, yield_with_degradation
+from repro.dft.planner import DftPlanInputs, build_plan, plan_comparison_table
+from repro.dft.retarget import (
     broadcast_detects_all_cores,
-    build_plan,
     compare_flat_hierarchical,
-    plan_comparison_table,
     retarget_cost,
-    schedule_report,
-    schedule_tests,
-    sequential_cycles,
-    wrap_core,
-    yield_with_degradation,
 )
-from repro.dft import TestTask as PowerTask
-from repro.dft import test_and_degrade as screen_and_degrade
+from repro.dft.schedule import schedule_report, schedule_tests, sequential_cycles
+from repro.dft.wrapper import wrap_core
+from repro.dft.schedule import TestTask as PowerTask
+from repro.dft.degrade import test_and_degrade as screen_and_degrade
 from repro.aichip.accelerator import AcceleratorConfig, TiledAccelerator
 from repro.aichip.systolic import PEFault
-from repro.scan import insert_scan
+from repro.scan.insertion import insert_scan
 from repro.sim.logicsim import LogicSimulator
 
 

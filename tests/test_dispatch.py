@@ -11,7 +11,8 @@ import pytest
 
 from repro.atpg.random_gen import random_patterns
 from repro.circuit import benchmarks, generators
-from repro.faults import collapse_faults, full_fault_list
+from repro.faults.collapse import collapse_faults
+from repro.faults.stuck_at import full_fault_list
 from repro.sim.dispatch import (
     BACKEND_NAMES,
     default_partition_count,

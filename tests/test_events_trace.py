@@ -16,8 +16,8 @@ import pytest
 from repro import obs
 from repro.atpg.random_gen import random_patterns
 from repro.circuit import generators
-from repro.faults import collapse_faults, full_fault_list
-from repro.obs import EventLog, RunReport, TelemetryEvent, chrome_trace
+from repro.faults.collapse import collapse_faults
+from repro.faults.stuck_at import full_fault_list
 from repro.obs.events import (
     CHAOS,
     CRASH,
@@ -25,10 +25,14 @@ from repro.obs.events import (
     PARTITION_BEGIN,
     PARTITION_END,
     RETRY,
+    EventLog,
+    TelemetryEvent,
     read_jsonl,
     stitch_payloads,
 )
-from repro.obs.trace import write_chrome_trace
+from repro.obs.metrics import MetricRegistry
+from repro.obs.report import RunReport
+from repro.obs.trace import chrome_trace, write_chrome_trace
 from repro.sim.chaos import ChaosPlan
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.store import ShardStore
@@ -232,7 +236,7 @@ class TestMetricsLossAnnotation:
             p for p in result.stats["partitions"] if p["partition"] == 2
         )
         assert row["metrics_lost_attempts"] == 2
-        registry = obs.MetricRegistry.from_dict(result.stats["metrics"])
+        registry = MetricRegistry.from_dict(result.stats["metrics"])
         assert registry.counter("faultsim.metrics_lost_attempts").value == 2
 
     def test_clean_run_has_no_loss_annotation(self):

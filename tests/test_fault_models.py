@@ -14,7 +14,7 @@ import math
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.atpg.random_gen import random_patterns
-from repro.faults import full_fault_list
+from repro.faults.stuck_at import full_fault_list
 from repro.sim.faultsim import FaultSimulator
 
 from tests.oracle_util import small_netlists

@@ -2,14 +2,9 @@
 
 from repro.circuit import benchmarks, generators
 from repro.circuit.builder import NetlistBuilder
-from repro.faults import (
-    OUTPUT_PIN,
-    StuckAtFault,
-    collapse_faults,
-    fault_sites,
-    full_fault_list,
-    line_fault,
-)
+from repro.faults.collapse import collapse_faults, line_fault
+from repro.faults.model import OUTPUT_PIN, StuckAtFault
+from repro.faults.stuck_at import fault_sites, full_fault_list
 
 
 class TestEnumeration:

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.atpg.random_gen import exhaustive_patterns, random_patterns
 from repro.circuit import benchmarks, generators
-from repro.faults import OUTPUT_PIN, StuckAtFault, full_fault_list
+from repro.faults.model import OUTPUT_PIN, StuckAtFault
+from repro.faults.stuck_at import full_fault_list
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.logicsim import LogicSimulator
 

@@ -27,8 +27,9 @@ from repro.bist.lbist import (
 from repro.circuit import benchmarks, generators
 from repro.compression.edt import EdtSystem
 from repro.compression.flow import run_compressed_atpg
-from repro.faults import collapse_faults, full_fault_list
-from repro.scan import insert_scan
+from repro.faults.collapse import collapse_faults
+from repro.faults.stuck_at import full_fault_list
+from repro.scan.insertion import insert_scan
 from repro.sim.faultsim import FaultSimulator
 
 

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from typing import List
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -170,14 +171,17 @@ class TestBenchmarkRegistry:
         with pytest.raises(ValueError, match="at least one copy"):
             get_benchmark("mac4_x0")
 
-    def test_replicated_benchmark_stays_in_the_substrate(self):
-        """Building ``<base>_xN`` loads neither the DFT layer nor numpy."""
+    @staticmethod
+    def _loaded_after(statements: str) -> List[str]:
+        """Run ``statements`` in a fresh interpreter; return the last two
+        lines it prints: which of numpy, ``repro.dft`` and ``repro.aichip``
+        got loaded, and how many ``repro`` modules."""
         script = (
             "import sys\n"
-            "from repro.circuit.benchmarks import get_benchmark\n"
-            "assert get_benchmark('mac4_x4').num_gates > 0\n"
+            f"{statements}\n"
             "print(sorted(name for name in ('numpy', 'repro.dft', 'repro.aichip')"
             " if name in sys.modules))\n"
+            "print(sum(name.split('.')[0] == 'repro' for name in sys.modules))\n"
         )
         src = str(Path(repro.__file__).resolve().parents[1])
         run = subprocess.run(
@@ -185,7 +189,27 @@ class TestBenchmarkRegistry:
             capture_output=True, text=True, check=True,
             env=dict(os.environ, PYTHONPATH=src),
         )
-        assert run.stdout.strip() == "[]"
+        return run.stdout.splitlines()[-2:]
+
+    def test_replicated_benchmark_stays_in_the_substrate(self):
+        """Building ``<base>_xN`` loads neither the DFT layer nor numpy."""
+        loaded, _ = self._loaded_after(
+            "from repro.circuit.benchmarks import get_benchmark\n"
+            "assert get_benchmark('mac4_x4').num_gates > 0"
+        )
+        assert loaded == "[]"
+
+    def test_cli_atpg_loads_only_what_it_runs(self):
+        """``repro atpg`` loads neither numpy nor the planner's layers, and
+        the module count is gated so an eager import cannot creep back
+        (ROADMAP item 5; it was 79 plus numpy while package ``__init__``s
+        re-exported their modules)."""
+        loaded, count = self._loaded_after(
+            "from repro.cli import main\n"
+            "assert main(['atpg', 'mac4_x4']) == 0"
+        )
+        assert loaded == "[]"
+        assert int(count) <= 52
 
     def test_fresh_instances(self):
         a = get_benchmark("c17")

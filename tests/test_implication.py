@@ -29,7 +29,8 @@ from repro.circuit.compiled import GATE_MASK, compiled
 from repro.circuit.dcalc import from_fourvalued
 from repro.circuit.gates import GateType, evaluate
 from repro.circuit.values import X
-from repro.faults import collapse_faults, full_fault_list
+from repro.faults.collapse import collapse_faults
+from repro.faults.stuck_at import full_fault_list
 from repro.faults.model import OUTPUT_PIN, StuckAtFault
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.logicsim import LogicSimulator

@@ -4,18 +4,16 @@ import random
 
 import pytest
 
-from repro.atpg import run_atpg
+from repro.atpg.engine import run_atpg
 from repro.circuit import generators
 from repro.compression.edt import EdtSystem
 from repro.circuit.benchmarks import replicate_netlist
-from repro.dft import broadcast_detects_all_cores, wrap_core
-from repro.faults import collapse_faults, full_fault_list
-from repro.scan import (
-    ScanScheduler,
-    chain_flush_detects,
-    insert_scan,
-    partition_faults,
-)
+from repro.dft.retarget import broadcast_detects_all_cores
+from repro.dft.wrapper import wrap_core
+from repro.faults.collapse import collapse_faults
+from repro.faults.stuck_at import full_fault_list
+from repro.scan.insertion import chain_flush_detects, insert_scan, partition_faults
+from repro.scan.patterns import ScanScheduler
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.logicsim import LogicSimulator
 from repro.sim.view import CombinationalView
@@ -75,7 +73,10 @@ class TestCoreFlow:
 class TestDefectToDiagnosisLoop:
     def test_inject_diagnose_locate(self):
         """Manufacture a defective die, test it, diagnose the defect."""
-        from repro.diagnosis import EffectCauseDiagnoser, inject_and_observe
+        from repro.diagnosis.effect_cause import (
+            EffectCauseDiagnoser,
+            inject_and_observe,
+        )
 
         netlist = generators.alu(4)
         faults, _ = collapse_faults(netlist, full_fault_list(netlist))
@@ -100,7 +101,7 @@ class TestDefectToDiagnosisLoop:
 class TestMixedSignalOffChipStory:
     def test_full_chip_plan_consistency(self):
         """Planner cycles must dominate any single task's cycles."""
-        from repro.dft import build_plan
+        from repro.dft.planner import build_plan
 
         plan = build_plan()
         longest = max(task.time_cycles for task in plan.tasks)

@@ -4,7 +4,8 @@ import pytest
 
 from repro.bist.lbist import LbistConfig, StumpsController, coverage_curve
 from repro.circuit import benchmarks, generators
-from repro.faults import collapse_faults, full_fault_list
+from repro.faults.collapse import collapse_faults
+from repro.faults.stuck_at import full_fault_list
 
 
 class TestPatternGeneration:

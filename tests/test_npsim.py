@@ -27,7 +27,8 @@ from repro.atpg.random_gen import random_patterns
 from repro.circuit import generators
 from repro.circuit.builder import NetlistBuilder
 from repro.circuit.gates import GateType
-from repro.faults import collapse_faults, full_fault_list
+from repro.faults.collapse import collapse_faults
+from repro.faults.stuck_at import full_fault_list
 from repro.sim import npsim
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.npsim import (

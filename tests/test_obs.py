@@ -14,17 +14,11 @@ import pytest
 from repro import obs
 from repro.atpg.random_gen import random_patterns
 from repro.circuit import generators
-from repro.faults import collapse_faults, full_fault_list
-from repro.obs import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricRegistry,
-    Observation,
-    RunReport,
-    Span,
-    metric_id,
-)
+from repro.faults.collapse import collapse_faults
+from repro.faults.stuck_at import full_fault_list
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricRegistry, metric_id
+from repro.obs.report import RunReport
+from repro.obs.span import Observation, Span
 from repro.sim.faultsim import FaultSimulator
 
 
@@ -148,11 +142,8 @@ class TestActiveObservation:
     def test_inactive_is_noop(self):
         assert obs.current() is None
         assert obs.counter("x") is None
-        assert obs.gauge("x") is None
-        assert obs.histogram("x") is None
         obs.add_counters("p", {"a": 1})
         obs.set_gauge("g", 1.0)
-        obs.merge_metrics({"counters": {}})
         with obs.span("nothing") as span:
             assert span is None
 

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.atpg.random_gen import random_patterns
 from repro.circuit import generators
-from repro.faults import collapse_faults, full_fault_list
-from repro.obs import MetricRegistry
+from repro.faults.collapse import collapse_faults
+from repro.faults.stuck_at import full_fault_list
+from repro.obs.metrics import MetricRegistry
 from repro.sim.dispatch import partition_faults, partition_metrics
 from repro.sim.faultsim import FaultSimulator
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.atpg import run_atpg
+from repro.atpg.engine import run_atpg
 from repro.circuit import benchmarks
 from repro.circuit.values import X
 from repro.scan.patfile import (
@@ -66,3 +66,17 @@ class TestValidation:
     def test_expect_before_pattern(self):
         with pytest.raises(PatternFormatError, match="expect before"):
             parse_patterns("inputs a\nexpect 1\n")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("patterns", "patterns needs a non-negative count"),
+            ("patterns -3", "patterns needs a non-negative count"),
+            ("patterns abc", "patterns needs a non-negative count"),
+            ("expect", "expect needs bits"),
+            ("expect 0Q", "bad bit 'Q'"),
+        ],
+    )
+    def test_malformed_line_names_its_line(self, line, message):
+        with pytest.raises(PatternFormatError, match=f"^line 3: {message}"):
+            parse_patterns(f"inputs a b\npattern 0 01\n{line}\n")

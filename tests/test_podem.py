@@ -5,13 +5,17 @@ import time
 
 import pytest
 
-from repro.atpg import DAlgorithm, GuidedPodem, PortfolioAtpg, make_engine
+from repro.atpg.dalg import DAlgorithm
+from repro.atpg.guided import GuidedPodem
+from repro.atpg.portfolio import PortfolioAtpg, make_engine
 from repro.atpg.engine import x_fill
 from repro.atpg.podem import Podem
 from repro.circuit import benchmarks, generators
 from repro.circuit.builder import NetlistBuilder
 from repro.circuit.values import X
-from repro.faults import OUTPUT_PIN, StuckAtFault, collapse_faults, full_fault_list
+from repro.faults.collapse import collapse_faults
+from repro.faults.model import OUTPUT_PIN, StuckAtFault
+from repro.faults.stuck_at import full_fault_list
 from repro.sim.faultsim import FaultSimulator
 
 

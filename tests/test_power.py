@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.atpg import run_atpg
+from repro.atpg.engine import run_atpg
 from repro.circuit import generators
-from repro.scan import insert_scan
+from repro.scan.insertion import insert_scan
 from repro.scan.power import (
     fill_policy_comparison,
     pattern_set_power,
@@ -56,8 +56,9 @@ class TestPatternSetPower:
     def test_adjacent_fill_cuts_power(self, design):
         """The classic low-power-fill result: repeat-fill WTM is a
         fraction of random-fill WTM at identical coverage."""
-        from repro.faults import collapse_faults, full_fault_list
-        from repro.scan import partition_faults
+        from repro.faults.collapse import collapse_faults
+        from repro.faults.stuck_at import full_fault_list
+        from repro.scan.insertion import partition_faults
 
         faults, _ = collapse_faults(
             design.netlist, full_fault_list(design.netlist)

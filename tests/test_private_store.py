@@ -18,7 +18,8 @@ import pytest
 
 from repro.atpg.random_gen import random_patterns
 from repro.circuit import generators
-from repro.faults import collapse_faults, full_fault_list
+from repro.faults.collapse import collapse_faults
+from repro.faults.stuck_at import full_fault_list
 from repro.sim.chaos import ChaosPlan
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.store import ShardStore

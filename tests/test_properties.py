@@ -17,8 +17,9 @@ from repro.atpg.random_gen import random_patterns
 from repro.circuit import generators
 from repro.circuit.bench import parse_bench, write_bench
 from repro.circuit.verilog import parse_verilog, write_verilog
-from repro.faults import collapse_faults, full_fault_list
-from repro.scan import insert_scan
+from repro.faults.collapse import collapse_faults
+from repro.faults.stuck_at import full_fault_list
+from repro.scan.insertion import insert_scan
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.logicsim import LogicSimulator
 from repro.sim.parallel import ParallelSimulator

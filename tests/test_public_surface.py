@@ -1,10 +1,12 @@
 """Public-surface census: every public name in ``repro`` has a user.
 
-Four checks keep code that nothing runs from coming back, and keep a
+Five checks keep code that nothing runs from coming back, and keep a
 deletion from breaking a caller that the tests never import:
 
 * every ``from repro... import`` in ``src/``, ``benchmarks/`` and
   ``examples/`` resolves;
+* no package ``__init__.py`` imports a name that its own code does not
+  use, so every name has one import path: the module that defines it;
 * every public top-level function and class in ``src/repro`` is reachable,
   by name, from a root;
 * every public method and property of a class in ``src/repro`` is named
@@ -23,8 +25,8 @@ deletion from breaking a caller that the tests never import:
 
 The roots are private and module-level code in ``src/repro`` (so the CLI
 counts), everything in ``benchmarks/`` and ``examples/``, and every public
-definition a root reaches.  Package re-exports and ``__all__`` lists are
-not users, and neither are tests.  Names that fail a check stay only on
+definition a root reaches.  ``__all__`` lists are not users, and neither
+are tests.  Names that fail a check stay only on
 :data:`ALLOWLIST` with a reason, such as a reference that tests check a
 layer against, or a parameter through which a test substitutes a fake.
 Keys are
@@ -386,6 +388,32 @@ def test_every_repro_import_resolves():
             except ImportError:
                 missing.append(f"{where}: {module}.{name}")
     assert missing == []
+
+
+def reexported_names(package: Path) -> List[str]:
+    """``file: name`` for each name an ``__init__.py`` under ``package``
+    imports without using it, which only gives the name a second path."""
+    found = []
+    for path in sorted(package.rglob("__init__.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = [
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        ]
+        used: Set[str] = set()
+        for node in tree.body:
+            if not _is_export_list(node):
+                used |= _references(node)
+        where = path.relative_to(package.parent)
+        found += [f"{where}: {name}" for name in imported if name not in used]
+    return found
+
+
+def test_no_package_init_reexports():
+    assert reexported_names(SRC / "repro") == []
 
 
 def _assert_allowlisted(reported: List[str], kind: str, census_keys: Set[str]) -> None:

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.cli import EXIT_REGRESSION, main
-from repro.obs import RunReport
+from repro.obs.report import RunReport
 from repro.obs.regress import (
     Finding,
     RegressConfig,
@@ -293,6 +293,13 @@ class TestObsCli:
         code = main(["obs", "gate", str(tmp_path), missing])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["diff", "gate"])
+    def test_missing_report_exits_two(self, command, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert main(["obs", command, missing, missing]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read ") and err.count("\n") == 1
 
     def test_tail_reports_progress(self, tmp_path, capsys):
         store = ShardStore(str(tmp_path / "store"), runner_id="r0")

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.obs import SCHEMA_VERSION, RunReport
+from repro.obs.report import SCHEMA_VERSION, RunReport
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "run_report_schema.json"
 

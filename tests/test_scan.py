@@ -4,16 +4,13 @@ import random
 
 import pytest
 
-from repro.atpg import run_atpg
+from repro.atpg.engine import run_atpg
 from repro.circuit import generators
 from repro.circuit.gates import GateType
-from repro.faults import collapse_faults, full_fault_list
-from repro.scan import (
-    ScanScheduler,
-    chain_flush_detects,
-    insert_scan,
-    partition_faults,
-)
+from repro.faults.collapse import collapse_faults
+from repro.faults.stuck_at import full_fault_list
+from repro.scan.insertion import chain_flush_detects, insert_scan, partition_faults
+from repro.scan.patterns import ScanScheduler
 from repro.sim.logicsim import LogicSimulator
 from repro.sim.view import CombinationalView
 

@@ -25,11 +25,16 @@ from hypothesis import strategies as st
 
 from repro.atpg.random_gen import random_patterns
 from repro.circuit import benchmarks, generators
-from repro.faults import collapse_faults, full_fault_list
+from repro.faults.collapse import collapse_faults
 from repro.faults.model import StuckAtFault
+from repro.faults.stuck_at import full_fault_list
 from repro.obs.events import LEASE_CLAIM, LEASE_LOST, LEASE_STEAL, PUBLISH
-from repro.sim.chaos import HOST_KILL_EXIT_CODE, HostChaosInjection, HostChaosPlan
-from repro.sim.chaos import ChaosPlan
+from repro.sim.chaos import (
+    HOST_KILL_EXIT_CODE,
+    ChaosPlan,
+    HostChaosInjection,
+    HostChaosPlan,
+)
 from repro.sim.faultsim import FaultSimResult, FaultSimulator
 from repro.sim.store import (
     CampaignKey,

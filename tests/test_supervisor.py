@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from repro.atpg.random_gen import random_patterns
 from repro.circuit import benchmarks, generators
-from repro.faults import collapse_faults, full_fault_list
+from repro.faults.collapse import collapse_faults
+from repro.faults.stuck_at import full_fault_list
 from repro.sim.chaos import CRASH_EXIT_CODE, ChaosError, ChaosPlan
 from repro.sim.faultsim import FaultSimResult, FaultSimulator
 from repro.sim.store import ShardStore

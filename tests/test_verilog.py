@@ -116,7 +116,7 @@ class TestWriteRoundTrip:
             assert sim_a.response(pattern) == sim_b.response(pattern)
 
     def test_scan_design_serializes(self, mac4):
-        from repro.scan import insert_scan
+        from repro.scan.insertion import insert_scan
 
         design = insert_scan(mac4, n_chains=2)
         text = write_verilog(design.netlist)

@@ -18,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.atpg.random_gen import random_patterns
 from repro.circuit import benchmarks, generators
-from repro.faults import collapse_faults, full_fault_list
+from repro.faults.collapse import collapse_faults
+from repro.faults.stuck_at import full_fault_list
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.goodcache import DEFAULT_CACHE, GoodMachineCache
 from repro.sim.parallel import (
@@ -234,7 +235,7 @@ class TestFlowWidthThreading:
     def test_compressed_atpg_width_invariant(self):
         from repro.compression.edt import EdtSystem
         from repro.compression.flow import run_compressed_atpg
-        from repro.scan import insert_scan
+        from repro.scan.insertion import insert_scan
 
         netlist = generators.random_sequential(4, 60, 16, seed=9)
         design = insert_scan(netlist, n_chains=4)
