@@ -22,6 +22,7 @@ from repro.circuit import generators
 from repro.faults.collapse import collapse_faults
 from repro.faults.stuck_at import full_fault_list
 from repro.sim.faultsim import FaultSimulator
+from repro.sim.supervisor import SupervisedPoolBackend
 
 from .util import print_table, run_once, write_bench_json
 
@@ -63,7 +64,7 @@ def _compare(n_inputs, n_gates, seed):
     supervised_stats = {}
     for jobs in SUPERVISED_JOBS:
         supervised, supervised_s = _time_backend(
-            simulator, patterns, faults, engine="supervised", jobs=jobs
+            simulator, patterns, faults, engine=SupervisedPoolBackend(jobs=jobs)
         )
         assert supervised.detected == ppsfp.detected  # differential check
         assert supervised.undetected == ppsfp.undetected

@@ -19,6 +19,7 @@ from repro.atpg.random_gen import random_patterns
 from repro.circuit import benchmarks
 from repro.faults.stuck_at import full_fault_list
 from repro.sim.faultsim import FaultSimulator
+from repro.sim.supervisor import SupervisedPoolBackend
 
 from .util import print_table, run_once
 
@@ -47,7 +48,7 @@ def _compare(name):
     jobs = min(4, os.cpu_count() or 1)
     start = time.perf_counter()
     supervised = simulator.simulate(
-        patterns, faults, drop=False, engine="supervised", jobs=jobs
+        patterns, faults, drop=False, engine=SupervisedPoolBackend(jobs=jobs)
     )
     supervised_s = time.perf_counter() - start
 

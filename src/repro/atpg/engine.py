@@ -14,8 +14,6 @@ The production recipe the tutorial describes:
 
 from __future__ import annotations
 
-import itertools
-import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -81,9 +79,6 @@ class AtpgResult:
     #: never silent.  Aborted faults are unresolved within budget, NOT
     #: proven untestable, so they stay in the fault-coverage denominator.
     engine_abort_reasons: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: Batch-pass shards this ``run_atpg(store=...)`` call graded itself
-    #: (zero when every pass resumed complete from the store).
-    store_shards_graded: int = 0
 
     @property
     def detected(self) -> int:
@@ -137,50 +132,37 @@ def run_atpg(
     backtrack_limit: int = 64,
     compact: bool = True,
     seed: int = 0,
-    backend: object = "ppsfp",
-    jobs: Optional[int] = None,
-    partitions: Optional[int] = None,
-    word_width: int = WORD_WIDTH,
     work_budget: Optional[int] = None,
-    store: Optional[str] = None,
     engine: str = "podem",
 ) -> AtpgResult:
     """Run the full stuck-at ATPG flow on ``netlist``.
 
-    ``random_batches`` bounds the random phase (``word_width`` patterns per
-    batch — one packed simulation word each); the phase also stops early
-    when a batch detects fewer than ``min_batch_yield`` new faults.
-    Deterministic cubes are statically compacted when ``compact`` is set,
-    then randomly X-filled.
+    ``random_batches`` bounds the random phase (:data:`WORD_WIDTH` patterns
+    per batch); the phase also stops early when a batch detects fewer than
+    ``min_batch_yield`` new faults.  Deterministic cubes are statically
+    compacted when ``compact`` is set, then randomly X-filled.
 
-    ``backend``/``jobs``/``partitions`` pick the fault-simulation engine
-    for the batch passes (random phase, final verification, coverage
-    top-off) — a name from :data:`repro.sim.dispatch.BACKEND_NAMES` or a
-    ready backend instance.  ``store`` names a shard-store directory:
-    the batch passes then run under the supervised backend, each pass
-    publishing its completed shards to its own sub-store
-    (``<store>/pass-000``, ``pass-001``, ...), so re-running the flow
-    with the same ``store`` resumes a killed campaign without re-grading
-    them.  ``work_budget`` caps the gates each deterministic search
-    re-implies, so one pathological fault aborts with reason ``"work"``
-    (aborted is not untestable) instead of stalling the campaign; it
-    counts work, not the clock, so verdicts repeat on any host, and each
-    portfolio member gets all of it.
+    ``work_budget`` caps the gates each deterministic search re-implies,
+    so one pathological fault aborts with reason ``"work"`` (aborted is
+    not untestable) instead of stalling the campaign; it counts work, not
+    the clock, so verdicts repeat on any host, and each portfolio member
+    gets all of it.
     ``engine`` picks the deterministic generator — ``"podem"`` (default),
     ``"dalg"`` (D-algorithm, proves untestability), ``"guided"``
     (SCOAP-guided restarts), or ``"portfolio"`` (all three raced per
-    fault; see :mod:`repro.atpg.portfolio`).  ``word_width`` sets the
-    patterns packed per simulation word; results are identical for
-    every width.  The per-cube dynamic-dropping sims inside phase 2
-    always run single-process PPSFP: they grade one pattern at a time,
-    where pool dispatch is pure overhead.
+    fault; see :mod:`repro.atpg.portfolio`).
+
+    Every fault-simulation pass runs in process on one
+    :class:`FaultSimulator`.  To grade the final patterns over worker
+    processes or a resumable shard store, write them out and grade the
+    file (``repro atpg C -o F``, then ``repro fsim C F --store DIR``).
     """
     start = time.perf_counter()
     netlist.finalize()
     if faults is None:
         faults, _ = collapse_faults(netlist, full_fault_list(netlist))
     faults = unique_faults(faults)
-    simulator = FaultSimulator(netlist, word_width=word_width)
+    simulator = FaultSimulator(netlist)
     # Built before phase 1, so a bad engine name fails before any grading.
     generator = make_engine(
         engine, netlist, backtrack_limit=backtrack_limit, work_budget=work_budget
@@ -189,37 +171,6 @@ def run_atpg(
     result = AtpgResult(total_faults=len(faults), engine=engine)
     remaining = list(faults)
     n_inputs = simulator.view.num_inputs
-
-    if store is not None:
-        from ..sim.store import ShardStore
-        from ..sim.supervisor import SupervisedPoolBackend
-
-        pass_numbers = itertools.count()
-
-    def batch_sim(patterns, fault_list, drop=True):
-        engine_for_pass = backend
-        if store is not None:
-            # One sub-store per pass, numbered in (deterministic) call
-            # order, so every pass resumes independently.
-            engine_for_pass = SupervisedPoolBackend(
-                jobs=jobs, seed=seed, partitions=partitions,
-                store=ShardStore(
-                    os.path.join(store, f"pass-{next(pass_numbers):03d}"),
-                    runner_id="atpg",
-                ),
-            )
-        sim = simulator.simulate(
-            patterns,
-            fault_list,
-            drop=drop,
-            engine=engine_for_pass,
-            jobs=jobs,
-            seed=seed,
-            partitions=partitions,
-        )
-        if store is not None:
-            result.store_shards_graded += sim.stats["store"]["shards_graded_here"]
-        return sim
 
     # ------------------------------------------------------------------
     # Phase 1: random patterns with fault dropping.
@@ -230,9 +181,9 @@ def run_atpg(
             if not remaining:
                 break
             batch_patterns = random_patterns(
-                n_inputs, word_width, seed=seed * 1000 + batch
+                n_inputs, WORD_WIDTH, seed=seed * 1000 + batch
             )
-            sim = batch_sim(batch_patterns, remaining)
+            sim = simulator.simulate(batch_patterns, remaining)
             if sim.detected:
                 used = sorted(set(sim.detected.values()))
                 kept_patterns.extend(batch_patterns[index] for index in used)
@@ -314,7 +265,7 @@ def run_atpg(
                 *result.untestable, *result.aborted, *result.consistency_errors
             }
             counted = [f for f in faults if f not in excluded]
-            check = batch_sim(result.patterns, counted)
+            check = simulator.simulate(result.patterns, counted)
             missing = [f for f in counted if f not in check.detected]
             # Top off one fill at a time: each fill was already simulated as
             # a single-pattern block during phase 2, so every good-machine

@@ -109,6 +109,7 @@ class StumpsController:
         checkpoint_every: int = 64,
     ) -> LbistResult:
         """Apply ``n_patterns`` PRPG patterns, recording the coverage curve."""
+        _check_pattern_count(n_patterns)
         if checkpoint_every < 1:
             raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
         if faults is None:
@@ -122,6 +123,11 @@ class StumpsController:
             result.signature = self.good_signature(patterns)
         _publish_lbist(result)
         return result
+
+
+def _check_pattern_count(n_patterns: int) -> None:
+    if n_patterns < 0:
+        raise ValueError(f"n_patterns must be >= 0, got {n_patterns}")
 
 
 def _grade_pattern_set(
@@ -245,7 +251,6 @@ def run_weighted_lbist(
     netlist: Netlist,
     n_patterns: int,
     seed: int = 1,
-    word_width: int = WORD_WIDTH,
 ) -> LbistResult:
     """LBIST with COP-derived weighted-random patterns, graded over the
     collapsed fault list.
@@ -253,22 +258,26 @@ def run_weighted_lbist(
     Real implementations realize the weights with programmable weighting
     logic behind the PRPG; here the weighted source is modeled directly
     (the coverage comparison against uniform STUMPS is what matters).
+    Patterns are drawn :data:`WORD_WIDTH` at a time, each draw seeded
+    ``seed * 131 + start``, and the coverage curve has a checkpoint at
+    the end of each draw.
     """
+    _check_pattern_count(n_patterns)
     from ..atpg.random_gen import weighted_random_patterns
 
     netlist.finalize()
     faults, _ = collapse_faults(netlist, full_fault_list(netlist))
-    simulator = FaultSimulator(netlist, word_width=word_width)
+    simulator = FaultSimulator(netlist)
     with obs.span("derive_weights"):
         weights = derive_input_weights(netlist)
     with obs.span("coverage_loop"):
         patterns: List[List[int]] = []
-        for applied in range(0, n_patterns, word_width):  # one draw per word
-            count = min(word_width, n_patterns - applied)
+        for applied in range(0, n_patterns, WORD_WIDTH):
+            count = min(WORD_WIDTH, n_patterns - applied)
             patterns += weighted_random_patterns(
                 len(weights), count, weights, seed=seed * 131 + applied
             )
-        result = _grade_pattern_set(simulator, patterns, faults, word_width)
+        result = _grade_pattern_set(simulator, patterns, faults, WORD_WIDTH)
     _publish_lbist(result)
     return result
 

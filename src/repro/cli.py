@@ -47,14 +47,6 @@ import time
 from . import obs
 from .atpg.engine import atpg_table_row, run_atpg
 from .atpg.portfolio import ENGINE_NAMES
-from .obs import regress
-from .obs.metrics import metric_id
-from .obs.regress import RegressConfig
-from .obs.report import RunReport
-from .obs.span import Observation
-from .obs.trace import write_chrome_trace
-from .bist.lbist import StumpsController
-from .bist.mbist import coverage_matrix, format_matrix
 from .circuit import benchmarks
 from .circuit.bench import load_bench
 from .circuit.netlist import Netlist
@@ -62,13 +54,15 @@ from .circuit.verilog import load_verilog
 from .faults.collapse import collapse_faults
 from .faults.stuck_at import full_fault_list
 from .scan.patfile import format_patterns, load_patterns
-from .sim.chaos import ChaosPlan, HostChaosPlan
 from .sim.dispatch import BACKEND_NAMES
 from .sim.faultsim import RECOVERY_COUNTERS, FaultSimulator
-from .sim.store import ShardStore, read_store_progress
 from .sim.parallel import WORD_WIDTH, WORD_WIDTHS
-from .sim.supervisor import SupervisedPoolBackend, SupervisorConfig
 from .sim.view import CombinationalView
+
+# Modules only one subcommand or flag runs (BIST, the supervisor, its
+# shard store and chaos plans, the regression gate, report and trace
+# writers) are imported inside their handlers, so ``repro atpg`` does not
+# pay to load them.
 
 #: Campaign finished but some partitions were unrecoverable: the printed
 #: coverage is a lower bound, not the final word.
@@ -138,22 +132,12 @@ def _cmd_atpg(args) -> int:
         netlist,
         seed=args.seed,
         backtrack_limit=args.backtrack_limit,
-        backend=args.backend,
-        jobs=args.jobs,
-        partitions=args.partitions,
-        word_width=args.word_width,
         work_budget=args.work_budget,
-        store=args.store,
         engine=args.engine,
     )
     row = atpg_table_row(netlist, result)
     for key, value in row.items():
         print(f"{key}: {value}")
-    if args.store:
-        print(
-            f"store {args.store}: {result.store_shards_graded} batch shards "
-            f"graded by this run"
-        )
     if args.output:
         view = CombinationalView(netlist)
         text = format_patterns(netlist.name, view.input_names(), result.patterns)
@@ -163,7 +147,7 @@ def _cmd_atpg(args) -> int:
     return 0
 
 
-def _supervised_backend(args) -> Optional[SupervisedPoolBackend]:
+def _supervised_backend(args):
     """Build a supervised backend when the flags call for one.
 
     ``--timeout``, ``--retries``, ``--chaos``, ``--store`` and
@@ -187,6 +171,10 @@ def _supervised_backend(args) -> Optional[SupervisedPoolBackend]:
         if not implied:
             return None
         print(f"(--backend {args.backend} upgraded to supervised)")
+    from .sim.chaos import ChaosPlan, HostChaosPlan
+    from .sim.store import ShardStore
+    from .sim.supervisor import SupervisedPoolBackend, SupervisorConfig
+
     config = SupervisorConfig(timeout_s=args.timeout)
     if args.retries is not None:
         config.max_retries = args.retries
@@ -243,15 +231,7 @@ def _cmd_faultsim(args) -> int:
         for pattern in pattern_file.patterns
     ]
     engine = _supervised_backend(args) or args.backend
-    result = simulator.simulate(
-        filled,
-        faults,
-        drop=True,
-        engine=engine,
-        jobs=args.jobs,
-        seed=args.seed,
-        partitions=args.partitions,
-    )
+    result = simulator.simulate(filled, faults, drop=True, engine=engine)
     print(
         f"{len(result.detected)}/{len(faults)} faults detected "
         f"({result.coverage:.2%}) by {len(filled)} patterns"
@@ -313,6 +293,8 @@ def _cmd_faultsim(args) -> int:
 
 
 def _cmd_lbist(args) -> int:
+    from .bist.lbist import StumpsController
+
     netlist = _load_circuit(_circuit_spec(args))
     controller = StumpsController(netlist, word_width=args.word_width)
     result = controller.run(args.patterns)
@@ -324,6 +306,8 @@ def _cmd_lbist(args) -> int:
 
 
 def _cmd_mbist(args) -> int:
+    from .bist.mbist import coverage_matrix, format_matrix
+
     matrix = coverage_matrix(
         n_cells=args.cells, samples_per_kind=args.samples, seed=args.seed
     )
@@ -347,20 +331,17 @@ def _cmd_plan(_args) -> int:
 # ----------------------------------------------------------------------
 
 
-def _regress_config(args) -> RegressConfig:
-    config = RegressConfig(
+def _compare_reports(args):
+    """Findings for ``args.baseline`` against ``args.current``; an unreadable
+    report is a bad argument (exit 2)."""
+    from .obs import regress
+
+    config = regress.RegressConfig(
         wall_threshold=args.threshold,
         mad_k=args.mad_k,
         counter_tolerance=args.counter_tolerance,
     )
     config.validate()
-    return config
-
-
-def _compare_reports(args):
-    """Findings for ``args.baseline`` against ``args.current``; an unreadable
-    report is a bad argument (exit 2)."""
-    config = _regress_config(args)
     try:
         return regress.compare_paths(args.baseline, args.current, config)
     except OSError as exc:
@@ -368,6 +349,8 @@ def _compare_reports(args):
 
 
 def _cmd_obs_diff(args) -> int:
+    from .obs import regress
+
     results = _compare_reports(args)
     for line in regress.format_findings(results, verbose=args.verbose):
         print(line)
@@ -375,6 +358,8 @@ def _cmd_obs_diff(args) -> int:
 
 
 def _cmd_obs_gate(args) -> int:
+    from .obs import regress
+
     results = _compare_reports(args)
     for line in regress.format_findings(results, verbose=args.verbose):
         print(line)
@@ -428,6 +413,8 @@ def _cmd_obs_tail(args) -> int:
             f"{args.store!r} is not a shard-store directory; obs tail reads "
             f"the DIR a campaign was started with via --store DIR"
         )
+    from .sim.store import read_store_progress
+
     while True:
         progress = read_store_progress(args.store)
         for line in _render_store_progress(progress):
@@ -655,17 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
         "over-budget faults are counted as aborted (not untestable) instead "
         "of stalling the run, with the same verdicts on any host",
     )
-    atpg.add_argument(
-        "--store",
-        metavar="DIR",
-        default=None,
-        help="shard-store directory for the batch fault-sim passes "
-        "(random phase, verify): each pass publishes to its own "
-        "DIR/pass-NNN, so re-running with the same --store resumes "
-        "without re-grading — implies the supervised backend",
-    )
     atpg.add_argument("--output", "-o", help="write patterns to file")
-    _add_backend_arguments(atpg)
     atpg.set_defaults(handler=_cmd_atpg)
 
     faultsim = commands.add_parser(
@@ -774,8 +751,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_profile(observation: Observation) -> None:
+def _print_profile(observation) -> None:
     """Human-readable span tree and metric values (the ``--profile`` view)."""
+    from .obs.metrics import metric_id
+
     print("--- profile: spans ---")
     for line in observation.root.tree_lines():
         print(line)
@@ -795,6 +774,9 @@ def _print_profile(observation: Observation) -> None:
 
 def _run_observed(args, argv: Optional[List[str]]) -> int:
     """Run the handler under an observation; emit report/profile after."""
+    from .obs.report import RunReport
+    from .obs.trace import write_chrome_trace
+
     with obs.observe(f"repro.{args.command}", command=args.command) as observation:
         code = args.handler(args)
     meta = {

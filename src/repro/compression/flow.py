@@ -26,7 +26,6 @@ from ..faults.collapse import collapse_faults
 from ..faults.model import StuckAtFault
 from ..faults.stuck_at import full_fault_list
 from ..sim.faultsim import FaultSimulator, unique_faults
-from ..sim.parallel import WORD_WIDTH
 from .edt import EdtSystem, EncodedPattern
 
 
@@ -85,7 +84,6 @@ def run_compressed_atpg(
     random_pattern_budget: int = 128,
     seed: int = 0,
     grade: bool = False,
-    word_width: int = WORD_WIDTH,
 ) -> CompressedAtpgResult:
     """Generate compressed patterns with fault dropping on decompressed data.
 
@@ -98,8 +96,8 @@ def run_compressed_atpg(
     With ``grade`` set, the finished pattern set is re-graded from scratch
     against the full fault universe — the cross-check a tester sign-off
     would run — filling ``graded_coverage`` and ``grading_stats``.
-    ``word_width`` sets the patterns packed per simulation word for
-    every fault-simulation pass in the flow.
+    Every fault-simulation pass runs in process on one
+    :class:`FaultSimulator` at its default word width.
     """
     start = time.perf_counter()
     design = edt.design
@@ -107,7 +105,7 @@ def run_compressed_atpg(
     if faults is None:
         faults, _ = collapse_faults(netlist, full_fault_list(netlist))
     faults = unique_faults(faults)
-    simulator = FaultSimulator(netlist, word_width=word_width)
+    simulator = FaultSimulator(netlist)
     rng = random.Random(seed)
     result = CompressedAtpgResult(total_faults=len(faults))
     n_pi = len(netlist.inputs)
@@ -183,9 +181,7 @@ def run_compressed_atpg(
 
     if grade and result.applied_patterns:
         with obs.span("grade"):
-            graded = simulator.simulate(
-                result.applied_patterns, faults, drop=True, seed=seed
-            )
+            graded = simulator.simulate(result.applied_patterns, faults, drop=True)
             result.graded_coverage = graded.coverage
             result.grading_stats = dict(graded.stats)
 

@@ -32,9 +32,10 @@ from ..faults.model import StuckAtFault
 from ..obs.metrics import MetricRegistry
 from .faultsim import FaultSimResult, unique_faults
 
-#: Backend names accepted by ``FaultSimulator.simulate(engine=...)`` and the
-#: ``--backend`` CLI flag: the two in-process engines and the supervised
-#: multiprocess pool (see :mod:`repro.sim.supervisor`).
+#: Backend names the ``--backend`` CLI flag accepts: the two in-process
+#: engines, which ``FaultSimulator.simulate(engine=...)`` also takes by
+#: name, and the supervised multiprocess pool, which it takes as a
+#: configured :class:`repro.sim.supervisor.SupervisedPoolBackend`.
 BACKEND_NAMES = ("serial", "ppsfp", "supervised")
 
 

@@ -14,8 +14,9 @@ Three stuck-at engines are provided, matching the E3 experiment:
   costs one event-wise cone propagation per root and word chunk, shared by
   every fault of the region.  With fault dropping this is the production
   algorithm every commercial fault simulator uses.
-* **supervised** — the PPSFP kernel sharded across worker processes
-  (see :mod:`repro.sim.dispatch` and :mod:`repro.sim.supervisor`): the
+* **supervised** — the PPSFP kernel sharded across worker processes by a
+  :class:`~repro.sim.supervisor.SupervisedPoolBackend` passed as
+  ``engine`` (see :mod:`repro.sim.dispatch`): the
   collapsed fault list is partitioned deterministically, each worker runs
   cone-limited PPSFP against a shared good-machine response, and the
   partial results are min-merged.
@@ -395,9 +396,6 @@ class FaultSimulator:
         faults: Iterable[StuckAtFault],
         drop: bool = True,
         engine: object = "ppsfp",
-        jobs: Optional[int] = None,
-        seed: int = 0,
-        partitions: Optional[int] = None,
     ) -> FaultSimResult:
         """Run stuck-at fault simulation.
 
@@ -405,14 +403,11 @@ class FaultSimulator:
         first detection; otherwise every fault sees every pattern (useful
         for building diagnosis dictionaries and detection profiles).
 
-        ``engine`` selects the backend by name — ``"serial"``,
-        ``"ppsfp"``, or ``"supervised"`` (fault-tolerant multiprocess
-        PPSFP, see :mod:`repro.sim.supervisor`) — or is any object with
-        ``run(simulator, patterns, faults, drop)``, such as a configured
-        ``SupervisedPoolBackend``, which lets callers attach shard stores,
-        timeouts, or chaos plans.  ``jobs`` sizes the worker pool;
-        ``seed`` and ``partitions`` control the deterministic fault
-        sharding — results are identical for any worker count.
+        ``engine`` is ``"ppsfp"``, ``"serial"``, or any object with
+        ``run(simulator, patterns, faults, drop)``, such as a
+        :class:`~repro.sim.supervisor.SupervisedPoolBackend`, which owns
+        every scheduling choice: worker count, fault sharding, shard
+        stores, timeouts and chaos plans.
         """
         if not isinstance(engine, str):
             runner = lambda: engine.run(self, patterns, faults, drop=drop)
@@ -422,14 +417,6 @@ class FaultSimulator:
             engine_name = engine
         elif engine == "serial":
             runner = lambda: self._simulate_serial(patterns, faults, drop)
-            engine_name = engine
-        elif engine == "supervised":
-            from .supervisor import SupervisedPoolBackend
-
-            backend = SupervisedPoolBackend(
-                jobs=jobs, seed=seed, partitions=partitions
-            )
-            runner = lambda: backend.run(self, patterns, faults, drop=drop)
             engine_name = engine
         else:
             raise ValueError(f"unknown engine {engine!r}")

@@ -183,8 +183,10 @@ class ParallelSimulator:
         cache: object = goodcache.USE_DEFAULT,
         kernel: str = "python",
     ):
-        if word_width < 1:
-            raise ValueError(f"word_width must be positive, got {word_width}")
+        if type(word_width) is not int or word_width < 1:
+            raise ValueError(
+                f"word_width must be a positive integer, got {word_width!r}"
+            )
         validate_kernel(kernel)
         self.netlist = netlist
         self.word_width = word_width

@@ -94,6 +94,13 @@ class TestCommands:
             ["--work-budget", "1.5"],
             ["--work-budget", "abc"],
             ["--podem-budget", "1"],  # the wall-clock budget is gone
+            # ATPG grades in process at the default width; scheduling
+            # flags belong to `repro faultsim`.
+            ["--store", "campaign"],
+            ["--backend", "ppsfp"],
+            ["--jobs", "2"],
+            ["--partitions", "4"],
+            ["--word-width", "256"],
         ],
     )
     def test_atpg_bad_work_budget_exits_two(self, flags, capsys):
@@ -317,22 +324,6 @@ class TestSupervisedCampaigns:
         captured = capsys.readouterr()
         assert code == 2
         assert "error:" in captured.err and "seed" in captured.err
-
-    def test_atpg_store_rerun_grades_nothing(self, tmp_path, capsys):
-        store = str(tmp_path / "store")
-        runs = []
-        for name in ("first.pat", "second.pat"):
-            output = str(tmp_path / name)
-            assert main(
-                ["atpg", "alu4", "--store", store, "--jobs", "2", "-o", output]
-            ) == 0
-            runs.append((capsys.readouterr().out, open(output).read()))
-        (first_out, first_patterns), (second_out, second_patterns) = runs
-        assert "fault_coverage" in first_out
-        assert f"store {store}: 0 batch shards graded" not in first_out
-        assert f"store {store}: 0 batch shards graded by this run" in second_out
-        assert second_patterns == first_patterns
-        assert sorted(os.listdir(store))[0] == "pass-000"
 
     def test_store_first_runner_grades_everything(self, pattern_file, tmp_path, capsys):
         store = str(tmp_path / "store")

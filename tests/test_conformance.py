@@ -101,15 +101,14 @@ def _simulate(name, engine, kernel, width, drop=True, jobs=None):
         netlist, word_width=width, cache=None, kernel=kernel
     )
     patterns = [list(p) for p in _patterns(name)]
-    if engine != "store":
-        return simulator.simulate(
-            patterns, list(_universe(name)), drop=drop, engine=engine, jobs=jobs
-        )
-    with tempfile.TemporaryDirectory(prefix="repro_conformance_") as root:
-        backend = SupervisedPoolBackend(jobs=jobs, store=ShardStore(root))
-        return simulator.simulate(
-            patterns, list(_universe(name)), drop=drop, engine=backend
-        )
+    faults = list(_universe(name))
+    if engine == "supervised":
+        engine = SupervisedPoolBackend(jobs=jobs)
+    elif engine == "store":
+        with tempfile.TemporaryDirectory(prefix="repro_conformance_") as root:
+            backend = SupervisedPoolBackend(jobs=jobs, store=ShardStore(root))
+            return simulator.simulate(patterns, faults, drop=drop, engine=backend)
+    return simulator.simulate(patterns, faults, drop=drop, engine=engine)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,10 +1,12 @@
-"""Dispatch-layer mechanics: partitioning, merging, stats, flow threading.
+"""Dispatch-layer mechanics: partitioning, merging, stats.
 
 The full cross-backend × cross-kernel × cross-width agreement matrix
 lives in ``test_conformance.py``; this file keeps what is specific to
 the dispatch layer itself — deterministic partitioning, min-merge
 semantics, degenerate edge cases (1 worker, 0 faults), stats
-instrumentation and the name → engine map.
+instrumentation and the name → engine map.  ``"supervised"`` names the
+CLI's ``--backend`` choice; ``simulate`` takes it as a configured
+:class:`SupervisedPoolBackend`.
 """
 
 import pytest
@@ -20,11 +22,17 @@ from repro.sim.dispatch import (
     partition_faults,
 )
 from repro.sim.faultsim import FaultSimResult, FaultSimulator
+from repro.sim.supervisor import SupervisedPoolBackend
 
 
 def _universe(netlist):
     faults, _ = collapse_faults(netlist, full_fault_list(netlist))
     return faults
+
+
+def _engine(name, **options):
+    """What ``simulate(engine=...)`` takes for a ``--backend`` name."""
+    return SupervisedPoolBackend(**options) if name == "supervised" else name
 
 
 class TestDispatchEdgeCases:
@@ -36,7 +44,9 @@ class TestDispatchEdgeCases:
         faults = _universe(netlist)
         patterns = random_patterns(simulator.view.num_inputs, 96, seed=7)
         reference = simulator.simulate(patterns, faults, engine="ppsfp")
-        one = simulator.simulate(patterns, faults, engine="supervised", jobs=1)
+        one = simulator.simulate(
+            patterns, faults, engine=SupervisedPoolBackend(jobs=1)
+        )
         assert one.detected == reference.detected
         assert one.undetected == reference.undetected
 
@@ -44,8 +54,8 @@ class TestDispatchEdgeCases:
         netlist = benchmarks.c17()
         simulator = FaultSimulator(netlist)
         patterns = random_patterns(simulator.view.num_inputs, 16, seed=0)
-        for engine in BACKEND_NAMES:
-            result = simulator.simulate(patterns, [], engine=engine)
+        for name in BACKEND_NAMES:
+            result = simulator.simulate(patterns, [], engine=_engine(name))
             assert result.total_faults == 0
             assert result.detected == {}
             assert result.undetected == []
@@ -59,7 +69,7 @@ class TestDispatchEdgeCases:
         patterns = random_patterns(simulator.view.num_inputs, 64, seed=5)
         runs = [
             simulator.simulate(
-                patterns, faults, engine="supervised", jobs=jobs, seed=9
+                patterns, faults, engine=SupervisedPoolBackend(jobs=jobs, seed=9)
             )
             for jobs in (1, 2, 3, 4)
         ]
@@ -141,7 +151,9 @@ class TestStatsInstrumentation:
         simulator = FaultSimulator(netlist)
         faults = _universe(netlist)
         patterns = random_patterns(simulator.view.num_inputs, 64, seed=21)
-        result = simulator.simulate(patterns, faults, engine="supervised", jobs=2)
+        result = simulator.simulate(
+            patterns, faults, engine=SupervisedPoolBackend(jobs=2)
+        )
         stats = result.stats
         assert stats["engine"] == "supervised"
         assert stats["jobs"] == 2
@@ -173,9 +185,12 @@ class TestStatsInstrumentation:
         faults = full_fault_list(netlist)
         patterns = random_patterns(simulator.view.num_inputs, 16, seed=4)
         for name in BACKEND_NAMES:
-            result = simulator.simulate(patterns, faults, engine=name, jobs=2)
+            result = simulator.simulate(
+                patterns, faults, engine=_engine(name, jobs=2)
+            )
             assert result.stats["engine"] == name
-        for unknown in ("gpu", "pool"):
+        # The supervised pool is configured where it is built, not by name.
+        for unknown in ("gpu", "pool", "supervised"):
             with pytest.raises(ValueError, match="unknown engine"):
                 simulator.simulate(patterns, faults, engine=unknown)
 
@@ -189,8 +204,10 @@ class TestExplicitSubsetCoverage:
         faults = full_fault_list(netlist)
         subset = faults[:6]
         patterns = random_patterns(simulator.view.num_inputs, 64, seed=13)
-        for engine in BACKEND_NAMES:
-            result = simulator.simulate(patterns, subset, drop=True, engine=engine)
+        for name in BACKEND_NAMES:
+            result = simulator.simulate(
+                patterns, subset, drop=True, engine=_engine(name)
+            )
             assert result.total_faults == len(subset)
             assert result.coverage == len(result.detected) / len(subset)
 
@@ -201,22 +218,10 @@ class TestExplicitSubsetCoverage:
         faults = full_fault_list(netlist)
         doubled = faults[:4] + faults[:4] + [faults[0]]
         patterns = random_patterns(simulator.view.num_inputs, 64, seed=13)
-        result = simulator.simulate(patterns, doubled, drop=True, engine=engine)
+        result = simulator.simulate(
+            patterns, doubled, drop=True, engine=_engine(engine)
+        )
         assert result.total_faults == 4
         assert len(result.detected) + len(result.undetected) == 4
         assert len(set(result.undetected)) == len(result.undetected)
         assert result.coverage <= 1.0
-
-
-class TestFlowThreading:
-    """The backend choice reaches the ATPG and compression flows."""
-
-    def test_run_atpg_supervised_backend_matches_ppsfp(self):
-        from repro.atpg.engine import run_atpg
-
-        netlist = generators.random_circuit(6, 40, seed=17)
-        base = run_atpg(netlist, seed=3, backend="ppsfp")
-        pooled = run_atpg(netlist, seed=3, backend="supervised", jobs=2)
-        assert pooled.fault_coverage == base.fault_coverage
-        assert pooled.detected == base.detected
-        assert len(pooled.patterns) == len(base.patterns)

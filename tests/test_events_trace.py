@@ -163,14 +163,10 @@ class TestBackendEventWiring:
     @pytest.mark.parametrize("engine", ["store", "supervised"])
     def test_sharded_runs_ship_partition_events(self, engine, tmp_path):
         simulator, patterns, faults = _campaign()
-        if engine == "store":
-            engine = SupervisedPoolBackend(
-                jobs=2, partitions=4, store=ShardStore(str(tmp_path))
-            )
+        store = ShardStore(str(tmp_path)) if engine == "store" else None
+        backend = SupervisedPoolBackend(jobs=2, partitions=4, store=store)
         with obs.observe("run") as observation:
-            result = simulator.simulate(
-                patterns, faults, engine=engine, jobs=2, partitions=4
-            )
+            result = simulator.simulate(patterns, faults, engine=backend)
         payloads = result.stats.get("events")
         assert payloads, "sharded backends must ship event payloads home"
         merged = observation.events.merged()
@@ -207,7 +203,7 @@ class TestBackendEventWiring:
         """Event payloads ride stats even with no observation active."""
         simulator, patterns, faults = _campaign()
         result = simulator.simulate(
-            patterns, faults, engine="supervised", jobs=1, partitions=3
+            patterns, faults, engine=SupervisedPoolBackend(jobs=1, partitions=3)
         )
         # Every partition's worker timeline is in the shipped payloads.
         events = [

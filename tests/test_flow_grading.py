@@ -31,6 +31,7 @@ from repro.faults.collapse import collapse_faults
 from repro.faults.stuck_at import full_fault_list
 from repro.scan.insertion import insert_scan
 from repro.sim.faultsim import FaultSimulator
+from repro.sim.parallel import WORD_WIDTH
 
 
 def _collapsed(netlist):
@@ -92,21 +93,24 @@ class TestStumpsMatchesChunkedLoop:
 
 
 class TestWeightedMatchesChunkedLoop:
+    #: ``width`` is the reference simulator's word width: the flow's
+    #: draws, seeds and checkpoints are fixed at 64 patterns, whatever
+    #: width grades them.
     @pytest.mark.parametrize("width", [7, 64])
     @pytest.mark.parametrize("n_patterns", [128, 150])
     def test_curve_and_survivors(self, resistant, width, n_patterns):
         netlist, faults = resistant
-        result = run_weighted_lbist(netlist, n_patterns, seed=5, word_width=width)
+        result = run_weighted_lbist(netlist, n_patterns, seed=5)
 
         weights = derive_input_weights(netlist)
         chunks = [
             weighted_random_patterns(
                 len(weights),
-                min(width, n_patterns - start),
+                min(WORD_WIDTH, n_patterns - start),
                 weights,
                 seed=5 * 131 + start,
             )
-            for start in range(0, n_patterns, width)
+            for start in range(0, n_patterns, WORD_WIDTH)
         ]
         simulator = FaultSimulator(netlist, word_width=width)
         points, remaining, final = _reference_curve(simulator, chunks, faults)
@@ -198,3 +202,16 @@ class TestCheckpointValidation:
             coverage_curve(
                 generators.parity_tree(4), 8, checkpoint_every=checkpoint_every
             )
+
+    @pytest.mark.parametrize("n_patterns", [-1, -5])
+    def test_negative_pattern_count_raises(self, n_patterns):
+        netlist = generators.parity_tree(4)
+        with pytest.raises(ValueError, match="n_patterns"):
+            StumpsController(netlist).run(n_patterns)
+        with pytest.raises(ValueError, match="n_patterns"):
+            run_weighted_lbist(netlist, n_patterns)
+
+    def test_zero_patterns_is_an_empty_session(self):
+        result = StumpsController(generators.parity_tree(4)).run(0)
+        assert result.patterns_applied == 0
+        assert result.coverage_points == []

@@ -35,6 +35,7 @@ from repro.faults.model import OUTPUT_PIN, StuckAtFault
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.logicsim import LogicSimulator
 from repro.sim.parallel import ParallelSimulator
+from repro.sim.supervisor import SupervisedPoolBackend
 
 from tests.oracle_util import small_netlists
 from tests.test_conformance import CIRCUIT_NAMES, _circuit, _universe
@@ -193,7 +194,7 @@ def test_grading_flows_never_imply_the_fault_free_state():
     simulator = FaultSimulator(netlist, cache=None)
     patterns = random_patterns(simulator.view.num_inputs, 128, seed=5)
     simulator.simulate(patterns, faults)
-    simulator.simulate(patterns, faults, engine="supervised", jobs=2)
+    simulator.simulate(patterns, faults, engine=SupervisedPoolBackend(jobs=2))
     StumpsController(netlist).run(64)
     assert compiled(netlist)._fault_free is None
     Podem(netlist).generate(faults[0])

@@ -20,6 +20,7 @@ from repro.faults.stuck_at import full_fault_list
 from repro.obs.metrics import MetricRegistry
 from repro.sim.dispatch import partition_faults, partition_metrics
 from repro.sim.faultsim import FaultSimulator
+from repro.sim.supervisor import SupervisedPoolBackend
 
 SMALL = dict(max_examples=12, deadline=None)
 TINY = dict(max_examples=4, deadline=None)  # spawns process pools
@@ -152,17 +153,17 @@ class TestPartitionMergeInvariance:
             "faultsim.patterns_simulated",
         )
 
-        def counters(jobs, engine):
+        def counters(engine):
             with obs.observe("run") as observation:
-                result = simulator.simulate(
-                    patterns, faults, engine=engine, jobs=jobs, seed=3
-                )
+                result = simulator.simulate(patterns, faults, engine=engine)
             values = {key: observation.counter(key).value for key in keys}
             return values, result
 
-        reference, ppsfp = counters(1, "ppsfp")
+        reference, ppsfp = counters("ppsfp")
         for jobs in (1, 2):
-            supervised, result = counters(jobs, "supervised")
+            supervised, result = counters(
+                SupervisedPoolBackend(jobs=jobs, seed=3)
+            )
             assert supervised == reference
             assert result.detected == ppsfp.detected
             assert result.undetected == ppsfp.undetected

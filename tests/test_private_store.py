@@ -71,7 +71,7 @@ class TestPrivateStoreCleanup:
     def test_clean_run(self, leaves_nothing):
         simulator, faults, patterns, reference = _setup()
         result = simulator.simulate(
-            patterns, faults, engine="supervised", jobs=2
+            patterns, faults, engine=SupervisedPoolBackend(jobs=2)
         )
         assert result.detected == reference.detected
         assert "store" not in result.stats  # no path, no peers to report

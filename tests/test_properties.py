@@ -23,6 +23,7 @@ from repro.scan.insertion import insert_scan
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.logicsim import LogicSimulator
 from repro.sim.parallel import ParallelSimulator
+from repro.sim.supervisor import SupervisedPoolBackend
 
 SMALL = dict(max_examples=12, deadline=None)
 seeds = st.integers(0, 10**6)
@@ -80,8 +81,8 @@ class TestEngineAgreement:
         )
         ppsfp = simulator.simulate(patterns, faults, engine="ppsfp")
         supervised = simulator.simulate(
-            patterns, faults, engine="supervised", jobs=rng.choice([1, 2]),
-            seed=seed,
+            patterns, faults,
+            engine=SupervisedPoolBackend(jobs=rng.choice([1, 2]), seed=seed),
         )
         assert supervised.coverage == ppsfp.coverage
         assert supervised.detected == ppsfp.detected

@@ -42,7 +42,7 @@ import ast
 import importlib
 import sys
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -50,7 +50,6 @@ SRC = ROOT / "src"
 _ORACLE = "independent oracle for a layer (ROADMAP item 9)"
 _SUBSTRATE = "test and oracle substrate"
 _FAKE = "tests substitute a fake, or a small stand-in bound, through it"
-_INVARIANCE = "an oracle varies it to show results do not depend on it"
 _WRITER = "format writer, the round-trip half of a reader (DESIGN rows 5, 27)"
 _ECONOMICS = "test-economics model that X6 cites"
 _NUMPY = "numpy kernel helper, deleted with the kernel (ROADMAP item 7)"
@@ -111,8 +110,6 @@ ALLOWLIST: Dict[str, str] = {
     "sim.store.ShardStore(clock)": _FAKE,
     "sim.goodcache.GoodMachineCache(max_bytes)": _FAKE,
     "scan.patfile.format_patterns(expects)": _WRITER,
-    "bist.lbist.run_weighted_lbist(word_width)": _INVARIANCE,
-    "compression.flow.run_compressed_atpg(word_width)": _INVARIANCE,
     "compression.flow.run_compressed_atpg(random_pattern_budget)": (
         "the scaling oracle varies it: one grading call per pattern set"
     ),
@@ -449,11 +446,22 @@ def test_every_option_is_set_by_a_caller_or_has_a_reason():
     _assert_allowlisted(unset, "options", options)
 
 
+def stale_entries(census: Census, entries: Iterable[str]) -> List[str]:
+    """Allowlist entries naming no definition, or an option it lacks."""
+    stale = []
+    for key in entries:
+        name, _, option = key.rstrip(")").partition("(")
+        definition = census.definitions.get(name)
+        if definition is None or (
+            option
+            and option not in {parameter for parameter, _ in definition.options}
+        ):
+            stale.append(key)
+    return stale
+
+
 def test_every_allowlist_entry_names_something():
-    census = repro_census()
-    keys = set(census.definitions)
-    stale = [key for key in ALLOWLIST if key.split("(")[0] not in keys]
-    assert stale == []
+    assert stale_entries(repro_census(), ALLOWLIST) == []
 
 
 # -- the census on small synthetic trees --------------------------------
@@ -517,6 +525,22 @@ def test_census_options(tmp_path):
     # limit is set positionally, depth by keyword, spread's width through
     # **kwargs; seed and name are kept by rule; restarts is set by nobody.
     assert _synthetic(tmp_path).unset_options() == ["core.solve(restarts)"]
+
+
+def test_census_stale_allowlist_entries(tmp_path):
+    # An option entry must name a parameter the function still has, so a
+    # deleted option reads as stale, not as "allowlisted but used".
+    entries = [
+        "core.solve(restarts)",
+        "core.Engine.used",
+        "core.solve(bogus)",
+        "core.spread(restarts)",
+        "core.gone",
+        "core.gone(width)",
+    ]
+    assert stale_entries(_synthetic(tmp_path), entries) == [
+        "core.solve(bogus)", "core.spread(restarts)", "core.gone", "core.gone(width)"
+    ]
 
 
 def test_census_method_of_an_unreached_class_is_reported(tmp_path):

@@ -67,7 +67,7 @@ class TestCleanRuns:
         for drop in (True, False):
             reference = simulator.simulate(patterns, faults, drop=drop)
             supervised = simulator.simulate(
-                patterns, faults, drop=drop, engine="supervised", jobs=2
+                patterns, faults, drop=drop, engine=SupervisedPoolBackend(jobs=2)
             )
             _assert_identical(supervised, reference)
             assert supervised.patterns_simulated == reference.patterns_simulated
@@ -80,7 +80,7 @@ class TestCleanRuns:
     def test_partitions_override_threads_through(self):
         simulator, faults, patterns, reference = _setup()
         result = simulator.simulate(
-            patterns, faults, engine="supervised", jobs=2, partitions=3
+            patterns, faults, engine=SupervisedPoolBackend(jobs=2, partitions=3)
         )
         _assert_identical(result, reference)
         assert result.stats["n_partitions"] == 3
@@ -88,7 +88,7 @@ class TestCleanRuns:
 
     def test_zero_faults(self):
         simulator, _, patterns, _ = _setup()
-        result = simulator.simulate(patterns, [], engine="supervised")
+        result = simulator.simulate(patterns, [], engine=SupervisedPoolBackend())
         assert result.total_faults == 0
         assert result.detected == {} and result.undetected == []
 

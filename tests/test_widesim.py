@@ -57,10 +57,12 @@ class TestWidthInvariance:
         assert wide.responses(patterns) == base.responses(patterns)
 
     def test_invalid_width_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelSimulator(benchmarks.c17(), word_width=0)
-        with pytest.raises(ValueError):
-            FaultSimulator(benchmarks.c17(), word_width=-64)
+        # A float or bool must fail here, not later inside simulate.
+        for width in (0, -64, 1.5, 64.0, True, False, "64", None):
+            with pytest.raises(ValueError, match="word_width"):
+                ParallelSimulator(benchmarks.c17(), word_width=width)
+            with pytest.raises(ValueError, match="word_width"):
+                FaultSimulator(benchmarks.c17(), word_width=width)
 
 
 class TestWidthProperties:
@@ -210,17 +212,8 @@ class TestGoodMachineCache:
 
 
 class TestFlowWidthThreading:
-    """``word_width`` reaches every flow without changing results."""
-
-    def test_run_atpg_width_invariant(self):
-        from repro.atpg.engine import run_atpg
-
-        netlist = generators.random_circuit(6, 40, seed=17)
-        base = run_atpg(netlist, seed=3)
-        wide = run_atpg(netlist, seed=3, word_width=1024)
-        assert wide.fault_coverage == base.fault_coverage
-        assert wide.detected == base.detected
-        assert len(wide.patterns) == len(base.patterns)
+    """``word_width`` reaches LBIST, the one flow that takes it, without
+    changing results; ATPG and compressed ATPG run at the default width."""
 
     def test_lbist_width_invariant(self):
         from repro.bist.lbist import StumpsController
@@ -232,29 +225,14 @@ class TestFlowWidthThreading:
         assert wide.signature == base.signature
         assert wide.coverage_points == base.coverage_points
 
-    def test_compressed_atpg_width_invariant(self):
-        from repro.compression.edt import EdtSystem
-        from repro.compression.flow import run_compressed_atpg
-        from repro.scan.insertion import insert_scan
-
-        netlist = generators.random_sequential(4, 60, 16, seed=9)
-        design = insert_scan(netlist, n_chains=4)
-        edt = EdtSystem(design, n_input_channels=2, n_output_channels=2)
-        base = run_compressed_atpg(edt, seed=1, grade=True)
-        netlist2 = generators.random_sequential(4, 60, 16, seed=9)
-        design2 = insert_scan(netlist2, n_chains=4)
-        edt2 = EdtSystem(design2, n_input_channels=2, n_output_channels=2)
-        wide = run_compressed_atpg(edt2, seed=1, grade=True, word_width=1024)
-        assert wide.fault_coverage == base.fault_coverage
-        assert wide.graded_coverage == base.graded_coverage
-        assert wide.grading_stats["word_width"] == 1024
-
     def test_cli_word_width_flag(self, capsys):
         from repro.cli import main
 
-        assert main(["atpg", "c17", "--word-width", "256"]) == 0
-        out = capsys.readouterr().out
-        assert "fault_coverage" in out
+        assert main(["lbist", "c17", "--patterns", "128"]) == 0
+        base = capsys.readouterr().out
+        assert main(["lbist", "c17", "--patterns", "128", "--word-width", "256"]) == 0
+        assert capsys.readouterr().out == base
+        assert "final coverage" in base
 
     def test_stats_report_width(self):
         netlist = benchmarks.c17()
