@@ -13,8 +13,10 @@ CI envelope: PODEM-only vs the portfolio on a random-pattern-resistant
 circuit at a deliberately tight backtrack budget, so a hard-fault tail
 exists for the portfolio to close.  Each engine contributes
 ``<engine>_x<N>`` replicate rows (the ``repro obs gate`` convention)
-carrying wall time plus the deterministic campaign counters (verdicts and
-the engines' ``atpg.implications`` work counter), written to
+carrying wall time plus the deterministic campaign counters (verdicts,
+the engines' ``atpg.implications`` work counter, and the fault
+simulator's ``faultsim.events_propagated`` / ``faultsim.words_evaluated``
+work counters), written to
 ``BENCH_atpg_smoke.json`` and gated against
 ``baselines/BENCH_atpg_smoke.json``.
 """
@@ -75,8 +77,15 @@ def _smoke_campaign(engine):
             backtrack_limit=SMOKE_BACKTRACK_LIMIT,
         )
         wall = time.perf_counter() - start
-    implications = observation.metrics.counter("atpg.implications").value
-    return result, wall, implications
+    counters = {
+        leaf: observation.metrics.counter(name).value
+        for leaf, name in (
+            ("implications", "atpg.implications"),
+            ("events_propagated", "faultsim.events_propagated"),
+            ("words_evaluated", "faultsim.words_evaluated"),
+        )
+    }
+    return result, wall, counters
 
 
 def _run_smoke():
@@ -85,7 +94,7 @@ def _run_smoke():
     for engine in SMOKE_ENGINES:
         replicates = []
         for rep in range(SMOKE_REPLICATES):
-            result, wall, implications = _smoke_campaign(engine)
+            result, wall, counters = _smoke_campaign(engine)
             summary = result.summary()
             replicates.append(result)
             rows.append(
@@ -98,8 +107,8 @@ def _run_smoke():
                     "patterns_simulated": len(result.patterns),
                     "proved_untestable": summary["proved_untestable"],
                     "aborted": len(result.aborted),
-                    "implications": implications,
                     "test_coverage": summary["test_coverage"],
+                    **counters,
                 }
             )
         # Same seed, same engine: campaigns must be bit-identical.
