@@ -8,8 +8,13 @@ The production recipe the tutorial describes:
 3. run PODEM on every survivor, fault-simulating each new test against the
    remaining list so one deterministic pattern usually kills several faults
    (dynamic compaction through fault dropping),
-4. optionally statically compact the deterministic cubes, X-fill, and
-   verify final coverage with one more fault-simulation pass.
+4. optionally statically compact the deterministic cubes and X-fill them,
+   then re-grade what compaction can change: the faults credited during
+   step 3, against the deterministic patterns only, topping off from the
+   step-3 fills any credit the re-filled cubes lost.  Step-2 credits need
+   no re-grade — each one's first detecting random pattern is kept
+   verbatim.  Without compaction the step-3 fills are the final patterns,
+   so every credit stands as earned.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set
 
 from .. import obs
 from ..circuit.netlist import Netlist
@@ -139,8 +144,9 @@ def run_atpg(
 
     ``random_batches`` bounds the random phase (:data:`WORD_WIDTH` patterns
     per batch); the phase also stops early when a batch detects fewer than
-    ``min_batch_yield`` new faults.  Deterministic cubes are statically
-    compacted when ``compact`` is set, then randomly X-filled.
+    ``min_batch_yield`` new faults.  With ``compact`` set, deterministic
+    cubes are statically compacted and randomly X-filled again; without
+    it, the fills phase 2 graded are the deterministic patterns.
 
     ``work_budget`` caps the gates each deterministic search re-implies,
     so one pathological fault aborts with reason ``"work"`` (aborted is
@@ -198,6 +204,7 @@ def run_atpg(
     # ------------------------------------------------------------------
     cubes: List[List[int]] = []
     phase2_fills: List[List[int]] = []
+    phase2_credits: Set[StuckAtFault] = set()
     queue = list(remaining)
     undetected = set(remaining)
     with obs.span("podem"):
@@ -238,8 +245,8 @@ def run_atpg(
             phase2_fills.append(filled)
             sim = simulator.simulate([filled], list(undetected), drop=True)
             result.detected_deterministic += len(sim.detected)
-            for detected_fault in sim.detected:
-                undetected.discard(detected_fault)
+            phase2_credits.update(sim.detected)
+            undetected.difference_update(sim.detected)
             if fault in undetected:
                 # A correct PODEM cube detects its target under *any* X fill
                 # (implication already proved a D at an observation point),
@@ -252,25 +259,28 @@ def run_atpg(
     with obs.span("compact"):
         if compact and cubes:
             cubes = static_compact(cubes)
-        deterministic_patterns = [x_fill(cube, rng) for cube in cubes]
+            deterministic_patterns = [x_fill(cube, rng) for cube in cubes]
+        else:
+            # The fills the phase-2 credits were earned on, verbatim.
+            deterministic_patterns = list(phase2_fills)
     result.cubes = cubes
     result.patterns = kept_patterns + deterministic_patterns
 
-    # Compaction re-fills merged cubes, so detections credited to a
-    # *particular* random fill during dynamic dropping can be lost.  Verify
-    # the final set and top off from the phase-2 fills (each known-good).
+    # Compaction merges and re-fills cubes, so a phase-2 credit earned by a
+    # *particular* fill can be lost.  Only those credits are at stake: every
+    # random-phase credit's first detecting pattern is kept verbatim, and no
+    # kept random pattern detects a phase-2 fault (each survived the whole
+    # random phase).  So grade the phase-2 credits against the deterministic
+    # patterns alone, then top off from the phase-2 fills.
     if compact and phase2_fills:
         with obs.span("top_off"):
-            excluded = {
-                *result.untestable, *result.aborted, *result.consistency_errors
-            }
-            counted = [f for f in faults if f not in excluded]
-            check = simulator.simulate(result.patterns, counted)
-            missing = [f for f in counted if f not in check.detected]
-            # Top off one fill at a time: each fill was already simulated as
-            # a single-pattern block during phase 2, so every good-machine
-            # block here comes straight from the response cache — no
-            # recomputation.
+            # ``queue`` holds the random-phase survivors in ``faults`` order.
+            credited = [f for f in queue if f in phase2_credits]
+            check = simulator.simulate(deterministic_patterns, credited)
+            missing = [f for f in credited if f not in check.detected]
+            # Each fill was already simulated as a single-pattern block
+            # during phase 2, so its good-machine block comes straight from
+            # the response cache.
             for fill in phase2_fills:
                 if not missing:
                     break
@@ -278,6 +288,10 @@ def run_atpg(
                 if topoff.detected:
                     result.patterns.append(fill)
                     missing = [f for f in missing if f not in topoff.detected]
+            # Every credit's own fill is among those tried, so a credit still
+            # missing is a simulator inconsistency: report it, never count it.
+            result.consistency_errors.extend(missing)
+            result.detected_deterministic -= len(missing)
 
     result.cpu_seconds = time.perf_counter() - start
     _publish_atpg(result)

@@ -39,30 +39,26 @@ import argparse
 import math
 import os
 import sys
-from itertools import zip_longest
-from typing import List, Optional
-
 import time
+from itertools import zip_longest
+from typing import TYPE_CHECKING, List, Optional
 
-from . import obs
-from .atpg.engine import atpg_table_row, run_atpg
-from .atpg.portfolio import ENGINE_NAMES
-from .circuit import benchmarks
-from .circuit.bench import load_bench
-from .circuit.netlist import Netlist
-from .circuit.verilog import load_verilog
-from .faults.collapse import collapse_faults
-from .faults.stuck_at import full_fault_list
-from .scan.patfile import format_patterns, load_patterns
-from .sim.dispatch import BACKEND_NAMES
-from .sim.faultsim import RECOVERY_COUNTERS, FaultSimulator
-from .sim.parallel import WORD_WIDTH, WORD_WIDTHS
-from .sim.view import CombinationalView
+if TYPE_CHECKING:
+    from .circuit.netlist import Netlist
 
-# Modules only one subcommand or flag runs (BIST, the supervisor, its
-# shard store and chaos plans, the regression gate, report and trace
-# writers) are imported inside their handlers, so ``repro atpg`` does not
-# pay to load them.
+# Every library module is imported inside the handler that runs it, so
+# ``repro --help`` and argument errors load none of them, and ``repro
+# atpg`` loads none of the supervisor, BIST, regression-gate or report
+# layers.  The parser's choices and defaults are therefore literals here;
+# tests hold each equal to the library constant it mirrors.
+
+#: ``repro.atpg.portfolio.ENGINE_NAMES``.
+ENGINE_NAMES = ("podem", "dalg", "guided", "portfolio")
+#: ``repro.sim.dispatch.BACKEND_NAMES``.
+BACKEND_NAMES = ("serial", "ppsfp", "supervised")
+#: ``repro.sim.parallel.WORD_WIDTH`` and ``WORD_WIDTHS``.
+WORD_WIDTH = 64
+WORD_WIDTHS = (64, 256, 1024, 4096)
 
 #: Campaign finished but some partitions were unrecoverable: the printed
 #: coverage is a lower bound, not the final word.
@@ -84,11 +80,16 @@ def _load_circuit(spec: str) -> Netlist:
     ``ValueError``, which :func:`main` reports as exit code 2.
     """
     if spec.endswith((".bench", ".v")):
+        from .circuit.bench import load_bench
+        from .circuit.verilog import load_verilog
+
         load = load_bench if spec.endswith(".bench") else load_verilog
         try:
             return load(spec)
         except OSError as exc:
             raise ValueError(f"cannot read {spec!r}: {exc.strerror}") from None
+    from .circuit import benchmarks
+
     try:
         return benchmarks.get_benchmark(spec)
     except KeyError as exc:
@@ -111,6 +112,8 @@ def _circuit_spec(args) -> str:
 
 
 def _cmd_circuits(_args) -> int:
+    from .circuit import benchmarks
+
     for name in benchmarks.benchmark_names():
         netlist = benchmarks.get_benchmark(name)
         print(f"{name:10s} {netlist.stats()}")
@@ -118,6 +121,9 @@ def _cmd_circuits(_args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from .faults.collapse import collapse_faults
+    from .faults.stuck_at import full_fault_list
+
     netlist = _load_circuit(_circuit_spec(args))
     print(f"{netlist.name}: {netlist.stats()}")
     faults = full_fault_list(netlist)
@@ -127,6 +133,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_atpg(args) -> int:
+    from .atpg.engine import atpg_table_row, run_atpg
+
     netlist = _load_circuit(_circuit_spec(args))
     result = run_atpg(
         netlist,
@@ -139,6 +147,9 @@ def _cmd_atpg(args) -> int:
     for key, value in row.items():
         print(f"{key}: {value}")
     if args.output:
+        from .scan.patfile import format_patterns
+        from .sim.view import CombinationalView
+
         view = CombinationalView(netlist)
         text = format_patterns(netlist.name, view.input_names(), result.patterns)
         with open(args.output, "w") as handle:
@@ -200,6 +211,11 @@ def _supervised_backend(args):
 
 
 def _cmd_faultsim(args) -> int:
+    from .faults.collapse import collapse_faults
+    from .faults.stuck_at import full_fault_list
+    from .scan.patfile import load_patterns
+    from .sim.faultsim import RECOVERY_COUNTERS, FaultSimulator
+
     netlist = _load_circuit(_circuit_spec(args))
     try:
         pattern_file = load_patterns(args.patterns)
@@ -774,6 +790,7 @@ def _print_profile(observation) -> None:
 
 def _run_observed(args, argv: Optional[List[str]]) -> int:
     """Run the handler under an observation; emit report/profile after."""
+    from . import obs
     from .obs.report import RunReport
     from .obs.trace import write_chrome_trace
 

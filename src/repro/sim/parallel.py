@@ -21,7 +21,7 @@ Two things make the kernel fast:
 Evaluated blocks are memoized in a process-wide good-machine response cache
 (:mod:`repro.sim.goodcache`) keyed by netlist structural signature and
 packed block content, so flows that re-simulate identical pattern blocks
-(ATPG verify/top-off, LBIST signatures, repeated experiment sweeps) skip
+(ATPG top-off, LBIST signatures, repeated experiment sweeps) skip
 the pass entirely.  Returned word lists may therefore be shared — treat
 them as immutable.
 

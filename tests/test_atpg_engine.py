@@ -6,7 +6,7 @@ import pytest
 
 from repro.atpg import engine as engine_module
 from repro.atpg.engine import atpg_table_row, run_atpg, x_fill
-from repro.circuit import benchmarks
+from repro.circuit import benchmarks, generators
 from repro.circuit.values import X
 from repro.faults.collapse import collapse_faults
 from repro.faults.stuck_at import full_fault_list
@@ -154,6 +154,70 @@ class TestFaultAccounting:
                 result.untestable, result.aborted, result.consistency_errors
             ):
                 assert verdicts.iterations <= 2
+
+
+def _spy_after_compaction(monkeypatch, hide=None):
+    """Record ``(patterns, faults)`` of every ``FaultSimulator.simulate``
+    call ``run_atpg`` makes after its latest compaction; from the first
+    compaction on, no call reports ``hide`` as detected."""
+    calls = []
+    compacted = []
+    real_compact = engine_module.static_compact
+    real_simulate = FaultSimulator.simulate
+
+    def compact(cubes):
+        calls.clear()
+        compacted.append(True)
+        return real_compact(cubes)
+
+    def simulate(self, patterns, faults, *args, **kwargs):
+        result = real_simulate(self, patterns, faults, *args, **kwargs)
+        if compacted:
+            calls.append((list(patterns), list(faults)))
+            if hide in result.detected:
+                del result.detected[hide]
+                result.undetected.append(hide)
+        return result
+
+    monkeypatch.setattr(engine_module, "static_compact", compact)
+    monkeypatch.setattr(FaultSimulator, "simulate", simulate)
+    return calls
+
+
+class TestTopOff:
+    """After compaction the flow re-grades only its phase-2 credits."""
+
+    def test_check_scales_with_phase2_credits_only(self, monkeypatch):
+        calls = _spy_after_compaction(monkeypatch)
+        netlist = generators.random_resistant(14, cones=3)
+        random_credits = set()
+        for random_batches in (0, 1, 2, 8):
+            result = run_atpg(netlist, seed=2, random_batches=random_batches)
+            assert not result.consistency_errors
+            check_patterns, check_faults = calls[0]
+            assert len(check_faults) == result.detected_deterministic
+            assert len(check_patterns) == len(result.cubes)
+            random_credits.add(result.detected_random)
+        assert len(random_credits) == 4
+
+    def test_lost_credit_is_reported_not_counted(self, monkeypatch):
+        """A phase-2 credit no pattern detects after compaction — not even
+        the fill that earned it — becomes a consistency error."""
+        netlist = generators.alu(4)
+        honest = run_atpg(netlist, seed=3, random_batches=0)
+        assert honest.detected_random == 0 and not honest.consistency_errors
+        faults, _ = collapse_faults(netlist, full_fault_list(netlist))
+        settled = {*honest.untestable, *honest.aborted}
+        lost = next(f for f in faults if f not in settled)
+        _spy_after_compaction(monkeypatch, hide=lost)
+        result = run_atpg(netlist, seed=3, random_batches=0)
+        assert result.consistency_errors == [lost]
+        assert result.detected == honest.detected - 1
+        assert result.summary()["consistency_errors"] == 1
+        assert (
+            result.detected + len(result.untestable) + len(result.aborted) + 1
+            == result.total_faults
+        )
 
 
 class TestEngineFlow:

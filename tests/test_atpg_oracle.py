@@ -18,6 +18,11 @@ Contract, per fault:
 4. **No unexplained aborts** — a portfolio abort carries a reason from
    *every* member engine, and campaign accounting partitions the fault
    universe exactly.
+5. **Credits are real** — a serial-engine re-grade of ``run_atpg``'s
+   final patterns detects every fault the flow credits and no fault it
+   proved untestable, with and without static compaction.  The flow
+   itself re-grades only its phase-2 credits, so this is the whole-set
+   check it leaves to the oracle.
 """
 
 import functools
@@ -25,6 +30,7 @@ import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.atpg.dalg import DAlgorithm
 from repro.atpg.engine import run_atpg, x_fill
@@ -234,3 +240,70 @@ class TestHypothesisNetlists:
                 "detected",
                 "untestable",
             }
+
+
+def _assert_credits_regrade(netlist, faults, result):
+    """A serial re-grade of ``result.patterns`` detects every credited
+    fault and no proved-untestable one."""
+    regrade = FaultSimulator(netlist, cache=None).simulate(
+        result.patterns, faults, engine="serial"
+    )
+    excluded = {*result.untestable, *result.aborted, *result.consistency_errors}
+    credited = [fault for fault in faults if fault not in excluded]
+    assert len(credited) == result.detected
+    lost = [f.describe(netlist) for f in credited if f not in regrade.detected]
+    assert not lost, f"credited but not detected by the final patterns: {lost}"
+    proved = [f.describe(netlist) for f in result.untestable if f in regrade.detected]
+    assert not proved, f"proved untestable but detected: {proved}"
+
+
+class TestFinalPatternsEarnTheirCredits:
+    """Contract 5: the whole-set re-grade ``run_atpg`` does not run."""
+
+    @pytest.mark.parametrize("name", CIRCUIT_NAMES)
+    @pytest.mark.parametrize("engine_name", ["podem", "portfolio"])
+    @pytest.mark.parametrize("compact", [True, False])
+    @pytest.mark.parametrize("random_batches", [0, 1])
+    def test_regrade_detects_every_credit(
+        self, name, engine_name, compact, random_batches
+    ):
+        netlist = _circuit(name)
+        faults = list(_universe(name))
+        result = run_atpg(
+            netlist,
+            faults=faults,
+            engine=engine_name,
+            compact=compact,
+            random_batches=random_batches,
+            seed=2,
+        )
+        assert not result.consistency_errors
+        _assert_credits_regrade(netlist, faults, result)
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        netlist=small_netlists(),
+        engine_name=st.sampled_from(["podem", "portfolio"]),
+        compact=st.booleans(),
+        random_batches=st.integers(min_value=0, max_value=2),
+        seed=st.integers(min_value=0, max_value=1000),
+    )
+    def test_regrade_detects_every_credit_on_random_netlists(
+        self, netlist, engine_name, compact, random_batches, seed
+    ):
+        netlist.finalize()
+        faults, _ = collapse_faults(netlist, full_fault_list(netlist))
+        result = run_atpg(
+            netlist,
+            faults=faults,
+            engine=engine_name,
+            compact=compact,
+            random_batches=random_batches,
+            seed=seed,
+        )
+        assert not result.consistency_errors
+        _assert_credits_regrade(netlist, faults, result)

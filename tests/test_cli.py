@@ -175,6 +175,38 @@ class TestCommands:
             main(["frobnicate"])
 
 
+class TestStartup:
+    """``repro --help`` loads no library module (ROADMAP item 5), so the
+    parser's choices are literals held equal to the library's."""
+
+    def test_parser_constants_match_the_library(self):
+        from repro import cli
+        from repro.atpg.portfolio import ENGINE_NAMES
+        from repro.sim.dispatch import BACKEND_NAMES
+        from repro.sim.parallel import WORD_WIDTH, WORD_WIDTHS
+
+        assert cli.ENGINE_NAMES == ENGINE_NAMES
+        assert cli.BACKEND_NAMES == BACKEND_NAMES
+        assert (cli.WORD_WIDTH, cli.WORD_WIDTHS) == (WORD_WIDTH, WORD_WIDTHS)
+
+    def test_help_loads_no_atpg_module(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "repro", "--help"],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert "usage: repro" in run.stdout
+        # -X importtime logs "import time: self | cumulative | name".
+        loaded = [
+            line.rsplit("|", 1)[-1].strip()
+            for line in run.stderr.splitlines()
+            if line.startswith("import time:")
+        ]
+        assert "repro.cli" in loaded
+        assert [name for name in loaded if name.startswith("repro.atpg")] == []
+
+
 class TestBadArguments:
     """Bad circuits and pattern files exit 2 with one ``error:`` line."""
 

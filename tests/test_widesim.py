@@ -171,14 +171,14 @@ class TestGoodMachineCache:
         assert len(cache) == 0
 
     def test_run_atpg_topoff_replays_cached_blocks(self):
-        """Acceptance pin: the verify/top-off phase of ``run_atpg`` reuses
-        the good-machine blocks computed during earlier phases instead of
-        recomputing them."""
+        """Acceptance pin: the top-off loop of ``run_atpg`` reuses the
+        good-machine blocks computed in phase 2 instead of recomputing
+        them."""
         from repro.atpg.engine import run_atpg
 
         # Random-resistant cones force static compaction to merge cubes and
-        # lose random-fill detections, so the verify/top-off phase actually
-        # runs; every block it grades was already simulated in phase 2.
+        # lose phase-2 detections, so the top-off loop actually runs; every
+        # fill it grades was already simulated in phase 2.
         netlist = generators.random_resistant(12, 4)
         DEFAULT_CACHE.clear()
         baseline_hits = DEFAULT_CACHE.hits
