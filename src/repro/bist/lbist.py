@@ -9,6 +9,14 @@ The simulation here runs at the *pattern* level: PRPG-generated full-scan
 patterns are fault-simulated to obtain coverage (E2/E6 curves), and the
 good-machine signature is computed so tests can validate signature
 mismatch detection end to end.
+
+Both run on packed words from end to end.  The PRPG's output stream is
+generated once per call, every scan cell's column of patterns is a shift
+of it, and the phase shifter XORs columns, so the pattern set arrives
+packed (:class:`~repro.sim.parallel.PackedPatterns`).  The MISR is
+linear, so the signature is computed from the packed good responses:
+each pattern's contribution to the register is a fixed linear map of its
+response bits, and only the per-pattern register update runs serially.
 """
 
 from __future__ import annotations
@@ -19,13 +27,13 @@ from typing import Dict, List, Optional, Sequence
 
 from .. import obs
 from ..circuit.netlist import Netlist
-from ..compression.lfsr import LFSR, PhaseShifter
+from ..compression.lfsr import LFSR, PRIMITIVE_TAPS, PhaseShifter
 from ..compression.misr import MISR
 from ..faults.collapse import collapse_faults
 from ..faults.model import StuckAtFault
 from ..faults.stuck_at import full_fault_list
 from ..sim.faultsim import FaultSimulator, unique_faults
-from ..sim.parallel import WORD_WIDTH
+from ..sim.parallel import WORD_WIDTH, PackedPatterns
 
 
 @dataclass
@@ -36,6 +44,17 @@ class LbistConfig:
     misr_length: int = 24
     phase_taps: int = 3
     seed: int = 1
+
+    def validate(self) -> None:
+        """Raise ``ValueError`` naming the first unusable field."""
+        for name in ("prpg_length", "misr_length"):
+            length = getattr(self, name)
+            if length not in PRIMITIVE_TAPS:
+                raise ValueError(
+                    f"{name} must be one of {sorted(PRIMITIVE_TAPS)}, got {length!r}"
+                )
+        if self.phase_taps < 1:
+            raise ValueError(f"phase_taps must be >= 1, got {self.phase_taps!r}")
 
 
 @dataclass
@@ -54,10 +73,10 @@ class StumpsController:
     """PRPG + MISR wrapped around one netlist's full-scan view.
 
     ``word_width`` sets the patterns packed per simulation word for both
-    the coverage grading and the signature pass.  The two passes share
-    one :class:`ParallelSimulator` and chunk the same pattern list, so the
-    signature pass replays the coverage pass's good-machine blocks
-    straight from the response cache.
+    the coverage grading and the signature pass.  The simulator runs
+    uncached: the signature pass re-evaluates each chunk's good machine
+    instead of keying a cache lookup on every input word.  The
+    configuration is validated here, before any pattern is graded.
     """
 
     def __init__(
@@ -66,10 +85,11 @@ class StumpsController:
         config: Optional[LbistConfig] = None,
         word_width: int = WORD_WIDTH,
     ):
+        self.config = config or LbistConfig()
+        self.config.validate()
         netlist.finalize()
         self.netlist = netlist
-        self.config = config or LbistConfig()
-        self.simulator = FaultSimulator(netlist, word_width=word_width)
+        self.simulator = FaultSimulator(netlist, word_width=word_width, cache=None)
         self.parallel = self.simulator.parallel
         n_inputs = self.simulator.view.num_inputs
         self._prpg = LFSR(self.config.prpg_length, seed=self.config.seed | 1)
@@ -80,27 +100,67 @@ class StumpsController:
             seed=self.config.seed + 3,
         )
 
-    def generate_patterns(self, count: int) -> List[List[int]]:
-        """``count`` PRPG patterns over the full-scan view inputs."""
-        patterns: List[List[int]] = []
-        for _ in range(count):
-            self._prpg.step()
-            cells = [
-                (self._prpg.state >> bit) & 1
-                for bit in range(self.config.prpg_length)
-            ]
-            patterns.append(self._shifter.xor(cells))
-        return patterns
+    def generate_patterns(self, count: int) -> PackedPatterns:
+        """``count`` PRPG patterns over the full-scan view inputs, packed.
+
+        The PRPG steps once per pattern and shifts right, so cell *b* at
+        pattern *t* is bit 0 of the state after ``t + b + 1`` steps: one
+        run of ``count + length - 1`` steps yields every cell's column as
+        a shift of the output stream.  The PRPG is left where ``count``
+        steps leave it, so consecutive calls continue the stream.
+        """
+        length = self.config.prpg_length
+        stream = _lfsr_stream(self._prpg, count + length)
+        self._prpg.state = (stream >> count) & ((1 << length) - 1)
+        mask = (1 << count) - 1
+        cells = [(stream >> (1 + bit)) & mask for bit in range(length)]
+        return PackedPatterns(tuple(self._shifter.xor(cells)), count)
 
     def good_signature(self, patterns: Sequence[Sequence[int]]) -> int:
-        """MISR signature of the fault-free responses."""
-        misr = MISR(self.config.misr_length, seed=0)
+        """MISR signature of the fault-free responses.
+
+        Each pattern's response is folded into MISR-width slices, slice
+        *k* of *K* absorbed *k*-th.  The MISR step ``A`` is linear, so
+        after a pattern the state is ``A^K s ^ c`` where ``c`` XORs
+        ``A^(K-k) e_j`` over the response bits that read 1 (bit *j* of
+        slice *k*).  ``c`` is built for every pattern at once from the
+        packed reader words; only the ``A^K`` update runs per pattern,
+        a byte-table lookup.
+        """
+        count = len(patterns)
+        if not count:
+            return 0
         width = self.config.misr_length
-        for response in self.parallel.responses(patterns):
-            # Fold wide responses into MISR-width slices.
-            for start in range(0, len(response), width):
-                misr.absorb(response[start : start + width])
-        return misr.signature
+        readers = self.simulator.view.output_readers
+        responses = [0] * len(readers)
+        for start in range(0, count, self.parallel.word_width):
+            good = self.parallel.good_words(
+                patterns[start : start + self.parallel.word_width]
+            )
+            for position, reader in enumerate(readers):
+                responses[position] |= good[reader] << start
+        slices = -(-len(readers) // width)
+        # powers[m][j] = A^m e_j, from the reference MISR's own step.
+        powers = [[1 << j for j in range(width)]]
+        for _ in range(slices):
+            powers.append([_misr_step(width, state) for state in powers[-1]])
+        # Signature bit i's word: bit t set when c_t has bit i set.
+        columns = [0] * width
+        for position, response in enumerate(responses):
+            k, j = divmod(position, width)
+            image = powers[slices - k][j]
+            for bit in range(width):
+                if (image >> bit) & 1:
+                    columns[bit] ^= response
+        rows = [format(column, f"0{count}b")[::-1] for column in reversed(columns)]
+        tables = _byte_tables(powers[slices])
+        state = 0
+        for bits in zip(*rows):
+            update = int("".join(bits), 2)
+            for shift, table in tables:
+                update ^= table[(state >> shift) & 0xFF]
+            state = update
+        return state
 
     def run(
         self,
@@ -123,6 +183,50 @@ class StumpsController:
             result.signature = self.good_signature(patterns)
         _publish_lbist(result)
         return result
+
+
+def _lfsr_stream(lfsr: LFSR, n_bits: int) -> int:
+    """Bit 0 of ``lfsr``'s state after 0 .. ``n_bits - 1`` steps, one word.
+
+    Bit *i* of the state is the stream's bit *i* ahead, and the feedback
+    makes stream bit ``m`` the XOR of bits ``m - tap`` over the taps, so
+    the word grows ``min(taps)`` bits at a time without stepping.
+    ``lfsr`` itself is not advanced.
+    """
+    stream, known = lfsr.state, lfsr.length
+    block = min(lfsr.taps)
+    mask = (1 << block) - 1
+    while known < n_bits:
+        new = 0
+        for tap in lfsr.taps:
+            new ^= (stream >> (known - tap)) & mask
+        stream |= new << known
+        known += block
+    return stream & ((1 << n_bits) - 1)
+
+
+def _misr_step(length: int, state: int) -> int:
+    """One zero-input :class:`MISR` step from ``state``."""
+    misr = MISR(length, seed=state)
+    misr.absorb(())
+    return misr.state
+
+
+def _byte_tables(images: Sequence[int]):
+    """``(shift, table)`` pairs evaluating the linear map with ``images``.
+
+    ``images[j]`` is the image of basis vector ``e_j``; ``table[v]`` is
+    the image of byte ``v`` placed at bit ``shift``.
+    """
+    tables = []
+    for shift in range(0, len(images), 8):
+        basis = images[shift : shift + 8]
+        table = [0] * (1 << len(basis))
+        for value in range(1, len(table)):
+            low = value & -value
+            table[value] = table[value ^ low] ^ basis[low.bit_length() - 1]
+        tables.append((shift, table))
+    return tables
 
 
 def _check_pattern_count(n_patterns: int) -> None:

@@ -2,8 +2,7 @@
 
 Fault-simulation flows repeatedly evaluate the *same* fault-free blocks:
 ATPG's coverage top-off re-grades phase-2 fills it already simulated once,
-LBIST's signature pass re-simulates every pattern the coverage loop just
-graded, benchmark sweeps and coverage-curve experiments re-run whole flows
+benchmark sweeps and coverage-curve experiments re-run whole flows
 with the same seeds, and hierarchical broadcast grades structurally
 identical cores with identical patterns.  Each of those passes walks the
 full gate schedule again just to rebuild words it has already computed.

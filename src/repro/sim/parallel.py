@@ -21,9 +21,8 @@ Two things make the kernel fast:
 Evaluated blocks are memoized in a process-wide good-machine response cache
 (:mod:`repro.sim.goodcache`) keyed by netlist structural signature and
 packed block content, so flows that re-simulate identical pattern blocks
-(ATPG top-off, LBIST signatures, repeated experiment sweeps) skip
-the pass entirely.  Returned word lists may therefore be shared — treat
-them as immutable.
+(ATPG top-off, repeated experiment sweeps) skip the pass entirely.
+Returned word lists may therefore be shared — treat them as immutable.
 
 X values are not represented here — callers X-fill patterns first (the
 standard practice before parallel fault simulation).
@@ -31,7 +30,8 @@ standard practice before parallel fault simulation).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..circuit.compiled import compiled
 from ..circuit.gates import GateType, compile_parallel_evaluator
@@ -84,6 +84,40 @@ def pack_patterns(patterns: Sequence[Sequence[int]], position: int) -> int:
 def unpack_word(word: int, count: int) -> List[int]:
     """Expand a packed word back into ``count`` single-bit values."""
     return [(word >> bit) & 1 for bit in range(count)]
+
+
+@dataclass(frozen=True)
+class PackedPatterns:
+    """A pattern set already packed into one word per test input.
+
+    Bit *k* of ``words[i]`` is input *i* of pattern *k*, and no word has a
+    bit at or above ``count``.  Flows that generate patterns a word at a
+    time (the LBIST PRPG) hand this to :meth:`FaultSimulator.simulate`
+    in place of a list of rows: ``len`` is the pattern count, a slice is
+    the packed sub-block, and the python kernel evaluates a chunk's words
+    as they are, with no :meth:`ParallelSimulator.pack_block` call.
+    Iterating yields the patterns as rows, for oracles and the serial
+    engine.
+    """
+
+    words: Tuple[int, ...]
+    count: int
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, index: slice) -> "PackedPatterns":
+        start, stop, step = index.indices(self.count)
+        if step != 1:
+            raise ValueError("PackedPatterns slices take no step")
+        count = max(0, stop - start)
+        mask = (1 << count) - 1
+        words = tuple((word >> start) & mask for word in self.words)
+        return PackedPatterns(words, count)
+
+    def __iter__(self) -> Iterator[List[int]]:
+        for bit in range(self.count):
+            yield [(word >> bit) & 1 for word in self.words]
 
 
 def _compile_op(out: int, gate_type: GateType, fanin: Sequence[int]) -> Callable:
@@ -281,7 +315,8 @@ class ParallelSimulator:
         """Good-machine words for one chunk of at most ``word_width`` patterns.
 
         Returns one bigint word per gate (bit *k* belongs to pattern *k*)
-        under either kernel: python packs with :meth:`pack_block` and runs
+        under either kernel: python packs with :meth:`pack_block` (or takes
+        a :class:`PackedPatterns` chunk's words as they are) and runs
         :meth:`evaluate_words`; numpy packs with ``np.packbits`` and runs
         the lane pass of :class:`repro.sim.npsim.NumpyKernel`.  Every
         fault-simulation consumer takes its good machine from here, and the
@@ -291,9 +326,13 @@ class ParallelSimulator:
         n_patterns = len(patterns)
         kernel = self.np_kernel
         if kernel is None:
+            if isinstance(patterns, PackedPatterns):
+                return self.evaluate_words(patterns.words, n_patterns)
             return self.evaluate_words(self.pack_block(patterns), n_patterns)
         if n_patterns > self.word_width:
             raise ValueError(f"at most {self.word_width} patterns per pass")
+        if isinstance(patterns, PackedPatterns):
+            patterns = list(patterns)
         packed = kernel.pack_block(patterns)
         if packed.shape[0] != self.view.num_inputs:
             raise ValueError(

@@ -13,8 +13,11 @@ first-detection indices.  Two kinds of check pin that:
 """
 
 import hashlib
+import math
 
 import pytest
+
+from repro import obs
 
 from repro.atpg.podem import Podem
 from repro.atpg.random_gen import weighted_random_patterns
@@ -30,8 +33,9 @@ from repro.compression.flow import run_compressed_atpg
 from repro.faults.collapse import collapse_faults
 from repro.faults.stuck_at import full_fault_list
 from repro.scan.insertion import insert_scan
+from repro.sim import goodcache
 from repro.sim.faultsim import FaultSimulator
-from repro.sim.parallel import WORD_WIDTH
+from repro.sim.parallel import WORD_WIDTH, ParallelSimulator
 
 
 def _collapsed(netlist):
@@ -193,6 +197,35 @@ class TestOneGradePerPatternSet:
         run_compressed_atpg(edt, faults=faults, random_pattern_budget=budget)
         first_generate = call_log.index(("generate", 0))
         assert call_log[:first_generate] == [("simulate", budget)]
+
+
+class TestStumpsExactWork:
+    """STUMPS generates packed patterns, so a run packs nothing, makes one
+    good pass per graded chunk and never consults the good-machine cache
+    (the signature pass evaluates its own blocks, outside ``simulate``)."""
+
+    @pytest.mark.parametrize("width", [7, 64])
+    def test_no_packing_one_pass_per_chunk_no_cache(
+        self, resistant, monkeypatch, width
+    ):
+        netlist, faults = resistant
+        packed = []
+        monkeypatch.setattr(
+            ParallelSimulator, "pack_block", lambda self, patterns: packed.append(1)
+        )
+        cache = goodcache.DEFAULT_CACHE
+        lookups = (cache.hits, cache.misses)
+        n_patterns = 150
+        with obs.observe("lbist") as observation:
+            result = StumpsController(netlist, word_width=width).run(
+                n_patterns, faults
+            )
+        assert result.undetected, "every chunk must be graded"
+        assert packed == []
+        assert observation.counter("faultsim.good_passes").value == math.ceil(
+            n_patterns / width
+        )
+        assert (cache.hits, cache.misses) == lookups
 
 
 class TestCheckpointValidation:

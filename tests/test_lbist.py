@@ -26,6 +26,25 @@ class TestPatternGeneration:
         assert first != second
 
 
+class TestConfigValidation:
+    """Bad geometry is refused before any pattern is graded."""
+
+    @pytest.mark.parametrize("length", [3, 10, 64])
+    def test_prpg_length_without_primitive_polynomial(self, alu4, length):
+        with pytest.raises(ValueError, match="prpg_length"):
+            StumpsController(alu4, LbistConfig(prpg_length=length))
+
+    @pytest.mark.parametrize("length", [3, 10, 64])
+    def test_misr_length_without_primitive_polynomial(self, alu4, length):
+        with pytest.raises(ValueError, match="misr_length"):
+            StumpsController(alu4, LbistConfig(misr_length=length))
+
+    @pytest.mark.parametrize("taps", [0, -1])
+    def test_phase_taps_below_one(self, alu4, taps):
+        with pytest.raises(ValueError, match="phase_taps"):
+            StumpsController(alu4, LbistConfig(phase_taps=taps))
+
+
 class TestCoverage:
     def test_curve_is_monotone(self, alu4):
         points = coverage_curve(alu4, 256, checkpoint_every=64)

@@ -1,5 +1,9 @@
 """Independent oracles for the LBIST signature and the MISR aliasing rate.
 
+* ``StumpsController.generate_patterns`` equals a bit-serial PRPG written
+  here: the LFSR stepped once per pattern and the phase shifter XORing
+  that pattern's cells, so the packed columns match row by row and
+  consecutive calls continue the stream;
 * ``StumpsController.good_signature`` equals a bit-serial MISR written here
   from the feedback polynomial alone, fed by the 4-valued
   ``LogicSimulator``'s responses one pattern at a time — no packed
@@ -16,12 +20,34 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bist.lbist import LbistConfig, StumpsController
 from repro.circuit import generators
-from repro.compression.lfsr import PRIMITIVE_TAPS
+from repro.compression.lfsr import LFSR, PRIMITIVE_TAPS, PhaseShifter
 from repro.compression.misr import measure_aliasing, theoretical_aliasing_probability
 from repro.sim.logicsim import LogicSimulator
 from tests.oracle_util import small_netlists
 
 LENGTHS = sorted(PRIMITIVE_TAPS)
+
+#: Pattern counts around the 64-pattern word boundary, plus any others.
+COUNTS = st.sampled_from([0, 1, 63, 64, 65, 127, 130]) | st.integers(0, 200)
+
+
+def _serial_prpg(config, n_inputs):
+    """One pattern per call: step the LFSR, XOR its cells through the shifter."""
+    lfsr = LFSR(config.prpg_length, seed=config.seed | 1)
+    shifter = PhaseShifter(
+        config.prpg_length,
+        n_inputs,
+        taps_per_output=config.phase_taps,
+        seed=config.seed + 3,
+    )
+
+    def pattern():
+        lfsr.step()
+        return shifter.xor(
+            [(lfsr.state >> bit) & 1 for bit in range(config.prpg_length)]
+        )
+
+    return pattern
 
 
 def _serial_misr(length, taps, slices):
@@ -55,6 +81,30 @@ def _reference_signature(netlist, patterns, length):
     return _serial_misr(length, PRIMITIVE_TAPS[length], slices)
 
 
+class TestPrpgColumns:
+    @pytest.mark.parametrize("prpg_length", LENGTHS)
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 1000),
+        phase_taps=st.integers(1, 4),
+        first=COUNTS,
+        second=COUNTS,
+    )
+    def test_matches_bit_serial_prpg_across_calls(
+        self, prpg_length, seed, phase_taps, first, second
+    ):
+        netlist = generators.mac_unit(4)
+        config = LbistConfig(
+            prpg_length=prpg_length, phase_taps=phase_taps, seed=seed
+        )
+        controller = StumpsController(netlist, config)
+        reference = _serial_prpg(config, controller.simulator.view.num_inputs)
+        for count in (first, second):
+            packed = controller.generate_patterns(count)
+            assert len(packed) == count
+            assert list(packed) == [reference() for _ in range(count)]
+
+
 class TestGoodSignature:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -85,6 +135,40 @@ class TestGoodSignature:
         assert controller.simulator.view.num_outputs > misr_length
         assert controller.good_signature(patterns) == _reference_signature(
             netlist, patterns, misr_length
+        )
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        netlist=small_netlists(),
+        misr_length=st.sampled_from(LENGTHS),
+        word_width=st.sampled_from([1, 7, 64]),
+        n_patterns=COUNTS,
+    )
+    def test_matches_serial_reference_at_any_width_and_count(
+        self, netlist, misr_length, word_width, n_patterns
+    ):
+        controller = StumpsController(
+            netlist, LbistConfig(misr_length=misr_length), word_width=word_width
+        )
+        patterns = controller.generate_patterns(n_patterns)
+        assert controller.good_signature(patterns) == _reference_signature(
+            netlist, list(patterns), misr_length
+        )
+
+    @pytest.mark.parametrize("word_width", [1, 7, 64])
+    @pytest.mark.parametrize("misr_length", [5, 7, 16])
+    @pytest.mark.parametrize("n_patterns", [0, 65, 130])
+    def test_partial_last_slice(self, word_width, misr_length, n_patterns):
+        """mac4's 24 outputs leave a short last slice at these lengths."""
+        netlist = generators.mac_unit(4)
+        controller = StumpsController(
+            netlist, LbistConfig(misr_length=misr_length), word_width=word_width
+        )
+        assert controller.simulator.view.num_outputs % misr_length
+        patterns = controller.generate_patterns(n_patterns)
+        assert controller.good_signature(patterns) == _reference_signature(
+            netlist, list(patterns), misr_length
         )
 
 

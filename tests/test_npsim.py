@@ -40,7 +40,7 @@ from repro.sim.npsim import (
     unpack_bits,
     words_to_int,
 )
-from repro.sim.parallel import ParallelSimulator, pack_patterns
+from repro.sim.parallel import KERNELS, PackedPatterns, ParallelSimulator, pack_patterns
 
 SMALL = dict(max_examples=15, deadline=None)
 seeds = st.integers(0, 10**6)
@@ -140,6 +140,26 @@ class TestKernelEquivalence:
         assert result.undetected == base.undetected
         for counter in ("events_propagated", "words_evaluated", "good_passes"):
             assert result.stats[counter] == base.stats[counter], counter
+
+    @settings(**SMALL)
+    @given(seed=seeds, n_patterns=st.integers(1, 150), data=st.data())
+    def test_packed_chunk_gives_the_words_of_its_rows(self, seed, n_patterns, data):
+        """A :class:`PackedPatterns` slice evaluates to the same words as
+        the rows it stands for, under both kernels."""
+        netlist = small_circuit(seed)
+        n_inputs = ParallelSimulator(netlist, cache=None).view.num_inputs
+        rows = random_patterns(n_inputs, n_patterns, seed=seed)
+        start = data.draw(st.integers(0, n_patterns - 1))
+        stop = data.draw(st.integers(start + 1, min(n_patterns, start + 64)))
+        packed = PackedPatterns(
+            tuple(pack_patterns(rows, i) for i in range(n_inputs)), n_patterns
+        )
+        chunk = packed[start:stop]
+        for kernel in KERNELS:
+            simulator = ParallelSimulator(netlist, cache=None, kernel=kernel)
+            assert simulator.good_words(chunk) == simulator.good_words(
+                rows[start:stop]
+            ), kernel
 
 
 class TestPackRoundtrip:

@@ -5,7 +5,19 @@ from hypothesis import given, settings, strategies as st
 
 from repro.circuit import benchmarks, generators
 from repro.sim.logicsim import LogicSimulator
-from repro.sim.parallel import WORD_WIDTH, ParallelSimulator, pack_patterns, unpack_word
+from repro.sim.parallel import (
+    WORD_WIDTH,
+    PackedPatterns,
+    ParallelSimulator,
+    pack_patterns,
+    unpack_word,
+)
+
+
+def _packed(rows):
+    return PackedPatterns(
+        tuple(pack_patterns(rows, i) for i in range(len(rows[0]))), len(rows)
+    )
 
 
 class TestPacking:
@@ -15,6 +27,16 @@ class TestPacking:
         assert unpack_word(word, 3) == [1, 0, 1]
         word = pack_patterns(patterns, 1)
         assert unpack_word(word, 3) == [0, 1, 1]
+
+    def test_packed_patterns_slices_and_rows(self):
+        rows = [[1, 0, 1], [0, 1, 1], [1, 1, 0], [0, 0, 1]]
+        packed = _packed(rows)
+        assert len(packed) == 4
+        assert list(packed) == rows
+        assert packed[1:3] == _packed(rows[1:3])
+        assert packed[3:10] == _packed(rows[3:])
+        assert len(packed[5:]) == 0
+        assert list(packed[5:]) == []
 
 
 class TestAgreementWithEventSim:
