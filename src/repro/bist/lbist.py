@@ -90,7 +90,6 @@ class StumpsController:
         netlist.finalize()
         self.netlist = netlist
         self.simulator = FaultSimulator(netlist, word_width=word_width, cache=None)
-        self.parallel = self.simulator.parallel
         n_inputs = self.simulator.view.num_inputs
         self._prpg = LFSR(self.config.prpg_length, seed=self.config.seed | 1)
         self._shifter = PhaseShifter(
@@ -132,13 +131,11 @@ class StumpsController:
             return 0
         width = self.config.misr_length
         readers = self.simulator.view.output_readers
+        step = self.simulator.word_width
         responses = [0] * len(readers)
-        for start in range(0, count, self.parallel.word_width):
-            good = self.parallel.good_words(
-                patterns[start : start + self.parallel.word_width]
-            )
+        for chunk, good in enumerate(self.simulator.good_response(patterns)):
             for position, reader in enumerate(readers):
-                responses[position] |= good[reader] << start
+                responses[position] |= good[reader] << (chunk * step)
         slices = -(-len(readers) // width)
         # powers[m][j] = A^m e_j, from the reference MISR's own step.
         powers = [[1 << j for j in range(width)]]

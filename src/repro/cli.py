@@ -777,7 +777,7 @@ def _print_profile(observation) -> None:
     samples = [
         (metric_id(name, labels), metric)
         for name, labels, metric in observation.metrics.items()
-        if metric.kind in ("counter", "gauge") and metric.value is not None
+        if metric.value is not None
     ]
     if samples:
         print("--- profile: metrics ---")

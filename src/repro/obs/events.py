@@ -27,8 +27,7 @@ JSON via :mod:`repro.obs.trace` and to JSONL side files for ad-hoc
 tooling.
 
 Event payloads are plain JSON-safe dicts on purpose: they ride across
-``multiprocessing`` pipes inside ``FaultSimResult.stats`` exactly like
-the worker metric registries do.
+``multiprocessing`` pipes and home inside ``FaultSimResult.stats``.
 """
 
 from __future__ import annotations

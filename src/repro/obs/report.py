@@ -29,7 +29,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .metrics import MetricRegistry
 from .span import Observation
 
 #: Current report schema version.  Bump only for *incompatible* changes;
@@ -128,10 +127,6 @@ class RunReport:
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
         return cls.from_dict(json.loads(text))
-
-    def registry(self) -> MetricRegistry:
-        """The metrics section rehydrated into a live registry."""
-        return MetricRegistry.from_dict(self.metrics)
 
     # ------------------------------------------------------------------
     # Schema-compat support

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional
 
 from .events import EventLog
-from .metrics import DEFAULT_BOUNDS, MetricRegistry
+from .metrics import MetricRegistry
 
 
 class Span:
@@ -152,9 +152,6 @@ class Observation:
     def gauge(self, name: str, **labels: str):
         return self.metrics.gauge(name, **labels)
 
-    def histogram(self, name: str, bounds: Sequence[float] = DEFAULT_BOUNDS, **labels: str):
-        return self.metrics.histogram(name, bounds, **labels)
-
     def add_counters(
         self, prefix: str, values: Dict[str, object], **labels: str
     ) -> None:
@@ -168,10 +165,6 @@ class Observation:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 continue
             self.metrics.counter(f"{prefix}.{key}", **labels).add(value)
-
-    def merge_metrics(self, payload: Dict[str, object]) -> None:
-        """Merge a serialized worker registry (see MetricRegistry.to_dict)."""
-        self.metrics.merge_dict(payload)
 
     # ------------------------------------------------------------------
     # Telemetry events passthrough

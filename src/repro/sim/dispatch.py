@@ -29,7 +29,6 @@ from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..faults.model import StuckAtFault
-from ..obs.metrics import MetricRegistry
 from .faultsim import FaultSimResult, unique_faults
 
 #: Backend names the ``--backend`` CLI flag accepts: the two in-process
@@ -112,30 +111,6 @@ def partition_faults(
         partitions[index].extend(group)
         heappush(loads, (load + len(group), index))
     return partitions
-
-
-def partition_metrics(partial: FaultSimResult) -> Dict[str, object]:
-    """Serialized metric registry for one partition result.
-
-    Built in the parent from each published result's kept stats (workers
-    ship none), then folded together with the registry's associative,
-    commutative merge — the totals are independent of worker count,
-    completion order, and partition grouping.
-    """
-    stats = partial.stats
-    registry = MetricRegistry()
-    registry.counter("faultsim.faults_simulated").add(partial.total_faults)
-    registry.counter("faultsim.faults_detected").add(len(partial.detected))
-    registry.counter("faultsim.events_propagated").add(
-        stats.get("events_propagated", 0)
-    )
-    registry.counter("faultsim.words_evaluated").add(
-        stats.get("words_evaluated", 0)
-    )
-    registry.histogram("faultsim.partition_wall_s").observe(
-        stats.get("wall_time_s", 0.0)
-    )
-    return registry.to_dict()
 
 
 def merge_results(

@@ -49,12 +49,14 @@ from ..faults.model import OUTPUT_PIN, StuckAtFault
 from . import goodcache
 from .parallel import WORD_WIDTH, ParallelSimulator
 
-#: ``stats`` keys the parent process contributes to the observation's
-#: ``faultsim.*`` counters — the good-machine side of a run, which no
-#: worker partition ever sees.  Cone-side counters (events, words,
-#: faults) come either from the same stats (single-process engines) or
-#: from the per-partition registries the parent merges (supervised).
-_PARENT_STAT_KEYS = (
+#: ``stats`` keys every engine publishes as ``faultsim.*`` counters.
+#: A key a run's stats lack (the good-response time of an in-process
+#: run, the lost-attempt count of a clean supervised run) is skipped.
+_COUNTED_STATS = (
+    "faults_simulated",
+    "events_propagated",
+    "words_evaluated",
+    "metrics_lost_attempts",
     "good_passes",
     "good_cache_hits",
     "good_cache_misses",
@@ -222,47 +224,20 @@ class FaultSimulator:
     def _publish(self, result: FaultSimResult) -> FaultSimResult:
         """Mirror a finished run's ``stats`` into the active observation.
 
-        The counters are *derived from the same values* ``stats`` holds,
-        so a RunReport's ``faultsim.*`` counters bit-identically match the
-        legacy stats dict for every engine.  Supervised runs carry a
-        merged per-partition metric registry in ``stats["metrics"]``
-        (built and merged in the parent); single-process runs
-        publish the equivalent counters straight from stats.
+        ``stats`` is the one record of a run: every engine (serial,
+        ppsfp, supervised at any ``--jobs``) publishes the same keys from
+        it, so a RunReport's ``faultsim.*`` counters match the stats
+        dict bit for bit, degraded supervised runs included.
         """
         observation = obs.current()
         if observation is None:
             return result
         stats = result.stats
-        merged_metrics = stats.get("metrics")
-        if merged_metrics:
-            # Per-partition counters (events, partition words, faults)
-            # arrive through the associative registry merge; the parent adds
-            # only its own good-machine word contribution on top so the
-            # total equals stats["words_evaluated"] exactly.
-            observation.merge_metrics(merged_metrics)
-            observation.counter("faultsim.words_evaluated").add(
-                stats.get("good_words_evaluated", 0)
-            )
-        else:
-            observation.add_counters(
-                "faultsim",
-                {
-                    key: stats[key]
-                    for key in (
-                        "faults_simulated",
-                        "events_propagated",
-                        "words_evaluated",
-                    )
-                    if key in stats
-                },
-            )
-            observation.counter("faultsim.faults_detected").add(
-                len(result.detected)
-            )
         observation.add_counters(
             "faultsim",
-            {key: stats[key] for key in _PARENT_STAT_KEYS if key in stats},
+            {key: stats[key] for key in _COUNTED_STATS if key in stats},
         )
+        observation.counter("faultsim.faults_detected").add(len(result.detected))
         observation.counter("faultsim.patterns_simulated").add(
             result.patterns_simulated
         )
@@ -275,9 +250,8 @@ class FaultSimulator:
             observation.counter("supervisor.failed_partitions").add(
                 len(stats["failed_partitions"])
             )
-        # Worker/supervisor telemetry events come home the same way the
-        # metric registries do: shipped payloads in stats, stitched onto
-        # the observation's own monotonic timeline.
+        # Worker/supervisor telemetry events ride stats as shipped
+        # payloads, stitched onto the observation's own monotonic timeline.
         for payload in stats.get("events", ()):
             observation.merge_events(payload)
         return result

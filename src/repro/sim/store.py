@@ -72,9 +72,9 @@ STORE_VERSION = 1
 #: Renew a held lease once less than this fraction of ``lease_s`` remains.
 RENEW_FRACTION = 0.5
 
-#: Per-shard stats fields preserved in a published result: with the
-#: detection map they are all a partition's metric registry is built from
-#: (:func:`repro.sim.dispatch.partition_metrics`).
+#: Per-shard stats fields preserved in a published result: the work
+#: counters the supervised run sums into its ``stats`` and the wall time
+#: its ``partitions`` rows report.
 _KEPT_STATS = ("events_propagated", "words_evaluated", "wall_time_s")
 
 

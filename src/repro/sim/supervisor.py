@@ -55,7 +55,6 @@ from multiprocessing.connection import wait
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..faults.model import StuckAtFault
-from ..obs.metrics import MetricRegistry
 from ..obs.events import (
     CHAOS,
     CRASH,
@@ -81,7 +80,6 @@ from .dispatch import (
     default_partition_count,
     merge_results,
     partition_faults,
-    partition_metrics,
     validate_pool_args,
 )
 from .faultsim import (
@@ -873,12 +871,10 @@ class SupervisedPoolBackend:
         start_time, simulator,
     ) -> None:
         per_partition: List[Dict[str, object]] = []
-        merged = MetricRegistry()
         metrics_lost = campaign.metrics_lost
         for index in sorted(results):
             partial = results[index]
             stats = partial.stats
-            merged.merge_dict(partition_metrics(partial))
             row = {
                 "partition": index,
                 "faults": len(campaign.shards[index]),
@@ -897,11 +893,6 @@ class SupervisedPoolBackend:
         walls = [p["wall_time_s"] for p in per_partition if p["wall_time_s"] > 0]
         imbalance = (max(walls) / (sum(walls) / len(walls))) if walls else 1.0
         total_lost = sum(metrics_lost.values())
-        if total_lost:
-            # Make the loss visible *inside* the merged registry, next to
-            # the counters it undercuts: consumers see the totals are a
-            # lower bound without cross-referencing the partition list.
-            merged.counter("faultsim.metrics_lost_attempts").add(total_lost)
         result.stats.update(
             engine=self.name,
             jobs=jobs,
@@ -911,17 +902,12 @@ class SupervisedPoolBackend:
             faults_simulated=result.total_faults,
             n_partitions=len(campaign.shards),
             partitions=per_partition,
-            # Derived from the merged per-shard registries rather than the raw
-            # partition list: the production totals ride the same
-            # associative merge the observability layer guarantees.
-            events_propagated=merged.counter("faultsim.events_propagated").value,
+            events_propagated=sum(p["events_propagated"] for p in per_partition),
             words_evaluated=good_words
-            + merged.counter("faultsim.words_evaluated").value,
-            good_words_evaluated=good_words,
+            + sum(p["words_evaluated"] for p in per_partition),
             load_imbalance=round(imbalance, 3),
             good_response_s=good_seconds,
             wall_time_s=time.perf_counter() - start_time,
-            metrics=merged.to_dict(),
             **campaign.counters,
         )
         if total_lost:

@@ -30,7 +30,6 @@ from repro.obs.events import (
     read_jsonl,
     stitch_payloads,
 )
-from repro.obs.metrics import MetricRegistry
 from repro.obs.report import RunReport
 from repro.obs.trace import chrome_trace, write_chrome_trace
 from repro.sim.chaos import ChaosPlan
@@ -225,15 +224,16 @@ class TestMetricsLossAnnotation:
             config=SupervisorConfig(backoff_s=0.0),
             chaos=ChaosPlan.parse(["2:crash,crash"]),
         )
-        result = backend.run(simulator, patterns, faults)
+        with obs.observe("run") as observation:
+            result = simulator.simulate(patterns, faults, engine=backend)
         assert result.stats["metrics_lost_attempts"] == 2
         assert result.stats["metrics_lower_bound"] is True
         row = next(
             p for p in result.stats["partitions"] if p["partition"] == 2
         )
         assert row["metrics_lost_attempts"] == 2
-        registry = MetricRegistry.from_dict(result.stats["metrics"])
-        assert registry.counter("faultsim.metrics_lost_attempts").value == 2
+        published = observation.counter("faultsim.metrics_lost_attempts")
+        assert published.value == 2
 
     def test_clean_run_has_no_loss_annotation(self):
         simulator, patterns, faults = _campaign()
