@@ -1,27 +1,24 @@
-"""Shard store — Table: lease-store overhead, peer merge, and steal cost.
+"""Shard store — Table: store overhead and the resume path.
 
-Times one fault-simulation campaign on a generated circuit under four
+Times one fault-simulation campaign on a generated circuit under three
 store regimes and records the rows to ``BENCH_store.json``:
 
-* ``supervised``  — the single-process supervised baseline (no store);
-* ``store``       — the same campaign claimed shard-by-shard from a
-  shared lease store by one runner (claim + publish + merge-from-store
-  overhead on top of supervision);
-* ``peer_merge``  — a second runner pointed at the finished store: every
-  shard already published, so this measures the pure merge/verify path
-  (``finished_by_peers``);
-* ``steal``       — every shard pre-leased by a ghost runner whose
-  leases have expired, so the runner must steal all of them before
-  grading (the recovery path after a host death).
+* ``supervised`` — the supervised baseline over its private store;
+* ``store``      — the same campaign published shard by shard to an
+  explicit store (publish + merge-from-store overhead on top of
+  supervision);
+* ``resume``     — a re-run against the finished store: every shard is
+  already published, so this measures the pure merge/verify path
+  (``already_complete``).
 
 Every regime must produce a detection map bit-identical to
 single-process PPSFP — the timing sweep doubles as the differential
 correctness check.  The deterministic counters (published shards,
-steals, conflicts) are recorded per row so ``repro obs gate`` pins them
-exactly while wall times get the usual median/MAD noise band.
+conflicts) are recorded per row so ``repro obs gate`` pins them exactly
+while wall times get the usual median/MAD noise band.
 
 ``python -m benchmarks.bench_store --smoke`` runs a small circuit
-through all four regimes (three replicates each for MAD grouping) and
+through all three regimes (three replicates each for MAD grouping) and
 writes ``BENCH_store_smoke.json`` for the CI gate.
 """
 
@@ -35,9 +32,8 @@ from repro.atpg.random_gen import random_patterns
 from repro.circuit import generators
 from repro.faults.collapse import collapse_faults
 from repro.faults.stuck_at import full_fault_list
-from repro.sim.dispatch import partition_faults
 from repro.sim.faultsim import FaultSimulator
-from repro.sim.store import CampaignKey, ShardStore
+from repro.sim.store import ShardStore
 from repro.sim.supervisor import SupervisedPoolBackend
 
 from .util import print_table, run_once, write_bench_json
@@ -68,8 +64,6 @@ def _timed(backend, simulator, patterns, faults):
 def _campaign(size, n_patterns, work_dir, replicates):
     netlist, simulator, faults, patterns = _setup(size, n_patterns)
     reference = simulator.simulate(patterns, faults, drop=False)
-    shards = partition_faults(faults, PARTITIONS, 0)
-    key = CampaignKey.build(netlist, patterns, faults, 0, len(shards), False)
 
     rows = []
 
@@ -96,56 +90,28 @@ def _campaign(size, n_patterns, work_dir, replicates):
         root = os.path.join(work_dir, f"store-{rep}")
         fresh, fresh_s = _timed(
             SupervisedPoolBackend(
-                jobs=JOBS, partitions=PARTITIONS,
-                store=ShardStore(root, runner_id="bench"),
+                jobs=JOBS, partitions=PARTITIONS, store=ShardStore(root),
             ),
             simulator, patterns, faults,
         )
         stats = fresh.stats["store"]
-        assert stats["published"] == len(shards)
-        assert stats["steals"] == 0
+        assert stats["published"] == PARTITIONS
         check(
             f"store_x{rep}", fresh, fresh_s,
-            published=stats["published"], steals=stats["steals"],
+            published=stats["published"],
             publish_conflicts=stats["publish_conflicts"],
         )
 
-        peer, peer_s = _timed(
+        resumed, resumed_s = _timed(
             SupervisedPoolBackend(
-                jobs=JOBS, partitions=PARTITIONS,
-                store=ShardStore(root, runner_id="late"),
+                jobs=JOBS, partitions=PARTITIONS, store=ShardStore(root),
             ),
             simulator, patterns, faults,
         )
-        stats = peer.stats["store"]
-        assert stats["finished_by_peers"] is True
-        check(
-            f"peer_merge_x{rep}", peer, peer_s,
-            published=stats["published"], steals=stats["steals"],
-        )
-
-        ghost_root = os.path.join(work_dir, f"ghost-{rep}")
-        ghost = ShardStore(ghost_root, runner_id="ghost", lease_s=0.01)
-        ghost.initialize(key, len(shards))
-        for index in range(len(shards)):
-            assert ghost.try_claim(index) is not None
-        time.sleep(0.05)  # every ghost lease is now expired
-        stolen, stolen_s = _timed(
-            SupervisedPoolBackend(
-                jobs=JOBS, partitions=PARTITIONS,
-                store=ShardStore(ghost_root, runner_id="bench"),
-            ),
-            simulator, patterns, faults,
-        )
-        stats = stolen.stats["store"]
-        assert stats["steals"] == len(shards)
-        assert stats["published"] == len(shards)
-        check(
-            f"steal_x{rep}", stolen, stolen_s,
-            published=stats["published"], steals=stats["steals"],
-        )
+        stats = resumed.stats["store"]
+        assert stats["already_complete"] is True
+        check(f"resume_x{rep}", resumed, resumed_s, published=stats["published"])
         shutil.rmtree(root)
-        shutil.rmtree(ghost_root)
 
     return rows
 
@@ -155,7 +121,7 @@ def test_store_overhead(benchmark):
         rows = run_once(
             benchmark, _campaign, FULL_SIZE, FULL_PATTERNS, work_dir, REPLICATES
         )
-    print_table("Shard store: lease overhead, peer merge, steal cost", rows)
+    print_table("Shard store: publish overhead and resume", rows)
     path = write_bench_json(
         "store",
         {
@@ -169,7 +135,7 @@ def test_store_overhead(benchmark):
 
 
 def _run_smoke():
-    """Quick CI check: all four regimes, identical detection maps."""
+    """Quick CI check: all three regimes, identical detection maps."""
     with tempfile.TemporaryDirectory() as work_dir:
         rows = _campaign(SMOKE_SIZE, SMOKE_PATTERNS, work_dir, REPLICATES)
     print_table("store smoke", rows)
@@ -183,7 +149,7 @@ def _run_smoke():
         },
     )
     print(f"wrote {path}")
-    print("OK: supervised/store/peer-merge/steal all bit-identical to ppsfp")
+    print("OK: supervised/store/resume all bit-identical to ppsfp")
     return 0
 
 

@@ -112,7 +112,7 @@ def _campaign(size, n_patterns, store_dir):
         root = os.path.join(store_dir, netlist.name)
         return SupervisedPoolBackend(
             jobs=JOBS, partitions=PARTITIONS,
-            store=ShardStore(root, runner_id="bench"),
+            store=ShardStore(root),
         )
 
     full, full_s = _timed(store_backend(), simulator, patterns, faults)

@@ -12,7 +12,7 @@ Thin orchestration over the library for the common one-shot jobs:
 ``plan``       print the chip-level DFT plan for an accelerator
 ``obs diff``   compare two BENCH_*.json reports (median + MAD bands)
 ``obs gate``   like diff, but exit 4 on regression (the CI sentinel)
-``obs tail``   live per-runner progress of a ``--store`` campaign
+``obs tail``   live progress of a ``--store`` campaign
 =============  =====================================================
 
 Every subcommand also takes ``--report FILE`` (RunReport JSON),
@@ -25,12 +25,11 @@ mismatch (shard store keyed to a different circuit/pattern set); ``3`` a
 supervised fault-sim campaign completed *partially*
 (unrecoverable partitions — reported coverage is a lower bound);
 ``4`` benchmark regression detected by ``obs gate``; ``5`` a
-``--store`` campaign was already finished — by peer runners or an
-earlier run (the printed result is real — merged from the store — but
-this runner graded nothing); ``130`` interrupted (Ctrl-C: workers are
-terminated and held store leases are released before exiting, so
-re-running with the same ``--store`` — or a peer — picks up where the
-run died).
+``--store`` campaign was already complete when this run started (the
+printed result is real — merged from the store — but this run graded
+nothing); ``130`` interrupted (Ctrl-C: workers are terminated before
+exiting, and every shard already published stays in the store, so
+re-running with the same ``--store`` picks up where the run died).
 """
 
 from __future__ import annotations
@@ -65,10 +64,10 @@ WORD_WIDTHS = (64, 256, 1024, 4096)
 EXIT_PARTIAL = 3
 #: ``repro obs gate`` found a wall-time regression or counter drift.
 EXIT_REGRESSION = 4
-#: A ``--store`` campaign was complete before this runner graded anything:
-#: the merged result printed is authoritative, but schedulers fanning out
-#: runners can tell "did work" (0) from "peers beat me to all of it" (5).
-EXIT_PEERS = 5
+#: A ``--store`` campaign was complete before this run graded anything:
+#: the merged result printed is authoritative, but a script re-running a
+#: campaign can tell "did work" (0) from "nothing left to grade" (5).
+EXIT_ALREADY_COMPLETE = 5
 #: Interrupted by Ctrl-C after clean teardown (POSIX convention: 128+SIGINT).
 EXIT_INTERRUPTED = 130
 
@@ -161,52 +160,34 @@ def _cmd_atpg(args) -> int:
 def _supervised_backend(args):
     """Build a supervised backend when the flags call for one.
 
-    ``--timeout``, ``--retries``, ``--chaos``, ``--store`` and
-    ``--host-chaos`` all imply supervision; asking for them with an
-    unsupervised ``--backend`` is upgraded (with a note) rather than
-    silently ignored.
+    ``--timeout``, ``--retries``, ``--chaos`` and ``--store`` all imply
+    supervision; asking for them with an unsupervised ``--backend`` is
+    upgraded (with a note) rather than silently ignored.
     """
-    if args.store is None and (args.runner_id is not None or bool(args.host_chaos)):
-        raise ValueError(
-            "--runner-id/--host-chaos only make sense with --store DIR "
-            "(they name runners of a shared campaign)"
-        )
     implied = (
         args.timeout is not None
         or args.retries is not None
         or bool(args.chaos)
         or args.store is not None
-        or bool(args.host_chaos)
     )
     if args.backend != "supervised":
         if not implied:
             return None
         print(f"(--backend {args.backend} upgraded to supervised)")
-    from .sim.chaos import ChaosPlan, HostChaosPlan
+    from .sim.chaos import ChaosPlan
     from .sim.store import ShardStore
     from .sim.supervisor import SupervisedPoolBackend, SupervisorConfig
 
     config = SupervisorConfig(timeout_s=args.timeout)
     if args.retries is not None:
         config.max_retries = args.retries
-    chaos = ChaosPlan.parse(args.chaos) if args.chaos else None
-    store = None
-    if args.store is not None:
-        runner_id = (
-            args.runner_id
-            if args.runner_id is not None
-            else f"runner-{os.getpid()}"
-        )
-        store = ShardStore(args.store, runner_id=runner_id, lease_s=args.lease_s)
-    host_chaos = HostChaosPlan.parse(args.host_chaos) if args.host_chaos else None
     return SupervisedPoolBackend(
         jobs=args.jobs,
         seed=args.seed,
         partitions=args.partitions,
         config=config,
-        chaos=chaos,
-        store=store,
-        host_chaos=host_chaos,
+        chaos=ChaosPlan.parse(args.chaos) if args.chaos else None,
+        store=ShardStore(args.store) if args.store is not None else None,
     )
 
 
@@ -277,17 +258,12 @@ def _cmd_faultsim(args) -> int:
         store_stats = stats.get("store")
         if store_stats:
             line = (
-                f"store {store_stats['path']} [{store_stats['runner_id']}]: "
+                f"store {store_stats['path']}: "
                 f"{store_stats['shards_graded_here']}/{store_stats['n_shards']}"
-                f" shards graded by this runner"
+                f" shards graded here"
             )
-            extra = ", ".join(
-                f"{store_stats[key]} {key.replace('_', ' ')}"
-                for key in ("steals", "publish_conflicts", "leases_swept")
-                if store_stats.get(key)
-            )
-            if extra:
-                line += f" ({extra})"
+            if store_stats["publish_conflicts"]:
+                line += f" ({store_stats['publish_conflicts']} publish conflicts)"
             print(line)
         failed = stats.get("failed_partitions")
         if failed:
@@ -299,12 +275,12 @@ def _cmd_faultsim(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_PARTIAL
-        if store_stats and store_stats.get("finished_by_peers"):
+        if store_stats and store_stats["already_complete"]:
             print(
-                "campaign already finished by peer runners; "
+                "campaign already complete in the store; "
                 "result above merged from the store"
             )
-            return EXIT_PEERS
+            return EXIT_ALREADY_COMPLETE
     return 0
 
 
@@ -397,28 +373,14 @@ def _cmd_obs_gate(args) -> int:
 
 
 def _render_store_progress(progress) -> List[str]:
-    """Per-runner ownership map of a shard store, one line per runner."""
-    done = progress.get("partitions_done_count", 0)
-    total = progress.get("partitions_total", "?")
+    """Progress of a shard store: one line, plus one once it is complete."""
     lines = [
-        f"store {progress['path']}: partitions {done}/{total} done, "
-        f"{progress.get('leased', 0)} leased, "
-        f"{progress.get('available', 0)} available, "
-        f"faults graded {progress.get('faults_graded', 0)}, "
-        f"detected {progress.get('detected', 0)}"
-        + (f", {progress['steals']} steal(s)" if progress.get("steals") else "")
+        f"store {progress['path']}: partitions "
+        f"{progress['partitions_done_count']}/{progress['partitions_total']} "
+        f"done, faults graded {progress['faults_graded']}, "
+        f"detected {progress['detected']}"
     ]
-    for runner, row in sorted(progress.get("runners", {}).items()):
-        held = ", ".join(
-            f"{entry['shard']}@{entry['expires_in_s']:+.1f}s"
-            for entry in row.get("held", ())
-        )
-        line = f"  {runner}: {row.get('published', 0)} published"
-        if row.get("steals"):
-            line += f", {row['steals']} stolen"
-        line += f", holds [{held}]" if held else ", holds nothing"
-        lines.append(line)
-    if progress.get("complete"):
+    if progress["complete"]:
         lines.append("  campaign complete")
     return lines
 
@@ -466,7 +428,7 @@ def _nonnegative_float(text: str) -> float:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    # A NaN deadline never trips and an infinite lease is never stolen.
+    # A NaN deadline or poll interval never elapses.
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(
             f"must be a finite positive number, got {value}"
@@ -590,34 +552,7 @@ def _add_supervision_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="shard-store directory: every graded shard is published "
         "there, so re-running with the same --store resumes a killed or "
-        "interrupted campaign, and N independently launched runners with "
-        "the same --store cooperatively execute one campaign, stealing "
-        "shards from dead peers (implies the supervised backend)",
-    )
-    parser.add_argument(
-        "--runner-id",
-        default=None,
-        metavar="NAME",
-        help="this runner's name in the store (lease ownership, event "
-        "files; default: runner-<pid>)",
-    )
-    parser.add_argument(
-        "--lease-s",
-        type=_positive_float,
-        default=30.0,
-        metavar="SECONDS",
-        help="shard lease duration: a runner silent this long is presumed "
-        "dead and its shards are stolen (default: 30)",
-    )
-    parser.add_argument(
-        "--host-chaos",
-        action="append",
-        default=None,
-        metavar="RUNNER:MODE[@AFTER[,DURATION_S]]",
-        help="inject a host-level failure into the named runner: "
-        "'r1:kill@2' (exit hard after 2 publishes), 'r0:stall@1,0.5' "
-        "(stop renewing leases), 'r2:partition@1,0.5' (lose the store "
-        "for a window; repeatable; requires --store)",
+        "interrupted campaign (implies the supervised backend)",
     )
 
 
@@ -744,8 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tail = obs_sub.add_parser(
         "tail",
-        help="live progress and per-runner shard ownership of a "
-        "--store campaign",
+        help="live progress of a --store campaign",
     )
     tail.add_argument(
         "store",
@@ -825,10 +759,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _run_observed(args, argv)
         return args.handler(args)
     except KeyboardInterrupt:
-        # The supervisor has already reaped its workers and released its
-        # store leases on the way up; exit 130 instead of a
-        # multiprocessing traceback so shells and schedulers see a clean
-        # interrupt.
+        # The supervisor has already reaped its workers on the way up;
+        # exit 130 instead of a multiprocessing traceback so shells and
+        # schedulers see a clean interrupt.
         print(
             "interrupted: workers terminated — re-run with the same "
             "--store DIR to resume",

@@ -3,7 +3,7 @@
 Spans (:mod:`repro.obs.span`) answer *how long* each region of a flow
 took; the event stream answers *when things happened and in which
 process* — partition begin/end on each worker, supervisor retries,
-timeout kills, chaos injections, heartbeats.  Every
+timeout kills, chaos injections, store publishes, heartbeats.  Every
 :class:`TelemetryEvent` carries **both clocks**:
 
 * ``t_mono`` — ``time.perf_counter()`` in the emitting process.  Spacing
@@ -52,16 +52,10 @@ TIMEOUT = "timeout"
 INVALID = "invalid"
 CHAOS = "chaos"
 INLINE_FALLBACK = "inline_fallback"
-# Shared shard-store lifecycle (multi-runner campaigns, repro.sim.store):
-# claims, heartbeat renewals, steals from expired peers, losing a lease
-# to a stealer, first-write publishes, and converged duplicate publishes.
-LEASE_CLAIM = "lease_claim"
-LEASE_RENEW = "lease_renew"
-LEASE_STEAL = "lease_steal"
-LEASE_LOST = "lease_lost"
+# Shard-store results (repro.sim.store): first-write publishes, and
+# duplicate publishes that converged on the same digest.
 PUBLISH = "publish"
 PUBLISH_CONFLICT = "publish_conflict"
-HOST_CHAOS = "host_chaos"
 
 #: Kinds rendered as instant markers on a timeline (everything that is a
 #: moment, not a region).
@@ -73,13 +67,8 @@ INSTANT_KINDS = (
     INVALID,
     CHAOS,
     INLINE_FALLBACK,
-    LEASE_CLAIM,
-    LEASE_RENEW,
-    LEASE_STEAL,
-    LEASE_LOST,
     PUBLISH,
     PUBLISH_CONFLICT,
-    HOST_CHAOS,
 )
 
 

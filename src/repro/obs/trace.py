@@ -12,7 +12,7 @@ Chrome trace-event JSON format, viewable in Perfetto
   partition attempt (from ``partition_begin``/``partition_end`` event
   pairs), so load imbalance and retry gaps are visible at a glance;
 * supervisor moments — retries, timeout kills, crashes, chaos
-  injections, inline fallbacks, lease steals — render as instant
+  injections, inline fallbacks, store publishes — render as instant
   (``ph: "i"``) markers;
 * heartbeats carrying ``faults_graded`` render as a counter
   (``ph: "C"``) series, the campaign's live progress curve.

@@ -29,20 +29,6 @@ of the recovered result.
 ``corrupt`` injects only validator-visible damage.  A semantically
 plausible wrong answer (a legal but incorrect detection index) is
 undetectable without redundant execution and out of scope here.
-
-Multi-runner campaigns over a shared shard store (:mod:`repro.sim.store`)
-add a second failure domain: the *host*.  :class:`HostChaosPlan` injects
-deterministic host-level failures into a named runner:
-
-* ``kill``      — the whole runner process exits hard (``os._exit``)
-  after publishing its N-th shard, leases still held; peers must steal
-  the expired leases and finish the campaign.
-* ``stall``     — the runner stops renewing its leases (it keeps
-  grading and publishing), so peers steal shards it is still working
-  on; the resulting double grade must converge via first-write-wins.
-* ``partition`` — the runner loses the store for a window: no claims,
-  renewals, or publishes go through until the window heals, after which
-  queued publishes land late and must converge idempotently.
 """
 
 from __future__ import annotations
@@ -50,7 +36,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 CRASH = "crash"
 HANG = "hang"
@@ -62,17 +48,6 @@ MODES = (CRASH, HANG, RAISE, CORRUPT)
 
 #: Exit status used by ``crash`` injections — distinctive in ``ps``/logs.
 CRASH_EXIT_CODE = 86
-
-KILL = "kill"
-STALL = "stall"
-PARTITION = "partition"
-
-#: Host-level modes accepted in a :class:`HostChaosPlan` schedule.
-HOST_MODES = (KILL, STALL, PARTITION)
-
-#: Exit status used by host-level ``kill`` injections — distinct from the
-#: worker-level ``crash`` code so tests can tell the domains apart.
-HOST_KILL_EXIT_CODE = 87
 
 
 class ChaosError(RuntimeError):
@@ -165,86 +140,3 @@ class ChaosPlan:
             fault = next(iter(partial.detected))
             partial.detected[fault] = n_patterns + 1
         return partial
-
-
-# ----------------------------------------------------------------------
-# Host-level chaos (multi-runner shard-store campaigns)
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HostChaosInjection:
-    """One runner's scheduled host failure.
-
-    ``after_publishes`` is the trigger: the injection fires on the first
-    supervision-loop pass once the runner has published that many shard
-    results to the store (``0`` fires before any work).  ``duration_s``
-    bounds ``stall``/``partition`` windows; ``0`` means "until the run
-    ends" (``kill`` ignores it).
-    """
-
-    mode: str
-    after_publishes: int = 0
-    duration_s: float = 0.0
-
-    def __post_init__(self):
-        if self.mode not in HOST_MODES:
-            raise ValueError(
-                f"unknown host chaos mode {self.mode!r}; expected one of "
-                f"{HOST_MODES}"
-            )
-        if self.after_publishes < 0:
-            raise ValueError(
-                f"after_publishes must be >= 0, got {self.after_publishes}"
-            )
-        if self.duration_s < 0:
-            raise ValueError(f"duration_s must be >= 0, got {self.duration_s}")
-
-
-@dataclass(frozen=True)
-class HostChaosPlan:
-    """Deterministic host-failure schedule: runner id -> injection.
-
-    Every runner consults the plan with its own ``--runner-id``, so one
-    shared plan string launches a whole fleet where exactly the named
-    runner dies/stalls/partitions at a reproducible point — which is what
-    lets the differential harness assert bit-identity of the survivors'
-    merge.
-    """
-
-    schedule: Dict[str, HostChaosInjection] = field(default_factory=dict)
-
-    @classmethod
-    def parse(cls, specs: Sequence[str]) -> "HostChaosPlan":
-        """Parse CLI specs like ``r1:kill@2`` or ``r0:partition@1,0.5``.
-
-        Format: ``RUNNER:MODE[@AFTER[,DURATION_S]]`` (repeatable flag; a
-        later spec for the same runner replaces the earlier one).
-        """
-        schedule: Dict[str, HostChaosInjection] = {}
-        for spec in specs:
-            runner, sep, rest = spec.partition(":")
-            if not sep or not runner or not rest:
-                raise ValueError(
-                    f"bad host chaos spec {spec!r}: expected "
-                    f"RUNNER:MODE[@AFTER[,DURATION_S]]"
-                )
-            mode, _, trigger = rest.partition("@")
-            after, duration = 0, 0.0
-            if trigger:
-                after_text, _, duration_text = trigger.partition(",")
-                try:
-                    after = int(after_text)
-                    if duration_text:
-                        duration = float(duration_text)
-                except ValueError:
-                    raise ValueError(
-                        f"bad host chaos spec {spec!r}: AFTER must be an int "
-                        f"and DURATION_S a float"
-                    ) from None
-            schedule[runner] = HostChaosInjection(mode.strip(), after, duration)
-        return cls(schedule=schedule)
-
-    def for_runner(self, runner: str) -> Optional[HostChaosInjection]:
-        """The injection scheduled for ``runner``, or None (clean host)."""
-        return self.schedule.get(runner)

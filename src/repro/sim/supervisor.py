@@ -59,7 +59,6 @@ from ..obs.events import (
     CHAOS,
     CRASH,
     HEARTBEAT,
-    HOST_CHAOS,
     INLINE_FALLBACK,
     INVALID,
     PARTITION_BEGIN,
@@ -68,14 +67,7 @@ from ..obs.events import (
     TIMEOUT,
     EventLog,
 )
-from .chaos import (
-    HOST_KILL_EXIT_CODE,
-    KILL,
-    PARTITION,
-    STALL,
-    ChaosPlan,
-    HostChaosPlan,
-)
+from .chaos import ChaosPlan
 from .dispatch import (
     default_partition_count,
     merge_results,
@@ -87,14 +79,14 @@ from .faultsim import (
     FaultSimResult,
     unique_faults,
 )
-from .store import CampaignKey, Lease, ShardStore, StoreCorruptionError
+from .store import CampaignKey, ShardStore, StoreCorruptionError
 
 #: Name prefix of the private store directory a run without ``store=``
 #: creates and always removes.
 PRIVATE_STORE_PREFIX = "repro-campaign-"
 
 #: Longest the supervision loop blocks on its workers between looks at
-#: leases, retry backoff, deadlines and peers.
+#: retry backoff and deadlines.
 WAIT_S = 0.01
 
 
@@ -253,9 +245,9 @@ class SupervisedPoolBackend:
     fault universe) never change the merged result, which is
     bit-identical to ``ppsfp`` on a clean run.  The backend survives
     worker crashes, hangs and corrupt results, degrades gracefully
-    instead of dying, and with ``store=`` shares the campaign with other
-    runners and resumes from the store's published shards.  Without
-    ``store=`` it runs over a private temporary store.
+    instead of dying, and with ``store=`` resumes from the store's
+    published shards.  Without ``store=`` it runs over a private
+    temporary store.
     """
 
     name = "supervised"
@@ -268,14 +260,8 @@ class SupervisedPoolBackend:
         config: Optional[SupervisorConfig] = None,
         chaos: Optional[ChaosPlan] = None,
         store: Optional[ShardStore] = None,
-        host_chaos: Optional[HostChaosPlan] = None,
     ):
         validate_pool_args(jobs=jobs, seed=seed, partitions=partitions)
-        if host_chaos is not None and store is None:
-            raise ValueError(
-                "host-level chaos targets runners of a shared store; "
-                "pass store= as well (or use worker-level chaos=)"
-            )
         self.jobs = jobs
         self.seed = seed
         self.partitions = partitions
@@ -283,7 +269,6 @@ class SupervisedPoolBackend:
         self.config.validate()
         self.chaos = chaos
         self.store = store
-        self.host_chaos = host_chaos
 
     # ------------------------------------------------------------------
     # Main entry
@@ -311,7 +296,7 @@ class SupervisedPoolBackend:
             return self._run_store(self.store, simulator, patterns, faults, drop)
         # No store given: run over a private one on tmpfs (where the host
         # has it, so its fsyncs cost no disk I/O), removed on every exit
-        # path.  It has no path worth reporting and no peers.
+        # path.  It has no path worth reporting.
         tmpfs = "/dev/shm" if os.path.isdir("/dev/shm") else None
         with tempfile.TemporaryDirectory(
             prefix=PRIVATE_STORE_PREFIX, dir=tmpfs
@@ -453,11 +438,8 @@ class SupervisedPoolBackend:
 
     def _finish_poisoned(
         self, simulator, good_chunks, campaign, index, attempt, reason, record,
-    ) -> bool:
-        """Pool retries exhausted: inline fallback, else mark failed.
-
-        Returns True when the inline re-run was recorded.
-        """
+    ) -> None:
+        """Pool retries exhausted: inline fallback, else mark failed."""
         shard = campaign.shards[index]
         n_patterns = campaign.n_patterns
         if self.config.inline_fallback:
@@ -475,7 +457,7 @@ class SupervisedPoolBackend:
                 invalid = validate_partial(partial, shard, n_patterns)
                 if invalid is None:
                     record(index, partial, "inline", inline_attempt)
-                    return True
+                    return
                 reason = f"inline fallback invalid result: {invalid}"
             except KeyboardInterrupt:
                 raise
@@ -490,45 +472,25 @@ class SupervisedPoolBackend:
                 "reason": reason,
             }
         )
-        return False
 
     # ------------------------------------------------------------------
-    # The driver: one loop over a shard store (multi-runner, resume)
+    # The driver: one loop over a shard store (resume)
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _claim_order(n_shards: int, runner_id: str) -> List[int]:
-        """Shard visit order for claims, staggered per runner id.
-
-        N runners launched together would otherwise all race shard 0,
-        lose N-1 claims, race shard 1, and so on.  A deterministic
-        per-runner offset (``hash()`` is salted per process, so a byte
-        sum instead) spreads the fleet across the shard space while
-        keeping each runner's order reproducible.
-        """
-        if n_shards == 0:
-            return []
-        offset = sum(runner_id.encode()) % n_shards
-        return [(offset + i) % n_shards for i in range(n_shards)]
 
     def _run_store(self, store, simulator, patterns, faults, drop):
-        """Cooperatively execute one campaign over a shard store.
+        """Execute one campaign over a shard store.
 
-        Every shard is *claimed* from the store under a heartbeat-renewed
-        lease, so any number of independently launched runner processes
-        share the campaign and steal from dead peers — and a runner re-run
-        against a store it (or anyone) already partly filled grades only
-        what is missing.  Three properties, each load-bearing:
+        Every shard with no published result is graded, in index order,
+        and published the moment it is graded — so a re-run against a
+        store that a killed run partly filled grades only what is
+        missing.  Two properties are load-bearing:
 
         * the compiled simulator and good-machine response reach workers
-          by ``fork`` copy-on-write, so a host-level ``kill`` injection
-          (``os._exit``) leaves no shared resource behind;
-        * grading runs in child processes, so this supervision loop stays
-          free to renew leases however long a shard takes;
+          by ``fork`` copy-on-write, so a killed run leaves no shared
+          resource behind;
         * the final merge reads *only* the store's published result files —
-          including for shards graded here — so every runner's merged
-          result is bit-identical to every other's (and to a clean
-          single-runner run) by construction.
+          including for shards graded here — so a resumed run's merged
+          result is bit-identical to a clean run's by construction.
         """
         start_time = time.perf_counter()
         universe = unique_faults(faults)
@@ -538,33 +500,26 @@ class SupervisedPoolBackend:
             simulator.netlist, patterns, universe, self.seed, len(shards), drop
         )
         store.initialize(key, len(shards))
-        # One timeline: lease events + supervision.
+        # One timeline: store publishes + supervision.
         campaign = _Campaign(shards, n_patterns, drop, store.events)
         events = campaign.events
         pending = campaign.pending
-        injection = (
-            self.host_chaos.for_runner(store.runner_id)
-            if self.host_chaos is not None
-            else None
+        done = store.done_indices()
+        pending.extend(
+            (index, 0, 0.0) for index in range(len(shards)) if index not in done
         )
 
-        leases: Dict[int, Lease] = {}
-        abandoned: set = set()
         running: List[_Slot] = []
-        publish_queue: Dict[int, FaultSimResult] = {}
         faults_total = sum(len(shard) for shard in shards)
         state = {
-            "published": 0,       # store.publish calls that landed
-            "wins": 0,            # ... that won first-write
-            "graded_faults": 0,   # faults graded by this runner
-            "chaos_fired": False,
-            "window_mode": None,  # live stall/partition window
-            "window_until": 0.0,
+            "done": len(done),    # shards with a result in the store
+            "wins": 0,            # store.publish calls that won first-write
+            "graded_faults": 0,   # faults graded by this run
         }
 
-        # The good response is only computed when this runner actually
-        # grades something: a runner that finds the campaign already
-        # finished pays nothing but the merge.
+        # The good response is only computed when this run actually
+        # grades something: a re-run of a finished campaign pays nothing
+        # but the merge.
         good_state: Dict[str, object] = {}
 
         def good_chunks():
@@ -579,56 +534,6 @@ class SupervisedPoolBackend:
                 good_state["seconds"] = time.perf_counter() - t0
             return good_state["chunks"]
 
-        def store_reachable(now: float) -> bool:
-            return not (
-                state["window_mode"] == PARTITION and now < state["window_until"]
-            )
-
-        def renewals_allowed(now: float) -> bool:
-            return not (
-                state["window_mode"] in (STALL, PARTITION)
-                and now < state["window_until"]
-            )
-
-        def maybe_fire_host_chaos() -> None:
-            if injection is None or state["chaos_fired"]:
-                return
-            if state["published"] < injection.after_publishes:
-                return
-            state["chaos_fired"] = True
-            events.emit(
-                HOST_CHAOS, f"host_chaos:{injection.mode}",
-                runner=store.runner_id, mode=injection.mode,
-                after_publishes=injection.after_publishes,
-                duration_s=injection.duration_s,
-            )
-            if injection.mode == KILL:
-                # A host death: no lease release, no cleanup — peers must
-                # steal the expired leases.  Flush telemetry only, so the
-                # postmortem shows what this runner was holding.
-                store.write_events()
-                os._exit(HOST_KILL_EXIT_CODE)
-            state["window_mode"] = injection.mode
-            state["window_until"] = (
-                float("inf")
-                if injection.duration_s == 0
-                else time.monotonic() + injection.duration_s
-            )
-
-        def publish(index: int, partial: FaultSimResult) -> None:
-            if store.publish(index, partial):
-                state["wins"] += 1
-            state["published"] += 1
-            leases.pop(index, None)  # publish dropped the lease file
-            events.emit(
-                HEARTBEAT, "progress",
-                partition=index,
-                faults_graded=state["graded_faults"],
-                faults_total=faults_total,
-                partitions_done=len(store.done_indices()),
-                partitions_total=len(shards),
-            )
-
         def record(index: int, partial: FaultSimResult, source: str,
                    attempt: int) -> None:
             campaign.note(index, source, attempt)
@@ -639,47 +544,27 @@ class SupervisedPoolBackend:
                 # record keeps only the deterministic stats, so this is
                 # the only place the per-attempt events survive.
                 events.ingest(worker_payload)
-            if not store_reachable(time.monotonic()):
-                publish_queue[index] = partial  # lands late, converges
-                return
-            publish(index, partial)
+            if store.publish(index, partial):
+                state["wins"] += 1
+            state["done"] += 1
+            events.emit(
+                HEARTBEAT, "progress",
+                partition=index,
+                faults_graded=state["graded_faults"],
+                faults_total=faults_total,
+                partitions_done=state["done"],
+                partitions_total=len(shards),
+            )
 
         def poison(slot: _Slot, reason: str) -> None:
-            if self._finish_poisoned(
+            self._finish_poisoned(
                 simulator, good_chunks(), campaign, slot.index, slot.attempt,
                 reason, record,
-            ):
-                return
-            # Locally poisoned: hand the shard back so a peer (with a
-            # healthier host) can try it; only if nobody can does the
-            # campaign degrade to a coverage lower bound.
-            lease = leases.pop(slot.index, None)
-            if lease is not None:
-                store.release(lease)
-            abandoned.add(slot.index)
+            )
 
         try:
-            while True:
+            while running or pending:
                 now = time.monotonic()
-                if state["window_mode"] is not None and now >= state["window_until"]:
-                    state["window_mode"] = None
-                maybe_fire_host_chaos()
-                now = time.monotonic()
-
-                # Renew leases we hold before peers can deem them expired.
-                if leases and renewals_allowed(now):
-                    for index, lease in list(leases.items()):
-                        if store.needs_renewal(lease):
-                            renewed = store.renew(lease)
-                            if renewed is None:
-                                # Stolen (we renewed too late).  Keep
-                                # grading: the duplicate publish converges
-                                # first-write-wins, and aborting now would
-                                # waste the work if the stealer dies too.
-                                leases.pop(index, None)
-                            else:
-                                leases[index] = renewed
-
                 for slot in list(running):
                     outcome = self._poll_slot(slot, now)
                     if outcome is None:
@@ -688,78 +573,14 @@ class SupervisedPoolBackend:
                     self._handle_outcome(slot, outcome, campaign, record, poison)
 
                 now = time.monotonic()
-                if publish_queue and store_reachable(now):
-                    # The partition window healed: queued results land
-                    # late and converge idempotently against any peer
-                    # that graded the same shards meanwhile.
-                    for index in sorted(publish_queue):
-                        publish(index, publish_queue.pop(index))
-
-                # Claim work from the store (stealing expired leases as a
-                # side effect), at most one shard per free slot.
-                if store_reachable(now):
-                    busy = {slot.index for slot in running}
-                    busy.update(item[0] for item in pending)
-                    if len(busy) < jobs:
-                        done = store.done_indices()
-                        for index in self._claim_order(
-                            len(shards), store.runner_id
-                        ):
-                            if len(busy) >= jobs:
-                                break
-                            if (
-                                index in done
-                                or index in busy
-                                or index in abandoned
-                                or index in leases
-                                or index in publish_queue
-                            ):
-                                continue
-                            lease = store.try_claim(index)
-                            if lease is None:
-                                continue  # done, live peer, or lost race
-                            leases[index] = lease
-                            pending.append((index, 0, 0.0))
-                            busy.add(index)
-
                 pending.sort(key=lambda item: (item[2], item[0]))
                 while len(running) < jobs and pending and pending[0][2] <= now:
                     index, attempt, _ = pending.pop(0)
-                    if store_reachable(now) and store.is_done(index):
-                        # A peer finished it between claim and spawn
-                        # (stall/steal overlap): don't grade it again.
-                        lease = leases.pop(index, None)
-                        if lease is not None:
-                            store.release(lease)
-                        continue
                     running.append(
                         self._spawn(
                             simulator, campaign, index, attempt, good_chunks()
                         )
                     )
-
-                if (
-                    not running and not pending and not publish_queue
-                    and store_reachable(time.monotonic())
-                ):
-                    done = store.done_indices()
-                    if len(done) >= len(shards):
-                        break  # campaign complete (by us, peers, or both)
-                    un_done = [i for i in range(len(shards)) if i not in done]
-                    if un_done and all(i in abandoned for i in un_done):
-                        # Every remaining shard is poisoned *here*; only
-                        # degrade once no live peer still holds any of
-                        # them — a peer might yet publish.
-                        held = store.leases()
-                        wall = store.clock()
-                        live_peer = any(
-                            index in held
-                            and held[index].deadline > wall
-                            and held[index].runner != store.runner_id
-                            for index in un_done
-                        )
-                        if not live_peer:
-                            break  # graceful degradation: lower bound
                 # Wake as soon as a worker reports or dies.
                 wait(
                     [slot.conn for slot in running]
@@ -767,26 +588,15 @@ class SupervisedPoolBackend:
                     WAIT_S,
                 )
         except BaseException:
-            # KeyboardInterrupt or anything else: reap children, give the
-            # held leases back immediately (peers — or this runner's next
-            # run — should not wait out the deadline for a runner that
-            # exited cleanly), flush telemetry.
+            # KeyboardInterrupt or anything else: reap children and flush
+            # telemetry; every shard already published stays durable.
             self._terminate(running)
-            for lease in leases.values():
-                store.release(lease)
-            leases.clear()
             store.write_events()
             raise
-
-        self._terminate(running)
-        for lease in leases.values():
-            store.release(lease)
-        leases.clear()
-        swept = store.sweep()
         store.write_events()
 
         # Merge exclusively from the store's published bytes — shards this
-        # runner graded included — so all runners converge bit-identically.
+        # run graded included — so a resumed merge equals a clean one.
         results = store.load_results()
         for index, partial in results.items():
             # Digests catch bit rot; this catches a result that no longer
@@ -801,11 +611,10 @@ class SupervisedPoolBackend:
                     f"shard {index}: published result does not grade its "
                     f"shard ({reason}) — refusing to merge"
                 )
-            campaign.sources.setdefault(index, "peer")
+            campaign.sources.setdefault(index, "store")
         result = merge_results(
             [results[i] for i in sorted(results)], universe, n_patterns, drop
         )
-        campaign.counters["steals"] = store.steals
         campaign.counters["publish_conflicts"] = store.publish_conflicts
         self._fill_stats(
             result, results, campaign, jobs,
@@ -813,20 +622,17 @@ class SupervisedPoolBackend:
             start_time, simulator,
         )
         graded_here = sum(
-            1 for source in campaign.sources.values() if source != "peer"
+            1 for source in campaign.sources.values() if source != "store"
         )
         result.stats["store"] = {
             "path": store.root,
-            "runner_id": store.runner_id,
-            "lease_s": store.lease_s,
             "n_shards": len(shards),
             "shards_graded_here": graded_here,
             "published": state["wins"],
             "publish_conflicts": store.publish_conflicts,
-            "steals": store.steals,
-            "leases_swept": swept,
-            # An empty campaign has no shards a peer could have finished.
-            "finished_by_peers": (
+            # An empty campaign has no shards an earlier run could have
+            # finished.
+            "already_complete": (
                 bool(shards) and graded_here == 0 and len(results) >= len(shards)
             ),
         }

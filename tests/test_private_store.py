@@ -160,11 +160,11 @@ class TestPrivateStoreCleanup:
         interrupted_run(SupervisedPoolBackend(jobs=1, partitions=4))
         interrupted_run(
             SupervisedPoolBackend(
-                jobs=1, partitions=4, store=ShardStore(root, runner_id="r0")
+                jobs=1, partitions=4, store=ShardStore(root)
             )
         )
         resumed = SupervisedPoolBackend(
-            jobs=1, partitions=4, store=ShardStore(root, runner_id="r0")
+            jobs=1, partitions=4, store=ShardStore(root)
         ).run(simulator, patterns, faults)
         assert resumed.detected == reference.detected
         assert resumed.undetected == reference.undetected

@@ -94,6 +94,10 @@ ALLOWLIST: Dict[str, str] = {
     "circuit.gates.controlled_value": _ENCODING,
     "scan.patterns.ScanScheduler": _ORACLE,
     "scan.patterns.ScanOperation": _ORACLE,
+    "obs.events.read_jsonl": (
+        "postmortem reader of a store's events.jsonl side file, the only "
+        "record of an interrupted run's timeline"
+    ),
     # Methods.
     "diagnosis.dictionary.FaultDictionary.build": _ORACLE,
     "diagnosis.dictionary.FaultDictionary.diagnostic_resolution": _ORACLE,
@@ -107,7 +111,6 @@ ALLOWLIST: Dict[str, str] = {
     "sim.view.CombinationalView.num_outputs": _SUBSTRATE,
     "obs.report.RunReport.key_paths": _SUBSTRATE,
     # Options.
-    "sim.store.ShardStore(clock)": _FAKE,
     "sim.goodcache.GoodMachineCache(max_bytes)": _FAKE,
     "scan.patfile.format_patterns(expects)": _WRITER,
     "compression.flow.run_compressed_atpg(random_pattern_budget)": (

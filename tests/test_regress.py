@@ -302,7 +302,7 @@ class TestObsCli:
         assert err.startswith("error: cannot read ") and err.count("\n") == 1
 
     def test_tail_reports_progress(self, tmp_path, capsys):
-        store = ShardStore(str(tmp_path / "store"), runner_id="r0")
+        store = ShardStore(str(tmp_path / "store"))
         store.initialize(
             CampaignKey("sig", "pat", "flt", seed=0, partitions=4, drop=True), 4
         )
@@ -311,7 +311,7 @@ class TestObsCli:
         out = capsys.readouterr().out
         assert "partitions 1/4 done" in out
         assert "faults graded 50" in out
-        assert "r0: 1 published" in out
+        assert "campaign complete" not in out
 
     def test_tail_plain_file_exits_two(self, tmp_path, capsys):
         """Progress lives in a --store directory; a file is refused."""

@@ -10,6 +10,7 @@ a traceback.
 """
 
 import multiprocessing
+import os
 import pickle
 
 import pytest
@@ -345,12 +346,12 @@ class TestChaosPlan:
 
 class TestKeyboardInterruptTeardown:
     def test_workers_reaped_and_store_resumes(self, tmp_path, monkeypatch):
-        """An interrupt mid-campaign must kill children and release its
-        leases; re-running against the same store resumes."""
+        """An interrupt mid-campaign must kill children and leave only
+        complete files behind; re-running against the same store resumes."""
         simulator, faults, patterns, _ = _setup()
         root = str(tmp_path / "interrupted")
         backend = SupervisedPoolBackend(
-            jobs=1, partitions=4, store=ShardStore(root, runner_id="r0")
+            jobs=1, partitions=4, store=ShardStore(root)
         )
         spawned = []
         original_spawn = SupervisedPoolBackend._spawn
@@ -366,17 +367,21 @@ class TestKeyboardInterruptTeardown:
         with pytest.raises(KeyboardInterrupt):
             backend.run(simulator, patterns, faults)
         # Every spawned worker is dead, completed shards are durable, and
-        # no lease outlives the interrupt.
+        # no lease or temp file outlives the interrupt.
         for slot in spawned:
             assert not slot.process.is_alive()
         assert not multiprocessing.active_children()
         assert len(backend.store.done_indices()) == 2
-        assert backend.store.leases() == {}
+        leftovers = [
+            name for name in os.listdir(os.path.join(root, "shards"))
+            if name.endswith(".lease") or name.startswith(".tmp-")
+        ]
+        assert leftovers == []
         monkeypatch.undo()
         # The interrupted campaign resumes: published shards are merged
         # from the store, and the result is bit-identical to a clean run.
         resumed = SupervisedPoolBackend(
-            jobs=1, partitions=4, store=ShardStore(root, runner_id="r0")
+            jobs=1, partitions=4, store=ShardStore(root)
         ).run(simulator, patterns, faults)
         reference = simulator.simulate(patterns, faults)
         _assert_identical(resumed, reference)
