@@ -21,7 +21,8 @@ Every subcommand also takes ``--report FILE`` (RunReport JSON),
 
 Exit codes: ``0`` success; ``2`` bad arguments (argparse, an unknown
 circuit, an unreadable file, a pattern file for other inputs) or campaign
-mismatch (shard store keyed to a different circuit/pattern set); ``3`` a
+mismatch (shard store keyed to a different circuit/pattern set/fault
+order, or written by another store format version); ``3`` a
 supervised fault-sim campaign completed *partially*
 (unrecoverable partitions — reported coverage is a lower bound);
 ``4`` benchmark regression detected by ``obs gate``; ``5`` a

@@ -12,9 +12,9 @@ partition fail in a specific way:
   must kill it on the partition timeout.
 * ``raise``   — the worker raises inside the kernel; the supervisor gets
   an error message instead of a result.
-* ``corrupt`` — the worker returns a *structurally invalid* partial
-  result (a fault missing from the shard accounting, or an out-of-range
-  first-detection index); the supervisor's validator must reject it.
+* ``corrupt`` — the worker returns a *structurally invalid* shard
+  record (``firsts`` one entry short of the shard, or an entry past the
+  pattern set); the supervisor's validator must reject it.
 
 A plan is a mapping ``partition index -> (mode per attempt, ...)``; an
 attempt past the end of its tuple runs clean, so ``("crash", "crash")``
@@ -127,16 +127,15 @@ class ChaosPlan:
                 f"injected failure: partition {partition} attempt {attempt}"
             )
 
-    def corrupt_result(self, partition: int, attempt: int, partial, n_patterns: int):
-        """Post-simulation hook: damage the partial result detectably."""
-        if self.mode_for(partition, attempt) != CORRUPT:
-            return partial
-        if partial.undetected:
-            # Drop a survivor from the accounting: the shard universe is
-            # no longer covered, which the validator must notice.
-            partial.undetected = partial.undetected[:-1]
-        elif partial.detected:
+    def corrupt_result(self, partition: int, attempt: int, record,
+                       n_patterns: int) -> None:
+        """Post-simulation hook: damage the shard record in place, detectably."""
+        firsts = record["firsts"]
+        if self.mode_for(partition, attempt) != CORRUPT or not firsts:
+            return
+        if firsts[-1] < 0:
+            # Drop a survivor: the record no longer covers its shard.
+            del firsts[-1]
+        else:
             # Point a detection past the pattern set.
-            fault = next(iter(partial.detected))
-            partial.detected[fault] = n_patterns + 1
-        return partial
+            firsts[-1] = n_patterns + 1

@@ -1,4 +1,4 @@
-"""Fault-universe sharding: deterministic partitions and their min-merge.
+"""Fault-universe sharding: deterministic partitions.
 
 The dispatch layer decouples *what* is simulated (the PPSFP kernel in
 :mod:`repro.sim.faultsim`) from *how the fault universe is scheduled*.
@@ -6,13 +6,14 @@ The collapsed fault list is partitioned deterministically (faults
 grouped by fanout-free region, groups shuffled with the seed and placed
 largest-first on the least-loaded shard; partition count independent of
 worker count), the good-machine response is computed once, each worker
-runs PPSFP over its partition against that shared response, and the
-partial results are min-merged — so first-detecting-pattern semantics
-survive sharding and the outcome is bit-identical to PPSFP for any number
-of workers.  Keeping a region in one shard also keeps the work counters
-bit-identical: its faults share one ``obs(root)`` propagation per chunk,
-as they do in process.  :class:`repro.sim.supervisor.SupervisedPoolBackend` is the one
-driver that runs the shards.
+runs PPSFP over its partition against that shared response, and each
+shard's first-detecting pattern indices are merged back by position — so
+first-detecting-pattern semantics survive sharding and the outcome is
+bit-identical to PPSFP for any number of workers.  Keeping a region in
+one shard also keeps the work counters bit-identical: its faults share
+one ``obs(root)`` propagation per chunk, as they do in process.
+:class:`repro.sim.supervisor.SupervisedPoolBackend` is the one driver
+that runs the shards.
 
 Accelerator-scale fault universes (Sadi & Guin's yield-loss setting, the
 tutorial's E3/E4 experiments) are only tractable when the universe is
@@ -29,7 +30,7 @@ from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..faults.model import StuckAtFault
-from .faultsim import FaultSimResult, unique_faults
+from .faultsim import unique_faults
 
 #: Backend names the ``--backend`` CLI flag accepts: the two in-process
 #: engines, which ``FaultSimulator.simulate(engine=...)`` also takes by
@@ -111,32 +112,3 @@ def partition_faults(
         partitions[index].extend(group)
         heappush(loads, (load + len(group), index))
     return partitions
-
-
-def merge_results(
-    partials: Sequence[FaultSimResult],
-    universe: Sequence[StuckAtFault],
-    n_patterns: int,
-    drop: bool,
-) -> FaultSimResult:
-    """Min-merge per-partition results back into one :class:`FaultSimResult`.
-
-    ``detected`` keeps the smallest first-detecting-pattern index seen for
-    each fault (partitions are disjoint, but min-merge also makes the
-    merge idempotent); ``undetected`` is rebuilt in the caller's original
-    fault order, matching exactly what the single-process engines produce.
-    """
-    result = FaultSimResult(total_faults=len(universe))
-    for partial in partials:
-        for fault, pattern_index in partial.detected.items():
-            previous = result.detected.get(fault)
-            if previous is None or pattern_index < previous:
-                result.detected[fault] = pattern_index
-        result.patterns_simulated = max(
-            result.patterns_simulated, partial.patterns_simulated
-        )
-    result.undetected = [f for f in universe if f not in result.detected]
-    if not drop:
-        result.patterns_simulated = n_patterns
-    return result
-

@@ -18,8 +18,8 @@ Three stuck-at engines are provided, matching the E3 experiment:
   :class:`~repro.sim.supervisor.SupervisedPoolBackend` passed as
   ``engine`` (see :mod:`repro.sim.dispatch`): the
   collapsed fault list is partitioned deterministically, each worker runs
-  cone-limited PPSFP against a shared good-machine response, and the
-  partial results are min-merged.
+  cone-limited PPSFP against a shared good-machine response, and each
+  shard's first-detection indices are merged back by position.
 
 :meth:`FaultSimulator.failure_signature` propagates each fault's own cone.
 

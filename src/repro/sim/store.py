@@ -6,25 +6,34 @@ against the same directory merges every shard already published and
 grades only the rest, bit-identically.
 
 * the campaign's identity is a :class:`CampaignKey` (structural
-  signature + pattern/fault digests + seed + partition count + drop
-  flag), pinned once in ``campaign.json`` and verified on every re-run —
-  a run submitting a different circuit or pattern set is rejected up
-  front with a field-by-field :class:`StoreMismatchError`, never
-  silently mis-merged;
+  signature + pattern digest + shard-plan digest + seed + partition
+  count + drop flag), pinned once in ``campaign.json`` and verified on
+  every re-run — a run submitting a different circuit, pattern set or
+  fault order is rejected up front with a field-by-field
+  :class:`StoreMismatchError`, never silently mis-merged;
+* a shard result is one **positional record**: ``firsts[i]`` is the
+  first pattern detecting the shard's ``i``-th fault, or -1.  Positions
+  only mean something against the exact plan, hence the plan digest;
 * results are **append-only and idempotent**: a shard result is written
   to a temp file, fsynced, then ``link``ed to its final name, so no
   reader ever sees a half-written result and the first writer wins.
   Fault simulation is deterministic, so a duplicate publish (two runners
   started on one store by mistake) *must* digest-match and converges; a
-  mismatch means corruption and raises :class:`StoreCorruptionError`.
+  mismatch means corruption and raises :class:`StoreCorruptionError`;
+* every file carries the format ``version``; one of another version
+  (the fault-triple version 1 included) raises
+  :class:`StoreMismatchError` naming ``version``.
 
 Directory layout::
 
     store/
-      campaign.json          # CampaignKey + shard count (atomic create)
-      shards/NNNNN.result    # done marker (link-published, digest-carrying)
+      campaign.json          # version + CampaignKey + shard count (atomic create)
+      shards/NNNNN.result    # version + digest + record (link-published)
       events.jsonl           # telemetry side file (obs EventLog blocks)
 
+where a record is ``{"index", "patterns_simulated", "firsts", "stats"}``
+and the digest covers its first three fields (``stats`` holds wall
+times that legitimately differ between two gradings of one shard).
 ``repro obs tail STORE_DIR`` renders progress from exactly these files
 (:func:`read_store_progress`).
 """
@@ -37,13 +46,12 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Set
+from typing import Dict, Optional, Sequence, Set
 
 from ..faults.model import StuckAtFault
 from ..obs.events import PUBLISH, PUBLISH_CONFLICT, EventLog
-from .faultsim import FaultSimResult
 
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 #: Per-shard stats fields preserved in a published result: the work
 #: counters the supervised run sums into its ``stats`` and the wall time
@@ -76,12 +84,12 @@ def pattern_digest(patterns: Sequence[Sequence[int]]) -> str:
     return hasher.hexdigest()[:24]
 
 
-def fault_digest(faults: Iterable[StuckAtFault]) -> str:
-    """Stable digest of a fault universe (order-insensitive)."""
-    hasher = hashlib.sha256()
-    for gate, pin, value in sorted((f.gate, f.pin, f.value) for f in faults):
-        hasher.update(f"{gate},{pin},{value};".encode())
-    return hasher.hexdigest()[:24]
+def plan_digest(shards: Sequence[Sequence[StuckAtFault]]) -> str:
+    """Stable digest of a shard plan: every shard's faults, in shard order."""
+    text = "|".join(
+        ";".join(f"{f.gate},{f.pin},{f.value}" for f in shard) for shard in shards
+    )
+    return hashlib.sha256(f"{len(shards)}:{text}".encode()).hexdigest()[:24]
 
 
 @dataclass(frozen=True)
@@ -90,7 +98,7 @@ class CampaignKey:
 
     signature: str
     patterns: str
-    faults: str
+    plan: str
     seed: int
     partitions: int
     drop: bool
@@ -100,56 +108,18 @@ class CampaignKey:
         cls,
         netlist,
         patterns: Sequence[Sequence[int]],
-        universe: Iterable[StuckAtFault],
+        shards: Sequence[Sequence[StuckAtFault]],
         seed: int,
-        partitions: int,
         drop: bool,
     ) -> "CampaignKey":
         return cls(
             signature=netlist.structural_signature(),
             patterns=pattern_digest(patterns),
-            faults=fault_digest(universe),
+            plan=plan_digest(shards),
             seed=seed,
-            partitions=partitions,
+            partitions=len(shards),
             drop=drop,
         )
-
-
-def serialize_partial(index: int, partial: FaultSimResult) -> Dict[str, object]:
-    """JSON-safe form of one shard result.
-
-    Stuck-at faults serialize as ``[gate, pin, value]`` triples — the
-    frozen dataclass round-trips losslessly through :class:`StuckAtFault`.
-    """
-    return {
-        "kind": "partition",
-        "index": index,
-        "total": partial.total_faults,
-        "patterns_simulated": partial.patterns_simulated,
-        "detected": [
-            [f.gate, f.pin, f.value, first]
-            for f, first in sorted(
-                partial.detected.items(), key=lambda kv: (kv[0].gate, kv[0].pin, kv[0].value)
-            )
-        ],
-        "undetected": [[f.gate, f.pin, f.value] for f in partial.undetected],
-        "stats": {
-            k: partial.stats[k] for k in _KEPT_STATS if k in partial.stats
-        },
-    }
-
-
-def deserialize_partial(line: Dict[str, object]) -> FaultSimResult:
-    """Rebuild a :class:`FaultSimResult` from :func:`serialize_partial` output."""
-    partial = FaultSimResult(total_faults=int(line["total"]))
-    for gate, pin, value, first in line["detected"]:
-        partial.detected[StuckAtFault(gate, pin, value)] = int(first)
-    partial.undetected = [
-        StuckAtFault(gate, pin, value) for gate, pin, value in line["undetected"]
-    ]
-    partial.patterns_simulated = int(line["patterns_simulated"])
-    partial.stats.update(line.get("stats", {}))
-    return partial
 
 
 class StoreMismatchError(ValueError):
@@ -161,20 +131,26 @@ class StoreCorruptionError(RuntimeError):
     is broken (or the store was tampered with); never merge past this."""
 
 
-def result_digest(serialized: Dict[str, object]) -> str:
-    """Digest of one serialized shard result's *deterministic* content.
+def result_digest(record: Dict[str, object]) -> str:
+    """Digest of one shard record's *deterministic* content.
 
     Stats (wall times, metrics) legitimately differ between two runs
-    grading the same shard; the detection map, undetected list, and
-    counts must not.  The digest covers only the latter, so idempotent
+    grading the same shard; the index, pattern count and first-detection
+    list must not.  The digest covers only the latter, so idempotent
     publishes digest-match and true divergence is caught.
     """
-    content = {
-        k: serialized[k]
-        for k in ("index", "total", "patterns_simulated", "detected", "undetected")
-    }
-    blob = json.dumps(content, sort_keys=True, separators=(",", ":"))
+    content = [record["index"], record["patterns_simulated"], record["firsts"]]
+    blob = json.dumps(content, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:32]
+
+
+def _check_version(payload: Dict[str, object], path: str) -> None:
+    version = payload.get("version") if isinstance(payload, dict) else None
+    if version != STORE_VERSION:
+        raise StoreMismatchError(
+            f"{path!r} has store format version {version!r}, but this build "
+            f"reads version {STORE_VERSION} — grade into a fresh store directory"
+        )
 
 
 class ShardStore:
@@ -189,7 +165,6 @@ class ShardStore:
         self.root = str(root)
         self.events = EventLog()
         self.publish_conflicts = 0
-        self._n_shards: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Paths and durable writes
@@ -258,7 +233,6 @@ class ShardStore:
         created = self._link_once("campaign", payload, self._campaign_path)
         if not created:
             self._verify(key, n_shards)
-        self._n_shards = n_shards
         return created
 
     def _verify(self, key: CampaignKey, n_shards: int) -> None:
@@ -274,17 +248,18 @@ class ShardStore:
             raise StoreMismatchError(
                 f"store {self.root!r} belongs to a different campaign: "
                 f"{', '.join(mismatched)} differ(s) — the circuit, pattern "
-                f"file, fault universe, seed, partition count, and drop flag "
-                f"must all match the run that created the store"
+                f"file, fault universe and its order, seed, partition count, "
+                f"and drop flag must all match the run that created the store"
             )
 
     def attach(self) -> Dict[str, object]:
         """Read the pinned campaign record; a missing or unreadable one is
-        a bad store path (``ValueError`` naming it)."""
+        a bad store path (``ValueError`` naming it), and one of another
+        format version a :class:`StoreMismatchError`."""
         try:
             with open(self._campaign_path) as handle:
                 payload = json.load(handle)
-            self._n_shards = int(payload["n_shards"])
+            int(payload["n_shards"])  # every campaign record has a count
         except OSError as exc:
             raise ValueError(
                 f"{self.root!r} is not a shard store: cannot read "
@@ -294,33 +269,30 @@ class ShardStore:
             raise ValueError(
                 f"{self._campaign_path!r} is not a campaign record: {exc}"
             ) from None
+        _check_version(payload, self._campaign_path)
         return payload
-
-    @property
-    def n_shards(self) -> int:
-        if self._n_shards is None:
-            self.attach()
-        return self._n_shards
 
     # ------------------------------------------------------------------
     # Results: append-only, first-write-wins, digest-verified
     # ------------------------------------------------------------------
 
-    def publish(self, shard: int, partial: FaultSimResult) -> bool:
-        """Durably record ``shard``'s result; True if this write won.
+    def publish(self, record: Dict[str, object]) -> bool:
+        """Durably record one shard's record; True if this write won.
 
         A loser (a duplicate from a second runner on the same store)
         verifies the winner's digest matches its own and converges
         silently; a digest mismatch is corruption and raises
         :class:`StoreCorruptionError`.
         """
-        serialized = serialize_partial(shard, partial)
-        digest = result_digest(serialized)
+        shard = record["index"]
+        digest = result_digest(record)
         payload = {
             "version": STORE_VERSION,
             "digest": digest,
             "t_wall": time.time(),
-            "partial": serialized,
+            "record": dict(record, stats={
+                k: v for k, v in record["stats"].items() if k in _KEPT_STATS
+            }),
         }
         if self._link_once(f"result-{shard}", payload, self._result_path(shard)):
             self.events.emit(PUBLISH, "publish", partition=shard, digest=digest)
@@ -337,8 +309,11 @@ class ShardStore:
         return False
 
     def _read_result(self, shard: int) -> Dict[str, object]:
-        with open(self._result_path(shard)) as handle:
-            return json.load(handle)
+        path = self._result_path(shard)
+        with open(path) as handle:
+            payload = json.load(handle)
+        _check_version(payload, path)
+        return payload
 
     def done_indices(self) -> Set[int]:
         try:
@@ -351,24 +326,29 @@ class ShardStore:
             if name.endswith(".result")
         }
 
-    def load_results(self) -> Dict[int, FaultSimResult]:
-        """Deserialize every published shard result, digest-verified.
+    def load_results(self) -> Dict[int, Dict[str, object]]:
+        """Every published shard record by shard index, digest-verified.
 
         The merge reads these same bytes for every shard — those graded
         by this run included — so a resumed campaign's merge is
         bit-identical to a clean run's by construction.
         """
-        results: Dict[int, FaultSimResult] = {}
+        records: Dict[int, Dict[str, object]] = {}
         for shard in sorted(self.done_indices()):
             payload = self._read_result(shard)
-            serialized = payload["partial"]
-            if result_digest(serialized) != payload["digest"]:
+            record = payload["record"]
+            if result_digest(record) != payload["digest"]:
                 raise StoreCorruptionError(
                     f"shard {shard}: stored digest {payload['digest']} does "
                     f"not match its content — result file corrupted"
                 )
-            results[shard] = deserialize_partial(serialized)
-        return results
+            if record["index"] != shard:
+                raise StoreCorruptionError(
+                    f"shard {shard}: result file holds shard "
+                    f"{record['index']}'s record — result file misplaced"
+                )
+            records[shard] = record
+        return records
 
     def write_events(self) -> Optional[str]:
         """Append this run's event log to the store (postmortem aid)."""
@@ -394,9 +374,9 @@ def read_store_progress(root: str) -> Dict[str, object]:
     faults_graded = 0
     detected = 0
     for shard in sorted(done):
-        partial = store._read_result(shard).get("partial", {})
-        faults_graded += int(partial.get("total", 0))
-        detected += len(partial.get("detected", ()))
+        firsts = store._read_result(shard)["record"]["firsts"]
+        faults_graded += len(firsts)
+        detected += sum(1 for first in firsts if first >= 0)
     n_shards = int(campaign.get("n_shards", 0))
     return {
         "path": str(root),

@@ -5,9 +5,10 @@ One worker OOM-killed, crashed, or wedged must not take a campaign with
 it, and an hours-long accelerator-scale run must not restart from zero.
 The tutorial's own thesis — AI chips must keep working when parts fail —
 applies to the test infrastructure too.  :class:`SupervisedPoolBackend`
-runs deterministic shards (seeded partitioning and min-merge from
-:mod:`repro.sim.dispatch`, so a clean supervised run is bit-identical to
-``ppsfp``) under a supervisor that assumes workers *will* fail:
+runs deterministic shards (seeded partitioning from
+:mod:`repro.sim.dispatch`, merged by position, so a clean supervised run
+is bit-identical to ``ppsfp``) under a supervisor that assumes workers
+*will* fail:
 
 * **one process per partition** — failure isolation is the unit of work;
   a dead or wedged worker loses exactly one shard, never the pool;
@@ -16,9 +17,10 @@ runs deterministic shards (seeded partitioning and min-merge from
 * **bounded retry with exponential backoff** — crashes, kills, injected
   exceptions and validation failures requeue the shard up to
   ``max_retries`` times;
-* **result validation** — every partial result must cover exactly its
-  shard with in-range first-detection indices, so a worker returning
-  structurally corrupt data is treated as a failure, not merged;
+* **result validation** — a shard record must hold one int in
+  ``[-1, n_patterns)`` per shard fault, checked on arrival (a corrupt
+  worker result is retried, never published) and on every record
+  loaded for the merge;
 * **poisoned-partition fallback** — a shard that exhausts its pool
   retries is re-run inline in the parent (no fork, no pipe — the
   failure domain shrinks to the kernel itself);
@@ -35,7 +37,9 @@ There is one driver: every campaign runs over a shard store.  A caller
 that passes none gets a private one in a temporary directory (on tmpfs
 where the host has it), removed on every exit path.  Every shard attempt
 is graded by :func:`_grade_shard` on the caller's compiled simulator,
-which workers inherit with the good response by ``fork`` copy-on-write.
+which workers inherit with the good response by ``fork`` copy-on-write,
+into one positional record (:mod:`repro.sim.store`) that travels
+unchanged from the worker's pipe to the store and into the merge.
 
 The failure modes are exercised deterministically by
 :mod:`repro.sim.chaos`; ``tests/test_supervisor.py`` asserts that the
@@ -70,7 +74,6 @@ from ..obs.events import (
 from .chaos import ChaosPlan
 from .dispatch import (
     default_partition_count,
-    merge_results,
     partition_faults,
     validate_pool_args,
 )
@@ -120,50 +123,46 @@ class SupervisorConfig:
 
 
 def validate_partial(
-    partial: FaultSimResult,
+    record: Dict[str, object],
     shard: Sequence[StuckAtFault],
     n_patterns: int,
 ) -> Optional[str]:
-    """Structural validity of a worker's partial result, or a reason.
+    """Structural validity of a shard record, or a reason.
 
-    The contract: the partial grades exactly its shard — every shard
-    fault is either detected (with a first-detection index inside the
-    pattern set) or listed undetected, nothing extra, nothing missing.
-    A crashed-and-restarted or byte-corrupted worker cannot satisfy this
-    by accident, so validation turns silent corruption into a retry.
+    The contract: one first-detection entry per shard fault, each an int
+    in ``[-1, n_patterns)``.  A crashed-and-restarted or byte-corrupted
+    worker cannot satisfy this by accident, so validation turns silent
+    corruption into a retry.
     """
-    shard_set = set(shard)
-    detected = set(partial.detected)
-    undetected = set(partial.undetected)
-    if partial.total_faults != len(shard_set):
-        return f"total_faults {partial.total_faults} != shard size {len(shard_set)}"
-    if not detected <= shard_set:
-        return "detected faults outside the shard"
-    if not undetected <= shard_set:
-        return "undetected faults outside the shard"
-    if detected & undetected:
-        return "faults both detected and undetected"
-    if detected | undetected != shard_set:
-        return "shard universe not fully accounted for"
-    for index in partial.detected.values():
-        if not isinstance(index, int) or not 0 <= index < max(1, n_patterns):
-            return f"first-detection index {index!r} out of range"
+    firsts = record["firsts"]
+    if len(firsts) != len(shard):
+        return f"{len(firsts)} first-detection entries for {len(shard)} shard faults"
+    for first in firsts:
+        if type(first) is not int or not -1 <= first < n_patterns:
+            return f"first-detection index {first!r} out of range"
     return None
 
 
 def _grade_shard(simulator, chaos, index, attempt, shard, drop, good_chunks,
-                 n_patterns, inline=False) -> FaultSimResult:
-    """Grade one shard attempt, in a worker or inline: chaos pre-hook,
-    cone propagation over ``good_chunks`` (bigint words, so the
-    simulator's cache and kernel go untouched), chaos corruption."""
+                 n_patterns, inline=False) -> Dict[str, object]:
+    """Grade one shard attempt, in a worker or inline, into its record:
+    chaos pre-hook, cone propagation over ``good_chunks`` (bigint words,
+    so the simulator's cache and kernel go untouched), chaos corruption."""
     if chaos is not None:
         chaos.execute_pre(index, attempt, inline=inline)
     partial = simulator._simulate_ppsfp(
         None, shard, drop, good_chunks=good_chunks, n_patterns=n_patterns
     )
+    detected = partial.detected
+    record = {
+        "index": index,
+        "patterns_simulated": partial.patterns_simulated,
+        "firsts": [detected.get(fault, -1) for fault in shard],
+        "stats": partial.stats,
+    }
     if chaos is not None:
-        partial = chaos.corrupt_result(index, attempt, partial, n_patterns)
-    return partial
+        chaos.corrupt_result(index, attempt, record, n_patterns)
+    return record
 
 
 def _supervised_worker(conn, simulator, chaos, index, attempt, shard, drop,
@@ -181,16 +180,16 @@ def _supervised_worker(conn, simulator, chaos, index, attempt, shard, drop,
             PARTITION_BEGIN, "partition",
             partition=index, attempt=attempt, faults=len(shard),
         )
-        partial = _grade_shard(
+        record = _grade_shard(
             simulator, chaos, index, attempt, shard, drop, good_chunks,
             n_patterns,
         )
         log.emit(
-            PARTITION_END, "partition",
-            partition=index, attempt=attempt, detected=len(partial.detected),
+            PARTITION_END, "partition", partition=index, attempt=attempt,
+            detected=sum(1 for first in record["firsts"] if first >= 0),
         )
-        partial.stats["worker_events"] = log.to_payload()
-        status, payload = "ok", partial
+        record["stats"]["worker_events"] = log.to_payload()
+        status, payload = "ok", record
     except BaseException as exc:  # noqa: BLE001 - report, don't die silently
         status, payload = "error", f"{type(exc).__name__}: {exc}"
     try:
@@ -313,12 +312,13 @@ class SupervisedPoolBackend:
 
     def _handle_outcome(
         self, slot: _Slot, outcome, campaign: _Campaign,
-        record: Callable[[int, FaultSimResult, str, int], None],
+        record: Callable[[Dict[str, object], str, int], None],
         poison: Callable[[_Slot, str], None],
     ) -> None:
         """Settle one finished worker attempt.
 
-        A valid partial goes to ``record(index, partial, source, attempt)``.  Anything else — an invalid partial,
+        A valid shard record goes to ``record(shard_record, source,
+        attempt)``.  Anything else — an invalid record,
         a deadline kill, a crash or reported error — is counted, lands on
         the timeline, and is requeued with backoff; once the shard's pool
         retries are spent it goes to ``poison``.
@@ -330,7 +330,7 @@ class SupervisedPoolBackend:
                 payload, campaign.shards[slot.index], campaign.n_patterns
             )
             if reason is None:
-                record(slot.index, payload, "worker", slot.attempt)
+                record(payload, "worker", slot.attempt)
                 return
             campaign.counters["invalid_results"] += 1
             events.emit(
@@ -408,9 +408,12 @@ class SupervisedPoolBackend:
     def _poll_slot(self, slot: _Slot, now: float):
         """One observation of a running worker.
 
-        Returns ``None`` (still running), ``("ok", partial)``,
+        Returns ``None`` (still running), ``("ok", record)``,
         ``("timeout", reason)``, or ``("crash"/"error", reason)``.
         """
+        # Liveness first: a worker that sends its result and exits between
+        # the two checks must be read, not reported dead.
+        alive = slot.process.is_alive()
         if slot.conn.poll():
             try:
                 status, payload = slot.conn.recv()
@@ -422,7 +425,7 @@ class SupervisedPoolBackend:
             if status == "error":
                 return ("error", f"worker error: {payload}")
             return ("crash", "worker closed pipe without a result")
-        if not slot.process.is_alive():
+        if not alive:
             self._reap(slot)
             return (
                 "crash",
@@ -450,13 +453,13 @@ class SupervisedPoolBackend:
                 partition=index, attempt=inline_attempt, reason=reason[:200],
             )
             try:
-                partial = _grade_shard(
+                shard_record = _grade_shard(
                     simulator, self.chaos, index, inline_attempt, shard,
                     campaign.drop, good_chunks, n_patterns, inline=True,
                 )
-                invalid = validate_partial(partial, shard, n_patterns)
+                invalid = validate_partial(shard_record, shard, n_patterns)
                 if invalid is None:
-                    record(index, partial, "inline", inline_attempt)
+                    record(shard_record, "inline", inline_attempt)
                     return
                 reason = f"inline fallback invalid result: {invalid}"
             except KeyboardInterrupt:
@@ -497,7 +500,7 @@ class SupervisedPoolBackend:
         jobs, shards = self._plan(simulator, universe)
         n_patterns = len(patterns)
         key = CampaignKey.build(
-            simulator.netlist, patterns, universe, self.seed, len(shards), drop
+            simulator.netlist, patterns, shards, self.seed, drop
         )
         store.initialize(key, len(shards))
         # One timeline: store publishes + supervision.
@@ -534,17 +537,18 @@ class SupervisedPoolBackend:
                 good_state["seconds"] = time.perf_counter() - t0
             return good_state["chunks"]
 
-        def record(index: int, partial: FaultSimResult, source: str,
+        def record(shard_record: Dict[str, object], source: str,
                    attempt: int) -> None:
+            index = shard_record["index"]
             campaign.note(index, source, attempt)
-            state["graded_faults"] += partial.total_faults
-            worker_payload = partial.stats.get("worker_events")
+            state["graded_faults"] += len(shard_record["firsts"])
+            worker_payload = shard_record["stats"].get("worker_events")
             if worker_payload:
-                # Stitch the worker's timeline here: the serialized store
+                # Stitch the worker's timeline here: the published store
                 # record keeps only the deterministic stats, so this is
                 # the only place the per-attempt events survive.
                 events.ingest(worker_payload)
-            if store.publish(index, partial):
+            if store.publish(shard_record):
                 state["wins"] += 1
             state["done"] += 1
             events.emit(
@@ -597,12 +601,16 @@ class SupervisedPoolBackend:
 
         # Merge exclusively from the store's published bytes — shards this
         # run graded included — so a resumed merge equals a clean one.
-        results = store.load_results()
-        for index, partial in results.items():
-            # Digests catch bit rot; this catches a result that no longer
+        # Each record is read by position against its shard; undetected
+        # faults keep the universe's order, as in process.
+        records = store.load_results()
+        result = FaultSimResult(total_faults=len(universe))
+        detected = result.detected
+        for index, shard_record in records.items():
+            # Digests catch bit rot; this catches a record that no longer
             # grades its shard (a consistent rewrite of a result file).
             reason = (
-                validate_partial(partial, shards[index], n_patterns)
+                validate_partial(shard_record, shards[index], n_patterns)
                 if index < len(shards)
                 else "no such shard"
             )
@@ -612,12 +620,18 @@ class SupervisedPoolBackend:
                     f"shard ({reason}) — refusing to merge"
                 )
             campaign.sources.setdefault(index, "store")
-        result = merge_results(
-            [results[i] for i in sorted(results)], universe, n_patterns, drop
-        )
+            for fault, first in zip(shards[index], shard_record["firsts"]):
+                if first >= 0:
+                    detected[fault] = first
+            result.patterns_simulated = max(
+                result.patterns_simulated, shard_record["patterns_simulated"]
+            )
+        result.undetected = [f for f in universe if f not in detected]
+        if not drop:
+            result.patterns_simulated = n_patterns
         campaign.counters["publish_conflicts"] = store.publish_conflicts
         self._fill_stats(
-            result, results, campaign, jobs,
+            result, records, campaign, jobs,
             good_state.get("seconds", 0.0), good_state.get("words", 0),
             start_time, simulator,
         )
@@ -633,7 +647,7 @@ class SupervisedPoolBackend:
             # An empty campaign has no shards an earlier run could have
             # finished.
             "already_complete": (
-                bool(shards) and graded_here == 0 and len(results) >= len(shards)
+                bool(shards) and graded_here == 0 and len(records) >= len(shards)
             ),
         }
         return result
@@ -673,18 +687,18 @@ class SupervisedPoolBackend:
     # ------------------------------------------------------------------
 
     def _fill_stats(
-        self, result, results, campaign, jobs, good_seconds, good_words,
+        self, result, records, campaign, jobs, good_seconds, good_words,
         start_time, simulator,
     ) -> None:
         per_partition: List[Dict[str, object]] = []
         metrics_lost = campaign.metrics_lost
-        for index in sorted(results):
-            partial = results[index]
-            stats = partial.stats
+        for index in sorted(records):
+            stats = records[index]["stats"]
+            firsts = records[index]["firsts"]
             row = {
                 "partition": index,
                 "faults": len(campaign.shards[index]),
-                "detected": len(partial.detected),
+                "detected": sum(1 for first in firsts if first >= 0),
                 "events_propagated": stats.get("events_propagated", 0),
                 "words_evaluated": stats.get("words_evaluated", 0),
                 "wall_time_s": stats.get("wall_time_s", 0.0),

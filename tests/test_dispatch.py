@@ -1,10 +1,10 @@
-"""Dispatch-layer mechanics: partitioning, merging, stats.
+"""Dispatch-layer mechanics: partitioning, stats.
 
 The full cross-backend × cross-kernel × cross-width agreement matrix
 lives in ``test_conformance.py``; this file keeps what is specific to
-the dispatch layer itself — deterministic partitioning, min-merge
-semantics, degenerate edge cases (1 worker, 0 faults), stats
-instrumentation and the name → engine map.  ``"supervised"`` names the
+the dispatch layer itself — deterministic partitioning, degenerate
+edge cases (1 worker, 0 faults), stats instrumentation and the name →
+engine map.  ``"supervised"`` names the
 CLI's ``--backend`` choice; ``simulate`` takes it as a configured
 :class:`SupervisedPoolBackend`.
 """
@@ -18,10 +18,9 @@ from repro.faults.stuck_at import full_fault_list
 from repro.sim.dispatch import (
     BACKEND_NAMES,
     default_partition_count,
-    merge_results,
     partition_faults,
 )
-from repro.sim.faultsim import FaultSimResult, FaultSimulator
+from repro.sim.faultsim import FaultSimulator
 from repro.sim.supervisor import SupervisedPoolBackend
 
 
@@ -134,15 +133,6 @@ class TestPartitioning:
         assert default_partition_count(1) == 1
         assert default_partition_count(100) == 8
         assert default_partition_count(10_000) >= 32
-
-    def test_min_merge_keeps_earliest_detection(self):
-        fault = ("f", 0)
-        a = FaultSimResult(total_faults=1, detected={fault: 7}, patterns_simulated=8)
-        b = FaultSimResult(total_faults=1, detected={fault: 3}, patterns_simulated=4)
-        merged = merge_results([a, b], [fault], 16, drop=True)
-        assert merged.detected == {fault: 3}
-        assert merged.patterns_simulated == 8
-        assert merged.undetected == []
 
 
 class TestStatsInstrumentation:

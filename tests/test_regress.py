@@ -24,7 +24,6 @@ from repro.obs.regress import (
     failures,
     pair_bench_files,
 )
-from repro.sim.faultsim import FaultSimResult
 from repro.sim.store import CampaignKey, ShardStore
 
 
@@ -304,13 +303,21 @@ class TestObsCli:
     def test_tail_reports_progress(self, tmp_path, capsys):
         store = ShardStore(str(tmp_path / "store"))
         store.initialize(
-            CampaignKey("sig", "pat", "flt", seed=0, partitions=4, drop=True), 4
+            CampaignKey("sig", "pat", "plan", seed=0, partitions=4, drop=True), 4
         )
-        store.publish(0, FaultSimResult(total_faults=50, patterns_simulated=10))
+        store.publish(
+            {
+                "index": 0,
+                "patterns_simulated": 10,
+                "firsts": [3, -1] * 25,
+                "stats": {},
+            }
+        )
         assert main(["obs", "tail", store.root]) == 0
         out = capsys.readouterr().out
         assert "partitions 1/4 done" in out
         assert "faults graded 50" in out
+        assert "detected 25" in out
         assert "campaign complete" not in out
 
     def test_tail_plain_file_exits_two(self, tmp_path, capsys):

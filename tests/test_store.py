@@ -34,38 +34,48 @@ from repro.faults.model import StuckAtFault
 from repro.faults.stuck_at import full_fault_list
 from repro.obs.events import HEARTBEAT, PUBLISH
 from repro.sim.chaos import ChaosPlan
-from repro.sim.faultsim import FaultSimResult, FaultSimulator
+from repro.sim.dispatch import partition_faults
+from repro.sim.faultsim import FaultSimulator
 from repro.sim.store import (
     CampaignKey,
     ShardStore,
     StoreCorruptionError,
     StoreMismatchError,
-    fault_digest,
     pattern_digest,
+    plan_digest,
     read_store_progress,
     result_digest,
-    serialize_partial,
 )
 from repro.sim.supervisor import SupervisedPoolBackend, SupervisorConfig
 
 
 def _key(**overrides) -> CampaignKey:
     fields = dict(
-        signature="sig", patterns="pat", faults="flt",
+        signature="sig", patterns="pat", plan="plan",
         seed=0, partitions=4, drop=True,
     )
     fields.update(overrides)
     return CampaignKey(**fields)
 
 
-def _partial(shard: int) -> FaultSimResult:
-    """A deterministic fake shard result (identical for every grader)."""
-    partial = FaultSimResult(total_faults=2)
-    partial.detected[StuckAtFault(f"g{shard}", "out", 0)] = shard
-    partial.undetected = [StuckAtFault(f"g{shard}", "out", 1)]
-    partial.patterns_simulated = 8
-    partial.stats["wall_time_s"] = 0.125 * shard  # nondeterministic IRL
-    return partial
+def _record(shard: int) -> dict:
+    """A deterministic fake shard record (identical for every grader)."""
+    return {
+        "index": shard,
+        "patterns_simulated": 8,
+        "firsts": [shard, -1],
+        "stats": {"wall_time_s": 0.125 * shard},  # nondeterministic IRL
+    }
+
+
+def _rewrite(path, edit):
+    """Apply ``edit`` to the JSON file at ``path``; store files are
+    link-protected, so the whole file is replaced."""
+    payload = json.load(open(path))
+    edit(payload)
+    os.unlink(path)
+    with open(path, "w") as handle:
+        json.dump(payload, handle)
 
 
 class TestDigests:
@@ -105,12 +115,17 @@ class TestDigests:
         rows = [np.array([int(bit) for bit in p], dtype=np.int64) for p in patterns]
         assert pattern_digest(rows) == expected
 
-    def test_fault_digest_order_insensitive(self):
+    def test_plan_digest_order_sensitive(self):
+        """Records are positional, so the plan digest pins every shard's
+        faults and their order, and the shard boundaries."""
         a = StuckAtFault(3, 0, 1)
         b = StuckAtFault(7, -1, 0)
-        assert fault_digest([a, b]) == fault_digest([b, a])
-        assert fault_digest([a, b]) != fault_digest([a])
-        assert fault_digest([a]) != fault_digest([StuckAtFault(3, 0, 0)])
+        assert plan_digest([[a, b]]) == plan_digest([[a, b]])
+        assert plan_digest([[a, b]]) != plan_digest([[b, a]])
+        assert plan_digest([[a], [b]]) != plan_digest([[b], [a]])
+        assert plan_digest([[a, b]]) != plan_digest([[a], [b]])
+        assert plan_digest([[a, b]]) != plan_digest([[a]])
+        assert plan_digest([[a]]) != plan_digest([[StuckAtFault(3, 0, 0)]])
 
     def test_campaign_key_binds_every_dimension(self):
         netlist = generators.random_circuit(6, 35, seed=5)
@@ -118,16 +133,22 @@ class TestDigests:
         patterns = random_patterns(
             FaultSimulator(netlist).view.num_inputs, 64, seed=5
         )
-        base = CampaignKey.build(netlist, patterns, faults, 0, 8, True)
-        assert base == CampaignKey.build(netlist, patterns, faults, 0, 8, True)
-        assert base != CampaignKey.build(netlist, patterns, faults, 1, 8, True)
-        assert base != CampaignKey.build(netlist, patterns, faults, 0, 9, True)
-        assert base != CampaignKey.build(netlist, patterns, faults, 0, 8, False)
-        assert base != CampaignKey.build(netlist, patterns[:-1], faults, 0, 8, True)
+        shards = partition_faults(faults, 8)
+        base = CampaignKey.build(netlist, patterns, shards, 0, True)
+        assert base == CampaignKey.build(netlist, patterns, shards, 0, True)
+        assert base != CampaignKey.build(netlist, patterns, shards, 1, True)
+        assert base != CampaignKey.build(
+            netlist, patterns, partition_faults(faults, 9), 0, True
+        )
+        assert base != CampaignKey.build(
+            netlist, patterns, shards[::-1], 0, True
+        )
+        assert base != CampaignKey.build(netlist, patterns, shards, 0, False)
+        assert base != CampaignKey.build(netlist, patterns[:-1], shards, 0, True)
         other = benchmarks.c17()
         other_faults, _ = collapse_faults(other, full_fault_list(other))
         key_other = CampaignKey.build(
-            other, patterns, other_faults, 0, 8, True
+            other, patterns, partition_faults(other_faults, 8), 0, True
         )
         assert base.signature != key_other.signature
 
@@ -137,7 +158,7 @@ class TestCampaignIdentity:
         assert ShardStore(tmp_path).initialize(_key(), 4) is True
         rerun = ShardStore(tmp_path)
         assert rerun.initialize(_key(), 4) is False  # attached, not created
-        assert rerun.n_shards == 4
+        assert rerun.attach()["n_shards"] == 4
 
     def test_mismatch_names_fields(self, tmp_path):
         ShardStore(tmp_path).initialize(_key(), 4)
@@ -159,64 +180,102 @@ class TestPublish:
         other = ShardStore(tmp_path)
         mine.initialize(_key(), 1)
         other.initialize(_key(), 1)
-        assert mine.publish(0, _partial(0)) is True
+        assert mine.publish(_record(0)) is True
         # A duplicate (identical grading, different wall stats — the
         # digest must ignore them) converges silently.
-        duplicate = _partial(0)
-        duplicate.stats["wall_time_s"] = 99.0
-        assert other.publish(0, duplicate) is False
+        duplicate = _record(0)
+        duplicate["stats"]["wall_time_s"] = 99.0
+        assert other.publish(duplicate) is False
         assert other.publish_conflicts == 1
-        results = other.load_results()
-        assert results[0].detected == _partial(0).detected
-        assert results[0].stats["wall_time_s"] == 0.0  # the winner's bytes
+        records = other.load_results()
+        assert records[0]["firsts"] == _record(0)["firsts"]
+        assert records[0]["stats"]["wall_time_s"] == 0.0  # the winner's bytes
 
     def test_publish_and_load_identity(self, tmp_path):
-        """A real shard result survives publish → load field for field."""
+        """A real shard record survives publish → load field for field,
+        keeping only the work counters and wall time of its stats."""
         netlist = generators.random_circuit(6, 35, seed=5)
         simulator = FaultSimulator(netlist)
         faults, _ = collapse_faults(netlist, full_fault_list(netlist))
         patterns = random_patterns(simulator.view.num_inputs, 64, seed=5)
-        partial = simulator.simulate(patterns, faults[:10])
+        shard = faults[:10]
+        graded = simulator.simulate(patterns, shard)
+        record = {
+            "index": 0,
+            "patterns_simulated": graded.patterns_simulated,
+            "firsts": [graded.detected.get(fault, -1) for fault in shard],
+            "stats": dict(graded.stats),
+        }
         store = ShardStore(tmp_path)
         store.initialize(_key(), 1)
-        assert store.publish(0, partial) is True
+        assert store.publish(record) is True
         restored = store.load_results()[0]
-        assert restored.detected == partial.detected
-        assert restored.undetected == partial.undetected
-        assert restored.total_faults == partial.total_faults
-        assert restored.patterns_simulated == partial.patterns_simulated
+        for field in ("index", "patterns_simulated", "firsts"):
+            assert restored[field] == record[field]
+        assert restored["stats"] == {
+            k: graded.stats[k]
+            for k in ("events_propagated", "words_evaluated", "wall_time_s")
+        }
 
     def test_divergent_duplicate_is_corruption(self, tmp_path):
         mine = ShardStore(tmp_path)
         other = ShardStore(tmp_path)
         mine.initialize(_key(), 1)
         other.initialize(_key(), 1)
-        mine.publish(0, _partial(0))
-        divergent = _partial(0)
-        divergent.detected[StuckAtFault("g0", "out", 0)] = 7  # different index
+        mine.publish(_record(0))
+        divergent = _record(0)
+        divergent["firsts"][0] = 7  # different first-detection index
         with pytest.raises(StoreCorruptionError, match="diverge"):
-            other.publish(0, divergent)
+            other.publish(divergent)
 
     def test_tampered_result_file_detected_on_load(self, tmp_path):
         store = ShardStore(tmp_path)
         store.initialize(_key(), 1)
-        store.publish(0, _partial(0))
+        store.publish(_record(0))
         path = os.path.join(str(tmp_path), "shards", "00000.result")
-        payload = json.load(open(path))
-        payload["partial"]["detected"][0][3] = 99
-        os.unlink(path)  # result files are link-protected: replace whole file
-        with open(path, "w") as handle:
-            json.dump(payload, handle)
+
+        def tamper(payload):
+            payload["record"]["firsts"][0] = 99
+
+        _rewrite(path, tamper)
         with pytest.raises(StoreCorruptionError, match="corrupt"):
             store.load_results()
 
     def test_digest_ignores_stats(self):
-        one, two = _partial(3), _partial(3)
-        two.stats["wall_time_s"] = 1e9
-        two.stats["metrics"] = {"different": True}
-        assert result_digest(serialize_partial(3, one)) == result_digest(
-            serialize_partial(3, two)
+        one, two = _record(3), _record(3)
+        two["stats"]["wall_time_s"] = 1e9
+        two["stats"]["metrics"] = {"different": True}
+        assert result_digest(one) == result_digest(two)
+        for field, value in (
+            ("index", 4), ("patterns_simulated", 9), ("firsts", [3, 0]),
+        ):
+            assert result_digest(one) != result_digest(dict(one, **{field: value}))
+
+    def test_misplaced_result_file_refused(self, tmp_path):
+        """A record is positional: one filed under another shard's name
+        (digest intact) is never merged against that shard."""
+        store = ShardStore(tmp_path)
+        store.initialize(_key(), 2)
+        store.publish(_record(0))
+        shards_dir = os.path.join(str(tmp_path), "shards")
+        os.link(
+            os.path.join(shards_dir, "00000.result"),
+            os.path.join(shards_dir, "00001.result"),
         )
+        with pytest.raises(StoreCorruptionError, match="misplaced"):
+            store.load_results()
+
+    def test_result_file_of_another_version_refused(self, tmp_path):
+        store = ShardStore(tmp_path)
+        store.initialize(_key(), 1)
+        store.publish(_record(0))
+
+        def downgrade(payload):
+            payload["version"] = 1
+
+        _rewrite(os.path.join(str(tmp_path), "shards", "00000.result"), downgrade)
+        with pytest.raises(StoreMismatchError, match="version"):
+            store.load_results()
 
 
 # ----------------------------------------------------------------------
@@ -382,6 +441,49 @@ class TestStoreCampaigns:
             FaultSimulator(simulator.netlist).simulate(
                 patterns, faults, engine=wrong_seed
             )
+
+    def test_store_of_another_version_refused(self, tmp_path, capsys):
+        """A store pinned by another format version is refused up front,
+        naming ``version``, and the CLI reports it as a bad store (exit 2)
+        instead of merging it."""
+        patterns = str(tmp_path / "c17.pat")
+        assert main(["atpg", "c17", "-o", patterns]) == 0
+        store = str(tmp_path / "store")
+        campaign = ["fsim", "c17", patterns, "--store", store, "--jobs", "1"]
+        assert main(campaign) == 0
+        graded = sorted(os.listdir(os.path.join(store, "shards")))
+
+        def bump(payload):
+            payload["version"] = 99
+
+        _rewrite(os.path.join(store, "campaign.json"), bump)
+        capsys.readouterr()
+        assert main(campaign) == 2
+        assert "version" in capsys.readouterr().err
+        with pytest.raises(StoreMismatchError, match="version"):
+            ShardStore(store).attach()
+        assert sorted(os.listdir(os.path.join(store, "shards"))) == graded
+
+    def test_reordered_universe_is_a_mismatch(self, tmp_path):
+        """Records are positional against the shard plan: the same faults
+        in another order make another campaign, refused (naming ``plan``)
+        before any shard is graded."""
+        simulator, faults, patterns, _ = _setup()
+        root = str(tmp_path / "reordered")
+        SupervisedPoolBackend(
+            jobs=2, partitions=6,
+            chaos=ChaosPlan.parse(["4:crash"]),
+            config=SupervisorConfig(max_retries=0, inline_fallback=False),
+            store=ShardStore(root),
+        ).run(simulator, patterns, faults)
+        shards_dir = os.path.join(root, "shards")
+        published = sorted(os.listdir(shards_dir))
+        assert len(published) == 5
+        with pytest.raises(StoreMismatchError, match="plan"):
+            SupervisedPoolBackend(
+                jobs=2, partitions=6, store=ShardStore(root),
+            ).run(simulator, patterns, faults[::-1])
+        assert sorted(os.listdir(shards_dir)) == published
 
     def test_two_concurrent_runners_bit_identical(self, tmp_path):
         """Two runners started on one store by mistake both grade the
@@ -553,14 +655,13 @@ class TestStoreCampaigns:
 
         rerun()
         path = os.path.join(root, "shards", "00002.result")
-        payload = json.load(open(path))
-        partial = payload["partial"]
-        partial["undetected"] = partial["undetected"][:-1] or partial["undetected"]
-        partial["total"] -= 1
-        payload["digest"] = result_digest(partial)
-        os.unlink(path)  # result files are link-protected: replace whole file
-        with open(path, "w") as handle:
-            json.dump(payload, handle)
+
+        def truncate(payload):
+            record = payload["record"]
+            record["firsts"] = record["firsts"][:-1]
+            payload["digest"] = result_digest(record)
+
+        _rewrite(path, truncate)
         with pytest.raises(StoreCorruptionError, match="shard 2"):
             rerun()
 

@@ -22,11 +22,12 @@ from repro.circuit import benchmarks, generators
 from repro.faults.collapse import collapse_faults
 from repro.faults.stuck_at import full_fault_list
 from repro.sim.chaos import CRASH_EXIT_CODE, ChaosError, ChaosPlan
-from repro.sim.faultsim import FaultSimResult, FaultSimulator
+from repro.sim.faultsim import FaultSimulator
 from repro.sim.store import ShardStore
 from repro.sim.supervisor import (
     SupervisedPoolBackend,
     SupervisorConfig,
+    _Slot,
     validate_partial,
 )
 
@@ -213,43 +214,38 @@ class TestGracefulDegradation:
         assert "injected crash" in failed[0]["reason"]
 
 
+def _record(result, shard):
+    """The positional shard record of an in-process grading of ``shard``."""
+    return {
+        "index": 0,
+        "patterns_simulated": result.patterns_simulated,
+        "firsts": [result.detected.get(fault, -1) for fault in shard],
+        "stats": {},
+    }
+
+
 class TestValidation:
     def test_validate_partial_accepts_clean_result(self):
         simulator, faults, patterns, _ = _setup()
         shard = faults[:5]
-        partial = simulator.simulate(patterns, shard)
-        assert validate_partial(partial, shard, len(patterns)) is None
+        record = _record(simulator.simulate(patterns, shard), shard)
+        assert validate_partial(record, shard, len(patterns)) is None
 
     def test_validate_partial_rejects_structural_damage(self):
         simulator, faults, patterns, _ = _setup()
         shard = faults[:5]
-        clean = simulator.simulate(patterns, shard)
+        clean = _record(simulator.simulate(patterns, shard), shard)
+        assert any(first >= 0 for first in clean["firsts"])
 
-        missing = FaultSimResult(
-            total_faults=clean.total_faults,
-            detected=dict(clean.detected),
-            undetected=clean.undetected[:-1] if clean.undetected else [],
-        )
-        if clean.undetected:
-            assert "not fully accounted" in validate_partial(
-                missing, shard, len(patterns)
+        def damaged(firsts):
+            return validate_partial(
+                dict(clean, firsts=firsts), shard, len(patterns)
             )
 
-        out_of_range = FaultSimResult(
-            total_faults=clean.total_faults,
-            detected=dict(clean.detected),
-            undetected=list(clean.undetected),
-        )
-        fault = next(iter(out_of_range.detected))
-        out_of_range.detected[fault] = len(patterns) + 1
-        assert "out of range" in validate_partial(out_of_range, shard, len(patterns))
-
-        foreign = FaultSimResult(
-            total_faults=clean.total_faults,
-            detected={**clean.detected, faults[10]: 0},
-            undetected=list(clean.undetected),
-        )
-        assert validate_partial(foreign, shard, len(patterns)) is not None
+        assert "5 shard faults" in damaged(clean["firsts"][:-1])
+        assert "5 shard faults" in damaged(clean["firsts"] + [-1])
+        for entry in (len(patterns), len(patterns) + 1, -2, 1.0, "3", None):
+            assert "out of range" in damaged(clean["firsts"][:-1] + [entry])
 
     def test_config_and_argument_validation(self):
         with pytest.raises(ValueError, match="jobs"):
@@ -271,6 +267,45 @@ class TestValidation:
         for name in ("timeout_s", "backoff_s"):
             with pytest.raises(ValueError, match=name):
                 SupervisorConfig(**{name: float("nan")}).validate()
+
+
+class _RacyWorker:
+    """A worker that sends its result and exits just after the parent's
+    first look at it: the parent's later looks see both."""
+
+    exitcode = 0
+
+    def __init__(self):
+        self.looks = 0
+
+    def _finished(self):
+        self.looks += 1
+        return self.looks > 1
+
+    def is_alive(self):
+        return not self._finished()
+
+    def poll(self):
+        return self._finished()
+
+    def recv(self):
+        return ("ok", "the record")
+
+    def join(self, timeout=None):
+        pass
+
+    def close(self):
+        pass
+
+
+class TestPolling:
+    def test_result_sent_just_before_exit_is_read(self):
+        """Small records let a worker send and exit between two looks;
+        its result must be read, not reported as a crash."""
+        worker = _RacyWorker()
+        slot = _Slot(0, 0, worker, worker, None)
+        outcome = SupervisedPoolBackend(jobs=1)._poll_slot(slot, 0.0)
+        assert outcome == ("ok", "the record")
 
 
 class TestWorkersShareTheSimulator:
