@@ -20,6 +20,9 @@ loops read into flat per-gate tables:
 one netlist shares one copy.  Per-gate evaluator closures stay with the
 engines: a netlist pickled to a spawn worker carries its derived tables,
 and closures do not pickle.
+
+:func:`core_classes` caches :class:`CoreClasses` the same way: the
+netlist's identical cores, which fault simulation grades once per class.
 """
 
 from __future__ import annotations
@@ -217,3 +220,83 @@ class CompiledNetlist:
 def compiled(netlist: Netlist) -> CompiledNetlist:
     """The netlist's shared :class:`CompiledNetlist`, built on first use."""
     return netlist.derived("circuit.compiled", CompiledNetlist)
+
+
+class CoreClasses:
+    """Identical cores of one netlist: isomorphic combinational components.
+
+    Components are the connected components of the combinational graph:
+    each gate is joined to its combinational consumers, so a source joins
+    every core that reads it, but a flop is not joined to its D/SI
+    drivers, so scan chains do not merge cores.  A component's key
+    relabels its gates to local ids in index order and records, per gate,
+    everything stuck-at grading reads: the type code, local fanins (-1
+    for a driver outside the component), the region parent and pins, and
+    the reader and observation flags.  Components with equal keys (equal
+    as full tuples, so every match is an explicit isomorphism) form a
+    class; its members are listed in component order, so member 0 is the
+    representative.
+    """
+
+    def __init__(self, netlist: Netlist):
+        tables = compiled(netlist)
+        n = len(tables.codes)
+        link = list(range(n))
+
+        def find(gate: int) -> int:
+            while link[gate] != gate:
+                link[gate] = link[link[gate]]
+                gate = link[gate]
+            return gate
+
+        for consumer, drivers in enumerate(tables.fanins):
+            if tables.codes[consumer] == SOURCE:
+                continue
+            for driver in drivers:
+                a, b = find(driver), find(consumer)
+                if a != b:
+                    link[max(a, b)] = min(a, b)
+        by_root: dict = {}
+        for gate in range(n):
+            by_root.setdefault(find(gate), []).append(gate)
+        #: Component id of every gate, in order of first gate.
+        self.component: List[int] = [0] * n
+        components = list(by_root.values())
+        for number, gates in enumerate(components):
+            for gate in gates:
+                self.component[gate] = number
+        by_key: dict = {}
+        for gates in components:
+            by_key.setdefault(self._key(tables, gates), []).append(gates)
+        #: Per class of two or more identical components: its members'
+        #: gate lists, aligned by local id.
+        self.classes: List[List[List[int]]] = [
+            members for members in by_key.values() if len(members) > 1
+        ]
+        #: Per gate: (class number, local id, copy number), or None outside
+        #: every class.
+        self.place: List[Optional[Tuple[int, int, int]]] = [None] * n
+        for number, members in enumerate(self.classes):
+            for copy, gates in enumerate(members):
+                for local, gate in enumerate(gates):
+                    self.place[gate] = (number, local, copy)
+
+    @staticmethod
+    def _key(tables: CompiledNetlist, gates: List[int]) -> tuple:
+        local = {gate: position for position, gate in enumerate(gates)}
+        return tuple(
+            (
+                tables.codes[gate],
+                tuple(local.get(driver, -1) for driver in tables.fanins[gate]),
+                local[tables.parent[gate]] if tables.parent[gate] >= 0 else -1,
+                tables.pins[gate],
+                tables.is_reader[gate],
+                tables.observes[gate],
+            )
+            for gate in gates
+        )
+
+
+def core_classes(netlist: Netlist) -> CoreClasses:
+    """The netlist's shared :class:`CoreClasses`, built on first use."""
+    return netlist.derived("circuit.core_classes", CoreClasses)

@@ -103,8 +103,9 @@ def broadcast_detects_all_cores(
     coverage C on the core reaches the same C on every copy.  This verifies
     it concretely: chip-level patterns built by duplicating the core
     pattern across copies detect exactly the per-core images of the faults
-    the core patterns detect.  ``chip`` must be
-    :func:`~repro.circuit.benchmarks.replicate_netlist` of ``core``.
+    the core patterns detect, each first by the same pattern.  ``chip``
+    must be :func:`~repro.circuit.benchmarks.replicate_netlist` of
+    ``core`` (gate ``g`` of copy ``k`` at ``g + k * len(core.gates)``).
     """
     core_sim = FaultSimulator(core)
     core_faults, _ = collapse_faults(core, full_fault_list(core))
@@ -117,14 +118,18 @@ def broadcast_detects_all_cores(
         for p in patterns
     ]
     core_size = len(core.gates)
-    chip_faults = [
-        type(f)(f.gate + copy * core_size, f.pin, f.value)
-        for f in core_faults
-        for copy in range(n_cores)
-    ]
+
+    def image(fault, copy):
+        return type(fault)(fault.gate + copy * core_size, fault.pin, fault.value)
+
+    chip_faults = [image(f, copy) for f in core_faults for copy in range(n_cores)]
     chip_result = chip_sim.simulate(chip_patterns, chip_faults, drop=True)
-    expected = len(core_result.detected) * n_cores
-    return len(chip_result.detected) == expected
+    expected = {
+        image(fault, copy): first
+        for fault, first in core_result.detected.items()
+        for copy in range(n_cores)
+    }
+    return chip_result.detected == expected
 
 
 @dataclass

@@ -10,8 +10,12 @@ runs PPSFP over its partition against that shared response, and each
 shard's first-detecting pattern indices are merged back by position — so
 first-detecting-pattern semantics survive sharding and the outcome is
 bit-identical to PPSFP for any number of workers.  Keeping a region in
-one shard also keeps the work counters bit-identical: its faults share
-one ``obs(root)`` propagation per chunk, as they do in process.
+one shard also keeps the work counters bit-identical on netlists without
+identical cores: its faults share one ``obs(root)`` propagation per
+chunk, as they do in process.  Where cores repeat, a shard holds only
+some images of a fault and PPSFP grades the images it holds (see
+:mod:`repro.sim.faultsim`), so the counters are the sum of in-process
+PPSFP over each shard.
 :class:`repro.sim.supervisor.SupervisedPoolBackend` is the one driver
 that runs the shards.
 

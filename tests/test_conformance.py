@@ -32,17 +32,24 @@ from hypothesis import strategies as st
 
 from repro.atpg.random_gen import random_patterns
 from repro.circuit import benchmarks, generators
+from repro.circuit.benchmarks import replicate_netlist
 from repro.faults.collapse import collapse_faults
 from repro.faults.stuck_at import full_fault_list
-from repro.sim.dispatch import BACKEND_NAMES
-from repro.sim.faultsim import FaultSimulator
+from repro.scan.insertion import insert_scan
+from repro.sim.dispatch import (
+    BACKEND_NAMES,
+    default_partition_count,
+    partition_faults,
+)
+from repro.sim.faultsim import FaultSimResult, FaultSimulator
 from repro.sim.parallel import KERNELS, WORD_WIDTH
 from repro.sim.store import ShardStore
 from repro.sim.supervisor import SupervisedPoolBackend
 
 from tests.oracle_util import small_netlists
 
-#: ≥7 circuits: combinational, arithmetic, and full-scan sequential.
+#: ≥7 circuits: combinational, arithmetic, full-scan sequential, and
+#: replicated cores (plain and scan-inserted).
 CIRCUIT_FACTORIES = (
     ("c17", benchmarks.c17),
     ("rand5", lambda: generators.random_circuit(5, 25, seed=101)),
@@ -51,8 +58,28 @@ CIRCUIT_FACTORIES = (
     ("mac2", lambda: generators.mac_unit(2)),
     ("seq4", lambda: generators.random_sequential(4, 40, 5, seed=303)),
     ("seq6", lambda: generators.random_sequential(6, 50, 8, seed=404)),
+    # Identical cores: PPSFP grades each fault's images once per class.
+    ("mac2_x3", lambda: replicate_netlist(generators.mac_unit(2), 3)),
+    # Chains end in the last copy, so copies 0-2 stay one class.
+    (
+        "seq3_x4_scan",
+        lambda: insert_scan(
+            replicate_netlist(generators.random_sequential(3, 24, 3, seed=303), 4),
+            n_chains=3,
+        ).netlist,
+    ),
 )
-CIRCUIT_NAMES = [name for name, _ in CIRCUIT_FACTORIES]
+#: Rows whose shards split a fault's core images across workers.
+REPLICATED = ("mac2_x3", "seq3_x4_scan")
+
+#: The seven base circuits, which the ATPG oracle suites also audit (its
+#: exhaustive ground truth needs at most 16 inputs).
+CIRCUIT_NAMES = [
+    name for name, _ in CIRCUIT_FACTORIES if name not in REPLICATED
+]
+
+#: The fault-simulation matrix runs every row.
+FAULTSIM_NAMES = CIRCUIT_NAMES + list(REPLICATED)
 
 N_PATTERNS = 96
 
@@ -89,7 +116,7 @@ def _universe(name):
 def _patterns(name):
     netlist = _circuit(name)
     n_inputs = FaultSimulator(netlist, cache=None).view.num_inputs
-    seed = CIRCUIT_NAMES.index(name)
+    seed = FAULTSIM_NAMES.index(name)
     return tuple(
         tuple(p) for p in random_patterns(n_inputs, N_PATTERNS, seed=seed)
     )
@@ -124,6 +151,43 @@ def _counter_reference(name, width, drop=True):
     return _simulate(name, "ppsfp", "python", width, drop=drop)
 
 
+@functools.lru_cache(maxsize=None)
+def _shard_counter_reference(name, width):
+    """Counter oracle for the multiprocess engines on replicated rows.
+
+    In process, PPSFP grades a fault's images in identical cores once per
+    class; a shard holds only some of them.  So a multiprocess run's
+    counters are the in-process good passes plus the fault work of
+    in-process PPSFP over each of the backend's shards.
+    """
+    reference = _counter_reference(name, width)
+    simulator = FaultSimulator(_circuit(name), word_width=width, cache=None)
+    patterns = [list(p) for p in _patterns(name)]
+    universe = list(_universe(name))
+    shards = partition_faults(
+        universe,
+        default_partition_count(len(universe)),
+        key=simulator.fault_region,
+    )
+    good_words = reference.stats["good_passes"] * simulator.parallel.num_scheduled
+    events = words = 0
+    for shard in shards:
+        stats = simulator.simulate(patterns, shard).stats
+        events += stats["events_propagated"]
+        words += stats["words_evaluated"] - (
+            stats["good_passes"] * simulator.parallel.num_scheduled
+        )
+    return FaultSimResult(
+        total_faults=reference.total_faults,
+        patterns_simulated=reference.patterns_simulated,
+        stats=dict(
+            reference.stats,
+            events_propagated=events,
+            words_evaluated=good_words + words,
+        ),
+    )
+
+
 def _assert_detection(result, oracle):
     assert result.detected == oracle.detected
     assert result.undetected == oracle.undetected
@@ -140,7 +204,7 @@ def _assert_counters(result, reference):
 class TestKernelMatrix:
     """Single-process engines: full circuit × width × kernel cross product."""
 
-    @pytest.mark.parametrize("name", CIRCUIT_NAMES)
+    @pytest.mark.parametrize("name", FAULTSIM_NAMES)
     @pytest.mark.parametrize("width", WIDTHS)
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_ppsfp_matches_oracle(self, name, width, kernel):
@@ -152,7 +216,7 @@ class TestKernelMatrix:
             name, width
         ).stats["good_passes"]
 
-    @pytest.mark.parametrize("name", CIRCUIT_NAMES)
+    @pytest.mark.parametrize("name", FAULTSIM_NAMES)
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_serial_matches_oracle(self, name, kernel):
         """Serial grades one fault at a time — its counters are its own,
@@ -176,13 +240,16 @@ class TestBackendMatrix:
     """Multiprocess engines: every backend × kernel, each run over a
     private shard store (``supervised``) or an explicit one (``store``)."""
 
-    @pytest.mark.parametrize("name", CIRCUIT_NAMES)
+    @pytest.mark.parametrize("name", FAULTSIM_NAMES)
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("engine", MULTIPROCESS)
     def test_multiprocess_matches_oracle(self, name, kernel, engine):
         result = _simulate(name, engine, kernel, 256, jobs=2)
         _assert_detection(result, _oracle(name))
-        _assert_counters(result, _counter_reference(name, 256))
+        if name in REPLICATED:
+            _assert_counters(result, _shard_counter_reference(name, 256))
+        else:
+            _assert_counters(result, _counter_reference(name, 256))
         assert result.stats["kernel"] == kernel
         assert result.stats["word_width"] == 256
 
@@ -217,7 +284,7 @@ class TestNoDropConformance:
 class TestResponseConformance:
     """Good-machine responses (not just detections) are kernel-invariant."""
 
-    @pytest.mark.parametrize("name", CIRCUIT_NAMES)
+    @pytest.mark.parametrize("name", FAULTSIM_NAMES)
     @pytest.mark.parametrize("width", (64, 256))
     def test_responses_identical(self, name, width):
         from repro.sim.parallel import ParallelSimulator

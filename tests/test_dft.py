@@ -1,10 +1,15 @@
 """Hierarchical DFT: replication, wrapping, retargeting, scheduling, planning."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.atpg.engine import run_atpg
+from repro.atpg.random_gen import random_patterns
 from repro.circuit import benchmarks, generators
 from repro.circuit.benchmarks import replicate_netlist
+from repro.circuit.gates import GateType
+from repro.circuit.netlist import Netlist
 from repro.dft.degrade import BinningPolicy, yield_with_degradation
 from repro.dft.planner import DftPlanInputs, build_plan, plan_comparison_table
 from repro.dft.retarget import (
@@ -18,8 +23,14 @@ from repro.dft.schedule import TestTask as PowerTask
 from repro.dft.degrade import test_and_degrade as screen_and_degrade
 from repro.aichip.accelerator import AcceleratorConfig, TiledAccelerator
 from repro.aichip.systolic import PEFault
+from repro.faults.collapse import collapse_faults
+from repro.faults.model import StuckAtFault
+from repro.faults.stuck_at import full_fault_list
 from repro.scan.insertion import insert_scan
+from repro.sim.faultsim import FaultSimulator
 from repro.sim.logicsim import LogicSimulator
+
+from tests.oracle_util import small_netlists
 
 
 class TestReplication:
@@ -86,6 +97,53 @@ class TestRetargeting:
         atpg = run_atpg(mac4, seed=1)
         chip = replicate_netlist(mac4, 3)
         assert broadcast_detects_all_cores(mac4, atpg.patterns, chip, 3)
+
+    def test_broadcast_check_compares_every_image(self):
+        """Copy 1 of this chip has one c17 NAND made a NOR.  It detects as
+        many faults as two true copies would, but not the same ones."""
+        core = benchmarks.c17()
+        core.finalize()
+        patterns = random_patterns(len(core.inputs), 8, seed=0)
+        size = len(core.gates)
+        edited = size + core.index_of("19")
+        chip = Netlist("c17_x2_edited")
+        for copy in range(2):
+            for gate in core.gates:
+                index = gate.index + copy * size
+                chip.add(
+                    GateType.NOR if index == edited else gate.type,
+                    f"core{copy}/{gate.name}",
+                    [driver + copy * size for driver in gate.fanin],
+                )
+        faults, _ = collapse_faults(core, full_fault_list(core))
+        images = [
+            StuckAtFault(f.gate + copy * size, f.pin, f.value)
+            for f in faults
+            for copy in range(2)
+        ]
+        on_core = FaultSimulator(core).simulate(patterns, faults)
+        on_chip = FaultSimulator(chip).simulate(
+            [list(p) * 2 for p in patterns], images
+        )
+        assert len(on_chip.detected) == 2 * len(on_core.detected)
+        assert not broadcast_detects_all_cores(core, patterns, chip, 2)
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        core=small_netlists(),
+        copies=st.integers(min_value=1, max_value=4),
+        n_patterns=st.integers(min_value=1, max_value=80),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_broadcast_holds_on_replicated_cores(self, core, copies, n_patterns, seed):
+        core.finalize()
+        patterns = random_patterns(len(core.inputs), n_patterns, seed=seed)
+        chip = replicate_netlist(core, copies)
+        assert broadcast_detects_all_cores(core, patterns, chip, copies)
 
     def test_broadcast_cheaper_than_serial(self, mac4):
         design = insert_scan(mac4, n_chains=2)

@@ -2,8 +2,9 @@
 
 ``FaultSimResult.stats`` is the one record of a run, and
 ``FaultSimulator._publish`` turns it into counters the same way for
-every engine.  So the supervised backend's counters equal the in-process
-PPSFP reference for any worker count, and a degraded supervised run
+every engine.  So on these netlists, which have no identical cores, the
+supervised backend's counters equal the in-process PPSFP reference for
+any worker count, and a degraded supervised run
 publishes exactly what its ``stats`` hold.
 """
 

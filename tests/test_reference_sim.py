@@ -20,7 +20,7 @@ from repro.sim.faultsim import FaultSimulator
 
 from tests.oracle_util import small_netlists
 from tests.reference_sim import first_detections
-from tests.test_conformance import CIRCUIT_FACTORIES
+from tests.test_conformance import CIRCUIT_FACTORIES, CIRCUIT_NAMES
 
 
 def _assert_matches_reference(netlist, patterns, faults, width):
@@ -65,9 +65,11 @@ def test_ppsfp_matches_reference_on_random_netlists(
     _assert_matches_reference(netlist, patterns, faults, width)
 
 
-@pytest.mark.parametrize("name,factory", CIRCUIT_FACTORIES)
-def test_ppsfp_matches_reference_on_conformance_circuits(name, factory):
-    netlist = factory()
+# The replicated rows' chips are graded against the reference in
+# test_core_parallel.py, on smaller cores.
+@pytest.mark.parametrize("name", CIRCUIT_NAMES)
+def test_ppsfp_matches_reference_on_conformance_circuits(name):
+    netlist = dict(CIRCUIT_FACTORIES)[name]()
     netlist.finalize()
     faults, _ = collapse_faults(netlist, full_fault_list(netlist))
     n_inputs = len(netlist.inputs) + len(netlist.flops)
