@@ -88,7 +88,7 @@ def built_netlists(draw) -> Netlist:
     return builder.build()
 
 
-def generated_netlists():
+def generated_netlists(max_inputs=8, max_gates=40):
     """Seeded draws through the repo's random circuit generator."""
     from repro.circuit import generators
 
@@ -96,8 +96,23 @@ def generated_netlists():
         lambda n_inputs, n_gates, seed: generators.random_circuit(
             n_inputs, n_gates, seed=seed
         ),
-        n_inputs=st.integers(min_value=3, max_value=8),
-        n_gates=st.integers(min_value=8, max_value=40),
+        n_inputs=st.integers(min_value=3, max_value=max_inputs),
+        n_gates=st.integers(min_value=8, max_value=max_gates),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+
+
+def sequential_netlists(max_inputs=5, max_gates=30, max_flops=4):
+    """Random logic behind a register ring: flop D pins are readers too."""
+    from repro.circuit import generators
+
+    return st.builds(
+        lambda n_inputs, n_gates, n_flops, seed: generators.random_sequential(
+            n_inputs, n_gates, n_flops, seed=seed
+        ),
+        n_inputs=st.integers(min_value=2, max_value=max_inputs),
+        n_gates=st.integers(min_value=8, max_value=max_gates),
+        n_flops=st.integers(min_value=1, max_value=max_flops),
         seed=st.integers(min_value=0, max_value=10**6),
     )
 

@@ -13,7 +13,7 @@ cone, not the circuit's observation surface.
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.atpg.random_gen import exhaustive_patterns, random_patterns
-from repro.circuit import benchmarks, generators
+from repro.circuit import benchmarks
 from repro.circuit.builder import NetlistBuilder
 from repro.circuit.gates import GateType, evaluate_parallel
 from repro.faults.collapse import collapse_faults
@@ -22,20 +22,7 @@ from repro.faults.stuck_at import full_fault_list
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.parallel import KERNELS
 
-from tests.oracle_util import small_netlists
-
-
-def _sequential_netlists():
-    """Random logic behind a register ring: flop D pins are readers too."""
-    return st.builds(
-        lambda n_inputs, n_gates, n_flops, seed: generators.random_sequential(
-            n_inputs, n_gates, n_flops, seed=seed
-        ),
-        n_inputs=st.integers(min_value=2, max_value=5),
-        n_gates=st.integers(min_value=8, max_value=30),
-        n_flops=st.integers(min_value=1, max_value=4),
-        seed=st.integers(min_value=0, max_value=10**6),
-    )
+from tests.oracle_util import sequential_netlists, small_netlists
 
 
 def _reference_faulty(netlist, good, seeds, mask):
@@ -129,7 +116,7 @@ def _check_kernel_against_references(netlist, faults, patterns, kernel):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 @given(
-    netlist=st.one_of(small_netlists(), _sequential_netlists()),
+    netlist=st.one_of(small_netlists(), sequential_netlists()),
     data=st.data(),
 )
 def test_readout_and_propagation_match_references(netlist, data):

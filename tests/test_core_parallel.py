@@ -19,7 +19,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.atpg.random_gen import random_patterns
-from repro.circuit import generators
 from repro.circuit.benchmarks import replicate_netlist
 from repro.circuit.compiled import core_classes
 from repro.circuit.gates import GateType
@@ -29,39 +28,18 @@ from repro.faults.stuck_at import full_fault_list
 from repro.scan.insertion import insert_scan
 from repro.sim.faultsim import FaultSimulator
 
-from tests.oracle_util import built_netlists
+from tests.oracle_util import (
+    built_netlists,
+    generated_netlists,
+    sequential_netlists,
+)
 from tests.reference_sim import first_detections
 
+# Cores stay small: the serial engine and the reference re-simulate the
+# whole chip per fault and pattern.
 SETTINGS = settings(
     max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
-
-
-def _sequential_cores():
-    """Random logic behind a few flops, kept small like
-    :func:`_small_cores`."""
-    return st.builds(
-        lambda n_inputs, n_gates, n_flops, seed: generators.random_sequential(
-            n_inputs, n_gates, n_flops, seed=seed
-        ),
-        n_inputs=st.integers(min_value=2, max_value=4),
-        n_gates=st.integers(min_value=6, max_value=14),
-        n_flops=st.integers(min_value=1, max_value=3),
-        seed=st.integers(min_value=0, max_value=10**6),
-    )
-
-
-def _small_cores(max_gates=16):
-    """Seeded generator draws, kept small: the serial engine and the
-    reference re-simulate the whole chip per fault and pattern."""
-    return st.builds(
-        lambda n_inputs, n_gates, seed: generators.random_circuit(
-            n_inputs, n_gates, seed=seed
-        ),
-        n_inputs=st.integers(min_value=2, max_value=5),
-        n_gates=st.integers(min_value=4, max_value=max_gates),
-        seed=st.integers(min_value=0, max_value=10**6),
-    )
 
 
 def _interleave(cores) -> Netlist:
@@ -126,7 +104,9 @@ SEEDS = st.integers(min_value=0, max_value=2**16)
 
 @SETTINGS
 @given(
-    core=st.one_of(built_netlists(), _small_cores()),
+    core=st.one_of(
+        built_netlists(), generated_netlists(max_inputs=5, max_gates=16)
+    ),
     copies=st.integers(min_value=1, max_value=4),
     n_patterns=PATTERN_COUNTS,
     width=WIDTHS,
@@ -141,8 +121,8 @@ def test_replicated_core(core, copies, n_patterns, width, seed):
 
 @SETTINGS
 @given(
-    first=_small_cores(max_gates=10),
-    second=_small_cores(max_gates=10),
+    first=generated_netlists(max_inputs=5, max_gates=10),
+    second=generated_netlists(max_inputs=5, max_gates=10),
     order=st.permutations((0, 0, 1, 1, 1)),
     n_patterns=PATTERN_COUNTS,
     width=WIDTHS,
@@ -155,7 +135,7 @@ def test_two_different_cores(first, second, order, n_patterns, width, seed):
 
 @SETTINGS
 @given(
-    core=_sequential_cores(),
+    core=sequential_netlists(max_inputs=4, max_gates=14, max_flops=3),
     copies=st.integers(min_value=2, max_value=4),
     chains=st.integers(min_value=1, max_value=3),
     n_patterns=PATTERN_COUNTS,

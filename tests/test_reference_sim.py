@@ -13,12 +13,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.atpg.random_gen import random_patterns
-from repro.circuit import generators
 from repro.faults.collapse import collapse_faults
 from repro.faults.stuck_at import full_fault_list
 from repro.sim.faultsim import FaultSimulator
 
-from tests.oracle_util import small_netlists
+from tests.oracle_util import sequential_netlists, small_netlists
 from tests.reference_sim import first_detections
 from tests.test_conformance import CIRCUIT_FACTORIES, CIRCUIT_NAMES
 
@@ -34,23 +33,11 @@ def _assert_matches_reference(netlist, patterns, faults, width):
         ]
 
 
-def _sequential_netlists():
-    return st.builds(
-        lambda n_inputs, n_gates, n_flops, seed: generators.random_sequential(
-            n_inputs, n_gates, n_flops, seed=seed
-        ),
-        n_inputs=st.integers(min_value=2, max_value=5),
-        n_gates=st.integers(min_value=8, max_value=30),
-        n_flops=st.integers(min_value=1, max_value=4),
-        seed=st.integers(min_value=0, max_value=10**6),
-    )
-
-
 @settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 @given(
-    netlist=st.one_of(small_netlists(), _sequential_netlists()),
+    netlist=st.one_of(small_netlists(), sequential_netlists()),
     n_patterns=st.integers(min_value=1, max_value=150),
     width=st.sampled_from((64, 7)),
     seed=st.integers(min_value=0, max_value=2**16),
