@@ -22,15 +22,16 @@ Every subcommand also takes ``--report FILE`` (RunReport JSON),
 Exit codes: ``0`` success; ``2`` bad arguments (argparse, an unknown
 circuit, an unreadable file, a pattern file for other inputs) or campaign
 mismatch (shard store keyed to a different circuit/pattern set/fault
-order, or written by another store format version); ``3`` a
-supervised fault-sim campaign completed *partially*
-(unrecoverable partitions — reported coverage is a lower bound);
-``4`` benchmark regression detected by ``obs gate``; ``5`` a
-``--store`` campaign was already complete when this run started (the
-printed result is real — merged from the store — but this run graded
-nothing); ``130`` interrupted (Ctrl-C: workers are terminated before
-exiting, and every shard already published stays in the store, so
-re-running with the same ``--store`` picks up where the run died).
+order, or written by another store format version); ``3`` a shard of a
+supervised fault-sim campaign failed (its worker died, raised, or sent
+a damaged record): the run stopped and printed no coverage, and every
+shard it published stays in the store, so re-running with the same
+``--store`` grades only the missing shards; ``4`` benchmark regression
+detected by ``obs gate``; ``5`` a ``--store`` campaign was already
+complete when this run started (the printed result is real — merged
+from the store — but this run graded nothing); ``130`` interrupted
+(Ctrl-C: workers are terminated before exiting, and a ``--store``
+campaign resumes the same way as after a failed shard).
 """
 
 from __future__ import annotations
@@ -60,9 +61,9 @@ BACKEND_NAMES = ("serial", "ppsfp", "supervised")
 WORD_WIDTH = 64
 WORD_WIDTHS = (64, 256, 1024, 4096)
 
-#: Campaign finished but some partitions were unrecoverable: the printed
-#: coverage is a lower bound, not the final word.
-EXIT_PARTIAL = 3
+#: A shard of a supervised campaign failed and the run stopped: no
+#: coverage is printed, and a ``--store`` campaign resumes on re-run.
+EXIT_SHARD_FAILED = 3
 #: ``repro obs gate`` found a wall-time regression or counter drift.
 EXIT_REGRESSION = 4
 #: A ``--store`` campaign was complete before this run graded anything:
@@ -161,34 +162,34 @@ def _cmd_atpg(args) -> int:
 def _supervised_backend(args):
     """Build a supervised backend when the flags call for one.
 
-    ``--timeout``, ``--retries``, ``--chaos`` and ``--store`` all imply
-    supervision; asking for them with an unsupervised ``--backend`` is
-    upgraded (with a note) rather than silently ignored.
+    ``--jobs``, ``--partitions`` and ``--store`` all imply supervision;
+    asking for them with an unsupervised ``--backend`` is upgraded (with
+    a note) rather than silently ignored.
     """
     implied = (
-        args.timeout is not None
-        or args.retries is not None
-        or bool(args.chaos)
+        args.jobs is not None
+        or args.partitions is not None
         or args.store is not None
     )
     if args.backend != "supervised":
         if not implied:
             return None
         print(f"(--backend {args.backend} upgraded to supervised)")
-    from .sim.chaos import ChaosPlan
     from .sim.store import ShardStore
-    from .sim.supervisor import SupervisedPoolBackend, SupervisorConfig
+    from .sim.supervisor import SupervisedPoolBackend
 
-    config = SupervisorConfig(timeout_s=args.timeout)
-    if args.retries is not None:
-        config.max_retries = args.retries
     return SupervisedPoolBackend(
         jobs=args.jobs,
         seed=args.seed,
         partitions=args.partitions,
-        config=config,
-        chaos=ChaosPlan.parse(args.chaos) if args.chaos else None,
         store=ShardStore(args.store) if args.store is not None else None,
+    )
+
+
+def _resume_hint(store: str) -> str:
+    return (
+        f"every shard already published stays in {store}; re-run with "
+        f"the same --store to grade only the rest"
     )
 
 
@@ -196,7 +197,8 @@ def _cmd_faultsim(args) -> int:
     from .faults.collapse import collapse_faults
     from .faults.stuck_at import full_fault_list
     from .scan.patfile import load_patterns
-    from .sim.faultsim import RECOVERY_COUNTERS, FaultSimulator
+    from .sim.faultsim import FaultSimulator
+    from .sim.supervisor import ShardFailedError
 
     netlist = _load_circuit(_circuit_spec(args))
     try:
@@ -229,7 +231,13 @@ def _cmd_faultsim(args) -> int:
         for pattern in pattern_file.patterns
     ]
     engine = _supervised_backend(args) or args.backend
-    result = simulator.simulate(filled, faults, drop=True, engine=engine)
+    try:
+        result = simulator.simulate(filled, faults, drop=True, engine=engine)
+    except ShardFailedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if args.store is not None:
+            print(_resume_hint(args.store), file=sys.stderr)
+        return EXIT_SHARD_FAILED
     print(
         f"{len(result.detected)}/{len(faults)} faults detected "
         f"({result.coverage:.2%}) by {len(filled)} patterns"
@@ -250,12 +258,6 @@ def _cmd_faultsim(args) -> int:
             if "load_imbalance" in stats:
                 line += f", imbalance {stats['load_imbalance']}"
         print(line)
-        recovery = {key: stats[key] for key in RECOVERY_COUNTERS if stats.get(key)}
-        if recovery:
-            print(
-                "recovered: "
-                + ", ".join(f"{v} {k.replace('_', ' ')}" for k, v in recovery.items())
-            )
         store_stats = stats.get("store")
         if store_stats:
             line = (
@@ -266,16 +268,6 @@ def _cmd_faultsim(args) -> int:
             if store_stats["publish_conflicts"]:
                 line += f" ({store_stats['publish_conflicts']} publish conflicts)"
             print(line)
-        failed = stats.get("failed_partitions")
-        if failed:
-            indices = sorted(entry["partition"] for entry in failed)
-            print(
-                f"WARNING: {len(failed)} partition(s) unrecoverable "
-                f"{indices}; coverage above is a LOWER BOUND "
-                f"({stats['coverage_lower_bound']:.2%})",
-                file=sys.stderr,
-            )
-            return EXIT_PARTIAL
         if store_stats and store_stats["already_complete"]:
             print(
                 "campaign already complete in the store; "
@@ -514,7 +506,7 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="write a Chrome trace-event timeline (open in Perfetto or "
         "chrome://tracing): one track per worker process, instant "
-        "markers for supervisor retries/kills/chaos",
+        "markers for store publishes and a failed shard",
     )
 
 
@@ -526,34 +518,12 @@ def _add_supervision_arguments(parser: argparse.ArgumentParser) -> None:
         help="deterministic fault-partitioning seed (default: 0)",
     )
     parser.add_argument(
-        "--timeout",
-        type=_positive_float,
-        default=None,
-        metavar="SECONDS",
-        help="per-partition wall-clock deadline (supervised backend)",
-    )
-    parser.add_argument(
-        "--retries",
-        type=_nonnegative_int,
-        default=None,
-        help="pool retries per failing partition before the inline "
-        "fallback (supervised backend; default: 2)",
-    )
-    parser.add_argument(
-        "--chaos",
-        action="append",
-        default=None,
-        metavar="PART:MODE[,MODE...]",
-        help="inject deterministic failures for testing, e.g. "
-        "'2:crash,crash' or '0:hang' (repeatable; supervised backend)",
-    )
-    parser.add_argument(
         "--store",
         metavar="DIR",
         default=None,
         help="shard-store directory: every graded shard is published "
-        "there, so re-running with the same --store resumes a killed or "
-        "interrupted campaign (implies the supervised backend)",
+        "there, so re-running with the same --store resumes a failed, "
+        "killed or interrupted campaign (implies the supervised backend)",
     )
 
 
@@ -762,12 +732,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except KeyboardInterrupt:
         # The supervisor has already reaped its workers on the way up;
         # exit 130 instead of a multiprocessing traceback so shells and
-        # schedulers see a clean interrupt.
-        print(
-            "interrupted: workers terminated — re-run with the same "
-            "--store DIR to resume",
-            file=sys.stderr,
-        )
+        # schedulers see a clean interrupt.  Only a campaign over a named
+        # store has anything to resume.
+        message = "interrupted"
+        if args.handler is _cmd_faultsim and args.store is not None:
+            message += f": {_resume_hint(args.store)}"
+        print(message, file=sys.stderr)
         return EXIT_INTERRUPTED
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -94,8 +94,8 @@ def set_gauge(name: str, value: object, **labels: str) -> None:
 
 def emit_event(kind: str, name: str = "", **kwargs: object) -> None:
     """Append a telemetry event to the current observation (no-op when
-    inactive).  ``partition=``/``attempt=`` identify sharded work; other
-    keywords land in the event's free-form ``args``."""
+    inactive).  ``partition=`` identifies sharded work; other keywords
+    land in the event's free-form ``args``."""
     observation = current()
     if observation is not None:
         observation.emit_event(kind, name, **kwargs)

@@ -2,9 +2,9 @@
 
 Spans (:mod:`repro.obs.span`) answer *how long* each region of a flow
 took; the event stream answers *when things happened and in which
-process* — partition begin/end on each worker, supervisor retries,
-timeout kills, chaos injections, store publishes, heartbeats.  Every
-:class:`TelemetryEvent` carries **both clocks**:
+process* — partition begin/end on each worker, a failed shard, store
+publishes, heartbeats.  Every :class:`TelemetryEvent` carries **both
+clocks**:
 
 * ``t_mono`` — ``time.perf_counter()`` in the emitting process.  Spacing
   between two events of one process is exact, but the zero point is
@@ -46,12 +46,8 @@ SPAN_END = "span_end"
 PARTITION_BEGIN = "partition_begin"
 PARTITION_END = "partition_end"
 HEARTBEAT = "heartbeat"
-RETRY = "retry"
+# A supervised shard failed (its reason in ``args``): the run stopped here.
 CRASH = "crash"
-TIMEOUT = "timeout"
-INVALID = "invalid"
-CHAOS = "chaos"
-INLINE_FALLBACK = "inline_fallback"
 # Shard-store results (repro.sim.store): first-write publishes, and
 # duplicate publishes that converged on the same digest.
 PUBLISH = "publish"
@@ -59,26 +55,16 @@ PUBLISH_CONFLICT = "publish_conflict"
 
 #: Kinds rendered as instant markers on a timeline (everything that is a
 #: moment, not a region).
-INSTANT_KINDS = (
-    HEARTBEAT,
-    RETRY,
-    CRASH,
-    TIMEOUT,
-    INVALID,
-    CHAOS,
-    INLINE_FALLBACK,
-    PUBLISH,
-    PUBLISH_CONFLICT,
-)
+INSTANT_KINDS = (HEARTBEAT, CRASH, PUBLISH, PUBLISH_CONFLICT)
 
 
 @dataclass
 class TelemetryEvent:
     """One timestamped telemetry instant.
 
-    ``partition`` and ``attempt`` identify the unit of sharded work the
-    event belongs to (``None`` for whole-run events); ``args`` is free-
-    form JSON-safe detail (reasons, counts, modes).
+    ``partition`` identifies the shard the event belongs to (``None``
+    for whole-run events); ``args`` is free-form JSON-safe detail
+    (reasons, counts).
     """
 
     kind: str
@@ -87,7 +73,6 @@ class TelemetryEvent:
     t_wall: float = 0.0
     pid: int = 0
     partition: Optional[int] = None
-    attempt: Optional[int] = None
     args: Dict[str, object] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
@@ -100,8 +85,6 @@ class TelemetryEvent:
         }
         if self.partition is not None:
             payload["partition"] = self.partition
-        if self.attempt is not None:
-            payload["attempt"] = self.attempt
         if self.args:
             payload["args"] = dict(self.args)
         return payload
@@ -115,7 +98,6 @@ class TelemetryEvent:
             t_wall=float(payload.get("t_wall", 0.0)),
             pid=int(payload.get("pid", 0)),
             partition=payload.get("partition"),
-            attempt=payload.get("attempt"),
             args=dict(payload.get("args", {})),
         )
 
@@ -124,7 +106,7 @@ class EventLog:
     """An append-only, per-process telemetry event stream.
 
     Each process owns one log per unit of shipped work (a worker owns one
-    per partition attempt; a backend owns one per campaign; an
+    per shard; a backend owns one per campaign; an
     :class:`~repro.obs.span.Observation` owns one per run).  Emitting is
     append-only and cheap — one perf_counter read, one wall read, one
     list append — so it is safe from supervision loops.
@@ -147,7 +129,6 @@ class EventLog:
         kind: str,
         name: str = "",
         partition: Optional[int] = None,
-        attempt: Optional[int] = None,
         **args: object,
     ) -> TelemetryEvent:
         """Append one event stamped with both clocks of this process."""
@@ -158,7 +139,6 @@ class EventLog:
             t_wall=time.time(),
             pid=self.pid,
             partition=partition,
-            attempt=attempt,
             args=dict(args),
         )
         self.events.append(event)

@@ -9,11 +9,10 @@ Chrome trace-event JSON format, viewable in Perfetto
   complete (``ph: "X"``) slices — ATPG phases, fault-sim passes, the
   good-machine response;
 * every worker process contributes its own track, one slice per
-  partition attempt (from ``partition_begin``/``partition_end`` event
-  pairs), so load imbalance and retry gaps are visible at a glance;
-* supervisor moments — retries, timeout kills, crashes, chaos
-  injections, inline fallbacks, store publishes — render as instant
-  (``ph: "i"``) markers;
+  partition (from ``partition_begin``/``partition_end`` event pairs), so
+  load imbalance is visible at a glance;
+* supervisor moments — store publishes and the failed shard that
+  stopped a run — render as instant (``ph: "i"``) markers;
 * heartbeats carrying ``faults_graded`` render as a counter
   (``ph: "C"``) series, the campaign's live progress curve.
 
@@ -129,9 +128,9 @@ def _event_slices(
         _emit_process_meta(out, pid, f"worker pid={pid}", order)
         _emit_thread_meta(out, pid, pid, "partitions")
 
-    open_partitions: Dict[Tuple[int, Optional[int], Optional[int]], TelemetryEvent] = {}
+    open_partitions: Dict[Tuple[int, Optional[int]], TelemetryEvent] = {}
     for event in sorted(events, key=lambda item: item.t_mono):
-        key = (event.pid, event.partition, event.attempt)
+        key = (event.pid, event.partition)
         if event.kind == PARTITION_BEGIN:
             open_partitions[key] = event
         elif event.kind == PARTITION_END:
@@ -144,8 +143,7 @@ def _event_slices(
             out.append(
                 {
                     "ph": "X",
-                    "name": f"partition {event.partition}"
-                    + (f" (attempt {event.attempt})" if event.attempt else ""),
+                    "name": f"partition {event.partition}",
                     "cat": "partition",
                     "ts": round((start - epoch) * 1e6, 3),
                     "dur": round(max(0.0, event.t_mono - start) * 1e6, 3),
@@ -181,7 +179,7 @@ def _event_slices(
                 }
             )
     # A begin with no matching end (killed worker): render what we know
-    # as an instant so the timeline still shows the attempt started.
+    # as an instant so the timeline still shows the partition started.
     for begin in open_partitions.values():
         out.append(
             {

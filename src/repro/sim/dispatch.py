@@ -17,7 +17,10 @@ some images of a fault and PPSFP grades the images it holds (see
 :mod:`repro.sim.faultsim`), so the counters are the sum of in-process
 PPSFP over each shard.
 :class:`repro.sim.supervisor.SupervisedPoolBackend` is the one driver
-that runs the shards.
+that runs the shards.  Because the plan is a pure function of the fault
+universe, seed and partition count, a run stopped by a failed shard
+resumes against its shard store: the re-run rebuilds the same shards and
+grades only those with no published result.
 
 Accelerator-scale fault universes (Sadi & Guin's yield-loss setting, the
 tutorial's E3/E4 experiments) are only tractable when the universe is

@@ -66,12 +66,11 @@ from .parallel import WORD_WIDTH, ParallelSimulator
 
 #: ``stats`` keys every engine publishes as ``faultsim.*`` counters.
 #: A key a run's stats lack (the good-response time of an in-process
-#: run, the lost-attempt count of a clean supervised run) is skipped.
+#: run) is skipped.
 _COUNTED_STATS = (
     "faults_simulated",
     "events_propagated",
     "words_evaluated",
-    "metrics_lost_attempts",
     "good_passes",
     "good_cache_hits",
     "good_cache_misses",
@@ -79,17 +78,6 @@ _COUNTED_STATS = (
     "good_response_s",
     "wall_time_s",
 )
-
-#: Recovery counters every supervised run reports in its stats; they
-#: become first-class ``supervisor.*`` counters when present.
-RECOVERY_COUNTERS = (
-    "retries",
-    "worker_crashes",
-    "timeouts",
-    "invalid_results",
-    "inline_fallbacks",
-)
-
 
 #: Fewest images a group of identical-core faults is graded class-wide
 #: with (:meth:`FaultSimulator._grade_groups`); smaller groups take the
@@ -283,7 +271,7 @@ class FaultSimulator:
         ``stats`` is the one record of a run: every engine (serial,
         ppsfp, supervised at any ``--jobs``) publishes the same keys from
         it, so a RunReport's ``faultsim.*`` counters match the stats
-        dict bit for bit, degraded supervised runs included.
+        dict bit for bit.
         """
         observation = obs.current()
         if observation is None:
@@ -298,14 +286,6 @@ class FaultSimulator:
             result.patterns_simulated
         )
         observation.counter("faultsim.runs").add(1)
-        observation.add_counters(
-            "supervisor",
-            {key: stats[key] for key in RECOVERY_COUNTERS if key in stats},
-        )
-        if "failed_partitions" in stats:
-            observation.counter("supervisor.failed_partitions").add(
-                len(stats["failed_partitions"])
-            )
         # Worker/supervisor telemetry events ride stats as shipped
         # payloads, stitched onto the observation's own monotonic timeline.
         for payload in stats.get("events", ()):
@@ -436,8 +416,8 @@ class FaultSimulator:
         ``engine`` is ``"ppsfp"``, ``"serial"``, or any object with
         ``run(simulator, patterns, faults, drop)``, such as a
         :class:`~repro.sim.supervisor.SupervisedPoolBackend`, which owns
-        every scheduling choice: worker count, fault sharding, shard
-        stores, timeouts and chaos plans.
+        every scheduling choice: worker count, fault sharding and shard
+        stores.
         """
         if not isinstance(engine, str):
             runner = lambda: engine.run(self, patterns, faults, drop=drop)

@@ -1,125 +1,70 @@
-"""Supervised multiprocess fault simulation: crash recovery, timeouts,
-poisoned-partition fallback, and checkpoint/resume through a shard store.
+"""Supervised multiprocess fault simulation over a shard store.
 
-One worker OOM-killed, crashed, or wedged must not take a campaign with
-it, and an hours-long accelerator-scale run must not restart from zero.
-The tutorial's own thesis — AI chips must keep working when parts fail —
-applies to the test infrastructure too.  :class:`SupervisedPoolBackend`
-runs deterministic shards (seeded partitioning from
-:mod:`repro.sim.dispatch`, merged by position, so a clean supervised run
-is bit-identical to ``ppsfp``) under a supervisor that assumes workers
-*will* fail:
+:class:`SupervisedPoolBackend` runs deterministic shards (seeded
+partitioning from :mod:`repro.sim.dispatch`, merged by position, so a
+supervised run is bit-identical to ``ppsfp``) in worker processes, one
+process per shard and at most ``jobs`` at a time, and publishes each
+shard's record to a :class:`repro.sim.store.ShardStore` as it arrives.
+A campaign has one recovery path, and it runs *between* runs:
 
-* **one process per partition** — failure isolation is the unit of work;
-  a dead or wedged worker loses exactly one shard, never the pool;
-* **per-partition wall-clock deadline** — a hung worker is killed at
-  ``timeout_s`` and its shard requeued;
-* **bounded retry with exponential backoff** — crashes, kills, injected
-  exceptions and validation failures requeue the shard up to
-  ``max_retries`` times;
 * **result validation** — a shard record must hold one int in
-  ``[-1, n_patterns)`` per shard fault, checked on arrival (a corrupt
-  worker result is retried, never published) and on every record
-  loaded for the merge;
-* **poisoned-partition fallback** — a shard that exhausts its pool
-  retries is re-run inline in the parent (no fork, no pipe — the
-  failure domain shrinks to the kernel itself);
-* **graceful degradation** — a shard that fails even inline is recorded
-  in ``stats["failed_partitions"]`` and its faults stay conservatively
-  undetected: the merged result is a *coverage lower bound*
-  (``stats["coverage_lower_bound"]``) instead of a traceback;
-* **resume** — with a :class:`repro.sim.store.ShardStore` attached, every
-  completed shard is durably published, and re-running the same campaign
-  against the same store grades only the shards not yet published — a
-  killed campaign resumes bit-identically.
+  ``[-1, n_patterns)`` per shard fault, checked on arrival (a damaged
+  record is never published) and on every record loaded for the merge;
+* **stop on failure** — a worker that dies, reports an exception, or
+  sends a record that fails validation fails its shard.  The supervisor
+  reaps the other workers, writes the store's event file and raises
+  :class:`ShardFailedError`, naming the shard and the reason; nothing
+  is retried within the run;
+* **resume** — every shard published before a failure, an interrupt or
+  a kill stays durable in the store, and re-running the same campaign
+  against the same store grades only the shards with no result, so the
+  resumed merge is bit-identical to a clean run's.
 
 There is one driver: every campaign runs over a shard store.  A caller
 that passes none gets a private one in a temporary directory (on tmpfs
-where the host has it), removed on every exit path.  Every shard attempt
-is graded by :func:`_grade_shard` on the caller's compiled simulator,
+where the host has it), removed on every exit path.  Every shard is
+graded by :func:`_grade_shard` on the caller's compiled simulator,
 which workers inherit with the good response by ``fork`` copy-on-write,
 into one positional record (:mod:`repro.sim.store`) that travels
 unchanged from the worker's pipe to the store and into the merge.
-
-The failure modes are exercised deterministically by
-:mod:`repro.sim.chaos`; ``tests/test_supervisor.py`` asserts that the
-recovered merge is bit-identical to single-process PPSFP under every
-injected schedule.
 """
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.connection import wait
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
+from .. import obs
 from ..faults.model import StuckAtFault
-from ..obs.events import (
-    CHAOS,
-    CRASH,
-    HEARTBEAT,
-    INLINE_FALLBACK,
-    INVALID,
-    PARTITION_BEGIN,
-    PARTITION_END,
-    RETRY,
-    TIMEOUT,
-    EventLog,
-)
-from .chaos import ChaosPlan
+from ..obs.events import CRASH, HEARTBEAT, PARTITION_BEGIN, PARTITION_END, EventLog
 from .dispatch import (
     default_partition_count,
     partition_faults,
     validate_pool_args,
 )
-from .faultsim import (
-    RECOVERY_COUNTERS,
-    FaultSimResult,
-    unique_faults,
-)
+from .faultsim import FaultSimResult, unique_faults
 from .store import CampaignKey, ShardStore, StoreCorruptionError
 
 #: Name prefix of the private store directory a run without ``store=``
 #: creates and always removes.
 PRIVATE_STORE_PREFIX = "repro-campaign-"
 
-#: Longest the supervision loop blocks on its workers between looks at
-#: retry backoff and deadlines.
-WAIT_S = 0.01
 
+class ShardFailedError(RuntimeError):
+    """A shard's worker died, reported an exception, or sent a record
+    that does not grade its shard.  The run stopped; every shard it
+    published stays in the store, and a re-run against the same store
+    grades only the shards with no result."""
 
-@dataclass
-class SupervisorConfig:
-    """Tunables for the supervised pool.
-
-    ``timeout_s`` is the per-partition wall-clock deadline (``None``
-    disables hang detection — crashes are still recovered).
-    ``max_retries`` counts *pool* retries per shard; after those, the
-    shard runs inline in the parent when ``inline_fallback`` is set.
-    ``backoff_s`` seeds exponential backoff between retries of one shard
-    (attempt ``k`` waits ``backoff_s * 2**(k-1)``).
-    """
-
-    timeout_s: Optional[float] = None
-    max_retries: int = 2
-    backoff_s: float = 0.05
-    inline_fallback: bool = True
-
-    def validate(self) -> None:
-        # Reject NaN too: a NaN deadline or backoff never elapses.
-        if self.timeout_s is not None and not self.timeout_s > 0:
-            raise ValueError(f"timeout_s must be positive, got {self.timeout_s}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if not 0 <= self.backoff_s < math.inf:
-            raise ValueError(
-                f"backoff_s must be finite and >= 0, got {self.backoff_s}"
-            )
+    def __init__(self, index: int, reason: str):
+        super().__init__(f"shard {index} failed: {reason}")
+        self.index = index
+        self.reason = reason
 
 
 def validate_partial(
@@ -132,7 +77,7 @@ def validate_partial(
     The contract: one first-detection entry per shard fault, each an int
     in ``[-1, n_patterns)``.  A crashed-and-restarted or byte-corrupted
     worker cannot satisfy this by accident, so validation turns silent
-    corruption into a retry.
+    corruption into a failed shard.
     """
     firsts = record["firsts"]
     if len(firsts) != len(shard):
@@ -143,49 +88,38 @@ def validate_partial(
     return None
 
 
-def _grade_shard(simulator, chaos, index, attempt, shard, drop, good_chunks,
-                 n_patterns, inline=False) -> Dict[str, object]:
-    """Grade one shard attempt, in a worker or inline, into its record:
-    chaos pre-hook, cone propagation over ``good_chunks`` (bigint words,
-    so the simulator's cache and kernel go untouched), chaos corruption."""
-    if chaos is not None:
-        chaos.execute_pre(index, attempt, inline=inline)
+def _grade_shard(simulator, index, shard, drop, good_chunks,
+                 n_patterns) -> Dict[str, object]:
+    """Grade one shard into its record: cone propagation over
+    ``good_chunks`` (bigint words, so the simulator's cache and kernel
+    go untouched)."""
     partial = simulator._simulate_ppsfp(
         None, shard, drop, good_chunks=good_chunks, n_patterns=n_patterns
     )
     detected = partial.detected
-    record = {
+    return {
         "index": index,
         "patterns_simulated": partial.patterns_simulated,
         "firsts": [detected.get(fault, -1) for fault in shard],
         "stats": partial.stats,
     }
-    if chaos is not None:
-        chaos.corrupt_result(index, attempt, record, n_patterns)
-    return record
 
 
-def _supervised_worker(conn, simulator, chaos, index, attempt, shard, drop,
-                       good_chunks, n_patterns) -> None:
+def _supervised_worker(conn, simulator, index, shard, drop, good_chunks,
+                       n_patterns) -> None:
     """Worker entry: grade one shard, send (status, payload), exit.
 
-    Any exception — including injected chaos — is reported as an
-    ``error`` message so the supervisor need not wait for a timeout to
-    learn about it.
+    Any exception is reported as an ``error`` message, so the supervisor
+    learns why the shard failed.
     """
-    status, payload = "error", "worker exited without result"
     try:
         log = EventLog()
-        log.emit(
-            PARTITION_BEGIN, "partition",
-            partition=index, attempt=attempt, faults=len(shard),
-        )
+        log.emit(PARTITION_BEGIN, "partition", partition=index, faults=len(shard))
         record = _grade_shard(
-            simulator, chaos, index, attempt, shard, drop, good_chunks,
-            n_patterns,
+            simulator, index, shard, drop, good_chunks, n_patterns
         )
         log.emit(
-            PARTITION_END, "partition", partition=index, attempt=attempt,
+            PARTITION_END, "partition", partition=index,
             detected=sum(1 for first in record["firsts"] if first >= 0),
         )
         record["stats"]["worker_events"] = log.to_payload()
@@ -205,47 +139,19 @@ class _Slot:
     """One in-flight worker process."""
 
     index: int
-    attempt: int
     process: multiprocessing.process.BaseProcess
     conn: object
-    deadline: Optional[float]
-
-
-@dataclass
-class _Campaign:
-    """Bookkeeping for one supervised run."""
-
-    shards: List[List[StuckAtFault]]
-    n_patterns: int
-    drop: bool
-    # The supervisor's own telemetry: retry/kill/chaos instants plus
-    # campaign heartbeats, stitched with the workers' shipped logs.
-    events: EventLog
-    counters: Dict[str, int] = field(
-        default_factory=lambda: dict.fromkeys(RECOVERY_COUNTERS, 0)
-    )
-    sources: Dict[int, str] = field(default_factory=dict)
-    attempts_used: Dict[int, int] = field(default_factory=dict)
-    failed: List[Dict[str, object]] = field(default_factory=list)
-    metrics_lost: Dict[int, int] = field(default_factory=dict)
-    # (partition, attempt, eligible-at monotonic time)
-    pending: List[Tuple[int, int, float]] = field(default_factory=list)
-
-    def note(self, index: int, source: str, attempt: int) -> None:
-        self.sources[index] = source
-        self.attempts_used[index] = attempt + 1
 
 
 class SupervisedPoolBackend:
-    """Fault-tolerant multiprocess PPSFP over deterministic partitions.
+    """Multiprocess PPSFP over deterministic partitions.
 
     ``jobs`` (worker processes, default: CPU count), ``seed`` (the
     partitioning shuffle) and ``partitions`` (default: sized from the
     fault universe) never change the merged result, which is
-    bit-identical to ``ppsfp`` on a clean run.  The backend survives
-    worker crashes, hangs and corrupt results, degrades gracefully
-    instead of dying, and with ``store=`` resumes from the store's
-    published shards.  Without ``store=`` it runs over a private
+    bit-identical to ``ppsfp``.  A failed shard stops the run with
+    :class:`ShardFailedError`; with ``store=`` a re-run resumes from the
+    store's published shards.  Without ``store=`` it runs over a private
     temporary store.
     """
 
@@ -256,17 +162,12 @@ class SupervisedPoolBackend:
         jobs: Optional[int] = None,
         seed: int = 0,
         partitions: Optional[int] = None,
-        config: Optional[SupervisorConfig] = None,
-        chaos: Optional[ChaosPlan] = None,
         store: Optional[ShardStore] = None,
     ):
         validate_pool_args(jobs=jobs, seed=seed, partitions=partitions)
         self.jobs = jobs
         self.seed = seed
         self.partitions = partitions
-        self.config = config or SupervisorConfig()
-        self.config.validate()
-        self.chaos = chaos
         self.store = store
 
     # ------------------------------------------------------------------
@@ -310,170 +211,50 @@ class SupervisedPoolBackend:
     # Supervision
     # ------------------------------------------------------------------
 
-    def _handle_outcome(
-        self, slot: _Slot, outcome, campaign: _Campaign,
-        record: Callable[[Dict[str, object], str, int], None],
-        poison: Callable[[_Slot, str], None],
-    ) -> None:
-        """Settle one finished worker attempt.
-
-        A valid shard record goes to ``record(shard_record, source,
-        attempt)``.  Anything else — an invalid record,
-        a deadline kill, a crash or reported error — is counted, lands on
-        the timeline, and is requeued with backoff; once the shard's pool
-        retries are spent it goes to ``poison``.
-        """
-        status, payload = outcome
-        events = campaign.events
-        if status == "ok":
-            reason = validate_partial(
-                payload, campaign.shards[slot.index], campaign.n_patterns
-            )
-            if reason is None:
-                record(payload, "worker", slot.attempt)
-                return
-            campaign.counters["invalid_results"] += 1
-            events.emit(
-                INVALID, "invalid_result",
-                partition=slot.index, attempt=slot.attempt, reason=reason,
-            )
-            payload = f"invalid result: {reason}"
-        elif status == "timeout":
-            campaign.counters["timeouts"] += 1
-            events.emit(
-                TIMEOUT, "timeout_kill",
-                partition=slot.index, attempt=slot.attempt,
-                deadline_s=self.config.timeout_s,
-            )
-        else:
-            campaign.counters["worker_crashes"] += 1
-            events.emit(
-                CRASH, "worker_crash",
-                partition=slot.index, attempt=slot.attempt,
-                reason=str(payload)[:200],
-            )
-        # The attempt did real work whose metrics died with the worker (or
-        # were rejected with it): note the loss so merged totals can be
-        # reported as a stated lower bound.
-        campaign.metrics_lost[slot.index] = (
-            campaign.metrics_lost.get(slot.index, 0) + 1
-        )
-        if slot.attempt < self.config.max_retries:
-            campaign.counters["retries"] += 1
-            events.emit(
-                RETRY, "retry",
-                partition=slot.index, attempt=slot.attempt, reason=payload[:200],
-            )
-            eligible = time.monotonic() + self.config.backoff_s * (2 ** slot.attempt)
-            campaign.pending.append((slot.index, slot.attempt + 1, eligible))
-            return
-        poison(slot, payload)
-
-    def _spawn(self, simulator, campaign, index, attempt, good_chunks):
-        """Start one worker process for one shard attempt.
+    def _spawn(self, simulator, shards, index, drop, good_chunks, n_patterns):
+        """Start one worker process for one shard.
 
         ``simulator`` and ``good_chunks`` reach the worker free under
         ``fork`` (copy-on-write), pickled through the process args on
         platforms without it (the simulator then recompiles there).
         """
-        if self.chaos is not None:
-            mode = self.chaos.mode_for(index, attempt)
-            if mode is not None:
-                # The parent knows the schedule, so the injection lands on
-                # the timeline even when the worker dies before reporting.
-                campaign.events.emit(
-                    CHAOS, f"chaos:{mode}",
-                    partition=index, attempt=attempt, mode=mode,
-                )
         context = self._context()
         parent_conn, child_conn = context.Pipe(duplex=False)
         process = context.Process(
             target=_supervised_worker,
             args=(
-                child_conn, simulator, self.chaos, index, attempt,
-                campaign.shards[index], campaign.drop, good_chunks,
-                campaign.n_patterns,
+                child_conn, simulator, index, shards[index], drop,
+                good_chunks, n_patterns,
             ),
             daemon=True,
         )
         process.start()
         child_conn.close()
-        deadline = (
-            None
-            if self.config.timeout_s is None
-            else time.monotonic() + self.config.timeout_s
-        )
-        return _Slot(index, attempt, process, parent_conn, deadline)
+        return _Slot(index, process, parent_conn)
 
-    def _poll_slot(self, slot: _Slot, now: float):
-        """One observation of a running worker.
-
-        Returns ``None`` (still running), ``("ok", record)``,
-        ``("timeout", reason)``, or ``("crash"/"error", reason)``.
-        """
+    def _poll_slot(self, slot: _Slot) -> Optional[Dict[str, object]]:
+        """One look at a running worker: ``None`` while it runs, else the
+        record it sent.  A worker that died or reported an error fails
+        its shard."""
         # Liveness first: a worker that sends its result and exits between
         # the two checks must be read, not reported dead.
         alive = slot.process.is_alive()
         if slot.conn.poll():
             try:
                 status, payload = slot.conn.recv()
-            except (EOFError, OSError):
+            except (EOFError, OSError):  # closed without a result: died
                 status, payload = None, None
             self._reap(slot)
             if status == "ok":
-                return ("ok", payload)
+                return payload
             if status == "error":
-                return ("error", f"worker error: {payload}")
-            return ("crash", "worker closed pipe without a result")
-        if not alive:
+                raise ShardFailedError(slot.index, f"worker error: {payload}")
+        elif alive:
+            return None
+        else:
             self._reap(slot)
-            return (
-                "crash",
-                f"worker died (exit code {slot.process.exitcode})",
-            )
-        if slot.deadline is not None and now > slot.deadline:
-            self._reap(slot, kill=True)
-            return (
-                "timeout",
-                f"partition exceeded {self.config.timeout_s}s deadline",
-            )
-        return None
-
-    def _finish_poisoned(
-        self, simulator, good_chunks, campaign, index, attempt, reason, record,
-    ) -> None:
-        """Pool retries exhausted: inline fallback, else mark failed."""
-        shard = campaign.shards[index]
-        n_patterns = campaign.n_patterns
-        if self.config.inline_fallback:
-            campaign.counters["inline_fallbacks"] += 1
-            inline_attempt = attempt + 1
-            campaign.events.emit(
-                INLINE_FALLBACK, "inline_fallback",
-                partition=index, attempt=inline_attempt, reason=reason[:200],
-            )
-            try:
-                shard_record = _grade_shard(
-                    simulator, self.chaos, index, inline_attempt, shard,
-                    campaign.drop, good_chunks, n_patterns, inline=True,
-                )
-                invalid = validate_partial(shard_record, shard, n_patterns)
-                if invalid is None:
-                    record(shard_record, "inline", inline_attempt)
-                    return
-                reason = f"inline fallback invalid result: {invalid}"
-            except KeyboardInterrupt:
-                raise
-            except Exception as exc:
-                reason = f"inline fallback failed: {type(exc).__name__}: {exc}"
-            attempt = inline_attempt
-        campaign.failed.append(
-            {
-                "partition": index,
-                "faults": len(shard),
-                "attempts": attempt + 1,
-                "reason": reason,
-            }
+        raise ShardFailedError(
+            slot.index, f"worker died (exit code {slot.process.exitcode})"
         )
 
     # ------------------------------------------------------------------
@@ -485,8 +266,8 @@ class SupervisedPoolBackend:
 
         Every shard with no published result is graded, in index order,
         and published the moment it is graded — so a re-run against a
-        store that a killed run partly filled grades only what is
-        missing.  Two properties are load-bearing:
+        store that a failed or killed run partly filled grades only what
+        is missing.  Two properties are load-bearing:
 
         * the compiled simulator and good-machine response reach workers
           by ``fork`` copy-on-write, so a killed run leaves no shared
@@ -504,18 +285,13 @@ class SupervisedPoolBackend:
         )
         store.initialize(key, len(shards))
         # One timeline: store publishes + supervision.
-        campaign = _Campaign(shards, n_patterns, drop, store.events)
-        events = campaign.events
-        pending = campaign.pending
+        events = store.events
         done = store.done_indices()
-        pending.extend(
-            (index, 0, 0.0) for index in range(len(shards)) if index not in done
-        )
-
+        pending = [index for index in range(len(shards)) if index not in done]
         running: List[_Slot] = []
+        graded_here: List[int] = []
         faults_total = sum(len(shard) for shard in shards)
         state = {
-            "done": len(done),    # shards with a result in the store
             "wins": 0,            # store.publish calls that won first-write
             "graded_faults": 0,   # faults graded by this run
         }
@@ -537,64 +313,69 @@ class SupervisedPoolBackend:
                 good_state["seconds"] = time.perf_counter() - t0
             return good_state["chunks"]
 
-        def record(shard_record: Dict[str, object], source: str,
-                   attempt: int) -> None:
+        def record(shard_record: Dict[str, object]) -> None:
             index = shard_record["index"]
-            campaign.note(index, source, attempt)
+            graded_here.append(index)
             state["graded_faults"] += len(shard_record["firsts"])
-            worker_payload = shard_record["stats"].get("worker_events")
-            if worker_payload:
-                # Stitch the worker's timeline here: the published store
-                # record keeps only the deterministic stats, so this is
-                # the only place the per-attempt events survive.
-                events.ingest(worker_payload)
+            # Stitch the worker's timeline here: the published store
+            # record keeps only the deterministic stats, so this is the
+            # only place its events survive.
+            events.ingest(shard_record["stats"].get("worker_events"))
             if store.publish(shard_record):
                 state["wins"] += 1
-            state["done"] += 1
             events.emit(
                 HEARTBEAT, "progress",
                 partition=index,
                 faults_graded=state["graded_faults"],
                 faults_total=faults_total,
-                partitions_done=state["done"],
+                partitions_done=len(done) + len(graded_here),
                 partitions_total=len(shards),
-            )
-
-        def poison(slot: _Slot, reason: str) -> None:
-            self._finish_poisoned(
-                simulator, good_chunks(), campaign, slot.index, slot.attempt,
-                reason, record,
             )
 
         try:
             while running or pending:
-                now = time.monotonic()
                 for slot in list(running):
-                    outcome = self._poll_slot(slot, now)
-                    if outcome is None:
+                    shard_record = self._poll_slot(slot)
+                    if shard_record is None:
                         continue
                     running.remove(slot)
-                    self._handle_outcome(slot, outcome, campaign, record, poison)
-
-                now = time.monotonic()
-                pending.sort(key=lambda item: (item[2], item[0]))
-                while len(running) < jobs and pending and pending[0][2] <= now:
-                    index, attempt, _ = pending.pop(0)
+                    reason = validate_partial(
+                        shard_record, shards[slot.index], n_patterns
+                    )
+                    if reason is not None:
+                        raise ShardFailedError(
+                            slot.index, f"invalid result: {reason}"
+                        )
+                    record(shard_record)
+                while len(running) < jobs and pending:
                     running.append(
                         self._spawn(
-                            simulator, campaign, index, attempt, good_chunks()
+                            simulator, shards, pending.pop(0), drop,
+                            good_chunks(), n_patterns,
                         )
                     )
                 # Wake as soon as a worker reports or dies.
-                wait(
-                    [slot.conn for slot in running]
-                    + [slot.process.sentinel for slot in running],
-                    WAIT_S,
-                )
-        except BaseException:
-            # KeyboardInterrupt or anything else: reap children and flush
-            # telemetry; every shard already published stays durable.
+                if running:
+                    wait(
+                        [slot.conn for slot in running]
+                        + [slot.process.sentinel for slot in running]
+                    )
+        except BaseException as exc:
+            # A failed shard, Ctrl-C or anything else: reap the children
+            # and flush telemetry; every shard already published stays
+            # durable for a resume.
             self._terminate(running)
+            if isinstance(exc, ShardFailedError):
+                events.emit(
+                    CRASH, "shard_failed",
+                    partition=exc.index, reason=exc.reason[:200],
+                )
+                # No result will carry the timeline home, so hand it to
+                # the observation directly: a trace shows where the run
+                # stopped.
+                observation = obs.current()
+                if observation is not None:
+                    observation.merge_events(events.to_payload())
             store.write_events()
             raise
         store.write_events()
@@ -619,7 +400,6 @@ class SupervisedPoolBackend:
                     f"shard {index}: published result does not grade its "
                     f"shard ({reason}) — refusing to merge"
                 )
-            campaign.sources.setdefault(index, "store")
             for fault, first in zip(shards[index], shard_record["firsts"]):
                 if first >= 0:
                     detected[fault] = first
@@ -629,25 +409,21 @@ class SupervisedPoolBackend:
         result.undetected = [f for f in universe if f not in detected]
         if not drop:
             result.patterns_simulated = n_patterns
-        campaign.counters["publish_conflicts"] = store.publish_conflicts
         self._fill_stats(
-            result, records, campaign, jobs,
+            result, records, shards, set(graded_here), events, jobs,
             good_state.get("seconds", 0.0), good_state.get("words", 0),
             start_time, simulator,
-        )
-        graded_here = sum(
-            1 for source in campaign.sources.values() if source != "store"
         )
         result.stats["store"] = {
             "path": store.root,
             "n_shards": len(shards),
-            "shards_graded_here": graded_here,
+            "shards_graded_here": len(graded_here),
             "published": state["wins"],
             "publish_conflicts": store.publish_conflicts,
             # An empty campaign has no shards an earlier run could have
             # finished.
             "already_complete": (
-                bool(shards) and graded_here == 0 and len(records) >= len(shards)
+                bool(shards) and not graded_here and len(records) >= len(shards)
             ),
         }
         return result
@@ -687,32 +463,24 @@ class SupervisedPoolBackend:
     # ------------------------------------------------------------------
 
     def _fill_stats(
-        self, result, records, campaign, jobs, good_seconds, good_words,
-        start_time, simulator,
+        self, result, records, shards, graded_here, events, jobs,
+        good_seconds, good_words, start_time, simulator,
     ) -> None:
         per_partition: List[Dict[str, object]] = []
-        metrics_lost = campaign.metrics_lost
         for index in sorted(records):
             stats = records[index]["stats"]
             firsts = records[index]["firsts"]
-            row = {
+            per_partition.append({
                 "partition": index,
-                "faults": len(campaign.shards[index]),
+                "faults": len(shards[index]),
                 "detected": sum(1 for first in firsts if first >= 0),
                 "events_propagated": stats.get("events_propagated", 0),
                 "words_evaluated": stats.get("words_evaluated", 0),
                 "wall_time_s": stats.get("wall_time_s", 0.0),
-                "source": campaign.sources.get(index, "worker"),
-                "attempts": campaign.attempts_used.get(index, 1),
-            }
-            if metrics_lost.get(index):
-                # Timeout-killed / crashed attempts did work whose
-                # metrics never arrived: state it, don't hide it.
-                row["metrics_lost_attempts"] = metrics_lost[index]
-            per_partition.append(row)
+                "source": "worker" if index in graded_here else "store",
+            })
         walls = [p["wall_time_s"] for p in per_partition if p["wall_time_s"] > 0]
         imbalance = (max(walls) / (sum(walls) / len(walls))) if walls else 1.0
-        total_lost = sum(metrics_lost.values())
         result.stats.update(
             engine=self.name,
             jobs=jobs,
@@ -720,7 +488,7 @@ class SupervisedPoolBackend:
             word_width=simulator.word_width,
             kernel=simulator.kernel,
             faults_simulated=result.total_faults,
-            n_partitions=len(campaign.shards),
+            n_partitions=len(shards),
             partitions=per_partition,
             events_propagated=sum(p["events_propagated"] for p in per_partition),
             words_evaluated=good_words
@@ -728,15 +496,8 @@ class SupervisedPoolBackend:
             load_imbalance=round(imbalance, 3),
             good_response_s=good_seconds,
             wall_time_s=time.perf_counter() - start_time,
-            **campaign.counters,
         )
-        if total_lost:
-            result.stats["metrics_lost_attempts"] = total_lost
-            result.stats["metrics_lower_bound"] = True
-        if len(campaign.events):
+        if len(events):
             # Worker logs were stitched into the supervisor's timeline as
             # they arrived, so one payload carries the whole run.
-            result.stats["events"] = [campaign.events.to_payload()]
-        if campaign.failed:
-            result.stats["failed_partitions"] = campaign.failed
-            result.stats["coverage_lower_bound"] = result.coverage
+            result.stats["events"] = [events.to_payload()]

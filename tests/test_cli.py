@@ -9,6 +9,7 @@ import pytest
 
 import repro
 from repro.cli import main
+from tests.worker_failures import EXIT_CODE, failing_shards
 
 
 class TestCommands:
@@ -308,24 +309,41 @@ class TestSupervisedCampaigns:
         with pytest.raises(SystemExit):
             main(["faultsim", "alu4", pattern_file] + flags)
 
-    def test_chaos_recovered_exit_zero(self, pattern_file, capsys):
-        code = main(
-            ["faultsim", "alu4", pattern_file, "--jobs", "2",
-             "--chaos", "1:crash"]
-        )
+    @pytest.mark.parametrize("flags", [["--jobs", "4"], ["--partitions", "3"]])
+    def test_pool_flags_imply_supervision(self, pattern_file, flags, capsys):
+        """``--jobs`` and ``--partitions`` mean nothing in process, so
+        they upgrade the backend (with a note) instead of being ignored."""
+        assert main(["faultsim", "alu4", pattern_file] + flags) == 0
         out = capsys.readouterr().out
-        assert code == 0
-        assert "upgraded to supervised" in out
-        assert "recovered: 1 retries, 1 worker crashes" in out
+        assert "(--backend ppsfp upgraded to supervised)" in out
+        assert "[supervised" in out
 
-    def test_chaos_unrecoverable_exit_partial(self, pattern_file, capsys):
-        code = main(
-            ["faultsim", "alu4", pattern_file, "--jobs", "2",
-             "--retries", "0", "--chaos", "0:crash,crash"]
-        )
+    @pytest.mark.parametrize("with_store", [False, True])
+    def test_failed_shard_exits_three(
+        self, pattern_file, tmp_path, with_store, capsys
+    ):
+        """A failed shard prints one error line naming it and its reason
+        (plus the resume hint when there is a store to resume) and no
+        coverage; the resume then grades only the missing shards."""
+        store = str(tmp_path / "store")
+        flags = ["--jobs", "1", "--partitions", "4"]
+        if with_store:
+            flags += ["--store", store]
+        with failing_shards({2}, "exit"):
+            code = main(["faultsim", "alu4", pattern_file] + flags)
         captured = capsys.readouterr()
         assert code == 3
-        assert "LOWER BOUND" in captured.err
+        assert "faults detected" not in captured.out
+        err = captured.err.splitlines()
+        assert err[0] == (
+            f"error: shard 2 failed: worker died (exit code {EXIT_CODE})"
+        )
+        assert len(err) == (2 if with_store else 1)
+        if with_store:
+            assert store in err[1] and "--store" in err[1]
+            assert main(["faultsim", "alu4", pattern_file] + flags) == 0
+            out = capsys.readouterr().out
+            assert f"store {store}: 2/4 shards graded here" in out
 
     def test_resume_skips_stored_partitions(self, pattern_file, tmp_path, capsys):
         store = str(tmp_path / "store")
@@ -404,6 +422,10 @@ class TestSupervisedCampaigns:
             ["--store", "S", "--host-chaos", "r0"],
             ["--store", "S", "--lease-s", "inf"],
             ["--timeout", "nan"],                       # never trips
+            # In-run recovery is gone: a failed shard stops the run.
+            ["--timeout", "5"],
+            ["--retries", "1"],
+            ["--chaos", "0:crash"],
         ],
     )
     def test_store_invalid_arguments_exit_two(
@@ -450,6 +472,7 @@ class TestSupervisedCampaigns:
         assert "campaign complete" in out
 
     def test_keyboard_interrupt_exits_130(self, monkeypatch, capsys):
+        """A command with no store to resume prints no resume hint."""
         import repro.cli as cli
 
         def interrupted(_args):
@@ -457,4 +480,26 @@ class TestSupervisedCampaigns:
 
         monkeypatch.setattr(cli, "_cmd_plan", interrupted)
         assert main(["plan"]) == 130
-        assert "--store" in capsys.readouterr().err
+        assert capsys.readouterr().err == "interrupted\n"
+
+    @pytest.mark.parametrize("with_store", [False, True])
+    def test_keyboard_interrupt_faultsim_store_hint(
+        self, pattern_file, tmp_path, monkeypatch, with_store, capsys
+    ):
+        """Only an interrupted ``faultsim --store`` run has shards to
+        resume from, so only it prints the resume hint."""
+        from repro.sim.faultsim import FaultSimulator
+
+        def interrupted(*_args, **_kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(FaultSimulator, "simulate", interrupted)
+        store = str(tmp_path / "store")
+        flags = ["--store", store] if with_store else []
+        assert main(["faultsim", "alu4", pattern_file] + flags) == 130
+        err = capsys.readouterr().err
+        if with_store:
+            assert err.startswith("interrupted: ") and store in err
+            assert "--store" in err
+        else:
+            assert err == "interrupted\n"

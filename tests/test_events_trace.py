@@ -6,7 +6,8 @@ shipped payloads, JSONL side files (torn-line tolerance included), the
 backend wiring that carries worker events home inside
 ``FaultSimResult.stats``, and the trace-event JSON the acceptance
 criterion loads into Perfetto — one track per worker, instant markers
-for supervisor moments, counter series from heartbeats.
+for store publishes and the failed shard that stopped a run, counter
+series from heartbeats.
 """
 
 import json
@@ -19,12 +20,10 @@ from repro.circuit import generators
 from repro.faults.collapse import collapse_faults
 from repro.faults.stuck_at import full_fault_list
 from repro.obs.events import (
-    CHAOS,
     CRASH,
     HEARTBEAT,
     PARTITION_BEGIN,
     PARTITION_END,
-    RETRY,
     EventLog,
     TelemetryEvent,
     read_jsonl,
@@ -32,10 +31,10 @@ from repro.obs.events import (
 )
 from repro.obs.report import RunReport
 from repro.obs.trace import chrome_trace, write_chrome_trace
-from repro.sim.chaos import ChaosPlan
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.store import ShardStore
-from repro.sim.supervisor import SupervisedPoolBackend, SupervisorConfig
+from repro.sim.supervisor import ShardFailedError, SupervisedPoolBackend
+from tests.worker_failures import failing_shards
 
 
 def _campaign(seed=21, n_gates=40, n_patterns=96):
@@ -48,7 +47,9 @@ def _campaign(seed=21, n_gates=40, n_patterns=96):
 
 class TestTelemetryEvent:
     def test_roundtrip_omits_empty_fields(self):
-        event = TelemetryEvent(kind=RETRY, name="retry", t_mono=1.5, t_wall=2.5, pid=7)
+        event = TelemetryEvent(
+            kind=HEARTBEAT, name="progress", t_mono=1.5, t_wall=2.5, pid=7
+        )
         payload = event.to_dict()
         assert "partition" not in payload and "args" not in payload
         assert TelemetryEvent.from_dict(payload) == event
@@ -56,7 +57,7 @@ class TestTelemetryEvent:
     def test_roundtrip_keeps_identity(self):
         event = TelemetryEvent(
             kind=PARTITION_END, name="partition", t_mono=3.0, t_wall=4.0,
-            pid=9, partition=2, attempt=1, args={"detected": 5},
+            pid=9, partition=2, args={"detected": 5},
         )
         clone = TelemetryEvent.from_dict(json.loads(json.dumps(event.to_dict())))
         assert clone == event
@@ -177,17 +178,13 @@ class TestBackendEventWiring:
                               sorted(ends, key=lambda e: e.partition)):
             assert end.t_mono >= begin.t_mono  # stitched onto one timeline
 
-    def test_supervised_emits_heartbeats_and_chaos_instants(self):
+    def test_supervised_emits_heartbeats(self):
         simulator, patterns, faults = _campaign()
-        backend = SupervisedPoolBackend(
-            jobs=2, partitions=4,
-            config=SupervisorConfig(backoff_s=0.0),
-            chaos=ChaosPlan.parse(["1:crash"]),
-        )
+        backend = SupervisedPoolBackend(jobs=2, partitions=4)
         with obs.observe("run") as observation:
             result = simulator.simulate(patterns, faults, engine=backend)
         kinds = {e.kind for e in observation.events.merged()}
-        assert {HEARTBEAT, CHAOS, CRASH, RETRY} <= kinds
+        assert HEARTBEAT in kinds and CRASH not in kinds
         beats = [
             e for e in observation.events.merged() if e.kind == HEARTBEAT
         ]
@@ -216,42 +213,10 @@ class TestBackendEventWiring:
             } == {0, 1, 2}
 
 
-class TestMetricsLossAnnotation:
-    def test_crashed_attempts_annotate_lower_bound(self):
-        simulator, patterns, faults = _campaign()
-        backend = SupervisedPoolBackend(
-            jobs=2, partitions=4,
-            config=SupervisorConfig(backoff_s=0.0),
-            chaos=ChaosPlan.parse(["2:crash,crash"]),
-        )
-        with obs.observe("run") as observation:
-            result = simulator.simulate(patterns, faults, engine=backend)
-        assert result.stats["metrics_lost_attempts"] == 2
-        assert result.stats["metrics_lower_bound"] is True
-        row = next(
-            p for p in result.stats["partitions"] if p["partition"] == 2
-        )
-        assert row["metrics_lost_attempts"] == 2
-        published = observation.counter("faultsim.metrics_lost_attempts")
-        assert published.value == 2
-
-    def test_clean_run_has_no_loss_annotation(self):
+class TestChromeTrace:
+    def _report(self):
         simulator, patterns, faults = _campaign()
         backend = SupervisedPoolBackend(jobs=2, partitions=4)
-        result = backend.run(simulator, patterns, faults)
-        assert "metrics_lost_attempts" not in result.stats
-        assert "metrics_lower_bound" not in result.stats
-        for row in result.stats["partitions"]:
-            assert "metrics_lost_attempts" not in row
-
-
-class TestChromeTrace:
-    def _report(self, chaos=None):
-        simulator, patterns, faults = _campaign()
-        backend = SupervisedPoolBackend(
-            jobs=2, partitions=4,
-            config=SupervisorConfig(backoff_s=0.0), chaos=chaos,
-        )
         with obs.observe("repro.faultsim", command="faultsim") as observation:
             simulator.simulate(patterns, faults, engine=backend)
         return RunReport.from_observation(observation)
@@ -281,13 +246,22 @@ class TestChromeTrace:
         }
         assert "repro.faultsim" in span_names and "faultsim" in span_names
 
-    def test_chaos_schedule_appears_as_instants(self):
-        report = self._report(chaos=ChaosPlan.parse(["0:crash"]))
-        events = chrome_trace(report)["traceEvents"]
-        instants = {e["name"] for e in events if e["ph"] == "i"}
-        assert "chaos:crash p0" in instants
-        assert "worker_crash p0" in instants
-        assert "retry p0" in instants
+    def test_failed_shard_appears_as_instant(self):
+        """A failed run has no result to carry its timeline home; the
+        trace still shows which shard stopped it, and why."""
+        simulator, patterns, faults = _campaign()
+        backend = SupervisedPoolBackend(jobs=1, partitions=4)
+        with failing_shards({2}, "raise"), obs.observe("run") as observation:
+            with pytest.raises(ShardFailedError):
+                simulator.simulate(patterns, faults, engine=backend)
+        events = chrome_trace(RunReport.from_observation(observation))[
+            "traceEvents"
+        ]
+        (failed,) = [e for e in events if e.get("cat") == CRASH]
+        assert failed["name"] == "shard_failed p2"
+        assert "injected failure in shard 2" in failed["args"]["reason"]
+        published = {e["name"] for e in events if e.get("cat") == "publish"}
+        assert published == {"publish p0", "publish p1"}
 
     def test_heartbeats_become_counter_series(self):
         report = self._report()

@@ -3,11 +3,11 @@
 Every supervised campaign runs over a shard store.  A caller that passes
 none gets a private one, a ``repro-campaign-*`` directory on tmpfs (or
 in the temp dir), which the backend removes on every exit path.  These
-tests run campaigns under the failure modes the chaos harness can
-inject — worker crashes, hangs killed on deadline, injected exceptions,
-a kernel raising everywhere — and around a ``KeyboardInterrupt``
-delivered mid-spawn.  After each one, no private store directory may
-remain and no worker may still be alive.
+tests fail shards the ways ``tests/worker_failures.py`` can — a worker
+exiting hard, raising, or sending a damaged record, and a kernel raising
+everywhere — and deliver a ``KeyboardInterrupt`` mid-spawn.  After each
+one, no private store directory may remain and no worker may still be
+alive.
 """
 
 import multiprocessing
@@ -20,14 +20,14 @@ from repro.atpg.random_gen import random_patterns
 from repro.circuit import generators
 from repro.faults.collapse import collapse_faults
 from repro.faults.stuck_at import full_fault_list
-from repro.sim.chaos import ChaosPlan
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.store import ShardStore
 from repro.sim.supervisor import (
     PRIVATE_STORE_PREFIX,
+    ShardFailedError,
     SupervisedPoolBackend,
-    SupervisorConfig,
 )
+from tests.worker_failures import MODES, failing_shards
 
 
 def private_store_dirs():
@@ -77,56 +77,29 @@ class TestPrivateStoreCleanup:
         assert "store" not in result.stats  # no path, no peers to report
 
     def test_kernel_exception_everywhere_cleans_up(self, leaves_nothing):
-        """A kernel raising in every worker *and* inline degrades every
-        shard to failed, and the private store still comes down."""
+        """A kernel raising in every worker fails the run, and the
+        private store still comes down."""
         simulator, faults, patterns, _ = _setup()
         original = FaultSimulator._simulate_ppsfp
         try:
             FaultSimulator._simulate_ppsfp = lambda *a, **k: 1 / 0
-            result = SupervisedPoolBackend(
-                jobs=2, partitions=3,
-                config=SupervisorConfig(max_retries=0, backoff_s=0.0),
-            ).run(simulator, patterns, faults)
+            with pytest.raises(ShardFailedError, match="ZeroDivisionError"):
+                SupervisedPoolBackend(jobs=2, partitions=3).run(
+                    simulator, patterns, faults
+                )
         finally:
             FaultSimulator._simulate_ppsfp = original
-        assert len(result.stats["failed_partitions"]) == 3
-        assert result.detected == {}
 
-    def test_crash_recovery(self, leaves_nothing):
-        simulator, faults, patterns, reference = _setup()
-        backend = SupervisedPoolBackend(
-            jobs=2,
-            partitions=4,
-            chaos=ChaosPlan(schedule={0: ("crash",), 2: ("crash", "raise")}),
-        )
-        result = backend.run(simulator, patterns, faults)
-        assert result.detected == reference.detected
-        assert result.stats["worker_crashes"] >= 1
-
-    def test_timeout_kills(self, leaves_nothing):
-        simulator, faults, patterns, reference = _setup()
-        backend = SupervisedPoolBackend(
-            jobs=2,
-            partitions=4,
-            config=SupervisorConfig(timeout_s=0.5, backoff_s=0.01),
-            chaos=ChaosPlan(schedule={1: ("hang",)}, hang_s=30.0),
-        )
-        result = backend.run(simulator, patterns, faults)
-        assert result.detected == reference.detected
-        assert result.stats["timeouts"] >= 1
-
-    def test_unrecoverable_partition_cleans_up(self, leaves_nothing):
-        """Even a run that degrades to a partial result (inline fallback
-        poisoned too) removes its private store."""
+    @pytest.mark.parametrize("mode", MODES)
+    def test_failed_shard_cleans_up(self, mode, leaves_nothing):
+        """A failed shard stops the run, the other workers are reaped,
+        and the private store is removed on the way up."""
         simulator, faults, patterns, _ = _setup()
-        backend = SupervisedPoolBackend(
-            jobs=2,
-            partitions=4,
-            config=SupervisorConfig(max_retries=0, backoff_s=0.01),
-            chaos=ChaosPlan(schedule={1: ("raise", "raise")}),
-        )
-        result = backend.run(simulator, patterns, faults)
-        assert result.stats["failed_partitions"]
+        with failing_shards({1}, mode):
+            with pytest.raises(ShardFailedError, match="shard 1 failed"):
+                SupervisedPoolBackend(jobs=2, partitions=4).run(
+                    simulator, patterns, faults
+                )
 
     def test_keyboard_interrupt_cleans_up(
         self, tmp_path, monkeypatch, leaves_nothing

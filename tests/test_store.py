@@ -11,6 +11,7 @@ tampered result is refused.
 """
 
 import hashlib
+import inspect
 import json
 import multiprocessing
 import os
@@ -33,7 +34,6 @@ from repro.faults.collapse import collapse_faults
 from repro.faults.model import StuckAtFault
 from repro.faults.stuck_at import full_fault_list
 from repro.obs.events import HEARTBEAT, PUBLISH
-from repro.sim.chaos import ChaosPlan
 from repro.sim.dispatch import partition_faults
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.store import (
@@ -46,7 +46,8 @@ from repro.sim.store import (
     read_store_progress,
     result_digest,
 )
-from repro.sim.supervisor import SupervisedPoolBackend, SupervisorConfig
+from repro.sim.supervisor import ShardFailedError, SupervisedPoolBackend
+from tests.worker_failures import failing_shards
 
 
 def _key(**overrides) -> CampaignKey:
@@ -318,13 +319,35 @@ def _run_runner(root, netlist, patterns, faults, queue):
     )
 
 
+def _hold_publishes(limit):
+    """Block this process's ``ShardStore.publish`` for good after
+    ``limit`` publishes: the runner then holds exactly ``limit``
+    published shards until it is killed.  Self-contained, so a ``python
+    -c`` runner can take its source."""
+    import time
+
+    from repro.sim.store import ShardStore
+
+    publish = ShardStore.publish
+    published = []
+
+    def held(self, record):
+        if len(published) >= limit:
+            time.sleep(3600)
+        published.append(record["index"])
+        return publish(self, record)
+
+    ShardStore.publish = held
+
+
 def _run_doomed_runner(root, netlist, patterns, faults):
-    """A runner whose shard 5 hangs, in a session of its own so that one
-    ``killpg`` takes it down with its workers, as a host death would."""
+    """A runner that publishes five shards and then blocks, in a session
+    of its own so that one ``killpg`` takes it down with its workers, as
+    a host death would."""
     os.setsid()
+    _hold_publishes(5)
     backend = SupervisedPoolBackend(
         jobs=2, seed=0, partitions=6, store=ShardStore(root),
-        chaos=ChaosPlan.parse(["5:hang"]),
     )
     FaultSimulator(netlist).simulate(patterns, faults, engine=backend)
 
@@ -349,14 +372,23 @@ def _assert_clean_exit(root):
     assert leftovers == [], f"leaked files: {leftovers}"
 
 
-def _repro(*args, **kwargs):
-    """``python -m repro ARGS`` in a child process, from this source tree."""
+def _repro(*args, launch=("-m", "repro"), **kwargs):
+    """``python -m repro ARGS`` in a child process, from this source tree
+    (``launch`` replaces ``-m repro``, e.g. with a ``-c`` program)."""
     src = str(Path(repro.__file__).resolve().parents[1])
     return subprocess.Popen(
-        [sys.executable, "-m", "repro", *args],
+        [sys.executable, *launch, *args],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env=dict(os.environ, PYTHONPATH=src), **kwargs,
     )
+
+
+#: ``python -c`` program: ``repro ARGV`` holding after five publishes.
+_HELD_REPRO = (
+    inspect.getsource(_hold_publishes)
+    + "\nimport sys\nfrom repro.cli import main\n"
+    + "_hold_publishes(5)\nsys.exit(main(sys.argv[1:]))\n"
+)
 
 
 class TestStoreCampaigns:
@@ -470,12 +502,10 @@ class TestStoreCampaigns:
         before any shard is graded."""
         simulator, faults, patterns, _ = _setup()
         root = str(tmp_path / "reordered")
-        SupervisedPoolBackend(
-            jobs=2, partitions=6,
-            chaos=ChaosPlan.parse(["4:crash"]),
-            config=SupervisorConfig(max_retries=0, inline_fallback=False),
-            store=ShardStore(root),
-        ).run(simulator, patterns, faults)
+        with failing_shards({5}, "exit"), pytest.raises(ShardFailedError):
+            SupervisedPoolBackend(
+                jobs=1, partitions=6, store=ShardStore(root),
+            ).run(simulator, patterns, faults)
         shards_dir = os.path.join(root, "shards")
         published = sorted(os.listdir(shards_dir))
         assert len(published) == 5
@@ -519,9 +549,11 @@ class TestStoreCampaigns:
         shards_dir = os.path.join(store, "shards")
         campaign = ["fsim", "alu4", patterns, "--store", store,
                     "--jobs", "2", "--partitions", "6"]
-        doomed = _repro(*campaign, "--chaos", "5:hang", start_new_session=True)
+        doomed = _repro(
+            *campaign, launch=("-c", _HELD_REPRO), start_new_session=True
+        )
         try:
-            # Shard 5 hangs until killed; the other five get published.
+            # Five shards get published, then the runner blocks until killed.
             deadline = time.monotonic() + 60.0
             while True:
                 assert doomed.poll() is None, doomed.communicate()
@@ -569,7 +601,7 @@ class TestStoreCampaigns:
         doomed.start()
         shards_dir = os.path.join(str(tmp_path), "shards")
         try:
-            # Shard 5 hangs until killed; the other five get published.
+            # Five shards get published, then the runner blocks until killed.
             deadline = time.monotonic() + 60.0
             while True:
                 assert doomed.exitcode is None
@@ -602,35 +634,16 @@ class TestStoreCampaigns:
         assert not result.stats["store"]["already_complete"]
         _assert_clean_exit(tmp_path)
 
-    def test_worker_chaos_still_recovers_in_store_mode(self, tmp_path):
-        """Worker-level chaos composes with the store: a crashing worker
-        is retried, and its shard published once it succeeds."""
-        simulator, faults, patterns, reference = _setup()
-        backend = SupervisedPoolBackend(
-            jobs=2, seed=0, partitions=4,
-            store=ShardStore(str(tmp_path)),
-            chaos=ChaosPlan.parse(["1:crash"]),
-        )
-        result = simulator.simulate(patterns, faults, engine=backend)
-        _assert_identical(result, reference)
-        assert result.stats["worker_crashes"] == 1
-        assert result.stats["retries"] == 1
-        assert result.stats["store"]["published"] == 4
-        _assert_clean_exit(tmp_path)
-
     def test_resume_after_failed_campaign_matches_ppsfp(self, tmp_path):
-        """Kill a campaign's shard for good (no retries, no fallback),
-        re-run against the same store: only that shard is graded."""
+        """Fail a campaign's last shard, re-run against the same store:
+        only that shard is graded."""
         simulator, faults, patterns, reference = _setup()
         root = str(tmp_path / "resume")
-        crashed = SupervisedPoolBackend(
-            jobs=2, partitions=6,
-            chaos=ChaosPlan.parse(["4:crash"]),
-            config=SupervisorConfig(max_retries=0, inline_fallback=False),
-            store=ShardStore(root),
-        ).run(simulator, patterns, faults)
-        assert len(crashed.stats["failed_partitions"]) == 1
-        assert crashed.coverage < reference.coverage
+        with failing_shards({5}, "exit"):
+            with pytest.raises(ShardFailedError, match="shard 5"):
+                SupervisedPoolBackend(
+                    jobs=1, partitions=6, store=ShardStore(root),
+                ).run(simulator, patterns, faults)
 
         resumed = SupervisedPoolBackend(
             jobs=2, partitions=6, store=ShardStore(root),
@@ -638,7 +651,7 @@ class TestStoreCampaigns:
         assert resumed.stats["store"]["shards_graded_here"] == 1
         _assert_identical(resumed, reference)
         sources = {p["partition"]: p["source"] for p in resumed.stats["partitions"]}
-        assert sources[4] == "worker"  # the only shard re-graded
+        assert sources[5] == "worker"  # the only shard re-graded
         assert sum(source == "store" for source in sources.values()) == 5
         _assert_clean_exit(root)
 

@@ -1,12 +1,12 @@
-"""Supervised fault-sim pool: chaos-injection differential harness.
+"""Supervised fault-sim pool: worker-failure differential harness.
 
-The supervisor's contract mirrors the dispatch layer's, under fire: for
-ANY injected failure schedule — workers crashing, hanging, raising, or
-returning corrupt partials — the recovered merged result must be
-bit-identical to single-process PPSFP (same detected map, same
-first-detection indices, same undetected list).  When recovery is
-impossible, the run must degrade into an explicit partial result, never
-a traceback.
+A clean supervised run is bit-identical to single-process PPSFP (same
+detected map, same first-detection indices, same undetected list).  A
+worker that dies, raises, or sends a damaged record fails its shard:
+the run stops with ``ShardFailedError``, the failed shard has no
+published result, and a resume from the store grades exactly the
+missing shards and merges bit-identically to PPSFP.  Failures are
+injected from the tests alone (``tests/worker_failures.py``).
 """
 
 import multiprocessing
@@ -21,15 +21,15 @@ from repro.atpg.random_gen import random_patterns
 from repro.circuit import benchmarks, generators
 from repro.faults.collapse import collapse_faults
 from repro.faults.stuck_at import full_fault_list
-from repro.sim.chaos import CRASH_EXIT_CODE, ChaosError, ChaosPlan
 from repro.sim.faultsim import FaultSimulator
 from repro.sim.store import ShardStore
 from repro.sim.supervisor import (
+    ShardFailedError,
     SupervisedPoolBackend,
-    SupervisorConfig,
     _Slot,
     validate_partial,
 )
+from tests.worker_failures import EXIT_CODE, MODES, failing_shards
 
 
 def _setup(n_inputs=6, n_gates=40, seed=7, n_patterns=96):
@@ -45,13 +45,6 @@ def _assert_identical(result, reference):
     assert result.detected == reference.detected
     assert result.undetected == reference.undetected
     assert result.total_faults == reference.total_faults
-
-
-def _assert_nothing_recovered(result):
-    # Identity alone is not enough: the inline fallback rescues a broken
-    # worker path bit-identically.
-    for counter in ("worker_crashes", "retries", "inline_fallbacks"):
-        assert result.stats[counter] == 0, counter
 
 
 class TestCleanRuns:
@@ -75,9 +68,6 @@ class TestCleanRuns:
             assert supervised.patterns_simulated == reference.patterns_simulated
             stats = supervised.stats
             assert stats["engine"] == "supervised"
-            assert stats["worker_crashes"] == 0
-            assert stats["retries"] == 0
-            assert "failed_partitions" not in stats
 
     def test_partitions_override_threads_through(self):
         simulator, faults, patterns, reference = _setup()
@@ -95,123 +85,48 @@ class TestCleanRuns:
         assert result.detected == {} and result.undetected == []
 
 
-class TestChaosRecovery:
-    def test_crash_recovered(self):
+class TestWorkerFailure:
+    """A failed shard stops the run; a resume from the store re-grades it."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_failed_shard_stops_and_resume_regrades_it(self, mode, tmp_path):
         simulator, faults, patterns, reference = _setup()
-        backend = SupervisedPoolBackend(
-            jobs=2, chaos=ChaosPlan.parse(["2:crash,crash"])
-        )
-        result = backend.run(simulator, patterns, faults)
-        _assert_identical(result, reference)
-        assert result.stats["worker_crashes"] == 2
-        assert result.stats["retries"] == 2
-        partition2 = next(
-            p for p in result.stats["partitions"] if p["partition"] == 2
-        )
-        assert partition2["attempts"] == 3  # two crashes + one clean run
+        root = str(tmp_path / "store")
 
-    def test_hang_killed_and_recovered(self):
-        simulator, faults, patterns, reference = _setup()
-        backend = SupervisedPoolBackend(
-            jobs=2,
-            chaos=ChaosPlan.parse(["1:hang"]),
-            config=SupervisorConfig(timeout_s=0.5),
-        )
-        result = backend.run(simulator, patterns, faults)
-        _assert_identical(result, reference)
-        assert result.stats["timeouts"] == 1
+        def backend():
+            return SupervisedPoolBackend(
+                jobs=2, partitions=6, store=ShardStore(root)
+            )
 
-    def test_raise_reported_and_recovered(self):
-        simulator, faults, patterns, reference = _setup()
-        backend = SupervisedPoolBackend(
-            jobs=2, chaos=ChaosPlan.parse(["0:raise"])
-        )
-        result = backend.run(simulator, patterns, faults)
-        _assert_identical(result, reference)
-        assert result.stats["worker_crashes"] == 1  # error message, not timeout
+        with failing_shards({3}, mode):
+            with pytest.raises(ShardFailedError) as excinfo:
+                backend().run(simulator, patterns, faults)
+        failure = excinfo.value
+        assert failure.index == 3
+        assert str(failure).startswith("shard 3 failed: ")
+        expected = {
+            "exit": f"worker died (exit code {EXIT_CODE})",
+            "raise": "worker error: RuntimeError: injected failure in shard 3",
+            "damage": "invalid result: ",
+        }[mode]
+        assert failure.reason.startswith(expected)
+        assert not multiprocessing.active_children()
+        shards_dir = os.path.join(root, "shards")
+        names = os.listdir(shards_dir)
+        assert "00003.result" not in names
+        assert not [name for name in names if name.startswith(".tmp-")]
+        published = ShardStore(root).done_indices()
 
-    def test_corrupt_result_rejected_and_recovered(self):
-        simulator, faults, patterns, reference = _setup()
-        backend = SupervisedPoolBackend(
-            jobs=2, chaos=ChaosPlan.parse(["3:corrupt"])
+        resumed = backend().run(simulator, patterns, faults)
+        _assert_identical(resumed, reference)
+        sources = {
+            row["partition"]: row["source"]
+            for row in resumed.stats["partitions"]
+        }
+        assert {p for p, source in sources.items() if source == "store"} == (
+            published
         )
-        result = backend.run(simulator, patterns, faults)
-        _assert_identical(result, reference)
-        assert result.stats["invalid_results"] == 1
-
-    def test_poisoned_partition_falls_back_inline(self):
-        """Crashing every pool attempt forces the parent to grade inline."""
-        simulator, faults, patterns, reference = _setup()
-        backend = SupervisedPoolBackend(
-            jobs=2, chaos=ChaosPlan.parse(["4:crash,crash,crash"])
-        )
-        result = backend.run(simulator, patterns, faults)
-        _assert_identical(result, reference)
-        assert result.stats["inline_fallbacks"] == 1
-        partition4 = next(
-            p for p in result.stats["partitions"] if p["partition"] == 4
-        )
-        assert partition4["source"] == "inline"
-
-    def test_multiple_simultaneous_failures(self):
-        simulator, faults, patterns, reference = _setup()
-        chaos = ChaosPlan(
-            schedule={0: ("crash",), 2: ("corrupt", "crash"), 5: ("raise",)}
-        )
-        backend = SupervisedPoolBackend(jobs=3, chaos=chaos)
-        result = backend.run(simulator, patterns, faults)
-        _assert_identical(result, reference)
-        assert result.stats["retries"] == 4
-
-
-class TestGracefulDegradation:
-    def test_unrecoverable_partition_yields_partial_result(self):
-        simulator, faults, patterns, reference = _setup()
-        backend = SupervisedPoolBackend(
-            jobs=2,
-            chaos=ChaosPlan.parse(["3:crash,crash,crash"]),
-            config=SupervisorConfig(inline_fallback=False),
-        )
-        result = backend.run(simulator, patterns, faults)
-        failed = result.stats["failed_partitions"]
-        assert len(failed) == 1 and failed[0]["partition"] == 3
-        assert failed[0]["faults"] > 0 and failed[0]["attempts"] == 3
-        # The failed shard's faults stay conservatively undetected: the
-        # result is a lower bound on coverage, and all accounting holds.
-        assert result.coverage < reference.coverage
-        assert result.stats["coverage_lower_bound"] == result.coverage
-        assert set(result.detected) < set(reference.detected)
-        assert all(
-            result.detected[f] == reference.detected[f] for f in result.detected
-        )
-        assert len(result.detected) + len(result.undetected) == len(faults)
-
-    def test_inline_chaos_defeats_the_fallback(self):
-        """A schedule long enough to cover the inline attempt is fatal."""
-        simulator, faults, patterns, _ = _setup()
-        backend = SupervisedPoolBackend(
-            jobs=2,
-            chaos=ChaosPlan(schedule={1: ("crash", "crash", "crash", "raise")}),
-        )
-        result = backend.run(simulator, patterns, faults)
-        failed = result.stats["failed_partitions"]
-        assert len(failed) == 1
-        assert "inline fallback failed" in failed[0]["reason"]
-        assert result.stats["inline_fallbacks"] == 1
-
-    def test_inline_crash_injection_cannot_kill_the_parent(self):
-        """A crash scheduled for the inline attempt degrades to a failed
-        shard — it must never ``os._exit`` the supervising process."""
-        simulator, faults, patterns, _ = _setup()
-        backend = SupervisedPoolBackend(
-            jobs=2,
-            chaos=ChaosPlan.parse(["0:crash,crash"]),
-            config=SupervisorConfig(max_retries=0),
-        )
-        result = backend.run(simulator, patterns, faults)
-        failed = result.stats["failed_partitions"]
-        assert len(failed) == 1 and failed[0]["partition"] == 0
-        assert "injected crash" in failed[0]["reason"]
+        assert resumed.stats["store"]["shards_graded_here"] == 6 - len(published)
 
 
 def _record(result, shard):
@@ -254,19 +169,6 @@ class TestValidation:
             SupervisedPoolBackend(partitions=-1)
         with pytest.raises(ValueError, match="seed"):
             SupervisedPoolBackend(seed=-3)
-        with pytest.raises(ValueError, match="timeout_s"):
-            SupervisedPoolBackend(config=SupervisorConfig(timeout_s=0))
-        with pytest.raises(ValueError, match="max_retries"):
-            SupervisedPoolBackend(config=SupervisorConfig(max_retries=-1))
-        with pytest.raises(ValueError, match="chaos mode"):
-            ChaosPlan(schedule={0: ("explode",)})
-        with pytest.raises(ValueError, match="partition index"):
-            ChaosPlan(schedule={-1: ("crash",)})
-        # A NaN deadline never trips and a NaN backoff never elapses, so
-        # either would leave a hung or retried shard waiting forever.
-        for name in ("timeout_s", "backoff_s"):
-            with pytest.raises(ValueError, match=name):
-                SupervisorConfig(**{name: float("nan")}).validate()
 
 
 class _RacyWorker:
@@ -303,9 +205,8 @@ class TestPolling:
         """Small records let a worker send and exit between two looks;
         its result must be read, not reported as a crash."""
         worker = _RacyWorker()
-        slot = _Slot(0, 0, worker, worker, None)
-        outcome = SupervisedPoolBackend(jobs=1)._poll_slot(slot, 0.0)
-        assert outcome == ("ok", "the record")
+        slot = _Slot(0, worker, worker)
+        assert SupervisedPoolBackend(jobs=1)._poll_slot(slot) == "the record"
 
 
 class TestWorkersShareTheSimulator:
@@ -318,13 +219,12 @@ class TestWorkersShareTheSimulator:
             raise RuntimeError("a FaultSimulator was built mid-campaign")
 
         # Inherited by the forked workers: a worker that builds its own
-        # simulator fails, and only the inline fallback would rescue it.
+        # simulator fails its shard, and the run raises.
         monkeypatch.setattr(FaultSimulator, "__init__", no_build)
         result = SupervisedPoolBackend(jobs=2, partitions=4).run(
             simulator, patterns, faults
         )
         _assert_identical(result, reference)
-        _assert_nothing_recovered(result)
 
     def test_spawn_context_grades_identically(self, monkeypatch):
         """Without fork the simulator is pickled to the worker."""
@@ -337,7 +237,6 @@ class TestWorkersShareTheSimulator:
             simulator, patterns, faults
         )
         _assert_identical(result, reference)
-        _assert_nothing_recovered(result)
 
     @pytest.mark.parametrize("width", [1, 64])
     def test_pickled_simulator_grades_identically(self, width):
@@ -352,31 +251,6 @@ class TestWorkersShareTheSimulator:
                 copy.simulate(patterns, faults, drop=drop),
                 simulator.simulate(patterns, faults, drop=drop),
             )
-
-
-class TestChaosPlan:
-    def test_schedule_semantics(self):
-        plan = ChaosPlan(schedule={2: ("crash", "hang")})
-        assert plan.mode_for(2, 0) == "crash"
-        assert plan.mode_for(2, 1) == "hang"
-        assert plan.mode_for(2, 2) is None  # past the schedule: clean
-        assert plan.mode_for(0, 0) is None  # unscheduled partition: clean
-
-    def test_parse_round_trip(self):
-        plan = ChaosPlan.parse(["2:crash,crash", "0:hang", "2:raise"])
-        assert plan.schedule == {2: ("crash", "crash", "raise"), 0: ("hang",)}
-        with pytest.raises(ValueError, match="chaos spec"):
-            ChaosPlan.parse(["nonsense"])
-        with pytest.raises(ValueError, match="no modes"):
-            ChaosPlan.parse(["3:"])
-
-    def test_raise_hook(self):
-        plan = ChaosPlan.parse(["1:raise"])
-        with pytest.raises(ChaosError):
-            plan.execute_pre(1, 0)
-        plan.execute_pre(1, 1)  # attempt past schedule: no-op
-        plan.execute_pre(0, 0)  # other partition: no-op
-        assert CRASH_EXIT_CODE != 0
 
 
 class TestKeyboardInterruptTeardown:
@@ -423,38 +297,41 @@ class TestKeyboardInterruptTeardown:
         assert resumed.stats["store"]["shards_graded_here"] == 2
 
 
-class TestChaosScheduleProperty:
-    """Hypothesis: ANY recoverable injected schedule merges bit-identically."""
+class TestFailureSetProperty:
+    """Hypothesis: whichever shards fail, the run stops on one of them,
+    publishes none of them, and the resume merges bit-identically."""
 
     @settings(max_examples=12, deadline=None)
     @given(
-        schedule=st.dictionaries(
-            keys=st.integers(min_value=0, max_value=3),
-            values=st.lists(
-                st.sampled_from(["crash", "raise", "corrupt"]),
-                min_size=1,
-                max_size=2,
-            ).map(tuple),
-            max_size=3,
-        )
+        failing=st.sets(st.integers(min_value=0, max_value=3), max_size=3),
+        mode=st.sampled_from(MODES),
     )
-    def test_recovered_merge_identical_to_ppsfp(self, schedule):
+    def test_resume_after_any_failures_identical_to_ppsfp(
+        self, tmp_path_factory, failing, mode
+    ):
         netlist = generators.random_circuit(5, 25, seed=11)
         simulator = FaultSimulator(netlist)
         faults, _ = collapse_faults(netlist, full_fault_list(netlist))
         patterns = random_patterns(simulator.view.num_inputs, 48, seed=11)
         reference = simulator.simulate(patterns, faults)
-        # Schedules are capped at max_retries entries, so the pool always
-        # has one clean attempt left: recovery is guaranteed, identity must
-        # hold exactly.
-        backend = SupervisedPoolBackend(
-            jobs=2,
-            partitions=4,
-            chaos=ChaosPlan(schedule=schedule),
-            config=SupervisorConfig(max_retries=2, backoff_s=0.0),
-        )
-        result = backend.run(simulator, patterns, faults)
-        _assert_identical(result, reference)
-        assert "failed_partitions" not in result.stats
-        injected = sum(len(modes) for p, modes in schedule.items() if p < 4)
-        assert result.stats["retries"] == injected
+        root = str(tmp_path_factory.mktemp("store"))
+
+        def backend():
+            return SupervisedPoolBackend(
+                jobs=2, partitions=4, store=ShardStore(root)
+            )
+
+        with failing_shards(failing, mode):
+            if failing:
+                with pytest.raises(ShardFailedError) as excinfo:
+                    backend().run(simulator, patterns, faults)
+                assert excinfo.value.index in failing
+            else:
+                _assert_identical(
+                    backend().run(simulator, patterns, faults), reference
+                )
+        published = ShardStore(root).done_indices()
+        assert not published & failing
+        resumed = backend().run(simulator, patterns, faults)
+        _assert_identical(resumed, reference)
+        assert resumed.stats["store"]["shards_graded_here"] == 4 - len(published)
