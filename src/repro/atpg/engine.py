@@ -34,7 +34,7 @@ from ..sim.faultsim import FaultSimulator, unique_faults
 from ..sim.parallel import WORD_WIDTH
 from .compaction import care_bit_stats, static_compact
 from .portfolio import make_engine
-from .random_gen import random_patterns
+from .random_gen import packed_random_patterns
 
 
 def x_fill(cube: Sequence[int], rng: random.Random, mode: str = "random") -> List[int]:
@@ -181,18 +181,23 @@ def run_atpg(
     # ------------------------------------------------------------------
     # Phase 1: random patterns with fault dropping.
     # ------------------------------------------------------------------
+    # Each batch is graded as packed words; only the patterns kept are
+    # unpacked into rows.
     kept_patterns: List[List[int]] = []
     with obs.span("random_fill"):
         for batch in range(random_batches):
             if not remaining:
                 break
-            batch_patterns = random_patterns(
+            batch_patterns = packed_random_patterns(
                 n_inputs, WORD_WIDTH, seed=seed * 1000 + batch
             )
             sim = simulator.simulate(batch_patterns, remaining)
             if sim.detected:
-                used = sorted(set(sim.detected.values()))
-                kept_patterns.extend(batch_patterns[index] for index in used)
+                words = batch_patterns.words
+                kept_patterns.extend(
+                    [(word >> index) & 1 for word in words]
+                    for index in sorted(set(sim.detected.values()))
+                )
                 result.detected_random += len(sim.detected)
                 remaining = sim.undetected
             result.random_pattern_count += len(batch_patterns)

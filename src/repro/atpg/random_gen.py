@@ -10,15 +10,32 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence
 
+from ..sim.parallel import PackedPatterns
+
+
+def _random_rows(n_inputs: int, count: int, seed: int) -> List[int]:
+    """One ``getrandbits(n_inputs)`` word per pattern, bit *i* input *i*."""
+    if not n_inputs:
+        return [0] * count
+    rng = random.Random(seed)
+    return [rng.getrandbits(n_inputs) for _ in range(count)]
+
 
 def random_patterns(n_inputs: int, count: int, seed: int = 0) -> List[List[int]]:
     """``count`` uniform random fully-specified patterns."""
-    rng = random.Random(seed)
-    patterns: List[List[int]] = []
-    for _ in range(count):
-        word = rng.getrandbits(n_inputs) if n_inputs else 0
-        patterns.append([(word >> bit) & 1 for bit in range(n_inputs)])
-    return patterns
+    return [
+        [(word >> bit) & 1 for bit in range(n_inputs)]
+        for word in _random_rows(n_inputs, count, seed)
+    ]
+
+
+def packed_random_patterns(n_inputs: int, count: int, seed: int = 0) -> PackedPatterns:
+    """The patterns of :func:`random_patterns`, packed one word per input."""
+    if not n_inputs:
+        return PackedPatterns((), count)
+    spec = f"0{n_inputs}b"
+    rows = [format(word, spec)[::-1] for word in _random_rows(n_inputs, count, seed)]
+    return PackedPatterns.from_text(rows, n_inputs)
 
 
 def weighted_random_patterns(

@@ -219,17 +219,14 @@ def _cmd_faultsim(args) -> int:
                     f"pattern file for this circuit?"
                 )
     expected = simulator.view.num_inputs
-    for position, pattern in enumerate(pattern_file.patterns):
-        if len(pattern) != expected:
+    for position, bits in enumerate(pattern_file.bits):
+        if len(bits) != expected:
             raise ValueError(
-                f"pattern {position} in {args.patterns!r} has {len(pattern)} "
+                f"pattern {position} in {args.patterns!r} has {len(bits)} "
                 f"bits but {netlist.name} has {expected} inputs — wrong "
                 f"pattern file for this circuit?"
             )
-    filled = [
-        [0 if v not in (0, 1) else v for v in pattern]
-        for pattern in pattern_file.patterns
-    ]
+    filled = pattern_file.packed(expected)
     engine = _supervised_backend(args) or args.backend
     try:
         result = simulator.simulate(filled, faults, drop=True, engine=engine)

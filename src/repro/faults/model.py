@@ -3,13 +3,14 @@
 A *fault site* is a line of the netlist: either a gate's output stem
 (``pin == OUTPUT_PIN``) or one of its input branches (``pin >= 0``, the
 fanin position).  :class:`StuckAtFault` holds the line permanently at 0
-or 1; it is a frozen dataclass so it hashes into fault lists and
-dictionaries.
+or 1; it is a named tuple, so it hashes and compares at C speed in fault
+lists and dictionaries, and sorts by (gate, pin, value).  Like any tuple
+it equals a plain tuple of the same fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..circuit.netlist import Netlist
 
@@ -17,8 +18,7 @@ from ..circuit.netlist import Netlist
 OUTPUT_PIN = -1
 
 
-@dataclass(frozen=True, order=True)
-class StuckAtFault:
+class StuckAtFault(NamedTuple):
     """Line permanently stuck at ``value`` (0 or 1)."""
 
     gate: int

@@ -21,19 +21,43 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from ..circuit.values import X
+from ..sim.parallel import PackedPatterns
 
 _CHAR = {0: "0", 1: "1", X: "X"}
 _VALUE = {"0": 0, "1": 1, "X": X, "x": X}
+#: ``str.translate`` tables: one deletes every valid bit character, the
+#: other fills X as 0.
+_NOT_BITS = str.maketrans("", "", "01Xx")
+_X_AS_ZERO = str.maketrans("Xx", "00")
 
 
 @dataclass
 class PatternFile:
-    """A parsed pattern file."""
+    """A parsed pattern file.
+
+    ``bits`` holds each pattern's text as written (one ``0``/``1``/``X``
+    character per input); :attr:`patterns` and :meth:`packed` are derived
+    from it.
+    """
 
     circuit: str
     input_names: List[str]
-    patterns: List[List[int]] = field(default_factory=list)
+    bits: List[str] = field(default_factory=list)
     expects: List[Optional[List[int]]] = field(default_factory=list)
+
+    @property
+    def patterns(self) -> List[List[int]]:
+        """Each pattern as a row of 0/1/X values."""
+        return [[_VALUE[c] for c in text] for text in self.bits]
+
+    def packed(self, n_inputs: int) -> PackedPatterns:
+        """The patterns packed one word per input, each X filled as 0.
+
+        Raises ``ValueError`` unless every pattern has ``n_inputs`` bits.
+        """
+        return PackedPatterns.from_text(
+            [text.translate(_X_AS_ZERO) for text in self.bits], n_inputs
+        )
 
 
 class PatternFormatError(ValueError):
@@ -82,7 +106,7 @@ def parse_patterns(text: str) -> PatternFile:
     circuit = ""
     input_names: List[str] = []
     declared = -1
-    patterns: List[List[int]] = []
+    bits: List[str] = []
     expects: List[Optional[List[int]]] = []
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -105,16 +129,26 @@ def parse_patterns(text: str) -> PatternFile:
                 raise PatternFormatError(
                     f"line {line_number}: pattern needs index and bits"
                 )
-            values = _bits(fields[2], line_number)
-            if input_names and len(values) != len(input_names):
+            if fields[1] != str(len(bits)):
                 raise PatternFormatError(
-                    f"line {line_number}: width {len(values)} != "
+                    f"line {line_number}: pattern index {fields[1]!r}, "
+                    f"expected {len(bits)}"
+                )
+            row = fields[2]
+            bad = row.translate(_NOT_BITS)
+            if bad:
+                raise PatternFormatError(
+                    f"line {line_number}: bad bit {bad[0]!r}"
+                )
+            if input_names and len(row) != len(input_names):
+                raise PatternFormatError(
+                    f"line {line_number}: width {len(row)} != "
                     f"{len(input_names)} declared inputs"
                 )
-            patterns.append(values)
+            bits.append(row)
             expects.append(None)
         elif keyword == "expect":
-            if not patterns:
+            if not bits:
                 raise PatternFormatError(
                     f"line {line_number}: expect before any pattern"
                 )
@@ -125,14 +159,14 @@ def parse_patterns(text: str) -> PatternFile:
             raise PatternFormatError(
                 f"line {line_number}: unknown keyword {keyword!r}"
             )
-    if declared >= 0 and declared != len(patterns):
+    if declared >= 0 and declared != len(bits):
         raise PatternFormatError(
-            f"declared {declared} patterns, found {len(patterns)}"
+            f"declared {declared} patterns, found {len(bits)}"
         )
     return PatternFile(
         circuit=circuit,
         input_names=input_names,
-        patterns=patterns,
+        bits=bits,
         expects=expects,
     )
 

@@ -10,12 +10,11 @@ runs PPSFP over its partition against that shared response, and each
 shard's first-detecting pattern indices are merged back by position — so
 first-detecting-pattern semantics survive sharding and the outcome is
 bit-identical to PPSFP for any number of workers.  Keeping a region in
-one shard also keeps the work counters bit-identical on netlists without
-identical cores: its faults share one ``obs(root)`` propagation per
-chunk, as they do in process.  Where cores repeat, a shard holds only
-some images of a fault and PPSFP grades the images it holds (see
-:mod:`repro.sim.faultsim`), so the counters are the sum of in-process
-PPSFP over each shard.
+one shard also keeps the work counters bit-identical: its faults share
+one ``obs(root)`` propagation per chunk, as they do in process.  Where
+cores repeat, a region's images in every copy form one group
+(:meth:`~repro.sim.faultsim.FaultSimulator.fault_region`), so a shard
+grades each fault's images class-wide, as in-process PPSFP does.
 :class:`repro.sim.supervisor.SupervisedPoolBackend` is the one driver
 that runs the shards.  Because the plan is a pure function of the fault
 universe, seed and partition count, a run stopped by a failed shard

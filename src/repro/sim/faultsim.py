@@ -24,10 +24,11 @@ Three stuck-at engines are provided, matching the E3 experiment:
   *k*, bits ``[n*k, n*k + n)`` of an ``n``-pattern chunk, holds the words
   of the group's *k*-th copy.  The detection word is then split per image,
   giving each its first-detection index and its drop.  Everything else
-  takes the flat trace: groups of one or two images (most groups in a
-  supervised shard or a sampled fault list), single-copy classes,
-  single-component netlists, and branch faults on flop pins whose driver
-  lies in another component.
+  takes the flat trace: groups of one or two images (classes of two
+  copies, sampled fault lists, groups that dropping thinned), single-copy
+  classes, single-component netlists, and branch faults on flop pins whose
+  driver lies in another component.  A supervised shard holds every image
+  of its regions, so it grades them as the whole list would.
 * **supervised** — the PPSFP kernel sharded across worker processes by a
   :class:`~repro.sim.supervisor.SupervisedPoolBackend` passed as
   ``engine`` (see :mod:`repro.sim.dispatch`): the
@@ -81,11 +82,11 @@ _COUNTED_STATS = (
 
 #: Fewest images a group of identical-core faults is graded class-wide
 #: with (:meth:`FaultSimulator._grade_groups`); smaller groups take the
-#: flat trace.  With two images, reading the lane words costs about what
-#: the second trace saves: on the 35 shards of a supervised mac4_x16
-#: campaign, where most groups hold two images, grading took 20 % longer
-#: than flat at two and 3 % longer at three, the grouping pass included.
-#: In-process grading, with an image per copy, gains the same at both.
+#: flat trace.  Every shard holds all images of its regions, so groups of
+#: two arise only in classes of two copies and where dropping thinned a
+#: group.  There, reading the lane words costs about what the second
+#: trace saves: grading 1024 random patterns in process on mac4_x2 and
+#: mac4_x16 took the same wall time, within noise, at two and at three.
 _MIN_IMAGES = 3
 
 #: Images of one fault in identical cores, (fault, copy) in copy order,
@@ -215,13 +216,18 @@ class FaultSimulator:
         # the compiled evaluators are closures, so recompile, uncached.
         return (FaultSimulator, (self.netlist, self.word_width, None))
 
-    def fault_region(self, fault: StuckAtFault) -> int:
-        """Root of the fanout-free region a stuck-at fault is traced in.
+    def fault_region(self, fault: StuckAtFault) -> object:
+        """Shard key of a stuck-at fault: the region it is traced in.
 
-        Faults of one region share its ``obs(root)`` within a chunk, so
-        the supervised backend keeps each region in one shard.
+        Faults of one fanout-free region share its ``obs(root)`` within a
+        chunk, so the supervised backend keeps each region in one shard.
+        A root in an identical core is keyed by (class, local id), so one
+        shard holds every image of its regions and grades them class-wide;
+        any other root is its own key.
         """
-        return self._compiled.root[fault.gate]
+        root = self._compiled.root[fault.gate]
+        spot = self._cores.place[root]
+        return root if spot is None else spot[:2]
 
     def _snapshot(self) -> Tuple[int, int, int, int, int, int, float]:
         parallel = self.parallel

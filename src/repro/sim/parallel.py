@@ -91,8 +91,9 @@ class PackedPatterns:
     """A pattern set already packed into one word per test input.
 
     Bit *k* of ``words[i]`` is input *i* of pattern *k*, and no word has a
-    bit at or above ``count``.  Flows that generate patterns a word at a
-    time (the LBIST PRPG) hand this to :meth:`FaultSimulator.simulate`
+    bit at or above ``count``.  Flows that generate or read patterns a
+    word at a time (the LBIST PRPG, the ATPG random phase, pattern files)
+    hand this to :meth:`FaultSimulator.simulate`
     in place of a list of rows: ``len`` is the pattern count, a slice is
     the packed sub-block, and the python kernel evaluates a chunk's words
     as they are, with no :meth:`ParallelSimulator.pack_block` call.
@@ -102,6 +103,29 @@ class PackedPatterns:
 
     words: Tuple[int, ...]
     count: int
+
+    @classmethod
+    def from_text(cls, rows: Sequence[str], n_inputs: int) -> "PackedPatterns":
+        """Pack patterns written as ``0``/``1`` text, character *i* input *i*.
+
+        One transpose at C speed: ``zip`` reads the rows column by column,
+        last pattern first, so each column's text is its word in binary.
+        """
+        if any(len(row) != n_inputs for row in rows):
+            raise ValueError(f"every pattern needs {n_inputs} bits")
+        if not rows:
+            return cls((0,) * n_inputs, 0)
+        columns = zip(*reversed(rows))
+        return cls(tuple(int("".join(column), 2) for column in columns), len(rows))
+
+    def text(self) -> List[str]:
+        """Each pattern as ``0``/``1`` text: the inverse of :meth:`from_text`."""
+        if not self.words or not self.count:
+            return [""] * self.count
+        spec = f"0{self.count}b"
+        rows = ["".join(row) for row in zip(*(format(w, spec) for w in self.words))]
+        rows.reverse()
+        return rows
 
     def __len__(self) -> int:
         return self.count

@@ -50,6 +50,7 @@ from typing import Dict, Optional, Sequence, Set
 
 from ..faults.model import StuckAtFault
 from ..obs.events import PUBLISH, PUBLISH_CONFLICT, EventLog
+from .parallel import PackedPatterns
 
 STORE_VERSION = 2
 
@@ -61,17 +62,26 @@ _KEPT_STATS = ("events_propagated", "words_evaluated", "wall_time_s")
 
 #: ``bytes.translate`` table mapping each byte ``b`` to ``b & 1``.
 _LOW_BIT = bytes(b & 1 for b in range(256))
+#: ``bytes.translate`` table mapping ASCII ``0``/``1`` to bytes 0/1.
+_ASCII_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def pattern_digest(patterns: Sequence[Sequence[int]]) -> str:
     """Stable digest of a pattern set (order- and value-sensitive).
 
-    Hashes one byte ``int(bit) & 1`` per bit.  The common case (ints and
-    bools in 0-255) packs a whole pattern in C; anything else falls back
-    to the per-bit loop, which gives the same bytes.
+    Hashes one byte ``int(bit) & 1`` per bit, then ``;``, per pattern.
+    :class:`PackedPatterns` give the same bytes from one reverse
+    transpose of their words, so a store is pinned to the pattern set,
+    not to how it was passed.  For rows, the common case (ints and bools
+    in 0-255) packs a whole pattern in C; anything else falls back to the
+    per-bit loop, which gives the same bytes.
     """
     hasher = hashlib.sha256()
     hasher.update(f"{len(patterns)}:".encode())
+    if isinstance(patterns, PackedPatterns):
+        text = "".join(f"{row};" for row in patterns.text())
+        hasher.update(text.encode().translate(_ASCII_BITS))
+        return hasher.hexdigest()[:24]
     for pattern in patterns:
         try:
             # list() first: bytes() of a buffer (a numpy row) would copy

@@ -36,12 +36,8 @@ from repro.circuit.benchmarks import replicate_netlist
 from repro.faults.collapse import collapse_faults
 from repro.faults.stuck_at import full_fault_list
 from repro.scan.insertion import insert_scan
-from repro.sim.dispatch import (
-    BACKEND_NAMES,
-    default_partition_count,
-    partition_faults,
-)
-from repro.sim.faultsim import FaultSimResult, FaultSimulator
+from repro.sim.dispatch import BACKEND_NAMES
+from repro.sim.faultsim import FaultSimulator
 from repro.sim.parallel import KERNELS, WORD_WIDTH
 from repro.sim.store import ShardStore
 from repro.sim.supervisor import SupervisedPoolBackend
@@ -69,7 +65,7 @@ CIRCUIT_FACTORIES = (
         ).netlist,
     ),
 )
-#: Rows whose shards split a fault's core images across workers.
+#: Rows with identical cores, graded once per class.
 REPLICATED = ("mac2_x3", "seq3_x4_scan")
 
 #: The seven base circuits, which the ATPG oracle suites also audit (its
@@ -151,43 +147,6 @@ def _counter_reference(name, width, drop=True):
     return _simulate(name, "ppsfp", "python", width, drop=drop)
 
 
-@functools.lru_cache(maxsize=None)
-def _shard_counter_reference(name, width):
-    """Counter oracle for the multiprocess engines on replicated rows.
-
-    In process, PPSFP grades a fault's images in identical cores once per
-    class; a shard holds only some of them.  So a multiprocess run's
-    counters are the in-process good passes plus the fault work of
-    in-process PPSFP over each of the backend's shards.
-    """
-    reference = _counter_reference(name, width)
-    simulator = FaultSimulator(_circuit(name), word_width=width, cache=None)
-    patterns = [list(p) for p in _patterns(name)]
-    universe = list(_universe(name))
-    shards = partition_faults(
-        universe,
-        default_partition_count(len(universe)),
-        key=simulator.fault_region,
-    )
-    good_words = reference.stats["good_passes"] * simulator.parallel.num_scheduled
-    events = words = 0
-    for shard in shards:
-        stats = simulator.simulate(patterns, shard).stats
-        events += stats["events_propagated"]
-        words += stats["words_evaluated"] - (
-            stats["good_passes"] * simulator.parallel.num_scheduled
-        )
-    return FaultSimResult(
-        total_faults=reference.total_faults,
-        patterns_simulated=reference.patterns_simulated,
-        stats=dict(
-            reference.stats,
-            events_propagated=events,
-            words_evaluated=good_words + words,
-        ),
-    )
-
-
 def _assert_detection(result, oracle):
     assert result.detected == oracle.detected
     assert result.undetected == oracle.undetected
@@ -246,10 +205,9 @@ class TestBackendMatrix:
     def test_multiprocess_matches_oracle(self, name, kernel, engine):
         result = _simulate(name, engine, kernel, 256, jobs=2)
         _assert_detection(result, _oracle(name))
-        if name in REPLICATED:
-            _assert_counters(result, _shard_counter_reference(name, 256))
-        else:
-            _assert_counters(result, _counter_reference(name, 256))
+        # Shards keep every image of a region together, so counters equal
+        # in-process PPSFP on replicated rows too.
+        _assert_counters(result, _counter_reference(name, 256))
         assert result.stats["kernel"] == kernel
         assert result.stats["word_width"] == 256
 

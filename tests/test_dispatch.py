@@ -13,6 +13,7 @@ import pytest
 
 from repro.atpg.random_gen import random_patterns
 from repro.circuit import benchmarks, generators
+from repro.circuit.compiled import core_classes
 from repro.faults.collapse import collapse_faults
 from repro.faults.stuck_at import full_fault_list
 from repro.sim.dispatch import (
@@ -113,6 +114,35 @@ class TestPartitioning:
                 assert home.setdefault(key(fault), index) == index
         loads = [len(shard) for shard in shards]
         assert max(loads) - min(loads) <= max(sizes.values())
+
+    def test_every_image_of_a_region_shares_its_shard(self):
+        """On identical cores the key is (class, local root), so a shard
+        holds every copy's image of its regions, and the supervised
+        counters equal in-process PPSFP's."""
+        netlist = benchmarks.replicate_netlist(generators.mac_unit(2), 4)
+        netlist.finalize()
+        simulator = FaultSimulator(netlist, cache=None)
+        place = core_classes(netlist).place
+        faults = _universe(netlist)
+        shards = partition_faults(
+            faults, default_partition_count(len(faults)), key=simulator.fault_region
+        )
+        home = {}
+        for index, shard in enumerate(shards):
+            for fault in shard:
+                spot = place[fault.gate]
+                image = fault if spot is None else (spot[:2], fault.pin, fault.value)
+                assert home.setdefault(image, index) == index
+        assert any(place[fault.gate] is not None for fault in faults)
+        patterns = random_patterns(simulator.view.num_inputs, 200, seed=3)
+        for drop in (True, False):
+            flat = simulator.simulate(patterns, faults, drop=drop)
+            sharded = simulator.simulate(
+                patterns, faults, drop=drop, engine=SupervisedPoolBackend(jobs=2)
+            )
+            assert sharded.detected == flat.detected
+            for counter in ("events_propagated", "words_evaluated"):
+                assert sharded.stats[counter] == flat.stats[counter], counter
 
     def test_grouped_partitions_deterministic_given_seed(self):
         netlist = generators.random_circuit(8, 120, seed=21)

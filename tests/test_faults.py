@@ -42,6 +42,40 @@ class TestEnumeration:
         assert "s-a-0" in fault.describe(c17)
 
 
+class TestFaultValue:
+    """Reports and the e2e digests print faults, and every layer sorts and
+    hashes them: the repr, order and hash stay the field tuple's."""
+
+    def test_repr(self):
+        assert repr(StuckAtFault(7, OUTPUT_PIN, 1)) == (
+            "StuckAtFault(gate=7, pin=-1, value=1)"
+        )
+        assert repr([StuckAtFault(2, 0, 0)]) == "[StuckAtFault(gate=2, pin=0, value=0)]"
+
+    def test_sorts_by_gate_pin_value(self):
+        faults = [
+            StuckAtFault(3, 0, 0),
+            StuckAtFault(1, 2, 1),
+            StuckAtFault(1, OUTPUT_PIN, 1),
+            StuckAtFault(1, 2, 0),
+        ]
+        assert sorted(faults) == [
+            StuckAtFault(1, OUTPUT_PIN, 1),
+            StuckAtFault(1, 2, 0),
+            StuckAtFault(1, 2, 1),
+            StuckAtFault(3, 0, 0),
+        ]
+
+    def test_hashable_value(self):
+        fault = StuckAtFault(4, 1, 0)
+        assert fault == StuckAtFault(4, 1, 0)
+        assert fault != StuckAtFault(4, 1, 1)
+        assert hash(fault) == hash(StuckAtFault(4, 1, 0))
+        assert {fault: 1}[StuckAtFault(4, 1, 0)] == 1
+        assert len({fault, StuckAtFault(4, 1, 0), StuckAtFault(4, 0, 0)}) == 2
+        assert (fault.gate, fault.pin, fault.value) == (4, 1, 0)
+
+
 class TestCollapsing:
     def test_collapse_reduces(self, c17):
         faults = full_fault_list(c17)

@@ -19,6 +19,7 @@ import pytest
 
 from repro import obs
 
+from repro.atpg.engine import run_atpg
 from repro.atpg.podem import Podem
 from repro.atpg.random_gen import weighted_random_patterns
 from repro.bist.lbist import (
@@ -226,6 +227,30 @@ class TestStumpsExactWork:
             n_patterns / width
         )
         assert (cache.hits, cache.misses) == lookups
+
+
+class TestAtpgRandomPhaseExactWork:
+    """The ATPG random phase grades packed batches: it hands
+    ``pack_block`` nothing, and phase 2 packs single patterns."""
+
+    def test_random_phase_packs_nothing(self, call_log, monkeypatch):
+        netlist = benchmarks.get_benchmark("mac4_x4")
+        pack_block = ParallelSimulator.pack_block
+
+        def logged_pack(self, patterns):
+            call_log.append(("pack", len(patterns)))
+            return pack_block(self, patterns)
+
+        monkeypatch.setattr(ParallelSimulator, "pack_block", logged_pack)
+        result = run_atpg(netlist, seed=1)
+        first_generate = call_log.index(("generate", 0))
+        random_phase = call_log[:first_generate]
+        assert random_phase == [("simulate", WORD_WIDTH)] * (
+            result.random_pattern_count // WORD_WIDTH
+        )
+        assert len(random_phase) >= 2
+        # Phase 2 still packs each filled cube, as one pattern.
+        assert ("pack", 1) in call_log[first_generate:]
 
 
 class TestCheckpointValidation:

@@ -36,6 +36,11 @@ class TestRoundTrip:
         parsed = parse_patterns(text)
         assert parsed.expects == [[0], [1]]
 
+    def test_packed_fills_x_as_zero(self):
+        text = format_patterns("t", ["a", "b", "c"], [[0, X, 1], [X, 1, X]])
+        packed = parse_patterns(text).packed(3)
+        assert list(packed) == [[0, 0, 1], [0, 1, 0]]
+
     def test_comments_ignored(self):
         text = format_patterns("t", ["a"], [[1]]) + "# trailing comment\n"
         parsed = parse_patterns(text)
@@ -54,6 +59,26 @@ class TestValidation:
     def test_bad_bit(self):
         with pytest.raises(PatternFormatError, match="bad bit"):
             parse_patterns("inputs a\npattern 0 q\n")
+
+    @pytest.mark.parametrize(
+        "lines, number, index",
+        [
+            ("pattern 7 01\npattern 7 10", 2, "'7'"),
+            ("pattern 0 01\npattern 0 10", 3, "'0'"),
+            ("pattern 1 01\npattern 0 10", 2, "'1'"),
+            ("pattern 0 01\npattern zz 11", 3, "'zz'"),
+            ("pattern 0 01\npattern 01 11", 3, "'01'"),
+            ("pattern -0 01", 2, "'-0'"),
+        ],
+    )
+    def test_pattern_index_is_the_running_count(self, lines, number, index):
+        with pytest.raises(PatternFormatError, match=f"^line {number}: .*{index}"):
+            parse_patterns(f"inputs a b\n{lines}\n")
+
+    def test_packed_rejects_a_ragged_set(self):
+        parsed = parse_patterns("pattern 0 01\npattern 1 011\n")
+        with pytest.raises(ValueError, match="2 bits"):
+            parsed.packed(2)
 
     def test_count_mismatch(self):
         with pytest.raises(PatternFormatError, match="declared"):
