@@ -7,7 +7,9 @@ The production recipe the tutorial describes:
    early — each 64-pattern word is one PPSFP pass),
 3. run PODEM on every survivor, fault-simulating each new test against the
    remaining list so one deterministic pattern usually kills several faults
-   (dynamic compaction through fault dropping),
+   (dynamic compaction through fault dropping); on identical cores, an
+   untestable or aborted verdict is searched once per core class and
+   copied to the fault's other images (:class:`ImageVerdicts`),
 4. optionally statically compact the deterministic cubes and X-fill them,
    then re-grade what compaction can change: the faults credited during
    step 3, against the deterministic patterns only, topping off from the
@@ -25,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
 from .. import obs
+from ..circuit.compiled import core_classes
 from ..circuit.netlist import Netlist
 from ..circuit.values import X
 from ..faults.collapse import collapse_faults
@@ -33,6 +36,7 @@ from ..faults.stuck_at import full_fault_list
 from ..sim.faultsim import FaultSimulator, unique_faults
 from ..sim.parallel import WORD_WIDTH
 from .compaction import care_bit_stats, static_compact
+from .podem import PodemResult
 from .portfolio import make_engine
 from .random_gen import packed_random_patterns
 
@@ -56,6 +60,40 @@ def x_fill(cube: Sequence[int], rng: random.Random, mode: str = "random") -> Lis
                 value = 0 if mode == "zero" else 1
         filled.append(value)
     return filled
+
+
+class ImageVerdicts:
+    """A deterministic engine that searches each fault's core images once
+    for a verdict other than ``detected``.
+
+    The faults of one image key (:meth:`CoreClasses.images
+    <repro.circuit.compiled.CoreClasses.images>`) are the same fault on
+    identical cores.  The first of them the flow asks about is searched;
+    an ``untestable`` or ``aborted`` outcome then stands for every later
+    one, which gets the same outcome object with no search.  Untestable
+    carries over because the copies are isomorphic; aborted is the first
+    image's search within the budget.  A ``detected`` outcome is never
+    reused: each image gets its own cube, confirmed by its own fault
+    simulation.  A fault with no image key is always searched.
+    """
+
+    def __init__(self, engine, netlist: Netlist, faults: Sequence[StuckAtFault]):
+        self._engine = engine
+        self._keys = {
+            fault: key
+            for key, images in core_classes(netlist).images(faults).items()
+            for fault in images
+        }
+        self._verdicts: Dict[tuple, PodemResult] = {}
+
+    def generate(self, fault: StuckAtFault) -> PodemResult:
+        key = self._keys.get(fault)
+        outcome = self._verdicts.get(key)
+        if outcome is None:
+            outcome = self._engine.generate(fault)
+            if key is not None and outcome.status != "detected":
+                self._verdicts[key] = outcome
+        return outcome
 
 
 @dataclass
@@ -212,11 +250,12 @@ def run_atpg(
     phase2_credits: Set[StuckAtFault] = set()
     queue = list(remaining)
     undetected = set(remaining)
+    search = ImageVerdicts(generator, netlist, queue)
     with obs.span("podem"):
         for fault in queue:
             if fault not in undetected:
                 continue
-            outcome = generator.generate(fault)
+            outcome = search.generate(fault)
             winner = getattr(outcome, "winner", None)
             if outcome.status != "aborted":
                 settled_by = winner or engine

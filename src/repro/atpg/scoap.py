@@ -11,6 +11,13 @@ observation point), computed per gate in the full-scan view.  Used by:
 
 The measures follow Goldstein's SCOAP: every gate adds +1 depth cost, PIs
 and scan flops cost 1 to control, observation points cost 0 to observe.
+
+Identical cores (:func:`~repro.circuit.compiled.core_classes`) are
+measured once per class: both walks visit only the gates outside every
+class and each class's representative, and the measures are then copied to
+every image by local id.  This is exact.  A non-source gate's fanins and
+combinational consumers all lie in its own component, sources cost 1, and
+the class key records each gate's reader and observation flags.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..circuit.compiled import compiled
+from ..circuit.compiled import compiled, core_classes
 from ..circuit.gates import GateType
 from ..circuit.netlist import Netlist
 
@@ -44,8 +51,15 @@ def compute_testability(netlist: Netlist) -> Testability:
     gates = netlist.gates
     cc0 = [INFINITY] * len(gates)
     cc1 = [INFINITY] * len(gates)
+    cores = core_classes(netlist)
+    order = netlist.topo_order
+    if cores.classes:
+        place = cores.place
+        order = [
+            index for index in order if place[index] is None or not place[index][2]
+        ]
 
-    for index in netlist.topo_order:
+    for index in order:
         gate = gates[index]
         if gate.type == GateType.INPUT or gate.is_sequential:
             cc0[index] = 1
@@ -102,7 +116,7 @@ def compute_testability(netlist: Netlist) -> Testability:
     for reader in compiled(netlist).readers:
         co[reader] = 0
 
-    for index in reversed(netlist.topo_order):
+    for index in reversed(order):
         gate = gates[index]
         if gate.type == GateType.INPUT or gate.is_sequential:
             continue
@@ -142,4 +156,11 @@ def compute_testability(netlist: Netlist) -> Testability:
             if cost < co[driver]:
                 co[driver] = cost
 
+    for members in cores.classes:
+        representative = members[0]
+        for image in members[1:]:
+            for index, twin in zip(image, representative):
+                cc0[index] = cc0[twin]
+                cc1[index] = cc1[twin]
+                co[index] = co[twin]
     return Testability(cc0=cc0, cc1=cc1, co=co)

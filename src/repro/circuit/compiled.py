@@ -22,12 +22,13 @@ engines: a netlist pickled to a spawn worker carries its derived tables,
 and closures do not pickle.
 
 :func:`core_classes` caches :class:`CoreClasses` the same way: the
-netlist's identical cores, which fault simulation grades once per class.
+netlist's identical cores, which fault simulation grades once per class
+and ATPG measures and searches once per class.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .dcalc import _RAIL_X, AND_TABLE, DX, NOT_TABLE, OR_TABLE, XOR_TABLE, has_x
 from .gates import (
@@ -280,6 +281,39 @@ class CoreClasses:
             for copy, gates in enumerate(members):
                 for local, gate in enumerate(gates):
                     self.place[gate] = (number, local, copy)
+        self._fanins = tables.fanins
+
+    def images(self, faults: Iterable) -> Dict[Tuple[int, int, int, int], list]:
+        """Stuck-at faults grouped by image key, in ``faults`` order.
+
+        A fault's image key is (class number, local id, pin, value): faults
+        with one key are the same fault on identical cores, so they are
+        detected by the same patterns of their own copies, and untestable
+        in every copy or in none.  A fault outside every class has no key.
+        Neither has a branch fault whose driver lies in another component,
+        which only a flop pin can have (every other gate is joined to its
+        drivers): its behaviour depends on that driver.  The class key
+        marks such a driver -1, so the copies of a class agree on which
+        pins these are.
+        """
+        place = self.place
+        buckets: Dict[Tuple[int, int, int, int], list] = {}
+        for fault in faults:
+            spot = place[fault.gate]
+            if spot is not None:
+                key = (spot[0], spot[1], fault.pin, fault.value)
+                bucket = buckets.get(key)
+                if bucket is None:
+                    buckets[key] = [fault]
+                else:
+                    bucket.append(fault)
+        classes, component, fanins = self.classes, self.component, self._fanins
+        for key in list(buckets):
+            number, local, pin, _ = key
+            site = classes[number][0][local]
+            if pin >= 0 and component[fanins[site][pin]] != component[site]:
+                del buckets[key]
+        return buckets
 
     @staticmethod
     def _key(tables: CompiledNetlist, gates: List[int]) -> tuple:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from .. import obs
-from ..atpg.engine import x_fill
+from ..atpg.engine import ImageVerdicts, x_fill
 from ..atpg.podem import Podem
 from ..faults.collapse import collapse_faults
 from ..faults.model import StuckAtFault
@@ -41,6 +41,9 @@ class CompressedAtpgResult:
     untestable: int = 0
     aborted: int = 0
     unencodable: int = 0
+    #: Target faults the applied pattern of their own cube missed: an
+    #: engine or encoder inconsistency, counted in no other bucket.
+    consistency_errors: List[StuckAtFault] = field(default_factory=list)
     cpu_seconds: float = 0.0
     #: Independent re-grade of ``applied_patterns`` over the full universe
     #: (set when the flow runs with ``grade=True``): coverage as a tester
@@ -75,6 +78,8 @@ class CompressedAtpgResult:
         }
         if self.graded_coverage is not None:
             summary["graded_coverage"] = round(self.graded_coverage, 4)
+        if self.consistency_errors:
+            summary["consistency_errors"] = len(self.consistency_errors)
         return summary
 
 
@@ -91,7 +96,10 @@ def run_compressed_atpg(
     data expanded through the decompressor — free on a real tester).
     Phase 2 runs PODEM per surviving fault, encodes the cube, expands it,
     and fault-simulates the expansion; unencodable cubes fall back to an
-    X-filled bypass pattern.
+    X-filled bypass pattern.  Untestable and aborted verdicts are searched
+    once per identical-core image (:class:`~repro.atpg.engine.ImageVerdicts`).
+    An applied pattern that misses its own target fault is recorded in
+    ``consistency_errors``, never retried or credited.
 
     With ``grade`` set, the finished pattern set is re-graded from scratch
     against the full fault universe — the cross-check a tester sign-off
@@ -133,7 +141,7 @@ def run_compressed_atpg(
     # ------------------------------------------------------------------
     # Phase 2: deterministic cubes, encoded one at a time.
     # ------------------------------------------------------------------
-    generator = Podem(netlist)
+    generator = ImageVerdicts(Podem(netlist), netlist, remaining)
     undetected = set(remaining)
     with obs.span("compression_encode"):
         for fault in remaining:
@@ -168,16 +176,12 @@ def run_compressed_atpg(
             for detected_fault in sim.detected:
                 undetected.discard(detected_fault)
             if fault in undetected:
-                # Encoded fill diverged from the cube's intent — possible
-                # only for bypass-path randomness; retry once with the
-                # bypass fill.
+                # The encoder solved every care bit (or the bypass pattern
+                # holds the cube), so the applied pattern detects the
+                # target under any fill.  A miss is an engine or encoder
+                # inconsistency: surface it, never absorb it.
                 undetected.discard(fault)
-                retry = x_fill(cube, rng, "random")
-                sim = simulator.simulate([retry], [fault], drop=True)
-                if sim.detected:
-                    result.bypass_patterns.append(retry)
-                    result.applied_patterns.append(retry)
-                    result.detected += 1
+                result.consistency_errors.append(fault)
 
     if grade and result.applied_patterns:
         with obs.span("grade"):

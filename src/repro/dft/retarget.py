@@ -174,7 +174,14 @@ def compare_flat_hierarchical(
 
     The hierarchical flow pays the core ATPG cost once (re-measured per row
     for honesty — it is constant) plus nothing per extra core; the flat
-    flow hands the whole replicated netlist to ATPG.
+    flow hands the whole replicated netlist to ATPG.  That flat flow
+    already uses the chip's identical cores
+    (:func:`~repro.circuit.compiled.core_classes`): it computes SCOAP once
+    per class, searches an untestable or aborted verdict once per class
+    and fault, and grades a fault's images together.  What still grows
+    with the core count is collapse, the grading itself and one search
+    and fault-simulation confirmation per detected image, because cubes
+    are not yet broadcast across copies.
     """
     core.finalize()
     rows: List[FlatVsHierRow] = []

@@ -517,44 +517,24 @@ class FaultSimulator:
     def _image_groups(self, faults: Sequence[StuckAtFault]) -> _Groups:
         """The faults whose images in identical cores are graded together.
 
-        Groups ``faults`` by (class, local site, pin, value), each image
+        Groups ``faults`` by image key
+        (:meth:`~repro.circuit.compiled.CoreClasses.images`), each image
         with its copy number, in copy order, and keeps the groups of at
-        least ``_MIN_IMAGES`` images.  A branch fault on a flop pin whose
-        driver lies in another component stays out: its readout reads
-        that driver.  (The class key marks such a driver, so the copies of
-        one group agree on it.)
+        least ``_MIN_IMAGES`` images.
         """
         cores = self._cores
         # A group holds at most one image per copy of its class.
         if all(len(members) < _MIN_IMAGES for members in cores.classes):
             return {}
-        place, component, classes = cores.place, cores.component, cores.classes
-        fanins, observes = self._compiled.fanins, self._compiled.observes
-        buckets: Dict[Tuple[int, int, int, int], List[StuckAtFault]] = {}
-        for fault in faults:
-            spot = place[fault.gate]
-            if spot is not None:
-                key = (spot[0], spot[1], fault.pin, fault.value)
-                bucket = buckets.get(key)
-                if bucket is None:
-                    buckets[key] = [fault]
-                else:
-                    bucket.append(fault)
-        groups: _Groups = {}
-        for key, images in buckets.items():
-            number, local, pin, _ = key
-            site = classes[number][0][local]
-            if len(images) < _MIN_IMAGES or (
-                pin != OUTPUT_PIN
-                and observes[site]
-                and component[fanins[site][pin]] != component[site]
-            ):
-                continue
-            groups[key] = sorted(
+        place = cores.place
+        return {
+            key: sorted(
                 ((fault, place[fault.gate][2]) for fault in images),
                 key=itemgetter(1),
             )
-        return groups
+            for key, images in cores.images(faults).items()
+            if len(images) >= _MIN_IMAGES
+        }
 
     def _grade_groups(
         self,

@@ -49,10 +49,60 @@ class TestCompressedAtpg:
 
     def test_accounting_adds_up(self, flow_setup):
         design, capture, edt, flow = flow_setup
+        assert not flow.consistency_errors
         assert (
-            flow.detected + flow.untestable + flow.aborted <= flow.total_faults
+            flow.detected
+            + flow.untestable
+            + flow.aborted
+            + len(flow.consistency_errors)
+            == flow.total_faults
         )
         assert flow.total_faults == len(capture)
+
+    def test_missed_target_is_a_consistency_error(self, flow_setup, monkeypatch):
+        """An applied pattern with one care bit flipped misses its target:
+        the fault is recorded, not retried, credited or dropped silently."""
+        design, capture, _, _ = flow_setup
+        netlist = design.netlist
+        flop_order = {flop: index for index, flop in enumerate(netlist.flops)}
+        last_cube = {}
+        to_care_bits = EdtSystem.cube_to_care_bits
+        encoded_pattern = EdtSystem.encoded_pattern
+
+        def recording(self, cube):
+            pi_part, care = to_care_bits(self, cube)
+            last_cube.update(pi_part=pi_part, care=care)
+            return pi_part, care
+
+        def flipping(self, variables, pi_bits):
+            encoded = encoded_pattern(self, variables, pi_bits)
+            if not last_cube:
+                return encoded  # a random-phase candidate
+            pi_part, care = last_cube.pop("pi_part"), last_cube.pop("care")
+            if care:
+                chain, position = min(care)
+                flop = self.design.chains[chain][position]
+                encoded.expanded_state[flop_order[flop]] ^= 1
+            else:
+                pin = next(k for k, value in enumerate(pi_part) if value in (0, 1))
+                encoded.pi_bits[pin] ^= 1
+            return encoded
+
+        monkeypatch.setattr(EdtSystem, "cube_to_care_bits", recording)
+        monkeypatch.setattr(EdtSystem, "encoded_pattern", flipping)
+        flow = run_compressed_atpg(
+            EdtSystem(design, 2, 2), faults=capture, random_pattern_budget=0, seed=3
+        )
+        assert flow.consistency_errors
+        assert flow.summary()["consistency_errors"] == len(flow.consistency_errors)
+        assert not flow.bypass_patterns
+        assert (
+            flow.detected
+            + flow.untestable
+            + flow.aborted
+            + len(flow.consistency_errors)
+            == flow.total_faults
+        )
 
     def test_deterministic(self, flow_setup):
         design, capture, edt, flow = flow_setup

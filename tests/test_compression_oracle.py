@@ -147,6 +147,7 @@ class TestCompressedFlowOracle:
             edt, random_pattern_budget=32, seed=2, grade=True
         )
         assert flow.encoded and flow.bypass_patterns
+        assert not flow.consistency_errors
         faults, _ = collapse_faults(design.netlist, full_fault_list(design.netlist))
         serial = FaultSimulator(design.netlist).simulate(
             flow.applied_patterns, faults, engine="serial"
